@@ -20,7 +20,7 @@ from multiwit.fixtures import get_fixture
 def main():
     fx = get_fixture("two-lines")
     rs = RandomSource(seed=5)
-    opts = TrackOptions(workers=4)
+    opts = TrackOptions()
 
     wc = compute_witness_collection(fx.system, fx.default_keys, rs, opts)
     points = list(wc.entries[(1,)].points)

@@ -26,7 +26,7 @@ def show(tag, md):
 def main():
     fx = get_fixture("octahedron-fg")
     rs = RandomSource(seed=7)
-    opts = TrackOptions(workers=4)
+    opts = TrackOptions()
 
     wc = compute_witness_collection(fx.system, fx.default_keys, rs, opts)
     show("multidegrees over C_x x C_y x C_z x C_w:", wc.multidegree_map())

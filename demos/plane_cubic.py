@@ -21,7 +21,7 @@ f = y^2 - x^3 + 3*x - 1;
 def main():
     F = parse_system(SOURCE).system
     rs = RandomSource(seed=42)
-    opts = TrackOptions(workers=4)
+    opts = TrackOptions()
 
     # The curve has dimension 1, so its keys e satisfy |e| = 1.  Key (1,0)
     # slices with a generic affine form in x alone (2 points), key (0,1)

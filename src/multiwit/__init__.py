@@ -10,11 +10,6 @@ from .algebra import (
     Polynomial,
     PolySystem,
     VariableGrouping,
-    dehomogenize,
-    evaluate,
-    homogenize,
-    jacobian,
-    multidegree_of,
     numerical_rank,
 )
 from .dimension import (
@@ -42,7 +37,6 @@ from .nid import (
     build_component,
     component_membership,
     membership_product,
-    nid_curve_affine,
     nid_multi,
 )
 from .startsys import (
@@ -58,12 +52,8 @@ from .sysio import (
     ParseError,
     RandomSource,
     SystemDocument,
-    WitnessArchive,
-    draw,
     format_system,
-    load_witness,
     parse_system,
-    save_witness,
 )
 from .tracker import (
     Homotopy,
@@ -91,6 +81,7 @@ from .witness import (
     refine,
     segre_degree,
     slice_collection,
+    track_slice_motion,
 )
 
 __version__ = "0.1.0"

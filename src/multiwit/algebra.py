@@ -3,7 +3,7 @@
 Polynomials are stored as maps from dense exponent vectors to complex
 coefficients.  Variables are partitioned into groups (the factors of a
 product of affine/projective spaces); most operations here are indexed
-by group: per-group degrees, Jacobian column blocks, homogenization.
+by group: per-group degrees and Jacobian column blocks.
 
 Evaluation and differentiation of whole systems go through a compiled
 form (stacked exponent/coefficient arrays) so the path tracker can call
@@ -392,14 +392,6 @@ class PolySystem:
         return f"PolySystem({len(self.polys)} polynomials, {self.grouping!r})"
 
 
-def evaluate(system: PolySystem, point) -> np.ndarray:
-    return system.evaluate(point)
-
-
-def jacobian(system: PolySystem, point, omit_groups: Iterable[int] = ()) -> np.ndarray:
-    return system.jacobian(point, omit_groups)
-
-
 def numerical_rank(m: np.ndarray, rel_tol: float = 1e-8) -> int:
     """Count of singular values above rel_tol times the largest one."""
     if not 0 < rel_tol < 1:
@@ -412,68 +404,3 @@ def numerical_rank(m: np.ndarray, rel_tol: float = 1e-8) -> int:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
-
-def _require_consecutive(grouping: VariableGrouping) -> None:
-    flat = [v for b in grouping.blocks for v in b]
-    if flat != sorted(flat):
-        raise ValueError("homogenization requires consecutively-indexed groups")
-
-
-def homogenize(p: Polynomial, target: Sequence[int] | None = None) -> Polynomial:
-    """Pad every term with a new 0th coordinate per group up to the group degree.
-
-    The homogenizing coordinate is inserted as the first variable of each
-    group in the returned polynomial's grouping.
-    """
-    g = p.grouping
-    _require_consecutive(g)
-    mdeg = p.multidegree()
-    if target is None:
-        target = mdeg
-    target = tuple(target)
-    if any(t < d for t, d in zip(target, mdeg)):
-        raise ValueError(f"target multidegree {target} below polynomial degree {mdeg}")
-    sizes = [n + 1 for n in g.sizes]
-    names = []
-    old_to_new = {}
-    idx = 0
-    for i, block in enumerate(g.blocks):
-        names.append(f"_h{i}_{g.names[block[0]]}")
-        h_idx = idx
-        idx += 1
-        for v in block:
-            names.append(g.names[v])
-            old_to_new[v] = idx
-            idx += 1
-        old_to_new[("h", i)] = h_idx
-    new_g = VariableGrouping.from_sizes(sizes, names)
-    terms = {}
-    for e, c in p.terms.items():
-        ne = [0] * new_g.nvars
-        for v, d in enumerate(e):
-            ne[old_to_new[v]] = d
-        for i, block in enumerate(g.blocks):
-            d = sum(e[v] for v in block)
-            ne[old_to_new[("h", i)]] = target[i] - d
-        terms[tuple(ne)] = c
-    return Polynomial(new_g, terms)
-
-
-def dehomogenize(p: Polynomial) -> Polynomial:
-    """Set each group's first variable to 1 and drop it from the grouping."""
-    g = p.grouping
-    _require_consecutive(g)
-    if any(len(b) < 2 for b in g.blocks):
-        raise ValueError("every group needs at least 2 variables to dehomogenize")
-    keep = [v for b in g.blocks for v in sorted(b)[1:]]
-    sizes = [len(b) - 1 for b in g.blocks]
-    new_g = VariableGrouping.from_sizes(sizes, [g.names[v] for v in keep])
-    terms: dict = {}
-    for e, c in p.terms.items():
-        ne = tuple(e[v] for v in keep)
-        terms[ne] = terms.get(ne, 0.0) + c
-    return Polynomial(new_g, terms)
-
-
-def multidegree_of(p: Polynomial) -> tuple[int, ...]:
-    return p.multidegree()

@@ -9,13 +9,11 @@ byte-identical for identical inputs and seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from . import fixtures as fixture_mod
-from . import tracker as tracker_mod
 from .algebra import Polynomial, PolySystem
 from .dimension import (
     IllConditionedError,
@@ -23,7 +21,7 @@ from .dimension import (
     equidim_partition,
     product_factorization,
 )
-from .monodromy import breakup, trace_test
+from .monodromy import trace_test
 from .nid import nid_multi
 from .startsys import complete_intersection_class
 from .sysio import DEFAULT_SEED, ParseError, RandomSource, parse_system
@@ -109,16 +107,9 @@ def _load_system(args):
 
 
 def _options(args) -> TrackOptions:
-    overrides = {}
     if args.tol_track is not None:
-        overrides["newton_tol"] = args.tol_track
-    if args.tol_rank is not None:
-        overrides["rank_tol"] = args.tol_rank
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.tol_match is not None:
-        tracker_mod.MATCH_TOL = args.tol_match
-    return TrackOptions(**overrides)
+        return TrackOptions(newton_tol=args.tol_track)
+    return TrackOptions()
 
 
 def _witness_collection(args, opts):
@@ -336,10 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--tol-rank", type=float, default=None)
         sp.add_argument("--tol-track", type=float, default=None)
-        sp.add_argument("--tol-match", type=float, default=None)
         sp.add_argument("--tol-trace", type=float, default=None)
-        sp.add_argument("--max-loops", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--extended", action="store_true",
                         help="allow long-running extended fixtures")
         sp.add_argument("--output", help="write JSON here instead of stdout")
@@ -384,13 +372,6 @@ def run(argv=None) -> int:
     if getattr(args, "fixture", None) == "pentad" and not args.extended:
         sys.stderr.write("the pentad fixture is a long run; pass --extended\n")
         return EXIT_INPUT
-
-    if getattr(args, "max_loops", None) is not None:
-        from . import monodromy as monodromy_mod
-
-        monodromy_mod.MAX_LOOPS = args.max_loops
-    if getattr(args, "workers", None) is None and args.command != "class":
-        args.workers = min(4, os.cpu_count() or 1)
 
     try:
         result = _HANDLERS[args.command](args)

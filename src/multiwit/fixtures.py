@@ -324,9 +324,6 @@ _FIXTURES = {
     "two-lines": two_lines,
     "octahedron-fg": octahedron_fg,
     "octahedron-fh": octahedron_fh,
-    "octahedron-f": octahedron_fg,   # alias kept for symmetry with -h
-    "octahedron-g": octahedron_fg,
-    "octahedron-h": octahedron_fh,
     "richardson": richardson,
     "richardson-four": richardson_four,
     "hyperboloid": hyperboloid,

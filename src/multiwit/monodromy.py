@@ -16,16 +16,15 @@ import numpy as np
 from .algebra import Polynomial, PolySystem
 from .dimension import dimension_polytope, local_multidimension
 from .sysio import RandomSource
-from .startsys import residual_ok, square_up
+from .startsys import RESIDUAL_TOL, square_up
 from .tracker import (
-    Homotopy,
     NonconvergenceError,
     SingularJacobianError,
     TrackOptions,
     TrackingError,
     newton_refine,
     points_equal,
-    track_many,
+    relative_residual,
 )
 from .witness import (
     IndeterminateError,
@@ -34,6 +33,7 @@ from .witness import (
     WitnessCollection,
     WitnessSet,
     random_affine_form,
+    track_slice_motion,
 )
 
 TRACE_TOL = 1e-6
@@ -98,10 +98,9 @@ def monodromy_permutation(
     ]
     current = {i: p for i, p in enumerate(ws.points)}
     for start_forms, target_forms, gamma in legs:
-        h = Homotopy(PolySystem(start_forms), PolySystem(target_forms),
-                     gamma=gamma, fixed=fixed)
         indices = sorted(current)
-        results = track_many(h, [current[i] for i in indices], opts)
+        results = track_slice_motion(fixed, start_forms, target_forms,
+                                     [current[i] for i in indices], gamma, opts)
         nxt = {}
         for i, r in zip(indices, results):
             if r.converged:
@@ -136,7 +135,10 @@ def monodromy_permutation(
             taken[j] = i
             perm[i] = j
         else:
-            if residual_ok(ws.system, endpoint) and not any(
+            on_system = relative_residual(
+                ws.system.evaluate(endpoint), ws.system.residual_scale(endpoint)
+            ) < RESIDUAL_TOL
+            if on_system and not any(
                 points_equal(endpoint, q) for q in new_points
             ):
                 new_points.append(endpoint)
@@ -178,8 +180,7 @@ def trace_test(
     for idx, s in enumerate(s_values):
         target = base + s * pencil_form
         # gamma = 1 keeps the slice motion affine in t, which the trace needs
-        h = Homotopy(PolySystem([base]), PolySystem([target]), gamma=1.0, fixed=fixed)
-        results = track_many(h, part, opts)
+        results = track_slice_motion(fixed, [base], [target], part, 1.0, opts)
         if not all(r.converged for r in results):
             raise IndeterminateError("trace test path failed; result indeterminate")
         centroids.append(np.mean([r.endpoint for r in results], axis=0))

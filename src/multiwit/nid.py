@@ -23,16 +23,10 @@ from .dimension import (
     polytope_proj_dim,
     slice_polytope,
 )
-from .monodromy import breakup, grow_witness_set
+from .monodromy import grow_witness_set
 from .sysio import RandomSource
 from .startsys import square_up
-from .tracker import (
-    Homotopy,
-    TrackOptions,
-    TrackingError,
-    points_equal,
-    track_many,
-)
+from .tracker import TrackOptions, TrackingError, points_equal
 from .witness import (
     IndeterminateError,
     SliceSelection,
@@ -40,19 +34,8 @@ from .witness import (
     WitnessSet,
     membership,
     random_affine_form,
+    track_slice_motion,
 )
-
-
-def nid_curve_affine(
-    F: PolySystem,
-    ws: WitnessSet,
-    rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
-):
-    """Equidimensional affine NID: monodromy breakup with trace certificates.
-
-    Returns the MonodromyState; its partition lists index the input points."""
-    return breakup(ws, rs, opts)
 
 
 def compute_slice_vector(polytope) -> tuple[tuple[int, ...], frozenset]:
@@ -194,10 +177,7 @@ def component_membership(
     for form in old_forms:
         value = complex(form.evaluate(q))
         new_forms.append(form - value)
-    h = Homotopy(
-        PolySystem(old_forms), PolySystem(new_forms), gamma=gamma, fixed=ws.fixed_block
-    )
-    results = track_many(h, ws.points, opts)
+    results = track_slice_motion(ws.fixed_block, old_forms, new_forms, ws.points, gamma, opts)
     if any(r.status == "failed" for r in results):
         raise IndeterminateError("membership homotopy failed; answer indeterminate")
     return any(r.converged and points_equal(r.endpoint, q) for r in results)

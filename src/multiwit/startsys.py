@@ -1,15 +1,13 @@
 """Root-count combinatorics and start systems.
 
 Contains the multihomogeneous Bezout machinery (complete-intersection
-multidegree classes and the m-Bezout count), total-degree and
-linear-product start systems, and solve_zero_dim: the square
-zero-dimensional solver (random square-up + gamma homotopy) that every
-witness computation sits on.
+multidegree classes and the m-Bezout count), the linear-product start
+system, and solve_zero_dim: the square zero-dimensional solver (random
+square-up + gamma homotopy) that every witness computation sits on.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +23,7 @@ from .tracker import (
     TrackingError,
     dedupe_points,
     newton_refine,
+    relative_residual,
     track_many,
 )
 
@@ -43,32 +42,21 @@ def complete_intersection_class(
     k = len(nvec)
     if len(degrees) > sum(nvec):
         raise ValueError("more forms than the ambient dimension")
-    shape = tuple(n + 1 for n in nvec)
-    poly = np.zeros(shape, dtype=object)
-    poly[(0,) * k] = 1
+    # exponent vector of s -> coefficient, over the reachable exponents only
+    poly = {(0,) * k: 1}
     for d in degrees:
         d = tuple(int(x) for x in d)
         if len(d) != k:
             raise ValueError(f"degree vector {d} has arity {len(d)}, expected {k}")
-        new = np.zeros(shape, dtype=object)
-        for idx in np.ndindex(shape):
-            c = poly[idx]
-            if c == 0:
-                continue
+        new: dict = {}
+        for idx, c in poly.items():
             for i in range(k):
-                if d[i] == 0:
-                    continue
-                if idx[i] + 1 <= nvec[i]:
+                if d[i] and idx[i] < nvec[i]:
                     jdx = idx[:i] + (idx[i] + 1,) + idx[i + 1:]
-                    new[jdx] += c * d[i]
+                    new[jdx] = new.get(jdx, 0) + c * d[i]
         poly = new
-    out = {}
-    for idx in np.ndindex(shape):
-        c = poly[idx]
-        if c != 0:
-            a = tuple(n - x for n, x in zip(nvec, idx))
-            out[a] = int(c)
-    return out
+    out = {tuple(n - x for n, x in zip(nvec, idx)): c for idx, c in poly.items() if c}
+    return dict(sorted(out.items()))
 
 
 def mbezout(degrees: Sequence[Sequence[int]], nvec: Sequence[int]) -> int:
@@ -95,26 +83,10 @@ def _random_affine_in_group(grouping, group: int, rs: RandomSource) -> Polynomia
     return Polynomial.affine(grouping, coeffs, rs.gaussian_complex(), block)
 
 
-def _total_degree_package(target: PolySystem, rs: RandomSource) -> StartPackage:
-    g = target.grouping
-    n = g.nvars
-    degs = [sum(p.multidegree()) for p in target.polys]
-    if any(d == 0 for d in degs):
-        raise ValueError("total-degree start needs every equation nonconstant")
-    polys = []
-    roots_per_var = []
-    for j, d in enumerate(degs):
-        xj = Polynomial.variable(g, j)
-        polys.append(xj ** d - 1)
-        roots_per_var.append(
-            [np.exp(2j * np.pi * r / d) for r in range(d)]
-        )
-    count = int(np.prod([len(r) for r in roots_per_var]))
-    solutions = [np.asarray(sol, dtype=complex) for sol in itertools.product(*roots_per_var)]
-    return StartPackage(PolySystem(polys), solutions, count)
-
-
-def _linear_product_package(target: PolySystem, rs: RandomSource) -> StartPackage:
+def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
+    """The linear-product start system of a square target, with its solutions."""
+    if len(target) != target.grouping.nvars:
+        raise ValueError("start systems require a square target")
     g = target.grouping
     k = g.k
     patterns = [p.multidegree() for p in target.polys]
@@ -182,15 +154,6 @@ def _linear_product_package(target: PolySystem, rs: RandomSource) -> StartPackag
     return StartPackage(PolySystem(start_polys), solutions, predicted)
 
 
-def start_package(target: PolySystem, kind: str, rs: RandomSource) -> StartPackage:
-    if len(target) != target.grouping.nvars:
-        raise ValueError("start systems require a square target")
-    if kind == "total-degree":
-        return _total_degree_package(target, rs)
-    if kind == "linear-product":
-        return _linear_product_package(target, rs)
-    raise ValueError(f"unknown start system kind: {kind!r}")
-
 
 def square_up(F: PolySystem, rows: int, rs: RandomSource) -> PolySystem:
     """Replace F by `rows` random complex combinations of its equations."""
@@ -206,12 +169,6 @@ def square_up(F: PolySystem, rows: int, rs: RandomSource) -> PolySystem:
             p = p + A[i, j] * f
         polys.append(p)
     return PolySystem(polys)
-
-
-def residual_ok(F: PolySystem, point: np.ndarray, tol: float = RESIDUAL_TOL) -> bool:
-    r = np.abs(F.evaluate(point))
-    scale = F.residual_scale(point)
-    return bool(np.max(r / scale) < tol)
 
 
 def solve_zero_dim(
@@ -236,7 +193,7 @@ def solve_zero_dim(
         )
     core = square_up(F, n - s, rs.substream(1))
     target = core.concat(list(slices))
-    sp = start_package(target, "linear-product", rs.substream(2))
+    sp = start_package(target, rs.substream(2))
     h = Homotopy(sp.start, target, gamma=rs.substream(3).unit_complex())
     results = track_many(h, sp.solutions, opts)
 
@@ -254,6 +211,6 @@ def solve_zero_dim(
             p = newton_refine(target, r.endpoint, tol=1e-10)
         except (SingularJacobianError, NonconvergenceError):
             continue
-        if residual_ok(F, p):
+        if relative_residual(F.evaluate(p), F.residual_scale(p)) < RESIDUAL_TOL:
             points.append(p)
     return dedupe_points(points)

@@ -1,9 +1,9 @@
-"""System ingestion and persistence.
+"""System ingestion and output.
 
 Three concerns live here: a recursive-descent parser for polynomial
-systems with declared variable groups, a JSON archive for witness data,
-and a deterministic counter-based random source (every "general" or
-"random" choice in the toolkit draws from one of its streams).
+systems with declared variable groups, the JSON encoder of the CLI's
+output, and a deterministic counter-based random source (every "general"
+or "random" choice in the toolkit draws from one of its streams).
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream={self.stream})"
-
-
-def draw(rs: RandomSource, kind: str) -> complex:
-    if kind == "unit-complex":
-        return rs.unit_complex()
-    if kind == "gaussian-complex":
-        return rs.gaussian_complex()
-    raise ValueError(f"unknown draw kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +332,7 @@ def format_system(doc: SystemDocument) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Witness archive
-
-
-@dataclass
-class WitnessArchive:
-    """Serializable witness data: system source, slice bank, per-e points."""
-
-    seed: int
-    groups: list  # [{"name": str, "size": int}, ...]
-    system: str  # source text in the system grammar
-    slices: dict  # group name -> list of coefficient rows [const, c_1, ..., c_n] interleaved re/im
-    witness: dict  # MultiIndex tuple -> list of points (complex vectors)
-    version: int = 1
+# JSON output
 
 
 def _num(x: float):
@@ -386,65 +366,3 @@ def _encode(obj, indent=0) -> str:
         return _num(obj)
     return json.dumps(obj)
 
-
-def _point_to_list(p: np.ndarray) -> list:
-    out = []
-    for z in np.asarray(p, dtype=complex):
-        out.append(float(z.real))
-        out.append(float(z.imag))
-    return out
-
-
-def _list_to_point(vals: list, nvars: int, where: str) -> np.ndarray:
-    if len(vals) != 2 * nvars:
-        raise ValueError(
-            f"{where}: point has {len(vals)} reals, expected {2 * nvars}"
-        )
-    arr = np.asarray(vals, dtype=float)
-    return arr[0::2] + 1j * arr[1::2]
-
-
-def save_witness(archive: WitnessArchive, path: str) -> None:
-    doc = {
-        "version": archive.version,
-        "seed": archive.seed,
-        "groups": archive.groups,
-        "system": archive.system,
-        "slices": {
-            str(gname): [[float(x) for x in row] for row in rows]
-            for gname, rows in archive.slices.items()
-        },
-        "witness": {
-            ",".join(str(int(x)) for x in e): [
-                _point_to_list(p) for p in pts
-            ]
-            for e, pts in archive.witness.items()
-        },
-    }
-    with open(path, "w") as fh:
-        fh.write(_encode(doc) + "\n")
-
-
-def load_witness(path: str) -> WitnessArchive:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported witness archive version: {doc.get('version')!r}")
-    for key in ("seed", "groups", "system", "slices", "witness"):
-        if key not in doc:
-            raise ValueError(f"truncated witness archive: missing field {key!r}")
-    nvars = sum(g["size"] for g in doc["groups"])
-    witness = {}
-    for estr, pts in doc["witness"].items():
-        e = tuple(int(x) for x in estr.split(","))
-        if len(e) != len(doc["groups"]):
-            raise ValueError(f"witness key {estr!r} arity mismatch with groups")
-        witness[e] = [_list_to_point(p, nvars, f"witness[{estr}]") for p in pts]
-    return WitnessArchive(
-        seed=doc["seed"],
-        groups=doc["groups"],
-        system=doc["system"],
-        slices={k: [list(map(float, row)) for row in v] for k, v in doc["slices"].items()},
-        witness=witness,
-        version=1,
-    )

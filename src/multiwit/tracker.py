@@ -10,7 +10,6 @@ the step size doubles after consecutive successes / halves on failure.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,8 +42,6 @@ class TrackOptions:
     divergence_norm: float = 1e8
     end_tol: float = 1e-9
     max_steps: int = 20000
-    rank_tol: float = 1e-8
-    workers: int = 1
 
     def __post_init__(self):
         if not (self.min_step <= self.initial_step <= self.max_step):
@@ -124,34 +121,49 @@ class Homotopy:
             return moving
         return np.concatenate([self.fixed.residual_scale(x), moving])
 
-    def target_system_residual(self, x: np.ndarray) -> float:
-        r = float(np.linalg.norm(self.target.evaluate(x), np.inf))
-        if self.fixed is not None:
-            r = max(r, float(np.linalg.norm(self.fixed.evaluate(x), np.inf)))
-        return r
+
+def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
+    """max_i |values_i| / scale_i, with scale the per-row term magnitude.
+
+    An absolute test is unreachable in double precision once a point has
+    wandered far from the origin; relative to the size of each row's terms
+    it is not."""
+    return float(np.max(np.abs(values) / scale))
+
+
+def _newton(evaluate, jacobian, scale, x: np.ndarray, tol: float, max_iters: int,
+            check_singular: bool = False) -> tuple[np.ndarray, float]:
+    """Newton's method on a square system given as callables of x.
+
+    Stops once the relative residual is below tol or after max_iters steps,
+    or as soon as an iterate is not finite.  Returns (point, relative
+    residual of that point).  np.linalg.LinAlgError from the linear solve
+    propagates; with check_singular a numerically singular Jacobian raises
+    SingularJacobianError before the solve."""
+    for _ in range(max_iters):
+        value = evaluate(x)
+        residual = relative_residual(value, scale(x))
+        if residual < tol:
+            return x, residual
+        J = jacobian(x)
+        if check_singular:
+            s = np.linalg.svd(J, compute_uv=False)
+            if s[0] == 0 or s[-1] / s[0] < 1e-13:
+                raise SingularJacobianError("Jacobian numerically singular during refinement")
+        x = x - np.linalg.solve(J, value)
+        if not np.all(np.isfinite(x)):
+            return x, float("inf")
+    return x, relative_residual(evaluate(x), scale(x))
 
 
 def newton_refine(system: PolySystem, point, tol: float = 1e-10,
                   max_iters: int = 20) -> np.ndarray:
     """Sharpen a root of a square system by Newton iteration."""
     x = np.asarray(point, dtype=complex).copy()
-    n = x.size
-    if len(system) != n:
+    if len(system) != x.size:
         raise ValueError("newton_refine needs a square system")
-
-    def rel_residual(pt) -> float:
-        r = np.abs(system.evaluate(pt))
-        return float(np.max(r / system.residual_scale(pt)))
-
-    for _ in range(max_iters):
-        if rel_residual(x) < tol:
-            return x
-        J = system.jacobian(x)
-        s = np.linalg.svd(J, compute_uv=False)
-        if s[0] == 0 or s[-1] / s[0] < 1e-13:
-            raise SingularJacobianError("Jacobian numerically singular during refinement")
-        x = x - np.linalg.solve(J, system.evaluate(x))
-    res = rel_residual(x)
+    x, res = _newton(system.evaluate, system.jacobian, system.residual_scale,
+                     x, tol, max_iters, check_singular=True)
     if res < tol:
         return x
     raise NonconvergenceError(
@@ -159,29 +171,16 @@ def newton_refine(system: PolySystem, point, tol: float = 1e-10,
     )
 
 
-def _newton_correct(h: Homotopy, x: np.ndarray, t: float, opts: TrackOptions):
-    """A few Newton sweeps at fixed t.  Returns (point, ok).
-
-    Residuals are measured relative to the homotopy's per-row term
-    magnitude; an absolute test is unreachable in double precision once a
-    path has wandered far from the origin."""
-
-    def small(point) -> bool:
-        r = np.abs(h.evaluate(point, t))
-        return bool(np.max(r / h.residual_scale(point, t)) < opts.newton_tol)
-
-    for _ in range(opts.max_newton_iters):
-        if small(x):
-            return x, True
-        J = h.jacobian_x(x, t)
-        try:
-            dx = np.linalg.solve(J, h.evaluate(x, t))
-        except np.linalg.LinAlgError:
-            return x, False
-        x = x - dx
-        if not np.all(np.isfinite(x)):
-            return x, False
-    return x, small(x)
+def _newton_at(h: Homotopy, x: np.ndarray, t: float, tol: float,
+               max_iters: int) -> tuple[np.ndarray, float]:
+    """Newton's method on H(.;t) at fixed t; a singular solve counts as failure."""
+    try:
+        return _newton(
+            lambda p: h.evaluate(p, t), lambda p: h.jacobian_x(p, t),
+            lambda p: h.residual_scale(p, t), x, tol, max_iters,
+        )
+    except np.linalg.LinAlgError:
+        return x, float("inf")
 
 
 def _davidenko_rhs(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
@@ -193,8 +192,8 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
     if not h.is_square:
         raise ValueError(f"homotopy is {h.rows}x{h.nvars}, tracking needs a square one")
     x = np.asarray(start_point, dtype=complex).copy()
-    x, ok = _newton_correct(h, x, 1.0, opts)
-    if not ok:
+    x, residual = _newton_at(h, x, 1.0, opts.newton_tol, opts.max_newton_iters)
+    if not residual < opts.newton_tol:
         return PathResult("failed", None, 0, float("inf"))
 
     t = 1.0
@@ -226,8 +225,8 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
 
         accepted = False
         if predicted_ok:
-            xc, ok = _newton_correct(h, xp, t - dt, opts)
-            if ok:
+            xc, residual = _newton_at(h, xp, t - dt, opts.newton_tol, opts.max_newton_iters)
+            if residual < opts.newton_tol:
                 x = xc
                 t = t - dt
                 steps += 1
@@ -261,34 +260,15 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
                     return PathResult("diverged", None, steps, float("inf"))
                 return PathResult("failed", None, steps, float("inf"))
 
-    def end_residual(point) -> float:
-        r = np.abs(h.evaluate(point, 0.0))
-        return float(np.max(r / h.residual_scale(point, 0.0)))
-
-    try:
-        # Final sharpening against the t=0 system (relative residual, so
-        # legitimate far-from-origin endpoints are not rejected).
-        for _ in range(30):
-            if end_residual(x) < opts.end_tol:
-                break
-            J = h.jacobian_x(x, 0.0)
-            x = x - np.linalg.solve(J, h.evaluate(x, 0.0))
-    except np.linalg.LinAlgError:
-        return PathResult("failed", None, steps, float("inf"))
-    residual = end_residual(x)
+    # Final sharpening against the t=0 system
+    x, residual = _newton_at(h, x, 0.0, opts.end_tol, 30)
     if residual < opts.end_tol:
         return PathResult("converged", x, steps, residual)
     return PathResult("failed", None, steps, residual)
 
 
 def track_many(h: Homotopy, starts: Sequence, opts: TrackOptions = TrackOptions()) -> list[PathResult]:
-    """Track a batch; results ordered by input index, worker-count independent."""
-    starts = list(starts)
-    if not starts:
-        return []
-    if opts.workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            return list(pool.map(lambda s: track_path(h, s, opts), starts))
+    """Track a batch; results ordered by input index."""
     return [track_path(h, s, opts) for s in starts]
 
 

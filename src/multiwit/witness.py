@@ -19,16 +19,15 @@ import numpy as np
 
 from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
-from .startsys import residual_ok, solve_zero_dim, square_up
+from .startsys import solve_zero_dim, square_up
 from .tracker import (
     Homotopy,
-    NonconvergenceError,
-    SingularJacobianError,
+    PathResult,
     TrackOptions,
     TrackingError,
     dedupe_points,
-    newton_refine,
     points_equal,
+    relative_residual,
     track_many,
 )
 
@@ -164,7 +163,10 @@ class WitnessSet:
 
     def verify(self, tol: float = 1e-8) -> bool:
         full = self.system.concat(list(self.extra) + self.selection.forms)
-        return all(residual_ok(full, p, tol) for p in self.points)
+        return all(
+            relative_residual(full.evaluate(p), full.residual_scale(p)) < tol
+            for p in self.points
+        )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -252,6 +254,25 @@ def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:
     )
 
 
+def track_slice_motion(
+    fixed: PolySystem | None,
+    old_rows: Sequence[Polynomial],
+    new_rows: Sequence[Polynomial],
+    points: Sequence[np.ndarray],
+    gamma: complex,
+    opts: TrackOptions,
+) -> list[PathResult]:
+    """Track points of V(fixed, old_rows) to V(fixed, new_rows).
+
+    The homotopy is [fixed; t*gamma*old_rows + (1-t)*new_rows]: the system
+    stays put while only the rows in motion (slices, or coarsening's
+    bilinear products) move.  Every operation on witness data that moves
+    slices goes through here; each caller decides what a failed path means.
+    Results come back in the order of `points`."""
+    h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), gamma=gamma, fixed=fixed)
+    return track_many(h, points, opts)
+
+
 def move_slice(
     ws: WitnessSet,
     new_forms: Sequence[Polynomial],
@@ -266,10 +287,7 @@ def move_slice(
     if not old:
         return WitnessSet(ws.system, ws.sq_core, ws.selection, ws.points,
                           grouping=ws.grouping, extra=ws.extra)
-    h = Homotopy(
-        PolySystem(old), PolySystem(new_forms), gamma=gamma, fixed=ws.fixed_block
-    )
-    results = track_many(h, ws.points, opts)
+    results = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, gamma, opts)
     pts = [r.endpoint for r in results if r.converged]
     return WitnessSet(
         ws.system,
@@ -325,13 +343,9 @@ def refine(
     others = [f for i, fs in enumerate(per_group) if i != group for f in fs]
     moving_new = new_first + new_second
     fixed = ws.fixed_block.concat(others) if others else ws.fixed_block
-    h = Homotopy(
-        PolySystem(moving_old),
-        PolySystem(moving_new),
-        gamma=rs.substream(99).unit_complex(),
-        fixed=fixed,
+    results = track_slice_motion(
+        fixed, moving_old, moving_new, ws.points, rs.substream(99).unit_complex(), opts
     )
-    results = track_many(h, ws.points, opts)
     pts = dedupe_points([r.endpoint for r in results if r.converged])
     new_per_group = (
         tuple(per_group[:group])
@@ -471,13 +485,9 @@ def coarsen(
 
     products = [l10[i] * l01[i] for i in range(e)]
     fixed = core.concat(list(some_entry.extra) + rest_forms)
-    h = Homotopy(
-        PolySystem(products),
-        PolySystem(target_forms),
-        gamma=sub.substream(1234).unit_complex(),
-        fixed=fixed,
+    results = track_slice_motion(
+        fixed, products, target_forms, starts, sub.substream(1234).unit_complex(), opts
     )
-    results = track_many(h, starts, opts)
     pts = []
     n_conv = 0
     for r in results:
@@ -584,7 +594,7 @@ def membership(
     # the query must already satisfy the sliced-away part of the system
     if wc.extra:
         probe = PolySystem(list(wc.extra))
-        if not residual_ok(probe, point, 1e-6):
+        if not relative_residual(probe.evaluate(point), probe.residual_scale(point)) < 1e-6:
             return False
     for idx, (e, ws) in enumerate(sorted(wc.entries.items())):
         sub = rs.substream(idx)
@@ -599,13 +609,10 @@ def membership(
                 new_forms.append(
                     random_affine_form(g, g.blocks[i], sub.substream(10 * i + j), through=point)
                 )
-        h = Homotopy(
-            PolySystem(ws.selection.forms),
-            PolySystem(new_forms),
-            gamma=sub.substream(77).unit_complex(),
-            fixed=ws.fixed_block,
+        results = track_slice_motion(
+            ws.fixed_block, ws.selection.forms, new_forms, ws.points,
+            sub.substream(77).unit_complex(), opts,
         )
-        results = track_many(h, ws.points, opts)
         if any(r.status == "failed" for r in results):
             raise IndeterminateError(
                 f"membership tracking failed on key {e}; answer indeterminate"

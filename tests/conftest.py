@@ -22,7 +22,7 @@ pentad_gate = pytest.mark.skipif(
 @pytest.fixture(scope="session")
 def opts():
     """Tracking options shared by the heavier tests."""
-    return TrackOptions(workers=4)
+    return TrackOptions()
 
 
 def rs(stream: int) -> RandomSource:

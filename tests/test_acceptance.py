@@ -15,8 +15,9 @@ from multiwit import (
     compute_witness_collection,
     coarsen_collection,
     complete_intersection_class,
+    breakup,
     equidim_partition,
-    nid_curve_affine,
+    mbezout,
     nid_multi,
     refine,
     segre_degree,
@@ -165,7 +166,7 @@ def fresh_fh(opts, stream=3):
 
 
 def certified_curve(wc, source, stream, opts):
-    state = nid_curve_affine(wc.system, wc.entries[(1,)], source.substream(stream), opts)
+    state = breakup(wc.entries[(1,)], source.substream(stream), opts)
     assert state.certified == [True] * len(state.partition)
     return sorted(len(p) for p in state.partition)
 
@@ -391,6 +392,18 @@ def test_hyperboloid_ungrouped_witness_is_much_larger(opts):
 
 # ---------------------------------------------------------------------------
 # 9. four-fold fiber power of the five-bar pose system (multi-hour run)
+
+
+def test_pentad_mbezout_count():
+    # the start paths of the pentad witness solve: its 32 equations plus
+    # the 8 slice rows of its key, one of degree eps_i per unit of e_i
+    fx = get_fixture("pentad")
+    (key,) = fx.default_keys
+    k = len(key)
+    degrees = [p.multidegree() for p in fx.system.polys]
+    degrees += [tuple(int(j == i) for j in range(k)) for i in range(k) for _ in range(key[i])]
+    assert len(degrees) == 40
+    assert mbezout(degrees, (4,) * 10) == 55296
 
 
 @pentad_gate

@@ -5,9 +5,6 @@ from multiwit import (
     PolySystem,
     Polynomial,
     VariableGrouping,
-    dehomogenize,
-    homogenize,
-    multidegree_of,
     numerical_rank,
 )
 
@@ -69,7 +66,6 @@ def test_multidegree_per_group():
     x1, x2, y = (Polynomial.variable(g, v) for v in range(3))
     p = x1 * x2 * y**2 + x1**3
     assert p.multidegree() == (3, 2)
-    assert multidegree_of(p) == (3, 2)
 
 
 def test_affine_constructor():
@@ -120,32 +116,6 @@ def test_numerical_rank_known_ranks():
     assert numerical_rank(np.zeros((4, 4))) == 0
     with pytest.raises(ValueError):
         numerical_rank(A, rel_tol=2.0)
-
-
-def test_homogenize_makes_polynomial_multihomogeneous():
-    g = grouping2()
-    x1, x2, y = (Polynomial.variable(g, v) for v in range(3))
-    p = x1**2 * y + x2 - 1
-    ph = homogenize(p)
-    d = p.multidegree()
-    rng = np.random.default_rng(1)
-    pt = rng.normal(size=5) + 1j * rng.normal(size=5)
-    lam, mu = 1.3 - 0.2j, 0.4 + 0.9j
-    scaled = pt.copy()
-    scaled[:3] *= lam  # group 0 gained a homogenizing coordinate: size 3
-    scaled[3:] *= mu
-    lhs = ph.evaluate(scaled)
-    rhs = lam ** d[0] * mu ** d[1] * ph.evaluate(pt)
-    assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
-
-
-def test_homogenize_dehomogenize_round_trip():
-    g = grouping2()
-    x1, x2, y = (Polynomial.variable(g, v) for v in range(3))
-    p = x1**2 * y + 4 * x2 - 1
-    back = dehomogenize(homogenize(p))
-    pt = np.array([0.3, -1.2, 2.5], dtype=complex)
-    assert abs(back.evaluate(pt) - p.evaluate(pt)) < 1e-12
 
 
 def test_with_grouping_preserves_values():

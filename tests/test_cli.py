@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,9 +136,34 @@ def test_output_is_deterministic(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child finds the package in src/ whether or not it is installed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "multiwit.cli", "class", "--fixture", "class-123"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"]["003"] == 160
+
+
+def test_run_leaves_module_constants_alone(capsys):
+    import multiwit
+
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("multiwit.") and m is not None]
+    assert multiwit.cli in modules
+
+    def constants():
+        return {(m.__name__, k): v for m in modules
+                for k, v in vars(m).items() if k.isupper()}
+
+    before = constants()
+    assert run(["witness", "--fixture", "two-lines", "--tol-track", "1e-9"]) == EXIT_OK
+    assert run(["member", "--fixture", "two-lines", "--point", "0.3 0.3"]) == EXIT_OK
+    assert run(["decompose", "--fixture", "two-lines", "--tol-rank", "1e-7"]) == EXIT_OK
+    # the flags that used to rebind module constants are gone
+    for flag, value in (("--tol-match", "1e-3"), ("--max-loops", "2"), ("--workers", "2")):
+        assert run(["witness", "--fixture", "two-lines", flag, value]) == EXIT_INPUT
+    capsys.readouterr()
+    assert constants() == before

@@ -7,7 +7,6 @@ from multiwit import (
     dimension_polytope,
     local_multidimension,
     membership_product,
-    nid_curve_affine,
     nid_multi,
     product_factorization,
 )
@@ -50,13 +49,6 @@ def two_lines_data(opts):
     fx = get_fixture("two-lines")
     wc = compute_witness_collection(fx.system, fx.default_keys, rs(80), opts)
     return fx, wc
-
-
-def test_nid_curve_affine_two_lines(two_lines_data, opts):
-    fx, wc = two_lines_data
-    state = nid_curve_affine(fx.system, wc.entries[(1,)], rs(81), opts)
-    assert sorted(len(p) for p in state.partition) == [1, 1]
-    assert all(state.certified)
 
 
 def test_nid_multi_separates_the_lines(two_lines_data, opts):

@@ -12,7 +12,8 @@ from multiwit import (
     start_package,
 )
 from multiwit.fixtures import get_fixture
-from multiwit.startsys import residual_ok
+from multiwit.startsys import RESIDUAL_TOL
+from multiwit.tracker import relative_residual
 from multiwit.witness import random_affine_form
 
 from conftest import rs
@@ -48,22 +49,11 @@ def test_mbezout_classical_bezout():
     assert mbezout([[2], [2]], (2,)) == 4
 
 
-def test_total_degree_package():
-    g = VariableGrouping.from_sizes([2], ["x", "y"])
-    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
-    target = PolySystem([x**2 + y - 1, x * y**3 - 2])
-    sp = start_package(target, "total-degree", rs(10))
-    assert sp.predicted_count == 2 * 4
-    assert len(sp.solutions) == 8
-    for s in sp.solutions:
-        assert np.max(np.abs(sp.start.evaluate(s))) < 1e-10
-
-
 def test_linear_product_package_counts_and_solves():
     g = VariableGrouping.from_sizes([1, 1], ["x", "y"])
     x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
     target = PolySystem([x * y - 1, x + y - 3])
-    sp = start_package(target, "linear-product", rs(11))
+    sp = start_package(target, rs(11))
     # degrees (1,1) and (1,1): the count is the permanent, 2
     assert sp.predicted_count == 2
     assert len(sp.solutions) == 2
@@ -75,10 +65,7 @@ def test_start_package_validation():
     g = VariableGrouping.from_sizes([2], ["x", "y"])
     x = Polynomial.variable(g, 0)
     with pytest.raises(ValueError):
-        start_package(PolySystem([x]), "total-degree", rs(0))  # not square
-    sq = PolySystem([x, Polynomial.variable(g, 1)])
-    with pytest.raises(ValueError):
-        start_package(sq, "no-such-kind", rs(0))
+        start_package(PolySystem([x]), rs(0))  # not square
 
 
 def test_square_up():
@@ -100,8 +87,12 @@ def test_residual_ok_scales_relatively():
     g = VariableGrouping.from_sizes([1], ["x"])
     x = Polynomial.variable(g, 0)
     F = PolySystem([x**2 - 1])
-    assert residual_ok(F, np.array([1.0 + 0j]))
-    assert not residual_ok(F, np.array([1.1 + 0j]))
+
+    def residual(p):
+        return relative_residual(F.evaluate(p), F.residual_scale(p))
+
+    assert residual(np.array([1.0 + 0j])) < RESIDUAL_TOL
+    assert not residual(np.array([1.1 + 0j])) < RESIDUAL_TOL
 
 
 def test_solve_zero_dim_line_pair():
@@ -112,7 +103,7 @@ def test_solve_zero_dim_line_pair():
     assert len(pts) == 2
     full = fx.system.concat(slices)
     for p in pts:
-        assert residual_ok(full, p)
+        assert relative_residual(full.evaluate(p), full.residual_scale(p)) < RESIDUAL_TOL
 
 
 def test_solve_zero_dim_cubic_degree():

@@ -4,12 +4,8 @@ import pytest
 from multiwit import (
     ParseError,
     RandomSource,
-    WitnessArchive,
-    draw,
     format_system,
-    load_witness,
     parse_system,
-    save_witness,
 )
 
 SAMPLE = """
@@ -46,14 +42,6 @@ def test_unit_complex_on_unit_circle():
     for _ in range(10):
         z = rs.unit_complex()
         assert abs(abs(z) - 1.0) < 1e-12
-
-
-def test_draw_kinds():
-    rs = RandomSource(seed=1)
-    assert isinstance(draw(rs, "unit-complex"), complex)
-    assert isinstance(draw(rs, "gaussian-complex"), complex)
-    with pytest.raises(ValueError):
-        draw(rs, "uniform")
 
 
 def test_parse_sample_system():
@@ -94,79 +82,3 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError):
         parse_system("group x; f = x; group y;")  # group after polynomial
 
-
-def make_archive():
-    pts = [
-        np.array([1.25 + 0.5j, -3.0 - 1e-9j]),
-        np.array([0.1j, 7.0]),
-    ]
-    return WitnessArchive(
-        seed=123,
-        groups=[{"name": "v", "size": 2}],
-        system="group v[2]; f = v1*v2 - 1;",
-        slices={"v": [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]]},
-        witness={(1,): pts},
-    )
-
-
-def test_archive_round_trip(tmp_path):
-    arch = make_archive()
-    path = tmp_path / "w.json"
-    save_witness(arch, str(path))
-    back = load_witness(str(path))
-    assert back.seed == arch.seed
-    assert back.groups == arch.groups
-    assert back.system == arch.system
-    assert back.slices == {"v": [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]]}
-    assert set(back.witness) == {(1,)}
-    for a, b in zip(arch.witness[(1,)], back.witness[(1,)]):
-        assert np.array_equal(a, b)  # 17-digit floats round-trip exactly
-
-
-def test_archive_rejects_bad_version(tmp_path):
-    arch = make_archive()
-    path = tmp_path / "w.json"
-    save_witness(arch, str(path))
-    text = path.read_text().replace('"version": 1', '"version": 2')
-    path.write_text(text)
-    with pytest.raises(ValueError, match="version"):
-        load_witness(str(path))
-
-
-def test_archive_rejects_missing_field(tmp_path):
-    import json
-
-    arch = make_archive()
-    path = tmp_path / "w.json"
-    save_witness(arch, str(path))
-    doc = json.loads(path.read_text())
-    del doc["slices"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="slices"):
-        load_witness(str(path))
-
-
-def test_archive_rejects_arity_mismatch(tmp_path):
-    import json
-
-    arch = make_archive()
-    path = tmp_path / "w.json"
-    save_witness(arch, str(path))
-    doc = json.loads(path.read_text())
-    doc["witness"] = {"1,1": doc["witness"]["1"]}
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="arity"):
-        load_witness(str(path))
-
-
-def test_archive_rejects_short_point(tmp_path):
-    import json
-
-    arch = make_archive()
-    path = tmp_path / "w.json"
-    save_witness(arch, str(path))
-    doc = json.loads(path.read_text())
-    doc["witness"]["1"][0] = doc["witness"]["1"][0][:-1]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="point"):
-        load_witness(str(path))

@@ -129,20 +129,6 @@ def test_points_equal_and_dedupe():
     assert len(dedupe_points([a, b, c])) == 2
 
 
-def test_track_many_workers_agree():
-    g, x = univariate()
-    target = x**4 - 3 * x + 1
-    h = Homotopy(PolySystem([x**4 - 1]), PolySystem([target]),
-                 gamma=rs(4).unit_complex())
-    starts = [np.array([np.exp(2j * np.pi * k / 4)]) for k in range(4)]
-    serial = track_many(h, starts, TrackOptions(workers=1))
-    parallel = track_many(h, starts, TrackOptions(workers=4))
-    for a, b in zip(serial, parallel):
-        assert a.status == b.status
-        if a.converged:
-            assert np.allclose(a.endpoint, b.endpoint, atol=1e-9)
-
-
 def test_track_options_validation():
     with pytest.raises(ValueError):
         TrackOptions(initial_step=1.0, max_step=0.1)

@@ -19,7 +19,9 @@ from multiwit import (
     slice_collection,
 )
 from multiwit.fixtures import get_fixture
-from multiwit.startsys import residual_ok, square_up
+from multiwit.startsys import RESIDUAL_TOL, square_up
+from multiwit.tracker import relative_residual
+from multiwit.witness import random_affine_form, track_slice_motion
 
 from conftest import rs
 
@@ -105,14 +107,36 @@ def test_move_slice_keeps_system_and_meets_new_forms(cubic_wc, opts):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
     g = fx.system.grouping
-    from multiwit.witness import random_affine_form
-
     new = [random_affine_form(g, [0, 1], rs(35))]
     moved = move_slice(ws, new, opts)
     assert len(moved.points) == 3
     for p in moved.points:
-        assert residual_ok(fx.system, p)
+        assert relative_residual(fx.system.evaluate(p), fx.system.residual_scale(p)) < RESIDUAL_TOL
         assert abs(new[0].evaluate(p)) < 1e-6
+
+
+def test_track_slice_motion_keeps_input_order(cubic_wc, opts):
+    fx, wc = cubic_wc
+    ws = wc.entries[(1,)]
+    g = fx.system.grouping
+    new = [random_affine_form(g, [0, 1], rs(36))]
+    gamma = rs(37).unit_complex()
+    off_curve = np.array([5.0 + 1j, -3.0 + 2j])
+    starts = list(ws.points) + [off_curve]
+
+    def motion(points):
+        return track_slice_motion(ws.fixed_block, ws.selection.forms, new, points, gamma, opts)
+
+    results = motion(starts)
+    # one result per start, failures included: the off-curve start fails
+    assert [r.status for r in results] == ["converged"] * 3 + ["failed"]
+    # each result belongs to the start at its own index
+    for start, r in zip(starts, results):
+        (alone,) = motion([start])
+        assert alone.status == r.status
+        if r.converged:
+            assert np.array_equal(alone.endpoint, r.endpoint)
+    assert motion([]) == []
 
 
 def test_refine_cubic_to_bidegrees(cubic_wc, opts):
