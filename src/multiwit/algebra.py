@@ -5,9 +5,10 @@ coefficients.  Variables are partitioned into groups (the factors of a
 product of affine/projective spaces); most operations here are indexed
 by group: per-group degrees and Jacobian column blocks.
 
-Evaluation and differentiation of whole systems go through a compiled
-form (stacked exponent/coefficient arrays) so the path tracker can call
-them cheaply.
+Evaluation and differentiation of whole systems go through one compiled
+term table per system (shared monomials, value and derivative terms), so
+a point's values, residual scale and Jacobian come from one evaluation of
+its monomials.
 """
 
 from __future__ import annotations
@@ -250,52 +251,83 @@ def _fmt_complex(c: complex) -> str:
     return f"({c.real:+g}{c.imag:+g}i)"
 
 
+_ONE = np.ones(1, dtype=complex)
+
+
 class _Compiled:
-    """Stacked term arrays for fast batch evaluation of a poly list."""
+    """One term table for a list of polynomials, read one point at a time.
+
+    Every value term (coefficient times monomial) and every first-derivative
+    term refers into one list of distinct monomials.  `monomials` multiplies
+    out each monomial once per point; `values`, `magnitudes` and `jacobian`
+    then sum terms per row, or per (row, column) slot, so the work grows
+    with the number of terms, not with rows times variables."""
 
     def __init__(self, polys: Sequence[Polynomial], nvars: int):
-        exps, coeffs, owners = [], [], []
-        for j, p in enumerate(polys):
-            for e, c in p.terms.items():
-                exps.append(e)
-                coeffs.append(c)
-                owners.append(j)
         self.m = len(polys)
         self.nvars = nvars
-        if exps:
-            self.E = np.asarray(exps, dtype=np.int64)
-            self.c = np.asarray(coeffs, dtype=complex)
-            self.owner = np.asarray(owners, dtype=np.int64)
-            self.maxdeg = int(self.E.max())
-            self.cols = np.arange(nvars)
-        else:
-            self.E = np.zeros((0, nvars), dtype=np.int64)
-            self.c = np.zeros(0, dtype=complex)
-            self.owner = np.zeros(0, dtype=np.int64)
-            self.maxdeg = 0
-            self.cols = np.arange(nvars)
+        index: dict[tuple, int] = {}  # exponent vector -> monomial number
+        value_terms, deriv_terms = [], []  # (row or row*nvars+column, monomial, coeff)
+        for j, p in enumerate(polys):
+            for e, c in p.terms.items():
+                value_terms.append((j, index.setdefault(e, len(index)), c))
+                for v, d in enumerate(e):
+                    if d:
+                        de = e[:v] + (d - 1,) + e[v + 1:]
+                        deriv_terms.append(
+                            (j * nvars + v, index.setdefault(de, len(index)), c * d))
+        deriv_terms.sort(key=lambda term: term[0])  # stable: slots keep term order
+        self.value = _TermSum(value_terms, self.m)
+        self.deriv = _TermSum(deriv_terms, self.m * nvars)
 
-    def _term_values(self, point: np.ndarray) -> np.ndarray:
-        # pow_table[v, d] = point[v]**d via cumulative products
-        pow_table = np.ones((self.nvars, self.maxdeg + 1), dtype=complex)
-        for d in range(1, self.maxdeg + 1):
-            pow_table[:, d] = pow_table[:, d - 1] * point
-        return self.c * np.prod(pow_table[self.cols, self.E], axis=1)
+        # Monomial k is the product of the coordinates its factors list, one
+        # entry per unit of degree; the constant monomial lists entry nvars,
+        # which `monomials` sets to 1.
+        factors, starts = [], []
+        for e in index:
+            starts.append(len(factors))
+            factors.extend(v for v, d in enumerate(e) for _ in range(d))
+            if len(factors) == starts[-1]:
+                factors.append(nvars)
+        self.factors = np.asarray(factors, dtype=np.int64)
+        self.factor_starts = np.asarray(starts, dtype=np.int64)
 
-    def evaluate(self, point: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.m, dtype=complex)
-        np.add.at(out, self.owner, self._term_values(point))
-        return out
+    def monomials(self, point: np.ndarray) -> np.ndarray:
+        """Every monomial of the table at `point`."""
+        coords = np.concatenate((point, _ONE))
+        return np.multiply.reduceat(coords.take(self.factors), self.factor_starts)
 
-    def evaluate_abs(self, point: np.ndarray) -> np.ndarray:
+    def values(self, monomials: np.ndarray) -> np.ndarray:
+        return self.value.sum(self.value.coeffs * monomials.take(self.value.monos))
+
+    def magnitudes(self, monomials: np.ndarray) -> np.ndarray:
         """Sum of |coeff| * |monomial| per poly; the scale for relative residuals."""
-        apoint = np.abs(point)
-        pow_table = np.ones((self.nvars, self.maxdeg + 1))
-        for d in range(1, self.maxdeg + 1):
-            pow_table[:, d] = pow_table[:, d - 1] * apoint
-        vals = np.abs(self.c) * np.prod(pow_table[self.cols, self.E], axis=1)
-        out = np.zeros(self.m)
-        np.add.at(out, self.owner, vals)
+        return self.value.sum(self.value.abs_coeffs * np.abs(monomials.take(self.value.monos)))
+
+    def jacobian(self, monomials: np.ndarray) -> np.ndarray:
+        slots = self.deriv.sum(self.deriv.coeffs * monomials.take(self.deriv.monos))
+        return slots.reshape(self.m, self.nvars)
+
+
+class _TermSum:
+    """Terms sorted by owner, summed per owner; owners without terms give 0."""
+
+    def __init__(self, terms: Sequence[tuple[int, int, complex]], size: int):
+        owners = [o for o, _, _ in terms]
+        self.size = size
+        self.monos = np.asarray([k for _, k, _ in terms], dtype=np.int64)
+        self.coeffs = np.asarray([c for _, _, c in terms], dtype=complex)
+        self.abs_coeffs = np.abs(self.coeffs)
+        first = [i for i, o in enumerate(owners) if i == 0 or o != owners[i - 1]]
+        self.starts = np.asarray(first, dtype=np.int64)
+        self.owners = np.asarray([owners[i] for i in first], dtype=np.int64)
+        self.every_owner = len(first) == size  # then no scatter is needed
+
+    def sum(self, terms: np.ndarray) -> np.ndarray:
+        if self.every_owner:
+            return np.add.reduceat(terms, self.starts)
+        out = np.zeros(self.size, dtype=terms.dtype)
+        out[self.owners] = np.add.reduceat(terms, self.starts)
         return out
 
 
@@ -322,37 +354,17 @@ class PolySystem:
     def _compiled(self) -> _Compiled:
         return _Compiled(self.polys, self.grouping.nvars)
 
-    @cached_property
-    def _compiled_jac(self) -> tuple[_Compiled, np.ndarray, np.ndarray]:
-        """Nonzero partial derivatives stacked into one compiled batch."""
-        derivs, rows, cols = [], [], []
-        for j, p in enumerate(self.polys):
-            for v in range(self.grouping.nvars):
-                d = p.diff(v)
-                if d.terms:
-                    derivs.append(d)
-                    rows.append(j)
-                    cols.append(v)
-        if not derivs:
-            derivs = [Polynomial.constant(self.grouping, 0.0)]
-            rows, cols = [0], [0]
-        return (
-            _Compiled(derivs, self.grouping.nvars),
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-        )
-
     def evaluate(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=complex)
         if point.shape != (self.grouping.nvars,):
             raise ValueError(
                 f"point has {point.size} coordinates, expected {self.grouping.nvars}"
             )
-        return self._compiled.evaluate(point)
+        return self._compiled.values(self._compiled.monomials(point))
 
     def residual_scale(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=complex)
-        return self._compiled.evaluate_abs(point) + 1.0
+        return self._compiled.magnitudes(self._compiled.monomials(point)) + 1.0
 
     def jacobian(self, point, omit_groups: Iterable[int] = ()) -> np.ndarray:
         """DF(point); column blocks of groups in omit_groups removed."""
@@ -361,10 +373,7 @@ class PolySystem:
             raise ValueError(
                 f"point has {point.size} coordinates, expected {self.grouping.nvars}"
             )
-        comp, rows, cols = self._compiled_jac
-        vals = comp.evaluate(point)
-        J = np.zeros((len(self.polys), self.grouping.nvars), dtype=complex)
-        J[rows, cols] = vals
+        J = self._compiled.jacobian(self._compiled.monomials(point))
         omit = set(omit_groups)
         if omit:
             bad = omit - set(range(self.grouping.k))

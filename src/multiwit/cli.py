@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import fixtures as fixture_mod
-from .algebra import Polynomial, PolySystem
+from .algebra import Polynomial
 from .dimension import (
     IllConditionedError,
     dimension_polytope,

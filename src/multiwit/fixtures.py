@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
 

@@ -9,7 +9,7 @@ test that certifies a part is complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,7 +271,11 @@ def breakup(
     certified = certify(partition) if len(points) == 1 else []
     while loops < max_loops and not (certified and all(certified)):
         loop = random_loop(ws, rs.substream(1000 + loops))
-        outcome = monodromy_permutation(ws, loop, opts)
+        try:
+            outcome = monodromy_permutation(ws, loop, opts)
+        except MatchAmbiguityError:
+            loops += 1
+            continue
         loops += 1
         merged = False
         for i, j in outcome.permutation.items():

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import PolySystem
+from .algebra import PolySystem, _Compiled
 
 MATCH_TOL = 1e-6  # relative distance below which two refined points are equal
 
@@ -64,7 +64,20 @@ class PathResult:
 
 
 class Homotopy:
-    """H(x;t) = [fixed(x); t*gamma*start(x) + (1-t)*target(x)]."""
+    """H(x;t) = [fixed(x); t*gamma*start(x) + (1-t)*target(x)].
+
+    The three blocks are compiled once into one term table, whose monomials
+    are computed once per point and give every quantity below.  In block
+    form, with F, S, T the fixed, start and target blocks and |.| each
+    row's sum of |coeff| * |monomial|:
+
+        J_x     = [DF; t*gamma*DS + (1-t)*DT]
+        dH/dt   = [0; gamma*S - T]
+        scale   = [|F| + 1; |t*gamma| * (|S| + 1) + |1-t| * (|T| + 1)]
+
+    The corrector measures residuals relative to `scale`, so paths far from
+    the origin (diverging toward infinity) still correct to machine
+    precision."""
 
     def __init__(
         self,
@@ -85,41 +98,43 @@ class Homotopy:
         self.fixed = fixed
         self.nvars = target.grouping.nvars
         self.rows = (len(fixed) if fixed else 0) + len(target)
+        fixed_polys = fixed.polys if fixed else ()
+        self._terms = _Compiled(fixed_polys + start.polys + target.polys, self.nvars)
+        f, m = len(fixed_polys), len(target)
+        self._fixed_rows, self._start_rows, self._target_rows = (
+            slice(0, f), slice(f, f + m), slice(f + m, None))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.nvars
 
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        moving = t * self.gamma * self.start.evaluate(x) + (1 - t) * self.target.evaluate(x)
-        if self.fixed is None:
-            return moving
-        return np.concatenate([self.fixed.evaluate(x), moving])
+    def _blend(self, blocks: np.ndarray, a, b) -> np.ndarray:
+        """[fixed rows; a * start rows + b * target rows], computed in place
+        over `blocks`, which holds one row per compiled polynomial."""
+        moving = blocks[self._start_rows]
+        moving *= a
+        moving += b * blocks[self._target_rows]
+        return blocks[:self.rows]
 
-    def jacobian_x(self, x: np.ndarray, t: float) -> np.ndarray:
-        moving = t * self.gamma * self.start.jacobian(x) + (1 - t) * self.target.jacobian(x)
-        if self.fixed is None:
-            return moving
-        return np.vstack([self.fixed.jacobian(x), moving])
+    def residual(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(H(x;t), its residual scale, the monomials at x); the last is what
+        `jacobian` takes to give J_x at the same point."""
+        monomials = self._terms.monomials(x)
+        value = self._blend(self._terms.values(monomials), t * self.gamma, 1 - t)
+        scale = self._blend(self._terms.magnitudes(monomials) + 1.0,
+                            abs(t * self.gamma), abs(1 - t))
+        return value, scale, monomials
 
-    def dt(self, x: np.ndarray) -> np.ndarray:
-        """dH/dt; zero on the fixed block."""
-        moving = self.gamma * self.start.evaluate(x) - self.target.evaluate(x)
-        if self.fixed is None:
-            return moving
-        return np.concatenate([np.zeros(len(self.fixed), dtype=complex), moving])
+    def jacobian(self, monomials: np.ndarray, t: float) -> np.ndarray:
+        """J_x(x;t) from the monomials `residual` returned for x."""
+        return self._blend(self._terms.jacobian(monomials), t * self.gamma, 1 - t)
 
-    def residual_scale(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Per-row magnitude of the homotopy's terms; the corrector measures
-        residuals relative to this so paths far from the origin (diverging
-        toward infinity) still correct to machine precision."""
-        moving = (
-            abs(t * self.gamma) * self.start.residual_scale(x)
-            + abs(1 - t) * self.target.residual_scale(x)
-        )
-        if self.fixed is None:
-            return moving
-        return np.concatenate([self.fixed.residual_scale(x), moving])
+    def tangent(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(J_x, dH/dt) at (x, t); the Davidenko ODE is J_x x'(t) = -dH/dt."""
+        monomials = self._terms.monomials(x)
+        values = self._terms.values(monomials)
+        values[self._fixed_rows] = 0.0
+        return self.jacobian(monomials, t), self._blend(values, self.gamma, -1.0)
 
 
 def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
@@ -128,32 +143,35 @@ def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
     An absolute test is unreachable in double precision once a point has
     wandered far from the origin; relative to the size of each row's terms
     it is not."""
-    return float(np.max(np.abs(values) / scale))
+    return float((np.abs(values) / scale).max())
 
 
-def _newton(evaluate, jacobian, scale, x: np.ndarray, tol: float, max_iters: int,
+def _newton(residual, jacobian, x: np.ndarray, tol: float, max_iters: int,
             check_singular: bool = False) -> tuple[np.ndarray, float]:
-    """Newton's method on a square system given as callables of x.
+    """Newton's method on a square system.
 
+    residual(x) gives (value, scale, at) and jacobian(at) the Jacobian at
+    the same x, so the Jacobian is formed only when a step is taken.
     Stops once the relative residual is below tol or after max_iters steps,
     or as soon as an iterate is not finite.  Returns (point, relative
     residual of that point).  np.linalg.LinAlgError from the linear solve
     propagates; with check_singular a numerically singular Jacobian raises
     SingularJacobianError before the solve."""
     for _ in range(max_iters):
-        value = evaluate(x)
-        residual = relative_residual(value, scale(x))
-        if residual < tol:
-            return x, residual
-        J = jacobian(x)
+        value, scale, at = residual(x)
+        res = relative_residual(value, scale)
+        if res < tol:
+            return x, res
+        J = jacobian(at)
         if check_singular:
             s = np.linalg.svd(J, compute_uv=False)
             if s[0] == 0 or s[-1] / s[0] < 1e-13:
                 raise SingularJacobianError("Jacobian numerically singular during refinement")
         x = x - np.linalg.solve(J, value)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return x, float("inf")
-    return x, relative_residual(evaluate(x), scale(x))
+    value, scale, _ = residual(x)
+    return x, relative_residual(value, scale)
 
 
 def newton_refine(system: PolySystem, point, tol: float = 1e-10,
@@ -162,8 +180,8 @@ def newton_refine(system: PolySystem, point, tol: float = 1e-10,
     x = np.asarray(point, dtype=complex).copy()
     if len(system) != x.size:
         raise ValueError("newton_refine needs a square system")
-    x, res = _newton(system.evaluate, system.jacobian, system.residual_scale,
-                     x, tol, max_iters, check_singular=True)
+    x, res = _newton(lambda p: (system.evaluate(p), system.residual_scale(p), p),
+                     system.jacobian, x, tol, max_iters, check_singular=True)
     if res < tol:
         return x
     raise NonconvergenceError(
@@ -175,17 +193,10 @@ def _newton_at(h: Homotopy, x: np.ndarray, t: float, tol: float,
                max_iters: int) -> tuple[np.ndarray, float]:
     """Newton's method on H(.;t) at fixed t; a singular solve counts as failure."""
     try:
-        return _newton(
-            lambda p: h.evaluate(p, t), lambda p: h.jacobian_x(p, t),
-            lambda p: h.residual_scale(p, t), x, tol, max_iters,
-        )
+        return _newton(lambda p: h.residual(p, t), lambda at: h.jacobian(at, t),
+                       x, tol, max_iters)
     except np.linalg.LinAlgError:
         return x, float("inf")
-
-
-def _davidenko_rhs(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
-    J = h.jacobian_x(x, t)
-    return np.linalg.solve(J, -h.dt(x))
 
 
 def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) -> PathResult:
@@ -212,13 +223,14 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
             return PathResult("failed", None, steps, float("inf"))
         dt = min(step, t)
         try:
-            # RK4 on x'(t) = -J^{-1} dH/dt, moving toward t=0
-            k1 = _davidenko_rhs(h, x, t)
-            k2 = _davidenko_rhs(h, x - 0.5 * dt * k1, t - 0.5 * dt)
-            k3 = _davidenko_rhs(h, x - 0.5 * dt * k2, t - 0.5 * dt)
-            k4 = _davidenko_rhs(h, x - dt * k3, t - dt)
-            xp = x - (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            predicted_ok = np.all(np.isfinite(xp))
+            # RK4 on the Davidenko ODE x'(t) = -J_x^{-1} dH/dt, moving toward
+            # t=0; each k is J_x^{-1} dH/dt, so the steps add dt * k.
+            k1 = np.linalg.solve(*h.tangent(x, t))
+            k2 = np.linalg.solve(*h.tangent(x + 0.5 * dt * k1, t - 0.5 * dt))
+            k3 = np.linalg.solve(*h.tangent(x + 0.5 * dt * k2, t - 0.5 * dt))
+            k4 = np.linalg.solve(*h.tangent(x + dt * k3, t - dt))
+            xp = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            predicted_ok = np.isfinite(xp).all()
         except np.linalg.LinAlgError:
             predicted_ok = False
             xp = x

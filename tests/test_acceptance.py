@@ -171,15 +171,27 @@ def certified_curve(wc, source, stream, opts):
     return sorted(len(p) for p in state.partition)
 
 
-def test_route_full_merge_then_slice(opts):
+def full_merge_then_slice(opts, stream):
     # merge everything to one 4-dimensional group, then slice to a curve
-    wc, source = fresh_fh(opts)
+    wc, source = fresh_fh(opts, stream)
     w = coarsen_collection(wc, (0, 1), source.substream(101), opts)[0]
     w = coarsen_collection(w, (0, 1), source.substream(102), opts)[0]
     w = coarsen_collection(w, (0, 1), source.substream(103), opts)[0]
     assert w.multidegree_map() == {(2,): 15}
-    curve = slice_collection(w, 0)
+    return slice_collection(w, 0), source
+
+
+def test_route_full_merge_then_slice(opts):
+    curve, source = full_merge_then_slice(opts, 3)
     assert certified_curve(curve, source, 104, opts) == [15]
+
+
+def test_breakup_retries_an_ambiguous_loop(opts):
+    # On this stream one monodromy loop lands two paths on one start point;
+    # breakup counts that loop against max_loops and draws the next one.
+    curve, source = full_merge_then_slice(opts, 1003)
+    state = breakup(curve.entries[(1,)], source.substream(104), opts)
+    assert (sorted(len(p) for p in state.partition), state.certified) == ([15], [True])
 
 
 def test_route_merge_three_slice_then_merge(opts):

@@ -97,6 +97,61 @@ def test_fixed_block_stays_satisfied():
     assert abs(end_line.evaluate(r.endpoint)) < 1e-7
 
 
+def random_poly(g, rng, nterms, maxdeg):
+    terms = {tuple(rng.integers(0, maxdeg + 1, g.nvars)): complex(*rng.normal(size=2))
+             for _ in range(nterms)}
+    return Polynomial(g, terms)
+
+
+def block_reference(h, x, t):
+    """H, J_x, dH/dt and the residual scale from the block formulas in
+    Homotopy's docstring, term by term through Polynomial."""
+    def rows(system):
+        return np.array([p.evaluate(x) for p in system])
+
+    def jac(system):
+        return np.array([[p.diff(v).evaluate(x) for v in range(len(x))] for p in system])
+
+    def scale(system):  # each row's sum of |coeff| * |monomial|, plus 1
+        return np.array([Polynomial(p.grouping, {e: abs(c) for e, c in p.terms.items()})
+                         .evaluate(np.abs(x)).real + 1 for p in system])
+
+    S, T = rows(h.start), rows(h.target)
+    H = t * h.gamma * S + (1 - t) * T
+    J = t * h.gamma * jac(h.start) + (1 - t) * jac(h.target)
+    dt = h.gamma * S - T
+    sc = abs(t * h.gamma) * scale(h.start) + abs(1 - t) * scale(h.target)
+    if h.fixed is not None:
+        H = np.concatenate([rows(h.fixed), H])
+        J = np.vstack([jac(h.fixed), J])
+        dt = np.concatenate([np.zeros(len(h.fixed)), dt])
+        sc = np.concatenate([scale(h.fixed), sc])
+    return H, J, dt, sc
+
+
+@pytest.mark.parametrize("with_fixed", [False, True])
+def test_fused_kernel_matches_block_formulas(with_fixed):
+    rng = np.random.default_rng(7)
+    g = VariableGrouping.from_sizes([2, 2], ["x", "y", "u", "v"])
+    nfixed = 2 if with_fixed else 0
+    # rows of more than eight terms, a zero row and a constant row
+    start = [random_poly(g, rng, 12, 3), Polynomial(g, {}), Polynomial.constant(g, 2.5),
+             random_poly(g, rng, 3, 2)][:4 - nfixed]
+    target = [random_poly(g, rng, 5, 4) for _ in range(4 - nfixed)]
+    fixed = PolySystem([random_poly(g, rng, 9, 3) for _ in range(nfixed)]) if with_fixed else None
+    h = Homotopy(PolySystem(start), PolySystem(target), gamma=1.7 * rs(4).unit_complex(),
+                 fixed=fixed)
+    for _ in range(5):
+        x = rng.normal(size=4) + 1j * rng.normal(size=4)
+        t = float(rng.uniform(0.01, 0.99))
+        H, scale, monomials = h.residual(x, t)
+        J, dt = h.tangent(x, t)
+        got = (H, h.jacobian(monomials, t), J, dt, scale)
+        ref_H, ref_J, ref_dt, ref_scale = block_reference(h, x, t)
+        for a, b in zip(got, (ref_H, ref_J, ref_J, ref_dt, ref_scale)):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_newton_refine_quadratic_convergence():
     g = VariableGrouping.from_sizes([2], ["x", "y"])
     x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
