@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import fixtures as fixture_mod
-from .algebra import Polynomial
 from .dimension import (
     IllConditionedError,
     dimension_polytope,
@@ -222,21 +221,10 @@ def cmd_member(args) -> dict:
 
 def cmd_trace(args) -> dict:
     opts = _options(args)
-    F, wc, _ = _witness_collection(args, opts)
+    _, wc, _ = _witness_collection(args, opts)
     key, ws = sorted(wc.entries.items())[0]
-    if len(ws.selection.forms) != 1:
-        raise InputError(
-            "trace needs a one-form slice (an affine curve witness); "
-            f"key {_key_str(key)} has {len(ws.selection.forms)} forms"
-        )
-    rs = RandomSource(seed=args.seed, stream=9)
-    # constant pencil: translate the slice parallel to itself, which is
-    # what makes the centroid affine in the pencil parameter
-    pencil = Polynomial.constant(F.grouping, rs.substream(1).unit_complex())
     tol = args.tol_trace if args.tol_trace is not None else 1e-6
-    ok = trace_test(F, ws.selection, pencil, ws.points, opts,
-                    rs=rs.substream(2), sq_core=ws.sq_core, extra=ws.extra,
-                    trace_tol=tol)
+    ok = trace_test(ws, ws.points, RandomSource(seed=args.seed, stream=9), opts, trace_tol=tol)
     return {"key": _key_str(key), "complete": bool(ok)}
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import Polynomial, PolySystem
 from .dimension import dimension_polytope, local_multidimension
 from .sysio import RandomSource
-from .startsys import RESIDUAL_TOL, square_up
+from .startsys import RESIDUAL_TOL, random_affine_form, square_up
 from .tracker import (
     NonconvergenceError,
     SingularJacobianError,
@@ -29,10 +29,8 @@ from .tracker import (
 from .witness import (
     IndeterminateError,
     SliceBank,
-    SliceSelection,
     WitnessCollection,
     WitnessSet,
-    random_affine_form,
     track_slice_motion,
 )
 
@@ -82,7 +80,7 @@ def random_loop(ws: WitnessSet, rs: RandomSource) -> LoopSpec:
 class MonodromyOutcome:
     permutation: dict  # matched start index -> start index of the endpoint
     new_points: list
-    unmatched: list  # start indices whose path failed or lost its endpoint
+    unmatched: list  # start indices whose path diverged or lost its endpoint
 
 
 def monodromy_permutation(
@@ -99,13 +97,9 @@ def monodromy_permutation(
     current = {i: p for i, p in enumerate(ws.points)}
     for start_forms, target_forms, gamma in legs:
         indices = sorted(current)
-        results = track_slice_motion(fixed, start_forms, target_forms,
-                                     [current[i] for i in indices], gamma, opts)
-        nxt = {}
-        for i, r in zip(indices, results):
-            if r.converged:
-                nxt[i] = r.endpoint
-        current = nxt
+        ends = track_slice_motion(fixed, start_forms, target_forms,
+                                  [current[i] for i in indices], gamma, opts)
+        current = {i: p for i, p in zip(indices, ends) if p is not None}
 
     full = ws.full_square_system()
     refined = {}
@@ -147,43 +141,36 @@ def monodromy_permutation(
 
 
 def trace_test(
-    F: PolySystem,
-    selection: SliceSelection,
-    pencil_form: Polynomial,
+    ws: WitnessSet,
     part: list,
+    rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
-    rs: RandomSource | None = None,
-    sq_core: PolySystem | None = None,
-    extra: tuple = (),
     trace_tol: float = TRACE_TOL,
 ) -> bool:
-    """Linear trace: move one slice form along l + s*pencil and check the
-    centroid of the part moves affinely in s.
+    """Linear trace: translate the one slice form l of `ws` along l + s*c,
+    c a random constant, over ws.fixed_block and check the centroid of the
+    part moves affinely in s.
 
     Only meaningful on affine-slice data (a single moving form); the
-    multiprojective analogue is unsound and deliberately not offered.
-    """
-    if rs is None:
-        rs = RandomSource(stream=808)
+    multiprojective analogue is unsound and deliberately not offered."""
+    forms = ws.selection.forms
+    if len(forms) != 1:
+        raise ValueError(f"the trace test moves one slice form; the set has {len(forms)}")
     part = [np.asarray(p, dtype=complex) for p in part]
     if not part:
         raise ValueError("empty part")
-    forms = selection.forms
-    if sq_core is None:
-        n = F.grouping.nvars
-        sq_core = square_up(F, n - len(forms) - len(extra), rs.substream(6))
-    fixed = sq_core.concat(list(extra) + forms[1:]) if (extra or forms[1:]) else sq_core
-    rotation = rs.substream(1).unit_complex()
+    # a constant pencil translates the slice parallel to itself; the
+    # centroid is affine in s only for parallel motion
+    pencil = Polynomial.constant(ws.system.grouping, rs.substream(9).unit_complex())
+    rotation = rs.substream(10).substream(1).unit_complex()
     s_values = (0.5 * rotation, 1.0 * rotation)
     centroids = [np.mean(part, axis=0)]
-    base = forms[0]
-    for idx, s in enumerate(s_values):
-        target = base + s * pencil_form
+    for s in s_values:
         # gamma = 1 keeps the slice motion affine in t, which the trace needs
-        results = track_slice_motion(fixed, [base], [target], part, 1.0, opts)
-        if not all(r.converged for r in results):
-            raise IndeterminateError("trace test path failed; result indeterminate")
-        centroids.append(np.mean([r.endpoint for r in results], axis=0))
+        ends = track_slice_motion(ws.fixed_block, forms, [forms[0] + s * pencil], part, 1.0, opts)
+        if any(p is None for p in ends):
+            raise IndeterminateError("a trace test path diverged; result indeterminate")
+        centroids.append(np.mean(ends, axis=0))
     v1 = (centroids[1] - centroids[0]) / s_values[0]
     v2 = (centroids[2] - centroids[0]) / s_values[1]
     scale = max(1.0, float(np.linalg.norm(v1)), float(np.linalg.norm(v2)))
@@ -194,30 +181,11 @@ def _trace_applicable(ws: WitnessSet) -> bool:
     return len(ws.selection.forms) == 1
 
 
-def _trace_certify(ws: WitnessSet, part_points: list, rs: RandomSource,
-                   opts: TrackOptions) -> bool:
-    g = ws.system.grouping
-    sel = ws.selection
-    if sel.e is None:
-        # ad-hoc (curve) selection: move the final form, the generic one;
-        # the earlier forms pin the curve and must stay where they are
-        forms = sel.forms
-        sel = SliceSelection.ad_hoc([forms[-1]] + forms[:-1])
-    # a constant pencil translates the slice parallel to itself; the
-    # centroid is affine in s only for parallel motion
-    pencil = Polynomial.constant(g, rs.substream(9).unit_complex())
-    return trace_test(
-        ws.system, sel, pencil, part_points, opts,
-        rs=rs.substream(10), sq_core=ws.sq_core, extra=ws.extra,
-    )
-
-
 @dataclass
 class MonodromyState:
     points: list
     partition: list  # list of sorted index lists
     certified: list  # parallel booleans
-    loops_run: int
     complete: bool = True
 
 
@@ -225,8 +193,6 @@ def breakup(
     ws: WitnessSet,
     rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
-    max_loops: int = MAX_LOOPS,
-    quiet_loops: int = QUIET_LOOPS,
 ) -> MonodromyState:
     """Partition a complete witness point set by monodromy orbits, then
     certify parts with the trace test where it applies."""
@@ -258,9 +224,8 @@ def breakup(
         out = []
         for pi, part in enumerate(partition):
             if use_trace:
-                ok = _trace_certify(ws, [points[i] for i in part],
-                                    rs.substream(5000 + pi), opts)
-                out.append(bool(ok))
+                out.append(trace_test(ws, [points[i] for i in part],
+                                      rs.substream(5000 + pi), opts))
             else:
                 out.append(False)
         return out
@@ -269,11 +234,11 @@ def breakup(
     quiet = 0
     partition = current_partition()
     certified = certify(partition) if len(points) == 1 else []
-    while loops < max_loops and not (certified and all(certified)):
+    while loops < MAX_LOOPS and not (certified and all(certified)):
         loop = random_loop(ws, rs.substream(1000 + loops))
         try:
             outcome = monodromy_permutation(ws, loop, opts)
-        except MatchAmbiguityError:
+        except (MatchAmbiguityError, IndeterminateError):
             loops += 1
             continue
         loops += 1
@@ -286,7 +251,7 @@ def breakup(
                 "breakup found new witness points; the input set was incomplete"
             )
         quiet = 0 if merged else quiet + 1
-        if quiet >= quiet_loops:
+        if quiet >= QUIET_LOOPS:
             partition = current_partition()
             certified = certify(partition)
             if all(certified) or not use_trace:
@@ -302,8 +267,7 @@ def breakup(
         points=points,
         partition=partition,
         certified=certified,
-        loops_run=loops,
-        complete=all(certified) if use_trace else quiet >= quiet_loops,
+        complete=all(certified) if use_trace else quiet >= QUIET_LOOPS,
     )
 
 
@@ -311,8 +275,6 @@ def grow_witness_set(
     ws: WitnessSet,
     rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
-    max_loops: int = MAX_LOOPS,
-    quiet_loops: int = QUIET_LOOPS,
 ) -> tuple[WitnessSet, bool]:
     """Grow a partial witness point set by monodromy until quiescent.
 
@@ -323,13 +285,13 @@ def grow_witness_set(
     quiet = 0
     use_trace = _trace_applicable(ws)
     stable = False
-    while loops < max_loops:
+    while loops < MAX_LOOPS:
         current = WitnessSet(ws.system, ws.sq_core, ws.selection, points,
                              grouping=ws.grouping, extra=ws.extra)
         loop = random_loop(current, rs.substream(2000 + loops))
         try:
             outcome = monodromy_permutation(current, loop, opts)
-        except MatchAmbiguityError:
+        except (MatchAmbiguityError, IndeterminateError):
             loops += 1
             continue
         loops += 1
@@ -339,21 +301,19 @@ def grow_witness_set(
             continue
         quiet += 1
         if use_trace and quiet >= 1:
-            final = WitnessSet(ws.system, ws.sq_core, ws.selection, points,
-                               grouping=ws.grouping, extra=ws.extra)
             try:
-                if _trace_certify(final, points, rs.substream(3000 + loops), opts):
+                if trace_test(current, points, rs.substream(3000 + loops), opts):
                     stable = True
                     break
             except IndeterminateError:
                 pass
-        if quiet >= quiet_loops:
+        if quiet >= QUIET_LOOPS:
             stable = not use_trace
             break
     return (
         WitnessSet(ws.system, ws.sq_core, ws.selection, points,
                    grouping=ws.grouping, extra=ws.extra),
-        stable or (not use_trace and quiet >= quiet_loops),
+        stable or (not use_trace and quiet >= QUIET_LOOPS),
     )
 
 
@@ -362,9 +322,6 @@ def complete_witness(
     seed_point,
     rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
-    rel_tol: float = 1e-8,
-    max_loops: int = MAX_LOOPS,
-    quiet_loops: int = QUIET_LOOPS,
 ) -> WitnessCollection:
     """Grow a full witness collection from one general smooth point.
 
@@ -373,7 +330,7 @@ def complete_witness(
     loops find the rest."""
     seed_point = np.asarray(seed_point, dtype=complex)
     g = F.grouping
-    profile = local_multidimension(F, seed_point, rel_tol)
+    profile = local_multidimension(F, seed_point)
     polytope = dimension_polytope(profile, g.sizes)
     bank = SliceBank.generate(g, rs.substream(41), through=seed_point)
     core = square_up(F, g.nvars - profile.total_dim, rs.substream(42))
@@ -382,9 +339,7 @@ def complete_witness(
     for idx, e in enumerate(sorted(polytope)):
         sel = bank.selection(e)
         ws = WitnessSet(F, core, sel, [seed_point])
-        grown, stable = grow_witness_set(
-            ws, rs.substream(43 + idx), opts, max_loops=max_loops, quiet_loops=quiet_loops
-        )
+        grown, stable = grow_witness_set(ws, rs.substream(43 + idx), opts)
         entries[e] = grown
         if not stable:
             incomplete.append(e)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Polynomial, PolySystem
+from .algebra import Polynomial, PolySystem, VariableGrouping
 from .dimension import (
     DimensionProfile,
     dimension_polytope,
@@ -25,15 +25,15 @@ from .dimension import (
 )
 from .monodromy import grow_witness_set
 from .sysio import RandomSource
-from .startsys import square_up
+from .startsys import random_affine_form, square_up
 from .tracker import TrackOptions, TrackingError, points_equal
 from .witness import (
     IndeterminateError,
+    SliceBank,
     SliceSelection,
     WitnessCollection,
     WitnessSet,
     membership,
-    random_affine_form,
     track_slice_motion,
 )
 
@@ -84,7 +84,8 @@ class ComponentRecord:
     m: tuple[int, ...]
     e: tuple[int, ...]
     I_order: list[int]
-    L: list[Polynomial]  # slice-away forms + the mixed-group curve cuts, all through p
+    # one moving form; its extra holds the slice-away forms and the
+    # mixed-group curve cuts, all through the representative
     curve_witness: WitnessSet
     representative: np.ndarray
     certified: bool
@@ -146,8 +147,7 @@ def build_component(
     # One more generic form through p completes a witness of the curve C_L.
     ell0 = random_affine_form(g, list(range(g.nvars)), sub.substream(999), through=p)
     core = square_up(F, g.nvars - len(L) - 1, rs.substream(62))
-    selection = SliceSelection.ad_hoc(L + [ell0])
-    ws = WitnessSet(F, core, selection, [p])
+    ws = WitnessSet(F, core, SliceSelection.ad_hoc([ell0]), [p], extra=L)
     grown, stable = grow_witness_set(ws, rs.substream(63), opts)
     return ComponentRecord(
         profile=profile,
@@ -155,7 +155,6 @@ def build_component(
         m=m,
         e=e,
         I_order=I_order,
-        L=L,
         curve_witness=grown,
         representative=p,
         certified=stable,
@@ -172,15 +171,10 @@ def component_membership(
     and look for q among the tracked endpoints."""
     q = np.asarray(q, dtype=complex)
     ws = rec.curve_witness
-    old_forms = ws.selection.forms
-    new_forms = []
-    for form in old_forms:
-        value = complex(form.evaluate(q))
-        new_forms.append(form - value)
-    results = track_slice_motion(ws.fixed_block, old_forms, new_forms, ws.points, gamma, opts)
-    if any(r.status == "failed" for r in results):
-        raise IndeterminateError("membership homotopy failed; answer indeterminate")
-    return any(r.converged and points_equal(r.endpoint, q) for r in results)
+    old_forms = list(ws.extra) + ws.selection.forms
+    new_forms = [form - complex(form.evaluate(q)) for form in old_forms]
+    ends = track_slice_motion(ws.sq_core, old_forms, new_forms, ws.points, gamma, opts)
+    return any(p is not None and points_equal(p, q) for p in ends)
 
 
 def nid_multi(
@@ -281,10 +275,6 @@ def _restrict_poly(poly: Polynomial, keep: list[int], values: np.ndarray,
 def _restrict_to_factor(wc: WitnessCollection, block, anchor: np.ndarray) -> WitnessCollection:
     """The factor's witness collection: pin the other groups' coordinates to
     a stored witness point and project points, slices, and keys."""
-    from .algebra import VariableGrouping
-    from .startsys import square_up as _square_up
-    from .witness import SliceBank
-
     g = wc.grouping
     keep = sorted(v for i in block for v in g.blocks[i])
     old_blocks = [g.blocks[i] for i in block]
@@ -318,6 +308,6 @@ def _restrict_to_factor(wc: WitnessCollection, block, anchor: np.ndarray) -> Wit
             if not any(points_equal(proj, q) for q in pts):
                 pts.append(proj)
         sel = new_bank.selection(sub_e)
-        core = _square_up(new_F, new_g.nvars - sum(sub_e), RandomSource(stream=31337))
+        core = square_up(new_F, new_g.nvars - sum(sub_e), RandomSource(stream=31337))
         entries[sub_e] = WitnessSet(new_F, core, sel, pts, grouping=new_g)
     return WitnessCollection(new_F, new_bank, entries, grouping=new_g)

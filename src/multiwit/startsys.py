@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Polynomial, PolySystem
+from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
 from .tracker import (
     Homotopy,
@@ -77,10 +77,21 @@ class StartPackage:
     predicted_count: int
 
 
-def _random_affine_in_group(grouping, group: int, rs: RandomSource) -> Polynomial:
-    block = grouping.blocks[group]
-    coeffs = [rs.gaussian_complex() for _ in block]
-    return Polynomial.affine(grouping, coeffs, rs.gaussian_complex(), block)
+def random_affine_form(
+    grouping: VariableGrouping,
+    variables: Sequence[int],
+    rs: RandomSource,
+    through: np.ndarray | None = None,
+) -> Polynomial:
+    """A random affine form in the given variables; if `through` is set the
+    constant is adjusted so the form vanishes there."""
+    coeffs = [rs.gaussian_complex() for _ in variables]
+    if through is None:
+        const = rs.gaussian_complex()
+    else:
+        through = np.asarray(through, dtype=complex)
+        const = -sum(c * through[v] for c, v in zip(coeffs, variables))
+    return Polynomial.affine(grouping, coeffs, const, variables)
 
 
 def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
@@ -100,7 +111,7 @@ def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
         eq_factors = []
         for i in range(k):
             for _ in range(d[i]):
-                eq_factors.append((i, _random_affine_in_group(g, i, rs)))
+                eq_factors.append((i, random_affine_form(g, g.blocks[i], rs)))
         factors.append(eq_factors)
 
     start_polys = []

@@ -9,7 +9,7 @@ or "random" choice in the toolkit draws from one of its streams).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class SystemDocument:
     group_names: tuple[str, ...]
     poly_names: tuple[str, ...]
     source: str
-    metadata: dict = field(default_factory=dict)
 
 
 _SYMBOLS = set("+-*^=;()[]")

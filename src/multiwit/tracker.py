@@ -56,7 +56,6 @@ class PathResult:
     status: str  # "converged" | "diverged" | "failed"
     endpoint: np.ndarray | None
     steps_taken: int
-    final_residual: float
 
     @property
     def converged(self) -> bool:
@@ -205,7 +204,7 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
     x = np.asarray(start_point, dtype=complex).copy()
     x, residual = _newton_at(h, x, 1.0, opts.newton_tol, opts.max_newton_iters)
     if not residual < opts.newton_tol:
-        return PathResult("failed", None, 0, float("inf"))
+        return PathResult("failed", None, 0)
 
     t = 1.0
     step = opts.initial_step
@@ -219,8 +218,8 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
     while t > 0:
         if steps >= opts.max_steps:
             if norm_history[-1] > blowup_norm:
-                return PathResult("diverged", None, steps, float("inf"))
-            return PathResult("failed", None, steps, float("inf"))
+                return PathResult("diverged", None, steps)
+            return PathResult("failed", None, steps)
         dt = min(step, t)
         try:
             # RK4 on the Davidenko ODE x'(t) = -J_x^{-1} dH/dt, moving toward
@@ -248,13 +247,13 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
                 if len(norm_history) > 8:
                     norm_history.pop(0)
                 if norm_history[-1] > opts.divergence_norm:
-                    return PathResult("diverged", None, steps, float("inf"))
+                    return PathResult("diverged", None, steps)
                 # A path blowing up at an interior time creeps: t stagnates
                 # while the norm grows without bound.  Cut it off early.
                 if dt < 1e-4 and norm_history[-1] > norm_history[-2]:
                     crawl += 1
                     if crawl >= 100 and norm_history[-1] > blowup_norm:
-                        return PathResult("diverged", None, steps, float("inf"))
+                        return PathResult("diverged", None, steps)
                 else:
                     crawl = 0
                 if streak >= 4:
@@ -269,14 +268,14 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
                 )
                 blown_up = norm_history[-1] > max(1e4, 100.0 * initial_norm)
                 if blown_up or (t < 0.05 and recent_growth):
-                    return PathResult("diverged", None, steps, float("inf"))
-                return PathResult("failed", None, steps, float("inf"))
+                    return PathResult("diverged", None, steps)
+                return PathResult("failed", None, steps)
 
     # Final sharpening against the t=0 system
     x, residual = _newton_at(h, x, 0.0, opts.end_tol, 30)
     if residual < opts.end_tol:
-        return PathResult("converged", x, steps, residual)
-    return PathResult("failed", None, steps, residual)
+        return PathResult("converged", x, steps)
+    return PathResult("failed", None, steps)
 
 
 def track_many(h: Homotopy, starts: Sequence, opts: TrackOptions = TrackOptions()) -> list[PathResult]:
@@ -284,16 +283,14 @@ def track_many(h: Homotopy, starts: Sequence, opts: TrackOptions = TrackOptions(
     return [track_path(h, s, opts) for s in starts]
 
 
-def points_equal(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = MATCH_TOL
+def points_equal(a: np.ndarray, b: np.ndarray) -> bool:
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    return bool(np.linalg.norm(np.asarray(a) - np.asarray(b)) < tol * scale)
+    return bool(np.linalg.norm(np.asarray(a) - np.asarray(b)) < MATCH_TOL * scale)
 
 
-def dedupe_points(points: Sequence[np.ndarray], tol: float | None = None) -> list[np.ndarray]:
+def dedupe_points(points: Sequence[np.ndarray]) -> list[np.ndarray]:
     kept: list[np.ndarray] = []
     for p in points:
-        if not any(points_equal(p, q, tol) for q in kept):
+        if not any(points_equal(p, q) for q in kept):
             kept.append(p)
     return kept

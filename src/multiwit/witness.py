@@ -11,18 +11,18 @@ motion, Segre degree, and the multiprojective membership test.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
-from .startsys import solve_zero_dim, square_up
+from .startsys import random_affine_form, solve_zero_dim, square_up
 from .tracker import (
     Homotopy,
-    PathResult,
     TrackOptions,
     TrackingError,
     dedupe_points,
@@ -33,24 +33,8 @@ from .tracker import (
 
 
 class IndeterminateError(TrackingError):
-    """A query could not be decided because paths failed (never silent false)."""
-
-
-def random_affine_form(
-    grouping: VariableGrouping,
-    variables: Sequence[int],
-    rs: RandomSource,
-    through: np.ndarray | None = None,
-) -> Polynomial:
-    """A random affine form in the given variables; if `through` is set the
-    constant is adjusted so the form vanishes there."""
-    coeffs = [rs.gaussian_complex() for _ in variables]
-    if through is None:
-        const = rs.gaussian_complex()
-    else:
-        through = np.asarray(through, dtype=complex)
-        const = -sum(c * through[v] for c, v in zip(coeffs, variables))
-    return Polynomial.affine(grouping, coeffs, const, variables)
+    """Paths failed, so an operation or query could not be completed
+    (never a silently short result or a silent false)."""
 
 
 class SliceBank:
@@ -130,8 +114,9 @@ class WitnessSet:
     """(F, L, points): a variety cut to finitely many generic points.
 
     sq_core holds a square-up of F sized so that core + extra + slices is
-    a square system (what the tracker needs); extra holds slice forms that
-    have been promoted into the system by exact slicing.
+    a square system (what the tracker needs); extra holds the slice forms
+    that stay fixed while the selection moves: forms promoted into the
+    system by exact slicing, or the cuts that pin a curve in nid.
     """
 
     def __init__(
@@ -261,16 +246,22 @@ def track_slice_motion(
     points: Sequence[np.ndarray],
     gamma: complex,
     opts: TrackOptions,
-) -> list[PathResult]:
+) -> list[np.ndarray | None]:
     """Track points of V(fixed, old_rows) to V(fixed, new_rows).
 
     The homotopy is [fixed; t*gamma*old_rows + (1-t)*new_rows]: the system
     stays put while only the rows in motion (slices, or coarsening's
     bilinear products) move.  Every operation on witness data that moves
-    slices goes through here; each caller decides what a failed path means.
-    Results come back in the order of `points`."""
+    slices goes through here, and so does the one policy for failed paths:
+    endpoints come back in the order of `points`, None for a path that
+    diverged, and a path that neither converged nor diverged raises
+    IndeterminateError."""
     h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), gamma=gamma, fixed=fixed)
-    return track_many(h, points, opts)
+    results = track_many(h, points, opts)
+    failed = sum(r.status == "failed" for r in results)
+    if failed:
+        raise IndeterminateError(f"{failed} of {len(results)} slice-motion paths failed")
+    return [r.endpoint for r in results]
 
 
 def move_slice(
@@ -287,13 +278,12 @@ def move_slice(
     if not old:
         return WitnessSet(ws.system, ws.sq_core, ws.selection, ws.points,
                           grouping=ws.grouping, extra=ws.extra)
-    results = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, gamma, opts)
-    pts = [r.endpoint for r in results if r.converged]
+    ends = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, gamma, opts)
     return WitnessSet(
         ws.system,
         ws.sq_core,
         ws.selection.replace_forms(new_forms),
-        dedupe_points(pts),
+        dedupe_points([p for p in ends if p is not None]),
         grouping=ws.grouping,
         extra=ws.extra,
     )
@@ -343,10 +333,10 @@ def refine(
     others = [f for i, fs in enumerate(per_group) if i != group for f in fs]
     moving_new = new_first + new_second
     fixed = ws.fixed_block.concat(others) if others else ws.fixed_block
-    results = track_slice_motion(
+    ends = track_slice_motion(
         fixed, moving_old, moving_new, ws.points, rs.substream(99).unit_complex(), opts
     )
-    pts = dedupe_points([r.endpoint for r in results if r.converged])
+    pts = dedupe_points([p for p in ends if p is not None])
     new_per_group = (
         tuple(per_group[:group])
         + (tuple(new_first), tuple(new_second))
@@ -368,7 +358,6 @@ class CoarsenResult:
     delta: int  # start paths tracked (Segre-formula count)
     converged: int
     diverged: int
-    grouping: VariableGrouping = field(default=None)
 
 
 def coarsen(
@@ -435,7 +424,7 @@ def coarsen(
             continue
         some_entry = ws
         core = ws.sq_core
-        for S in _subsets(range(e), s):
+        for S in itertools.combinations(range(e), s):
             Sset = set(S)
             forms_a = [l10[i] for i in range(e) if i in Sset]
             forms_b = [l01[i] for i in range(e) if i not in Sset]
@@ -480,28 +469,19 @@ def coarsen(
             WitnessSet(ws0.system, ws0.sq_core, new_sel, ws0.points,
                        grouping=new_g, extra=ws0.extra),
             delta=len(ws0.points), converged=len(ws0.points), diverged=0,
-            grouping=new_g,
         )
 
     products = [l10[i] * l01[i] for i in range(e)]
     fixed = core.concat(list(some_entry.extra) + rest_forms)
-    results = track_slice_motion(
+    ends = track_slice_motion(
         fixed, products, target_forms, starts, sub.substream(1234).unit_complex(), opts
     )
-    pts = []
-    n_conv = 0
-    for r in results:
-        if r.converged:
-            n_conv += 1
-            pts.append(r.endpoint)
-        elif r.status == "failed":
-            raise TrackingError("coarsening path failed (neither converged nor diverged)")
-    pts = dedupe_points(pts)
+    pts = [p for p in ends if p is not None]
     out = WitnessSet(
-        some_entry.system, core, new_sel, pts, grouping=new_g, extra=some_entry.extra
+        some_entry.system, core, new_sel, dedupe_points(pts), grouping=new_g,
+        extra=some_entry.extra,
     )
-    return CoarsenResult(out, delta=delta, converged=n_conv,
-                         diverged=delta - n_conv, grouping=new_g)
+    return CoarsenResult(out, delta=delta, converged=len(pts), diverged=delta - len(pts))
 
 
 def coarsen_collection(
@@ -553,12 +533,6 @@ def coarsen_collection(
                              extra=wc.extra), stats
 
 
-def _subsets(items, size: int):
-    import itertools
-
-    return itertools.combinations(items, size)
-
-
 def segre_degree(md: dict) -> int:
     """Degree under the Segre embedding: sum of multinomial(d; e) * Deg(e)."""
     keys = list(md)
@@ -596,7 +570,7 @@ def membership(
         probe = PolySystem(list(wc.extra))
         if not relative_residual(probe.evaluate(point), probe.residual_scale(point)) < 1e-6:
             return False
-    for idx, (e, ws) in enumerate(sorted(wc.entries.items())):
+    for idx, (_, ws) in enumerate(sorted(wc.entries.items())):
         sub = rs.substream(idx)
         if not ws.selection.forms:
             # zero-dimensional entry: nothing moves, compare directly
@@ -609,15 +583,10 @@ def membership(
                 new_forms.append(
                     random_affine_form(g, g.blocks[i], sub.substream(10 * i + j), through=point)
                 )
-        results = track_slice_motion(
+        ends = track_slice_motion(
             ws.fixed_block, ws.selection.forms, new_forms, ws.points,
             sub.substream(77).unit_complex(), opts,
         )
-        if any(r.status == "failed" for r in results):
-            raise IndeterminateError(
-                f"membership tracking failed on key {e}; answer indeterminate"
-            )
-        for r in results:
-            if r.converged and points_equal(r.endpoint, point):
-                return True
+        if any(p is not None and points_equal(p, point) for p in ends):
+            return True
     return False

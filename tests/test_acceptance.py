@@ -188,7 +188,7 @@ def test_route_full_merge_then_slice(opts):
 
 def test_breakup_retries_an_ambiguous_loop(opts):
     # On this stream one monodromy loop lands two paths on one start point;
-    # breakup counts that loop against max_loops and draws the next one.
+    # breakup counts that loop against MAX_LOOPS and draws the next one.
     curve, source = full_merge_then_slice(opts, 1003)
     state = breakup(curve.entries[(1,)], source.substream(104), opts)
     assert (sorted(len(p) for p in state.partition), state.certified) == ([15], [True])
@@ -246,9 +246,10 @@ def test_richardson_full_coarsening_affine_degree(richardson_wc, opts):
     assert w.multidegree_map() == {(5,): fx.extra["affine_degree"]}
 
 
-def test_richardson_four_minor_decomposition(opts):
+def richardson_four_decomposition(source, opts):
+    """nid_multi on the richardson-four witness points; returns the
+    decomposition, its per-component multidegree maps and the fixture's."""
     fx = get_fixture("richardson-four")
-    source = rs(13)
     wc = compute_witness_collection(fx.system, fx.default_keys, source, opts)
     points, key_of = [], []
     for e, ws in sorted(wc.entries.items()):
@@ -258,17 +259,32 @@ def test_richardson_four_minor_decomposition(opts):
     assert len(points) == 63
 
     dec = nid_multi(fx.system, points, source.substream(99), opts)
-    assert len(dec.components) == 4
-    assert not dec.diagnostics
-    assert all(rec.certified for rec in dec.components)
-    assert sorted(dec.assignment) == list(range(63))
-
     maps = {}
     for idx, ci in dec.assignment.items():
         maps.setdefault(ci, {})
         maps[ci][key_of[idx]] = maps[ci].get(key_of[idx], 0) + 1
     got = sorted(sorted(m.items()) for m in maps.values())
     want = sorted(sorted(m.items()) for m in fx.extra["component_maps"])
+    return dec, got, want
+
+
+def test_richardson_four_minor_decomposition(opts):
+    dec, got, want = richardson_four_decomposition(rs(13), opts)
+    assert len(dec.components) == 4
+    assert not dec.diagnostics
+    assert all(rec.certified for rec in dec.components)
+    assert sorted(dec.assignment) == list(range(63))
+    assert got == want
+
+
+def test_richardson_four_curve_loops_keep_their_cuts(opts):
+    # On this seed, loops that moved the curve's cut forms along with its
+    # generic form left the curve: six "certified" components came out, one
+    # of them a single point on a curve of degree 6.
+    dec, got, want = richardson_four_decomposition(RandomSource(seed=10, stream=13), opts)
+    assert len(dec.components) == 4
+    assert all(rec.certified for rec in dec.components)
+    assert [rec.curve_degree for rec in dec.components] == [3, 3, 2, 3]
     assert got == want
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from multiwit import (
-    Polynomial,
     breakup,
     complete_witness,
     compute_witness_collection,
@@ -66,22 +65,16 @@ def test_breakup_two_lines_gives_two_certified_parts(two_lines_ws, opts):
 
 def test_trace_full_part_passes_and_subsets_fail(cubic_ws, opts):
     fx, ws = cubic_ws
-    g = fx.system.grouping
-    pencil = Polynomial.constant(g, rs(66).unit_complex())
-    full = trace_test(fx.system, ws.selection, pencil, list(ws.points), opts,
-                      rs=rs(67), sq_core=ws.sq_core)
-    assert full
+    assert trace_test(ws, list(ws.points), rs(67), opts)
     for size in (1, 2):
         part = list(ws.points)[:size]
-        assert not trace_test(fx.system, ws.selection, pencil, part, opts,
-                              rs=rs(68), sq_core=ws.sq_core)
+        assert not trace_test(ws, part, rs(68), opts)
 
 
 def test_trace_rejects_empty_part(cubic_ws):
     fx, ws = cubic_ws
-    pencil = Polynomial.constant(fx.system.grouping, 1.0)
     with pytest.raises(ValueError):
-        trace_test(fx.system, ws.selection, pencil, [])
+        trace_test(ws, [], rs(66))
 
 
 def test_grow_witness_set_recovers_full_degree(cubic_ws, opts):

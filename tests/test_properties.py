@@ -3,7 +3,6 @@
 import numpy as np
 
 from multiwit import (
-    Polynomial,
     RandomSource,
     compute_witness_collection,
     monodromy_permutation,
@@ -87,14 +86,9 @@ def test_trace_separates_full_parts_from_strict_subsets(opts):
         wc = compute_witness_collection(fx.system, fx.default_keys,
                                         source(s, 9), opts)
         ws = wc.entries[(1,)]
-        pencil = Polynomial.constant(fx.system.grouping,
-                                     source(s, 10).unit_complex())
-        assert trace_test(fx.system, ws.selection, pencil, list(ws.points),
-                          opts, rs=source(s, 11), sq_core=ws.sq_core), f"seed {s}"
+        assert trace_test(ws, list(ws.points), source(s, 11), opts), f"seed {s}"
         for size in (1, 2):
-            assert not trace_test(fx.system, ws.selection, pencil,
-                                  list(ws.points)[:size], opts,
-                                  rs=source(s, 12), sq_core=ws.sq_core), \
+            assert not trace_test(ws, list(ws.points)[:size], source(s, 12), opts), \
                 f"seed {s} subset {size}"
 
 

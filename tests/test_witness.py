@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multiwit import (
+    IndeterminateError,
     PolySystem,
     Polynomial,
     SliceBank,
@@ -127,16 +128,27 @@ def test_track_slice_motion_keeps_input_order(cubic_wc, opts):
     def motion(points):
         return track_slice_motion(ws.fixed_block, ws.selection.forms, new, points, gamma, opts)
 
-    results = motion(starts)
-    # one result per start, failures included: the off-curve start fails
-    assert [r.status for r in results] == ["converged"] * 3 + ["failed"]
-    # each result belongs to the start at its own index
-    for start, r in zip(starts, results):
+    # the off-curve start fails, and one failed path fails the whole motion
+    with pytest.raises(IndeterminateError, match="1 of 4"):
+        motion(starts)
+    on_curve = list(ws.points)
+    ends = motion(on_curve)
+    assert len(ends) == 3 and all(p is not None for p in ends)
+    # each endpoint belongs to the start at its own index
+    for start, end in zip(on_curve, ends):
         (alone,) = motion([start])
-        assert alone.status == r.status
-        if r.converged:
-            assert np.array_equal(alone.endpoint, r.endpoint)
+        assert np.array_equal(alone, end)
     assert motion([]) == []
+
+
+def test_move_slice_raises_on_a_failed_path(cubic_wc, opts):
+    fx, wc = cubic_wc
+    ws = wc.entries[(1,)]
+    off_curve = np.array([5.0 + 1j, -3.0 + 2j])
+    bad = WitnessSet(ws.system, ws.sq_core, ws.selection, list(ws.points) + [off_curve])
+    new = [random_affine_form(fx.system.grouping, [0, 1], rs(36))]
+    with pytest.raises(IndeterminateError):
+        move_slice(bad, new, opts, gamma=rs(37).unit_complex())
 
 
 def test_refine_cubic_to_bidegrees(cubic_wc, opts):
