@@ -25,7 +25,6 @@ from .monodromy import (
     MonodromyOutcome,
     MonodromyState,
     breakup,
-    complete_witness,
     grow_witness_set,
     monodromy_permutation,
     random_loop,
@@ -36,7 +35,6 @@ from .nid import (
     Decomposition,
     build_component,
     component_membership,
-    membership_product,
     nid_multi,
 )
 from .startsys import (
@@ -52,7 +50,6 @@ from .sysio import (
     ParseError,
     RandomSource,
     SystemDocument,
-    format_system,
     parse_system,
 )
 from .tracker import (

@@ -60,14 +60,6 @@ class VariableGrouping:
     def nvars(self) -> int:
         return len(self.names)
 
-    @cached_property
-    def group_of(self) -> tuple[int, ...]:
-        owner = [0] * self.nvars
-        for i, b in enumerate(self.blocks):
-            for v in b:
-                owner[v] = i
-        return tuple(owner)
-
     def merge(self, a: int, b: int) -> "VariableGrouping":
         """Merge group b into group a; the merged group keeps position a."""
         if a == b:
@@ -387,9 +379,6 @@ class PolySystem:
             ]
             J = J[:, sorted(keep)]
         return J
-
-    def multidegrees(self) -> list[tuple[int, ...]]:
-        return [p.multidegree() for p in self.polys]
 
     def with_grouping(self, grouping: VariableGrouping) -> "PolySystem":
         return PolySystem([p.with_grouping(grouping) for p in self.polys])

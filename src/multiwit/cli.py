@@ -15,16 +15,17 @@ import numpy as np
 
 from . import fixtures as fixture_mod
 from .dimension import (
+    RANK_TOL,
     IllConditionedError,
     dimension_polytope,
     equidim_partition,
     product_factorization,
 )
-from .monodromy import trace_test
+from .monodromy import TRACE_TOL, trace_test
 from .nid import nid_multi
 from .startsys import complete_intersection_class
-from .sysio import DEFAULT_SEED, ParseError, RandomSource, parse_system
-from .tracker import TrackOptions, TrackingError
+from .sysio import DEFAULT_SEED, ParseError, RandomSource, _encode, parse_system
+from .tracker import NEWTON_TOL, TrackOptions, TrackingError
 from .witness import (
     coarsen_collection,
     compute_witness_collection,
@@ -38,12 +39,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-COMMANDS = (
-    "witness", "dim", "slice", "refine", "coarsen", "member",
-    "trace", "decompose", "segre", "class", "fixture",
-)
-
-
 class InputError(ValueError):
     pass
 
@@ -53,8 +48,6 @@ def _key_str(e) -> str:
 
 
 def _emit(obj, path: str | None) -> None:
-    from .sysio import _encode
-
     text = _encode(obj) + "\n"
     if path:
         with open(path, "w") as fh:
@@ -106,9 +99,7 @@ def _load_system(args):
 
 
 def _options(args) -> TrackOptions:
-    if args.tol_track is not None:
-        return TrackOptions(newton_tol=args.tol_track)
-    return TrackOptions()
+    return TrackOptions(newton_tol=args.tol_track)
 
 
 def _witness_collection(args, opts):
@@ -136,8 +127,7 @@ def cmd_dim(args) -> dict:
     opts = _options(args)
     F, wc, _ = _witness_collection(args, opts)
     points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
-    rel_tol = args.tol_rank if args.tol_rank is not None else 1e-8
-    classes = equidim_partition(F, points, rel_tol)
+    classes = equidim_partition(F, points, args.tol_rank)
     rows = []
     for profile, pts in classes:
         polytope = dimension_polytope(profile, F.grouping.sizes)
@@ -216,15 +206,15 @@ def cmd_member(args) -> dict:
         raise InputError("member needs --point")
     point = _parse_point(args.point, F.grouping.nvars)
     rs = RandomSource(seed=args.seed, stream=7)
-    return {"member": bool(membership(wc, point, opts, rs=rs))}
+    return {"member": bool(membership(wc, point, rs, opts))}
 
 
 def cmd_trace(args) -> dict:
     opts = _options(args)
     _, wc, _ = _witness_collection(args, opts)
     key, ws = sorted(wc.entries.items())[0]
-    tol = args.tol_trace if args.tol_trace is not None else 1e-6
-    ok = trace_test(ws, ws.points, RandomSource(seed=args.seed, stream=9), opts, trace_tol=tol)
+    ok = trace_test(ws, ws.points, RandomSource(seed=args.seed, stream=9), opts,
+                    trace_tol=args.tol_trace)
     return {"key": _key_str(key), "complete": bool(ok)}
 
 
@@ -233,8 +223,7 @@ def cmd_decompose(args) -> dict:
     F, wc, _ = _witness_collection(args, opts)
     points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
     rs = RandomSource(seed=args.seed, stream=13)
-    rel_tol = args.tol_rank if args.tol_rank is not None else 1e-8
-    dec = nid_multi(F, points, rs, opts, rel_tol)
+    dec = nid_multi(F, points, rs, opts, args.tol_rank)
     comps = []
     for ci, rec in enumerate(dec.components):
         size = sum(1 for v in dec.assignment.values() if v == ci)
@@ -313,9 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="system file in the input grammar")
         sp.add_argument("--keys", help="witness keys, e.g. 1100,1010")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--tol-rank", type=float, default=None)
-        sp.add_argument("--tol-track", type=float, default=None)
-        sp.add_argument("--tol-trace", type=float, default=None)
+        sp.add_argument("--tol-rank", type=float, default=RANK_TOL)
+        sp.add_argument("--tol-track", type=float, default=NEWTON_TOL)
+        sp.add_argument("--tol-trace", type=float, default=TRACE_TOL)
         sp.add_argument("--extended", action="store_true",
                         help="allow long-running extended fixtures")
         sp.add_argument("--output", help="write JSON here instead of stdout")

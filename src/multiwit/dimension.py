@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import PolySystem, numerical_rank
 
 MAX_GROUPS = 16
+RANK_TOL = 1e-8  # default relative tolerance of a numerical rank
 
 
 class IllConditionedError(RuntimeError):
@@ -64,7 +65,7 @@ def _stable_rank(M: np.ndarray, rel_tol: float, what: str) -> int:
 
 
 def local_multidimension(
-    F: PolySystem, point, rel_tol: float = 1e-8
+    F: PolySystem, point, rel_tol: float = RANK_TOL
 ) -> DimensionProfile:
     """Dimension profile of the component of V(F) through a smooth point."""
     g = F.grouping
@@ -140,7 +141,7 @@ def polytope_proj_dim(points, I) -> int:
     return max(sum(e[i] for i in I) for e in points)
 
 
-def equidim_partition(F: PolySystem, points: Sequence, rel_tol: float = 1e-8) -> list:
+def equidim_partition(F: PolySystem, points: Sequence, rel_tol: float = RANK_TOL) -> list:
     """Partition points by equal dimension profile.
 
     Returns a list of (profile, point list) pairs, in order of first

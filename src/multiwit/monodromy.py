@@ -2,9 +2,9 @@
 
 Moving the slice around a loop permutes the witness points; orbits stay
 inside single irreducible components.  This gives three tools: growing a
-partial witness point set from a seed, partitioning a complete witness
-set into putative components, and (for affine curves) the linear trace
-test that certifies a part is complete.
+partial witness point set of an affine curve from a seed, partitioning a
+complete witness set into putative components, and (for affine curves)
+the linear trace test that certifies a part is complete.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Polynomial, PolySystem
-from .dimension import dimension_polytope, local_multidimension
+from .algebra import Polynomial
 from .sysio import RandomSource
-from .startsys import RESIDUAL_TOL, random_affine_form, square_up
+from .startsys import RESIDUAL_TOL, random_affine_form
 from .tracker import (
     NonconvergenceError,
     SingularJacobianError,
@@ -26,13 +25,7 @@ from .tracker import (
     points_equal,
     relative_residual,
 )
-from .witness import (
-    IndeterminateError,
-    SliceBank,
-    WitnessCollection,
-    WitnessSet,
-    track_slice_motion,
-)
+from .witness import IndeterminateError, WitnessSet, track_slice_motion
 
 TRACE_TOL = 1e-6
 QUIET_LOOPS = 5
@@ -80,7 +73,6 @@ def random_loop(ws: WitnessSet, rs: RandomSource) -> LoopSpec:
 class MonodromyOutcome:
     permutation: dict  # matched start index -> start index of the endpoint
     new_points: list
-    unmatched: list  # start indices whose path diverged or lost its endpoint
 
 
 def monodromy_permutation(
@@ -136,8 +128,7 @@ def monodromy_permutation(
                 points_equal(endpoint, q) for q in new_points
             ):
                 new_points.append(endpoint)
-    unmatched = [i for i in range(len(ws.points)) if i not in perm]
-    return MonodromyOutcome(perm, new_points, unmatched)
+    return MonodromyOutcome(perm, new_points)
 
 
 def trace_test(
@@ -276,15 +267,18 @@ def grow_witness_set(
     rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
 ) -> tuple[WitnessSet, bool]:
-    """Grow a partial witness point set by monodromy until quiescent.
+    """Grow a partial witness point set of an affine curve (one moving form)
+    by monodromy.
 
-    For affine-curve data the trace test replaces pure quiescence as the
-    stopping rule.  Returns (witness set, stable flag)."""
+    After each loop that finds no new point the trace test checks the set;
+    growth stops when it passes (stable) or after QUIET_LOOPS such loops
+    in a row (not stable).  Returns (witness set, stable flag)."""
+    if len(ws.selection.forms) != 1:
+        raise ValueError(
+            f"grow_witness_set needs one moving form; the set has {len(ws.selection.forms)}")
     points = list(ws.points)
     loops = 0
     quiet = 0
-    use_trace = _trace_applicable(ws)
-    stable = False
     while loops < MAX_LOOPS:
         current = WitnessSet(ws.system, ws.sq_core, ws.selection, points,
                              grouping=ws.grouping, extra=ws.extra)
@@ -300,49 +294,12 @@ def grow_witness_set(
             quiet = 0
             continue
         quiet += 1
-        if use_trace and quiet >= 1:
-            try:
-                if trace_test(current, points, rs.substream(3000 + loops), opts):
-                    stable = True
-                    break
-            except IndeterminateError:
-                pass
+        try:
+            if trace_test(current, points, rs.substream(3000 + loops), opts):
+                return current, True
+        except IndeterminateError:
+            pass
         if quiet >= QUIET_LOOPS:
-            stable = not use_trace
             break
-    return (
-        WitnessSet(ws.system, ws.sq_core, ws.selection, points,
-                   grouping=ws.grouping, extra=ws.extra),
-        stable or (not use_trace and quiet >= QUIET_LOOPS),
-    )
-
-
-def complete_witness(
-    F: PolySystem,
-    seed_point,
-    rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
-) -> WitnessCollection:
-    """Grow a full witness collection from one general smooth point.
-
-    All bank forms vanish at the seed, so the seed is itself an e-witness
-    point for every e in its component's dimension polytope; monodromy
-    loops find the rest."""
-    seed_point = np.asarray(seed_point, dtype=complex)
-    g = F.grouping
-    profile = local_multidimension(F, seed_point)
-    polytope = dimension_polytope(profile, g.sizes)
-    bank = SliceBank.generate(g, rs.substream(41), through=seed_point)
-    core = square_up(F, g.nvars - profile.total_dim, rs.substream(42))
-    entries = {}
-    incomplete = []
-    for idx, e in enumerate(sorted(polytope)):
-        sel = bank.selection(e)
-        ws = WitnessSet(F, core, sel, [seed_point])
-        grown, stable = grow_witness_set(ws, rs.substream(43 + idx), opts)
-        entries[e] = grown
-        if not stable:
-            incomplete.append(e)
-    wc = WitnessCollection(F, bank, entries)
-    wc.incomplete_keys = incomplete
-    return wc
+    return WitnessSet(ws.system, ws.sq_core, ws.selection, points,
+                      grouping=ws.grouping, extra=ws.extra), False

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Polynomial, PolySystem, VariableGrouping
+from .algebra import Polynomial, PolySystem
 from .dimension import (
+    RANK_TOL,
     DimensionProfile,
     dimension_polytope,
     equidim_partition,
@@ -27,15 +28,7 @@ from .monodromy import grow_witness_set
 from .sysio import RandomSource
 from .startsys import random_affine_form, square_up
 from .tracker import TrackOptions, TrackingError, points_equal
-from .witness import (
-    IndeterminateError,
-    SliceBank,
-    SliceSelection,
-    WitnessCollection,
-    WitnessSet,
-    membership,
-    track_slice_motion,
-)
+from .witness import IndeterminateError, SliceSelection, WitnessSet, track_slice_motion
 
 
 def compute_slice_vector(polytope) -> tuple[tuple[int, ...], frozenset]:
@@ -182,7 +175,7 @@ def nid_multi(
     W,
     rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
-    rel_tol: float = 1e-8,
+    rel_tol: float = RANK_TOL,
 ) -> Decomposition:
     """Sort general smooth points of V(F) into irreducible components."""
     W = [np.asarray(p, dtype=complex) for p in W]
@@ -218,96 +211,3 @@ def nid_multi(
             remaining = rest
     return Decomposition(components, assignment, diagnostics)
 
-
-def membership_product(
-    wc: WitnessCollection,
-    point,
-    partition,
-    opts: TrackOptions = TrackOptions(),
-    rs: RandomSource | None = None,
-):
-    """Membership in a Cartesian product, tested factor by factor.
-
-    partition: blocks of group indices (from product_factorization).
-    Returns (combined, per-factor booleans)."""
-    if rs is None:
-        rs = RandomSource(stream=11011)
-    point = np.asarray(point, dtype=complex)
-    g = wc.grouping
-    anchor_key = sorted(wc.entries)[0]
-    anchor = wc.entries[anchor_key].points[0]
-
-    per_factor = []
-    for bi, block in enumerate(partition):
-        factor_wc = _restrict_to_factor(wc, tuple(block), anchor)
-        factor_point = _project_point(g, point, tuple(block))
-        per_factor.append(
-            membership(factor_wc, factor_point, opts, rs=rs.substream(900 + bi))
-        )
-    return all(per_factor), tuple(per_factor)
-
-
-def _project_point(grouping, point: np.ndarray, block) -> np.ndarray:
-    keep = [v for i in block for v in grouping.blocks[i]]
-    return point[sorted(keep)]
-
-
-def _restrict_poly(poly: Polynomial, keep: list[int], values: np.ndarray,
-                   new_grouping) -> Polynomial:
-    """Substitute fixed values for the dropped variables."""
-    pos = {v: j for j, v in enumerate(keep)}
-    terms: dict = {}
-    for exps, c in poly.terms.items():
-        coeff = c
-        ne = [0] * len(keep)
-        for v, d in enumerate(exps):
-            if d == 0:
-                continue
-            if v in pos:
-                ne[pos[v]] = d
-            else:
-                coeff *= values[v] ** d
-        key = tuple(ne)
-        terms[key] = terms.get(key, 0.0) + coeff
-    return Polynomial(new_grouping, terms)
-
-
-def _restrict_to_factor(wc: WitnessCollection, block, anchor: np.ndarray) -> WitnessCollection:
-    """The factor's witness collection: pin the other groups' coordinates to
-    a stored witness point and project points, slices, and keys."""
-    g = wc.grouping
-    keep = sorted(v for i in block for v in g.blocks[i])
-    old_blocks = [g.blocks[i] for i in block]
-    remap = {v: j for j, v in enumerate(keep)}
-    new_g = VariableGrouping(
-        [[remap[v] for v in b] for b in old_blocks],
-        [g.names[v] for v in keep],
-    )
-    sys_polys = [
-        _restrict_poly(p, keep, anchor, new_g) for p in wc.system.polys
-    ]
-    sys_polys = [p for p in sys_polys if p.terms] or [Polynomial.constant(new_g, 0.0)]
-    new_F = PolySystem(sys_polys)
-
-    bank_forms = [
-        [_restrict_poly(f, keep, anchor, new_g) for f in wc.bank.forms[i]]
-        for i in block
-    ]
-    new_bank = SliceBank(new_g, bank_forms)
-
-    entries = {}
-    seen_sub = set()
-    for e, ws in sorted(wc.entries.items()):
-        sub_e = tuple(e[i] for i in block)
-        if sub_e in seen_sub:
-            continue
-        seen_sub.add(sub_e)
-        pts = []
-        for p in ws.points:
-            proj = p[keep]
-            if not any(points_equal(proj, q) for q in pts):
-                pts.append(proj)
-        sel = new_bank.selection(sub_e)
-        core = square_up(new_F, new_g.nvars - sum(sub_e), RandomSource(stream=31337))
-        entries[sub_e] = WitnessSet(new_F, core, sel, pts, grouping=new_g)
-    return WitnessCollection(new_F, new_bank, entries, grouping=new_g)

@@ -74,7 +74,6 @@ def mbezout(degrees: Sequence[Sequence[int]], nvec: Sequence[int]) -> int:
 class StartPackage:
     start: PolySystem
     solutions: list[np.ndarray]
-    predicted_count: int
 
 
 def random_affine_form(
@@ -162,7 +161,7 @@ def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
         raise TrackingError(
             f"linear-product cell count {len(solutions)} disagrees with m-Bezout {predicted}"
         )
-    return StartPackage(PolySystem(start_polys), solutions, predicted)
+    return StartPackage(PolySystem(start_polys), solutions)
 
 
 

@@ -70,7 +70,6 @@ class SystemDocument:
     system: PolySystem
     group_names: tuple[str, ...]
     poly_names: tuple[str, ...]
-    source: str
 
 
 _SYMBOLS = set("+-*^=;()[]")
@@ -140,7 +139,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.group_names: list[str] = []
@@ -188,7 +186,6 @@ class _Parser:
             system=PolySystem(self.polys),
             group_names=tuple(self.group_names),
             poly_names=tuple(self.poly_names),
-            source=self.text,
         )
 
     def parse_group(self):
@@ -292,42 +289,6 @@ class _Parser:
 
 def parse_system(text: str) -> SystemDocument:
     return _Parser(text).parse()
-
-
-def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
-def _fmt_coeff(c: complex) -> str:
-    if c.imag == 0:
-        return _fmt_real(c.real)
-    return f"({_fmt_real(c.real)}+{_fmt_real(c.imag)}i)".replace("+-", "-")
-
-
-def format_system(doc: SystemDocument) -> str:
-    """Render a document back to grammar-conformant source text."""
-    lines = []
-    for name, size in zip(doc.group_names, doc.grouping.sizes):
-        lines.append(f"group {name};" if size == 1 else f"group {name}[{size}];")
-    names = doc.grouping.names
-    for pname, p in zip(doc.poly_names, doc.system.polys):
-        if not p.terms:
-            lines.append(f"{pname} = 0;")
-            continue
-        parts = []
-        for e in sorted(p.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            c = p.terms[e]
-            factors = [_fmt_coeff(c)]
-            for v, d in enumerate(e):
-                if d == 1:
-                    factors.append(names[v])
-                elif d > 1:
-                    factors.append(f"{names[v]}^{d}")
-            parts.append("*".join(factors))
-        lines.append(f"{pname} = {' + '.join(parts)};".replace("+ -", "- "))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

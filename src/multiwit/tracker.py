@@ -19,6 +19,17 @@ from .algebra import PolySystem, _Compiled
 
 MATCH_TOL = 1e-6  # relative distance below which two refined points are equal
 
+# Path-tracking settings; callers set only the corrector tolerance, through
+# TrackOptions.newton_tol.
+NEWTON_TOL = 1e-8  # default corrector tolerance (relative residual)
+MAX_NEWTON_ITERS = 3  # corrector iterations per step
+INITIAL_STEP = 0.05
+MIN_STEP = 1e-14  # a path whose step halves below this ends
+MAX_STEP = 0.1
+DIVERGENCE_NORM = 1e8  # an accepted point this far out has diverged
+END_TOL = 1e-9  # relative residual of the t = 0 sharpening
+MAX_STEPS = 20000  # accepted steps per path
+
 
 class TrackingError(RuntimeError):
     pass
@@ -34,21 +45,11 @@ class NonconvergenceError(TrackingError):
 
 @dataclass(frozen=True)
 class TrackOptions:
-    newton_tol: float = 1e-8
-    max_newton_iters: int = 3
-    initial_step: float = 0.05
-    min_step: float = 1e-14
-    max_step: float = 0.1
-    divergence_norm: float = 1e8
-    end_tol: float = 1e-9
-    max_steps: int = 20000
+    newton_tol: float = NEWTON_TOL
 
     def __post_init__(self):
-        if not (self.min_step <= self.initial_step <= self.max_step):
-            raise ValueError("need min_step <= initial_step <= max_step")
-        for name in ("newton_tol", "end_tol", "min_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
 
 
 @dataclass
@@ -202,12 +203,12 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
     if not h.is_square:
         raise ValueError(f"homotopy is {h.rows}x{h.nvars}, tracking needs a square one")
     x = np.asarray(start_point, dtype=complex).copy()
-    x, residual = _newton_at(h, x, 1.0, opts.newton_tol, opts.max_newton_iters)
+    x, residual = _newton_at(h, x, 1.0, opts.newton_tol, MAX_NEWTON_ITERS)
     if not residual < opts.newton_tol:
         return PathResult("failed", None, 0)
 
     t = 1.0
-    step = opts.initial_step
+    step = INITIAL_STEP
     streak = 0
     steps = 0
     initial_norm = float(np.linalg.norm(x))
@@ -216,7 +217,7 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
     crawl = 0  # accepted steps spent creeping toward a blow-up time
 
     while t > 0:
-        if steps >= opts.max_steps:
+        if steps >= MAX_STEPS:
             if norm_history[-1] > blowup_norm:
                 return PathResult("diverged", None, steps)
             return PathResult("failed", None, steps)
@@ -236,7 +237,7 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
 
         accepted = False
         if predicted_ok:
-            xc, residual = _newton_at(h, xp, t - dt, opts.newton_tol, opts.max_newton_iters)
+            xc, residual = _newton_at(h, xp, t - dt, opts.newton_tol, MAX_NEWTON_ITERS)
             if residual < opts.newton_tol:
                 x = xc
                 t = t - dt
@@ -246,7 +247,7 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
                 norm_history.append(float(np.linalg.norm(x)))
                 if len(norm_history) > 8:
                     norm_history.pop(0)
-                if norm_history[-1] > opts.divergence_norm:
+                if norm_history[-1] > DIVERGENCE_NORM:
                     return PathResult("diverged", None, steps)
                 # A path blowing up at an interior time creeps: t stagnates
                 # while the norm grows without bound.  Cut it off early.
@@ -257,12 +258,12 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
                 else:
                     crawl = 0
                 if streak >= 4:
-                    step = min(step * 2, opts.max_step)
+                    step = min(step * 2, MAX_STEP)
                     streak = 0
         if not accepted:
             step = step / 2
             streak = 0
-            if step < opts.min_step:
+            if step < MIN_STEP:
                 recent_growth = (
                     len(norm_history) >= 2 and norm_history[-1] > 2 * norm_history[0]
                 )
@@ -272,8 +273,8 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
                 return PathResult("failed", None, steps)
 
     # Final sharpening against the t=0 system
-    x, residual = _newton_at(h, x, 0.0, opts.end_tol, 30)
-    if residual < opts.end_tol:
+    x, residual = _newton_at(h, x, 0.0, END_TOL, 30)
+    if residual < END_TOL:
         return PathResult("converged", x, steps)
     return PathResult("failed", None, steps)
 

@@ -47,18 +47,11 @@ class SliceBank:
             raise ValueError("bank needs one form list per group")
 
     @classmethod
-    def generate(
-        cls,
-        grouping: VariableGrouping,
-        rs: RandomSource,
-        through: np.ndarray | None = None,
-    ) -> "SliceBank":
+    def generate(cls, grouping: VariableGrouping, rs: RandomSource) -> "SliceBank":
         forms = []
         for i, block in enumerate(grouping.blocks):
             sub = rs.substream(100 + i)
-            forms.append(
-                [random_affine_form(grouping, block, sub, through) for _ in block]
-            )
+            forms.append([random_affine_form(grouping, block, sub) for _ in block])
         return cls(grouping, forms)
 
     def selection(self, e: Sequence[int]) -> "SliceSelection":
@@ -554,8 +547,8 @@ def segre_degree(md: dict) -> int:
 def membership(
     wc: WitnessCollection,
     point,
+    rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
-    rs: RandomSource | None = None,
 ) -> bool:
     """Multiprojective membership: per key e, move L^e to forms vanishing
     at the query point and look for it among the endpoints."""
@@ -563,8 +556,6 @@ def membership(
     g = wc.grouping
     if point.size != g.nvars:
         raise ValueError(f"point has {point.size} coordinates, expected {g.nvars}")
-    if rs is None:
-        rs = RandomSource(stream=4242)
     # the query must already satisfy the sliced-away part of the system
     if wc.extra:
         probe = PolySystem(list(wc.extra))

@@ -18,7 +18,6 @@ def test_grouping_basics():
     assert g.k == 2
     assert g.sizes == (2, 1)
     assert g.nvars == 3
-    assert g.group_of == (0, 0, 1)
 
 
 def test_grouping_merge_and_split():

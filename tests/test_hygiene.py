@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,11 @@ SOURCES = sorted(
     p for p in (Path(__file__).resolve().parents[1] / "src" / "multiwit").glob("*.py")
     if p.name != "__init__.py"
 )
+
+# Public names that no other library code calls, kept because they are the
+# toolkit's own entry points: monodromy breakup is called by users (the
+# demos, the octa-chain benchmark workflow) and by nothing inside it.
+ENTRY_POINTS = {"breakup"}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -50,3 +56,44 @@ def test_no_unused_module_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _defined_names(node: ast.stmt) -> set[str]:
+    """Names a module-level statement defines: a function, a class or an
+    assigned constant."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _references(node: ast.stmt) -> set[str]:
+    """Names a statement refers to outside what it defines: Name and
+    Attribute nodes, import aliases and the names in quoted annotations."""
+    refs = _used_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs |= {alias.name for alias in sub.names}
+    return refs - _defined_names(node)
+
+
+@functools.cache
+def _statements() -> list[tuple[str, int, set[str], set[str]]]:
+    """(module, line, names defined, names referenced) per module-level
+    statement of every module."""
+    return [(path.name, node.lineno, _defined_names(node), _references(node))
+            for path in SOURCES for node in ast.parse(path.read_text()).body]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_module_level_name_is_used(path):
+    statements = _statements()
+    unused = [f"{name} (line {line})"
+              for mod, line, defined, _ in statements if mod == path.name
+              for name in sorted(defined - ENTRY_POINTS)
+              if not any(name in refs for _, _, _, refs in statements)]
+    assert not unused, (f"{path.name} defines names nothing in src/multiwit uses: "
+                        f"{', '.join(unused)}")

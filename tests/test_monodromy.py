@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
 from multiwit import (
     breakup,
-    complete_witness,
     compute_witness_collection,
     grow_witness_set,
     monodromy_permutation,
@@ -42,7 +40,6 @@ def test_monodromy_permutation_is_bijection(cubic_ws, opts):
     fx, ws = cubic_ws
     outcome = monodromy_permutation(ws, random_loop(ws, rs(63)), opts)
     assert not outcome.new_points
-    assert not outcome.unmatched
     assert sorted(outcome.permutation) == [0, 1, 2]
     assert sorted(outcome.permutation.values()) == [0, 1, 2]
 
@@ -88,10 +85,11 @@ def test_grow_witness_set_recovers_full_degree(cubic_ws, opts):
     assert stable
 
 
-def test_complete_witness_from_smooth_seed(opts):
-    fx = get_fixture("cubic")
-    # a smooth point: x = 2, y a root of y^2 - 4y - 6
-    seed = np.array([2.0, 2.0 + np.sqrt(10.0)], dtype=complex)
-    wc = complete_witness(fx.system, seed, rs(70), opts)
-    assert wc.multidegree_map() == {(1,): 3}
-    assert wc.incomplete_keys == []
+
+def test_grow_witness_set_needs_one_moving_form(opts):
+    fx = get_fixture("octahedron-fg")
+    wc = compute_witness_collection(fx.system, [(1, 1, 0, 0)], rs(70), opts)
+    ws = wc.entries[(1, 1, 0, 0)]
+    assert len(ws.selection.forms) == 2
+    with pytest.raises(ValueError, match="one moving form"):
+        grow_witness_set(ws, rs(71), opts)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from multiwit import (
@@ -6,7 +5,6 @@ from multiwit import (
     compute_witness_collection,
     dimension_polytope,
     local_multidimension,
-    membership_product,
     nid_multi,
     product_factorization,
 )
@@ -90,18 +88,3 @@ def test_product_fixture_polytope_factors(product_data):
     poly = dimension_polytope(prof, fx.system.grouping.sizes)
     assert product_factorization(poly) == [(0,), (1, 2)]
 
-
-def test_membership_product_per_factor(product_data, opts):
-    fx, wc = product_data
-    p = wc.entries[(0, 1, 2)].points[0]
-    prof = local_multidimension(fx.system, p)
-    poly = dimension_polytope(prof, fx.system.grouping.sizes)
-    blocks = product_factorization(poly)
-    q = wc.entries[(0, 2, 1)].points[0]
-    combined, per_factor = membership_product(wc, q, blocks, opts, rs=rs(85))
-    assert combined and all(per_factor)
-    off = q.copy()
-    off[-1] += 0.7  # leave the surface factor, keep the point factor
-    combined2, per_factor2 = membership_product(wc, off, blocks, opts, rs=rs(86))
-    assert not combined2
-    assert per_factor2[0] and not per_factor2[1]

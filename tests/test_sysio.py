@@ -4,7 +4,6 @@ import pytest
 from multiwit import (
     ParseError,
     RandomSource,
-    format_system,
     parse_system,
 )
 
@@ -61,12 +60,6 @@ def test_parse_sized_groups_and_literals():
     pt = np.array([1.0, 2.0], dtype=complex)
     expected = 2j * 1 + 1e-3 * 2 - (1 - 2) ** 2
     assert abs(doc.system.polys[0].evaluate(pt) - expected) < 1e-12
-
-
-def test_format_parse_idempotent():
-    once = format_system(parse_system(SAMPLE))
-    twice = format_system(parse_system(once))
-    assert once == twice
 
 
 def test_parse_errors_carry_position():

@@ -186,6 +186,4 @@ def test_points_equal_and_dedupe():
 
 def test_track_options_validation():
     with pytest.raises(ValueError):
-        TrackOptions(initial_step=1.0, max_step=0.1)
-    with pytest.raises(ValueError):
         TrackOptions(newton_tol=0.0)

@@ -206,13 +206,13 @@ def test_membership_on_and_off_curve(cubic_wc, opts):
     # a curve point from an unrelated slice, then a perturbation off the curve
     other = compute_witness_collection(fx.system, fx.default_keys, rs(40), opts)
     q = other.entries[(1,)].points[0]
-    assert membership(wc, q, opts, rs=rs(41))
+    assert membership(wc, q, rs(41), opts)
     off = q.copy()
     off[0] += 0.37
-    assert not membership(wc, off, opts, rs=rs(42))
+    assert not membership(wc, off, rs(42), opts)
 
 
 def test_membership_validates_point_size(cubic_wc):
     fx, wc = cubic_wc
     with pytest.raises(ValueError):
-        membership(wc, np.array([1.0, 2.0, 3.0]))
+        membership(wc, np.array([1.0, 2.0, 3.0]), rs(43))
