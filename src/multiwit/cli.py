@@ -87,14 +87,14 @@ def _load_system(args):
             fx = fixture_mod.get_fixture(args.fixture)
         except KeyError as exc:
             raise InputError(str(exc)) from None
-        return fx.system, list(fx.default_keys), fx
+        return fx.system, list(fx.default_keys)
     if args.input:
         try:
             with open(args.input) as fh:
                 doc = parse_system(fh.read())
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from None
-        return doc.system, None, None
+        return doc.system, None
     raise InputError("need --fixture NAME or --input PATH")
 
 
@@ -103,7 +103,7 @@ def _options(args) -> TrackOptions:
 
 
 def _witness_collection(args, opts):
-    F, default_keys, fx = _load_system(args)
+    F, default_keys = _load_system(args)
     if args.keys:
         keys = _parse_keys(args.keys, F.grouping.k)
     elif default_keys:
@@ -111,12 +111,12 @@ def _witness_collection(args, opts):
     else:
         raise InputError("no --keys given and the input has no default keys")
     rs = RandomSource(seed=args.seed)
-    return F, compute_witness_collection(F, keys, rs, opts), fx
+    return compute_witness_collection(F, keys, rs, opts)
 
 
 def cmd_witness(args) -> dict:
     opts = _options(args)
-    _, wc, _ = _witness_collection(args, opts)
+    wc = _witness_collection(args, opts)
     return {
         "dim": wc.dim,
         "degree_map": {_key_str(e): n for e, n in wc.multidegree_map().items()},
@@ -125,12 +125,12 @@ def cmd_witness(args) -> dict:
 
 def cmd_dim(args) -> dict:
     opts = _options(args)
-    F, wc, _ = _witness_collection(args, opts)
+    wc = _witness_collection(args, opts)
     points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
-    classes = equidim_partition(F, points, args.tol_rank)
+    classes = equidim_partition(wc.system, points, args.tol_rank)
     rows = []
     for profile, pts in classes:
-        polytope = dimension_polytope(profile, F.grouping.sizes)
+        polytope = dimension_polytope(profile, wc.system.grouping.sizes)
         rows.append({
             "count": len(pts),
             "total_dim": profile.total_dim,
@@ -143,7 +143,7 @@ def cmd_dim(args) -> dict:
 
 def cmd_slice(args) -> dict:
     opts = _options(args)
-    _, wc, _ = _witness_collection(args, opts)
+    wc = _witness_collection(args, opts)
     sliced = slice_collection(wc, args.group)
     return {
         "group": args.group,
@@ -158,7 +158,7 @@ def cmd_refine(args) -> dict:
         split = (int(group_s), int(size_s))
     except ValueError:
         raise InputError("--split must look like GROUP:FIRST_SIZE") from None
-    F, wc, _ = _witness_collection(args, opts)
+    wc = _witness_collection(args, opts)
     group, first = split
     rs = RandomSource(seed=args.seed, stream=3)
     out = {}
@@ -180,7 +180,7 @@ def cmd_coarsen(args) -> dict:
             raise ValueError
     except ValueError:
         raise InputError("--merge must look like A:B[,A:B...] (group indices)") from None
-    _, wc, _ = _witness_collection(args, opts)
+    wc = _witness_collection(args, opts)
     rs = RandomSource(seed=args.seed, stream=5)
     runs = []
     for mi, merge in enumerate(merges):
@@ -201,17 +201,17 @@ def cmd_coarsen(args) -> dict:
 
 def cmd_member(args) -> dict:
     opts = _options(args)
-    F, wc, _ = _witness_collection(args, opts)
+    wc = _witness_collection(args, opts)
     if not args.point:
         raise InputError("member needs --point")
-    point = _parse_point(args.point, F.grouping.nvars)
+    point = _parse_point(args.point, wc.system.grouping.nvars)
     rs = RandomSource(seed=args.seed, stream=7)
     return {"member": bool(membership(wc, point, rs, opts))}
 
 
 def cmd_trace(args) -> dict:
     opts = _options(args)
-    _, wc, _ = _witness_collection(args, opts)
+    wc = _witness_collection(args, opts)
     key, ws = sorted(wc.entries.items())[0]
     ok = trace_test(ws, ws.points, RandomSource(seed=args.seed, stream=9), opts,
                     trace_tol=args.tol_trace)
@@ -220,10 +220,10 @@ def cmd_trace(args) -> dict:
 
 def cmd_decompose(args) -> dict:
     opts = _options(args)
-    F, wc, _ = _witness_collection(args, opts)
+    wc = _witness_collection(args, opts)
     points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
     rs = RandomSource(seed=args.seed, stream=13)
-    dec = nid_multi(F, points, rs, opts, args.tol_rank)
+    dec = nid_multi(wc.system, points, rs, opts, args.tol_rank)
     comps = []
     for ci, rec in enumerate(dec.components):
         size = sum(1 for v in dec.assignment.values() if v == ci)
@@ -240,7 +240,7 @@ def cmd_decompose(args) -> dict:
 
 def cmd_segre(args) -> dict:
     opts = _options(args)
-    _, wc, _ = _witness_collection(args, opts)
+    wc = _witness_collection(args, opts)
     return {"segre_degree": segre_degree(wc.multidegree_map())}
 
 

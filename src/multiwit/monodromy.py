@@ -9,7 +9,7 @@ the linear trace test that certifies a part is complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,15 +48,13 @@ class LoopSpec:
 def random_loop(ws: WitnessSet, rs: RandomSource) -> LoopSpec:
     """Generic intermediate slices matching the per-group form counts."""
     g = ws.grouping
-    full_g = ws.system.grouping
 
     def forms_from(sub: RandomSource) -> list[Polynomial]:
-        out = []
-        for i, fs in enumerate(ws.selection.per_group):
-            block = g.blocks[i] if ws.selection.e is not None else range(full_g.nvars)
-            for j in range(len(fs)):
-                out.append(random_affine_form(full_g, list(block), sub.substream(31 * i + j)))
-        return out
+        return [
+            random_affine_form(ws.system.grouping, g.blocks[i], sub.substream(31 * i + j))
+            for i, fs in enumerate(ws.selection.per_group)
+            for j in range(len(fs))
+        ]
 
     return LoopSpec(
         forms1=forms_from(rs.substream(1)),
@@ -280,8 +278,7 @@ def grow_witness_set(
     loops = 0
     quiet = 0
     while loops < MAX_LOOPS:
-        current = WitnessSet(ws.system, ws.sq_core, ws.selection, points,
-                             grouping=ws.grouping, extra=ws.extra)
+        current = replace(ws, points=points)
         loop = random_loop(current, rs.substream(2000 + loops))
         try:
             outcome = monodromy_permutation(current, loop, opts)
@@ -301,5 +298,4 @@ def grow_witness_set(
             pass
         if quiet >= QUIET_LOOPS:
             break
-    return WitnessSet(ws.system, ws.sq_core, ws.selection, points,
-                      grouping=ws.grouping, extra=ws.extra), False
+    return replace(ws, points=points), False

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Polynomial, PolySystem
+from .algebra import Polynomial, PolySystem, VariableGrouping
 from .dimension import (
     RANK_TOL,
     DimensionProfile,
@@ -77,10 +77,10 @@ class ComponentRecord:
     m: tuple[int, ...]
     e: tuple[int, ...]
     I_order: list[int]
-    # one moving form; its extra holds the slice-away forms and the
-    # mixed-group curve cuts, all through the representative
+    # key (1,) on one group of all variables; its extra holds the
+    # slice-away forms and the mixed-group curve cuts, all through the
+    # sample point the component was built from
     curve_witness: WitnessSet
-    representative: np.ndarray
     certified: bool
 
     @property
@@ -140,7 +140,8 @@ def build_component(
     # One more generic form through p completes a witness of the curve C_L.
     ell0 = random_affine_form(g, list(range(g.nvars)), sub.substream(999), through=p)
     core = square_up(F, g.nvars - len(L) - 1, rs.substream(62))
-    ws = WitnessSet(F, core, SliceSelection.ad_hoc([ell0]), [p], extra=L)
+    curve_g = VariableGrouping.from_sizes([g.nvars], g.names)
+    ws = WitnessSet(F, core, SliceSelection((1,), ((ell0,),)), [p], grouping=curve_g, extra=L)
     grown, stable = grow_witness_set(ws, rs.substream(63), opts)
     return ComponentRecord(
         profile=profile,
@@ -149,7 +150,6 @@ def build_component(
         e=e,
         I_order=I_order,
         curve_witness=grown,
-        representative=p,
         certified=stable,
     )
 

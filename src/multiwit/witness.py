@@ -7,13 +7,20 @@ the finite intersection of the variety with V(L^e).  This module holds
 the collection data structures plus the slice transformations: exact
 slicing bookkeeping, refinement and coarsening homotopies, slice
 motion, Segre degree, and the multiprojective membership test.
+
+Two rules keep the data simple.  Every polynomial in witness data (the
+system, its square-up, the selection and extra forms, the bank forms)
+lives on the system's grouping; only `WitnessSet.grouping` and
+`SliceBank.grouping` carry the current grouping, which refinement and
+coarsening change.  And a slice motion with no moving rows tracks no
+path: `track_slice_motion` returns its points unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -75,14 +82,10 @@ class SliceBank:
 
 @dataclass(frozen=True)
 class SliceSelection:
-    """L^e: the first e_i bank forms per group (or ad-hoc forms after motion)."""
+    """L^e: the first e_i bank forms per group (or the forms they moved to)."""
 
-    e: tuple[int, ...] | None
+    e: tuple[int, ...]
     per_group: tuple[tuple[Polynomial, ...], ...]
-
-    @classmethod
-    def ad_hoc(cls, forms: Sequence[Polynomial]) -> "SliceSelection":
-        return cls(None, (tuple(forms),))
 
     @property
     def forms(self) -> list[Polynomial]:
@@ -103,6 +106,7 @@ class SliceSelection:
         return SliceSelection(self.e, tuple(out))
 
 
+@dataclass(eq=False)
 class WitnessSet:
     """(F, L, points): a variety cut to finitely many generic points.
 
@@ -110,25 +114,23 @@ class WitnessSet:
     a square system (what the tracker needs); extra holds the slice forms
     that stay fixed while the selection moves: forms promoted into the
     system by exact slicing, or the cuts that pin a curve in nid.
+    grouping is the current grouping (the system's unless refined or
+    coarsened); selection.per_group follows it.
     """
 
-    def __init__(
-        self,
-        system: PolySystem,
-        sq_core: PolySystem,
-        selection: SliceSelection,
-        points: Sequence[np.ndarray],
-        grouping: VariableGrouping | None = None,
-        extra: Sequence[Polynomial] = (),
-    ):
-        self.system = system
-        self.sq_core = sq_core
-        self.selection = selection
-        self.points = [np.asarray(p, dtype=complex) for p in points]
-        self.grouping = grouping or system.grouping
-        self.extra = tuple(extra)
-        n = system.grouping.nvars
-        rows = len(sq_core) + len(self.extra) + len(selection.forms)
+    system: PolySystem
+    sq_core: PolySystem
+    selection: SliceSelection
+    points: list[np.ndarray]
+    grouping: VariableGrouping | None = None
+    extra: tuple[Polynomial, ...] = ()
+
+    def __post_init__(self):
+        self.points = [np.asarray(p, dtype=complex) for p in self.points]
+        self.grouping = self.grouping or self.system.grouping
+        self.extra = tuple(self.extra)
+        n = self.system.grouping.nvars
+        rows = len(self.sq_core) + len(self.extra) + len(self.selection.forms)
         if rows != n:
             raise ValueError(f"core+extra+slices = {rows} rows, expected {n}")
 
@@ -153,17 +155,22 @@ class WitnessSet:
 class WitnessCollection:
     """Map e -> e-witness set, all sharing one system and slice bank."""
 
-    def __init__(self, system: PolySystem, bank: SliceBank,
-                 entries: dict, grouping: VariableGrouping | None = None,
-                 extra: Sequence[Polynomial] = ()):
+    def __init__(self, system: PolySystem, bank: SliceBank, entries: dict):
         self.system = system
         self.bank = bank
         self.entries = dict(entries)
-        self.grouping = grouping or bank.grouping
-        self.extra = tuple(extra)
         sizes = {sum(e) for e in self.entries}
         if len(sizes) > 1:
             raise ValueError(f"mixed slice dimensions in one collection: {sorted(sizes)}")
+
+    @property
+    def grouping(self) -> VariableGrouping:
+        return self.bank.grouping
+
+    @property
+    def extra(self) -> tuple[Polynomial, ...]:
+        """The forms sliced into the system, shared by every entry."""
+        return next(iter(self.entries.values())).extra if self.entries else ()
 
     def multidegree_map(self) -> dict[tuple[int, ...], int]:
         return {e: len(ws) for e, ws in sorted(self.entries.items()) if len(ws) > 0}
@@ -210,8 +217,7 @@ def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:
         raise ValueError(
             f"slicing group {group} empties the variety (all keys have e_{group} = 0)"
         )
-    moved = wc.bank.forms[group][0].with_grouping(wc.system.grouping)
-    new_bank = wc.bank.drop_first(group)
+    moved = wc.bank.forms[group][0]
     entries = {}
     for e, ws in wc.entries.items():
         if e[group] == 0:
@@ -219,17 +225,9 @@ def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:
         ne = tuple(x - (1 if i == group else 0) for i, x in enumerate(e))
         per_group = list(ws.selection.per_group)
         per_group[group] = per_group[group][1:]
-        entries[ne] = WitnessSet(
-            ws.system,
-            ws.sq_core,
-            SliceSelection(ne, tuple(per_group)),
-            ws.points,
-            grouping=ws.grouping,
-            extra=ws.extra + (moved,),
-        )
-    return WitnessCollection(
-        wc.system, new_bank, entries, grouping=wc.grouping, extra=wc.extra + (moved,)
-    )
+        entries[ne] = replace(ws, selection=SliceSelection(ne, tuple(per_group)),
+                              extra=ws.extra + (moved,))
+    return WitnessCollection(wc.system, wc.bank.drop_first(group), entries)
 
 
 def track_slice_motion(
@@ -248,7 +246,10 @@ def track_slice_motion(
     slices goes through here, and so does the one policy for failed paths:
     endpoints come back in the order of `points`, None for a path that
     diverged, and a path that neither converged nor diverged raises
-    IndeterminateError."""
+    IndeterminateError.  With no rows in motion the points come back
+    unchanged and no path is tracked."""
+    if not old_rows and not new_rows:
+        return list(points)
     h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), gamma=gamma, fixed=fixed)
     results = track_many(h, points, opts)
     failed = sum(r.status == "failed" for r in results)
@@ -268,18 +269,9 @@ def move_slice(
     new_forms = [f.with_grouping(ws.system.grouping) for f in new_forms]
     if len(new_forms) != len(old):
         raise ValueError(f"{len(new_forms)} new forms for {len(old)} slice rows")
-    if not old:
-        return WitnessSet(ws.system, ws.sq_core, ws.selection, ws.points,
-                          grouping=ws.grouping, extra=ws.extra)
     ends = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, gamma, opts)
-    return WitnessSet(
-        ws.system,
-        ws.sq_core,
-        ws.selection.replace_forms(new_forms),
-        dedupe_points([p for p in ends if p is not None]),
-        grouping=ws.grouping,
-        extra=ws.extra,
-    )
+    return replace(ws, selection=ws.selection.replace_forms(new_forms),
+                   points=dedupe_points([p for p in ends if p is not None]))
 
 
 def refine(
@@ -322,27 +314,14 @@ def refine(
         for i in range(target_e[group + 1])
     ]
     per_group = list(ws.selection.per_group)
-    moving_old = list(per_group[group])
     others = [f for i, fs in enumerate(per_group) if i != group for f in fs]
-    moving_new = new_first + new_second
-    fixed = ws.fixed_block.concat(others) if others else ws.fixed_block
     ends = track_slice_motion(
-        fixed, moving_old, moving_new, ws.points, rs.substream(99).unit_complex(), opts
+        ws.fixed_block.concat(others), per_group[group], new_first + new_second, ws.points,
+        rs.substream(99).unit_complex(), opts,
     )
-    pts = dedupe_points([p for p in ends if p is not None])
-    new_per_group = (
-        tuple(per_group[:group])
-        + (tuple(new_first), tuple(new_second))
-        + tuple(per_group[group + 1:])
-    )
-    return WitnessSet(
-        ws.system,
-        ws.sq_core,
-        SliceSelection(target_e, new_per_group),
-        pts,
-        grouping=new_g,
-        extra=ws.extra,
-    )
+    per_group[group:group + 1] = [tuple(new_first), tuple(new_second)]
+    return replace(ws, selection=SliceSelection(target_e, tuple(per_group)),
+                   points=dedupe_points([p for p in ends if p is not None]), grouping=new_g)
 
 
 @dataclass
@@ -367,7 +346,9 @@ def coarsen(
     set W_{S,T} by slice motion from the matching collection entry, then
     tracks all delta = sum binom(e,|S|) Deg(|S|,|T|,...) paths of the
     homotopy whose moving block interpolates the bilinear products
-    l10_i * l01_i toward the target affine forms l_i.
+    l10_i * l01_i toward the target affine forms l_i (given ones live on
+    the system's grouping).  With e = 0 nothing moves, and the result is
+    the one matching entry regrouped.
     """
     a, b = sorted(merge)
     g = wc.grouping
@@ -376,105 +357,64 @@ def coarsen(
     if len(target_e) != new_g.k:
         raise ValueError(f"target key arity {len(target_e)}, expected {new_g.k}")
     e = target_e[a]
-    # map a new-grouping key back to the old-grouping key template
-    old_groups = [i for i in range(g.k) if i != b]
-
-    def old_key(s: int, t: int) -> tuple[int, ...]:
-        key = [0] * g.k
-        for new_i, old_i in enumerate(old_groups):
-            key[old_i] = target_e[new_i]
-        key[a] = s
-        key[b] = t
-        return tuple(key)
-
-    # all polynomials inside one witness set share the system's grouping
     base_g = wc.system.grouping
-    merged_vars = new_g.blocks[a]
     sub = rs.substream(7)
-    l10 = [random_affine_form(base_g, g.blocks[a], sub.substream(i)) for i in range(e)]
-    l01 = [random_affine_form(base_g, g.blocks[b], sub.substream(50 + i)) for i in range(e)]
     if target_forms is None:
         target_forms = [
-            random_affine_form(base_g, merged_vars, sub.substream(100 + i))
+            random_affine_form(base_g, new_g.blocks[a], sub.substream(100 + i))
             for i in range(e)
         ]
-    else:
-        target_forms = [f.with_grouping(base_g) for f in target_forms]
-        if len(target_forms) != e:
-            raise ValueError(f"need {e} target forms, got {len(target_forms)}")
+    if len(target_forms) != e:
+        raise ValueError(f"need {e} target forms, got {len(target_forms)}")
 
-    # Assemble the start points W_{S,T} and remember the shared rest forms.
-    starts: list[np.ndarray] = []
-    delta = 0
-    rest_sel: SliceSelection | None = None
-    core = None
-    some_entry = None
+    # the entry with s forms on group a and e - s on group b, per s
+    sources = {}
     for s in range(e + 1):
-        t = e - s
-        key = old_key(s, t)
-        ws = wc.entries.get(key)
-        if ws is None or not ws.points:
-            continue
-        some_entry = ws
-        core = ws.sq_core
+        key = list(target_e)
+        key[a] = s
+        key.insert(b, e - s)
+        ws = wc.entries.get(tuple(key))
+        if ws is not None and ws.points:
+            sources[s] = ws
+    if not sources:
+        raise ValueError(f"no collection entry matches any split of target {target_e}")
+    # groups other than a and b keep the same bank forms in every source
+    src = next(iter(sources.values()))
+    per_group = list(src.selection.per_group)
+    per_group[a] = tuple(target_forms)
+    del per_group[b]
+    coarse = replace(src, selection=SliceSelection(target_e, tuple(per_group)), grouping=new_g)
+    if e == 0:
+        n = len(coarse.points)
+        return CoarsenResult(coarse, delta=n, converged=n, diverged=0)
+
+    # the start points W_{S,T}: S of the l10 forms on group a, the rest of l01 on b
+    l10 = [random_affine_form(base_g, g.blocks[a], sub.substream(i)) for i in range(e)]
+    l01 = [random_affine_form(base_g, g.blocks[b], sub.substream(50 + i)) for i in range(e)]
+    starts: list[np.ndarray] = []
+    for s, ws in sources.items():
+        gamma = sub.substream(999 + s).unit_complex()
         for S in itertools.combinations(range(e), s):
-            Sset = set(S)
-            forms_a = [l10[i] for i in range(e) if i in Sset]
-            forms_b = [l01[i] for i in range(e) if i not in Sset]
-            per_group = list(ws.selection.per_group)
-            new_per = [
-                tuple(forms_a) if i == a else tuple(forms_b) if i == b else fs
-                for i, fs in enumerate(per_group)
-            ]
-            flat = [f for fs in new_per for f in fs]
-            moved = move_slice(ws, flat, opts, gamma=sub.substream(999 + s).unit_complex())
+            moving = list(ws.selection.per_group)
+            moving[a] = [l10[i] for i in S]
+            moving[b] = [l01[i] for i in range(e) if i not in S]
+            moved = move_slice(ws, [f for fs in moving for f in fs], opts, gamma)
             if len(moved.points) != len(ws.points):
                 raise TrackingError(
-                    f"building W_(S,T) for key {key} lost "
+                    f"building W_(S,T) for key {ws.selection.e} lost "
                     f"{len(ws.points) - len(moved.points)} points"
                 )
             starts.extend(moved.points)
-            delta += len(moved.points)
-            if rest_sel is None:
-                rest_sel = moved.selection
-    if some_entry is None:
-        raise ValueError(f"no collection entry matches any split of target {target_e}")
 
-    rest_forms = [
-        f
-        for i, fs in enumerate(rest_sel.per_group)
-        if i not in (a, b)
-        for f in fs
-    ]
-    new_per_group = []
-    for new_i, old_i in enumerate(old_groups):
-        if old_i == a:
-            new_per_group.append(tuple(target_forms))
-        else:
-            new_per_group.append(rest_sel.per_group[old_i])
-    new_sel = SliceSelection(target_e, tuple(new_per_group))
-
-    if e == 0:
-        ws0 = wc.entries.get(old_key(0, 0))
-        if ws0 is None:
-            raise ValueError(f"no collection entry matches target {target_e}")
-        return CoarsenResult(
-            WitnessSet(ws0.system, ws0.sq_core, new_sel, ws0.points,
-                       grouping=new_g, extra=ws0.extra),
-            delta=len(ws0.points), converged=len(ws0.points), diverged=0,
-        )
-
+    rest = [f for i, fs in enumerate(src.selection.per_group) if i not in (a, b) for f in fs]
     products = [l10[i] * l01[i] for i in range(e)]
-    fixed = core.concat(list(some_entry.extra) + rest_forms)
     ends = track_slice_motion(
-        fixed, products, target_forms, starts, sub.substream(1234).unit_complex(), opts
+        src.fixed_block.concat(rest), products, target_forms, starts,
+        sub.substream(1234).unit_complex(), opts,
     )
     pts = [p for p in ends if p is not None]
-    out = WitnessSet(
-        some_entry.system, core, new_sel, dedupe_points(pts), grouping=new_g,
-        extra=some_entry.extra,
-    )
-    return CoarsenResult(out, delta=delta, converged=len(pts), diverged=delta - len(pts))
+    return CoarsenResult(replace(coarse, points=dedupe_points(pts)), delta=len(starts),
+                         converged=len(pts), diverged=len(starts) - len(pts))
 
 
 def coarsen_collection(
@@ -486,44 +426,27 @@ def coarsen_collection(
     """Coarsen every reachable key, sharing one coherent bank for the
     merged group so the result is a proper witness collection."""
     a, b = sorted(merge)
-    g = wc.grouping
-    new_g = g.merge(a, b)
-    merged_block = new_g.blocks[a]
+    new_g = wc.grouping.merge(a, b)
     bank_sub = rs.substream(17)
     merged_forms = [
-        random_affine_form(g, merged_block, bank_sub.substream(i))
-        for i in range(len(merged_block))
+        random_affine_form(wc.system.grouping, new_g.blocks[a], bank_sub.substream(i))
+        for i in range(len(new_g.blocks[a]))
     ]
-    old_groups = [i for i in range(g.k) if i != b]
+    bank_forms = list(wc.bank.forms)
+    bank_forms[a] = merged_forms
+    del bank_forms[b]
     new_keys = sorted(
-        {
-            tuple(
-                (key[a] + key[b]) if oi == a else key[oi] for oi in old_groups
-            )
-            for key in wc.entries
-        }
+        {key[:a] + (key[a] + key[b],) + key[a + 1:b] + key[b + 1:] for key in wc.entries}
     )
-    new_bank_forms = []
-    for new_i, old_i in enumerate(old_groups):
-        if old_i == a:
-            new_bank_forms.append(merged_forms)
-        else:
-            new_bank_forms.append([f.with_grouping(g) for f in wc.bank.forms[old_i]])
-    new_bank = SliceBank(new_g, [
-        [f.with_grouping(new_g) for f in fs] for fs in new_bank_forms
-    ])
     entries = {}
     stats = []
     for key in new_keys:
-        res = coarsen(
-            wc, (a, b), key, rs.substream(hash(key) % 10000 + 1), opts,
-            target_forms=[f.with_grouping(g) for f in merged_forms[: key[a]]],
-        )
+        res = coarsen(wc, (a, b), key, rs.substream(hash(key) % 10000 + 1), opts,
+                      target_forms=merged_forms[: key[a]])
         stats.append(res)
         if res.witness.points:
             entries[key] = res.witness
-    return WitnessCollection(wc.system, new_bank, entries, grouping=new_g,
-                             extra=wc.extra), stats
+    return WitnessCollection(wc.system, SliceBank(new_g, bank_forms), entries), stats
 
 
 def segre_degree(md: dict) -> int:
@@ -563,17 +486,12 @@ def membership(
             return False
     for idx, (_, ws) in enumerate(sorted(wc.entries.items())):
         sub = rs.substream(idx)
-        if not ws.selection.forms:
-            # zero-dimensional entry: nothing moves, compare directly
-            if any(points_equal(p, point) for p in ws.points):
-                return True
-            continue
-        new_forms = []
-        for i, fs in enumerate(ws.selection.per_group):
-            for j in range(len(fs)):
-                new_forms.append(
-                    random_affine_form(g, g.blocks[i], sub.substream(10 * i + j), through=point)
-                )
+        new_forms = [
+            random_affine_form(wc.system.grouping, g.blocks[i], sub.substream(10 * i + j),
+                               through=point)
+            for i, fs in enumerate(ws.selection.per_group)
+            for j in range(len(fs))
+        ]
         ends = track_slice_motion(
             ws.fixed_block, ws.selection.forms, new_forms, ws.points,
             sub.substream(77).unit_complex(), opts,

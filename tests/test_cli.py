@@ -27,6 +27,14 @@ def test_refine_cubic(capsys):
     assert doc["degree_map"] == {"10": 2, "01": 3}
 
 
+def test_refine_zero_budget_group(capsys):
+    # both keys of point-times-surface have no slice forms on group 0
+    argv = ["refine", "--fixture", "point-times-surface", "--split", "0:1"]
+    code, doc = run_json(argv, capsys)
+    assert code == EXIT_OK
+    assert doc["degree_map"] == {"0012": 1, "0021": 1}
+
+
 def test_slice_split_cubic(capsys):
     code, doc = run_json(["slice", "--fixture", "cubic-split", "--group", "1"],
                          capsys)

@@ -2,13 +2,14 @@
 
 import ast
 import functools
+import importlib
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
-    p for p in (Path(__file__).resolve().parents[1] / "src" / "multiwit").glob("*.py")
-    if p.name != "__init__.py"
+    p for p in (ROOT / "src" / "multiwit").glob("*.py") if p.name != "__init__.py"
 )
 
 # Public names that no other library code calls, kept because they are the
@@ -97,3 +98,20 @@ def test_every_module_level_name_is_used(path):
               if not any(name in refs for _, _, _, refs in statements)]
     assert not unused, (f"{path.name} defines names nothing in src/multiwit uses: "
                         f"{', '.join(unused)}")
+
+
+def _spanned() -> dict:
+    """bench/tracing.py's SPANNED table, read without importing the bench."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "SPANNED" for t in node.targets)]
+    return ast.literal_eval(value)
+
+
+def test_benchmark_spanned_names_resolve():
+    # the traced benchmark wraps these by name; a missing one breaks --trace 1
+    missing = [f"{module}.{name}"
+               for module, names in _spanned().values()
+               for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert not missing, f"bench/tracing.py spans names the library lacks: {missing}"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from multiwit import (
@@ -76,10 +78,7 @@ def test_trace_rejects_empty_part(cubic_ws):
 
 def test_grow_witness_set_recovers_full_degree(cubic_ws, opts):
     fx, ws = cubic_ws
-    from multiwit import WitnessSet
-
-    seeded = WitnessSet(ws.system, ws.sq_core, ws.selection, [ws.points[0]],
-                        grouping=ws.grouping, extra=ws.extra)
+    seeded = replace(ws, points=[ws.points[0]])
     grown, stable = grow_witness_set(seeded, rs(69), opts)
     assert len(grown.points) == 3
     assert stable

@@ -58,6 +58,10 @@ def test_nid_multi_separates_the_lines(two_lines_data, opts):
     assert sorted(dec.assignment.values()) == [0, 1]
     for rec in dec.components:
         assert rec.certified
+        # an ordinary key-(1,) witness set on one group of all variables
+        curve = rec.curve_witness
+        assert curve.selection.e == (1,)
+        assert curve.grouping.sizes == (fx.system.grouping.nvars,)
         assert rec.curve_degree == 1
         assert rec.profile.total_dim == 1
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import multiwit.witness
 from multiwit import (
     IndeterminateError,
     PolySystem,
@@ -162,6 +163,27 @@ def test_refine_cubic_to_bidegrees(cubic_wc, opts):
     assert r10.verify() and r01.verify()
 
 
+def test_refine_keeps_a_zero_budget_group(opts):
+    # group 0 of key (0,1,2) has no slice forms, so refining it moves nothing
+    fx = get_fixture("point-times-surface")
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(44), opts)
+    ws = wc.entries[(0, 1, 2)]
+    assert len(ws.points) == 1
+    refined = refine(ws, (0, 1), (0, 0, 1, 2), rs(45), opts)
+    assert len(refined.points) == 1
+    assert refined.grouping.sizes == (1, 2, 3, 3)
+    assert refined.selection.e == (0, 0, 1, 2)
+    assert refined.verify()
+
+
+def test_slice_motion_without_moving_rows_returns_the_points(cubic_wc, opts):
+    fx, wc = cubic_wc
+    ws = wc.entries[(1,)]
+    ends = track_slice_motion(ws.full_square_system(), [], [], ws.points, 1.0, opts)
+    assert len(ends) == len(ws.points)
+    assert all(a is b for a, b in zip(ends, ws.points))
+
+
 def test_refine_validates_keys(cubic_wc):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
@@ -190,6 +212,42 @@ def test_coarsen_collection_structure(split_wc, opts):
     assert stats[0].delta == stats[0].converged + stats[0].diverged
     # the result is a proper collection: its bank supports further selections
     assert merged.bank.grouping.k == 1
+
+
+@pytest.fixture(scope="module")
+def octa_fh_wc(opts):
+    fx = get_fixture("octahedron-fh")
+    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(46), opts)
+
+
+def test_coarsen_with_no_merged_budget_tracks_no_path(octa_fh_wc, opts, monkeypatch):
+    fx, wc = octa_fh_wc
+    calls = []
+    monkeypatch.setattr(multiwit.witness, "track_many",
+                        lambda *args: calls.append(args) or [])
+    res = coarsen(wc, (0, 1), (0, 1, 1), rs(47), opts)
+    assert not calls
+    src = wc.entries[(0, 0, 1, 1)]
+    assert (res.delta, res.converged, res.diverged) == (3, 3, 0)
+    assert all(a is b for a, b in zip(res.witness.points, src.points))
+    assert res.witness.grouping == fx.system.grouping.merge(0, 1)
+    assert res.witness.selection.e == (0, 1, 1)
+    assert res.witness.selection.per_group[1:] == src.selection.per_group[2:]
+
+
+def test_coarsened_witness_data_lives_on_the_system_grouping(split_wc, opts):
+    fx, wc = split_wc
+    system_g = wc.system.grouping
+    # the sliced collection carries its sliced-away form in extra
+    for source in (wc, slice_collection(wc, 1)):
+        merged, _ = coarsen_collection(source, (0, 1), rs(48), opts)
+        assert merged.grouping.k == 1 and merged.bank.grouping.k == 1
+        assert merged.extra == source.extra
+        for fs in merged.bank.forms:
+            assert all(f.grouping == system_g for f in fs)
+        for ws in merged.entries.values():
+            assert ws.grouping == merged.grouping
+            assert all(f.grouping == system_g for f in ws.selection.forms + list(ws.extra))
 
 
 def test_segre_degree_formula():
