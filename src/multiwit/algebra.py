@@ -247,30 +247,49 @@ _ONE = np.ones(1, dtype=complex)
 
 
 class _Compiled:
-    """One term table for a list of polynomials, read one point at a time.
+    """One term table for rows of the form sum_k (a_k + t*b_k) * p_k(x),
+    read one point at a time.
 
-    Every value term (coefficient times monomial) and every first-derivative
-    term refers into one list of distinct monomials.  `monomials` multiplies
-    out each monomial once per point; `values`, `magnitudes` and `jacobian`
-    then sum terms per row, or per (row, column) slot, so the work grows
-    with the number of terms, not with rows times variables."""
+    Every term refers into one list of distinct monomials; monomial 0 is the
+    constant 1.  The table reduces the a-terms and the b-terms to separate
+    segments: `values` gives [A; B], one entry per row each, so a row at t is
+    A + t*B, and B is its derivative in t.  With every b zero there is no B.
+    `jacobian` does the same per (row, column) slot, and `magnitudes` gives
+    the residual scale, each row's sum of |coeff| * |monomial| plus 1, in
+    the same split form.  That scale reads |a + t*b| as
+    |a| + t*(|a + b| - |a|), which is exact on [0, 1] when a or b is zero
+    or b = -a.  A segment or slot without terms gets one zero term, so each
+    quantity is one take, one multiply and one sum per owner."""
 
-    def __init__(self, polys: Sequence[Polynomial], nvars: int):
-        self.m = len(polys)
+    def __init__(self, rows: Sequence[Sequence[tuple[Polynomial, complex, complex]]],
+                 nvars: int):
+        self.rows = len(rows)
         self.nvars = nvars
-        index: dict[tuple, int] = {}  # exponent vector -> monomial number
-        value_terms, deriv_terms = [], []  # (row or row*nvars+column, monomial, coeff)
-        for j, p in enumerate(polys):
-            for e, c in p.terms.items():
-                value_terms.append((j, index.setdefault(e, len(index)), c))
-                for v, d in enumerate(e):
-                    if d:
-                        de = e[:v] + (d - 1,) + e[v + 1:]
-                        deriv_terms.append(
-                            (j * nvars + v, index.setdefault(de, len(index)), c * d))
-        deriv_terms.sort(key=lambda term: term[0])  # stable: slots keep term order
-        self.value = _TermSum(value_terms, self.m)
-        self.deriv = _TermSum(deriv_terms, self.m * nvars)
+        slopes = any(b != 0 for row in rows for _, _, b in row)
+        self.segments = self.rows * (2 if slopes else 1)
+        index = {(0,) * nvars: 0}  # exponent vector -> monomial number
+        # (owner, monomial, coeff, scale weight); a value term's owner is its
+        # segment, a derivative term's is its slot, segment * nvars + column
+        value_terms, deriv_terms = [], []
+        self.ones = np.zeros(self.segments)  # the "plus 1" of each segment's scale
+        for r, row in enumerate(rows):
+            for p, a, b in row:
+                for seg, w, mag in ((r, a, abs(a)), (self.rows + r, b, abs(a + b) - abs(a))):
+                    if w == 0:
+                        continue
+                    self.ones[seg] += mag
+                    for e, c in p.terms.items():
+                        k = index.setdefault(e, len(index))
+                        value_terms.append((seg, k, w * c, mag * abs(c)))
+                        for v, d in enumerate(e):
+                            if d:
+                                de = e[:v] + (d - 1,) + e[v + 1:]
+                                k = index.setdefault(de, len(index))
+                                deriv_terms.append((seg * nvars + v, k, w * c * d, 0.0))
+        self.value_monos, self.value_coeffs, self.value_weights, self.value_starts = (
+            _by_owner(value_terms, self.segments))
+        self.deriv_monos, self.deriv_coeffs, _, self.deriv_starts = (
+            _by_owner(deriv_terms, self.segments * nvars))
 
         # Monomial k is the product of the coordinates its factors list, one
         # entry per unit of degree; the constant monomial lists entry nvars,
@@ -290,37 +309,33 @@ class _Compiled:
         return np.multiply.reduceat(coords.take(self.factors), self.factor_starts)
 
     def values(self, monomials: np.ndarray) -> np.ndarray:
-        return self.value.sum(self.value.coeffs * monomials.take(self.value.monos))
+        return np.add.reduceat(self.value_coeffs * monomials.take(self.value_monos),
+                               self.value_starts)
 
     def magnitudes(self, monomials: np.ndarray) -> np.ndarray:
-        """Sum of |coeff| * |monomial| per poly; the scale for relative residuals."""
-        return self.value.sum(self.value.abs_coeffs * np.abs(monomials.take(self.value.monos)))
+        """The residual scale, split like `values`."""
+        terms = self.value_weights * np.abs(monomials.take(self.value_monos))
+        return np.add.reduceat(terms, self.value_starts) + self.ones
 
     def jacobian(self, monomials: np.ndarray) -> np.ndarray:
-        slots = self.deriv.sum(self.deriv.coeffs * monomials.take(self.deriv.monos))
-        return slots.reshape(self.m, self.nvars)
+        """One row of slots per segment of `values`."""
+        slots = np.add.reduceat(self.deriv_coeffs * monomials.take(self.deriv_monos),
+                                self.deriv_starts)
+        return slots.reshape(self.segments, self.nvars)
 
 
-class _TermSum:
-    """Terms sorted by owner, summed per owner; owners without terms give 0."""
-
-    def __init__(self, terms: Sequence[tuple[int, int, complex]], size: int):
-        owners = [o for o, _, _ in terms]
-        self.size = size
-        self.monos = np.asarray([k for _, k, _ in terms], dtype=np.int64)
-        self.coeffs = np.asarray([c for _, _, c in terms], dtype=complex)
-        self.abs_coeffs = np.abs(self.coeffs)
-        first = [i for i, o in enumerate(owners) if i == 0 or o != owners[i - 1]]
-        self.starts = np.asarray(first, dtype=np.int64)
-        self.owners = np.asarray([owners[i] for i in first], dtype=np.int64)
-        self.every_owner = len(first) == size  # then no scatter is needed
-
-    def sum(self, terms: np.ndarray) -> np.ndarray:
-        if self.every_owner:
-            return np.add.reduceat(terms, self.starts)
-        out = np.zeros(self.size, dtype=terms.dtype)
-        out[self.owners] = np.add.reduceat(terms, self.starts)
-        return out
+def _by_owner(terms: list, size: int) -> tuple[np.ndarray, ...]:
+    """The monomials, coefficients and weights of `terms` (owner, monomial,
+    coeff, weight) sorted by owner, with a zero term on the constant
+    monomial for each owner in range(size) that has none, and the position
+    of each owner's first term."""
+    owned = {term[0] for term in terms}
+    terms = sorted(terms + [(o, 0, 0j, 0.0) for o in range(size) if o not in owned],
+                   key=lambda term: term[0])  # stable: an owner's terms keep their order
+    owners, monos, coeffs, weights = zip(*terms)
+    starts = [i for i, o in enumerate(owners) if i == 0 or o != owners[i - 1]]
+    return (np.asarray(monos, dtype=np.int64), np.asarray(coeffs, dtype=complex),
+            np.asarray(weights, dtype=float), np.asarray(starts, dtype=np.int64))
 
 
 class PolySystem:
@@ -344,7 +359,7 @@ class PolySystem:
 
     @cached_property
     def _compiled(self) -> _Compiled:
-        return _Compiled(self.polys, self.grouping.nvars)
+        return _Compiled([[(p, 1, 0)] for p in self.polys], self.grouping.nvars)
 
     def evaluate(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=complex)
@@ -356,7 +371,7 @@ class PolySystem:
 
     def residual_scale(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=complex)
-        return self._compiled.magnitudes(self._compiled.monomials(point)) + 1.0
+        return self._compiled.magnitudes(self._compiled.monomials(point))
 
     def jacobian(self, point, omit_groups: Iterable[int] = ()) -> np.ndarray:
         """DF(point); column blocks of groups in omit_groups removed."""
@@ -379,9 +394,6 @@ class PolySystem:
             ]
             J = J[:, sorted(keep)]
         return J
-
-    def with_grouping(self, grouping: VariableGrouping) -> "PolySystem":
-        return PolySystem([p.with_grouping(grouping) for p in self.polys])
 
     def concat(self, extra: Sequence[Polynomial]) -> "PolySystem":
         return PolySystem(list(self.polys) + [p.with_grouping(self.grouping) for p in extra])

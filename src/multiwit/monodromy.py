@@ -5,6 +5,13 @@ inside single irreducible components.  This gives three tools: growing a
 partial witness point set of an affine curve from a seed, partitioning a
 complete witness set into putative components, and (for affine curves)
 the linear trace test that certifies a part is complete.
+
+Breakup stops at its first certified partition: on an affine curve (one
+moving form) it trace-tests the parts after every loop that merges and
+stops once all of them pass, since a part that passes is a whole
+component.  A loop that would join two passed parts is a path jump and is
+discarded.  Parts that never merge, and every part of a multi-form key,
+wait for QUIET_LOOPS loops in a row that merge nothing.
 """
 
 from __future__ import annotations
@@ -178,80 +185,101 @@ class MonodromyState:
     complete: bool = True
 
 
+def _orbit_groups(partition: list, permutation: dict) -> list:
+    """Positions in `partition` of the parts each orbit of the partition
+    joined with `permutation` covers, in order of their first part."""
+    part_of = {i: pi for pi, part in enumerate(partition) for i in part}
+    root = list(range(len(partition)))
+
+    def find(p):
+        while root[p] != p:
+            root[p] = root[root[p]]
+            p = root[p]
+        return p
+
+    for i, j in permutation.items():
+        a, b = sorted((find(part_of[i]), find(part_of[j])))
+        root[b] = a
+    groups: dict = {}
+    for pi in range(len(partition)):
+        groups.setdefault(find(pi), []).append(pi)
+    return list(groups.values())
+
+
 def breakup(
     ws: WitnessSet,
     rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
 ) -> MonodromyState:
-    """Partition a complete witness point set by monodromy orbits, then
-    certify parts with the trace test where it applies."""
+    """Partition a complete witness point set by monodromy orbits, and
+    certify parts with the trace test where it applies (one moving form).
+
+    Loop i runs on rs.substream(1000 + i).  Where the trace applies, every
+    loop that merges parts is followed by a trace test of each part not yet
+    tested in its current form, on rs.substream(5000 + its first index),
+    and breakup stops as soon as every part has passed: a part that passes
+    is a whole component, and orbits never leave a component.  A loop that
+    would join two parts that have each passed is a path jump and is
+    discarded.  Otherwise breakup stops once QUIET_LOOPS loops in a row
+    merge nothing and the parts are tested, which is how parts that never
+    merge get certified, or after MAX_LOOPS loops.  A loop that raises
+    MatchAmbiguityError or IndeterminateError counts against MAX_LOOPS and
+    the next one is drawn.  On a multi-form key nothing is certified, and
+    `complete` means the quiet loops were reached."""
     points = list(ws.points)
-    parent = list(range(len(points)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-            return True
-        return False
-
-    def current_partition() -> list:
-        parts_map: dict = {}
-        for i in range(len(points)):
-            parts_map.setdefault(find(i), []).append(i)
-        return sorted(parts_map.values())
-
     use_trace = _trace_applicable(ws)
+    verdicts: dict = {}  # part, as a tuple of indices -> trace verdict, None if indeterminate
 
     def certify(partition: list) -> list:
-        out = []
-        for pi, part in enumerate(partition):
-            if use_trace:
-                out.append(trace_test(ws, [points[i] for i in part],
-                                      rs.substream(5000 + pi), opts))
-            else:
-                out.append(False)
-        return out
+        if not use_trace:
+            return [False] * len(partition)
+        for part in map(tuple, partition):
+            if part not in verdicts:
+                try:
+                    verdicts[part] = trace_test(ws, [points[i] for i in part],
+                                                rs.substream(5000 + part[0]), opts)
+                except IndeterminateError:
+                    verdicts[part] = None
+        return [verdicts[tuple(part)] for part in partition]
 
     loops = 0
     quiet = 0
-    partition = current_partition()
+    partition = [[i] for i in range(len(points))]
     certified = certify(partition) if len(points) == 1 else []
     while loops < MAX_LOOPS and not (certified and all(certified)):
         loop = random_loop(ws, rs.substream(1000 + loops))
+        loops += 1
         try:
             outcome = monodromy_permutation(ws, loop, opts)
         except (MatchAmbiguityError, IndeterminateError):
-            loops += 1
             continue
-        loops += 1
-        merged = False
-        for i, j in outcome.permutation.items():
-            if union(i, j):
-                merged = True
         if outcome.new_points:
             raise TrackingError(
                 "breakup found new witness points; the input set was incomplete"
             )
-        quiet = 0 if merged else quiet + 1
+        groups = _orbit_groups(partition, outcome.permutation)
+        if any(sum(verdicts.get(tuple(partition[pi])) is True for pi in g) > 1
+               for g in groups):
+            continue  # a path jumped between two certified components
+        if len(groups) < len(partition):
+            partition = sorted(sorted(i for pi in g for i in partition[pi]) for g in groups)
+            quiet = 0
+            if use_trace:
+                certified = certify(partition)
+            continue
+        quiet += 1
         if quiet >= QUIET_LOOPS:
-            partition = current_partition()
             certified = certify(partition)
-            if all(certified) or not use_trace:
+            if all(certified) or not use_trace or None in certified:
                 break
             # quiescent but uncertified: an orbit is still split across
             # parts, so keep looping for a merge the trace will accept
             quiet = 0
 
-    partition = current_partition()
-    if not certified or len(certified) != len(partition):
+    if len(certified) != len(partition):
         certified = certify(partition)
+    if None in certified:
+        raise IndeterminateError("a trace test path diverged; result indeterminate")
     return MonodromyState(
         points=points,
         partition=partition,

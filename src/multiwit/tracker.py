@@ -66,13 +66,15 @@ class PathResult:
 class Homotopy:
     """H(x;t) = [fixed(x); t*gamma*start(x) + (1-t)*target(x)].
 
-    The three blocks are compiled once into one term table, whose monomials
-    are computed once per point and give every quantity below.  In block
-    form, with F, S, T the fixed, start and target blocks and |.| each
-    row's sum of |coeff| * |monomial|:
+    Every row is affine in t, so the three blocks compile once into one
+    term table that gives each quantity below as A + t*B: a fixed term
+    c*m has coefficient c + t*0, a start term 0 + t*gamma*c and a target
+    term c - t*c.  The table's monomials are computed once per point.  In
+    block form, with F, S, T the fixed, start and target blocks and |.|
+    each row's sum of |coeff| * |monomial|:
 
         J_x     = [DF; t*gamma*DS + (1-t)*DT]
-        dH/dt   = [0; gamma*S - T]
+        dH/dt   = [0; gamma*S - T]    (the B of H)
         scale   = [|F| + 1; |t*gamma| * (|S| + 1) + |1-t| * (|T| + 1)]
 
     The corrector measures residuals relative to `scale`, so paths far from
@@ -97,44 +99,37 @@ class Homotopy:
         self.gamma = complex(gamma)
         self.fixed = fixed
         self.nvars = target.grouping.nvars
-        self.rows = (len(fixed) if fixed else 0) + len(target)
         fixed_polys = fixed.polys if fixed else ()
-        self._terms = _Compiled(fixed_polys + start.polys + target.polys, self.nvars)
-        f, m = len(fixed_polys), len(target)
-        self._fixed_rows, self._start_rows, self._target_rows = (
-            slice(0, f), slice(f, f + m), slice(f + m, None))
+        self.rows = len(fixed_polys) + len(target)
+        # row j is sum (a + t*b) * p over its (p, a, b)
+        self._terms = _Compiled(
+            [[(p, 1, 0)] for p in fixed_polys]
+            + [[(s, 0, self.gamma), (q, 1, -1)] for s, q in zip(start.polys, target.polys)],
+            self.nvars)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.nvars
 
-    def _blend(self, blocks: np.ndarray, a, b) -> np.ndarray:
-        """[fixed rows; a * start rows + b * target rows], computed in place
-        over `blocks`, which holds one row per compiled polynomial."""
-        moving = blocks[self._start_rows]
-        moving *= a
-        moving += b * blocks[self._target_rows]
-        return blocks[:self.rows]
+    def _at(self, split: np.ndarray, t: float) -> np.ndarray:
+        """A + t*B from the table's [A; B] split."""
+        return split[:self.rows] + t * split[self.rows:]
 
     def residual(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(H(x;t), its residual scale, the monomials at x); the last is what
         `jacobian` takes to give J_x at the same point."""
         monomials = self._terms.monomials(x)
-        value = self._blend(self._terms.values(monomials), t * self.gamma, 1 - t)
-        scale = self._blend(self._terms.magnitudes(monomials) + 1.0,
-                            abs(t * self.gamma), abs(1 - t))
-        return value, scale, monomials
+        return (self._at(self._terms.values(monomials), t),
+                self._at(self._terms.magnitudes(monomials), t), monomials)
 
     def jacobian(self, monomials: np.ndarray, t: float) -> np.ndarray:
         """J_x(x;t) from the monomials `residual` returned for x."""
-        return self._blend(self._terms.jacobian(monomials), t * self.gamma, 1 - t)
+        return self._at(self._terms.jacobian(monomials), t)
 
     def tangent(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(J_x, dH/dt) at (x, t); the Davidenko ODE is J_x x'(t) = -dH/dt."""
         monomials = self._terms.monomials(x)
-        values = self._terms.values(monomials)
-        values[self._fixed_rows] = 0.0
-        return self.jacobian(monomials, t), self._blend(values, self.gamma, -1.0)
+        return self.jacobian(monomials, t), self._terms.values(monomials)[self.rows:]
 
 
 def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:

@@ -2,7 +2,11 @@ from dataclasses import replace
 
 import pytest
 
+import multiwit.monodromy as monodromy
 from multiwit import (
+    PolySystem,
+    Polynomial,
+    VariableGrouping,
     breakup,
     compute_witness_collection,
     grow_witness_set,
@@ -11,8 +15,10 @@ from multiwit import (
     trace_test,
 )
 from multiwit.fixtures import get_fixture
+from multiwit.monodromy import MatchAmbiguityError, MonodromyOutcome
 
 from conftest import rs
+from test_acceptance import full_merge_then_slice
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +65,76 @@ def test_breakup_two_lines_gives_two_certified_parts(two_lines_ws, opts):
     state = breakup(ws, rs(65), opts)
     assert sorted(len(p) for p in state.partition) == [1, 1]
     assert state.certified == [True, True]
+    assert state.complete
+
+
+@pytest.fixture(scope="module")
+def octa_curve(opts):
+    curve, source = full_merge_then_slice(opts, 3)
+    return curve.entries[(1,)], source.substream(104)
+
+
+def counted(monkeypatch, raise_first=False):
+    """Count breakup's calls to monodromy_permutation; with raise_first the
+    first call raises MatchAmbiguityError instead of tracking."""
+    real = monodromy.monodromy_permutation
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        if raise_first and len(calls) == 1:
+            raise MatchAmbiguityError("two paths landed on one start point")
+        return real(*args)
+
+    monkeypatch.setattr(monodromy, "monodromy_permutation", wrapped)
+    return calls
+
+
+def test_breakup_stops_at_its_first_certified_partition(octa_curve, opts, monkeypatch):
+    # the orbit closes within 2 loops here; waiting for QUIET_LOOPS quiet
+    # loops after that would make 7
+    ws, source = octa_curve
+    calls = counted(monkeypatch)
+    state = breakup(ws, source, opts)
+    assert ([len(p) for p in state.partition], state.certified) == ([15], [True])
+    assert len(calls) < 7
+
+
+def test_breakup_retries_an_ambiguous_first_loop(octa_curve, opts, monkeypatch):
+    ws, source = octa_curve
+    calls = counted(monkeypatch, raise_first=True)
+    state = breakup(ws, source, opts)
+    assert len(calls) > 1
+    assert ([len(p) for p in state.partition], state.certified) == ([15], [True])
+
+
+def test_breakup_discards_a_loop_that_joins_certified_parts(opts, monkeypatch):
+    g = VariableGrouping.from_sizes([2], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    lines = (x + y - 1) * (x - y)
+    cubic = y ** 2 - 2 * x * y - x ** 3 + x
+    wc = compute_witness_collection(PolySystem([lines * cubic]), [(1,)], rs(72), opts)
+    ws = wc.entries[(1,)]
+    on_line = [i for i, p in enumerate(ws.points) if abs(lines.evaluate(p)) < 1e-8]
+    on_cubic = [i for i in range(len(ws.points)) if i not in on_line]
+    assert (len(on_line), len(on_cubic)) == (2, 3)
+    # scripted loops, each swapping two points: the second joins the two
+    # lines, which have both passed the trace by then, so it is a jump
+    swaps = [on_cubic[:2], on_line, on_cubic[1:]]
+    calls = []
+
+    def scripted(ws, loop, opts):
+        i, j = swaps[len(calls)]
+        calls.append((i, j))
+        permutation = {k: k for k in range(len(ws.points))}
+        permutation[i], permutation[j] = j, i
+        return MonodromyOutcome(permutation, [])
+
+    monkeypatch.setattr(monodromy, "monodromy_permutation", scripted)
+    state = breakup(ws, rs(73), opts)
+    assert len(calls) == 3
+    assert state.partition == sorted([[on_line[0]], [on_line[1]], on_cubic])
+    assert state.certified == [True, True, True]
     assert state.complete
 
 

@@ -65,6 +65,26 @@ def test_degree_drop_classifies_divergence():
     assert abs(ends[0] + np.sqrt(2)) < 1e-8 and abs(ends[1] - np.sqrt(2)) < 1e-8
 
 
+def test_reused_homotopy_tracks_like_a_fresh_one():
+    # a path's result depends only on the homotopy and its start point, not
+    # on the paths tracked before it on the same object
+    g, x = univariate()
+
+    def make():
+        return Homotopy(PolySystem([x**3 - 1]), PolySystem([x**2 - 2]),
+                        gamma=rs(2).unit_complex())
+
+    starts = [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
+    reused = make()
+    track_many(reused, starts)
+    again = track_many(reused, starts[::-1])
+    fresh = [track_path(make(), s) for s in starts[::-1]]
+    assert sorted(r.status for r in fresh) == ["converged", "converged", "diverged"]
+    for a, b in zip(again, fresh):
+        assert (a.status, a.steps_taken) == (b.status, b.steps_taken)
+        assert (a.endpoint is None and b.endpoint is None) or np.array_equal(a.endpoint, b.endpoint)
+
+
 def test_track_path_single():
     g, x = univariate()
     h = Homotopy(PolySystem([x**2 - 1]), PolySystem([x**2 - 9]), gamma=1.0)
