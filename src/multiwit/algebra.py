@@ -7,13 +7,14 @@ by group: per-group degrees and Jacobian column blocks.
 
 Evaluation and differentiation of whole systems go through one compiled
 term table per system (shared monomials, value and derivative terms), so
-a point's values, residual scale and Jacobian come from one evaluation of
-its monomials.
+a point's values and Jacobian come from one kernel call; the residual
+scale has a small table of its own over the same monomials.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -178,6 +179,19 @@ class Polynomial:
             return other
         return Polynomial.constant(self.grouping, other)
 
+    @cached_property
+    def _expansion(self) -> tuple:
+        """Each term as (exponent, coefficient, |coefficient|, derivative
+        terms); a derivative term (v, exponent, d) says that the term's
+        derivative in x_v is d * coefficient times the monomial of that
+        exponent.  Polynomials are never mutated, so every compiled table
+        re-reads this one expansion."""
+        return tuple(
+            (e, c, abs(c),
+             tuple((v, e[:v] + (d - 1,) + e[v + 1:], d) for v, d in enumerate(e) if d))
+            for e, c in self.terms.items()
+        )
+
     def diff(self, v: int) -> "Polynomial":
         terms = {}
         for e, c in self.terms.items():
@@ -251,57 +265,54 @@ class _Compiled:
     read one point at a time.
 
     Every term refers into one list of distinct monomials; monomial 0 is the
-    constant 1.  The table reduces the a-terms and the b-terms to separate
-    segments: `values` gives [A; B], one entry per row each, so a row at t is
-    A + t*B, and B is its derivative in t.  With every b zero there is no B.
-    `jacobian` does the same per (row, column) slot, and `magnitudes` gives
-    the residual scale, each row's sum of |coeff| * |monomial| plus 1, in
-    the same split form.  That scale reads |a + t*b| as
-    |a| + t*(|a + b| - |a|), which is exact on [0, 1] when a or b is zero
-    or b = -a.  A segment or slot without terms gets one zero term, so each
-    quantity is one take, one multiply and one sum per owner."""
+    constant 1.  `values` sums the terms per owner, in one take, one
+    multiply and one `reduceat`.  The owners are [A; DA; B; DB]: A holds
+    each row's a-part, DA its Jacobian slots (row by row, one per column),
+    and B, DB the same for the b-parts.  So a row at t is A + t*B, its
+    Jacobian is DA + t*DB, and B is its derivative in t.  With every b zero
+    there is no B half.  `magnitudes` reads a table of its own: the residual
+    scale, each row's sum of |coeff| * |monomial| plus 1, split as [A; B].
+    That scale reads |a + t*b| as |a| + t*(|a + b| - |a|), which is exact on
+    [0, 1] when a or b is zero or b = -a.  An owner without terms gets one
+    zero term on the constant monomial."""
 
     def __init__(self, rows: Sequence[Sequence[tuple[Polynomial, complex, complex]]],
                  nvars: int):
         self.rows = len(rows)
-        self.nvars = nvars
-        slopes = any(b != 0 for row in rows for _, _, b in row)
-        self.segments = self.rows * (2 if slopes else 1)
+        self.width = self.rows * (1 + nvars)  # owners per half: values, then slots
+        halves = 2 if any(b != 0 for row in rows for _, _, b in row) else 1
         index = {(0,) * nvars: 0}  # exponent vector -> monomial number
-        # (owner, monomial, coeff, scale weight); a value term's owner is its
-        # segment, a derivative term's is its slot, segment * nvars + column
-        value_terms, deriv_terms = [], []
-        self.ones = np.zeros(self.segments)  # the "plus 1" of each segment's scale
+        owned = [[] for _ in range(halves * self.width)]  # per owner: (monomial, coeff)
+        scaled = [[] for _ in range(halves * self.rows)]  # per segment: (monomial, weight)
+        self.ones = np.zeros(halves * self.rows)  # the "plus 1" of each segment's scale
         for r, row in enumerate(rows):
             for p, a, b in row:
-                for seg, w, mag in ((r, a, abs(a)), (self.rows + r, b, abs(a + b) - abs(a))):
+                for half, w, mag in ((0, a, abs(a)), (1, b, abs(a + b) - abs(a))):
                     if w == 0:
                         continue
+                    seg = half * self.rows + r
                     self.ones[seg] += mag
-                    for e, c in p.terms.items():
+                    value, weights = owned[half * self.width + r], scaled[seg]
+                    slots = half * self.width + self.rows + r * nvars
+                    for e, c, size, derivs in p._expansion:
                         k = index.setdefault(e, len(index))
-                        value_terms.append((seg, k, w * c, mag * abs(c)))
-                        for v, d in enumerate(e):
-                            if d:
-                                de = e[:v] + (d - 1,) + e[v + 1:]
-                                k = index.setdefault(de, len(index))
-                                deriv_terms.append((seg * nvars + v, k, w * c * d, 0.0))
-        self.value_monos, self.value_coeffs, self.value_weights, self.value_starts = (
-            _by_owner(value_terms, self.segments))
-        self.deriv_monos, self.deriv_coeffs, _, self.deriv_starts = (
-            _by_owner(deriv_terms, self.segments * nvars))
+                        wc = w * c
+                        value.append((k, wc))
+                        weights.append((k, mag * size))
+                        for v, de, d in derivs:
+                            owned[slots + v].append((index.setdefault(de, len(index)), wc * d))
+        self.monos, self.coeffs, self.starts = _flatten(owned, complex)
+        self.scale_monos, self.weights, self.scale_starts = _flatten(scaled, float)
 
-        # Monomial k is the product of the coordinates its factors list, one
-        # entry per unit of degree; the constant monomial lists entry nvars,
-        # which `monomials` sets to 1.
-        factors, starts = [], []
-        for e in index:
-            starts.append(len(factors))
-            factors.extend(v for v, d in enumerate(e) for _ in range(d))
-            if len(factors) == starts[-1]:
-                factors.append(nvars)
-        self.factors = np.asarray(factors, dtype=np.int64)
-        self.factor_starts = np.asarray(starts, dtype=np.int64)
+        # Monomial k is the product of the coordinates its factors list, in
+        # order, one entry per unit of degree; the constant monomial lists
+        # entry nvars, which `monomials` sets to 1.
+        exponents = np.array(list(index), dtype=np.int64).reshape(len(index), nvars)
+        constant = (exponents.sum(axis=1) == 0)[:, None]
+        counts = np.hstack((exponents, constant))  # times each coordinate is listed
+        self.factors = np.repeat(np.tile(np.arange(nvars + 1), len(index)), counts.ravel())
+        sizes = counts.sum(axis=1)
+        self.factor_starts = np.cumsum(sizes) - sizes
 
     def monomials(self, point: np.ndarray) -> np.ndarray:
         """Every monomial of the table at `point`."""
@@ -309,33 +320,23 @@ class _Compiled:
         return np.multiply.reduceat(coords.take(self.factors), self.factor_starts)
 
     def values(self, monomials: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(self.value_coeffs * monomials.take(self.value_monos),
-                               self.value_starts)
+        """[A; DA; B; DB], the DA and DB slots flattened row by row."""
+        return np.add.reduceat(self.coeffs * monomials.take(self.monos), self.starts)
 
     def magnitudes(self, monomials: np.ndarray) -> np.ndarray:
-        """The residual scale, split like `values`."""
-        terms = self.value_weights * np.abs(monomials.take(self.value_monos))
-        return np.add.reduceat(terms, self.value_starts) + self.ones
-
-    def jacobian(self, monomials: np.ndarray) -> np.ndarray:
-        """One row of slots per segment of `values`."""
-        slots = np.add.reduceat(self.deriv_coeffs * monomials.take(self.deriv_monos),
-                                self.deriv_starts)
-        return slots.reshape(self.segments, self.nvars)
+        """The residual scale, split as [A; B]."""
+        terms = self.weights * np.abs(monomials).take(self.scale_monos)
+        return np.add.reduceat(terms, self.scale_starts) + self.ones
 
 
-def _by_owner(terms: list, size: int) -> tuple[np.ndarray, ...]:
-    """The monomials, coefficients and weights of `terms` (owner, monomial,
-    coeff, weight) sorted by owner, with a zero term on the constant
-    monomial for each owner in range(size) that has none, and the position
-    of each owner's first term."""
-    owned = {term[0] for term in terms}
-    terms = sorted(terms + [(o, 0, 0j, 0.0) for o in range(size) if o not in owned],
-                   key=lambda term: term[0])  # stable: an owner's terms keep their order
-    owners, monos, coeffs, weights = zip(*terms)
-    starts = [i for i, o in enumerate(owners) if i == 0 or o != owners[i - 1]]
-    return (np.asarray(monos, dtype=np.int64), np.asarray(coeffs, dtype=complex),
-            np.asarray(weights, dtype=float), np.asarray(starts, dtype=np.int64))
+def _flatten(owned: list, dtype) -> tuple[np.ndarray, ...]:
+    """The monomials and coefficients of per-owner term lists, concatenated,
+    with one zero term on the constant monomial for each empty owner, and
+    the position of each owner's first term."""
+    monos, coeffs = zip(*chain.from_iterable(terms or ((0, 0),) for terms in owned))
+    counts = np.array([len(terms) or 1 for terms in owned])
+    return (np.array(monos, dtype=np.int64), np.array(coeffs, dtype=dtype),
+            np.cumsum(counts) - counts)
 
 
 class PolySystem:
@@ -361,26 +362,27 @@ class PolySystem:
     def _compiled(self) -> _Compiled:
         return _Compiled([[(p, 1, 0)] for p in self.polys], self.grouping.nvars)
 
-    def evaluate(self, point) -> np.ndarray:
+    def _monomials(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=complex)
         if point.shape != (self.grouping.nvars,):
             raise ValueError(
                 f"point has {point.size} coordinates, expected {self.grouping.nvars}"
             )
-        return self._compiled.values(self._compiled.monomials(point))
+        return self._compiled.monomials(point)
+
+    def _values(self, point) -> np.ndarray:
+        """[values; Jacobian slots row by row] at `point`, from one kernel call."""
+        return self._compiled.values(self._monomials(point))
+
+    def evaluate(self, point) -> np.ndarray:
+        return self._values(point)[:len(self)]
 
     def residual_scale(self, point) -> np.ndarray:
-        point = np.asarray(point, dtype=complex)
-        return self._compiled.magnitudes(self._compiled.monomials(point))
+        return self._compiled.magnitudes(self._monomials(point))
 
     def jacobian(self, point, omit_groups: Iterable[int] = ()) -> np.ndarray:
         """DF(point); column blocks of groups in omit_groups removed."""
-        point = np.asarray(point, dtype=complex)
-        if point.shape != (self.grouping.nvars,):
-            raise ValueError(
-                f"point has {point.size} coordinates, expected {self.grouping.nvars}"
-            )
-        J = self._compiled.jacobian(self._compiled.monomials(point))
+        J = self._values(point)[len(self):].reshape(len(self), self.grouping.nvars)
         omit = set(omit_groups)
         if omit:
             bad = omit - set(range(self.grouping.k))

@@ -8,6 +8,7 @@ square-up + gamma homotopy) that every witness computation sits on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,49 +121,67 @@ def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
             p = p * form
         start_polys.append(p)
 
+    # Each form's coefficients over every variable (nonzero only on its
+    # group's block) and its constant, read once; form ids run over the
+    # factors in order.
+    form_group = [gi for eq_factors in factors for gi, _ in eq_factors]
+    form_ids, coeffs, consts = [], [], []
+    units = [tuple(int(u == v) for u in range(g.nvars)) for v in range(g.nvars)]
+    for eq_factors in factors:
+        form_ids.append(range(len(coeffs), len(coeffs) + len(eq_factors)))
+        for _, form in eq_factors:
+            coeffs.append([form.terms.get(unit, 0.0) for unit in units])
+            consts.append(-form.terms.get((0,) * g.nvars, 0.0))
+    coeffs = np.asarray(coeffs, dtype=complex)
+    consts = np.asarray(consts, dtype=complex)
+
     # Enumerate cells: per equation one factor, per group exactly n_i picks.
-    solutions: list[np.ndarray] = []
+    # Each equation consumes one capacity unit, so the capacities always sum
+    # to the equations left; a branch is entered only if those equations can
+    # still use them up exactly.
     m = len(factors)
-    capacity = list(g.sizes)
+    supports = [sorted({gi for gi, _ in eq_factors}) for eq_factors in factors]
 
-    def solve_cell(chosen: list[tuple[int, Polynomial]]) -> np.ndarray:
-        x = np.zeros(g.nvars, dtype=complex)
-        for i in range(k):
-            block = list(g.blocks[i])
-            forms = [f for gi, f in chosen if gi == i]
-            A = np.zeros((len(block), len(block)), dtype=complex)
-            b = np.zeros(len(block), dtype=complex)
-            for r, form in enumerate(forms):
-                for cidx, v in enumerate(block):
-                    e = [0] * g.nvars
-                    e[v] = 1
-                    A[r, cidx] = form.terms.get(tuple(e), 0.0)
-                b[r] = -form.terms.get((0,) * g.nvars, 0.0)
-            x[block] = np.linalg.solve(A, b)
-        return x
+    @functools.cache
+    def fillable(j: int, capacity: tuple[int, ...]) -> bool:
+        """Can equations j onward use up exactly `capacity`?"""
+        return j == m or any(capacity[gi] and fillable(j + 1, _less(capacity, gi))
+                             for gi in supports[j])
 
-    def recurse(j: int, chosen: list):
+    cells: list[tuple[int, ...]] = []  # one form id per equation
+
+    def recurse(j: int, capacity: tuple[int, ...], chosen: list):
         if j == m:
-            solutions.append(solve_cell(chosen))
+            cells.append(tuple(chosen))
             return
-        # each equation consumes one capacity unit, so capacities stay
-        # exactly fillable; only per-group exhaustion needs checking
-        for gi, form in factors[j]:
-            if capacity[gi] == 0:
+        for f in form_ids[j]:
+            gi = form_group[f]
+            if not capacity[gi] or not fillable(j + 1, rest := _less(capacity, gi)):
                 continue
-            capacity[gi] -= 1
-            chosen.append((gi, form))
-            recurse(j + 1, chosen)
+            chosen.append(f)
+            recurse(j + 1, rest, chosen)
             chosen.pop()
-            capacity[gi] += 1
 
-    recurse(0, [])
+    recurse(0, g.sizes, [])
+    # Solve every cell's block for group i at once: its n_i forms, in
+    # equation order, give an n_i x n_i system per cell.
+    cells = np.asarray(cells, dtype=np.int64).reshape(len(cells), m)
+    x = np.zeros((len(cells), g.nvars), dtype=complex)
+    in_group = np.asarray(form_group)[cells]
+    for i, block in enumerate(g.blocks):
+        ids = cells[in_group == i].reshape(len(cells), len(block))
+        A = coeffs[ids][:, :, list(block)]
+        x[:, list(block)] = np.linalg.solve(A, consts[ids][:, :, None])[:, :, 0]
+    solutions = list(x)
     if len(solutions) != predicted:
         raise TrackingError(
             f"linear-product cell count {len(solutions)} disagrees with m-Bezout {predicted}"
         )
     return StartPackage(PolySystem(start_polys), solutions)
 
+
+def _less(capacity: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return capacity[:i] + (capacity[i] - 1,) + capacity[i + 1:]
 
 
 def square_up(F: PolySystem, rows: int, rs: RandomSource) -> PolySystem:

@@ -6,6 +6,13 @@ move) plus a moving block interpolated as t*gamma*start + (1-t)*target.
 The predictor is 4th-order Runge-Kutta on the Davidenko ODE, the
 corrector is full Newton with at most a few iterations per step, and
 the step size doubles after consecutive successes / halves on failure.
+
+One evaluation per point: `Homotopy.evaluate` gives H, J_x and dH/dt at
+(x, t) from one kernel call, and the residual scale only when the
+corrector asks for it.  The corrector returns the evaluation of the point
+it returns, so the first RK4 stage of the next step, k1 at that same
+(x, t), reads J_x and dH/dt from it; a rejected attempt leaves (x, t) as
+it was and keeps k1, so each attempt evaluates only stages 2 to 4.
 """
 
 from __future__ import annotations
@@ -69,9 +76,10 @@ class Homotopy:
     Every row is affine in t, so the three blocks compile once into one
     term table that gives each quantity below as A + t*B: a fixed term
     c*m has coefficient c + t*0, a start term 0 + t*gamma*c and a target
-    term c - t*c.  The table's monomials are computed once per point.  In
-    block form, with F, S, T the fixed, start and target blocks and |.|
-    each row's sum of |coeff| * |monomial|:
+    term c - t*c.  `evaluate` reads H, J_x and dH/dt from one kernel call
+    at a point, and the residual scale, from a table of its own, only when
+    asked.  In block form, with F, S, T the fixed, start and target blocks
+    and |.| each row's sum of |coeff| * |monomial|:
 
         J_x     = [DF; t*gamma*DS + (1-t)*DT]
         dH/dt   = [0; gamma*S - T]    (the B of H)
@@ -111,25 +119,18 @@ class Homotopy:
     def is_square(self) -> bool:
         return self.rows == self.nvars
 
-    def _at(self, split: np.ndarray, t: float) -> np.ndarray:
-        """A + t*B from the table's [A; B] split."""
-        return split[:self.rows] + t * split[self.rows:]
-
-    def residual(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(H(x;t), its residual scale, the monomials at x); the last is what
-        `jacobian` takes to give J_x at the same point."""
+    def evaluate(self, x: np.ndarray, t: float, scaled: bool = False) -> tuple:
+        """(H, residual scale or None, J_x, dH/dt) at (x, t); the scale is
+        computed only if `scaled`.  The Davidenko ODE is J_x x'(t) = -dH/dt."""
         monomials = self._terms.monomials(x)
-        return (self._at(self._terms.values(monomials), t),
-                self._at(self._terms.magnitudes(monomials), t), monomials)
-
-    def jacobian(self, monomials: np.ndarray, t: float) -> np.ndarray:
-        """J_x(x;t) from the monomials `residual` returned for x."""
-        return self._at(self._terms.jacobian(monomials), t)
-
-    def tangent(self, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(J_x, dH/dt) at (x, t); the Davidenko ODE is J_x x'(t) = -dH/dt."""
-        monomials = self._terms.monomials(x)
-        return self.jacobian(monomials, t), self._terms.values(monomials)[self.rows:]
+        split = self._terms.values(monomials)
+        width, rows = self._terms.width, self.rows
+        at = split[:width] + t * split[width:]
+        scale = None
+        if scaled:
+            magnitudes = self._terms.magnitudes(monomials)
+            scale = magnitudes[:rows] + t * magnitudes[rows:]
+        return at[:rows], scale, at[rows:].reshape(rows, self.nvars), split[width:width + rows]
 
 
 def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
@@ -141,32 +142,34 @@ def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
     return float((np.abs(values) / scale).max())
 
 
-def _newton(residual, jacobian, x: np.ndarray, tol: float, max_iters: int,
-            check_singular: bool = False) -> tuple[np.ndarray, float]:
+def _newton(evaluate, jacobian, x: np.ndarray, tol: float, max_iters: int,
+            check_singular: bool = False) -> tuple[np.ndarray, float, tuple | None]:
     """Newton's method on a square system.
 
-    residual(x) gives (value, scale, at) and jacobian(at) the Jacobian at
-    the same x, so the Jacobian is formed only when a step is taken.
-    Stops once the relative residual is below tol or after max_iters steps,
-    or as soon as an iterate is not finite.  Returns (point, relative
-    residual of that point).  np.linalg.LinAlgError from the linear solve
-    propagates; with check_singular a numerically singular Jacobian raises
+    evaluate(x) gives an evaluation (value, scale, ...) and jacobian(ev)
+    the Jacobian at the same x, so a caller can form it only when a step
+    is taken.  Stops once the relative residual is below tol or after
+    max_iters steps, or as soon as an iterate is not finite.  Returns
+    (point, relative residual of that point, its evaluation); the
+    evaluation is None for a point that is not finite.
+    np.linalg.LinAlgError from the linear solve propagates; with
+    check_singular a numerically singular Jacobian raises
     SingularJacobianError before the solve."""
     for _ in range(max_iters):
-        value, scale, at = residual(x)
-        res = relative_residual(value, scale)
+        ev = evaluate(x)
+        res = relative_residual(ev[0], ev[1])
         if res < tol:
-            return x, res
-        J = jacobian(at)
+            return x, res, ev
+        J = jacobian(ev)
         if check_singular:
             s = np.linalg.svd(J, compute_uv=False)
             if s[0] == 0 or s[-1] / s[0] < 1e-13:
                 raise SingularJacobianError("Jacobian numerically singular during refinement")
-        x = x - np.linalg.solve(J, value)
+        x = x - np.linalg.solve(J, ev[0])
         if not np.isfinite(x).all():
-            return x, float("inf")
-    value, scale, _ = residual(x)
-    return x, relative_residual(value, scale)
+            return x, float("inf"), None
+    ev = evaluate(x)
+    return x, relative_residual(ev[0], ev[1]), ev
 
 
 def newton_refine(system: PolySystem, point, tol: float = 1e-10,
@@ -175,8 +178,9 @@ def newton_refine(system: PolySystem, point, tol: float = 1e-10,
     x = np.asarray(point, dtype=complex).copy()
     if len(system) != x.size:
         raise ValueError("newton_refine needs a square system")
-    x, res = _newton(lambda p: (system.evaluate(p), system.residual_scale(p), p),
-                     system.jacobian, x, tol, max_iters, check_singular=True)
+    x, res, _ = _newton(lambda p: (system.evaluate(p), system.residual_scale(p), p),
+                        lambda ev: system.jacobian(ev[2]), x, tol, max_iters,
+                        check_singular=True)
     if res < tol:
         return x
     raise NonconvergenceError(
@@ -185,20 +189,27 @@ def newton_refine(system: PolySystem, point, tol: float = 1e-10,
 
 
 def _newton_at(h: Homotopy, x: np.ndarray, t: float, tol: float,
-               max_iters: int) -> tuple[np.ndarray, float]:
-    """Newton's method on H(.;t) at fixed t; a singular solve counts as failure."""
+               max_iters: int) -> tuple[np.ndarray, float, tuple | None]:
+    """Newton's method on H(.;t) at fixed t; a singular solve counts as
+    failure.  Returns (point, relative residual, `h.evaluate` of the point)."""
     try:
-        return _newton(lambda p: h.residual(p, t), lambda at: h.jacobian(at, t),
+        return _newton(lambda p: h.evaluate(p, t, scaled=True), lambda ev: ev[2],
                        x, tol, max_iters)
     except np.linalg.LinAlgError:
-        return x, float("inf")
+        return x, float("inf"), None
+
+
+def _slope(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
+    """J_x^{-1} dH/dt at (x, t), one RK4 stage."""
+    _, _, J, dhdt = h.evaluate(x, t)
+    return np.linalg.solve(J, dhdt)
 
 
 def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) -> PathResult:
     if not h.is_square:
         raise ValueError(f"homotopy is {h.rows}x{h.nvars}, tracking needs a square one")
     x = np.asarray(start_point, dtype=complex).copy()
-    x, residual = _newton_at(h, x, 1.0, opts.newton_tol, MAX_NEWTON_ITERS)
+    x, residual, ev = _newton_at(h, x, 1.0, opts.newton_tol, MAX_NEWTON_ITERS)
     if not residual < opts.newton_tol:
         return PathResult("failed", None, 0)
 
@@ -210,6 +221,7 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
     norm_history = [initial_norm]
     blowup_norm = 1e4 * max(1.0, initial_norm)
     crawl = 0  # accepted steps spent creeping toward a blow-up time
+    k1 = None  # the first RK4 stage at (x, t), kept across rejected attempts
 
     while t > 0:
         if steps >= MAX_STEPS:
@@ -219,11 +231,13 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
         dt = min(step, t)
         try:
             # RK4 on the Davidenko ODE x'(t) = -J_x^{-1} dH/dt, moving toward
-            # t=0; each k is J_x^{-1} dH/dt, so the steps add dt * k.
-            k1 = np.linalg.solve(*h.tangent(x, t))
-            k2 = np.linalg.solve(*h.tangent(x + 0.5 * dt * k1, t - 0.5 * dt))
-            k3 = np.linalg.solve(*h.tangent(x + 0.5 * dt * k2, t - 0.5 * dt))
-            k4 = np.linalg.solve(*h.tangent(x + dt * k3, t - dt))
+            # t=0; each k is J_x^{-1} dH/dt, so the steps add dt * k.  k1
+            # reads J_x and dH/dt from the corrector's evaluation at (x, t).
+            if k1 is None:
+                k1 = np.linalg.solve(ev[2], ev[3])
+            k2 = _slope(h, x + 0.5 * dt * k1, t - 0.5 * dt)
+            k3 = _slope(h, x + 0.5 * dt * k2, t - 0.5 * dt)
+            k4 = _slope(h, x + dt * k3, t - dt)
             xp = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             predicted_ok = np.isfinite(xp).all()
         except np.linalg.LinAlgError:
@@ -232,9 +246,9 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
 
         accepted = False
         if predicted_ok:
-            xc, residual = _newton_at(h, xp, t - dt, opts.newton_tol, MAX_NEWTON_ITERS)
+            xc, residual, ev_c = _newton_at(h, xp, t - dt, opts.newton_tol, MAX_NEWTON_ITERS)
             if residual < opts.newton_tol:
-                x = xc
+                x, ev, k1 = xc, ev_c, None
                 t = t - dt
                 steps += 1
                 streak += 1
@@ -268,7 +282,7 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
                 return PathResult("failed", None, steps)
 
     # Final sharpening against the t=0 system
-    x, residual = _newton_at(h, x, 0.0, END_TOL, 30)
+    x, residual, _ = _newton_at(h, x, 0.0, END_TOL, 30)
     if residual < END_TOL:
         return PathResult("converged", x, steps)
     return PathResult("failed", None, steps)

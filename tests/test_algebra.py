@@ -106,6 +106,18 @@ def test_jacobian_omit_groups():
     assert J.shape == (2, 1)  # only the y column remains
 
 
+def test_system_calls_check_the_point_size():
+    # a point with one coordinate too many would read that coordinate as the
+    # constant monomial's 1
+    g = grouping2()
+    x1, x2, y = (Polynomial.variable(g, v) for v in range(3))
+    F = PolySystem([x1 * y + 2, x2 - y])
+    for method in (F.evaluate, F.jacobian, F.residual_scale):
+        for size in (2, 4):
+            with pytest.raises(ValueError, match="coordinates"):
+                method(np.ones(size, dtype=complex))
+
+
 def test_numerical_rank_known_ranks():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))

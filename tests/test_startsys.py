@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,52 @@ def test_linear_product_package_counts_and_solves():
     assert len(sp.solutions) == mbezout([p.multidegree() for p in target.polys], g.sizes) == 2
     for s in sp.solutions:
         assert np.max(np.abs(sp.start.evaluate(s))) < 1e-9
+
+
+def test_start_package_cells_match_a_per_cell_reference():
+    # the pruned enumeration with stacked solves gives the cells of the plain
+    # depth-first enumeration over each equation's factors, in its order,
+    # each cell solved on its own, bit for bit
+    fx = get_fixture("hyperboloid")
+    g = fx.system.grouping
+    (key,) = fx.default_keys
+    groups = [i for i, e in enumerate(key) for _ in range(e)]
+    target = fx.system.concat(
+        [random_affine_form(g, g.blocks[i], rs(70 + n)) for n, i in enumerate(groups)])
+    sp = start_package(target, rs(74))
+    draw = rs(74)  # the same forms, drawn in the same order
+    factors = [[(i, random_affine_form(g, g.blocks[i], draw))
+                for i, d in enumerate(p.multidegree()) for _ in range(d)]
+               for p in target.polys]
+    unit = lambda v: tuple(int(u == v) for u in range(g.nvars))  # noqa: E731
+    expected = []
+    for chosen in itertools.product(*factors):
+        if [sum(gi == i for gi, _ in chosen) for i in range(g.k)] != list(g.sizes):
+            continue
+        x = np.zeros(g.nvars, dtype=complex)
+        for i, block in enumerate(g.blocks):
+            forms = [f for gi, f in chosen if gi == i]
+            A = np.array([[f.terms.get(unit(v), 0.0) for v in block] for f in forms], dtype=complex)
+            b = np.array([-f.terms.get((0,) * g.nvars, 0.0) for f in forms], dtype=complex)
+            x[list(block)] = np.linalg.solve(A, b)
+        expected.append(x)
+    assert len(sp.solutions) == len(expected) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(sp.solutions, expected))
+
+
+def test_pentad_start_package_has_every_cell():
+    # the pentad's 32 equations plus the 8 slice forms of its key: the cell
+    # enumeration enters only branches that can still fill every group, so
+    # all 55,296 cells come out in seconds
+    fx = get_fixture("pentad")
+    g = fx.system.grouping
+    (key,) = fx.default_keys
+    groups = [i for i, e in enumerate(key) for _ in range(e)]
+    slices = [random_affine_form(g, g.blocks[i], rs(60 + n)) for n, i in enumerate(groups)]
+    sp = start_package(fx.system.concat(slices), rs(68))
+    assert len(sp.solutions) == 55296
+    for s in sp.solutions[::9216]:
+        assert relative_residual(sp.start.evaluate(s), sp.start.residual_scale(s)) < 1e-12
 
 
 def test_start_package_validation():

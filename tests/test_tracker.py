@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import multiwit.tracker
 from multiwit import (
     Homotopy,
     NonconvergenceError,
@@ -164,12 +165,36 @@ def test_fused_kernel_matches_block_formulas(with_fixed):
     for _ in range(5):
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
         t = float(rng.uniform(0.01, 0.99))
-        H, scale, monomials = h.residual(x, t)
-        J, dt = h.tangent(x, t)
-        got = (H, h.jacobian(monomials, t), J, dt, scale)
-        ref_H, ref_J, ref_dt, ref_scale = block_reference(h, x, t)
-        for a, b in zip(got, (ref_H, ref_J, ref_J, ref_dt, ref_scale)):
+        H, scale, J, dt = h.evaluate(x, t, scaled=True)
+        for a, b in zip((H, J, dt, scale), block_reference(h, x, t)):
+            assert a.shape == b.shape
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        # without the scale, the same kernel call gives the same H, J_x, dH/dt
+        H2, no_scale, J2, dt2 = h.evaluate(x, t)
+        assert no_scale is None
+        assert all(np.array_equal(a, b) for a, b in ((H, H2), (J, J2), (dt, dt2)))
+
+
+def test_tracker_hooks_seen_from_outside(monkeypatch):
+    # a wrapper on multiwit.tracker.track_path sees every path of track_many,
+    # and one on numpy.linalg.solve sees the tracker's linear solves
+    g, x = univariate()
+    h = Homotopy(PolySystem([x**3 - 1]), PolySystem([x**3 - 2 * x + 0.5]),
+                 gamma=rs(5).unit_complex())
+    starts = [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
+    paths, solves = [], []
+    track, solve = multiwit.tracker.track_path, np.linalg.solve
+    monkeypatch.setattr(multiwit.tracker, "track_path",
+                        lambda *args: paths.append(args) or track(*args))
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args) or solve(*args))
+    results = track_many(h, starts)
+    assert len(paths) == len(starts)
+    assert all(r.converged for r in results)
+    # per accepted step at least the three RK4 stages after k1
+    assert len(solves) >= 3 * sum(r.steps_taken for r in results)
+    solves.clear()
+    newton_refine(PolySystem([x**2 - 2]), np.array([1.4 + 0j]))
+    assert solves
 
 
 def test_newton_refine_quadratic_convergence():

@@ -3,6 +3,7 @@ import pytest
 
 import multiwit.witness
 from multiwit import (
+    Homotopy,
     IndeterminateError,
     PolySystem,
     Polynomial,
@@ -19,6 +20,7 @@ from multiwit import (
     refine,
     segre_degree,
     slice_collection,
+    track_many,
 )
 from multiwit.fixtures import get_fixture
 from multiwit.startsys import RESIDUAL_TOL, square_up
@@ -233,6 +235,23 @@ def test_coarsen_with_no_merged_budget_tracks_no_path(octa_fh_wc, opts, monkeypa
     assert res.witness.grouping == fx.system.grouping.merge(0, 1)
     assert res.witness.selection.e == (0, 1, 1)
     assert res.witness.selection.per_group[1:] == src.selection.per_group[2:]
+
+
+def test_slice_motion_paths_are_pinned(octa_fh_wc, opts):
+    # per-path (status, steps_taken) of one slice motion, as a tracker that
+    # evaluates all four RK4 stages on every attempt gives them; reusing the
+    # corrector's evaluation for k1 must not move them, and a change in the
+    # step rules or in the predictor's arithmetic would
+    fx, wc = octa_fh_wc
+    ws = wc.entries[(0, 0, 1, 1)]
+    g = fx.system.grouping
+    groups = [i for i, e in enumerate(ws.selection.e) for _ in range(e)]
+    new = [random_affine_form(g, g.blocks[i], rs(35 + n)) for n, i in enumerate(groups)]
+    h = Homotopy(PolySystem(ws.selection.forms), PolySystem(new),
+                 gamma=rs(37).unit_complex(), fixed=ws.fixed_block)
+    results = track_many(h, ws.points, opts)
+    assert [(r.status, r.steps_taken) for r in results] == \
+        [("converged", 12), ("converged", 18), ("converged", 18)]
 
 
 def test_coarsened_witness_data_lives_on_the_system_grouping(split_wc, opts):
