@@ -10,7 +10,6 @@ from .algebra import (
     Polynomial,
     PolySystem,
     VariableGrouping,
-    numerical_rank,
 )
 from .dimension import (
     DimensionProfile,
@@ -66,7 +65,6 @@ from .tracker import (
 from .witness import (
     CoarsenResult,
     IndeterminateError,
-    SliceBank,
     SliceSelection,
     WitnessCollection,
     WitnessSet,

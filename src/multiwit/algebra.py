@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -262,29 +262,28 @@ _ONE = np.ones(1, dtype=complex)
 
 class _Compiled:
     """One term table for rows of the form sum_k (a_k + t*b_k) * p_k(x),
-    read one point at a time.
+    evaluated one point at a time.
 
     Every term refers into one list of distinct monomials; monomial 0 is the
-    constant 1.  `values` sums the terms per owner, in one take, one
-    multiply and one `reduceat`.  The owners are [A; DA; B; DB]: A holds
-    each row's a-part, DA its Jacobian slots (row by row, one per column),
-    and B, DB the same for the b-parts.  So a row at t is A + t*B, its
-    Jacobian is DA + t*DB, and B is its derivative in t.  With every b zero
-    there is no B half.  `magnitudes` reads a table of its own: the residual
-    scale, each row's sum of |coeff| * |monomial| plus 1, split as [A; B].
-    That scale reads |a + t*b| as |a| + t*(|a + b| - |a|), which is exact on
-    [0, 1] when a or b is zero or b = -a.  An owner without terms gets one
-    zero term on the constant monomial."""
+    constant 1.  The terms are summed per owner in one take, one multiply
+    and one `reduceat`.  The owners are [A; DA; B; DB]: A holds each row's
+    a-part, DA its Jacobian slots (row by row, one per column), and B, DB
+    the same for the b-parts.  So a row at t is A + t*B, its Jacobian is
+    DA + t*DB, and B is its derivative in t.  The residual scale reads a
+    table of its own: each row's sum of |coeff| * |monomial| plus 1, split
+    as [A; B].  That scale reads |a + t*b| as |a| + t*(|a + b| - |a|), which
+    is exact on [0, 1] when a or b is zero or b = -a.  An owner without
+    terms gets one zero term on the constant monomial."""
 
     def __init__(self, rows: Sequence[Sequence[tuple[Polynomial, complex, complex]]],
                  nvars: int):
         self.rows = len(rows)
+        self.nvars = nvars
         self.width = self.rows * (1 + nvars)  # owners per half: values, then slots
-        halves = 2 if any(b != 0 for row in rows for _, _, b in row) else 1
         index = {(0,) * nvars: 0}  # exponent vector -> monomial number
-        owned = [[] for _ in range(halves * self.width)]  # per owner: (monomial, coeff)
-        scaled = [[] for _ in range(halves * self.rows)]  # per segment: (monomial, weight)
-        self.ones = np.zeros(halves * self.rows)  # the "plus 1" of each segment's scale
+        owned = [[] for _ in range(2 * self.width)]  # per owner: (monomial, coeff)
+        scaled = [[] for _ in range(2 * self.rows)]  # per segment: (monomial, weight)
+        self.ones = np.zeros(2 * self.rows)  # the "plus 1" of each segment's scale
         for r, row in enumerate(rows):
             for p, a, b in row:
                 for half, w, mag in ((0, a, abs(a)), (1, b, abs(a + b) - abs(a))):
@@ -306,7 +305,7 @@ class _Compiled:
 
         # Monomial k is the product of the coordinates its factors list, in
         # order, one entry per unit of degree; the constant monomial lists
-        # entry nvars, which `monomials` sets to 1.
+        # entry nvars, which `evaluate` sets to 1.
         exponents = np.array(list(index), dtype=np.int64).reshape(len(index), nvars)
         constant = (exponents.sum(axis=1) == 0)[:, None]
         counts = np.hstack((exponents, constant))  # times each coordinate is listed
@@ -314,19 +313,21 @@ class _Compiled:
         sizes = counts.sum(axis=1)
         self.factor_starts = np.cumsum(sizes) - sizes
 
-    def monomials(self, point: np.ndarray) -> np.ndarray:
-        """Every monomial of the table at `point`."""
-        coords = np.concatenate((point, _ONE))
-        return np.multiply.reduceat(coords.take(self.factors), self.factor_starts)
-
-    def values(self, monomials: np.ndarray) -> np.ndarray:
-        """[A; DA; B; DB], the DA and DB slots flattened row by row."""
-        return np.add.reduceat(self.coeffs * monomials.take(self.monos), self.starts)
-
-    def magnitudes(self, monomials: np.ndarray) -> np.ndarray:
-        """The residual scale, split as [A; B]."""
-        terms = self.weights * np.abs(monomials).take(self.scale_monos)
-        return np.add.reduceat(terms, self.scale_starts) + self.ones
+    def evaluate(self, x: np.ndarray, t: float = 0.0, scaled: bool = False) -> tuple:
+        """(rows, residual scale or None, Jacobian, t-derivative of the rows)
+        at (x, t), from one kernel call; the scale is computed only if
+        `scaled`."""
+        monomials = np.multiply.reduceat(np.concatenate((x, _ONE)).take(self.factors),
+                                         self.factor_starts)
+        split = np.add.reduceat(self.coeffs * monomials.take(self.monos), self.starts)
+        width, rows = self.width, self.rows
+        at = split[:width] + t * split[width:]
+        scale = None
+        if scaled:
+            terms = self.weights * np.abs(monomials).take(self.scale_monos)
+            magnitudes = np.add.reduceat(terms, self.scale_starts) + self.ones
+            scale = magnitudes[:rows] + t * magnitudes[rows:]
+        return at[:rows], scale, at[rows:].reshape(rows, self.nvars), split[width:width + rows]
 
 
 def _flatten(owned: list, dtype) -> tuple[np.ndarray, ...]:
@@ -362,57 +363,29 @@ class PolySystem:
     def _compiled(self) -> _Compiled:
         return _Compiled([[(p, 1, 0)] for p in self.polys], self.grouping.nvars)
 
-    def _monomials(self, point) -> np.ndarray:
+    def kernel(self, point, scaled: bool = False) -> tuple:
+        """(values, residual scale or None, Jacobian, _) at `point`, from one
+        kernel call; the scale is computed only if `scaled`."""
         point = np.asarray(point, dtype=complex)
         if point.shape != (self.grouping.nvars,):
             raise ValueError(
                 f"point has {point.size} coordinates, expected {self.grouping.nvars}"
             )
-        return self._compiled.monomials(point)
-
-    def _values(self, point) -> np.ndarray:
-        """[values; Jacobian slots row by row] at `point`, from one kernel call."""
-        return self._compiled.values(self._monomials(point))
+        return self._compiled.evaluate(point, scaled=scaled)
 
     def evaluate(self, point) -> np.ndarray:
-        return self._values(point)[:len(self)]
+        return self.kernel(point)[0]
 
     def residual_scale(self, point) -> np.ndarray:
-        return self._compiled.magnitudes(self._monomials(point))
+        return self.kernel(point, scaled=True)[1]
 
-    def jacobian(self, point, omit_groups: Iterable[int] = ()) -> np.ndarray:
-        """DF(point); column blocks of groups in omit_groups removed."""
-        J = self._values(point)[len(self):].reshape(len(self), self.grouping.nvars)
-        omit = set(omit_groups)
-        if omit:
-            bad = omit - set(range(self.grouping.k))
-            if bad:
-                raise ValueError(f"no such groups: {sorted(bad)}")
-            keep = [
-                v
-                for i, b in enumerate(self.grouping.blocks)
-                if i not in omit
-                for v in b
-            ]
-            J = J[:, sorted(keep)]
-        return J
+    def jacobian(self, point) -> np.ndarray:
+        """DF(point)."""
+        return self.kernel(point)[2]
 
     def concat(self, extra: Sequence[Polynomial]) -> "PolySystem":
-        return PolySystem(list(self.polys) + [p.with_grouping(self.grouping) for p in extra])
+        return PolySystem(self.polys + tuple(extra))
 
     def __repr__(self) -> str:
         return f"PolySystem({len(self.polys)} polynomials, {self.grouping!r})"
-
-
-def numerical_rank(m: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Count of singular values above rel_tol times the largest one."""
-    if not 0 < rel_tol < 1:
-        raise ValueError("rel_tol must lie in (0,1)")
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
 

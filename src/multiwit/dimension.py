@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import PolySystem, numerical_rank
+from .algebra import PolySystem
 
 MAX_GROUPS = 16
 RANK_TOL = 1e-8  # default relative tolerance of a numerical rank
@@ -54,8 +54,12 @@ class DimensionProfile:
 
 
 def _stable_rank(M: np.ndarray, rel_tol: float, what: str) -> int:
-    r1 = numerical_rank(M, rel_tol)
-    r2 = numerical_rank(M, min(10 * rel_tol, 0.5))
+    """Count of singular values of M above rel_tol times the largest; the
+    count at 10 * rel_tol, read off the same SVD, must agree."""
+    if not 0 < rel_tol < 1:
+        raise ValueError("rel_tol must lie in (0,1)")
+    s = np.linalg.svd(M, compute_uv=False)
+    r1, r2 = (int(np.count_nonzero(s > tol * s[0])) for tol in (rel_tol, min(10 * rel_tol, 0.5)))
     if r1 != r2:
         raise IllConditionedError(
             f"rank of {what} is {r1} at tol {rel_tol:g} but {r2} at {10 * rel_tol:g}; "
@@ -163,22 +167,11 @@ def _projection(points, block) -> frozenset:
 
 
 def _is_product(points, block_a, block_b) -> bool:
-    union = sorted(block_a) + sorted(block_b)
-    union_proj = _projection(points, union)
+    # the union's projection lies in pa x pb, so equal sizes mean equality
+    union = _projection(points, sorted(block_a) + sorted(block_b))
     pa = _projection(points, sorted(block_a))
     pb = _projection(points, sorted(block_b))
-    if len(union_proj) != len(pa) * len(pb):
-        return False
-    want = set()
-    for x in pa:
-        for y in pb:
-            combined = {}
-            for v, c in zip(sorted(block_a), x):
-                combined[v] = c
-            for v, c in zip(sorted(block_b), y):
-                combined[v] = c
-            want.add(tuple(combined[v] for v in union))
-    return union_proj == want
+    return len(union) == len(pa) * len(pb)
 
 
 def product_factorization(points) -> list[tuple[int, ...]]:

@@ -28,6 +28,7 @@ from .tracker import (
     SingularJacobianError,
     TrackOptions,
     TrackingError,
+    dedupe_points,
     newton_refine,
     points_equal,
     relative_residual,
@@ -107,7 +108,7 @@ def monodromy_permutation(
             pass
 
     perm: dict = {}
-    new_points: list = []
+    new_points: list = []  # endpoints on the system that match no start point
     taken: dict = {}
     for i, endpoint in sorted(refined.items()):
         matches = [
@@ -125,15 +126,11 @@ def monodromy_permutation(
                 )
             taken[j] = i
             perm[i] = j
-        else:
-            on_system = relative_residual(
-                ws.system.evaluate(endpoint), ws.system.residual_scale(endpoint)
-            ) < RESIDUAL_TOL
-            if on_system and not any(
-                points_equal(endpoint, q) for q in new_points
-            ):
-                new_points.append(endpoint)
-    return MonodromyOutcome(perm, new_points)
+        elif relative_residual(
+            ws.system.evaluate(endpoint), ws.system.residual_scale(endpoint)
+        ) < RESIDUAL_TOL:
+            new_points.append(endpoint)
+    return MonodromyOutcome(perm, dedupe_points(new_points))
 
 
 def trace_test(
@@ -171,10 +168,6 @@ def trace_test(
     v2 = (centroids[2] - centroids[0]) / s_values[1]
     scale = max(1.0, float(np.linalg.norm(v1)), float(np.linalg.norm(v2)))
     return bool(np.linalg.norm(v1 - v2) < trace_tol * scale)
-
-
-def _trace_applicable(ws: WitnessSet) -> bool:
-    return len(ws.selection.forms) == 1
 
 
 @dataclass
@@ -227,7 +220,7 @@ def breakup(
     the next one is drawn.  On a multi-form key nothing is certified, and
     `complete` means the quiet loops were reached."""
     points = list(ws.points)
-    use_trace = _trace_applicable(ws)
+    use_trace = len(ws.selection.forms) == 1
     verdicts: dict = {}  # part, as a tuple of indices -> trace verdict, None if indeterminate
 
     def certify(partition: list) -> list:

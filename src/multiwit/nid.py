@@ -141,7 +141,7 @@ def build_component(
     ell0 = random_affine_form(g, list(range(g.nvars)), sub.substream(999), through=p)
     core = square_up(F, g.nvars - len(L) - 1, rs.substream(62))
     curve_g = VariableGrouping.from_sizes([g.nvars], g.names)
-    ws = WitnessSet(F, core, SliceSelection((1,), ((ell0,),)), [p], grouping=curve_g, extra=L)
+    ws = WitnessSet(F, core, SliceSelection(((ell0,),)), [p], grouping=curve_g, extra=L)
     grown, stable = grow_witness_set(ws, rs.substream(63), opts)
     return ComponentRecord(
         profile=profile,

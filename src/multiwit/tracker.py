@@ -70,16 +70,16 @@ class PathResult:
         return self.status == "converged"
 
 
-class Homotopy:
+class Homotopy(_Compiled):
     """H(x;t) = [fixed(x); t*gamma*start(x) + (1-t)*target(x)].
 
     Every row is affine in t, so the three blocks compile once into one
     term table that gives each quantity below as A + t*B: a fixed term
     c*m has coefficient c + t*0, a start term 0 + t*gamma*c and a target
-    term c - t*c.  `evaluate` reads H, J_x and dH/dt from one kernel call
-    at a point, and the residual scale, from a table of its own, only when
-    asked.  In block form, with F, S, T the fixed, start and target blocks
-    and |.| each row's sum of |coeff| * |monomial|:
+    term c - t*c.  `evaluate(x, t, scaled)` reads H, J_x and dH/dt from one
+    kernel call at a point, and the residual scale, from a table of its
+    own, only if `scaled`.  In block form, with F, S, T the fixed, start
+    and target blocks and |.| each row's sum of |coeff| * |monomial|:
 
         J_x     = [DF; t*gamma*DS + (1-t)*DT]
         dH/dt   = [0; gamma*S - T]    (the B of H)
@@ -87,7 +87,7 @@ class Homotopy:
 
     The corrector measures residuals relative to `scale`, so paths far from
     the origin (diverging toward infinity) still correct to machine
-    precision."""
+    precision.  The Davidenko ODE is J_x x'(t) = -dH/dt."""
 
     def __init__(
         self,
@@ -106,31 +106,12 @@ class Homotopy:
         self.target = target
         self.gamma = complex(gamma)
         self.fixed = fixed
-        self.nvars = target.grouping.nvars
         fixed_polys = fixed.polys if fixed else ()
-        self.rows = len(fixed_polys) + len(target)
         # row j is sum (a + t*b) * p over its (p, a, b)
-        self._terms = _Compiled(
+        super().__init__(
             [[(p, 1, 0)] for p in fixed_polys]
             + [[(s, 0, self.gamma), (q, 1, -1)] for s, q in zip(start.polys, target.polys)],
-            self.nvars)
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.nvars
-
-    def evaluate(self, x: np.ndarray, t: float, scaled: bool = False) -> tuple:
-        """(H, residual scale or None, J_x, dH/dt) at (x, t); the scale is
-        computed only if `scaled`.  The Davidenko ODE is J_x x'(t) = -dH/dt."""
-        monomials = self._terms.monomials(x)
-        split = self._terms.values(monomials)
-        width, rows = self._terms.width, self.rows
-        at = split[:width] + t * split[width:]
-        scale = None
-        if scaled:
-            magnitudes = self._terms.magnitudes(monomials)
-            scale = magnitudes[:rows] + t * magnitudes[rows:]
-        return at[:rows], scale, at[rows:].reshape(rows, self.nvars), split[width:width + rows]
+            target.grouping.nvars)
 
 
 def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
@@ -142,13 +123,12 @@ def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
     return float((np.abs(values) / scale).max())
 
 
-def _newton(evaluate, jacobian, x: np.ndarray, tol: float, max_iters: int,
+def _newton(evaluate, x: np.ndarray, tol: float, max_iters: int,
             check_singular: bool = False) -> tuple[np.ndarray, float, tuple | None]:
     """Newton's method on a square system.
 
-    evaluate(x) gives an evaluation (value, scale, ...) and jacobian(ev)
-    the Jacobian at the same x, so a caller can form it only when a step
-    is taken.  Stops once the relative residual is below tol or after
+    evaluate(x) gives (value, scale, Jacobian, ...) at x from one kernel
+    call.  Stops once the relative residual is below tol or after
     max_iters steps, or as soon as an iterate is not finite.  Returns
     (point, relative residual of that point, its evaluation); the
     evaluation is None for a point that is not finite.
@@ -160,12 +140,11 @@ def _newton(evaluate, jacobian, x: np.ndarray, tol: float, max_iters: int,
         res = relative_residual(ev[0], ev[1])
         if res < tol:
             return x, res, ev
-        J = jacobian(ev)
         if check_singular:
-            s = np.linalg.svd(J, compute_uv=False)
+            s = np.linalg.svd(ev[2], compute_uv=False)
             if s[0] == 0 or s[-1] / s[0] < 1e-13:
                 raise SingularJacobianError("Jacobian numerically singular during refinement")
-        x = x - np.linalg.solve(J, ev[0])
+        x = x - np.linalg.solve(ev[2], ev[0])
         if not np.isfinite(x).all():
             return x, float("inf"), None
     ev = evaluate(x)
@@ -178,8 +157,7 @@ def newton_refine(system: PolySystem, point, tol: float = 1e-10,
     x = np.asarray(point, dtype=complex).copy()
     if len(system) != x.size:
         raise ValueError("newton_refine needs a square system")
-    x, res, _ = _newton(lambda p: (system.evaluate(p), system.residual_scale(p), p),
-                        lambda ev: system.jacobian(ev[2]), x, tol, max_iters,
+    x, res, _ = _newton(lambda p: system.kernel(p, scaled=True), x, tol, max_iters,
                         check_singular=True)
     if res < tol:
         return x
@@ -193,8 +171,7 @@ def _newton_at(h: Homotopy, x: np.ndarray, t: float, tol: float,
     """Newton's method on H(.;t) at fixed t; a singular solve counts as
     failure.  Returns (point, relative residual, `h.evaluate` of the point)."""
     try:
-        return _newton(lambda p: h.evaluate(p, t, scaled=True), lambda ev: ev[2],
-                       x, tol, max_iters)
+        return _newton(lambda p: h.evaluate(p, t, scaled=True), x, tol, max_iters)
     except np.linalg.LinAlgError:
         return x, float("inf"), None
 
@@ -206,7 +183,7 @@ def _slope(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
 
 
 def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) -> PathResult:
-    if not h.is_square:
+    if h.rows != h.nvars:
         raise ValueError(f"homotopy is {h.rows}x{h.nvars}, tracking needs a square one")
     x = np.asarray(start_point, dtype=complex).copy()
     x, residual, ev = _newton_at(h, x, 1.0, opts.newton_tol, MAX_NEWTON_ITERS)

@@ -1,18 +1,19 @@
 """Witness sets and witness collections over grouped variables.
 
-A witness collection pairs a polynomial system F with a coherent slice
-bank: per group i a fixed sequence of generic affine forms, of which a
-selection L^e takes the first e_i per group.  The e-witness point set is
-the finite intersection of the variety with V(L^e).  This module holds
-the collection data structures plus the slice transformations: exact
-slicing bookkeeping, refinement and coarsening homotopies, slice
-motion, Segre degree, and the multiprojective membership test.
+A witness collection pairs a polynomial system F with one general flag of
+affine forms per group i; the entry for key e cuts F by L^e, the first e_i
+forms of each group's flag, and holds the finitely many points of the
+variety on V(L^e).  Each entry keeps exactly those forms, so the flag
+exists only as the entries' prefixes.  This module holds the collection
+data structures plus the slice transformations: exact slicing
+bookkeeping, refinement and coarsening homotopies, slice motion, Segre
+degree, and the multiprojective membership test.
 
 Two rules keep the data simple.  Every polynomial in witness data (the
-system, its square-up, the selection and extra forms, the bank forms)
-lives on the system's grouping; only `WitnessSet.grouping` and
-`SliceBank.grouping` carry the current grouping, which refinement and
-coarsening change.  And a slice motion with no moving rows tracks no
+system, its square-up, the selection and extra forms) lives on the
+system's grouping; only `WitnessSet.grouping` and
+`WitnessCollection.grouping` carry the current grouping, which refinement
+and coarsening change.  And a slice motion with no moving rows tracks no
 path: `track_slice_motion` returns its points unchanged.
 """
 
@@ -44,66 +45,25 @@ class IndeterminateError(TrackingError):
     (never a silently short result or a silent false)."""
 
 
-class SliceBank:
-    """Per group i, affine forms l_{i,1..n_i}; selections take prefixes."""
-
-    def __init__(self, grouping: VariableGrouping, forms: Sequence[Sequence[Polynomial]]):
-        self.grouping = grouping
-        self.forms = tuple(tuple(fs) for fs in forms)
-        if len(self.forms) != grouping.k:
-            raise ValueError("bank needs one form list per group")
-
-    @classmethod
-    def generate(cls, grouping: VariableGrouping, rs: RandomSource) -> "SliceBank":
-        forms = []
-        for i, block in enumerate(grouping.blocks):
-            sub = rs.substream(100 + i)
-            forms.append([random_affine_form(grouping, block, sub) for _ in block])
-        return cls(grouping, forms)
-
-    def selection(self, e: Sequence[int]) -> "SliceSelection":
-        e = tuple(int(x) for x in e)
-        if len(e) != self.grouping.k:
-            raise ValueError(f"key {e} has arity {len(e)}, expected {self.grouping.k}")
-        per_group = []
-        for i, ei in enumerate(e):
-            if ei > len(self.forms[i]):
-                raise ValueError(f"group {i} has only {len(self.forms[i])} bank forms")
-            per_group.append(tuple(self.forms[i][:ei]))
-        return SliceSelection(e, tuple(per_group))
-
-    def drop_first(self, group: int) -> "SliceBank":
-        forms = [list(fs) for fs in self.forms]
-        if not forms[group]:
-            raise ValueError(f"group {group} has no bank forms left")
-        forms[group] = forms[group][1:]
-        return SliceBank(self.grouping, forms)
-
-
 @dataclass(frozen=True)
 class SliceSelection:
-    """L^e: the first e_i bank forms per group (or the forms they moved to)."""
+    """L^e: per group i, the first e_i forms of its flag (or the forms they
+    moved to)."""
 
-    e: tuple[int, ...]
     per_group: tuple[tuple[Polynomial, ...], ...]
+
+    @property
+    def e(self) -> tuple[int, ...]:
+        return tuple(len(fs) for fs in self.per_group)
 
     @property
     def forms(self) -> list[Polynomial]:
         return [f for fs in self.per_group for f in fs]
 
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(fs) for fs in self.per_group)
-
     def replace_forms(self, new_forms: Sequence[Polynomial]) -> "SliceSelection":
-        new_forms = list(new_forms)
-        if len(new_forms) != len(self.forms):
-            raise ValueError("replacement must keep the per-group form counts")
-        out = []
-        pos = 0
-        for fs in self.per_group:
-            out.append(tuple(new_forms[pos:pos + len(fs)]))
-            pos += len(fs)
-        return SliceSelection(self.e, tuple(out))
+        """The same per-group counts, filled from `new_forms` in order."""
+        forms = iter(new_forms)
+        return SliceSelection(tuple(tuple(next(forms) for _ in fs) for fs in self.per_group))
 
 
 @dataclass(eq=False)
@@ -153,19 +113,16 @@ class WitnessSet:
 
 
 class WitnessCollection:
-    """Map e -> e-witness set, all sharing one system and slice bank."""
+    """Map e -> e-witness set, all sharing one system and, per group of
+    `grouping`, one flag whose prefixes the entries hold."""
 
-    def __init__(self, system: PolySystem, bank: SliceBank, entries: dict):
+    def __init__(self, system: PolySystem, grouping: VariableGrouping, entries: dict):
         self.system = system
-        self.bank = bank
+        self.grouping = grouping
         self.entries = dict(entries)
         sizes = {sum(e) for e in self.entries}
         if len(sizes) > 1:
             raise ValueError(f"mixed slice dimensions in one collection: {sorted(sizes)}")
-
-    @property
-    def grouping(self) -> VariableGrouping:
-        return self.bank.grouping
 
     @property
     def extra(self) -> tuple[Polynomial, ...]:
@@ -185,9 +142,10 @@ def compute_witness_collection(
     candidates: Sequence[Sequence[int]],
     rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
-    bank: SliceBank | None = None,
 ) -> WitnessCollection:
-    """Solve F against L^e for every candidate e (all of equal |e|)."""
+    """Solve F against L^e for every candidate e (all of equal |e|).
+
+    Group i's flag is drawn in sequence from rs.substream(11).substream(100 + i)."""
     g = F.grouping
     candidates = [tuple(int(x) for x in e) for e in candidates]
     if not candidates:
@@ -195,39 +153,48 @@ def compute_witness_collection(
     dims = {sum(e) for e in candidates}
     if len(dims) > 1:
         raise ValueError(f"candidates must share |e|; got {sorted(dims)}")
+    for e in candidates:
+        if (len(e) != g.k or not all(0 <= x <= n for x, n in zip(e, g.sizes))
+                or sum(e) >= g.nvars):
+            raise ValueError(
+                f"key {e} does not fit groups of sizes {g.sizes}: a key has one entry "
+                f"per group, at most the group's size, and a sum below {g.nvars}")
     d = dims.pop()
-    if bank is None:
-        bank = SliceBank.generate(g, rs.substream(11))
+    flags = []
+    for i, block in enumerate(g.blocks):
+        sub = rs.substream(11).substream(100 + i)
+        longest = max(e[i] for e in candidates)
+        flags.append([random_affine_form(g, block, sub) for _ in range(longest)])
     core = square_up(F, g.nvars - d, rs.substream(12))
     entries = {}
     for idx, e in enumerate(sorted(candidates)):
-        sel = bank.selection(e)
+        sel = SliceSelection(tuple(tuple(flag[:ei]) for flag, ei in zip(flags, e)))
         pts = solve_zero_dim(F, sel.forms, rs.substream(13 + idx), opts)
         if pts:
             entries[e] = WitnessSet(F, core, sel, pts)
     if not entries:
         raise TrackingError("no candidate slice met the variety; empty collection")
-    return WitnessCollection(F, bank, entries)
+    return WitnessCollection(F, g, entries)
 
 
 def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:
-    """Exact bookkeeping: move l_{group,1} into the system, shift keys by
-    -eps_group, reuse every point verbatim.  No path is tracked."""
+    """Exact bookkeeping: move each entry's first form on `group` into the
+    system, shift keys by -eps_group, reuse every point verbatim.  No path
+    is tracked."""
     if all(e[group] == 0 for e in wc.entries):
         raise ValueError(
             f"slicing group {group} empties the variety (all keys have e_{group} = 0)"
         )
-    moved = wc.bank.forms[group][0]
     entries = {}
     for e, ws in wc.entries.items():
         if e[group] == 0:
             continue
-        ne = tuple(x - (1 if i == group else 0) for i, x in enumerate(e))
         per_group = list(ws.selection.per_group)
-        per_group[group] = per_group[group][1:]
-        entries[ne] = replace(ws, selection=SliceSelection(ne, tuple(per_group)),
-                              extra=ws.extra + (moved,))
-    return WitnessCollection(wc.system, wc.bank.drop_first(group), entries)
+        moved, *rest = per_group[group]
+        per_group[group] = tuple(rest)
+        sel = SliceSelection(tuple(per_group))
+        entries[sel.e] = replace(ws, selection=sel, extra=ws.extra + (moved,))
+    return WitnessCollection(wc.system, wc.grouping, entries)
 
 
 def track_slice_motion(
@@ -296,7 +263,7 @@ def refine(
     target_e = tuple(int(x) for x in target_e)
     if len(target_e) != new_g.k:
         raise ValueError(f"target key arity {len(target_e)}, expected {new_g.k}")
-    e = ws.selection.counts()
+    e = ws.selection.e
     ok = (
         target_e[:group] == e[:group]
         and target_e[group] + target_e[group + 1] == e[group]
@@ -320,7 +287,7 @@ def refine(
         rs.substream(99).unit_complex(), opts,
     )
     per_group[group:group + 1] = [tuple(new_first), tuple(new_second)]
-    return replace(ws, selection=SliceSelection(target_e, tuple(per_group)),
+    return replace(ws, selection=SliceSelection(tuple(per_group)),
                    points=dedupe_points([p for p in ends if p is not None]), grouping=new_g)
 
 
@@ -329,7 +296,10 @@ class CoarsenResult:
     witness: WitnessSet
     delta: int  # start paths tracked (Segre-formula count)
     converged: int
-    diverged: int
+
+    @property
+    def diverged(self) -> int:
+        return self.delta - self.converged
 
 
 def coarsen(
@@ -378,15 +348,15 @@ def coarsen(
             sources[s] = ws
     if not sources:
         raise ValueError(f"no collection entry matches any split of target {target_e}")
-    # groups other than a and b keep the same bank forms in every source
+    # groups other than a and b keep the same flag prefixes in every source
     src = next(iter(sources.values()))
     per_group = list(src.selection.per_group)
     per_group[a] = tuple(target_forms)
     del per_group[b]
-    coarse = replace(src, selection=SliceSelection(target_e, tuple(per_group)), grouping=new_g)
+    coarse = replace(src, selection=SliceSelection(tuple(per_group)), grouping=new_g)
     if e == 0:
         n = len(coarse.points)
-        return CoarsenResult(coarse, delta=n, converged=n, diverged=0)
+        return CoarsenResult(coarse, delta=n, converged=n)
 
     # the start points W_{S,T}: S of the l10 forms on group a, the rest of l01 on b
     l10 = [random_affine_form(base_g, g.blocks[a], sub.substream(i)) for i in range(e)]
@@ -414,7 +384,7 @@ def coarsen(
     )
     pts = [p for p in ends if p is not None]
     return CoarsenResult(replace(coarse, points=dedupe_points(pts)), delta=len(starts),
-                         converged=len(pts), diverged=len(starts) - len(pts))
+                         converged=len(pts))
 
 
 def coarsen_collection(
@@ -423,30 +393,27 @@ def coarsen_collection(
     rs: RandomSource,
     opts: TrackOptions = TrackOptions(),
 ) -> tuple[WitnessCollection, list[CoarsenResult]]:
-    """Coarsen every reachable key, sharing one coherent bank for the
-    merged group so the result is a proper witness collection."""
+    """Coarsen every reachable key, cutting each with a prefix of one flag
+    for the merged group so the result is a proper witness collection."""
     a, b = sorted(merge)
     new_g = wc.grouping.merge(a, b)
-    bank_sub = rs.substream(17)
-    merged_forms = [
-        random_affine_form(wc.system.grouping, new_g.blocks[a], bank_sub.substream(i))
-        for i in range(len(new_g.blocks[a]))
-    ]
-    bank_forms = list(wc.bank.forms)
-    bank_forms[a] = merged_forms
-    del bank_forms[b]
     new_keys = sorted(
         {key[:a] + (key[a] + key[b],) + key[a + 1:b] + key[b + 1:] for key in wc.entries}
     )
+    flag_sub = rs.substream(17)
+    flag = [
+        random_affine_form(wc.system.grouping, new_g.blocks[a], flag_sub.substream(i))
+        for i in range(max(key[a] for key in new_keys))
+    ]
     entries = {}
     stats = []
     for key in new_keys:
         res = coarsen(wc, (a, b), key, rs.substream(hash(key) % 10000 + 1), opts,
-                      target_forms=merged_forms[: key[a]])
+                      target_forms=flag[: key[a]])
         stats.append(res)
         if res.witness.points:
             entries[key] = res.witness
-    return WitnessCollection(wc.system, SliceBank(new_g, bank_forms), entries), stats
+    return WitnessCollection(wc.system, new_g, entries), stats
 
 
 def segre_degree(md: dict) -> int:

@@ -5,7 +5,6 @@ from multiwit import (
     PolySystem,
     Polynomial,
     VariableGrouping,
-    numerical_rank,
 )
 
 
@@ -97,15 +96,6 @@ def test_jacobian_matches_finite_differences():
         assert np.allclose(J[:, v], col, atol=1e-5)
 
 
-def test_jacobian_omit_groups():
-    g = grouping2()
-    x1, x2, y = (Polynomial.variable(g, v) for v in range(3))
-    F = PolySystem([x1 * y, x2 + y])
-    pt = np.array([1.0, 2.0, 3.0], dtype=complex)
-    J = F.jacobian(pt, omit_groups=[0])
-    assert J.shape == (2, 1)  # only the y column remains
-
-
 def test_system_calls_check_the_point_size():
     # a point with one coordinate too many would read that coordinate as the
     # constant monomial's 1
@@ -118,15 +108,13 @@ def test_system_calls_check_the_point_size():
                 method(np.ones(size, dtype=complex))
 
 
-def test_numerical_rank_known_ranks():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    assert numerical_rank(A) == 3
-    B = np.outer(A[:, 0], np.conj(A[:, 1]))
-    assert numerical_rank(B) == 1
-    assert numerical_rank(np.zeros((4, 4))) == 0
-    with pytest.raises(ValueError):
-        numerical_rank(A, rel_tol=2.0)
+def test_concat_refuses_a_form_on_another_grouping():
+    g = grouping2()
+    x1, x2, y = (Polynomial.variable(g, v) for v in range(3))
+    F = PolySystem([x1 * y])
+    assert len(F.concat([x2 + y])) == 2
+    with pytest.raises(ValueError, match="one grouping"):
+        F.concat([(x2 + y).with_grouping(g.merge(0, 1))])
 
 
 def test_with_grouping_preserves_values():

@@ -125,6 +125,14 @@ def test_bad_key_is_input_error(capsys):
     assert run(["witness", "--fixture", "cubic", "--keys", "12x"]) == EXIT_INPUT
 
 
+def test_oversized_key_is_input_error_naming_the_key(capsys):
+    for argv, key in ((["--fixture", "cubic", "--keys", "3"], "(3,)"),
+                      (["--fixture", "cubic", "--keys", "2"], "(2,)"),
+                      (["--fixture", "octahedron-fg", "--keys", "2000"], "(2, 0, 0, 0)")):
+        assert run(["witness"] + argv) == EXIT_INPUT
+        assert f"input error: key {key} does not fit" in capsys.readouterr().err
+
+
 def test_malformed_input_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.sys"
     bad.write_text("group x;\nf = x + ;\n")

@@ -3,13 +3,14 @@ import pytest
 
 from multiwit import (
     DimensionProfile,
+    IllConditionedError,
     compute_witness_collection,
     dimension_polytope,
     equidim_partition,
     local_multidimension,
     product_factorization,
 )
-from multiwit.dimension import polytope_proj_dim, slice_polytope
+from multiwit.dimension import _stable_rank, polytope_proj_dim, slice_polytope
 from multiwit.fixtures import get_fixture
 
 from conftest import rs
@@ -30,6 +31,21 @@ def test_local_multidimension_of_split_cubic(split_point):
     assert prof.dim([1]) == 1
     assert prof.dim([]) == 0
     assert prof.dim([0, 1]) == 1
+
+
+def test_stable_rank_known_ranks():
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    assert _stable_rank(A, 1e-8, "A") == 3
+    B = np.outer(A[:, 0], np.conj(A[:, 1]))
+    assert _stable_rank(B, 1e-8, "B") == 1
+    assert _stable_rank(np.zeros((4, 4)), 1e-8, "zero") == 0
+    with pytest.raises(ValueError):
+        _stable_rank(A, 2.0, "A")
+    # a singular value between the two tolerances makes the rank unstable
+    C = np.diag([1.0, 1.0, 3e-8])
+    with pytest.raises(IllConditionedError, match="rank of C is 3"):
+        _stable_rank(C, 1e-8, "C")
 
 
 def test_profile_signature_and_monotonicity():

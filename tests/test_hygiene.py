@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import collections
 import functools
 import importlib
 from pathlib import Path
@@ -97,6 +98,42 @@ def test_every_module_level_name_is_used(path):
               for name in sorted(defined - ENTRY_POINTS)
               if not any(name in refs for _, _, _, refs in statements)]
     assert not unused, (f"{path.name} defines names nothing in src/multiwit uses: "
+                        f"{', '.join(unused)}")
+
+
+# Methods nothing in src/multiwit calls, kept as the plain references that
+# tests check the compiled Jacobian and the computed witness points against.
+REFERENCE_METHODS = {"Polynomial.diff", "WitnessSet.verify"}
+
+
+def _methods() -> list[tuple[str, str, ast.FunctionDef]]:
+    """(module, Class.method, node) for every non-dunder method or property
+    of a class at module level."""
+    return [(path.name, f"{cls.name}.{node.name}", node)
+            for path in SOURCES for cls in ast.parse(path.read_text()).body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _reference_counts(tree: ast.AST) -> collections.Counter:
+    """How often each name is read as a Name or an attribute in `tree`."""
+    return collections.Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(tree) if isinstance(n, (ast.Attribute, ast.Name)))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_method_is_used(path):
+    everywhere = sum((_reference_counts(ast.parse(p.read_text())) for p in SOURCES),
+                     collections.Counter())
+    unused = [f"{qualified} (line {node.lineno})"
+              for mod, qualified, node in _methods() if mod == path.name
+              if qualified not in REFERENCE_METHODS
+              # a call from inside the method itself does not count
+              and everywhere[node.name] <= _reference_counts(node)[node.name]]
+    assert not unused, (f"{path.name} has methods nothing in src/multiwit calls: "
                         f"{', '.join(unused)}")
 
 

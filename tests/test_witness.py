@@ -7,7 +7,6 @@ from multiwit import (
     IndeterminateError,
     PolySystem,
     Polynomial,
-    SliceBank,
     SliceSelection,
     VariableGrouping,
     WitnessCollection,
@@ -64,26 +63,33 @@ def test_candidates_must_share_dimension(opts):
 def test_witness_set_row_count_invariant():
     fx = get_fixture("cubic")
     g = fx.system.grouping
-    bank = SliceBank.generate(g, rs(32))
-    sel = bank.selection((1,))
+    sub = rs(32)
+    forms = tuple(random_affine_form(g, g.blocks[0], sub) for _ in range(2))
     core = square_up(fx.system, 1, rs(33))
+    assert WitnessSet(fx.system, core, SliceSelection((forms[:1],)), []).selection.e == (1,)
     with pytest.raises(ValueError):
         # core (1) + slices (1) = 2 rows, but passing 2 slice forms makes 3
-        WitnessSet(fx.system, core, bank.selection((2,)), [])
+        WitnessSet(fx.system, core, SliceSelection((forms,)), [])
 
 
-def test_slice_bank_prefix_and_drop():
+def test_entries_take_prefixes_of_one_flag_per_group(opts):
     g = VariableGrouping.from_sizes([2, 1], ["x1", "x2", "y"])
-    bank = SliceBank.generate(g, rs(34))
-    sel = bank.selection((2, 1))
-    assert sel.counts() == (2, 1)
-    assert sel.per_group[0][0] is bank.forms[0][0]
-    dropped = bank.drop_first(0)
-    assert dropped.forms[0][0] is bank.forms[0][1]
-    with pytest.raises(ValueError):
-        bank.selection((3, 0))
-    with pytest.raises(ValueError):
-        bank.selection((1,))
+    x1, x2, y = (Polynomial.variable(g, v) for v in range(3))
+    F = PolySystem([x1 * y - x2 + y - 1])
+    wc = compute_witness_collection(F, [(2, 0), (1, 1)], rs(34), opts)
+    assert wc.multidegree_map() == {(1, 1): 1, (2, 0): 1}
+    wide, mixed = wc.entries[(2, 0)].selection, wc.entries[(1, 1)].selection
+    assert (wide.e, mixed.e) == ((2, 0), (1, 1))
+    assert mixed.per_group[0][0] is wide.per_group[0][0]
+    assert wide.per_group[0][0] is not wide.per_group[0][1]
+    # slicing moves each entry's own first form into extra
+    sliced = slice_collection(wc, 0)
+    assert sliced.entries[(1, 0)].selection.per_group[0] == wide.per_group[0][1:]
+    assert sliced.entries[(1, 0)].extra == (wide.per_group[0][0],)
+    assert sliced.entries[(0, 1)].extra == (wide.per_group[0][0],)
+    for key in [(3, 0), (1,), (2, 1), (-1, 1)]:
+        with pytest.raises(ValueError, match=rf"key \({key[0]},"):
+            compute_witness_collection(F, [key], rs(34), opts)
 
 
 def test_slice_collection_is_exact_bookkeeping(split_wc):
@@ -212,8 +218,9 @@ def test_coarsen_collection_structure(split_wc, opts):
     assert merged.multidegree_map() == {(1,): 3}
     assert len(stats) == 1
     assert stats[0].delta == stats[0].converged + stats[0].diverged
-    # the result is a proper collection: its bank supports further selections
-    assert merged.bank.grouping.k == 1
+    # the result is a proper collection on the merged grouping
+    assert merged.grouping.k == 1
+    assert all(ws.selection.e == key for key, ws in merged.entries.items())
 
 
 @pytest.fixture(scope="module")
@@ -260,10 +267,8 @@ def test_coarsened_witness_data_lives_on_the_system_grouping(split_wc, opts):
     # the sliced collection carries its sliced-away form in extra
     for source in (wc, slice_collection(wc, 1)):
         merged, _ = coarsen_collection(source, (0, 1), rs(48), opts)
-        assert merged.grouping.k == 1 and merged.bank.grouping.k == 1
+        assert merged.grouping.k == 1
         assert merged.extra == source.extra
-        for fs in merged.bank.forms:
-            assert all(f.grouping == system_g for f in fs)
         for ws in merged.entries.values():
             assert ws.grouping == merged.grouping
             assert all(f.grouping == system_g for f in ws.selection.forms + list(ws.extra))
