@@ -53,6 +53,7 @@ from .sysio import (
 )
 from .tracker import (
     Homotopy,
+    IndeterminateError,
     NonconvergenceError,
     PathResult,
     SingularJacobianError,
@@ -61,10 +62,10 @@ from .tracker import (
     newton_refine,
     track_many,
     track_path,
+    track_slice_motion,
 )
 from .witness import (
     CoarsenResult,
-    IndeterminateError,
     SliceSelection,
     WitnessCollection,
     WitnessSet,
@@ -76,7 +77,6 @@ from .witness import (
     refine,
     segre_degree,
     slice_collection,
-    track_slice_motion,
 )
 
 __version__ = "0.1.0"

@@ -24,16 +24,16 @@ from .algebra import Polynomial
 from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form
 from .tracker import (
-    NonconvergenceError,
-    SingularJacobianError,
+    IndeterminateError,
     TrackOptions,
     TrackingError,
     dedupe_points,
-    newton_refine,
     points_equal,
+    refine_endpoints,
     relative_residual,
+    track_slice_motion,
 )
-from .witness import IndeterminateError, WitnessSet, track_slice_motion
+from .witness import WitnessSet
 
 TRACE_TOL = 1e-6
 QUIET_LOOPS = 5
@@ -92,20 +92,13 @@ def monodromy_permutation(
         (loop.forms1, loop.forms2, loop.gammas[1]),
         (loop.forms2, base, loop.gammas[2]),
     ]
-    current = {i: p for i, p in enumerate(ws.points)}
+    current = dict(enumerate(ws.points))  # start index -> point, in index order
     for start_forms, target_forms, gamma in legs:
-        indices = sorted(current)
         ends = track_slice_motion(fixed, start_forms, target_forms,
-                                  [current[i] for i in indices], gamma, opts)
-        current = {i: p for i, p in zip(indices, ends) if p is not None}
-
-    full = ws.full_square_system()
-    refined = {}
-    for i, p in current.items():
-        try:
-            refined[i] = newton_refine(full, p, tol=1e-10)
-        except (SingularJacobianError, NonconvergenceError):
-            pass
+                                  list(current.values()), gamma, opts)
+        current = {i: p for i, p in zip(current, ends) if p is not None}
+    ends = refine_endpoints(ws.full_square_system(), list(current.values()))
+    refined = {i: p for i, p in zip(current, ends) if p is not None}
 
     perm: dict = {}
     new_points: list = []  # endpoints on the system that match no start point

@@ -27,8 +27,8 @@ from .dimension import (
 from .monodromy import grow_witness_set
 from .sysio import RandomSource
 from .startsys import random_affine_form, square_up
-from .tracker import TrackOptions, TrackingError, points_equal
-from .witness import IndeterminateError, SliceSelection, WitnessSet, track_slice_motion
+from .tracker import IndeterminateError, TrackOptions, TrackingError, points_equal, track_slice_motion
+from .witness import SliceSelection, WitnessSet
 
 
 def compute_slice_vector(polytope) -> tuple[tuple[int, ...], frozenset]:

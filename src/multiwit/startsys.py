@@ -17,15 +17,12 @@ import numpy as np
 from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
 from .tracker import (
-    Homotopy,
-    NonconvergenceError,
-    SingularJacobianError,
     TrackOptions,
     TrackingError,
     dedupe_points,
-    newton_refine,
+    refine_endpoints,
     relative_residual,
-    track_many,
+    track_slice_motion,
 )
 
 RESIDUAL_TOL = 1e-8  # relative residual for accepting a point on the original system
@@ -210,8 +207,9 @@ def solve_zero_dim(
 
     Squares F up to (nvars - |slices|) random combinations when
     overdetermined, appends the slices, solves by a linear-product start
-    homotopy, then keeps only deduplicated endpoints whose residual on
-    the ORIGINAL F is small.
+    homotopy under the tracker's failed-path policy (a failed start path
+    raises IndeterminateError), then keeps only deduplicated endpoints
+    whose residual on the ORIGINAL F is small.
     """
     g = F.grouping
     n = g.nvars
@@ -223,23 +221,8 @@ def solve_zero_dim(
     core = square_up(F, n - s, rs.substream(1))
     target = core.concat(list(slices))
     sp = start_package(target, rs.substream(2))
-    h = Homotopy(sp.start, target, gamma=rs.substream(3).unit_complex())
-    results = track_many(h, sp.solutions, opts)
-
-    failed = sum(1 for r in results if r.status == "failed")
-    if results and failed > len(results) / 2:
-        raise TrackingError(
-            f"{failed}/{len(results)} paths failed; homotopy appears ill-conditioned"
-        )
-
-    points = []
-    for r in results:
-        if not r.converged:
-            continue
-        try:
-            p = newton_refine(target, r.endpoint, tol=1e-10)
-        except (SingularJacobianError, NonconvergenceError):
-            continue
-        if relative_residual(F.evaluate(p), F.residual_scale(p)) < RESIDUAL_TOL:
-            points.append(p)
+    ends = track_slice_motion(None, sp.start.polys, target.polys, sp.solutions,
+                              rs.substream(3).unit_complex(), opts)
+    points = [p for p in refine_endpoints(target, ends) if p is not None
+              and relative_residual(F.evaluate(p), F.residual_scale(p)) < RESIDUAL_TOL]
     return dedupe_points(points)

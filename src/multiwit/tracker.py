@@ -13,6 +13,10 @@ corrector asks for it.  The corrector returns the evaluation of the point
 it returns, so the first RK4 stage of the next step, k1 at that same
 (x, t), reads J_x and dH/dt from it; a rejected attempt leaves (x, t) as
 it was and keeps k1, so each attempt evaluates only stages 2 to 4.
+
+Every homotopy, start systems and slice motions alike, goes through
+`track_slice_motion`, under one failed-path policy: a diverged path gives
+None, and any failed path raises IndeterminateError.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import PolySystem, _Compiled
+from .algebra import Polynomial, PolySystem, _Compiled
 
 MATCH_TOL = 1e-6  # relative distance below which two refined points are equal
 
@@ -48,6 +52,11 @@ class SingularJacobianError(TrackingError):
 
 class NonconvergenceError(TrackingError):
     pass
+
+
+class IndeterminateError(TrackingError):
+    """Paths failed, so an operation or query could not be completed
+    (never a silently short result or a silent false)."""
 
 
 @dataclass(frozen=True)
@@ -266,8 +275,45 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
 
 
 def track_many(h: Homotopy, starts: Sequence, opts: TrackOptions = TrackOptions()) -> list[PathResult]:
-    """Track a batch; results ordered by input index."""
-    return [track_path(h, s, opts) for s in starts]
+    """Track a batch; results ordered by input index.  numpy's overflow
+    warnings are off: the finiteness tests classify a diverging path."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [track_path(h, s, opts) for s in starts]
+
+
+def track_slice_motion(
+    fixed: PolySystem | None,
+    old_rows: Sequence[Polynomial],
+    new_rows: Sequence[Polynomial],
+    points: Sequence[np.ndarray],
+    gamma: complex,
+    opts: TrackOptions,
+) -> list[np.ndarray | None]:
+    """Track points of V(fixed, old_rows) to V(fixed, new_rows) along
+    [fixed; t*gamma*old_rows + (1-t)*new_rows].  Endpoints come back in the
+    order of `points`, None for a diverged path; a failed path raises
+    IndeterminateError.  With no rows in motion the points come back
+    unchanged and no path is tracked."""
+    if not old_rows and not new_rows:
+        return list(points)
+    h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), gamma=gamma, fixed=fixed)
+    results = track_many(h, points, opts)
+    failed = sum(r.status == "failed" for r in results)
+    if failed:
+        raise IndeterminateError(f"{failed} of {len(results)} paths failed")
+    return [r.endpoint for r in results]
+
+
+def refine_endpoints(system: PolySystem, ends: Sequence) -> list[np.ndarray | None]:
+    """`newton_refine` each endpoint on `system`, in order; None for a None
+    and for one whose Jacobian is singular or whose refinement stalls."""
+    refined = []
+    for p in ends:
+        try:
+            refined.append(None if p is None else newton_refine(system, p, tol=1e-10))
+        except (SingularJacobianError, NonconvergenceError):
+            refined.append(None)
+    return refined
 
 
 def points_equal(a: np.ndarray, b: np.ndarray) -> bool:

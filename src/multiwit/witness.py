@@ -13,8 +13,10 @@ Two rules keep the data simple.  Every polynomial in witness data (the
 system, its square-up, the selection and extra forms) lives on the
 system's grouping; only `WitnessSet.grouping` and
 `WitnessCollection.grouping` carry the current grouping, which refinement
-and coarsening change.  And a slice motion with no moving rows tracks no
-path: `track_slice_motion` returns its points unchanged.
+and coarsening change.  And every slice moves through
+`tracker.track_slice_motion`, under its one failed-path policy; a slice
+motion with no moving rows tracks no path and returns its points
+unchanged.
 """
 
 from __future__ import annotations
@@ -30,19 +32,14 @@ from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
 from .startsys import random_affine_form, solve_zero_dim, square_up
 from .tracker import (
-    Homotopy,
     TrackOptions,
     TrackingError,
     dedupe_points,
     points_equal,
     relative_residual,
-    track_many,
+    track_many,  # unused here; bench/selftest.py reads multiwit.witness.track_many
+    track_slice_motion,
 )
-
-
-class IndeterminateError(TrackingError):
-    """Paths failed, so an operation or query could not be completed
-    (never a silently short result or a silent false)."""
 
 
 @dataclass(frozen=True)
@@ -153,12 +150,15 @@ def compute_witness_collection(
     dims = {sum(e) for e in candidates}
     if len(dims) > 1:
         raise ValueError(f"candidates must share |e|; got {sorted(dims)}")
+    # the slices and a square-up of F make nvars rows, so |e| >= nvars - |F|
+    lowest = max(0, g.nvars - len(F))
     for e in candidates:
         if (len(e) != g.k or not all(0 <= x <= n for x, n in zip(e, g.sizes))
-                or sum(e) >= g.nvars):
+                or not lowest <= sum(e) < g.nvars):
             raise ValueError(
                 f"key {e} does not fit groups of sizes {g.sizes}: a key has one entry "
-                f"per group, at most the group's size, and a sum below {g.nvars}")
+                f"per group, at most the group's size, and a sum from {lowest} "
+                f"to {g.nvars - 1}")
     d = dims.pop()
     flags = []
     for i, block in enumerate(g.blocks):
@@ -195,34 +195,6 @@ def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:
         sel = SliceSelection(tuple(per_group))
         entries[sel.e] = replace(ws, selection=sel, extra=ws.extra + (moved,))
     return WitnessCollection(wc.system, wc.grouping, entries)
-
-
-def track_slice_motion(
-    fixed: PolySystem | None,
-    old_rows: Sequence[Polynomial],
-    new_rows: Sequence[Polynomial],
-    points: Sequence[np.ndarray],
-    gamma: complex,
-    opts: TrackOptions,
-) -> list[np.ndarray | None]:
-    """Track points of V(fixed, old_rows) to V(fixed, new_rows).
-
-    The homotopy is [fixed; t*gamma*old_rows + (1-t)*new_rows]: the system
-    stays put while only the rows in motion (slices, or coarsening's
-    bilinear products) move.  Every operation on witness data that moves
-    slices goes through here, and so does the one policy for failed paths:
-    endpoints come back in the order of `points`, None for a path that
-    diverged, and a path that neither converged nor diverged raises
-    IndeterminateError.  With no rows in motion the points come back
-    unchanged and no path is tracked."""
-    if not old_rows and not new_rows:
-        return list(points)
-    h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), gamma=gamma, fixed=fixed)
-    results = track_many(h, points, opts)
-    failed = sum(r.status == "failed" for r in results)
-    if failed:
-        raise IndeterminateError(f"{failed} of {len(results)} slice-motion paths failed")
-    return [r.endpoint for r in results]
 
 
 def move_slice(

@@ -128,7 +128,10 @@ def test_bad_key_is_input_error(capsys):
 def test_oversized_key_is_input_error_naming_the_key(capsys):
     for argv, key in ((["--fixture", "cubic", "--keys", "3"], "(3,)"),
                       (["--fixture", "cubic", "--keys", "2"], "(2,)"),
-                      (["--fixture", "octahedron-fg", "--keys", "2000"], "(2, 0, 0, 0)")):
+                      (["--fixture", "octahedron-fg", "--keys", "2000"], "(2, 0, 0, 0)"),
+                      # below the variety's dimension: too few slices to square up
+                      (["--fixture", "cubic-split", "--keys", "00"], "(0, 0)"),
+                      (["--fixture", "octahedron-fg", "--keys", "0001"], "(0, 0, 0, 1)")):
         assert run(["witness"] + argv) == EXIT_INPUT
         assert f"input error: key {key} does not fit" in capsys.readouterr().err
 

@@ -51,10 +51,15 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+# Imports a module keeps for the benchmark harness alone:
+# bench/selftest.py checks that tracing restores `multiwit.witness.track_many`.
+BENCH_READS = {"witness.py": {"track_many"}}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text())
-    used = _used_names(tree)
+    used = _used_names(tree) | BENCH_READS.get(path.name, set())
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
@@ -99,6 +104,20 @@ def test_every_module_level_name_is_used(path):
               if not any(name in refs for _, _, _, refs in statements)]
     assert not unused, (f"{path.name} defines names nothing in src/multiwit uses: "
                         f"{', '.join(unused)}")
+
+
+TRACKER_ENTRIES = {"Homotopy", "track_many", "track_path"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "tracker.py"],
+                         ids=lambda p: p.name)
+def test_only_the_tracker_tracks(path):
+    # every homotopy goes through tracker.track_slice_motion, so through its
+    # one failed-path policy
+    called = [(getattr(node.func, "id", None) or getattr(node.func, "attr", None), node.lineno)
+              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+    calls = [f"{name} (line {line})" for name, line in called if name in TRACKER_ENTRIES]
+    assert not calls, f"{path.name} tracks paths outside the tracker: {', '.join(calls)}"
 
 
 # Methods nothing in src/multiwit calls, kept as the plain references that

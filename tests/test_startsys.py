@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import multiwit.tracker
 from multiwit import (
+    IndeterminateError,
+    PathResult,
     PolySystem,
     Polynomial,
     VariableGrouping,
@@ -159,6 +162,24 @@ def test_solve_zero_dim_cubic_degree():
     slices = [random_affine_form(g, [0, 1], rs(15))]
     pts = solve_zero_dim(fx.system, slices, rs(16))
     assert len(pts) == 3
+
+
+def test_solve_zero_dim_reports_a_failed_start_path(monkeypatch):
+    # the start homotopy is under the tracker's one failed-path policy: a
+    # failed path raises, never a silently shorter solution set
+    fx = get_fixture("cubic")
+    g = fx.system.grouping
+    slices = [random_affine_form(g, [0, 1], rs(15))]
+    track_path = multiwit.tracker.track_path
+    starts = []
+
+    def second_fails(h, start, opts):
+        starts.append(start)
+        return PathResult("failed", None, 0) if len(starts) == 2 else track_path(h, start, opts)
+
+    monkeypatch.setattr(multiwit.tracker, "track_path", second_fails)
+    with pytest.raises(IndeterminateError, match="1 of 3 paths failed"):
+        solve_zero_dim(fx.system, slices, rs(16))
 
 
 def test_solve_zero_dim_rejects_underdetermined():

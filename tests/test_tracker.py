@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,17 @@ from multiwit import (
     NonconvergenceError,
     PolySystem,
     Polynomial,
+    RandomSource,
     SingularJacobianError,
     TrackOptions,
     VariableGrouping,
+    coarsen_collection,
+    compute_witness_collection,
     newton_refine,
     track_many,
     track_path,
 )
+from multiwit.fixtures import get_fixture
 from multiwit.tracker import dedupe_points, points_equal
 
 from conftest import rs
@@ -195,6 +201,38 @@ def test_tracker_hooks_seen_from_outside(monkeypatch):
     solves.clear()
     newton_refine(PolySystem([x**2 - 2]), np.array([1.4 + 0j]))
     assert solves
+
+
+def test_overflowing_predictor_warns_nothing(opts, monkeypatch):
+    # octa-chain at seed 5, draw 1: the last merge of octahedron-fh tracks a
+    # path whose RK4 stage overflows the kernel on its way to diverging; the
+    # tracker classifies the non-finite point itself, so numpy's warnings
+    # are noise and track_many silences them
+    fx = get_fixture("octahedron-fh")
+    source = RandomSource(seed=5, stream=1003)
+    wc = compute_witness_collection(fx.system, fx.default_keys, source, opts)
+    for sub in (101, 102):
+        wc, _ = coarsen_collection(wc, (0, 1), source.substream(sub), opts)
+    paths = []
+    track_path = multiwit.tracker.track_path
+
+    def recorded(*args):
+        paths.append((args, track_path(*args)))
+        return paths[-1][1]
+
+    monkeypatch.setattr(multiwit.tracker, "track_path", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        coarsen_collection(wc, (0, 1), source.substream(103), opts)
+    # each path again, alone and with numpy's warnings recorded, not raised
+    overflowed = 0
+    for args, result in paths:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone = track_path(*args)
+        overflowed += any(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert (alone.status, alone.steps_taken) == (result.status, result.steps_taken)
+    assert overflowed
 
 
 def test_newton_refine_quadratic_convergence():

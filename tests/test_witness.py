@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-import multiwit.witness
+import multiwit.tracker
 from multiwit import (
-    Homotopy,
     IndeterminateError,
     PolySystem,
     Polynomial,
@@ -19,12 +18,13 @@ from multiwit import (
     refine,
     segre_degree,
     slice_collection,
-    track_many,
+    solve_zero_dim,
+    track_slice_motion,
 )
 from multiwit.fixtures import get_fixture
 from multiwit.startsys import RESIDUAL_TOL, square_up
 from multiwit.tracker import relative_residual
-from multiwit.witness import random_affine_form, track_slice_motion
+from multiwit.witness import random_affine_form
 
 from conftest import rs
 
@@ -232,7 +232,7 @@ def octa_fh_wc(opts):
 def test_coarsen_with_no_merged_budget_tracks_no_path(octa_fh_wc, opts, monkeypatch):
     fx, wc = octa_fh_wc
     calls = []
-    monkeypatch.setattr(multiwit.witness, "track_many",
+    monkeypatch.setattr(multiwit.tracker, "track_many",
                         lambda *args: calls.append(args) or [])
     res = coarsen(wc, (0, 1), (0, 1, 1), rs(47), opts)
     assert not calls
@@ -244,21 +244,35 @@ def test_coarsen_with_no_merged_budget_tracks_no_path(octa_fh_wc, opts, monkeypa
     assert res.witness.selection.per_group[1:] == src.selection.per_group[2:]
 
 
-def test_slice_motion_paths_are_pinned(octa_fh_wc, opts):
-    # per-path (status, steps_taken) of one slice motion, as a tracker that
-    # evaluates all four RK4 stages on every attempt gives them; reusing the
-    # corrector's evaluation for k1 must not move them, and a change in the
-    # step rules or in the predictor's arithmetic would
+def test_slice_motion_paths_are_pinned(octa_fh_wc, opts, monkeypatch):
+    # per-path (status, steps_taken) of one slice motion and of one key's
+    # start homotopy, as a tracker that evaluates all four RK4 stages on
+    # every attempt gives them; reusing the corrector's evaluation for k1
+    # must not move them, nor must routing the start homotopy through
+    # track_slice_motion, and a change in the step rules or in the
+    # predictor's arithmetic would
     fx, wc = octa_fh_wc
     ws = wc.entries[(0, 0, 1, 1)]
     g = fx.system.grouping
     groups = [i for i, e in enumerate(ws.selection.e) for _ in range(e)]
     new = [random_affine_form(g, g.blocks[i], rs(35 + n)) for n, i in enumerate(groups)]
-    h = Homotopy(PolySystem(ws.selection.forms), PolySystem(new),
-                 gamma=rs(37).unit_complex(), fixed=ws.fixed_block)
-    results = track_many(h, ws.points, opts)
+    results = []
+    track_path = multiwit.tracker.track_path
+
+    def recorded(*args):
+        results.append(track_path(*args))
+        return results[-1]
+
+    monkeypatch.setattr(multiwit.tracker, "track_path", recorded)
+    track_slice_motion(ws.fixed_block, ws.selection.forms, new, ws.points,
+                       rs(37).unit_complex(), opts)
     assert [(r.status, r.steps_taken) for r in results] == \
         [("converged", 12), ("converged", 18), ("converged", 18)]
+    results.clear()
+    # the stream compute_witness_collection gave this key, the first in order
+    solve_zero_dim(fx.system, ws.selection.forms, rs(46).substream(13), opts)
+    assert [(r.status, r.steps_taken) for r in results] == \
+        [("converged", 23), ("converged", 12), ("converged", 19)]
 
 
 def test_coarsened_witness_data_lives_on_the_system_grouping(split_wc, opts):
