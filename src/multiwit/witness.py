@@ -37,7 +37,6 @@ from .tracker import (
     dedupe_points,
     points_equal,
     relative_residual,
-    track_many,  # unused here; bench/selftest.py reads multiwit.witness.track_many
     track_slice_motion,
 )
 

@@ -51,15 +51,10 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-# Imports a module keeps for the benchmark harness alone:
-# bench/selftest.py checks that tracing restores `multiwit.witness.track_many`.
-BENCH_READS = {"witness.py": {"track_many"}}
-
-
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text())
-    used = _used_names(tree) | BENCH_READS.get(path.name, set())
+    used = _used_names(tree)
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
