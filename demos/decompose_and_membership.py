@@ -9,7 +9,6 @@ import numpy as np
 
 from multiwit import (
     RandomSource,
-    TrackOptions,
     component_membership,
     compute_witness_collection,
     nid_multi,
@@ -20,11 +19,10 @@ from multiwit.fixtures import get_fixture
 def main():
     fx = get_fixture("two-lines")
     rs = RandomSource(seed=5)
-    opts = TrackOptions()
 
-    wc = compute_witness_collection(fx.system, fx.default_keys, rs, opts)
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs)
     points = list(wc.entries[(1,)].points)
-    dec = nid_multi(fx.system, points, rs.substream(1), opts)
+    dec = nid_multi(fx.system, points, rs.substream(1))
 
     print(f"{len(dec.components)} components:")
     for i, rec in enumerate(dec.components):
@@ -36,7 +34,7 @@ def main():
               np.array([0.3, 0.7], dtype=complex),
               np.array([0.3, 0.4], dtype=complex)):
         hits = [i for i, rec in enumerate(dec.components)
-                if component_membership(rec, q, opts)]
+                if component_membership(rec, q)]
         print(f"point {q.real}: on components {hits or 'none'}")
 
 

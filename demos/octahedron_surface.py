@@ -9,7 +9,6 @@ homotopy, and reports the path accounting for each merged key.
 
 from multiwit import (
     RandomSource,
-    TrackOptions,
     coarsen_collection,
     compute_witness_collection,
     segre_degree,
@@ -26,13 +25,12 @@ def show(tag, md):
 def main():
     fx = get_fixture("octahedron-fg")
     rs = RandomSource(seed=7)
-    opts = TrackOptions()
 
-    wc = compute_witness_collection(fx.system, fx.default_keys, rs, opts)
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs)
     show("multidegrees over C_x x C_y x C_z x C_w:", wc.multidegree_map())
     print("degree under the Segre embedding:", segre_degree(wc.multidegree_map()))
 
-    merged, stats = coarsen_collection(wc, (2, 3), rs.substream(1), opts)
+    merged, stats = coarsen_collection(wc, (2, 3), rs.substream(1))
     show("after merging z and w:", merged.multidegree_map())
     print("path accounting (delta = converged + diverged):")
     for res in stats:

@@ -6,7 +6,6 @@ C_x x C_y and certifies completeness with monodromy and the trace test.
 
 from multiwit import (
     RandomSource,
-    TrackOptions,
     breakup,
     compute_witness_collection,
     parse_system,
@@ -21,12 +20,11 @@ f = y^2 - x^3 + 3*x - 1;
 def main():
     F = parse_system(SOURCE).system
     rs = RandomSource(seed=42)
-    opts = TrackOptions()
 
     # The curve has dimension 1, so its keys e satisfy |e| = 1.  Key (1,0)
     # slices with a generic affine form in x alone (2 points), key (0,1)
     # with one in y alone (3 points).
-    wc = compute_witness_collection(F, [(1, 0), (0, 1)], rs, opts)
+    wc = compute_witness_collection(F, [(1, 0), (0, 1)], rs)
     print("multidegree map:", wc.multidegree_map())
 
     ws = wc.entries[(0, 1)]
@@ -36,7 +34,7 @@ def main():
 
     # Monodromy + trace: the cubic is irreducible, so the 3 points form
     # one certified orbit.
-    state = breakup(ws, rs.substream(2), opts)
+    state = breakup(ws, rs.substream(2))
     print("orbit sizes:", [len(part) for part in state.partition])
     print("certified:", state.certified)
 

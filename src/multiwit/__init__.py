@@ -57,7 +57,6 @@ from .tracker import (
     NonconvergenceError,
     PathResult,
     SingularJacobianError,
-    TrackOptions,
     TrackingError,
     newton_refine,
     track_many,

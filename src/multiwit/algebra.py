@@ -61,8 +61,15 @@ class VariableGrouping:
     def nvars(self) -> int:
         return len(self.names)
 
+    def check_group(self, i: int) -> None:
+        """Raise ValueError naming i unless it is a group index, 0..k-1."""
+        if not 0 <= i < self.k:
+            raise ValueError(f"group index {i} is not in 0..{self.k - 1}")
+
     def merge(self, a: int, b: int) -> "VariableGrouping":
         """Merge group b into group a; the merged group keeps position a."""
+        self.check_group(a)
+        self.check_group(b)
         if a == b:
             raise ValueError("cannot merge a group with itself")
         a, b = min(a, b), max(a, b)
@@ -75,6 +82,7 @@ class VariableGrouping:
     def split(self, group: int, first_part: Sequence[int]) -> "VariableGrouping":
         """Split one group in two; first_part lists variable indices kept in
         the first half, the rest form a new group inserted right after."""
+        self.check_group(group)
         first = tuple(first_part)
         block = self.blocks[group]
         if not first or not set(first) < set(block):

@@ -15,17 +15,16 @@ import numpy as np
 
 from . import fixtures as fixture_mod
 from .dimension import (
-    RANK_TOL,
     IllConditionedError,
     dimension_polytope,
     equidim_partition,
     product_factorization,
 )
-from .monodromy import TRACE_TOL, trace_test
+from .monodromy import trace_test
 from .nid import nid_multi
 from .startsys import complete_intersection_class
 from .sysio import DEFAULT_SEED, ParseError, RandomSource, _encode, parse_system
-from .tracker import NEWTON_TOL, TrackOptions, TrackingError
+from .tracker import TrackingError
 from .witness import (
     coarsen_collection,
     compute_witness_collection,
@@ -98,11 +97,7 @@ def _load_system(args):
     raise InputError("need --fixture NAME or --input PATH")
 
 
-def _options(args) -> TrackOptions:
-    return TrackOptions(newton_tol=args.tol_track)
-
-
-def _witness_collection(args, opts):
+def _witness_collection(args):
     F, default_keys = _load_system(args)
     if args.keys:
         keys = _parse_keys(args.keys, F.grouping.k)
@@ -111,12 +106,11 @@ def _witness_collection(args, opts):
     else:
         raise InputError("no --keys given and the input has no default keys")
     rs = RandomSource(seed=args.seed)
-    return compute_witness_collection(F, keys, rs, opts)
+    return compute_witness_collection(F, keys, rs)
 
 
 def cmd_witness(args) -> dict:
-    opts = _options(args)
-    wc = _witness_collection(args, opts)
+    wc = _witness_collection(args)
     return {
         "dim": wc.dim,
         "degree_map": {_key_str(e): n for e, n in wc.multidegree_map().items()},
@@ -124,10 +118,9 @@ def cmd_witness(args) -> dict:
 
 
 def cmd_dim(args) -> dict:
-    opts = _options(args)
-    wc = _witness_collection(args, opts)
+    wc = _witness_collection(args)
     points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
-    classes = equidim_partition(wc.system, points, args.tol_rank)
+    classes = equidim_partition(wc.system, points)
     rows = []
     for profile, pts in classes:
         polytope = dimension_polytope(profile, wc.system.grouping.sizes)
@@ -142,8 +135,7 @@ def cmd_dim(args) -> dict:
 
 
 def cmd_slice(args) -> dict:
-    opts = _options(args)
-    wc = _witness_collection(args, opts)
+    wc = _witness_collection(args)
     sliced = slice_collection(wc, args.group)
     return {
         "group": args.group,
@@ -152,39 +144,38 @@ def cmd_slice(args) -> dict:
 
 
 def cmd_refine(args) -> dict:
-    opts = _options(args)
     try:
         group_s, size_s = args.split.split(":")
         split = (int(group_s), int(size_s))
     except ValueError:
         raise InputError("--split must look like GROUP:FIRST_SIZE") from None
-    wc = _witness_collection(args, opts)
+    wc = _witness_collection(args)
     group, first = split
+    wc.grouping.check_group(group)
     rs = RandomSource(seed=args.seed, stream=3)
     out = {}
     for e, ws in sorted(wc.entries.items()):
         budget = e[group]
         for left in range(budget + 1):
             target = e[:group] + (left, budget - left) + e[group + 1:]
-            refined = refine(ws, split, target, rs.substream(hash((e, left)) % 9999), opts)
+            refined = refine(ws, split, target, rs.substream(hash((e, left)) % 9999))
             if refined.points:
                 out[_key_str(target)] = len(refined.points)
     return {"split": list(split), "degree_map": out}
 
 
 def cmd_coarsen(args) -> dict:
-    opts = _options(args)
     try:
         merges = [tuple(int(x) for x in m.split(":")) for m in args.merge.split(",")]
         if any(len(m) != 2 for m in merges):
             raise ValueError
     except ValueError:
         raise InputError("--merge must look like A:B[,A:B...] (group indices)") from None
-    wc = _witness_collection(args, opts)
+    wc = _witness_collection(args)
     rs = RandomSource(seed=args.seed, stream=5)
     runs = []
     for mi, merge in enumerate(merges):
-        wc, stats = coarsen_collection(wc, merge, rs.substream(mi), opts)
+        wc, stats = coarsen_collection(wc, merge, rs.substream(mi))
         runs.append({
             "merge": list(merge),
             "paths": [
@@ -200,30 +191,26 @@ def cmd_coarsen(args) -> dict:
 
 
 def cmd_member(args) -> dict:
-    opts = _options(args)
-    wc = _witness_collection(args, opts)
+    wc = _witness_collection(args)
     if not args.point:
         raise InputError("member needs --point")
     point = _parse_point(args.point, wc.system.grouping.nvars)
     rs = RandomSource(seed=args.seed, stream=7)
-    return {"member": bool(membership(wc, point, rs, opts))}
+    return {"member": bool(membership(wc, point, rs))}
 
 
 def cmd_trace(args) -> dict:
-    opts = _options(args)
-    wc = _witness_collection(args, opts)
+    wc = _witness_collection(args)
     key, ws = sorted(wc.entries.items())[0]
-    ok = trace_test(ws, ws.points, RandomSource(seed=args.seed, stream=9), opts,
-                    trace_tol=args.tol_trace)
+    ok = trace_test(ws, ws.points, RandomSource(seed=args.seed, stream=9))
     return {"key": _key_str(key), "complete": bool(ok)}
 
 
 def cmd_decompose(args) -> dict:
-    opts = _options(args)
-    wc = _witness_collection(args, opts)
+    wc = _witness_collection(args)
     points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
     rs = RandomSource(seed=args.seed, stream=13)
-    dec = nid_multi(wc.system, points, rs, opts, args.tol_rank)
+    dec = nid_multi(wc.system, points, rs)
     comps = []
     for ci, rec in enumerate(dec.components):
         size = sum(1 for v in dec.assignment.values() if v == ci)
@@ -239,8 +226,7 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_segre(args) -> dict:
-    opts = _options(args)
-    wc = _witness_collection(args, opts)
+    wc = _witness_collection(args)
     return {"segre_degree": segre_degree(wc.multidegree_map())}
 
 
@@ -264,6 +250,8 @@ def cmd_class(args) -> dict:
     out = {"class": {_key_str(e): c for e, c in sorted(cls.items())}}
     if args.group is not None:
         i = args.group
+        if not 0 <= i < len(nvec):
+            raise InputError(f"group index {i} is not in 0..{len(nvec) - 1}")
         sliced = {}
         for e, c in cls.items():
             if e[i] == 0:
@@ -302,9 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="system file in the input grammar")
         sp.add_argument("--keys", help="witness keys, e.g. 1100,1010")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--tol-rank", type=float, default=RANK_TOL)
-        sp.add_argument("--tol-track", type=float, default=NEWTON_TOL)
-        sp.add_argument("--tol-trace", type=float, default=TRACE_TOL)
         sp.add_argument("--extended", action="store_true",
                         help="allow long-running extended fixtures")
         sp.add_argument("--output", help="write JSON here instead of stdout")

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import PolySystem
 
 MAX_GROUPS = 16
-RANK_TOL = 1e-8  # default relative tolerance of a numerical rank
+RANK_TOL = 1e-8  # relative tolerance of a numerical rank
 
 
 class IllConditionedError(RuntimeError):
@@ -53,24 +53,20 @@ class DimensionProfile:
         return True
 
 
-def _stable_rank(M: np.ndarray, rel_tol: float, what: str) -> int:
-    """Count of singular values of M above rel_tol times the largest; the
-    count at 10 * rel_tol, read off the same SVD, must agree."""
-    if not 0 < rel_tol < 1:
-        raise ValueError("rel_tol must lie in (0,1)")
+def _stable_rank(M: np.ndarray, what: str) -> int:
+    """Count of singular values of M above RANK_TOL times the largest; the
+    count at 10 * RANK_TOL, read off the same SVD, must agree."""
     s = np.linalg.svd(M, compute_uv=False)
-    r1, r2 = (int(np.count_nonzero(s > tol * s[0])) for tol in (rel_tol, min(10 * rel_tol, 0.5)))
+    r1, r2 = (int(np.count_nonzero(s > tol * s[0])) for tol in (RANK_TOL, 10 * RANK_TOL))
     if r1 != r2:
         raise IllConditionedError(
-            f"rank of {what} is {r1} at tol {rel_tol:g} but {r2} at {10 * rel_tol:g}; "
+            f"rank of {what} is {r1} at tol {RANK_TOL:g} but {r2} at {10 * RANK_TOL:g}; "
             "the point does not look general"
         )
     return r1
 
 
-def local_multidimension(
-    F: PolySystem, point, rel_tol: float = RANK_TOL
-) -> DimensionProfile:
+def local_multidimension(F: PolySystem, point) -> DimensionProfile:
     """Dimension profile of the component of V(F) through a smooth point."""
     g = F.grouping
     k = g.k
@@ -79,7 +75,7 @@ def local_multidimension(
     point = np.asarray(point, dtype=complex)
     J = F.jacobian(point)
     n = g.nvars
-    rank_full = _stable_rank(J, rel_tol, "DF")
+    rank_full = _stable_rank(J, "DF")
     ker_full = n - rank_full
     total = ker_full
 
@@ -89,7 +85,7 @@ def local_multidimension(
             Ic_cols = [v for i in range(k) if i not in I for v in g.blocks[i]]
             sub = J[:, sorted(Ic_cols)]
             cols = len(Ic_cols)
-            rank_sub = _stable_rank(sub, rel_tol, f"DF restricted to complement of {I}")
+            rank_sub = _stable_rank(sub, f"DF restricted to complement of {I}")
             ker_sub = cols - rank_sub
             proj[frozenset(I)] = ker_full - ker_sub
     profile = DimensionProfile(total_dim=total, proj_dims=proj, k=k)
@@ -145,7 +141,7 @@ def polytope_proj_dim(points, I) -> int:
     return max(sum(e[i] for i in I) for e in points)
 
 
-def equidim_partition(F: PolySystem, points: Sequence, rel_tol: float = RANK_TOL) -> list:
+def equidim_partition(F: PolySystem, points: Sequence) -> list:
     """Partition points by equal dimension profile.
 
     Returns a list of (profile, point list) pairs, in order of first
@@ -153,7 +149,7 @@ def equidim_partition(F: PolySystem, points: Sequence, rel_tol: float = RANK_TOL
     order = []
     groups: dict = {}
     for p in points:
-        prof = local_multidimension(F, p, rel_tol)
+        prof = local_multidimension(F, p)
         sig = prof.signature()
         if sig not in groups:
             groups[sig] = (prof, [])

@@ -25,7 +25,6 @@ from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form
 from .tracker import (
     IndeterminateError,
-    TrackOptions,
     TrackingError,
     dedupe_points,
     points_equal,
@@ -81,9 +80,7 @@ class MonodromyOutcome:
     new_points: list
 
 
-def monodromy_permutation(
-    ws: WitnessSet, loop: LoopSpec, opts: TrackOptions = TrackOptions()
-) -> MonodromyOutcome:
+def monodromy_permutation(ws: WitnessSet, loop: LoopSpec) -> MonodromyOutcome:
     """Track every witness point around the loop and read off the permutation."""
     fixed = ws.fixed_block
     base = ws.selection.forms
@@ -95,7 +92,7 @@ def monodromy_permutation(
     current = dict(enumerate(ws.points))  # start index -> point, in index order
     for start_forms, target_forms, gamma in legs:
         ends = track_slice_motion(fixed, start_forms, target_forms,
-                                  list(current.values()), gamma, opts)
+                                  list(current.values()), gamma)
         current = {i: p for i, p in zip(current, ends) if p is not None}
     ends = refine_endpoints(ws.full_square_system(), list(current.values()))
     refined = {i: p for i, p in zip(current, ends) if p is not None}
@@ -126,16 +123,10 @@ def monodromy_permutation(
     return MonodromyOutcome(perm, dedupe_points(new_points))
 
 
-def trace_test(
-    ws: WitnessSet,
-    part: list,
-    rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
-    trace_tol: float = TRACE_TOL,
-) -> bool:
+def trace_test(ws: WitnessSet, part: list, rs: RandomSource) -> bool:
     """Linear trace: translate the one slice form l of `ws` along l + s*c,
     c a random constant, over ws.fixed_block and check the centroid of the
-    part moves affinely in s.
+    part moves affinely in s, to a relative TRACE_TOL.
 
     Only meaningful on affine-slice data (a single moving form); the
     multiprojective analogue is unsound and deliberately not offered."""
@@ -153,14 +144,14 @@ def trace_test(
     centroids = [np.mean(part, axis=0)]
     for s in s_values:
         # gamma = 1 keeps the slice motion affine in t, which the trace needs
-        ends = track_slice_motion(ws.fixed_block, forms, [forms[0] + s * pencil], part, 1.0, opts)
+        ends = track_slice_motion(ws.fixed_block, forms, [forms[0] + s * pencil], part, 1.0)
         if any(p is None for p in ends):
             raise IndeterminateError("a trace test path diverged; result indeterminate")
         centroids.append(np.mean(ends, axis=0))
     v1 = (centroids[1] - centroids[0]) / s_values[0]
     v2 = (centroids[2] - centroids[0]) / s_values[1]
     scale = max(1.0, float(np.linalg.norm(v1)), float(np.linalg.norm(v2)))
-    return bool(np.linalg.norm(v1 - v2) < trace_tol * scale)
+    return bool(np.linalg.norm(v1 - v2) < TRACE_TOL * scale)
 
 
 @dataclass
@@ -192,11 +183,7 @@ def _orbit_groups(partition: list, permutation: dict) -> list:
     return list(groups.values())
 
 
-def breakup(
-    ws: WitnessSet,
-    rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
-) -> MonodromyState:
+def breakup(ws: WitnessSet, rs: RandomSource) -> MonodromyState:
     """Partition a complete witness point set by monodromy orbits, and
     certify parts with the trace test where it applies (one moving form).
 
@@ -223,7 +210,7 @@ def breakup(
             if part not in verdicts:
                 try:
                     verdicts[part] = trace_test(ws, [points[i] for i in part],
-                                                rs.substream(5000 + part[0]), opts)
+                                                rs.substream(5000 + part[0]))
                 except IndeterminateError:
                     verdicts[part] = None
         return [verdicts[tuple(part)] for part in partition]
@@ -236,7 +223,7 @@ def breakup(
         loop = random_loop(ws, rs.substream(1000 + loops))
         loops += 1
         try:
-            outcome = monodromy_permutation(ws, loop, opts)
+            outcome = monodromy_permutation(ws, loop)
         except (MatchAmbiguityError, IndeterminateError):
             continue
         if outcome.new_points:
@@ -274,11 +261,7 @@ def breakup(
     )
 
 
-def grow_witness_set(
-    ws: WitnessSet,
-    rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
-) -> tuple[WitnessSet, bool]:
+def grow_witness_set(ws: WitnessSet, rs: RandomSource) -> tuple[WitnessSet, bool]:
     """Grow a partial witness point set of an affine curve (one moving form)
     by monodromy.
 
@@ -295,7 +278,7 @@ def grow_witness_set(
         current = replace(ws, points=points)
         loop = random_loop(current, rs.substream(2000 + loops))
         try:
-            outcome = monodromy_permutation(current, loop, opts)
+            outcome = monodromy_permutation(current, loop)
         except (MatchAmbiguityError, IndeterminateError):
             loops += 1
             continue
@@ -306,7 +289,7 @@ def grow_witness_set(
             continue
         quiet += 1
         try:
-            if trace_test(current, points, rs.substream(3000 + loops), opts):
+            if trace_test(current, points, rs.substream(3000 + loops)):
                 return current, True
         except IndeterminateError:
             pass

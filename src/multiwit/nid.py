@@ -17,7 +17,6 @@ import numpy as np
 
 from .algebra import Polynomial, PolySystem, VariableGrouping
 from .dimension import (
-    RANK_TOL,
     DimensionProfile,
     dimension_polytope,
     equidim_partition,
@@ -27,7 +26,7 @@ from .dimension import (
 from .monodromy import grow_witness_set
 from .sysio import RandomSource
 from .startsys import random_affine_form, square_up
-from .tracker import IndeterminateError, TrackOptions, TrackingError, points_equal, track_slice_motion
+from .tracker import IndeterminateError, TrackingError, points_equal, track_slice_motion
 from .witness import SliceSelection, WitnessSet
 
 
@@ -111,7 +110,6 @@ def build_component(
     p: np.ndarray,
     profile: DimensionProfile,
     rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
 ) -> ComponentRecord:
     """Reduce the component through p to a certified irreducible affine curve."""
     g = F.grouping
@@ -142,7 +140,7 @@ def build_component(
     core = square_up(F, g.nvars - len(L) - 1, rs.substream(62))
     curve_g = VariableGrouping.from_sizes([g.nvars], g.names)
     ws = WitnessSet(F, core, SliceSelection(((ell0,),)), [p], grouping=curve_g, extra=L)
-    grown, stable = grow_witness_set(ws, rs.substream(63), opts)
+    grown, stable = grow_witness_set(ws, rs.substream(63))
     return ComponentRecord(
         profile=profile,
         polytope=polytope,
@@ -154,32 +152,21 @@ def build_component(
     )
 
 
-def component_membership(
-    rec: ComponentRecord,
-    q,
-    opts: TrackOptions = TrackOptions(),
-    gamma: complex = 1.0,
-) -> bool:
+def component_membership(rec: ComponentRecord, q, gamma: complex = 1.0) -> bool:
     """Move the curve's linear system from vanishing at p to vanishing at q
     and look for q among the tracked endpoints."""
     q = np.asarray(q, dtype=complex)
     ws = rec.curve_witness
     old_forms = list(ws.extra) + ws.selection.forms
     new_forms = [form - complex(form.evaluate(q)) for form in old_forms]
-    ends = track_slice_motion(ws.sq_core, old_forms, new_forms, ws.points, gamma, opts)
+    ends = track_slice_motion(ws.sq_core, old_forms, new_forms, ws.points, gamma)
     return any(p is not None and points_equal(p, q) for p in ends)
 
 
-def nid_multi(
-    F: PolySystem,
-    W,
-    rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
-    rel_tol: float = RANK_TOL,
-) -> Decomposition:
+def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
     """Sort general smooth points of V(F) into irreducible components."""
     W = [np.asarray(p, dtype=complex) for p in W]
-    classes = equidim_partition(F, W, rel_tol)
+    classes = equidim_partition(F, W)
     index_of = {id(p): i for i, p in enumerate(W)}
     components: list[ComponentRecord] = []
     assignment: dict = {}
@@ -189,14 +176,12 @@ def nid_multi(
         remaining = list(pts)
         while remaining:
             p = remaining[0]
-            rec = build_component(
-                F, p, profile, rs.substream(7000 + 13 * comp_counter), opts
-            )
+            rec = build_component(F, p, profile, rs.substream(7000 + 13 * comp_counter))
             members = [p]
             rest = []
             for q in remaining[1:]:
                 try:
-                    if component_membership(rec, q, opts,
+                    if component_membership(rec, q,
                                             gamma=rs.substream(comp_counter * 31 + 5).unit_complex()):
                         members.append(q)
                     else:

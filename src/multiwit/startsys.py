@@ -17,7 +17,6 @@ import numpy as np
 from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
 from .tracker import (
-    TrackOptions,
     TrackingError,
     dedupe_points,
     refine_endpoints,
@@ -201,7 +200,6 @@ def solve_zero_dim(
     F: PolySystem,
     slices: Sequence[Polynomial],
     rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
 ) -> list[np.ndarray]:
     """Isolated nonsingular solutions of V(F) intersected with V(slices).
 
@@ -222,7 +220,7 @@ def solve_zero_dim(
     target = core.concat(list(slices))
     sp = start_package(target, rs.substream(2))
     ends = track_slice_motion(None, sp.start.polys, target.polys, sp.solutions,
-                              rs.substream(3).unit_complex(), opts)
+                              rs.substream(3).unit_complex())
     points = [p for p in refine_endpoints(target, ends) if p is not None
               and relative_residual(F.evaluate(p), F.residual_scale(p)) < RESIDUAL_TOL]
     return dedupe_points(points)

@@ -30,9 +30,10 @@ from .algebra import Polynomial, PolySystem, _Compiled
 
 MATCH_TOL = 1e-6  # relative distance below which two refined points are equal
 
-# Path-tracking settings; callers set only the corrector tolerance, through
-# TrackOptions.newton_tol.
-NEWTON_TOL = 1e-8  # default corrector tolerance (relative residual)
+# Module constants that no caller sets: NEWTON_TOL to MAX_STEPS govern path
+# tracking, REFINE_TOL and REFINE_ITERS `newton_refine`.  A looser corrector
+# would buy speed with path jumps.
+NEWTON_TOL = 1e-8  # corrector tolerance (relative residual)
 MAX_NEWTON_ITERS = 3  # corrector iterations per step
 INITIAL_STEP = 0.05
 MIN_STEP = 1e-14  # a path whose step halves below this ends
@@ -40,6 +41,8 @@ MAX_STEP = 0.1
 DIVERGENCE_NORM = 1e8  # an accepted point this far out has diverged
 END_TOL = 1e-9  # relative residual of the t = 0 sharpening
 MAX_STEPS = 20000  # accepted steps per path
+REFINE_TOL = 1e-10  # relative residual `newton_refine` must reach
+REFINE_ITERS = 20  # Newton iterations of `newton_refine`
 
 
 class TrackingError(RuntimeError):
@@ -57,15 +60,6 @@ class NonconvergenceError(TrackingError):
 class IndeterminateError(TrackingError):
     """Paths failed, so an operation or query could not be completed
     (never a silently short result or a silent false)."""
-
-
-@dataclass(frozen=True)
-class TrackOptions:
-    newton_tol: float = NEWTON_TOL
-
-    def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
 
 
 @dataclass
@@ -160,15 +154,15 @@ def _newton(evaluate, x: np.ndarray, tol: float, max_iters: int,
     return x, relative_residual(ev[0], ev[1]), ev
 
 
-def newton_refine(system: PolySystem, point, tol: float = 1e-10,
-                  max_iters: int = 20) -> np.ndarray:
-    """Sharpen a root of a square system by Newton iteration."""
+def newton_refine(system: PolySystem, point) -> np.ndarray:
+    """Sharpen a root of a square system by Newton iteration, to a relative
+    residual below REFINE_TOL in at most REFINE_ITERS steps."""
     x = np.asarray(point, dtype=complex).copy()
     if len(system) != x.size:
         raise ValueError("newton_refine needs a square system")
-    x, res, _ = _newton(lambda p: system.kernel(p, scaled=True), x, tol, max_iters,
+    x, res, _ = _newton(lambda p: system.kernel(p, scaled=True), x, REFINE_TOL, REFINE_ITERS,
                         check_singular=True)
-    if res < tol:
+    if res < REFINE_TOL:
         return x
     raise NonconvergenceError(
         f"Newton refinement stalled at relative residual {res:.3e}"
@@ -191,12 +185,12 @@ def _slope(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
     return np.linalg.solve(J, dhdt)
 
 
-def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) -> PathResult:
+def track_path(h: Homotopy, start_point) -> PathResult:
     if h.rows != h.nvars:
         raise ValueError(f"homotopy is {h.rows}x{h.nvars}, tracking needs a square one")
     x = np.asarray(start_point, dtype=complex).copy()
-    x, residual, ev = _newton_at(h, x, 1.0, opts.newton_tol, MAX_NEWTON_ITERS)
-    if not residual < opts.newton_tol:
+    x, residual, ev = _newton_at(h, x, 1.0, NEWTON_TOL, MAX_NEWTON_ITERS)
+    if not residual < NEWTON_TOL:
         return PathResult("failed", None, 0)
 
     t = 1.0
@@ -232,8 +226,8 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
 
         accepted = False
         if predicted_ok:
-            xc, residual, ev_c = _newton_at(h, xp, t - dt, opts.newton_tol, MAX_NEWTON_ITERS)
-            if residual < opts.newton_tol:
+            xc, residual, ev_c = _newton_at(h, xp, t - dt, NEWTON_TOL, MAX_NEWTON_ITERS)
+            if residual < NEWTON_TOL:
                 x, ev, k1 = xc, ev_c, None
                 t = t - dt
                 steps += 1
@@ -274,11 +268,11 @@ def track_path(h: Homotopy, start_point, opts: TrackOptions = TrackOptions()) ->
     return PathResult("failed", None, steps)
 
 
-def track_many(h: Homotopy, starts: Sequence, opts: TrackOptions = TrackOptions()) -> list[PathResult]:
+def track_many(h: Homotopy, starts: Sequence) -> list[PathResult]:
     """Track a batch; results ordered by input index.  numpy's overflow
     warnings are off: the finiteness tests classify a diverging path."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return [track_path(h, s, opts) for s in starts]
+        return [track_path(h, s) for s in starts]
 
 
 def track_slice_motion(
@@ -287,7 +281,6 @@ def track_slice_motion(
     new_rows: Sequence[Polynomial],
     points: Sequence[np.ndarray],
     gamma: complex,
-    opts: TrackOptions,
 ) -> list[np.ndarray | None]:
     """Track points of V(fixed, old_rows) to V(fixed, new_rows) along
     [fixed; t*gamma*old_rows + (1-t)*new_rows].  Endpoints come back in the
@@ -297,7 +290,7 @@ def track_slice_motion(
     if not old_rows and not new_rows:
         return list(points)
     h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), gamma=gamma, fixed=fixed)
-    results = track_many(h, points, opts)
+    results = track_many(h, points)
     failed = sum(r.status == "failed" for r in results)
     if failed:
         raise IndeterminateError(f"{failed} of {len(results)} paths failed")
@@ -310,7 +303,7 @@ def refine_endpoints(system: PolySystem, ends: Sequence) -> list[np.ndarray | No
     refined = []
     for p in ends:
         try:
-            refined.append(None if p is None else newton_refine(system, p, tol=1e-10))
+            refined.append(None if p is None else newton_refine(system, p))
         except (SingularJacobianError, NonconvergenceError):
             refined.append(None)
     return refined

@@ -30,9 +30,8 @@ import numpy as np
 
 from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
-from .startsys import random_affine_form, solve_zero_dim, square_up
+from .startsys import RESIDUAL_TOL, random_affine_form, solve_zero_dim, square_up
 from .tracker import (
-    TrackOptions,
     TrackingError,
     dedupe_points,
     points_equal,
@@ -97,10 +96,12 @@ class WitnessSet:
     def full_square_system(self) -> PolySystem:
         return self.fixed_block.concat(self.selection.forms)
 
-    def verify(self, tol: float = 1e-8) -> bool:
+    def verify(self) -> bool:
+        """Every point satisfies the system, the extra forms and the slices
+        to a relative residual below RESIDUAL_TOL."""
         full = self.system.concat(list(self.extra) + self.selection.forms)
         return all(
-            relative_residual(full.evaluate(p), full.residual_scale(p)) < tol
+            relative_residual(full.evaluate(p), full.residual_scale(p)) < RESIDUAL_TOL
             for p in self.points
         )
 
@@ -137,7 +138,6 @@ def compute_witness_collection(
     F: PolySystem,
     candidates: Sequence[Sequence[int]],
     rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
 ) -> WitnessCollection:
     """Solve F against L^e for every candidate e (all of equal |e|).
 
@@ -168,7 +168,7 @@ def compute_witness_collection(
     entries = {}
     for idx, e in enumerate(sorted(candidates)):
         sel = SliceSelection(tuple(tuple(flag[:ei]) for flag, ei in zip(flags, e)))
-        pts = solve_zero_dim(F, sel.forms, rs.substream(13 + idx), opts)
+        pts = solve_zero_dim(F, sel.forms, rs.substream(13 + idx))
         if pts:
             entries[e] = WitnessSet(F, core, sel, pts)
     if not entries:
@@ -180,6 +180,7 @@ def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:
     """Exact bookkeeping: move each entry's first form on `group` into the
     system, shift keys by -eps_group, reuse every point verbatim.  No path
     is tracked."""
+    wc.grouping.check_group(group)
     if all(e[group] == 0 for e in wc.entries):
         raise ValueError(
             f"slicing group {group} empties the variety (all keys have e_{group} = 0)"
@@ -199,7 +200,6 @@ def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:
 def move_slice(
     ws: WitnessSet,
     new_forms: Sequence[Polynomial],
-    opts: TrackOptions = TrackOptions(),
     gamma: complex = 1.0,
 ) -> WitnessSet:
     """Track the points as the slice forms move along a convex combination."""
@@ -207,7 +207,7 @@ def move_slice(
     new_forms = [f.with_grouping(ws.system.grouping) for f in new_forms]
     if len(new_forms) != len(old):
         raise ValueError(f"{len(new_forms)} new forms for {len(old)} slice rows")
-    ends = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, gamma, opts)
+    ends = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, gamma)
     return replace(ws, selection=ws.selection.replace_forms(new_forms),
                    points=dedupe_points([p for p in ends if p is not None]))
 
@@ -217,7 +217,6 @@ def refine(
     split: tuple[int, int],
     target_e: Sequence[int],
     rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
 ) -> WitnessSet:
     """Transform a witness set when one group splits into two.
 
@@ -227,6 +226,7 @@ def refine(
     """
     group, first_size = split
     g = ws.grouping
+    g.check_group(group)
     block = g.blocks[group]
     if not 0 < first_size < len(block):
         raise ValueError("first part must be a proper nonempty subpart of the group")
@@ -255,7 +255,7 @@ def refine(
     others = [f for i, fs in enumerate(per_group) if i != group for f in fs]
     ends = track_slice_motion(
         ws.fixed_block.concat(others), per_group[group], new_first + new_second, ws.points,
-        rs.substream(99).unit_complex(), opts,
+        rs.substream(99).unit_complex(),
     )
     per_group[group:group + 1] = [tuple(new_first), tuple(new_second)]
     return replace(ws, selection=SliceSelection(tuple(per_group)),
@@ -278,7 +278,6 @@ def coarsen(
     merge: tuple[int, int],
     target_e: Sequence[int],
     rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
     target_forms: Sequence[Polynomial] | None = None,
 ) -> CoarsenResult:
     """Transform witness data when two groups merge into one.
@@ -339,7 +338,7 @@ def coarsen(
             moving = list(ws.selection.per_group)
             moving[a] = [l10[i] for i in S]
             moving[b] = [l01[i] for i in range(e) if i not in S]
-            moved = move_slice(ws, [f for fs in moving for f in fs], opts, gamma)
+            moved = move_slice(ws, [f for fs in moving for f in fs], gamma)
             if len(moved.points) != len(ws.points):
                 raise TrackingError(
                     f"building W_(S,T) for key {ws.selection.e} lost "
@@ -351,7 +350,7 @@ def coarsen(
     products = [l10[i] * l01[i] for i in range(e)]
     ends = track_slice_motion(
         src.fixed_block.concat(rest), products, target_forms, starts,
-        sub.substream(1234).unit_complex(), opts,
+        sub.substream(1234).unit_complex(),
     )
     pts = [p for p in ends if p is not None]
     return CoarsenResult(replace(coarse, points=dedupe_points(pts)), delta=len(starts),
@@ -362,7 +361,6 @@ def coarsen_collection(
     wc: WitnessCollection,
     merge: tuple[int, int],
     rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
 ) -> tuple[WitnessCollection, list[CoarsenResult]]:
     """Coarsen every reachable key, cutting each with a prefix of one flag
     for the merged group so the result is a proper witness collection."""
@@ -379,7 +377,7 @@ def coarsen_collection(
     entries = {}
     stats = []
     for key in new_keys:
-        res = coarsen(wc, (a, b), key, rs.substream(hash(key) % 10000 + 1), opts,
+        res = coarsen(wc, (a, b), key, rs.substream(hash(key) % 10000 + 1),
                       target_forms=flag[: key[a]])
         stats.append(res)
         if res.witness.points:
@@ -409,7 +407,6 @@ def membership(
     wc: WitnessCollection,
     point,
     rs: RandomSource,
-    opts: TrackOptions = TrackOptions(),
 ) -> bool:
     """Multiprojective membership: per key e, move L^e to forms vanishing
     at the query point and look for it among the endpoints."""
@@ -432,7 +429,7 @@ def membership(
         ]
         ends = track_slice_motion(
             ws.fixed_block, ws.selection.forms, new_forms, ws.points,
-            sub.substream(77).unit_complex(), opts,
+            sub.substream(77).unit_complex(),
         )
         if any(p is not None and points_equal(p, point) for p in ends):
             return True

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from multiwit import RandomSource, TrackOptions
+from multiwit import RandomSource
 
 SEED = 20230529
 
@@ -17,12 +17,6 @@ pentad_gate = pytest.mark.skipif(
     os.environ.get("MULTIWIT_PENTAD") != "1",
     reason="set MULTIWIT_PENTAD=1 to run the multi-hour pentad count",
 )
-
-
-@pytest.fixture(scope="session")
-def opts():
-    """Tracking options shared by the heavier tests."""
-    return TrackOptions()
 
 
 def rs(stream: int) -> RandomSource:

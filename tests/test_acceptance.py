@@ -36,15 +36,15 @@ from conftest import SEED, extended, pentad_gate, rs
 
 
 @pytest.fixture(scope="module")
-def octa_fg(opts):
+def octa_fg():
     fx = get_fixture("octahedron-fg")
-    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(3), opts)
+    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(3))
 
 
 @pytest.fixture(scope="module")
-def octa_fh(opts):
+def octa_fh():
     fx = get_fixture("octahedron-fh")
-    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(3), opts)
+    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(3))
 
 
 def expected_paths(src_map, merge, key):
@@ -65,11 +65,11 @@ def expected_paths(src_map, merge, key):
     return total
 
 
-def checked_merge(wc, merge, stream, opts):
+def checked_merge(wc, merge, stream):
     """Coarsen every key and verify the path accounting against the
     binomial formula applied to the source multidegree map."""
     src_map = wc.multidegree_map()
-    out, stats = coarsen_collection(wc, merge, rs(stream), opts)
+    out, stats = coarsen_collection(wc, merge, rs(stream))
     for res in stats:
         key = res.witness.selection.e
         want = expected_paths(src_map, merge, key)
@@ -83,18 +83,18 @@ def checked_merge(wc, merge, stream, opts):
 # 1. plane cubic: witness, refinement, coarsening accounting
 
 
-def test_cubic_witness_refine_coarsen(opts):
+def test_cubic_witness_refine_coarsen():
     fx = get_fixture("cubic")
-    wc = compute_witness_collection(fx.system, fx.default_keys, rs(1), opts)
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(1))
     assert wc.multidegree_map() == {(1,): 3}
 
     ws = wc.entries[(1,)]
-    assert len(refine(ws, (0, 1), (1, 0), rs(2), opts).points) == 2
-    assert len(refine(ws, (0, 1), (0, 1), rs(2), opts).points) == 3
+    assert len(refine(ws, (0, 1), (1, 0), rs(2)).points) == 2
+    assert len(refine(ws, (0, 1), (0, 1), rs(2)).points) == 3
 
     split = get_fixture("cubic-split")
-    wc2 = compute_witness_collection(split.system, split.default_keys, rs(1), opts)
-    res = coarsen(wc2, (0, 1), (1,), rs(2), opts)
+    wc2 = compute_witness_collection(split.system, split.default_keys, rs(1))
+    res = coarsen(wc2, (0, 1), (1,), rs(2))
     assert (res.delta, res.converged, res.diverged) == (5, 3, 2)
 
 
@@ -116,42 +116,42 @@ def test_octahedron_fh_multidegrees(octa_fh):
 # 3. the eight coarsened multidegree maps, with path accounting
 
 
-def test_octahedron_fg_coarsenings(octa_fg, opts):
+def test_octahedron_fg_coarsenings(octa_fg):
     fx, wc = octa_fg
     # merge z,w
-    zw = checked_merge(wc, (2, 3), 101, opts)
+    zw = checked_merge(wc, (2, 3), 101)
     assert zw.multidegree_map() == {
         (1, 1, 0): 4, (1, 0, 1): 4, (0, 1, 1): 4, (0, 0, 2): 2,
     }
     # merge x,y
-    xy = checked_merge(wc, (0, 1), 102, opts)
+    xy = checked_merge(wc, (0, 1), 102)
     assert xy.multidegree_map() == {
         (2, 0, 0): 4, (1, 1, 0): 4, (1, 0, 1): 3, (0, 1, 1): 2,
     }
     # merge x,y then z,w
-    both = checked_merge(xy, (1, 2), 103, opts)
+    both = checked_merge(xy, (1, 2), 103)
     assert both.multidegree_map() == {(2, 0): 4, (1, 1): 4, (0, 2): 2}
     # merge the last three; Deg(0,2) = 4 is confirmed by elimination:
     # g is linear in x, and f restricted to a line in (y,z,w) has degree 4
-    yz = checked_merge(wc, (1, 2), 431, opts)
-    yzw = checked_merge(yz, (1, 2), 105, opts)
+    yz = checked_merge(wc, (1, 2), 431)
+    yzw = checked_merge(yz, (1, 2), 105)
     assert yzw.multidegree_map() == {(1, 1): 4, (0, 2): 4}
 
 
-def test_octahedron_fh_coarsenings(octa_fh, opts):
+def test_octahedron_fh_coarsenings(octa_fh):
     fx, wc = octa_fh
-    zw = checked_merge(wc, (2, 3), 111, opts)
+    zw = checked_merge(wc, (2, 3), 111)
     assert zw.multidegree_map() == {
         (1, 1, 0): 7, (1, 0, 1): 8, (0, 1, 1): 6, (0, 0, 2): 3,
     }
-    xy = checked_merge(wc, (0, 1), 112, opts)
+    xy = checked_merge(wc, (0, 1), 112)
     assert xy.multidegree_map() == {
         (2, 0, 0): 7, (1, 1, 0): 10, (1, 0, 1): 8, (0, 1, 1): 3,
     }
-    both = checked_merge(xy, (1, 2), 113, opts)
+    both = checked_merge(xy, (1, 2), 113)
     assert both.multidegree_map() == {(2, 0): 7, (1, 1): 12, (0, 2): 3}
-    yz = checked_merge(wc, (1, 2), 114, opts)
-    yzw = checked_merge(yz, (1, 2), 115, opts)
+    yz = checked_merge(wc, (1, 2), 114)
+    yzw = checked_merge(yz, (1, 2), 115)
     assert yzw.multidegree_map() == {(1, 1): 11, (0, 2): 7}
 
 
@@ -159,62 +159,62 @@ def test_octahedron_fh_coarsenings(octa_fh, opts):
 # 4. three reduction routes to a certified irreducible curve
 
 
-def fresh_fh(opts, stream=3):
+def fresh_fh(stream=3):
     fx = get_fixture("octahedron-fh")
     source = rs(stream)
-    return compute_witness_collection(fx.system, fx.default_keys, source, opts), source
+    return compute_witness_collection(fx.system, fx.default_keys, source), source
 
 
-def certified_curve(wc, source, stream, opts):
-    state = breakup(wc.entries[(1,)], source.substream(stream), opts)
+def certified_curve(wc, source, stream):
+    state = breakup(wc.entries[(1,)], source.substream(stream))
     assert state.certified == [True] * len(state.partition)
     return sorted(len(p) for p in state.partition)
 
 
-def full_merge_then_slice(opts, stream):
+def full_merge_then_slice(stream):
     # merge everything to one 4-dimensional group, then slice to a curve
-    wc, source = fresh_fh(opts, stream)
-    w = coarsen_collection(wc, (0, 1), source.substream(101), opts)[0]
-    w = coarsen_collection(w, (0, 1), source.substream(102), opts)[0]
-    w = coarsen_collection(w, (0, 1), source.substream(103), opts)[0]
+    wc, source = fresh_fh(stream)
+    w = coarsen_collection(wc, (0, 1), source.substream(101))[0]
+    w = coarsen_collection(w, (0, 1), source.substream(102))[0]
+    w = coarsen_collection(w, (0, 1), source.substream(103))[0]
     assert w.multidegree_map() == {(2,): 15}
     return slice_collection(w, 0), source
 
 
-def test_route_full_merge_then_slice(opts):
-    curve, source = full_merge_then_slice(opts, 3)
-    assert certified_curve(curve, source, 104, opts) == [15]
+def test_route_full_merge_then_slice():
+    curve, source = full_merge_then_slice(3)
+    assert certified_curve(curve, source, 104) == [15]
 
 
-def test_breakup_retries_an_ambiguous_loop(opts):
+def test_breakup_retries_an_ambiguous_loop():
     # On this stream one monodromy loop lands two paths on one start point;
     # breakup counts that loop against MAX_LOOPS and draws the next one.
-    curve, source = full_merge_then_slice(opts, 1003)
-    state = breakup(curve.entries[(1,)], source.substream(104), opts)
+    curve, source = full_merge_then_slice(1003)
+    state = breakup(curve.entries[(1,)], source.substream(104))
     assert (sorted(len(p) for p in state.partition), state.certified) == ([15], [True])
 
 
-def test_route_merge_three_slice_then_merge(opts):
+def test_route_merge_three_slice_then_merge():
     # merge y,z,w; slice the merged group; merge the rest
-    wc, source = fresh_fh(opts)
-    w = coarsen_collection(wc, (1, 2), source.substream(201), opts)[0]
-    w = coarsen_collection(w, (1, 2), source.substream(202), opts)[0]
+    wc, source = fresh_fh()
+    w = coarsen_collection(wc, (1, 2), source.substream(201))[0]
+    w = coarsen_collection(w, (1, 2), source.substream(202))[0]
     sliced = slice_collection(w, 1)
-    w = coarsen_collection(sliced, (0, 1), source.substream(203), opts)[0]
+    w = coarsen_collection(sliced, (0, 1), source.substream(203))[0]
     assert w.multidegree_map() == {(1,): 15}
-    assert certified_curve(w, source, 204, opts) == [15]
+    assert certified_curve(w, source, 204) == [15]
 
 
-def test_route_merge_pair_slice_then_merge(opts):
+def test_route_merge_pair_slice_then_merge():
     # merge z,w; slice the merged plane; merge the rest: a degree-12 curve
-    wc, source = fresh_fh(opts)
-    w = coarsen_collection(wc, (2, 3), source.substream(301), opts)[0]
+    wc, source = fresh_fh()
+    w = coarsen_collection(wc, (2, 3), source.substream(301))[0]
     sliced = slice_collection(w, 2)
     assert sliced.multidegree_map() == {(0, 0, 1): 3, (0, 1, 0): 6, (1, 0, 0): 8}
-    w = coarsen_collection(sliced, (0, 1), source.substream(302), opts)[0]
-    w = coarsen_collection(w, (0, 1), source.substream(303), opts)[0]
+    w = coarsen_collection(sliced, (0, 1), source.substream(302))[0]
+    w = coarsen_collection(w, (0, 1), source.substream(303))[0]
     assert w.multidegree_map() == {(1,): 12}
-    assert certified_curve(w, source, 304, opts) == [12]
+    assert certified_curve(w, source, 304) == [12]
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +222,10 @@ def test_route_merge_pair_slice_then_merge(opts):
 
 
 @pytest.fixture(scope="module")
-def richardson_wc(opts):
+def richardson_wc():
     fx = get_fixture("richardson")
     source = rs(11)
-    return fx, compute_witness_collection(fx.system, fx.default_keys, source, opts), source
+    return fx, compute_witness_collection(fx.system, fx.default_keys, source), source
 
 
 def test_richardson_hexagon_map(richardson_wc):
@@ -238,19 +238,19 @@ def test_richardson_segre_degree(richardson_wc):
     assert segre_degree(wc.multidegree_map()) == fx.extra["segre_degree"] == 450
 
 
-def test_richardson_full_coarsening_affine_degree(richardson_wc, opts):
+def test_richardson_full_coarsening_affine_degree(richardson_wc):
     fx, wc, source = richardson_wc
-    w = coarsen_collection(wc, (0, 1), source.substream(21), opts)[0]
+    w = coarsen_collection(wc, (0, 1), source.substream(21))[0]
     assert w.multidegree_map() == {(2, 3): 2, (3, 2): 4, (4, 1): 4, (5, 0): 2}
-    w = coarsen_collection(w, (0, 1), source.substream(22), opts)[0]
+    w = coarsen_collection(w, (0, 1), source.substream(22))[0]
     assert w.multidegree_map() == {(5,): fx.extra["affine_degree"]}
 
 
-def richardson_four_decomposition(source, opts):
+def richardson_four_decomposition(source):
     """nid_multi on the richardson-four witness points; returns the
     decomposition, its per-component multidegree maps and the fixture's."""
     fx = get_fixture("richardson-four")
-    wc = compute_witness_collection(fx.system, fx.default_keys, source, opts)
+    wc = compute_witness_collection(fx.system, fx.default_keys, source)
     points, key_of = [], []
     for e, ws in sorted(wc.entries.items()):
         for p in ws.points:
@@ -258,7 +258,7 @@ def richardson_four_decomposition(source, opts):
             key_of.append(e)
     assert len(points) == 63
 
-    dec = nid_multi(fx.system, points, source.substream(99), opts)
+    dec = nid_multi(fx.system, points, source.substream(99))
     maps = {}
     for idx, ci in dec.assignment.items():
         maps.setdefault(ci, {})
@@ -268,8 +268,8 @@ def richardson_four_decomposition(source, opts):
     return dec, got, want
 
 
-def test_richardson_four_minor_decomposition(opts):
-    dec, got, want = richardson_four_decomposition(rs(13), opts)
+def test_richardson_four_minor_decomposition():
+    dec, got, want = richardson_four_decomposition(rs(13))
     assert len(dec.components) == 4
     assert not dec.diagnostics
     assert all(rec.certified for rec in dec.components)
@@ -277,11 +277,11 @@ def test_richardson_four_minor_decomposition(opts):
     assert got == want
 
 
-def test_richardson_four_curve_loops_keep_their_cuts(opts):
+def test_richardson_four_curve_loops_keep_their_cuts():
     # On this seed, loops that moved the curve's cut forms along with its
     # generic form left the curve: six "certified" components came out, one
     # of them a single point on a curve of degree 6.
-    dec, got, want = richardson_four_decomposition(RandomSource(seed=10, stream=13), opts)
+    dec, got, want = richardson_four_decomposition(RandomSource(seed=10, stream=13))
     assert len(dec.components) == 4
     assert all(rec.certified for rec in dec.components)
     assert [rec.curve_degree for rec in dec.components] == [3, 3, 2, 3]
@@ -333,10 +333,10 @@ def test_class_slice_tables():
 
 
 @pytest.fixture(scope="module")
-def hyperboloid_data(opts):
+def hyperboloid_data():
     fx = get_fixture("hyperboloid")
     source = rs(17)
-    wc = compute_witness_collection(fx.system, fx.default_keys, source, opts)
+    wc = compute_witness_collection(fx.system, fx.default_keys, source)
     return fx, wc, source
 
 
@@ -369,13 +369,13 @@ def test_hyperboloid_equidimensional_split(hyperboloid_data):
             assert profile.dim([0, 1, 2]) == 4
 
 
-def test_hyperboloid_rulings_are_the_two_components(hyperboloid_data, opts):
+def test_hyperboloid_rulings_are_the_two_components(hyperboloid_data):
     fx, wc, source = hyperboloid_data
     classes = equidim_partition(fx.system, list(wc.entries[(1, 1, 1, 1)].points))
     profile, pts = next(c for c in classes if c[0].dim([0]) == 1)
     assert len(pts) == 4
 
-    dec = nid_multi(fx.system, list(pts), source.substream(50), opts)
+    dec = nid_multi(fx.system, list(pts), source.substream(50))
     assert len(dec.components) == 2
     assert all(rec.certified for rec in dec.components)
     sizes = sorted(
@@ -406,7 +406,7 @@ def test_hyperboloid_rulings_are_the_two_components(hyperboloid_data, opts):
 
 
 @extended
-def test_hyperboloid_ungrouped_witness_is_much_larger(opts):
+def test_hyperboloid_ungrouped_witness_is_much_larger():
     fx = get_fixture("hyperboloid")
     g0 = fx.system.grouping
     g1 = VariableGrouping.from_sizes([g0.nvars], list(g0.names))
@@ -414,7 +414,7 @@ def test_hyperboloid_ungrouped_witness_is_much_larger(opts):
     source = rs(19)
     slices = [random_affine_form(g1, list(range(g1.nvars)), source.substream(i))
               for i in range(4)]
-    pts = solve_zero_dim(F, slices, source.substream(9), opts)
+    pts = solve_zero_dim(F, slices, source.substream(9))
     assert len(pts) == fx.extra["ungrouped_count"] == 120
 
 
@@ -435,10 +435,10 @@ def test_pentad_mbezout_count():
 
 
 @pentad_gate
-def test_pentad_witness_split(opts):
+def test_pentad_witness_split():
     fx = get_fixture("pentad")
     source = rs(23)
-    wc = compute_witness_collection(fx.system, fx.default_keys, source, opts)
+    wc = compute_witness_collection(fx.system, fx.default_keys, source)
     (key,) = fx.default_keys
     points = list(wc.entries[key].points)
     assert len(points) == fx.extra["witness_count"]

@@ -136,6 +136,21 @@ def test_oversized_key_is_input_error_naming_the_key(capsys):
         assert f"input error: key {key} does not fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, index", [
+    (["refine", "--fixture", "cubic", "--split", "5:1"], 5),
+    (["slice", "--fixture", "cubic", "--group", "7"], 7),
+    (["coarsen", "--fixture", "octahedron-fg", "--merge", "0:9"], 9),
+    (["class", "--fixture", "class-123", "--group", "9"], 9),
+    (["slice", "--fixture", "octahedron-fg", "--group=-1"], -1),
+    (["class", "--fixture", "class-123", "--group=-1"], -1),
+    (["refine", "--fixture", "point-times-surface", "--split=-1:1"], -1),
+    (["coarsen", "--fixture", "octahedron-fg", "--merge=-1:0"], -1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_group_index_out_of_range_is_input_error(argv, index, capsys):
+    assert run(argv) == EXIT_INPUT
+    assert f"input error: group index {index} is not in 0.." in capsys.readouterr().err
+
+
 def test_malformed_input_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.sys"
     bad.write_text("group x;\nf = x + ;\n")
@@ -178,11 +193,13 @@ def test_run_leaves_module_constants_alone(capsys):
                 for k, v in vars(m).items() if k.isupper()}
 
     before = constants()
-    assert run(["witness", "--fixture", "two-lines", "--tol-track", "1e-9"]) == EXIT_OK
+    assert run(["witness", "--fixture", "two-lines"]) == EXIT_OK
     assert run(["member", "--fixture", "two-lines", "--point", "0.3 0.3"]) == EXIT_OK
-    assert run(["decompose", "--fixture", "two-lines", "--tol-rank", "1e-7"]) == EXIT_OK
-    # the flags that used to rebind module constants are gone
-    for flag, value in (("--tol-match", "1e-3"), ("--max-loops", "2"), ("--workers", "2")):
+    assert run(["decompose", "--fixture", "two-lines"]) == EXIT_OK
+    # tolerances and loop bounds are module constants, not flags
+    for flag, value in (("--tol-match", "1e-3"), ("--max-loops", "2"), ("--workers", "2"),
+                        ("--tol-track", "1e-9"), ("--tol-rank", "1e-7"),
+                        ("--tol-trace", "-1")):
         assert run(["witness", "--fixture", "two-lines", flag, value]) == EXIT_INPUT
     capsys.readouterr()
     assert constants() == before

@@ -151,6 +151,21 @@ def test_every_method_is_used(path):
                         f"{', '.join(unused)}")
 
 
+def _tolerance_parameter(name: str) -> bool:
+    return name in ("opts", "tol", "max_iters") or name.endswith("_tol")
+
+
+def test_no_tolerance_parameters():
+    # tolerances are module constants: no public function or method takes one
+    found = [f"{path.name}:{node.lineno} {node.name}({arg.arg})"
+             for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not node.name.startswith("_")
+             for arg in (node.args.posonlyargs + node.args.args + node.args.kwonlyargs)
+             if _tolerance_parameter(arg.arg)]
+    assert not found, f"public functions take tolerance parameters: {', '.join(found)}"
+
+
 def _spanned() -> dict:
     """bench/tracing.py's SPANNED table, read without importing the bench."""
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())

@@ -43,16 +43,16 @@ def test_order_support_prefix_dimensions():
 
 
 @pytest.fixture(scope="module")
-def two_lines_data(opts):
+def two_lines_data():
     fx = get_fixture("two-lines")
-    wc = compute_witness_collection(fx.system, fx.default_keys, rs(80), opts)
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(80))
     return fx, wc
 
 
-def test_nid_multi_separates_the_lines(two_lines_data, opts):
+def test_nid_multi_separates_the_lines(two_lines_data):
     fx, wc = two_lines_data
     points = list(wc.entries[(1,)].points)
-    dec = nid_multi(fx.system, points, rs(82), opts)
+    dec = nid_multi(fx.system, points, rs(82))
     assert len(dec.components) == 2
     assert not dec.diagnostics
     assert sorted(dec.assignment.values()) == [0, 1]
@@ -66,21 +66,21 @@ def test_nid_multi_separates_the_lines(two_lines_data, opts):
         assert rec.profile.total_dim == 1
 
 
-def test_component_membership_distinguishes_lines(two_lines_data, opts):
+def test_component_membership_distinguishes_lines(two_lines_data):
     fx, wc = two_lines_data
     points = list(wc.entries[(1,)].points)
-    dec = nid_multi(fx.system, points, rs(83), opts)
+    dec = nid_multi(fx.system, points, rs(83))
     rec0 = dec.components[0]
     own = next(p for i, p in enumerate(points) if dec.assignment[i] == 0)
     other = next(p for i, p in enumerate(points) if dec.assignment[i] == 1)
-    assert component_membership(rec0, own, opts)
-    assert not component_membership(rec0, other, opts)
+    assert component_membership(rec0, own)
+    assert not component_membership(rec0, other)
 
 
 @pytest.fixture(scope="module")
-def product_data(opts):
+def product_data():
     fx = get_fixture("point-times-surface")
-    wc = compute_witness_collection(fx.system, fx.default_keys, rs(84), opts)
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(84))
     return fx, wc
 
 

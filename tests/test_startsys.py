@@ -173,9 +173,9 @@ def test_solve_zero_dim_reports_a_failed_start_path(monkeypatch):
     track_path = multiwit.tracker.track_path
     starts = []
 
-    def second_fails(h, start, opts):
+    def second_fails(h, start):
         starts.append(start)
-        return PathResult("failed", None, 0) if len(starts) == 2 else track_path(h, start, opts)
+        return PathResult("failed", None, 0) if len(starts) == 2 else track_path(h, start)
 
     monkeypatch.setattr(multiwit.tracker, "track_path", second_fails)
     with pytest.raises(IndeterminateError, match="1 of 3 paths failed"):

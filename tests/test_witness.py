@@ -30,15 +30,15 @@ from conftest import rs
 
 
 @pytest.fixture(scope="module")
-def cubic_wc(opts):
+def cubic_wc():
     fx = get_fixture("cubic")
-    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(30), opts)
+    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(30))
 
 
 @pytest.fixture(scope="module")
-def split_wc(opts):
+def split_wc():
     fx = get_fixture("cubic-split")
-    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(31), opts)
+    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(31))
 
 
 def test_cubic_witness_count_and_residuals(cubic_wc):
@@ -52,12 +52,12 @@ def test_split_cubic_bidegrees(split_wc):
     assert wc.multidegree_map() == {(1, 0): 2, (0, 1): 3}
 
 
-def test_candidates_must_share_dimension(opts):
+def test_candidates_must_share_dimension():
     fx = get_fixture("cubic-split")
     with pytest.raises(ValueError):
-        compute_witness_collection(fx.system, [(1, 0), (1, 1)], rs(0), opts)
+        compute_witness_collection(fx.system, [(1, 0), (1, 1)], rs(0))
     with pytest.raises(ValueError):
-        compute_witness_collection(fx.system, [], rs(0), opts)
+        compute_witness_collection(fx.system, [], rs(0))
 
 
 def test_witness_set_row_count_invariant():
@@ -72,11 +72,11 @@ def test_witness_set_row_count_invariant():
         WitnessSet(fx.system, core, SliceSelection((forms,)), [])
 
 
-def test_entries_take_prefixes_of_one_flag_per_group(opts):
+def test_entries_take_prefixes_of_one_flag_per_group():
     g = VariableGrouping.from_sizes([2, 1], ["x1", "x2", "y"])
     x1, x2, y = (Polynomial.variable(g, v) for v in range(3))
     F = PolySystem([x1 * y - x2 + y - 1])
-    wc = compute_witness_collection(F, [(2, 0), (1, 1)], rs(34), opts)
+    wc = compute_witness_collection(F, [(2, 0), (1, 1)], rs(34))
     assert wc.multidegree_map() == {(1, 1): 1, (2, 0): 1}
     wide, mixed = wc.entries[(2, 0)].selection, wc.entries[(1, 1)].selection
     assert (wide.e, mixed.e) == ((2, 0), (1, 1))
@@ -89,7 +89,7 @@ def test_entries_take_prefixes_of_one_flag_per_group(opts):
     assert sliced.entries[(0, 1)].extra == (wide.per_group[0][0],)
     for key in [(3, 0), (1,), (2, 1), (-1, 1)]:
         with pytest.raises(ValueError, match=rf"key \({key[0]},"):
-            compute_witness_collection(F, [key], rs(34), opts)
+            compute_witness_collection(F, [key], rs(34))
 
 
 def test_slice_collection_is_exact_bookkeeping(split_wc):
@@ -113,19 +113,19 @@ def test_slice_collection_rejects_empty_direction(cubic_wc):
         slice_collection(sliced, 0)
 
 
-def test_move_slice_keeps_system_and_meets_new_forms(cubic_wc, opts):
+def test_move_slice_keeps_system_and_meets_new_forms(cubic_wc):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
     g = fx.system.grouping
     new = [random_affine_form(g, [0, 1], rs(35))]
-    moved = move_slice(ws, new, opts)
+    moved = move_slice(ws, new)
     assert len(moved.points) == 3
     for p in moved.points:
         assert relative_residual(fx.system.evaluate(p), fx.system.residual_scale(p)) < RESIDUAL_TOL
         assert abs(new[0].evaluate(p)) < 1e-6
 
 
-def test_track_slice_motion_keeps_input_order(cubic_wc, opts):
+def test_track_slice_motion_keeps_input_order(cubic_wc):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
     g = fx.system.grouping
@@ -135,7 +135,7 @@ def test_track_slice_motion_keeps_input_order(cubic_wc, opts):
     starts = list(ws.points) + [off_curve]
 
     def motion(points):
-        return track_slice_motion(ws.fixed_block, ws.selection.forms, new, points, gamma, opts)
+        return track_slice_motion(ws.fixed_block, ws.selection.forms, new, points, gamma)
 
     # the off-curve start fails, and one failed path fails the whole motion
     with pytest.raises(IndeterminateError, match="1 of 4"):
@@ -150,44 +150,44 @@ def test_track_slice_motion_keeps_input_order(cubic_wc, opts):
     assert motion([]) == []
 
 
-def test_move_slice_raises_on_a_failed_path(cubic_wc, opts):
+def test_move_slice_raises_on_a_failed_path(cubic_wc):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
     off_curve = np.array([5.0 + 1j, -3.0 + 2j])
     bad = WitnessSet(ws.system, ws.sq_core, ws.selection, list(ws.points) + [off_curve])
     new = [random_affine_form(fx.system.grouping, [0, 1], rs(36))]
     with pytest.raises(IndeterminateError):
-        move_slice(bad, new, opts, gamma=rs(37).unit_complex())
+        move_slice(bad, new, gamma=rs(37).unit_complex())
 
 
-def test_refine_cubic_to_bidegrees(cubic_wc, opts):
+def test_refine_cubic_to_bidegrees(cubic_wc):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
-    r10 = refine(ws, (0, 1), (1, 0), rs(36), opts)
-    r01 = refine(ws, (0, 1), (0, 1), rs(37), opts)
+    r10 = refine(ws, (0, 1), (1, 0), rs(36))
+    r01 = refine(ws, (0, 1), (0, 1), rs(37))
     assert len(r10.points) == 2
     assert len(r01.points) == 3
     assert r10.grouping.sizes == (1, 1)
     assert r10.verify() and r01.verify()
 
 
-def test_refine_keeps_a_zero_budget_group(opts):
+def test_refine_keeps_a_zero_budget_group():
     # group 0 of key (0,1,2) has no slice forms, so refining it moves nothing
     fx = get_fixture("point-times-surface")
-    wc = compute_witness_collection(fx.system, fx.default_keys, rs(44), opts)
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(44))
     ws = wc.entries[(0, 1, 2)]
     assert len(ws.points) == 1
-    refined = refine(ws, (0, 1), (0, 0, 1, 2), rs(45), opts)
+    refined = refine(ws, (0, 1), (0, 0, 1, 2), rs(45))
     assert len(refined.points) == 1
     assert refined.grouping.sizes == (1, 2, 3, 3)
     assert refined.selection.e == (0, 0, 1, 2)
     assert refined.verify()
 
 
-def test_slice_motion_without_moving_rows_returns_the_points(cubic_wc, opts):
+def test_slice_motion_without_moving_rows_returns_the_points(cubic_wc):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
-    ends = track_slice_motion(ws.full_square_system(), [], [], ws.points, 1.0, opts)
+    ends = track_slice_motion(ws.full_square_system(), [], [], ws.points, 1.0)
     assert len(ends) == len(ws.points)
     assert all(a is b for a, b in zip(ends, ws.points))
 
@@ -201,9 +201,9 @@ def test_refine_validates_keys(cubic_wc):
         refine(ws, (0, 1), (1, 1), rs(0))  # budget mismatch
 
 
-def test_coarsen_cubic_split(split_wc, opts):
+def test_coarsen_cubic_split(split_wc):
     fx, wc = split_wc
-    res = coarsen(wc, (0, 1), (1,), rs(38), opts)
+    res = coarsen(wc, (0, 1), (1,), rs(38))
     assert res.delta == 5  # binom(1,1)*Deg(1,0) + binom(1,0)*Deg(0,1)
     assert res.converged == 3
     assert res.diverged == 2
@@ -212,9 +212,9 @@ def test_coarsen_cubic_split(split_wc, opts):
     assert res.witness.verify()
 
 
-def test_coarsen_collection_structure(split_wc, opts):
+def test_coarsen_collection_structure(split_wc):
     fx, wc = split_wc
-    merged, stats = coarsen_collection(wc, (0, 1), rs(39), opts)
+    merged, stats = coarsen_collection(wc, (0, 1), rs(39))
     assert merged.multidegree_map() == {(1,): 3}
     assert len(stats) == 1
     assert stats[0].delta == stats[0].converged + stats[0].diverged
@@ -224,17 +224,17 @@ def test_coarsen_collection_structure(split_wc, opts):
 
 
 @pytest.fixture(scope="module")
-def octa_fh_wc(opts):
+def octa_fh_wc():
     fx = get_fixture("octahedron-fh")
-    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(46), opts)
+    return fx, compute_witness_collection(fx.system, fx.default_keys, rs(46))
 
 
-def test_coarsen_with_no_merged_budget_tracks_no_path(octa_fh_wc, opts, monkeypatch):
+def test_coarsen_with_no_merged_budget_tracks_no_path(octa_fh_wc, monkeypatch):
     fx, wc = octa_fh_wc
     calls = []
     monkeypatch.setattr(multiwit.tracker, "track_many",
                         lambda *args: calls.append(args) or [])
-    res = coarsen(wc, (0, 1), (0, 1, 1), rs(47), opts)
+    res = coarsen(wc, (0, 1), (0, 1, 1), rs(47))
     assert not calls
     src = wc.entries[(0, 0, 1, 1)]
     assert (res.delta, res.converged, res.diverged) == (3, 3, 0)
@@ -244,7 +244,7 @@ def test_coarsen_with_no_merged_budget_tracks_no_path(octa_fh_wc, opts, monkeypa
     assert res.witness.selection.per_group[1:] == src.selection.per_group[2:]
 
 
-def test_slice_motion_paths_are_pinned(octa_fh_wc, opts, monkeypatch):
+def test_slice_motion_paths_are_pinned(octa_fh_wc, monkeypatch):
     # per-path (status, steps_taken) of one slice motion and of one key's
     # start homotopy, as a tracker that evaluates all four RK4 stages on
     # every attempt gives them; reusing the corrector's evaluation for k1
@@ -265,22 +265,22 @@ def test_slice_motion_paths_are_pinned(octa_fh_wc, opts, monkeypatch):
 
     monkeypatch.setattr(multiwit.tracker, "track_path", recorded)
     track_slice_motion(ws.fixed_block, ws.selection.forms, new, ws.points,
-                       rs(37).unit_complex(), opts)
+                       rs(37).unit_complex())
     assert [(r.status, r.steps_taken) for r in results] == \
         [("converged", 12), ("converged", 18), ("converged", 18)]
     results.clear()
     # the stream compute_witness_collection gave this key, the first in order
-    solve_zero_dim(fx.system, ws.selection.forms, rs(46).substream(13), opts)
+    solve_zero_dim(fx.system, ws.selection.forms, rs(46).substream(13))
     assert [(r.status, r.steps_taken) for r in results] == \
         [("converged", 23), ("converged", 12), ("converged", 19)]
 
 
-def test_coarsened_witness_data_lives_on_the_system_grouping(split_wc, opts):
+def test_coarsened_witness_data_lives_on_the_system_grouping(split_wc):
     fx, wc = split_wc
     system_g = wc.system.grouping
     # the sliced collection carries its sliced-away form in extra
     for source in (wc, slice_collection(wc, 1)):
-        merged, _ = coarsen_collection(source, (0, 1), rs(48), opts)
+        merged, _ = coarsen_collection(source, (0, 1), rs(48))
         assert merged.grouping.k == 1
         assert merged.extra == source.extra
         for ws in merged.entries.values():
@@ -297,15 +297,15 @@ def test_segre_degree_formula():
         segre_degree({(1, 0): 1, (1, 1): 1})
 
 
-def test_membership_on_and_off_curve(cubic_wc, opts):
+def test_membership_on_and_off_curve(cubic_wc):
     fx, wc = cubic_wc
     # a curve point from an unrelated slice, then a perturbation off the curve
-    other = compute_witness_collection(fx.system, fx.default_keys, rs(40), opts)
+    other = compute_witness_collection(fx.system, fx.default_keys, rs(40))
     q = other.entries[(1,)].points[0]
-    assert membership(wc, q, rs(41), opts)
+    assert membership(wc, q, rs(41))
     off = q.copy()
     off[0] += 0.37
-    assert not membership(wc, off, rs(42), opts)
+    assert not membership(wc, off, rs(42))
 
 
 def test_membership_validates_point_size(cubic_wc):
