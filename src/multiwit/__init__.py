@@ -20,13 +20,11 @@ from .dimension import (
     product_factorization,
 )
 from .monodromy import (
-    MatchAmbiguityError,
     MonodromyOutcome,
     MonodromyState,
     breakup,
     grow_witness_set,
     monodromy_permutation,
-    random_loop,
     trace_test,
 )
 from .nid import (

@@ -20,6 +20,15 @@ from typing import Sequence
 import numpy as np
 
 
+def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
+    """max_i |values_i| / scale_i, with scale the per-row term magnitude.
+
+    An absolute test is unreachable in double precision once a point has
+    wandered far from the origin; relative to the size of each row's terms
+    it is not."""
+    return float((np.abs(values) / scale).max())
+
+
 class VariableGrouping:
     """A partition of the variables into ordered groups.
 
@@ -386,6 +395,11 @@ class PolySystem:
 
     def residual_scale(self, point) -> np.ndarray:
         return self.kernel(point, scaled=True)[1]
+
+    def residual(self, point) -> float:
+        """Relative residual of the system at `point`; the one test of
+        whether a point lies on it."""
+        return relative_residual(self.evaluate(point), self.residual_scale(point))
 
     def jacobian(self, point) -> np.ndarray:
         """DF(point)."""

@@ -146,19 +146,15 @@ def _richardson_minors(which: str):
     C += [[yv[3 * c + r] for c in range(3)] for r in range(3)]
     rs = RandomSource(stream=RICHARDSON_SEED)
     Ns = [rs.substream(i).gaussian_complex_array(6, 2) for i in range(2)]
-    minors: dict[tuple[int, int], Polynomial] = {}
-    for i in (1, 2):
-        N = Ns[i - 1]
-        aug = [C[r] + [Polynomial.constant(g, N[r, 0]), Polynomial.constant(g, N[r, 1])]
-               for r in range(6)]
-        for j in range(1, 7):
-            rows = [aug[r] for r in range(6) if r != j - 1]
-            minors[(i, j)] = _poly_det(rows)
+    augmented = [[C[r] + [Polynomial.constant(g, N[r, 0]), Polynomial.constant(g, N[r, 1])]
+                  for r in range(6)] for N in Ns]
     if which == "all":
-        keep = sorted(minors)
+        keep = [(i, j) for i in (1, 2) for j in range(1, 7)]
     else:
         keep = [(1, 3), (1, 5), (2, 4), (2, 6)]
-    return PolySystem([minors[k] for k in keep])
+    # minor (i, j) drops row j from the i-th augmented matrix
+    return PolySystem([_poly_det([row for r, row in enumerate(augmented[i - 1]) if r != j - 1])
+                       for i, j in keep])
 
 
 HEXAGON_KEYS = [

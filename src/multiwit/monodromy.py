@@ -1,17 +1,19 @@
 """Monodromy loops on witness point sets.
 
 Moving the slice around a loop permutes the witness points; orbits stay
-inside single irreducible components.  This gives three tools: growing a
-partial witness point set of an affine curve from a seed, partitioning a
-complete witness set into putative components, and (for affine curves)
-the linear trace test that certifies a part is complete.
+inside single irreducible components.  `monodromy_permutation` draws one
+generic loop and reads off the permutation.  On top of it sit three tools
+for a set with one moving form: growing a partial witness point set from
+a seed, partitioning a complete one into components, and the linear trace
+test that certifies a part is a whole component.
 
-Breakup stops at its first certified partition: on an affine curve (one
-moving form) it trace-tests the parts after every loop that merges and
-stops once all of them pass, since a part that passes is a whole
-component.  A loop that would join two passed parts is a path jump and is
-discarded.  Parts that never merge, and every part of a multi-form key,
-wait for QUIET_LOOPS loops in a row that merge nothing.
+Breakup stops at its first certified partition: it trace-tests the parts
+after every loop that merges and stops once all of them pass, since a
+part that passes is a whole component.  A loop that would join two passed
+parts is a path jump and is discarded.  Parts that never merge are tested
+after QUIET_LOOPS loops in a row that merge nothing.  A key with more than
+one moving form is refused: its parts would need the multiprojective trace
+test, which is not built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .tracker import (
     dedupe_points,
     points_equal,
     refine_endpoints,
-    relative_residual,
     track_slice_motion,
 )
 from .witness import WitnessSet
@@ -39,21 +40,20 @@ QUIET_LOOPS = 5
 MAX_LOOPS = 60
 
 
-class MatchAmbiguityError(TrackingError):
-    """Two loop endpoints landed within matching tolerance of one start point."""
-
-
 @dataclass
-class LoopSpec:
-    """Two intermediate slice systems; the loop runs L -> L' -> L'' -> L."""
-
-    forms1: list[Polynomial]
-    forms2: list[Polynomial]
-    gammas: tuple[complex, complex, complex] = (1.0, 1.0, 1.0)
+class MonodromyOutcome:
+    permutation: dict  # matched start index -> start index of the endpoint
+    new_points: list
 
 
-def random_loop(ws: WitnessSet, rs: RandomSource) -> LoopSpec:
-    """Generic intermediate slices matching the per-group form counts."""
+def monodromy_permutation(ws: WitnessSet, rs: RandomSource) -> MonodromyOutcome:
+    """Track every witness point around a random loop L -> L' -> L'' -> L
+    and read off the permutation.
+
+    L' and L'' are generic forms with the per-group form counts of L, drawn
+    from rs.substream(1) and (2); the legs' gammas come from rs.substream(3)
+    to (5).  An endpoint that matches two start points, or two endpoints
+    that match one, raise IndeterminateError."""
     g = ws.grouping
 
     def forms_from(sub: RandomSource) -> list[Polynomial]:
@@ -63,36 +63,12 @@ def random_loop(ws: WitnessSet, rs: RandomSource) -> LoopSpec:
             for j in range(len(fs))
         ]
 
-    return LoopSpec(
-        forms1=forms_from(rs.substream(1)),
-        forms2=forms_from(rs.substream(2)),
-        gammas=(
-            rs.substream(3).unit_complex(),
-            rs.substream(4).unit_complex(),
-            rs.substream(5).unit_complex(),
-        ),
-    )
-
-
-@dataclass
-class MonodromyOutcome:
-    permutation: dict  # matched start index -> start index of the endpoint
-    new_points: list
-
-
-def monodromy_permutation(ws: WitnessSet, loop: LoopSpec) -> MonodromyOutcome:
-    """Track every witness point around the loop and read off the permutation."""
-    fixed = ws.fixed_block
     base = ws.selection.forms
-    legs = [
-        (base, loop.forms1, loop.gammas[0]),
-        (loop.forms1, loop.forms2, loop.gammas[1]),
-        (loop.forms2, base, loop.gammas[2]),
-    ]
+    stops = [base, forms_from(rs.substream(1)), forms_from(rs.substream(2)), base]
     current = dict(enumerate(ws.points))  # start index -> point, in index order
-    for start_forms, target_forms, gamma in legs:
-        ends = track_slice_motion(fixed, start_forms, target_forms,
-                                  list(current.values()), gamma)
+    for leg in range(3):
+        ends = track_slice_motion(ws.fixed_block, stops[leg], stops[leg + 1],
+                                  list(current.values()), rs.substream(3 + leg).unit_complex())
         current = {i: p for i, p in zip(current, ends) if p is not None}
     ends = refine_endpoints(ws.full_square_system(), list(current.values()))
     refined = {i: p for i, p in zip(current, ends) if p is not None}
@@ -105,22 +81,26 @@ def monodromy_permutation(ws: WitnessSet, loop: LoopSpec) -> MonodromyOutcome:
             j for j, q in enumerate(ws.points) if points_equal(endpoint, q)
         ]
         if len(matches) > 1:
-            raise MatchAmbiguityError(
+            raise IndeterminateError(
                 f"endpoint of path {i} matches {len(matches)} start points"
             )
         if matches:
             j = matches[0]
             if j in taken:
-                raise MatchAmbiguityError(
+                raise IndeterminateError(
                     f"paths {taken[j]} and {i} both landed on start point {j}"
                 )
             taken[j] = i
             perm[i] = j
-        elif relative_residual(
-            ws.system.evaluate(endpoint), ws.system.residual_scale(endpoint)
-        ) < RESIDUAL_TOL:
+        elif ws.system.residual(endpoint) < RESIDUAL_TOL:
             new_points.append(endpoint)
     return MonodromyOutcome(perm, dedupe_points(new_points))
+
+
+def _one_moving_form(ws: WitnessSet, caller: str) -> None:
+    if len(ws.selection.forms) != 1:
+        raise ValueError(
+            f"{caller} needs one moving form; the set has {len(ws.selection.forms)}")
 
 
 def trace_test(ws: WitnessSet, part: list, rs: RandomSource) -> bool:
@@ -130,9 +110,8 @@ def trace_test(ws: WitnessSet, part: list, rs: RandomSource) -> bool:
 
     Only meaningful on affine-slice data (a single moving form); the
     multiprojective analogue is unsound and deliberately not offered."""
+    _one_moving_form(ws, "the trace test")
     forms = ws.selection.forms
-    if len(forms) != 1:
-        raise ValueError(f"the trace test moves one slice form; the set has {len(forms)}")
     part = [np.asarray(p, dtype=complex) for p in part]
     if not part:
         raise ValueError("empty part")
@@ -159,7 +138,6 @@ class MonodromyState:
     points: list
     partition: list  # list of sorted index lists
     certified: list  # parallel booleans
-    complete: bool = True
 
 
 def _orbit_groups(partition: list, permutation: dict) -> list:
@@ -184,28 +162,24 @@ def _orbit_groups(partition: list, permutation: dict) -> list:
 
 
 def breakup(ws: WitnessSet, rs: RandomSource) -> MonodromyState:
-    """Partition a complete witness point set by monodromy orbits, and
-    certify parts with the trace test where it applies (one moving form).
+    """Partition a complete witness point set of an affine curve (one
+    moving form) by monodromy orbits, and certify the parts by the trace
+    test.
 
-    Loop i runs on rs.substream(1000 + i).  Where the trace applies, every
-    loop that merges parts is followed by a trace test of each part not yet
-    tested in its current form, on rs.substream(5000 + its first index),
-    and breakup stops as soon as every part has passed: a part that passes
-    is a whole component, and orbits never leave a component.  A loop that
-    would join two parts that have each passed is a path jump and is
-    discarded.  Otherwise breakup stops once QUIET_LOOPS loops in a row
-    merge nothing and the parts are tested, which is how parts that never
-    merge get certified, or after MAX_LOOPS loops.  A loop that raises
-    MatchAmbiguityError or IndeterminateError counts against MAX_LOOPS and
-    the next one is drawn.  On a multi-form key nothing is certified, and
-    `complete` means the quiet loops were reached."""
+    Loop i runs on rs.substream(1000 + i).  Every loop that merges parts is
+    followed by a trace test of each part not yet tested in its current
+    form, on rs.substream(5000 + its first index), and breakup stops as
+    soon as every part has passed: a part that passes is a whole component,
+    and orbits never leave a component.  A loop that would join two parts
+    that have each passed is a path jump and is discarded.  Parts that
+    never merge are tested once QUIET_LOOPS loops in a row merge nothing.
+    Breakup gives up after MAX_LOOPS loops; a loop that raises
+    IndeterminateError counts against them and the next one is drawn."""
+    _one_moving_form(ws, "breakup")
     points = list(ws.points)
-    use_trace = len(ws.selection.forms) == 1
     verdicts: dict = {}  # part, as a tuple of indices -> trace verdict, None if indeterminate
 
     def certify(partition: list) -> list:
-        if not use_trace:
-            return [False] * len(partition)
         for part in map(tuple, partition):
             if part not in verdicts:
                 try:
@@ -215,16 +189,15 @@ def breakup(ws: WitnessSet, rs: RandomSource) -> MonodromyState:
                     verdicts[part] = None
         return [verdicts[tuple(part)] for part in partition]
 
-    loops = 0
     quiet = 0
     partition = [[i] for i in range(len(points))]
     certified = certify(partition) if len(points) == 1 else []
-    while loops < MAX_LOOPS and not (certified and all(certified)):
-        loop = random_loop(ws, rs.substream(1000 + loops))
-        loops += 1
+    for loop in range(MAX_LOOPS):
+        if certified and all(certified):
+            break
         try:
-            outcome = monodromy_permutation(ws, loop)
-        except (MatchAmbiguityError, IndeterminateError):
+            outcome = monodromy_permutation(ws, rs.substream(1000 + loop))
+        except IndeterminateError:
             continue
         if outcome.new_points:
             raise TrackingError(
@@ -237,59 +210,47 @@ def breakup(ws: WitnessSet, rs: RandomSource) -> MonodromyState:
         if len(groups) < len(partition):
             partition = sorted(sorted(i for pi in g for i in partition[pi]) for g in groups)
             quiet = 0
-            if use_trace:
-                certified = certify(partition)
+            certified = certify(partition)
             continue
         quiet += 1
         if quiet >= QUIET_LOOPS:
             certified = certify(partition)
-            if all(certified) or not use_trace or None in certified:
+            if all(certified) or None in certified:
                 break
             # quiescent but uncertified: an orbit is still split across
             # parts, so keep looping for a merge the trace will accept
             quiet = 0
 
-    if len(certified) != len(partition):
-        certified = certify(partition)
+    certified = certify(partition)
     if None in certified:
         raise IndeterminateError("a trace test path diverged; result indeterminate")
-    return MonodromyState(
-        points=points,
-        partition=partition,
-        certified=certified,
-        complete=all(certified) if use_trace else quiet >= QUIET_LOOPS,
-    )
+    return MonodromyState(points=points, partition=partition, certified=certified)
 
 
 def grow_witness_set(ws: WitnessSet, rs: RandomSource) -> tuple[WitnessSet, bool]:
     """Grow a partial witness point set of an affine curve (one moving form)
     by monodromy.
 
-    After each loop that finds no new point the trace test checks the set;
-    growth stops when it passes (stable) or after QUIET_LOOPS such loops
-    in a row (not stable).  Returns (witness set, stable flag)."""
-    if len(ws.selection.forms) != 1:
-        raise ValueError(
-            f"grow_witness_set needs one moving form; the set has {len(ws.selection.forms)}")
+    Loop i runs on rs.substream(2000 + i).  After each loop that finds no
+    new point the trace test checks the set; growth stops when it passes
+    (stable) or after QUIET_LOOPS such loops in a row (not stable).
+    Returns (witness set, stable flag)."""
+    _one_moving_form(ws, "grow_witness_set")
     points = list(ws.points)
-    loops = 0
     quiet = 0
-    while loops < MAX_LOOPS:
+    for loop in range(MAX_LOOPS):
         current = replace(ws, points=points)
-        loop = random_loop(current, rs.substream(2000 + loops))
         try:
-            outcome = monodromy_permutation(current, loop)
-        except (MatchAmbiguityError, IndeterminateError):
-            loops += 1
+            outcome = monodromy_permutation(current, rs.substream(2000 + loop))
+        except IndeterminateError:
             continue
-        loops += 1
         if outcome.new_points:
             points.extend(outcome.new_points)
             quiet = 0
             continue
         quiet += 1
         try:
-            if trace_test(current, points, rs.substream(3000 + loops)):
+            if trace_test(current, points, rs.substream(3001 + loop)):
                 return current, True
         except IndeterminateError:
             pass

@@ -20,7 +20,6 @@ from .tracker import (
     TrackingError,
     dedupe_points,
     refine_endpoints,
-    relative_residual,
     track_slice_motion,
 )
 
@@ -222,5 +221,5 @@ def solve_zero_dim(
     ends = track_slice_motion(None, sp.start.polys, target.polys, sp.solutions,
                               rs.substream(3).unit_complex())
     points = [p for p in refine_endpoints(target, ends) if p is not None
-              and relative_residual(F.evaluate(p), F.residual_scale(p)) < RESIDUAL_TOL]
+              and F.residual(p) < RESIDUAL_TOL]
     return dedupe_points(points)

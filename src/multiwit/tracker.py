@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Polynomial, PolySystem, _Compiled
+from .algebra import Polynomial, PolySystem, _Compiled, relative_residual
 
 MATCH_TOL = 1e-6  # relative distance below which two refined points are equal
 
@@ -115,15 +115,6 @@ class Homotopy(_Compiled):
             [[(p, 1, 0)] for p in fixed_polys]
             + [[(s, 0, self.gamma), (q, 1, -1)] for s, q in zip(start.polys, target.polys)],
             target.grouping.nvars)
-
-
-def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
-    """max_i |values_i| / scale_i, with scale the per-row term magnitude.
-
-    An absolute test is unreachable in double precision once a point has
-    wandered far from the origin; relative to the size of each row's terms
-    it is not."""
-    return float((np.abs(values) / scale).max())
 
 
 def _newton(evaluate, x: np.ndarray, tol: float, max_iters: int,

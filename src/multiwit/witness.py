@@ -32,10 +32,10 @@ from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form, solve_zero_dim, square_up
 from .tracker import (
+    MATCH_TOL,
     TrackingError,
     dedupe_points,
     points_equal,
-    relative_residual,
     track_slice_motion,
 )
 
@@ -100,10 +100,7 @@ class WitnessSet:
         """Every point satisfies the system, the extra forms and the slices
         to a relative residual below RESIDUAL_TOL."""
         full = self.system.concat(list(self.extra) + self.selection.forms)
-        return all(
-            relative_residual(full.evaluate(p), full.residual_scale(p)) < RESIDUAL_TOL
-            for p in self.points
-        )
+        return all(full.residual(p) < RESIDUAL_TOL for p in self.points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -416,8 +413,7 @@ def membership(
         raise ValueError(f"point has {point.size} coordinates, expected {g.nvars}")
     # the query must already satisfy the sliced-away part of the system
     if wc.extra:
-        probe = PolySystem(list(wc.extra))
-        if not relative_residual(probe.evaluate(point), probe.residual_scale(point)) < 1e-6:
+        if not PolySystem(list(wc.extra)).residual(point) < MATCH_TOL:
             return False
     for idx, (_, ws) in enumerate(sorted(wc.entries.items())):
         sub = rs.substream(idx)

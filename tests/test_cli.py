@@ -74,6 +74,15 @@ def test_member_two_lines(capsys):
     assert code == EXIT_OK and doc == {"member": False}
 
 
+def test_member_reads_interleaved_re_im_points(capsys):
+    # 2 * nvars values are (re, im) pairs: x = y lies on the line x - y,
+    # x + y = 1 on the other, and the third point is on neither
+    for point, member in (("0.3 0.1 0.3 0.1", True), ("0.6 0.2 0.4 -0.2", True),
+                          ("0.3 0.1 0.3 -0.1", False)):
+        code, doc = run_json(["member", "--fixture", "two-lines", "--point", point], capsys)
+        assert code == EXIT_OK and doc == {"member": member}, point
+
+
 def test_decompose_two_lines(capsys):
     code, doc = run_json(["decompose", "--fixture", "two-lines"], capsys)
     assert code == EXIT_OK
@@ -105,6 +114,16 @@ def test_class_explicit_with_slice(capsys):
     assert code == EXIT_OK
     assert doc["class"] == {"00": 2}
     assert doc["sliced"] == {}  # nothing has e_0 > 0
+
+
+def test_class_fixture_with_slice(capsys):
+    code, doc = run_json(["class", "--fixture", "class-123", "--group", "0"], capsys)
+    assert code == EXIT_OK
+    assert doc["sliced_group"] == 0
+    # slicing group 0 lowers e_0 by one and drops the keys with e_0 = 0
+    assert doc["sliced"] == {f"{int(e[0]) - 1}{e[1:]}": c
+                             for e, c in doc["class"].items() if e[0] != "0"}
+    assert doc["sliced"]["110"] == 6480
 
 
 def test_fixture_subcommand_dispatch(capsys):
@@ -149,6 +168,16 @@ def test_oversized_key_is_input_error_naming_the_key(capsys):
 def test_group_index_out_of_range_is_input_error(argv, index, capsys):
     assert run(argv) == EXIT_INPUT
     assert f"input error: group index {index} is not in 0.." in capsys.readouterr().err
+
+
+def test_input_file_matches_the_fixture(tmp_path, capsys):
+    # the cubic fixture as text; the file has no default keys, so --keys
+    cubic = tmp_path / "cubic.sys"
+    cubic.write_text("group v[2];\nf = v2^2 - 2*v1*v2 - v1^3 + v1;\n")
+    assert run(["witness", "--input", str(cubic), "--keys", "1"]) == EXIT_OK
+    from_file = capsys.readouterr().out
+    assert run(["witness", "--fixture", "cubic"]) == EXIT_OK
+    assert from_file == capsys.readouterr().out
 
 
 def test_malformed_input_file_is_input_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 import multiwit.monodromy as monodromy
 from multiwit import (
+    IndeterminateError,
     PolySystem,
     Polynomial,
     VariableGrouping,
@@ -11,11 +12,10 @@ from multiwit import (
     compute_witness_collection,
     grow_witness_set,
     monodromy_permutation,
-    random_loop,
     trace_test,
 )
 from multiwit.fixtures import get_fixture
-from multiwit.monodromy import MatchAmbiguityError, MonodromyOutcome
+from multiwit.monodromy import MonodromyOutcome
 
 from conftest import rs
 from test_acceptance import full_merge_then_slice
@@ -35,18 +35,9 @@ def two_lines_ws():
     return fx, wc.entries[(1,)]
 
 
-def test_random_loop_matches_selection_shape(cubic_ws):
-    fx, ws = cubic_ws
-    loop = random_loop(ws, rs(62))
-    assert len(loop.forms1) == len(ws.selection.forms)
-    assert len(loop.forms2) == len(ws.selection.forms)
-    for gamma in loop.gammas:
-        assert abs(abs(gamma) - 1) < 1e-12
-
-
 def test_monodromy_permutation_is_bijection(cubic_ws):
     fx, ws = cubic_ws
-    outcome = monodromy_permutation(ws, random_loop(ws, rs(63)))
+    outcome = monodromy_permutation(ws, rs(63))
     assert not outcome.new_points
     assert sorted(outcome.permutation) == [0, 1, 2]
     assert sorted(outcome.permutation.values()) == [0, 1, 2]
@@ -57,7 +48,6 @@ def test_breakup_cubic_is_one_certified_orbit(cubic_ws):
     state = breakup(ws, rs(64))
     assert [len(p) for p in state.partition] == [3]
     assert state.certified == [True]
-    assert state.complete
 
 
 def test_breakup_two_lines_gives_two_certified_parts(two_lines_ws):
@@ -65,7 +55,6 @@ def test_breakup_two_lines_gives_two_certified_parts(two_lines_ws):
     state = breakup(ws, rs(65))
     assert sorted(len(p) for p in state.partition) == [1, 1]
     assert state.certified == [True, True]
-    assert state.complete
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +65,14 @@ def octa_curve():
 
 def counted(monkeypatch, raise_first=False):
     """Count breakup's calls to monodromy_permutation; with raise_first the
-    first call raises MatchAmbiguityError instead of tracking."""
+    first call raises IndeterminateError instead of tracking."""
     real = monodromy.monodromy_permutation
     calls = []
 
     def wrapped(*args):
         calls.append(args)
         if raise_first and len(calls) == 1:
-            raise MatchAmbiguityError("two paths landed on one start point")
+            raise IndeterminateError("two paths landed on one start point")
         return real(*args)
 
     monkeypatch.setattr(monodromy, "monodromy_permutation", wrapped)
@@ -123,7 +112,7 @@ def test_breakup_discards_a_loop_that_joins_certified_parts(monkeypatch):
     swaps = [on_cubic[:2], on_line, on_cubic[1:]]
     calls = []
 
-    def scripted(ws, loop):
+    def scripted(ws, loop_rs):
         i, j = swaps[len(calls)]
         calls.append((i, j))
         permutation = {k: k for k in range(len(ws.points))}
@@ -135,7 +124,6 @@ def test_breakup_discards_a_loop_that_joins_certified_parts(monkeypatch):
     assert len(calls) == 3
     assert state.partition == sorted([[on_line[0]], [on_line[1]], on_cubic])
     assert state.certified == [True, True, True]
-    assert state.complete
 
 
 def test_trace_full_part_passes_and_subsets_fail(cubic_ws):
@@ -160,11 +148,23 @@ def test_grow_witness_set_recovers_full_degree(cubic_ws):
     assert stable
 
 
-
-def test_grow_witness_set_needs_one_moving_form():
+@pytest.fixture(scope="module")
+def two_form_ws():
     fx = get_fixture("octahedron-fg")
     wc = compute_witness_collection(fx.system, [(1, 1, 0, 0)], rs(70))
     ws = wc.entries[(1, 1, 0, 0)]
     assert len(ws.selection.forms) == 2
+    return ws
+
+
+def test_grow_witness_set_needs_one_moving_form(two_form_ws):
     with pytest.raises(ValueError, match="one moving form"):
-        grow_witness_set(ws, rs(71))
+        grow_witness_set(two_form_ws, rs(71))
+
+
+def test_breakup_refuses_a_multi_form_key(two_form_ws):
+    # the linear trace cannot certify a part of a key with two moving
+    # forms, so breakup refuses the key rather than return an uncertified
+    # partition
+    with pytest.raises(ValueError, match="one moving form"):
+        breakup(two_form_ws, rs(74))

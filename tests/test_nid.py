@@ -77,6 +77,24 @@ def test_component_membership_distinguishes_lines(two_lines_data):
     assert not component_membership(rec0, other)
 
 
+@pytest.mark.parametrize("name, e, I_order, curve_degree", [
+    ("octahedron-fg", (0, 0, 1, 1), [2, 3], 4),
+    ("affine-lines-cube", (1, 1, 1), [0, 1, 2], 1),
+])
+def test_nid_multi_cuts_with_mixed_group_forms(name, e, I_order, curve_degree):
+    # e has more than one group in its support, so build_component cuts the
+    # component with forms on the growing group prefixes of I_order
+    fx = get_fixture(name)
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(1))
+    points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
+    dec = nid_multi(fx.system, points, rs(101))
+    assert len(dec.components) == 1
+    (rec,) = dec.components
+    assert (rec.e, rec.I_order, rec.curve_degree, rec.certified) == (e, I_order, curve_degree, True)
+    assert dec.assignment == {i: 0 for i in range(len(points))}
+    assert not dec.diagnostics
+
+
 @pytest.fixture(scope="module")
 def product_data():
     fx = get_fixture("point-times-surface")

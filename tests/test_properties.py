@@ -7,7 +7,6 @@ from multiwit import (
     compute_witness_collection,
     monodromy_permutation,
     product_factorization,
-    random_loop,
     refine,
     slice_collection,
     trace_test,
@@ -27,7 +26,7 @@ def test_monodromy_is_a_bijection_on_one_component():
         wc = compute_witness_collection(fx.system, fx.default_keys,
                                         source(s, 1))
         ws = wc.entries[(1,)]
-        outcome = monodromy_permutation(ws, random_loop(ws, source(s, 2)))
+        outcome = monodromy_permutation(ws, source(s, 2))
         assert not outcome.new_points, f"seed {s} found extra points"
         matched = sorted(outcome.permutation)
         images = sorted(outcome.permutation.values())
@@ -42,7 +41,7 @@ def test_monodromy_never_mixes_distinct_components():
         wc = compute_witness_collection(fx.system, fx.default_keys,
                                         source(s, 3))
         ws = wc.entries[(1,)]
-        outcome = monodromy_permutation(ws, random_loop(ws, source(s, 4)))
+        outcome = monodromy_permutation(ws, source(s, 4))
         assert outcome.permutation == {0: 0, 1: 1}, f"seed {s} mixed components"
 
 

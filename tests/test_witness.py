@@ -308,6 +308,25 @@ def test_membership_on_and_off_curve(cubic_wc):
     assert not membership(wc, off, rs(42))
 
 
+def test_membership_checks_the_sliced_away_forms(monkeypatch):
+    # a sliced collection answers only for points on its slice: a point of
+    # the unsliced (0,1,1,0) entry lies on the variety but off the slice,
+    # and the residual on the sliced-away forms rejects it untracked
+    fx = get_fixture("octahedron-fg")
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(3))
+    sliced = slice_collection(wc, 0)
+    assert sliced.extra
+    on_slice = sliced.entries[(0, 1, 0, 0)].points[0]
+    off_slice = wc.entries[(0, 1, 1, 0)].points[0]
+    assert membership(sliced, on_slice, rs(90))
+    assert membership(wc, off_slice, rs(92))
+    calls = []
+    monkeypatch.setattr(multiwit.tracker, "track_many",
+                        lambda *args: calls.append(args) or [])
+    assert not membership(sliced, off_slice, rs(91))
+    assert not calls
+
+
 def test_membership_validates_point_size(cubic_wc):
     fx, wc = cubic_wc
     with pytest.raises(ValueError):
