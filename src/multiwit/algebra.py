@@ -274,9 +274,6 @@ def _fmt_complex(c: complex) -> str:
     return f"({c.real:+g}{c.imag:+g}i)"
 
 
-_ONE = np.ones(1, dtype=complex)
-
-
 class _Compiled:
     """One term table for rows of the form sum_k (a_k + t*b_k) * p_k(x),
     evaluated one point at a time.
@@ -321,12 +318,12 @@ class _Compiled:
         self.scale_monos, self.weights, self.scale_starts = _flatten(scaled, float)
 
         # Monomial k is the product of the coordinates its factors list, in
-        # order, one entry per unit of degree; the constant monomial lists
-        # entry nvars, which `evaluate` sets to 1.
-        exponents = np.array(list(index), dtype=np.int64).reshape(len(index), nvars)
-        constant = (exponents.sum(axis=1) == 0)[:, None]
-        counts = np.hstack((exponents, constant))  # times each coordinate is listed
-        self.factors = np.repeat(np.tile(np.arange(nvars + 1), len(index)), counts.ravel())
+        # order, one entry per unit of degree; the constant monomial 0 lists
+        # coordinate 0, so that no segment is empty, and `evaluate` sets it
+        # to 1.
+        counts = np.array(list(index), dtype=np.int64).reshape(len(index), nvars)
+        counts[0, 0] = 1  # times each coordinate is listed
+        self.factors = np.repeat(np.tile(np.arange(nvars), len(index)), counts.ravel())
         sizes = counts.sum(axis=1)
         self.factor_starts = np.cumsum(sizes) - sizes
 
@@ -334,8 +331,8 @@ class _Compiled:
         """(rows, residual scale or None, Jacobian, t-derivative of the rows)
         at (x, t), from one kernel call; the scale is computed only if
         `scaled`."""
-        monomials = np.multiply.reduceat(np.concatenate((x, _ONE)).take(self.factors),
-                                         self.factor_starts)
+        monomials = np.multiply.reduceat(x.take(self.factors), self.factor_starts)
+        monomials[0] = 1
         split = np.add.reduceat(self.coeffs * monomials.take(self.monos), self.starts)
         width, rows = self.width, self.rows
         at = split[:width] + t * split[width:]

@@ -14,6 +14,13 @@ it returns, so the first RK4 stage of the next step, k1 at that same
 (x, t), reads J_x and dH/dt from it; a rejected attempt leaves (x, t) as
 it was and keeps k1, so each attempt evaluates only stages 2 to 4.
 
+One solve entry: k1, the RK4 stages and every Newton correction call
+`_solve`, numpy's LAPACK solver without the per-call wrapper of
+`np.linalg.solve` (same routine, same bits).  A singular J_x gives a
+non-finite solution instead of an exception, and the tracker's finiteness
+tests classify it: the predictor's point is rejected and Newton reports an
+infinite residual.
+
 Every homotopy, start systems and slice motions alike, goes through
 `track_slice_motion`, under one failed-path policy: a diverged path gives
 None, and any failed path raises IndeterminateError.
@@ -21,10 +28,13 @@ None, and any failed path raises IndeterminateError.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .algebra import Polynomial, PolySystem, _Compiled, relative_residual
 
@@ -117,18 +127,29 @@ class Homotopy(_Compiled):
             target.grouping.nvars)
 
 
+def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """J^{-1} b for a complex square J: the LAPACK routine `np.linalg.solve`
+    calls, with the same result, but a singular J gives a non-finite x (and
+    numpy's invalid-value flag) instead of LinAlgError."""
+    return _umath_linalg.solve1(J, b, signature="DD->D")
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a complex vector by `np.linalg.norm`'s own formula."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _newton(evaluate, x: np.ndarray, tol: float, max_iters: int,
             check_singular: bool = False) -> tuple[np.ndarray, float, tuple | None]:
     """Newton's method on a square system.
 
     evaluate(x) gives (value, scale, Jacobian, ...) at x from one kernel
     call.  Stops once the relative residual is below tol or after
-    max_iters steps, or as soon as an iterate is not finite.  Returns
-    (point, relative residual of that point, its evaluation); the
-    evaluation is None for a point that is not finite.
-    np.linalg.LinAlgError from the linear solve propagates; with
-    check_singular a numerically singular Jacobian raises
-    SingularJacobianError before the solve."""
+    max_iters steps, or as soon as an iterate is not finite, as a singular
+    Jacobian makes it.  Returns (point, relative residual of that point,
+    its evaluation); for a point that is not finite the residual is inf and
+    the evaluation None.  With check_singular a numerically singular
+    Jacobian raises SingularJacobianError before the solve."""
     for _ in range(max_iters):
         ev = evaluate(x)
         res = relative_residual(ev[0], ev[1])
@@ -138,7 +159,7 @@ def _newton(evaluate, x: np.ndarray, tol: float, max_iters: int,
             s = np.linalg.svd(ev[2], compute_uv=False)
             if s[0] == 0 or s[-1] / s[0] < 1e-13:
                 raise SingularJacobianError("Jacobian numerically singular during refinement")
-        x = x - np.linalg.solve(ev[2], ev[0])
+        x = x - _solve(ev[2], ev[0])
         if not np.isfinite(x).all():
             return x, float("inf"), None
     ev = evaluate(x)
@@ -160,27 +181,18 @@ def newton_refine(system: PolySystem, point) -> np.ndarray:
     )
 
 
-def _newton_at(h: Homotopy, x: np.ndarray, t: float, tol: float,
-               max_iters: int) -> tuple[np.ndarray, float, tuple | None]:
-    """Newton's method on H(.;t) at fixed t; a singular solve counts as
-    failure.  Returns (point, relative residual, `h.evaluate` of the point)."""
-    try:
-        return _newton(lambda p: h.evaluate(p, t, scaled=True), x, tol, max_iters)
-    except np.linalg.LinAlgError:
-        return x, float("inf"), None
-
-
 def _slope(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
     """J_x^{-1} dH/dt at (x, t), one RK4 stage."""
     _, _, J, dhdt = h.evaluate(x, t)
-    return np.linalg.solve(J, dhdt)
+    return _solve(J, dhdt)
 
 
 def track_path(h: Homotopy, start_point) -> PathResult:
     if h.rows != h.nvars:
         raise ValueError(f"homotopy is {h.rows}x{h.nvars}, tracking needs a square one")
     x = np.asarray(start_point, dtype=complex).copy()
-    x, residual, ev = _newton_at(h, x, 1.0, NEWTON_TOL, MAX_NEWTON_ITERS)
+    x, residual, ev = _newton(lambda p: h.evaluate(p, 1.0, scaled=True), x, NEWTON_TOL,
+                              MAX_NEWTON_ITERS)
     if not residual < NEWTON_TOL:
         return PathResult("failed", None, 0)
 
@@ -188,7 +200,7 @@ def track_path(h: Homotopy, start_point) -> PathResult:
     step = INITIAL_STEP
     streak = 0
     steps = 0
-    initial_norm = float(np.linalg.norm(x))
+    initial_norm = _norm(x)
     norm_history = [initial_norm]
     blowup_norm = 1e4 * max(1.0, initial_norm)
     crawl = 0  # accepted steps spent creeping toward a blow-up time
@@ -200,31 +212,28 @@ def track_path(h: Homotopy, start_point) -> PathResult:
                 return PathResult("diverged", None, steps)
             return PathResult("failed", None, steps)
         dt = min(step, t)
-        try:
-            # RK4 on the Davidenko ODE x'(t) = -J_x^{-1} dH/dt, moving toward
-            # t=0; each k is J_x^{-1} dH/dt, so the steps add dt * k.  k1
-            # reads J_x and dH/dt from the corrector's evaluation at (x, t).
-            if k1 is None:
-                k1 = np.linalg.solve(ev[2], ev[3])
-            k2 = _slope(h, x + 0.5 * dt * k1, t - 0.5 * dt)
-            k3 = _slope(h, x + 0.5 * dt * k2, t - 0.5 * dt)
-            k4 = _slope(h, x + dt * k3, t - dt)
-            xp = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            predicted_ok = np.isfinite(xp).all()
-        except np.linalg.LinAlgError:
-            predicted_ok = False
-            xp = x
+        # RK4 on the Davidenko ODE x'(t) = -J_x^{-1} dH/dt, moving toward
+        # t=0; each k is J_x^{-1} dH/dt, so the steps add dt * k.  k1 reads
+        # J_x and dH/dt from the corrector's evaluation at (x, t).  A
+        # singular J_x makes xp non-finite, so the attempt is rejected.
+        if k1 is None:
+            k1 = _solve(ev[2], ev[3])
+        k2 = _slope(h, x + 0.5 * dt * k1, t - 0.5 * dt)
+        k3 = _slope(h, x + 0.5 * dt * k2, t - 0.5 * dt)
+        k4 = _slope(h, x + dt * k3, t - dt)
+        xp = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
         accepted = False
-        if predicted_ok:
-            xc, residual, ev_c = _newton_at(h, xp, t - dt, NEWTON_TOL, MAX_NEWTON_ITERS)
+        if np.isfinite(xp).all():
+            xc, residual, ev_c = _newton(lambda p: h.evaluate(p, t - dt, scaled=True), xp,
+                                         NEWTON_TOL, MAX_NEWTON_ITERS)
             if residual < NEWTON_TOL:
                 x, ev, k1 = xc, ev_c, None
                 t = t - dt
                 steps += 1
                 streak += 1
                 accepted = True
-                norm_history.append(float(np.linalg.norm(x)))
+                norm_history.append(_norm(x))
                 if len(norm_history) > 8:
                     norm_history.pop(0)
                 if norm_history[-1] > DIVERGENCE_NORM:
@@ -253,7 +262,7 @@ def track_path(h: Homotopy, start_point) -> PathResult:
                 return PathResult("failed", None, steps)
 
     # Final sharpening against the t=0 system
-    x, residual, _ = _newton_at(h, x, 0.0, END_TOL, 30)
+    x, residual, _ = _newton(lambda p: h.evaluate(p, 0.0, scaled=True), x, END_TOL, 30)
     if residual < END_TOL:
         return PathResult("converged", x, steps)
     return PathResult("failed", None, steps)
@@ -306,8 +315,32 @@ def points_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def dedupe_points(points: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The points, in input order, without each one that `points_equal`s a
+    point kept before it.
+
+    The kept points are also held sorted on the projection Re(u.x) for one
+    fixed unit vector u.  |Re(u.(p - q))| <= |p - q|, so only kept points q
+    whose projection lies within MATCH_TOL * max(1, |p|, largest kept norm)
+    of p's can equal p, and only those are compared.  The window is twice
+    that, so rounding in the projections never drops a candidate."""
     kept: list[np.ndarray] = []
+    if len(points) == 0:
+        return kept
+    n = len(points[0])
+    u = np.exp(2j * np.pi * np.sqrt(2) * np.arange(n)) / np.sqrt(n)
+    keys: list[float] = []  # the kept points' projections, sorted
+    near: list[np.ndarray] = []  # the kept points in the order of `keys`
+    largest = 0.0
     for p in points:
-        if not any(points_equal(p, q) for q in kept):
-            kept.append(p)
+        key = float((u @ p).real)
+        norm = _norm(p)
+        reach = 2 * MATCH_TOL * max(1.0, norm, largest)
+        lo, hi = bisect_left(keys, key - reach), bisect_right(keys, key + reach)
+        if any(points_equal(p, q) for q in near[lo:hi]):
+            continue
+        at = bisect_left(keys, key)
+        keys.insert(at, key)
+        near.insert(at, p)
+        kept.append(p)
+        largest = max(largest, norm)
     return kept

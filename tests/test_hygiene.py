@@ -115,6 +115,18 @@ def test_only_the_tracker_tracks(path):
     assert not calls, f"{path.name} tracks paths outside the tracker: {', '.join(calls)}"
 
 
+def test_tracker_has_one_solve_entry():
+    # every tracker solve goes through tracker._solve, and a singular
+    # Jacobian is classified by the tracker's finiteness tests, not caught
+    tree = ast.parse((ROOT / "src" / "multiwit" / "tracker.py").read_text())
+    found = [f"{ast.unparse(node.func)} (line {node.lineno})" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"]
+    found += [f"except {ast.unparse(node.type)} (line {node.lineno})" for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              and "LinAlgError" in ast.unparse(node.type)]
+    assert not found, f"tracker.py bypasses _solve: {', '.join(found)}"
+
+
 # Methods nothing in src/multiwit calls, kept as the plain references that
 # tests check the compiled Jacobian and the computed witness points against.
 REFERENCE_METHODS = {"Polynomial.diff", "WitnessSet.verify"}

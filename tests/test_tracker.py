@@ -182,16 +182,17 @@ def test_fused_kernel_matches_block_formulas(with_fixed):
 
 def test_tracker_hooks_seen_from_outside(monkeypatch):
     # a wrapper on multiwit.tracker.track_path sees every path of track_many,
-    # and one on numpy.linalg.solve sees the tracker's linear solves
+    # and one on multiwit.tracker._solve sees the tracker's linear solves
     g, x = univariate()
     h = Homotopy(PolySystem([x**3 - 1]), PolySystem([x**3 - 2 * x + 0.5]),
                  gamma=rs(5).unit_complex())
     starts = [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
     paths, solves = [], []
-    track, solve = multiwit.tracker.track_path, np.linalg.solve
+    track, solve = multiwit.tracker.track_path, multiwit.tracker._solve
     monkeypatch.setattr(multiwit.tracker, "track_path",
                         lambda *args: paths.append(args) or track(*args))
-    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args) or solve(*args))
+    monkeypatch.setattr(multiwit.tracker, "_solve",
+                        lambda *args: solves.append(args) or solve(*args))
     results = track_many(h, starts)
     assert len(paths) == len(starts)
     assert all(r.converged for r in results)
@@ -200,6 +201,62 @@ def test_tracker_hooks_seen_from_outside(monkeypatch):
     solves.clear()
     newton_refine(PolySystem([x**2 - 2]), np.array([1.4 + 0j]))
     assert solves
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_solve_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    J = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert np.array_equal(multiwit.tracker._solve(J, b), np.linalg.solve(J, b))
+
+
+@pytest.mark.parametrize("J", [[[0]], [[1, 2], [2, 4]]])
+def test_singular_solve_is_not_finite(J):
+    with np.errstate(invalid="ignore"):
+        x = multiwit.tracker._solve(np.array(J, dtype=complex), np.ones(len(J), dtype=complex))
+    assert not np.isfinite(x).any()
+
+
+def test_singular_start_jacobian_fails_quietly():
+    # x = 0 is a double root of the start system, so J_x vanishes there: the
+    # first RK4 stage is not finite and every attempt is rejected
+    g, x = univariate()
+    h = Homotopy(PolySystem([x**2]), PolySystem([x**2 - 4]), gamma=rs(6).unit_complex())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (result,) = track_many(h, [np.array([0j])])
+    assert (result.status, result.endpoint, result.steps_taken) == ("failed", None, 0)
+
+
+def test_tracker_solve_tracks_like_numpy_solve(monkeypatch):
+    # the same paths, bit for bit, with numpy's wrapped solve in place of
+    # _solve: one start homotopy of the octahedron-fh collection and one
+    # homotopy of its coarsening
+    fx = get_fixture("octahedron-fh")
+    homotopies = []
+    track = multiwit.tracker.track_many
+
+    def recorded(h, starts):
+        homotopies.append((h, starts))
+        return track(h, starts)
+
+    monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
+    source = RandomSource(seed=7, stream=1003)
+    wc = compute_witness_collection(fx.system, fx.default_keys, source)
+    collected = len(homotopies)
+    coarsen_collection(wc, (0, 1), source.substream(101))
+    monkeypatch.undo()
+    for h, starts in (homotopies[0], homotopies[collected]):
+        ours = track_many(h, starts)
+        monkeypatch.setattr(multiwit.tracker, "_solve", np.linalg.solve)
+        numpys = track_many(h, starts)
+        monkeypatch.undo()
+        assert any(r.converged for r in ours)
+        for a, b in zip(ours, numpys, strict=True):
+            assert (a.status, a.steps_taken) == (b.status, b.steps_taken)
+            assert (a.endpoint is None and b.endpoint is None) or np.array_equal(a.endpoint,
+                                                                                 b.endpoint)
 
 
 def test_overflowing_predictor_warns_nothing(monkeypatch):
@@ -256,6 +313,48 @@ def test_newton_refine_nonconvergence_raises():
     F = PolySystem([x**2 + 1])
     with pytest.raises(NonconvergenceError):
         newton_refine(F, np.array([3.0 + 0j]))
+
+
+def quadratic_dedupe(points):
+    """The reference: keep p unless it equals a point already kept."""
+    kept = []
+    for p in points:
+        if not any(points_equal(p, q) for q in kept):
+            kept.append(p)
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_dedupe_matches_quadratic_reference(seed, n):
+    # planted pairs at 0.5x (equal) and 2x (distinct) the match distance,
+    # three-point chains whose ends are distinct but each next to the middle,
+    # and exact repeats, over norms from 1e-3 to 1e6
+    rng = np.random.default_rng(100 * n + seed)
+
+    def unit():
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return v / np.linalg.norm(v)
+
+    points = []
+    for _ in range(60):
+        p = 10 ** rng.uniform(-3, 6) * unit()
+        gap = multiwit.tracker.MATCH_TOL * max(1.0, np.linalg.norm(p))
+        kind = rng.integers(4)
+        if kind == 0:
+            points += [p, p + 0.5 * gap * unit()]
+        elif kind == 1:
+            points += [p, p + 2 * gap * unit()]
+        elif kind == 2:
+            d = unit()
+            points += [p, p + 0.6 * gap * d, p + 1.2 * gap * d]
+        else:
+            points += [p, p.copy(), p]
+    order = rng.permutation(len(points))
+    points = [points[i] for i in order]
+    got, expected = dedupe_points(points), quadratic_dedupe(points)
+    assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+    assert len(expected) < len(points)
 
 
 def test_points_equal_and_dedupe():
