@@ -269,8 +269,9 @@ def track_path(h: Homotopy, start_point) -> PathResult:
 
 
 def track_many(h: Homotopy, starts: Sequence) -> list[PathResult]:
-    """Track a batch; results ordered by input index.  numpy's overflow
-    warnings are off: the finiteness tests classify a diverging path."""
+    """Track a batch; results ordered by input index.  numpy's overflow and
+    invalid-value warnings are off: the finiteness tests classify a
+    diverging path and a singular Jacobian."""
     with np.errstate(over="ignore", invalid="ignore"):
         return [track_path(h, s) for s in starts]
 
