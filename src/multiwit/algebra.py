@@ -7,8 +7,9 @@ by group: per-group degrees and Jacobian column blocks.
 
 Evaluation and differentiation of whole systems go through one compiled
 term table per system (shared monomials, value and derivative terms), so
-a point's values and Jacobian come from one kernel call; the residual
-scale has a small table of its own over the same monomials.
+a point's values and Jacobian come from one kernel call, and a batch of
+points' from one call too; the residual scale has a small table of its own
+over the same monomials.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from typing import Sequence
 import numpy as np
 
 
-def relative_residual(values: np.ndarray, scale: np.ndarray) -> float:
-    """max_i |values_i| / scale_i, with scale the per-row term magnitude.
+def relative_residual(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """max_i |values_i| / scale_i, with scale the per-row term magnitude,
+    over the last axis: one residual per point for the rows of many.
 
     An absolute test is unreachable in double precision once a point has
     wandered far from the origin; relative to the size of each row's terms
     it is not."""
-    return float((np.abs(values) / scale).max())
+    return (np.abs(values) / scale).max(axis=-1)
 
 
 class VariableGrouping:
@@ -276,7 +278,7 @@ def _fmt_complex(c: complex) -> str:
 
 class _Compiled:
     """One term table for rows of the form sum_k (a_k + t*b_k) * p_k(x),
-    evaluated one point at a time.
+    evaluated at one point or at a batch of points, one per row.
 
     Every term refers into one list of distinct monomials; monomial 0 is the
     constant 1.  The terms are summed per owner in one take, one multiply
@@ -326,22 +328,70 @@ class _Compiled:
         self.factors = np.repeat(np.tile(np.arange(nvars), len(index)), counts.ravel())
         sizes = counts.sum(axis=1)
         self.factor_starts = np.cumsum(sizes) - sizes
+        self._capacity = 0  # points `_batch` is built for, see `_rows`
+        self._prefixes = {}  # count -> the prefixes of `_batch` for that many points
 
-    def evaluate(self, x: np.ndarray, t: float = 0.0, scaled: bool = False) -> tuple:
+    def evaluate(self, x: np.ndarray, t=0.0, scaled: bool = False) -> tuple:
         """(rows, residual scale or None, Jacobian, t-derivative of the rows)
         at (x, t), from one kernel call; the scale is computed only if
-        `scaled`."""
-        monomials = np.multiply.reduceat(x.take(self.factors), self.factor_starts)
-        monomials[0] = 1
-        split = np.add.reduceat(self.coeffs * monomials.take(self.monos), self.starts)
+        `scaled`.  x is one point of shape (n,) and t a float, or x holds B
+        points as the rows of a (B, n) array and t is a float or of shape
+        (B,); then every result has a leading axis of B, and each of its
+        rows is bit for bit the one-point call at that row's (x, t)."""
+        one = x.ndim == 1
+        count = 1 if one else len(x)
+        (factors, factor_starts, monos, coeffs, starts, scale_monos, weights, scale_starts,
+         gathered, terms) = self._rows(count)
+        monomials = np.multiply.reduceat(x.take(factors, out=gathered, mode="clip"),
+                                         factor_starts)
+        monomials[::len(self.factor_starts)] = 1
+        # coefficient first: numpy's complex product need not commute bit for bit
+        terms = np.multiply(coeffs, monomials.take(monos, out=terms, mode="clip"), out=terms)
+        split = np.add.reduceat(terms, starts).reshape(count, -1)
+        if not one and isinstance(t, np.ndarray):
+            t = t[:, None]
         width, rows = self.width, self.rows
-        at = split[:width] + t * split[width:]
+        at = split[:, :width] + t * split[:, width:]
         scale = None
         if scaled:
-            terms = self.weights * np.abs(monomials).take(self.scale_monos)
-            magnitudes = np.add.reduceat(terms, self.scale_starts) + self.ones
-            scale = magnitudes[:rows] + t * magnitudes[rows:]
-        return at[:rows], scale, at[rows:].reshape(rows, self.nvars), split[width:width + rows]
+            weighted = np.abs(monomials).take(scale_monos)
+            weighted *= weights
+            magnitudes = np.add.reduceat(weighted, scale_starts).reshape(count, -1) + self.ones
+            scale = magnitudes[:, :rows] + t * magnitudes[:, rows:]
+        jacobian = at[:, rows:].reshape(count, rows, self.nvars)
+        if one:
+            return at[0, :rows], None if scale is None else scale[0], jacobian[0], \
+                split[0, width:width + rows]
+        return at[:, :rows], scale, jacobian, split[:, width:width + rows]
+
+    def _rows(self, count: int) -> tuple[np.ndarray, ...]:
+        """The table for `count` points at once, flattened: the index arrays
+        with point k's copy offset by k times the length of what it indexes,
+        the coefficients and weights repeated, and two scratch arrays, for
+        the gathered factors and for the terms.  So every segment is still
+        summed by one 1-D `reduceat`, in the same order as for one point.
+        The arrays are built once, for the largest count asked, and a smaller
+        count reads a prefix of each.  The scratch arrays are kept because a
+        fresh array of that size costs page faults on every call; so one
+        table is not to be evaluated from two threads at once."""
+        prefixes = self._prefixes.get(count)
+        if prefixes is None:
+            if self._capacity < count:
+                k = np.arange(count)[:, None]
+                m = len(self.factor_starts)  # monomials per point
+                # a stride of 0 repeats the coefficients and weights
+                self._batch = tuple((base + k * stride).ravel() for base, stride in (
+                    (self.factors, self.nvars), (self.factor_starts, len(self.factors)),
+                    (self.monos, m), (self.coeffs, 0), (self.starts, len(self.monos)),
+                    (self.scale_monos, m), (self.weights, 0),
+                    (self.scale_starts, len(self.scale_monos)))
+                ) + (np.empty(count * len(self.factors), dtype=complex),
+                     np.empty(count * len(self.monos), dtype=complex))
+                self._capacity = count
+                self._prefixes.clear()
+            prefixes = self._prefixes[count] = tuple(
+                a[:count * (len(a) // self._capacity)] for a in self._batch)
+        return prefixes
 
 
 def _flatten(owned: list, dtype) -> tuple[np.ndarray, ...]:
@@ -378,12 +428,14 @@ class PolySystem:
         return _Compiled([[(p, 1, 0)] for p in self.polys], self.grouping.nvars)
 
     def kernel(self, point, scaled: bool = False) -> tuple:
-        """(values, residual scale or None, Jacobian, _) at `point`, from one
-        kernel call; the scale is computed only if `scaled`."""
+        """(values, residual scale or None, Jacobian, _) at `point`, or at
+        each row of a (B, n) array of points, from one kernel call; the
+        scale is computed only if `scaled`."""
         point = np.asarray(point, dtype=complex)
-        if point.shape != (self.grouping.nvars,):
+        if point.ndim not in (1, 2) or point.shape[-1] != self.grouping.nvars:
             raise ValueError(
-                f"point has {point.size} coordinates, expected {self.grouping.nvars}"
+                f"point has {point.shape[-1] if point.ndim else 1} coordinates, "
+                f"expected {self.grouping.nvars}"
             )
         return self._compiled.evaluate(point, scaled=scaled)
 
@@ -396,7 +448,7 @@ class PolySystem:
     def residual(self, point) -> float:
         """Relative residual of the system at `point`; the one test of
         whether a point lies on it."""
-        return relative_residual(self.evaluate(point), self.residual_scale(point))
+        return float(relative_residual(self.evaluate(point), self.residual_scale(point)))
 
     def jacobian(self, point) -> np.ndarray:
         """DF(point)."""

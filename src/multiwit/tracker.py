@@ -7,6 +7,16 @@ The predictor is 4th-order Runge-Kutta on the Davidenko ODE, the
 corrector is full Newton with at most a few iterations per step, and
 the step size doubles after consecutive successes / halves on failure.
 
+Lockstep rows: `track_many` keeps one row per live path, at most
+BATCH_PATHS of them, and moves all rows through each stage together: k1,
+the three RK4 stages, the corrector and the t = 0 sharpening each make one
+kernel call on a (B, n) batch and one stacked solve.  Each path keeps its
+own t, step, streak, steps, crawl count and norm history (`_Path`), and the
+rules of a path tracked alone judge its row.  A finished path's row goes
+to the next start point.  A row's arithmetic never reads another row, so a
+path's result does not depend on the batch: not on its size, its order or
+the other paths in it.  `track_path` is `track_many` on one start point.
+
 One evaluation per point: `Homotopy.evaluate` gives H, J_x and dH/dt at
 (x, t) from one kernel call, and the residual scale only when the
 corrector asks for it.  The corrector returns the evaluation of the point
@@ -14,12 +24,14 @@ it returns, so the first RK4 stage of the next step, k1 at that same
 (x, t), reads J_x and dH/dt from it; a rejected attempt leaves (x, t) as
 it was and keeps k1, so each attempt evaluates only stages 2 to 4.
 
-One solve entry: k1, the RK4 stages and every Newton correction call
-`_solve`, numpy's LAPACK solver without the per-call wrapper of
-`np.linalg.solve` (same routine, same bits).  A singular J_x gives a
-non-finite solution instead of an exception, and the tracker's finiteness
-tests classify it: the predictor's point is rejected and Newton reports an
-infinite residual.
+One Newton loop, `_newton`, serves the corrector, the correction of the
+start points, the t = 0 sharpening and `newton_refine`, and is the one
+place that tests a residual.  One solve entry: k1, the RK4 stages and
+every Newton correction call `_solve`, numpy's LAPACK solver without the
+per-call wrapper of `np.linalg.solve` (same routine, same bits), on one
+matrix or a stack.  A singular J_x gives a non-finite solution instead of
+an exception, and the tracker's finiteness tests classify it: the
+predictor's point is rejected and Newton reports an infinite residual.
 
 Every homotopy, start systems and slice motions alike, goes through
 `track_slice_motion`, under one failed-path policy: a diverged path gives
@@ -53,6 +65,7 @@ END_TOL = 1e-9  # relative residual of the t = 0 sharpening
 MAX_STEPS = 20000  # accepted steps per path
 REFINE_TOL = 1e-10  # relative residual `newton_refine` must reach
 REFINE_ITERS = 20  # Newton iterations of `newton_refine`
+BATCH_PATHS = 64  # paths `track_many` keeps live at once; no result depends on it
 
 
 class TrackingError(RuntimeError):
@@ -128,9 +141,11 @@ class Homotopy(_Compiled):
 
 
 def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """J^{-1} b for a complex square J: the LAPACK routine `np.linalg.solve`
-    calls, with the same result, but a singular J gives a non-finite x (and
-    numpy's invalid-value flag) instead of LinAlgError."""
+    """J^{-1} b for a complex square J, or for each of a stack of (B, n, n)
+    matrices and (B, n) right-hand sides: the LAPACK routine
+    `np.linalg.solve` calls, with the same result, row by row, but a
+    singular J gives a non-finite x (and numpy's invalid-value flag) instead
+    of LinAlgError."""
     return _umath_linalg.solve1(J, b, signature="DD->D")
 
 
@@ -139,141 +154,234 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def _newton(evaluate, x: np.ndarray, tol: float, max_iters: int,
-            check_singular: bool = False) -> tuple[np.ndarray, float, tuple | None]:
-    """Newton's method on a square system.
+def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float, max_iters: int,
+            check_singular: bool = False) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """Newton's method on rows of a square system: row i of x is corrected
+    at t[i], on its own, and the rows still iterating share one kernel call
+    and one stacked solve per iteration.
 
-    evaluate(x) gives (value, scale, Jacobian, ...) at x from one kernel
-    call.  Stops once the relative residual is below tol or after
-    max_iters steps, or as soon as an iterate is not finite, as a singular
-    Jacobian makes it.  Returns (point, relative residual of that point,
-    its evaluation); for a point that is not finite the residual is inf and
-    the evaluation None.  With check_singular a numerically singular
-    Jacobian raises SingularJacobianError before the solve."""
-    for _ in range(max_iters):
-        ev = evaluate(x)
-        res = relative_residual(ev[0], ev[1])
-        if res < tol:
-            return x, res, ev
-        if check_singular:
-            s = np.linalg.svd(ev[2], compute_uv=False)
-            if s[0] == 0 or s[-1] / s[0] < 1e-13:
-                raise SingularJacobianError("Jacobian numerically singular during refinement")
-        x = x - _solve(ev[2], ev[0])
-        if not np.isfinite(x).all():
-            return x, float("inf"), None
-    ev = evaluate(x)
-    return x, relative_residual(ev[0], ev[1]), ev
+    evaluate(x, t) gives (values, scale, Jacobian, ...) at the rows of x from
+    one kernel call.  A row stops once its relative residual is below tol or
+    after max_iters steps, or as soon as its iterate is not finite, as a
+    singular Jacobian makes it.  Returns (points, the relative residual of
+    each, the evaluation of each as a tuple of row arrays, or None if no row
+    kept one); a row whose point is not finite has residual inf and an
+    unspecified evaluation.  With check_singular a numerically singular
+    Jacobian in any row raises SingularJacobianError before the solve."""
+    rows = None  # the rows still iterating, None while every row is
+    res = kept = None  # each row's residual and evaluation where it stopped
+    for i in range(max_iters + 1):
+        ev = evaluate(x, t) if rows is None else evaluate(x[rows], t[rows])
+        r = relative_residual(ev[0], ev[1])
+        stop = r < tol if i < max_iters else np.ones(len(r), dtype=bool)
+        values, J = ev[0], ev[2]
+        done = np.count_nonzero(stop)
+        if done:
+            if rows is None:
+                if done == len(x):
+                    return x, r, ev
+                rows = np.arange(len(x))
+            if kept is None:
+                res = np.full(len(x), np.inf)
+                kept = tuple(np.empty((len(x),) + a.shape[1:], a.dtype) for a in ev)
+            res[rows[stop]] = r[stop]
+            for whole, part in zip(kept, ev):
+                whole[rows[stop]] = part[stop]
+            if done == len(rows):
+                break
+            go = ~stop
+            rows, values, J = rows[go], values[go], J[go]
+        if check_singular and any(s[0] == 0 or s[-1] / s[0] < 1e-13
+                                  for s in np.linalg.svd(J, compute_uv=False)):
+            raise SingularJacobianError("Jacobian numerically singular during refinement")
+        if rows is None:
+            x = moved = x - _solve(J, values)
+        else:
+            moved = x[rows] - _solve(J, values)
+            x = x.copy()
+            x[rows] = moved
+        finite = np.isfinite(moved).all(axis=1)
+        if np.count_nonzero(finite) < len(finite):
+            rows = (np.arange(len(x)) if rows is None else rows)[finite]
+            if not len(rows):
+                break
+    return x, np.full(len(x), np.inf) if res is None else res, kept
 
 
 def newton_refine(system: PolySystem, point) -> np.ndarray:
     """Sharpen a root of a square system by Newton iteration, to a relative
     residual below REFINE_TOL in at most REFINE_ITERS steps."""
-    x = np.asarray(point, dtype=complex).copy()
+    x = np.asarray(point, dtype=complex)
     if len(system) != x.size:
         raise ValueError("newton_refine needs a square system")
-    x, res, _ = _newton(lambda p: system.kernel(p, scaled=True), x, REFINE_TOL, REFINE_ITERS,
-                        check_singular=True)
-    if res < REFINE_TOL:
-        return x
+    x, res, _ = _newton(lambda p, t: system.kernel(p, scaled=True), x[None], np.zeros(1),
+                        REFINE_TOL, REFINE_ITERS, check_singular=True)
+    if res[0] < REFINE_TOL:
+        return x[0]
     raise NonconvergenceError(
-        f"Newton refinement stalled at relative residual {res:.3e}"
+        f"Newton refinement stalled at relative residual {res[0]:.3e}"
     )
 
 
-def _slope(h: Homotopy, x: np.ndarray, t: float) -> np.ndarray:
-    """J_x^{-1} dH/dt at (x, t), one RK4 stage."""
-    _, _, J, dhdt = h.evaluate(x, t)
-    return _solve(J, dhdt)
+class _Path:
+    """One live path's step control: the rules of a path tracked alone, for
+    one row of the batch.  The row's point and its k1 live in the batch."""
+
+    __slots__ = ("index", "t", "step", "streak", "steps", "crawl", "norms", "initial",
+                 "blowup")
+
+    def __init__(self, index: int, norm: float):
+        self.index = index  # position among the start points
+        self.t = 1.0
+        self.step = INITIAL_STEP
+        self.streak = 0
+        self.steps = 0
+        self.crawl = 0  # accepted steps spent creeping toward a blow-up time
+        self.norms = [norm]  # the last 8 norms
+        self.initial = norm
+        self.blowup = 1e4 * max(1.0, norm)
+
+    def accepted(self, dt: float, norm: float) -> str | None:
+        """The step to t - dt was accepted at a point of this norm.  Returns
+        the status the path ends with, "ended" when it reached t = 0, or
+        None while it goes on."""
+        self.t = self.t - dt
+        self.steps += 1
+        self.streak += 1
+        self.norms.append(norm)
+        if len(self.norms) > 8:
+            self.norms.pop(0)
+        if norm > DIVERGENCE_NORM:
+            return "diverged"
+        # A path blowing up at an interior time creeps: t stagnates while the
+        # norm grows without bound.  Cut it off early.
+        if dt < 1e-4 and norm > self.norms[-2]:
+            self.crawl += 1
+            if self.crawl >= 100 and norm > self.blowup:
+                return "diverged"
+        else:
+            self.crawl = 0
+        if self.streak >= 4:
+            self.step = min(self.step * 2, MAX_STEP)
+            self.streak = 0
+        if not self.t > 0:
+            return "ended"
+        if self.steps >= MAX_STEPS:
+            return "diverged" if norm > self.blowup else "failed"
+        return None
+
+    def rejected(self) -> str | None:
+        """The step attempt was rejected: halve the step.  Returns the status
+        the path ends with, or None while it goes on."""
+        self.step = self.step / 2
+        self.streak = 0
+        if self.step < MIN_STEP:
+            recent_growth = len(self.norms) >= 2 and self.norms[-1] > 2 * self.norms[0]
+            blown_up = self.norms[-1] > max(1e4, 100.0 * self.initial)
+            return "diverged" if blown_up or (self.t < 0.05 and recent_growth) else "failed"
+        return None
 
 
-def track_path(h: Homotopy, start_point) -> PathResult:
-    if h.rows != h.nvars:
+def _scaled(h: Homotopy):
+    """h's kernel with the residual scale, as `_newton` calls it."""
+    return lambda x, t: h.evaluate(x, t, scaled=True)
+
+
+def _start(h: Homotopy, starts: Sequence, index: range, results: list) -> tuple:
+    """Correct the start points at `index` on H(x; 1).  A start that does
+    not correct is a failed path of 0 steps; returns (paths, points, k1) of
+    the others, which begin at t = 1."""
+    x = np.array([starts[i] for i in index], dtype=complex)
+    x, res, ev = _newton(_scaled(h), x, np.ones(len(x)), NEWTON_TOL, MAX_NEWTON_ITERS)
+    ok = res < NEWTON_TOL
+    for i, good in zip(index, ok):
+        if not good:
+            results[i] = PathResult("failed", None, 0)
+    x = x[ok]
+    k1 = _solve(ev[2][ok], ev[3][ok]) if len(x) else x
+    return [_Path(i, _norm(p)) for i, p in zip(np.array(index)[ok], x)], x, k1
+
+
+def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, results: list) -> tuple:
+    """One step attempt of every live path, in lockstep: each RK4 stage, the
+    corrector and the t = 0 sharpening make one kernel call and one stacked
+    solve for all rows, and each path's rules then judge its own row.
+    Finished paths go into `results`; returns (paths, points, k1) of the
+    paths still live."""
+    # RK4 on the Davidenko ODE x'(t) = -J_x^{-1} dH/dt, moving toward t=0;
+    # each k is J_x^{-1} dH/dt, so the steps add dt * k.  A singular J_x
+    # makes xp non-finite, so the attempt is rejected.
+    dts = [min(p.step, p.t) for p in paths]
+    t, dt = np.array([p.t for p in paths]), np.array(dts)
+    half, to = 0.5 * dt, t - dt
+    ks = [k1]
+    for w, tw in ((half, t - half), (half, t - half), (dt, to)):
+        _, _, J, dhdt = h.evaluate(x + w[:, None] * ks[-1], tw)
+        ks.append(_solve(J, dhdt))
+    _, k2, k3, k4 = ks
+    xp = x + (dt / 6.0)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
+    xc, res, ev = _newton(_scaled(h), xp, to, NEWTON_TOL, MAX_NEWTON_ITERS)
+    accepted = (res < NEWTON_TOL) & np.isfinite(xp).all(axis=1)
+
+    live, ended = [], []
+    for i, (p, ok, point) in enumerate(zip(paths, accepted, xc)):
+        status = p.accepted(dts[i], _norm(point)) if ok else p.rejected()
+        if status is None:
+            live.append(i)
+        elif status == "ended":
+            ended.append(i)
+        else:
+            results[p.index] = PathResult(status, None, p.steps)
+    if ended:  # final sharpening against the t = 0 system
+        ends, res, _ = _newton(_scaled(h), xc[ended], np.zeros(len(ended)), END_TOL, 30)
+        for i, end, r in zip(ended, ends, res):
+            p = paths[i]
+            results[p.index] = (PathResult("converged", end.copy(), p.steps) if r < END_TOL
+                                else PathResult("failed", None, p.steps))
+    if len(live) == len(paths) and accepted.all():  # the new arrays replace the old
+        return paths, xc, _solve(ev[2], ev[3])
+    x = np.where(accepted[:, None], xc, x)[live]
+    k1 = k1[live]
+    fresh = accepted[live]
+    if fresh.any():
+        rows = np.array(live)[fresh]
+        k1[fresh] = _solve(ev[2][rows], ev[3][rows])
+    return [paths[i] for i in live], x, k1
+
+
+def _track_rows(h: Homotopy, starts: Sequence) -> list[PathResult]:
+    """The engine of `track_many`: at most BATCH_PATHS paths are live at
+    once, and a finished path's row goes to the next start point."""
+    if len(starts) and h.rows != h.nvars:
         raise ValueError(f"homotopy is {h.rows}x{h.nvars}, tracking needs a square one")
-    x = np.asarray(start_point, dtype=complex).copy()
-    x, residual, ev = _newton(lambda p: h.evaluate(p, 1.0, scaled=True), x, NEWTON_TOL,
-                              MAX_NEWTON_ITERS)
-    if not residual < NEWTON_TOL:
-        return PathResult("failed", None, 0)
-
-    t = 1.0
-    step = INITIAL_STEP
-    streak = 0
-    steps = 0
-    initial_norm = _norm(x)
-    norm_history = [initial_norm]
-    blowup_norm = 1e4 * max(1.0, initial_norm)
-    crawl = 0  # accepted steps spent creeping toward a blow-up time
-    k1 = None  # the first RK4 stage at (x, t), kept across rejected attempts
-
-    while t > 0:
-        if steps >= MAX_STEPS:
-            if norm_history[-1] > blowup_norm:
-                return PathResult("diverged", None, steps)
-            return PathResult("failed", None, steps)
-        dt = min(step, t)
-        # RK4 on the Davidenko ODE x'(t) = -J_x^{-1} dH/dt, moving toward
-        # t=0; each k is J_x^{-1} dH/dt, so the steps add dt * k.  k1 reads
-        # J_x and dH/dt from the corrector's evaluation at (x, t).  A
-        # singular J_x makes xp non-finite, so the attempt is rejected.
-        if k1 is None:
-            k1 = _solve(ev[2], ev[3])
-        k2 = _slope(h, x + 0.5 * dt * k1, t - 0.5 * dt)
-        k3 = _slope(h, x + 0.5 * dt * k2, t - 0.5 * dt)
-        k4 = _slope(h, x + dt * k3, t - dt)
-        xp = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-        accepted = False
-        if np.isfinite(xp).all():
-            xc, residual, ev_c = _newton(lambda p: h.evaluate(p, t - dt, scaled=True), xp,
-                                         NEWTON_TOL, MAX_NEWTON_ITERS)
-            if residual < NEWTON_TOL:
-                x, ev, k1 = xc, ev_c, None
-                t = t - dt
-                steps += 1
-                streak += 1
-                accepted = True
-                norm_history.append(_norm(x))
-                if len(norm_history) > 8:
-                    norm_history.pop(0)
-                if norm_history[-1] > DIVERGENCE_NORM:
-                    return PathResult("diverged", None, steps)
-                # A path blowing up at an interior time creeps: t stagnates
-                # while the norm grows without bound.  Cut it off early.
-                if dt < 1e-4 and norm_history[-1] > norm_history[-2]:
-                    crawl += 1
-                    if crawl >= 100 and norm_history[-1] > blowup_norm:
-                        return PathResult("diverged", None, steps)
-                else:
-                    crawl = 0
-                if streak >= 4:
-                    step = min(step * 2, MAX_STEP)
-                    streak = 0
-        if not accepted:
-            step = step / 2
-            streak = 0
-            if step < MIN_STEP:
-                recent_growth = (
-                    len(norm_history) >= 2 and norm_history[-1] > 2 * norm_history[0]
-                )
-                blown_up = norm_history[-1] > max(1e4, 100.0 * initial_norm)
-                if blown_up or (t < 0.05 and recent_growth):
-                    return PathResult("diverged", None, steps)
-                return PathResult("failed", None, steps)
-
-    # Final sharpening against the t=0 system
-    x, residual, _ = _newton(lambda p: h.evaluate(p, 0.0, scaled=True), x, END_TOL, 30)
-    if residual < END_TOL:
-        return PathResult("converged", x, steps)
-    return PathResult("failed", None, steps)
+    results: list = [None] * len(starts)
+    paths, x = [], np.empty((0, h.nvars), dtype=complex)
+    k1 = x
+    admitted = 0
+    while paths or admitted < len(starts):
+        if len(paths) < BATCH_PATHS and admitted < len(starts):
+            index = range(admitted, min(len(starts), admitted + BATCH_PATHS - len(paths)))
+            admitted = index.stop
+            more, y, k = _start(h, starts, index, results)
+            paths, x, k1 = paths + more, np.concatenate((x, y)), np.concatenate((k1, k))
+            continue  # refill the rows of failed starts too
+        paths, x, k1 = _advance(h, paths, x, k1, results)
+    return results
 
 
 def track_many(h: Homotopy, starts: Sequence) -> list[PathResult]:
-    """Track a batch; results ordered by input index.  numpy's overflow and
-    invalid-value warnings are off: the finiteness tests classify a
-    diverging path and a singular Jacobian."""
+    """Track every start point along h; results ordered by input index.
+    The paths move in lockstep, but every rule applies to each path on its
+    own, so a path's result does not depend on the others.  numpy's
+    overflow and invalid-value warnings are off: the finiteness tests
+    classify a diverging path and a singular Jacobian."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return [track_path(h, s) for s in starts]
+        return _track_rows(h, starts)
+
+
+def track_path(h: Homotopy, start_point) -> PathResult:
+    """One path: `track_many` on one start point."""
+    return track_many(h, [start_point])[0]
 
 
 def track_slice_motion(
@@ -311,8 +419,8 @@ def refine_endpoints(system: PolySystem, ends: Sequence) -> list[np.ndarray | No
 
 
 def points_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    return bool(np.linalg.norm(np.asarray(a) - np.asarray(b)) < MATCH_TOL * scale)
+    a, b = np.asarray(a), np.asarray(b)
+    return _norm(a - b) < MATCH_TOL * max(1.0, _norm(a), _norm(b))
 
 
 def dedupe_points(points: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -15,8 +15,10 @@ SOURCES = sorted(
 
 # Public names that no other library code calls, kept because they are the
 # toolkit's own entry points: monodromy breakup is called by users (the
-# demos, the octa-chain benchmark workflow) and by nothing inside it.
-ENTRY_POINTS = {"breakup"}
+# demos, the octa-chain benchmark workflow) and by nothing inside it, and
+# track_path, `track_many` on one start point, by users and by the traced
+# benchmark, which wraps it by name.
+ENTRY_POINTS = {"breakup", "track_path"}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -125,6 +127,26 @@ def test_tracker_has_one_solve_entry():
               if isinstance(node, ast.ExceptHandler) and node.type is not None
               and "LinAlgError" in ast.unparse(node.type)]
     assert not found, f"tracker.py bypasses _solve: {', '.join(found)}"
+
+
+def test_one_newton_loop():
+    # the tracker tests a residual in one place: the Newton loop that the
+    # corrector, the start correction, the t = 0 sharpening and
+    # newton_refine share
+    tree = ast.parse((ROOT / "src" / "multiwit" / "tracker.py").read_text())
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "relative_residual"}
+    assert callers == {"_newton"}
+
+
+def test_nothing_tracks_one_path_at_a_time():
+    # inside the library every homotopy's paths move together through
+    # track_many; track_path, its one-path case, is for callers outside
+    calls = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+             and "track_path" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not calls, f"track_path called inside the library: {', '.join(calls)}"
 
 
 # Methods nothing in src/multiwit calls, kept as the plain references that

@@ -170,14 +170,14 @@ def test_solve_zero_dim_reports_a_failed_start_path(monkeypatch):
     fx = get_fixture("cubic")
     g = fx.system.grouping
     slices = [random_affine_form(g, [0, 1], rs(15))]
-    track_path = multiwit.tracker.track_path
-    starts = []
+    track_many = multiwit.tracker.track_many
 
-    def second_fails(h, start):
-        starts.append(start)
-        return PathResult("failed", None, 0) if len(starts) == 2 else track_path(h, start)
+    def second_fails(h, starts):
+        results = track_many(h, starts)
+        results[1] = PathResult("failed", None, 0)
+        return results
 
-    monkeypatch.setattr(multiwit.tracker, "track_path", second_fails)
+    monkeypatch.setattr(multiwit.tracker, "track_many", second_fails)
     with pytest.raises(IndeterminateError, match="1 of 3 paths failed"):
         solve_zero_dim(fx.system, slices, rs(16))
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import multiwit.nid
 import multiwit.tracker
 from multiwit import (
     Homotopy,
@@ -15,11 +16,12 @@ from multiwit import (
     coarsen_collection,
     compute_witness_collection,
     newton_refine,
+    nid_multi,
     track_many,
     track_path,
 )
 from multiwit.fixtures import get_fixture
-from multiwit.tracker import dedupe_points, points_equal
+from multiwit.tracker import dedupe_points, points_equal, track_slice_motion
 
 from conftest import rs
 
@@ -155,9 +157,7 @@ def block_reference(h, x, t):
     return H, J, dt, sc
 
 
-@pytest.mark.parametrize("with_fixed", [False, True])
-def test_fused_kernel_matches_block_formulas(with_fixed):
-    rng = np.random.default_rng(7)
+def fused_homotopy(with_fixed, rng):
     g = VariableGrouping.from_sizes([2, 2], ["x", "y", "u", "v"])
     nfixed = 2 if with_fixed else 0
     # rows of more than eight terms, a zero row and a constant row
@@ -165,8 +165,14 @@ def test_fused_kernel_matches_block_formulas(with_fixed):
              random_poly(g, rng, 3, 2)][:4 - nfixed]
     target = [random_poly(g, rng, 5, 4) for _ in range(4 - nfixed)]
     fixed = PolySystem([random_poly(g, rng, 9, 3) for _ in range(nfixed)]) if with_fixed else None
-    h = Homotopy(PolySystem(start), PolySystem(target), gamma=1.7 * rs(4).unit_complex(),
-                 fixed=fixed)
+    return Homotopy(PolySystem(start), PolySystem(target), gamma=1.7 * rs(4).unit_complex(),
+                    fixed=fixed)
+
+
+@pytest.mark.parametrize("with_fixed", [False, True])
+def test_fused_kernel_matches_block_formulas(with_fixed):
+    rng = np.random.default_rng(7)
+    h = fused_homotopy(with_fixed, rng)
     for _ in range(5):
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
         t = float(rng.uniform(0.01, 0.99))
@@ -180,27 +186,145 @@ def test_fused_kernel_matches_block_formulas(with_fixed):
         assert all(np.array_equal(a, b) for a, b in ((H, H2), (J, J2), (dt, dt2)))
 
 
-def test_tracker_hooks_seen_from_outside(monkeypatch):
-    # a wrapper on multiwit.tracker.track_path sees every path of track_many,
-    # and one on multiwit.tracker._solve sees the tracker's linear solves
+@pytest.mark.parametrize("with_fixed", [False, True])
+def test_kernel_rows_match_one_point_calls(with_fixed):
+    # every row of a batched call is bit for bit the one-point call, scaled
+    # or not, as the batch grows, shrinks to a prefix and grows again
+    rng = np.random.default_rng(8)
+    h = fused_homotopy(with_fixed, rng)
+    for count in (5, 2, 7, 1):
+        x = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
+        t = rng.uniform(0.01, 0.99, size=count)
+        for scaled in (False, True):
+            rows = h.evaluate(x, t, scaled)
+            for i in range(count):
+                one = h.evaluate(x[i], float(t[i]), scaled)
+                assert (rows[1] is None) == (one[1] is None) == (not scaled)
+                assert all(r[i].tobytes() == o.tobytes() for r, o in zip(rows, one)
+                           if o is not None)
+
+
+def test_stacked_solve_matches_one_matrix_solves():
+    rng = np.random.default_rng(9)
+    J = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    b = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    stacked = multiwit.tracker._solve(J, b)
+    assert all(stacked[i].tobytes() == multiwit.tracker._solve(J[i], b[i]).tobytes()
+               for i in range(6))
+
+
+class FirstQuery(Exception):
+    """Stops nid_multi at its first membership query."""
+
+
+@pytest.fixture(scope="module")
+def captured_homotopies():
+    """(homotopy, starts) of every homotopy of one octahedron-fh collection
+    and of its first coarsening, and of one richardson-four nid membership
+    query."""
+    captured, queries = [], []
+    track, membership = multiwit.tracker.track_many, multiwit.nid.component_membership
+
+    def recorded(h, starts):
+        captured.append((h, list(starts)))
+        return track(h, starts)
+
+    def first_query(*args, **kwargs):
+        queries.append((args, kwargs))
+        raise FirstQuery
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiwit.tracker, "track_many", recorded)
+        fx = get_fixture("octahedron-fh")
+        source = RandomSource(seed=7, stream=1003)
+        wc = compute_witness_collection(fx.system, fx.default_keys, source)
+        coarsen_collection(wc, (0, 1), source.substream(101))
+        octahedron = len(captured)
+        mp.setattr(multiwit.nid, "component_membership", first_query)
+        fx = get_fixture("richardson-four")
+        wc = compute_witness_collection(fx.system, fx.default_keys, rs(13))
+        with pytest.raises(FirstQuery):
+            nid_multi(fx.system, [p for _, ws in sorted(wc.entries.items()) for p in ws.points],
+                      rs(13).substream(99))
+        del captured[octahedron:]
+        (args, kwargs), = queries
+        membership(*args, **kwargs)
+    assert len(captured) == octahedron + 1
+    return captured
+
+
+def fingerprint(results):
+    """Each result's status, steps and endpoint bytes."""
+    return [(r.status, r.steps_taken, None if r.endpoint is None else r.endpoint.tobytes())
+            for r in results]
+
+
+def test_results_do_not_depend_on_the_batch(captured_homotopies, monkeypatch):
+    # one batch, one call per start, the starts reversed, and rows refilled
+    # from the remaining starts all give the same paths, bit for bit
+    statuses = set()
+    for h, starts in captured_homotopies:
+        together = fingerprint(track_many(h, starts))
+        assert fingerprint([track_many(h, [s])[0] for s in starts]) == together
+        assert fingerprint(track_many(h, starts[::-1])[::-1]) == together
+        with monkeypatch.context() as mp:
+            mp.setattr(multiwit.tracker, "BATCH_PATHS", 2)
+            assert fingerprint(track_many(h, starts)) == together
+        statuses |= {status for status, _, _ in together}
+    assert statuses == {"converged", "diverged"}
+    assert max(len(starts) for _, starts in captured_homotopies) > 2
+
+
+def test_no_start_no_path():
     g, x = univariate()
-    h = Homotopy(PolySystem([x**3 - 1]), PolySystem([x**3 - 2 * x + 0.5]),
-                 gamma=rs(5).unit_complex())
+    h = Homotopy(PolySystem([x**2 - 1]), PolySystem([x**2 - 4]), gamma=rs(0).unit_complex())
+    assert track_many(h, []) == []
+
+
+def test_one_batch_keeps_each_path_status():
+    # a start off the start system fails, one path diverges and one
+    # converges, in one batch, each as it does alone
+    g, x = univariate()
+    h = Homotopy(PolySystem([x**3 - 1]), PolySystem([x**2 - 2]), gamma=rs(2).unit_complex())
+    roots = [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
+    alone = {r.status: (root, r) for root, r in zip(roots, (track_path(h, s) for s in roots))}
+    batch = track_many(h, [alone["converged"][0], np.array([5.0 + 0j]), alone["diverged"][0]])
+    assert [r.status for r in batch] == ["converged", "failed", "diverged"]
+    assert (batch[1].endpoint, batch[1].steps_taken) == (None, 0)
+    assert fingerprint([batch[0], batch[2]]) == fingerprint([alone["converged"][1],
+                                                             alone["diverged"][1]])
+
+
+def test_tracker_hooks_seen_from_outside(monkeypatch):
+    # a wrapper on multiwit.tracker.track_many sees every homotopy and all of
+    # its PathResults, and one on multiwit.tracker._solve sees the tracker's
+    # linear solves, one right-hand side per row
+    g, x = univariate()
     starts = [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
-    paths, solves = [], []
-    track, solve = multiwit.tracker.track_path, multiwit.tracker._solve
-    monkeypatch.setattr(multiwit.tracker, "track_path",
-                        lambda *args: paths.append(args) or track(*args))
-    monkeypatch.setattr(multiwit.tracker, "_solve",
-                        lambda *args: solves.append(args) or solve(*args))
-    results = track_many(h, starts)
-    assert len(paths) == len(starts)
+    homotopies, solved = [], []
+    track, solve = multiwit.tracker.track_many, multiwit.tracker._solve
+
+    def tracked(h, points):
+        homotopies.append((points, track(h, points)))
+        return homotopies[-1][1]
+
+    def solving(J, b):
+        solved.append(len(b) if b.ndim == 2 else 1)
+        return solve(J, b)
+
+    monkeypatch.setattr(multiwit.tracker, "track_many", tracked)
+    monkeypatch.setattr(multiwit.tracker, "_solve", solving)
+    ends = track_slice_motion(None, [x**3 - 1], [x**3 - 2 * x + 0.5], starts,
+                              rs(5).unit_complex())
+    ((points, results),) = homotopies
+    assert points is starts and len(results) == len(starts)
     assert all(r.converged for r in results)
+    assert all(np.array_equal(e, r.endpoint) for e, r in zip(ends, results))
     # per accepted step at least the three RK4 stages after k1
-    assert len(solves) >= 3 * sum(r.steps_taken for r in results)
-    solves.clear()
+    assert sum(solved) >= 3 * sum(r.steps_taken for r in results)
+    solved.clear()
     newton_refine(PolySystem([x**2 - 2]), np.array([1.4 + 0j]))
-    assert solves
+    assert solved
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
@@ -249,7 +373,9 @@ def test_tracker_solve_tracks_like_numpy_solve(monkeypatch):
     monkeypatch.undo()
     for h, starts in (homotopies[0], homotopies[collected]):
         ours = track_many(h, starts)
-        monkeypatch.setattr(multiwit.tracker, "_solve", np.linalg.solve)
+        # numpy 2 reads a 2-D b as matrices, so the stacked vectors go in as columns
+        monkeypatch.setattr(multiwit.tracker, "_solve",
+                            lambda J, b: np.linalg.solve(J, b[..., None])[..., 0])
         numpys = track_many(h, starts)
         monkeypatch.undo()
         assert any(r.converged for r in ours)
@@ -269,25 +395,27 @@ def test_overflowing_predictor_warns_nothing(monkeypatch):
     wc = compute_witness_collection(fx.system, fx.default_keys, source)
     for sub in (101, 102):
         wc, _ = coarsen_collection(wc, (0, 1), source.substream(sub))
-    paths = []
-    track_path = multiwit.tracker.track_path
+    homotopies = []
+    track_many = multiwit.tracker.track_many
 
-    def recorded(*args):
-        paths.append((args, track_path(*args)))
-        return paths[-1][1]
+    def recorded(h, starts):
+        homotopies.append((h, starts, track_many(h, starts)))
+        return homotopies[-1][2]
 
-    monkeypatch.setattr(multiwit.tracker, "track_path", recorded)
+    monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         coarsen_collection(wc, (0, 1), source.substream(103))
-    # each path again, alone and with numpy's warnings recorded, not raised
+    # each path again, alone, through the engine outside track_many's
+    # errstate, with numpy's warnings recorded, not raised
     overflowed = 0
-    for args, result in paths:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alone = track_path(*args)
-        overflowed += any(issubclass(w.category, RuntimeWarning) for w in caught)
-        assert (alone.status, alone.steps_taken) == (result.status, result.steps_taken)
+    for h, starts, results in homotopies:
+        for start, result in zip(starts, results, strict=True):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                (alone,) = multiwit.tracker._track_rows(h, [start])
+            overflowed += any(issubclass(w.category, RuntimeWarning) for w in caught)
+            assert (alone.status, alone.steps_taken) == (result.status, result.steps_taken)
     assert overflowed
 
 
@@ -313,6 +441,28 @@ def test_newton_refine_nonconvergence_raises():
     F = PolySystem([x**2 + 1])
     with pytest.raises(NonconvergenceError):
         newton_refine(F, np.array([3.0 + 0j]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_points_equal_reads_the_norm_formula(n):
+    # the same verdicts as the np.linalg.norm formula, on planted pairs at
+    # 0.5x (equal) and 2x (distinct) the match distance
+    rng = np.random.default_rng(n)
+
+    def unit():
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return v / np.linalg.norm(v)
+
+    def reference(a, b):
+        scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+        return bool(np.linalg.norm(a - b) < multiwit.tracker.MATCH_TOL * scale)
+
+    for _ in range(50):
+        p = 10 ** rng.uniform(-3, 6) * unit()
+        gap = multiwit.tracker.MATCH_TOL * max(1.0, np.linalg.norm(p))
+        for factor in (0.5, 2.0):
+            q = p + factor * gap * unit()
+            assert points_equal(p, q) is points_equal(q, p) is reference(p, q) is (factor < 1)
 
 
 def quadratic_dedupe(points):

@@ -257,13 +257,14 @@ def test_slice_motion_paths_are_pinned(octa_fh_wc, monkeypatch):
     groups = [i for i, e in enumerate(ws.selection.e) for _ in range(e)]
     new = [random_affine_form(g, g.blocks[i], rs(35 + n)) for n, i in enumerate(groups)]
     results = []
-    track_path = multiwit.tracker.track_path
+    track_many = multiwit.tracker.track_many
 
     def recorded(*args):
-        results.append(track_path(*args))
-        return results[-1]
+        out = track_many(*args)
+        results.extend(out)
+        return out
 
-    monkeypatch.setattr(multiwit.tracker, "track_path", recorded)
+    monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
     track_slice_motion(ws.fixed_block, ws.selection.forms, new, ws.points,
                        rs(37).unit_complex())
     assert [(r.status, r.steps_taken) for r in results] == \
