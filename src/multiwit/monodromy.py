@@ -7,13 +7,12 @@ for a set with one moving form: growing a partial witness point set from
 a seed, partitioning a complete one into components, and the linear trace
 test that certifies a part is a whole component.
 
-Breakup stops at its first certified partition: it trace-tests the parts
-after every loop that merges and stops once all of them pass, since a
-part that passes is a whole component.  A loop that would join two passed
-parts is a path jump and is discarded.  Parts that never merge are tested
-after QUIET_LOOPS loops in a row that merge nothing.  A key with more than
-one moving form is refused: its parts would need the multiprojective trace
-test, which is not built.
+The trace test tracks no path, so breakup and growth both loop until it
+passes.  Breakup tests the singletons, then after every loop each new
+part, and stops once all of them pass, since a part that passes is a
+whole component; a loop that would join two passed parts is a path jump
+and is discarded.  A key with more than one moving form is refused: its
+parts would need the multiprojective trace test, which is not built.
 """
 
 from __future__ import annotations
@@ -32,11 +31,11 @@ from .tracker import (
     points_equal,
     refine_endpoints,
     track_slice_motion,
+    _solve,
 )
 from .witness import WitnessSet
 
 TRACE_TOL = 1e-6
-QUIET_LOOPS = 5
 MAX_LOOPS = 60
 
 
@@ -103,34 +102,43 @@ def _one_moving_form(ws: WitnessSet, caller: str) -> None:
             f"{caller} needs one moving form; the set has {len(ws.selection.forms)}")
 
 
-def trace_test(ws: WitnessSet, part: list, rs: RandomSource) -> bool:
-    """Linear trace: translate the one slice form l of `ws` along l + s*c,
-    c a random constant, over ws.fixed_block and check the centroid of the
-    part moves affinely in s, to a relative TRACE_TOL.
+def trace_test(ws: WitnessSet, part: list) -> bool:
+    """Linear trace, with no path tracked.  As the one slice form l moves to
+    l + s, the part's sum is affine in s exactly when the part is a union
+    of whole components; for a generic l that shows as sum x'' = 0 at s = 0,
+    where, with J the Jacobian of `ws.full_square_system()` at x,
 
-    Only meaningful on affine-slice data (a single moving form); the
-    multiprojective analogue is unsound and deliberately not offered."""
+        x' = -J^-1 e_n,    x'' = -J^-1 [D^2 F(x)[x', x']; 0].
+
+    The part passes when |sum x''| <= TRACE_TOL * sum (|x''| + |x'|^2 /
+    max(1, |x|)).  D^2 F[v, v], twice the h^2 coefficient of F(x + h v), is
+    read exactly from max(deg F + 1, 3) points on a circle as a discrete
+    Fourier coefficient, one kernel call for the whole part.  A non-finite
+    x' or x'' raises IndeterminateError.  Only for one moving form: the
+    multiprojective test (Hauenstein and Rodriguez, arXiv:1507.07069) is
+    not built."""
     _one_moving_form(ws, "the trace test")
-    forms = ws.selection.forms
-    part = [np.asarray(p, dtype=complex) for p in part]
     if not part:
         raise ValueError("empty part")
-    # a constant pencil translates the slice parallel to itself; the
-    # centroid is affine in s only for parallel motion
-    pencil = Polynomial.constant(ws.system.grouping, rs.substream(9).unit_complex())
-    rotation = rs.substream(10).substream(1).unit_complex()
-    s_values = (0.5 * rotation, 1.0 * rotation)
-    centroids = [np.mean(part, axis=0)]
-    for s in s_values:
-        # gamma = 1 keeps the slice motion affine in t, which the trace needs
-        ends = track_slice_motion(ws.fixed_block, forms, [forms[0] + s * pencil], part, 1.0)
-        if any(p is None for p in ends):
-            raise IndeterminateError("a trace test path diverged; result indeterminate")
-        centroids.append(np.mean(ends, axis=0))
-    v1 = (centroids[1] - centroids[0]) / s_values[0]
-    v2 = (centroids[2] - centroids[0]) / s_values[1]
-    scale = max(1.0, float(np.linalg.norm(v1)), float(np.linalg.norm(v2)))
-    return bool(np.linalg.norm(v1 - v2) < TRACE_TOL * scale)
+    system = ws.full_square_system()
+    x = np.array(part, dtype=complex)
+    count, n = x.shape
+    jacobian = system.kernel(x)[2]
+    x1 = -_solve(jacobian, np.eye(n, dtype=complex)[-1])
+    size = np.maximum(1.0, np.linalg.norm(x, axis=1))
+    nodes = max(max(sum(e) for f in system for e in f.terms) + 1, 3)
+    roots = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    # a radius that makes the circle about as wide as the point is large
+    radius = size / np.linalg.norm(x1, axis=1)
+    circle = x[:, None, :] + (radius[:, None] * roots)[:, :, None] * x1[:, None, :]
+    values = system.kernel(circle.reshape(-1, n))[0].reshape(count, nodes, n)
+    second = 2 * (roots ** -2 @ values) / (nodes * radius[:, None] ** 2)
+    second[:, -1] = 0  # l + s is linear
+    x2 = -_solve(jacobian, second)  # non-finite too if x1 is
+    if not np.isfinite(x2).all():
+        raise IndeterminateError("the trace test met a singular witness point")
+    bound = np.linalg.norm(x2, axis=1) + np.linalg.norm(x1, axis=1) ** 2 / size
+    return bool(np.linalg.norm(x2.sum(axis=0)) <= TRACE_TOL * bound.sum())
 
 
 @dataclass
@@ -166,34 +174,27 @@ def breakup(ws: WitnessSet, rs: RandomSource) -> MonodromyState:
     moving form) by monodromy orbits, and certify the parts by the trace
     test.
 
-    Loop i runs on rs.substream(1000 + i).  Every loop that merges parts is
-    followed by a trace test of each part not yet tested in its current
-    form, on rs.substream(5000 + its first index), and breakup stops as
-    soon as every part has passed: a part that passes is a whole component,
-    and orbits never leave a component.  A loop that would join two parts
-    that have each passed is a path jump and is discarded.  Parts that
-    never merge are tested once QUIET_LOOPS loops in a row merge nothing.
-    Breakup gives up after MAX_LOOPS loops; a loop that raises
-    IndeterminateError counts against them and the next one is drawn."""
+    Loop i runs on rs.substream(1000 + i).  The singletons are tested
+    first, and after every loop each part not yet tested; breakup stops as
+    soon as every part has passed, since orbits never leave a component.
+    A loop that would join two passed parts is a path jump and is
+    discarded.  Breakup gives up after MAX_LOOPS loops, with the failed
+    verdicts in `certified`; a loop that raises IndeterminateError counts
+    against them and the next one is drawn."""
     _one_moving_form(ws, "breakup")
     points = list(ws.points)
-    verdicts: dict = {}  # part, as a tuple of indices -> trace verdict, None if indeterminate
+    verdicts: dict = {}  # part, as a tuple of indices -> trace verdict
 
     def certify(partition: list) -> list:
         for part in map(tuple, partition):
             if part not in verdicts:
-                try:
-                    verdicts[part] = trace_test(ws, [points[i] for i in part],
-                                                rs.substream(5000 + part[0]))
-                except IndeterminateError:
-                    verdicts[part] = None
+                verdicts[part] = trace_test(ws, [points[i] for i in part])
         return [verdicts[tuple(part)] for part in partition]
 
-    quiet = 0
     partition = [[i] for i in range(len(points))]
-    certified = certify(partition) if len(points) == 1 else []
+    certified = certify(partition)
     for loop in range(MAX_LOOPS):
-        if certified and all(certified):
+        if all(certified):
             break
         try:
             outcome = monodromy_permutation(ws, rs.substream(1000 + loop))
@@ -204,40 +205,22 @@ def breakup(ws: WitnessSet, rs: RandomSource) -> MonodromyState:
                 "breakup found new witness points; the input set was incomplete"
             )
         groups = _orbit_groups(partition, outcome.permutation)
-        if any(sum(verdicts.get(tuple(partition[pi])) is True for pi in g) > 1
-               for g in groups):
+        if any(sum(verdicts[tuple(partition[pi])] for pi in g) > 1 for g in groups):
             continue  # a path jumped between two certified components
-        if len(groups) < len(partition):
-            partition = sorted(sorted(i for pi in g for i in partition[pi]) for g in groups)
-            quiet = 0
-            certified = certify(partition)
-            continue
-        quiet += 1
-        if quiet >= QUIET_LOOPS:
-            certified = certify(partition)
-            if all(certified) or None in certified:
-                break
-            # quiescent but uncertified: an orbit is still split across
-            # parts, so keep looping for a merge the trace will accept
-            quiet = 0
-
-    certified = certify(partition)
-    if None in certified:
-        raise IndeterminateError("a trace test path diverged; result indeterminate")
+        partition = sorted(sorted(i for pi in g for i in partition[pi]) for g in groups)
+        certified = certify(partition)
     return MonodromyState(points=points, partition=partition, certified=certified)
 
 
-def grow_witness_set(ws: WitnessSet, rs: RandomSource) -> tuple[WitnessSet, bool]:
+def grow_witness_set(ws: WitnessSet, rs: RandomSource) -> WitnessSet:
     """Grow a partial witness point set of an affine curve (one moving form)
-    by monodromy.
+    by monodromy until the trace test passes.
 
-    Loop i runs on rs.substream(2000 + i).  After each loop that finds no
-    new point the trace test checks the set; growth stops when it passes
-    (stable) or after QUIET_LOOPS such loops in a row (not stable).
-    Returns (witness set, stable flag)."""
+    Loop i runs on rs.substream(2000 + i), and each loop that finds no new
+    point is followed by a trace test; IndeterminateError after MAX_LOOPS
+    loops."""
     _one_moving_form(ws, "grow_witness_set")
     points = list(ws.points)
-    quiet = 0
     for loop in range(MAX_LOOPS):
         current = replace(ws, points=points)
         try:
@@ -246,14 +229,7 @@ def grow_witness_set(ws: WitnessSet, rs: RandomSource) -> tuple[WitnessSet, bool
             continue
         if outcome.new_points:
             points.extend(outcome.new_points)
-            quiet = 0
-            continue
-        quiet += 1
-        try:
-            if trace_test(current, points, rs.substream(3001 + loop)):
-                return current, True
-        except IndeterminateError:
-            pass
-        if quiet >= QUIET_LOOPS:
-            break
-    return replace(ws, points=points), False
+        elif trace_test(current, points):
+            return current
+    raise IndeterminateError(
+        f"the trace test failed on {len(points)} points after {MAX_LOOPS} loops")

@@ -1,16 +1,17 @@
 """Numerical irreducible decomposition for multiaffine varieties.
 
-The equidimensional affine routine is monodromy breakup plus the trace
-test.  The multiprojective sorting loop reduces the component through
-each sample point to an irreducible affine curve — slice away as much
+The multiprojective sorting loop reduces the component through each
+sample point to an irreducible affine curve — slice away as much
 dimension as the polytope allows, then cut with mixed-group forms whose
 group supports grow along an ordering compatible with the projected
-dimensions — and derives a membership test by moving the curve's linear
-system from the sample point to the query point.
+dimensions — grows its witness points until the trace test passes, and
+derives a membership test by moving the curve's linear system from the
+sample point to the query point.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,7 @@ class ComponentRecord:
     # slice-away forms and the mixed-group curve cuts, all through the
     # sample point the component was built from
     curve_witness: WitnessSet
-    certified: bool
+    certified = True  # build_component raises rather than leave a curve uncertified
 
     @property
     def curve_degree(self) -> int:
@@ -140,15 +141,13 @@ def build_component(
     core = square_up(F, g.nvars - len(L) - 1, rs.substream(62))
     curve_g = VariableGrouping.from_sizes([g.nvars], g.names)
     ws = WitnessSet(F, core, SliceSelection(((ell0,),)), [p], grouping=curve_g, extra=L)
-    grown, stable = grow_witness_set(ws, rs.substream(63))
     return ComponentRecord(
         profile=profile,
         polytope=polytope,
         m=m,
         e=e,
         I_order=I_order,
-        curve_witness=grown,
-        certified=stable,
+        curve_witness=grow_witness_set(ws, rs.substream(63)),
     )
 
 
@@ -164,35 +163,45 @@ def component_membership(rec: ComponentRecord, q, gamma: complex = 1.0) -> bool:
 
 
 def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
-    """Sort general smooth points of V(F) into irreducible components."""
+    """Sort general smooth points of V(F) into irreducible components.
+
+    A component whose growth fails is built once more on a fresh substream;
+    a sample point whose component fails twice is left unassigned with a
+    line in `diagnostics`, as is a point whose membership query fails."""
     W = [np.asarray(p, dtype=complex) for p in W]
     classes = equidim_partition(F, W)
     index_of = {id(p): i for i, p in enumerate(W)}
     components: list[ComponentRecord] = []
     assignment: dict = {}
     diagnostics: list = []
-    comp_counter = 0
-    for cls_idx, (profile, pts) in enumerate(classes):
+    samples = itertools.count()
+    for profile, pts in classes:
         remaining = list(pts)
         while remaining:
-            p = remaining[0]
-            rec = build_component(F, p, profile, rs.substream(7000 + 13 * comp_counter))
+            p, *remaining = remaining
+            sub = rs.substream(7000 + 13 * next(samples))
+            try:
+                try:
+                    rec = build_component(F, p, profile, sub)
+                except IndeterminateError:
+                    rec = build_component(F, p, profile, sub.substream(1))
+            except IndeterminateError as exc:
+                diagnostics.append(f"point {index_of[id(p)]} left unassigned: {exc}")
+                continue
+            gamma = rs.substream(len(components) * 31 + 5).unit_complex()
             members = [p]
             rest = []
-            for q in remaining[1:]:
+            for q in remaining:
                 try:
-                    if component_membership(rec, q,
-                                            gamma=rs.substream(comp_counter * 31 + 5).unit_complex()):
+                    if component_membership(rec, q, gamma=gamma):
                         members.append(q)
                     else:
                         rest.append(q)
                 except IndeterminateError as exc:
                     diagnostics.append(f"point left unassigned: {exc}")
                     rest.append(q)
-            components.append(rec)
             for q in members:
-                assignment[index_of[id(q)]] = comp_counter
-            comp_counter += 1
+                assignment[index_of[id(q)]] = len(components)
+            components.append(rec)
             remaining = rest
     return Decomposition(components, assignment, diagnostics)
-

@@ -32,7 +32,6 @@ from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form, solve_zero_dim, square_up
 from .tracker import (
-    MATCH_TOL,
     TrackingError,
     dedupe_points,
     points_equal,
@@ -411,9 +410,10 @@ def membership(
     g = wc.grouping
     if point.size != g.nvars:
         raise ValueError(f"point has {point.size} coordinates, expected {g.nvars}")
-    # the query must already satisfy the sliced-away part of the system
+    # the query must already satisfy the sliced-away part of the system, by
+    # the residual test `WitnessSet.verify` uses
     if wc.extra:
-        if not PolySystem(list(wc.extra)).residual(point) < MATCH_TOL:
+        if not PolySystem(list(wc.extra)).residual(point) < RESIDUAL_TOL:
             return False
     for idx, (_, ws) in enumerate(sorted(wc.entries.items())):
         sub = rs.substream(idx)

@@ -1,13 +1,17 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import multiwit.monodromy as monodromy
+import multiwit.tracker
 from multiwit import (
     IndeterminateError,
     PolySystem,
     Polynomial,
+    SliceSelection,
     VariableGrouping,
+    WitnessSet,
     breakup,
     compute_witness_collection,
     grow_witness_set,
@@ -80,8 +84,8 @@ def counted(monkeypatch, raise_first=False):
 
 
 def test_breakup_stops_at_its_first_certified_partition(octa_curve, monkeypatch):
-    # the orbit closes within 2 loops here; waiting for QUIET_LOOPS quiet
-    # loops after that would make 7
+    # the orbit closes within 2 loops here, and breakup stops as soon as
+    # its one part passes the trace
     ws, source = octa_curve
     calls = counted(monkeypatch)
     state = breakup(ws, source)
@@ -128,24 +132,68 @@ def test_breakup_discards_a_loop_that_joins_certified_parts(monkeypatch):
 
 def test_trace_full_part_passes_and_subsets_fail(cubic_ws):
     fx, ws = cubic_ws
-    assert trace_test(ws, list(ws.points), rs(67))
+    assert trace_test(ws, list(ws.points))
     for size in (1, 2):
         part = list(ws.points)[:size]
-        assert not trace_test(ws, part, rs(68))
+        assert not trace_test(ws, part)
+
+
+def test_trace_test_tracks_no_path(cubic_ws, monkeypatch):
+    fx, ws = cubic_ws
+
+    def refuse(*args):
+        raise AssertionError("the trace test tracked a path")
+
+    monkeypatch.setattr(multiwit.tracker, "track_many", refuse)
+    assert trace_test(ws, list(ws.points))
+    assert not trace_test(ws, list(ws.points)[:2])
+
+
+def test_trace_passes_each_line(two_lines_ws):
+    # on a line x'' = 0, so only the |x'|^2 term keeps the bound from 0
+    fx, ws = two_lines_ws
+    assert all(trace_test(ws, [p]) for p in ws.points)
+    assert trace_test(ws, list(ws.points))
+
+
+def test_trace_raises_at_a_singular_point():
+    # the cusp of y^2 = x^3 cut by x = 0: J is singular there, so x' is not
+    # finite and the verdict is indeterminate, not True or False
+    g = VariableGrouping.from_sizes([2], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    cusp = PolySystem([y ** 2 - x ** 3])
+    ws = WitnessSet(cusp, cusp, SliceSelection(((x,),)), [[0, 0]])
+    with pytest.raises(IndeterminateError, match="singular"), np.errstate(all="ignore"):
+        trace_test(ws, ws.points)
 
 
 def test_trace_rejects_empty_part(cubic_ws):
     fx, ws = cubic_ws
     with pytest.raises(ValueError):
-        trace_test(ws, [], rs(66))
+        trace_test(ws, [])
 
 
 def test_grow_witness_set_recovers_full_degree(cubic_ws):
     fx, ws = cubic_ws
     seeded = replace(ws, points=[ws.points[0]])
-    grown, stable = grow_witness_set(seeded, rs(69))
+    grown = grow_witness_set(seeded, rs(69))
     assert len(grown.points) == 3
-    assert stable
+
+
+def test_grow_witness_set_raises_after_max_loops(cubic_ws, monkeypatch):
+    # loops that find nothing leave one point of the cubic, which the trace
+    # fails, so growth gives up after MAX_LOOPS loops
+    fx, ws = cubic_ws
+    calls = []
+
+    def nothing_new(ws, loop_rs):
+        calls.append(loop_rs)
+        return MonodromyOutcome({i: i for i in range(len(ws.points))}, [])
+
+    monkeypatch.setattr(monodromy, "monodromy_permutation", nothing_new)
+    with pytest.raises(IndeterminateError, match="60 loops"):
+        grow_witness_set(replace(ws, points=[ws.points[0]]), rs(69))
+    assert len(calls) == monodromy.MAX_LOOPS
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
 import pytest
 
+import multiwit.nid as nid
 from multiwit import (
+    IndeterminateError,
+    RandomSource,
     component_membership,
     compute_witness_collection,
     dimension_polytope,
@@ -93,6 +96,64 @@ def test_nid_multi_cuts_with_mixed_group_forms(name, e, I_order, curve_degree):
     assert (rec.e, rec.I_order, rec.curve_degree, rec.certified) == (e, I_order, curve_degree, True)
     assert dec.assignment == {i: 0 for i in range(len(points))}
     assert not dec.diagnostics
+
+
+def test_nid_multi_keeps_the_octahedron_surface_whole():
+    # with growth stopped after a few quiet loops, this draw kept a degree-3
+    # curve that the trace test had not passed as a component, and the two
+    # points it missed became a second component
+    fx = get_fixture("octahedron-fg")
+    wc = compute_witness_collection(fx.system, fx.default_keys,
+                                    RandomSource(seed=20230529, stream=5))
+    points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
+    assert len(points) == 20
+    dec = nid_multi(fx.system, points, RandomSource(seed=20230529, stream=105))
+    assert [rec.curve_degree for rec in dec.components] == [4]
+    assert dec.assignment == {i: 0 for i in range(20)}
+    assert not dec.diagnostics
+
+
+def failing_growth(monkeypatch, failures):
+    """Make the first `failures` growths raise IndeterminateError; returns
+    the streams every growth was called with."""
+    real = nid.grow_witness_set
+    streams = []
+
+    def grow(ws, rs):
+        streams.append(rs.stream)
+        if len(streams) <= failures:
+            raise IndeterminateError("the trace test failed after 60 loops")
+        return real(ws, rs)
+
+    monkeypatch.setattr(nid, "grow_witness_set", grow)
+    return streams
+
+
+def test_nid_multi_retries_a_failed_component(two_lines_data, monkeypatch):
+    fx, wc = two_lines_data
+    points = list(wc.entries[(1,)].points)
+    streams = failing_growth(monkeypatch, failures=1)
+    dec = nid_multi(fx.system, points, rs(82))
+    assert len(streams) == 3 and len(set(streams)) == 3
+    assert len(dec.components) == 2
+    assert sorted(dec.assignment.values()) == [0, 1]
+    assert not dec.diagnostics
+
+
+def test_nid_multi_reports_a_point_whose_component_fails_twice(two_lines_data, monkeypatch):
+    fx, wc = two_lines_data
+    points = list(wc.entries[(1,)].points)
+    streams = failing_growth(monkeypatch, failures=2)
+    dec = nid_multi(fx.system, points, rs(82))
+    # the first sample point fails on both streams and is left unassigned;
+    # the second builds the component of its own line
+    assert len(set(streams)) == 3
+    assert len(dec.components) == 1
+    (placed,) = dec.assignment
+    assert dec.assignment[placed] == 0
+    (line,) = dec.diagnostics
+    assert line.startswith(f"point {1 - placed} left unassigned")
+    assert "60 loops" in line
 
 
 @pytest.fixture(scope="module")

@@ -1,17 +1,26 @@
 """Seed-swept behavioral properties of the core operations."""
 
+import itertools
+
 import numpy as np
 
 from multiwit import (
+    IndeterminateError,
+    PolySystem,
+    Polynomial,
     RandomSource,
+    VariableGrouping,
     compute_witness_collection,
     monodromy_permutation,
+    nid_multi,
     product_factorization,
     refine,
     slice_collection,
     trace_test,
+    track_slice_motion,
 )
 from multiwit.fixtures import get_fixture
+from multiwit.monodromy import TRACE_TOL
 
 SEEDS = list(range(10))
 
@@ -85,9 +94,9 @@ def test_trace_separates_full_parts_from_strict_subsets():
         wc = compute_witness_collection(fx.system, fx.default_keys,
                                         source(s, 9))
         ws = wc.entries[(1,)]
-        assert trace_test(ws, list(ws.points), source(s, 11)), f"seed {s}"
+        assert trace_test(ws, list(ws.points)), f"seed {s}"
         for size in (1, 2):
-            assert not trace_test(ws, list(ws.points)[:size], source(s, 12)), \
+            assert not trace_test(ws, list(ws.points)[:size]), \
                 f"seed {s} subset {size}"
 
 
@@ -107,3 +116,78 @@ def test_polytope_cardinality_factors_exactly():
         for b in blocks:
             total *= len({tuple(p[i] for i in b) for p in points})
         assert total == len(points), f"seed {s}"
+
+
+def tracked_trace_test(ws, part, rs):
+    """The linear trace test by tracking, the reference for `trace_test`:
+    translate the slice form l to l + s*c, c a random constant, track the
+    part to two values of s and check that its centroid moves affinely, to
+    a relative TRACE_TOL."""
+    forms = ws.selection.forms
+    pencil = Polynomial.constant(ws.system.grouping, rs.substream(9).unit_complex())
+    rotation = rs.substream(10).unit_complex()
+    s_values = (0.5 * rotation, rotation)
+    centroids = [np.mean(part, axis=0)]
+    for s in s_values:
+        # gamma = 1 keeps the slice motion affine in t, which the trace needs
+        ends = track_slice_motion(ws.fixed_block, forms, [forms[0] + s * pencil], part, 1.0)
+        if any(p is None for p in ends):
+            raise IndeterminateError("a trace test path diverged")
+        centroids.append(np.mean(ends, axis=0))
+    v1 = (centroids[1] - centroids[0]) / s_values[0]
+    v2 = (centroids[2] - centroids[0]) / s_values[1]
+    scale = max(1.0, float(np.linalg.norm(v1)), float(np.linalg.norm(v2)))
+    return bool(np.linalg.norm(v1 - v2) < TRACE_TOL * scale)
+
+
+def lines_times_cubic():
+    """Two lines and a plane cubic in one curve: 5 witness points on 3
+    components, so its parts include unions of whole components."""
+    g = VariableGrouping.from_sizes([2], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    factors = [x + y - 1, x - y, y ** 2 - 2 * x * y - x ** 3 + x]
+    return PolySystem([factors[0] * factors[1] * factors[2]]), factors
+
+
+def trace_cases():
+    """(witness set, its points' component labels) for one-form curves:
+    the cubic, the two lines, the lines and the cubic, and the
+    octahedron-fg curve that nid cuts out with fixed forms."""
+    cases = []
+    for s in SEEDS[:5]:
+        for name in ("cubic", "two-lines"):
+            fx = get_fixture(name)
+            ws = compute_witness_collection(fx.system, fx.default_keys,
+                                            source(s, 9)).entries[(1,)]
+            labels = [0] * 3 if name == "cubic" else [0, 1]
+            cases.append((ws, labels))
+    system, factors = lines_times_cubic()
+    for s in SEEDS[:2]:
+        ws = compute_witness_collection(system, [(1,)], source(s, 13)).entries[(1,)]
+        labels = [min(range(3), key=lambda k: abs(factors[k].evaluate(p))) for p in ws.points]
+        assert sorted(labels) == [0, 1, 2, 2, 2]
+        cases.append((ws, labels))
+    fx = get_fixture("octahedron-fg")
+    wc = compute_witness_collection(fx.system, fx.default_keys, source(0, 14))
+    points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
+    (rec,) = nid_multi(fx.system, points, source(0, 15)).components
+    cases.append((rec.curve_witness, [0] * rec.curve_degree))
+    return cases
+
+
+def test_trace_without_tracking_agrees_with_the_tracked_trace():
+    # every nonempty part of each case: whole components, proper subsets
+    # and unions; a part passes exactly when it is a union of whole
+    # components, and the two tests agree on it
+    parts = 0
+    for c, (ws, labels) in enumerate(trace_cases()):
+        n = len(ws.points)
+        for size in range(1, n + 1):
+            for part in itertools.combinations(range(n), size):
+                whole = all(labels.count(k) == [labels[i] for i in part].count(k)
+                            for k in {labels[i] for i in part})
+                points = [ws.points[i] for i in part]
+                reference = tracked_trace_test(ws, points, source(c, 100 + parts))
+                assert trace_test(ws, points) == reference == whole, (c, part)
+                parts += 1
+    assert parts >= 100

@@ -328,6 +328,25 @@ def test_membership_checks_the_sliced_away_forms(monkeypatch):
     assert not calls
 
 
+def test_membership_tests_the_sliced_away_forms_by_the_residual_tolerance(monkeypatch):
+    # a query 1e-7 off the sliced-away forms, in relative residual, is off
+    # the slice by the residual test that WitnessSet.verify applies, so it
+    # is rejected before any path is tracked
+    fx = get_fixture("octahedron-fg")
+    sliced = slice_collection(compute_witness_collection(fx.system, fx.default_keys, rs(3)), 0)
+    (form,) = sliced.extra
+    p = sliced.entries[(0, 1, 0, 0)].points[0]
+    gradient = PolySystem([form]).jacobian(p)[0]
+    scale = PolySystem([form]).residual_scale(p)[0]
+    off = p + 1e-7 * scale * gradient.conj() / np.vdot(gradient, gradient).real
+    assert RESIDUAL_TOL < PolySystem([form]).residual(off) < 2e-7
+    calls = []
+    monkeypatch.setattr(multiwit.tracker, "track_many",
+                        lambda *args: calls.append(args) or [])
+    assert not membership(sliced, off, rs(93))
+    assert not calls
+
+
 def test_membership_validates_point_size(cubic_wc):
     fx, wc = cubic_wc
     with pytest.raises(ValueError):
