@@ -34,7 +34,7 @@ def main():
               np.array([0.3, 0.7], dtype=complex),
               np.array([0.3, 0.4], dtype=complex)):
         hits = [i for i, rec in enumerate(dec.components)
-                if component_membership(rec, q)]
+                if component_membership(rec, q, rs.substream(2))]
         print(f"point {q.real}: on components {hits or 'none'}")
 
 

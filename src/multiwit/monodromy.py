@@ -67,7 +67,7 @@ def monodromy_permutation(ws: WitnessSet, rs: RandomSource) -> MonodromyOutcome:
     current = dict(enumerate(ws.points))  # start index -> point, in index order
     for leg in range(3):
         ends = track_slice_motion(ws.fixed_block, stops[leg], stops[leg + 1],
-                                  list(current.values()), rs.substream(3 + leg).unit_complex())
+                                  list(current.values()), rs.substream(3 + leg))
         current = {i: p for i, p in zip(current, ends) if p is not None}
     ends = refine_endpoints(ws.full_square_system(), list(current.values()))
     refined = {i: p for i, p in zip(current, ends) if p is not None}

@@ -151,14 +151,14 @@ def build_component(
     )
 
 
-def component_membership(rec: ComponentRecord, q, gamma: complex = 1.0) -> bool:
-    """Move the curve's linear system from vanishing at p to vanishing at q
-    and look for q among the tracked endpoints."""
+def component_membership(rec: ComponentRecord, q, rs: RandomSource) -> bool:
+    """Move the curve's linear system from vanishing at p to vanishing at q,
+    by a homotopy drawn from `rs`, and look for q among the endpoints."""
     q = np.asarray(q, dtype=complex)
     ws = rec.curve_witness
     old_forms = list(ws.extra) + ws.selection.forms
     new_forms = [form - complex(form.evaluate(q)) for form in old_forms]
-    ends = track_slice_motion(ws.sq_core, old_forms, new_forms, ws.points, gamma)
+    ends = track_slice_motion(ws.sq_core, old_forms, new_forms, ws.points, rs)
     return any(p is not None and points_equal(p, q) for p in ends)
 
 
@@ -188,12 +188,11 @@ def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
             except IndeterminateError as exc:
                 diagnostics.append(f"point {index_of[id(p)]} left unassigned: {exc}")
                 continue
-            gamma = rs.substream(len(components) * 31 + 5).unit_complex()
             members = [p]
             rest = []
             for q in remaining:
                 try:
-                    if component_membership(rec, q, gamma=gamma):
+                    if component_membership(rec, q, rs.substream(len(components) * 31 + 5)):
                         members.append(q)
                     else:
                         rest.append(q)

@@ -18,6 +18,7 @@ from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
 from .tracker import (
     TrackingError,
+    _solve,
     dedupe_points,
     refine_endpoints,
     track_slice_motion,
@@ -166,7 +167,7 @@ def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
     for i, block in enumerate(g.blocks):
         ids = cells[in_group == i].reshape(len(cells), len(block))
         A = coeffs[ids][:, :, list(block)]
-        x[:, list(block)] = np.linalg.solve(A, consts[ids][:, :, None])[:, :, 0]
+        x[:, list(block)] = _solve(A, consts[ids])
     solutions = list(x)
     if len(solutions) != predicted:
         raise TrackingError(
@@ -219,7 +220,7 @@ def solve_zero_dim(
     target = core.concat(list(slices))
     sp = start_package(target, rs.substream(2))
     ends = track_slice_motion(None, sp.start.polys, target.polys, sp.solutions,
-                              rs.substream(3).unit_complex())
+                              rs.substream(3))
     points = [p for p in refine_endpoints(target, ends) if p is not None
               and F.residual(p) < RESIDUAL_TOL]
     return dedupe_points(points)

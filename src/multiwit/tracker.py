@@ -26,16 +26,16 @@ it was and keeps k1, so each attempt evaluates only stages 2 to 4.
 
 One Newton loop, `_newton`, serves the corrector, the correction of the
 start points, the t = 0 sharpening and `newton_refine`, and is the one
-place that tests a residual.  One solve entry: k1, the RK4 stages and
-every Newton correction call `_solve`, numpy's LAPACK solver without the
-per-call wrapper of `np.linalg.solve` (same routine, same bits), on one
-matrix or a stack.  A singular J_x gives a non-finite solution instead of
-an exception, and the tracker's finiteness tests classify it: the
-predictor's point is rejected and Newton reports an infinite residual.
+place that tests a residual.  One solve entry: k1, the RK4 stages, every
+Newton correction and the start systems' cells call `_solve`, numpy's
+LAPACK solver without the wrapper of `np.linalg.solve` (same routine, same
+bits), on one matrix or a stack.  A singular J_x gives a non-finite
+solution instead of an exception, which the finiteness tests classify.
 
 Every homotopy, start systems and slice motions alike, goes through
-`track_slice_motion`, under one failed-path policy: a diverged path gives
-None, and any failed path raises IndeterminateError.
+`track_slice_motion`, which draws its gamma from the caller's random
+stream, under one failed-path policy: a diverged path gives None, and any
+failed path raises IndeterminateError.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .algebra import Polynomial, PolySystem, _Compiled, relative_residual
+from .sysio import RandomSource
 
 MATCH_TOL = 1e-6  # relative distance below which two refined points are equal
 
@@ -119,7 +120,7 @@ class Homotopy(_Compiled):
         self,
         start: PolySystem,
         target: PolySystem,
-        gamma: complex = 1.0,
+        gamma: complex,
         fixed: PolySystem | None = None,
     ):
         if len(start) != len(target):
@@ -154,8 +155,8 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float, max_iters: int,
-            check_singular: bool = False) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float,
+            max_iters: int) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """Newton's method on rows of a square system: row i of x is corrected
     at t[i], on its own, and the rows still iterating share one kernel call
     and one stacked solve per iteration.
@@ -166,8 +167,7 @@ def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float, max_iters: int,
     singular Jacobian makes it.  Returns (points, the relative residual of
     each, the evaluation of each as a tuple of row arrays, or None if no row
     kept one); a row whose point is not finite has residual inf and an
-    unspecified evaluation.  With check_singular a numerically singular
-    Jacobian in any row raises SingularJacobianError before the solve."""
+    unspecified evaluation."""
     rows = None  # the rows still iterating, None while every row is
     res = kept = None  # each row's residual and evaluation where it stopped
     for i in range(max_iters + 1):
@@ -191,9 +191,6 @@ def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float, max_iters: int,
                 break
             go = ~stop
             rows, values, J = rows[go], values[go], J[go]
-        if check_singular and any(s[0] == 0 or s[-1] / s[0] < 1e-13
-                                  for s in np.linalg.svd(J, compute_uv=False)):
-            raise SingularJacobianError("Jacobian numerically singular during refinement")
         if rows is None:
             x = moved = x - _solve(J, values)
         else:
@@ -210,12 +207,17 @@ def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float, max_iters: int,
 
 def newton_refine(system: PolySystem, point) -> np.ndarray:
     """Sharpen a root of a square system by Newton iteration, to a relative
-    residual below REFINE_TOL in at most REFINE_ITERS steps."""
+    residual below REFINE_TOL in at most REFINE_ITERS steps; a singular point raises."""
     x = np.asarray(point, dtype=complex)
     if len(system) != x.size:
         raise ValueError("newton_refine needs a square system")
-    x, res, _ = _newton(lambda p, t: system.kernel(p, scaled=True), x[None], np.zeros(1),
-                        REFINE_TOL, REFINE_ITERS, check_singular=True)
+    with np.errstate(invalid="ignore"):
+        x, res, ev = _newton(lambda p, t: system.kernel(p, scaled=True), x[None],
+                             np.zeros(1), REFINE_TOL, REFINE_ITERS)
+    # a singular solve leaves a non-finite iterate, counted as singular
+    s = np.linalg.svd(ev[2][0], compute_uv=False) if np.isfinite(x).all() else [0.0]
+    if s[0] == 0 or s[-1] / s[0] < 1e-13:
+        raise SingularJacobianError("Jacobian numerically singular during refinement")
     if res[0] < REFINE_TOL:
         return x[0]
     raise NonconvergenceError(
@@ -389,16 +391,17 @@ def track_slice_motion(
     old_rows: Sequence[Polynomial],
     new_rows: Sequence[Polynomial],
     points: Sequence[np.ndarray],
-    gamma: complex,
+    rs: RandomSource,
 ) -> list[np.ndarray | None]:
     """Track points of V(fixed, old_rows) to V(fixed, new_rows) along
-    [fixed; t*gamma*old_rows + (1-t)*new_rows].  Endpoints come back in the
-    order of `points`, None for a diverged path; a failed path raises
-    IndeterminateError.  With no rows in motion the points come back
-    unchanged and no path is tracked."""
+    [fixed; t*gamma*old_rows + (1-t)*new_rows], gamma = rs.unit_complex().
+    Endpoints come back in the order of `points`, None for a diverged path;
+    a failed path raises IndeterminateError.  Each motion draws, so motions
+    meant to share a gamma pass equal substreams.  With no rows in motion
+    the points come back unchanged and no path is tracked."""
     if not old_rows and not new_rows:
         return list(points)
-    h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), gamma=gamma, fixed=fixed)
+    h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), rs.unit_complex(), fixed)
     results = track_many(h, points)
     failed = sum(r.status == "failed" for r in results)
     if failed:

@@ -14,9 +14,9 @@ system, its square-up, the selection and extra forms) lives on the
 system's grouping; only `WitnessSet.grouping` and
 `WitnessCollection.grouping` carry the current grouping, which refinement
 and coarsening change.  And every slice moves through
-`tracker.track_slice_motion`, under its one failed-path policy; a slice
-motion with no moving rows tracks no path and returns its points
-unchanged.
+`tracker.track_slice_motion`, with a gamma drawn from a substream of its
+own, under one failed-path policy; a slice motion with no moving rows
+tracks no path and returns its points unchanged.
 """
 
 from __future__ import annotations
@@ -196,14 +196,14 @@ def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:
 def move_slice(
     ws: WitnessSet,
     new_forms: Sequence[Polynomial],
-    gamma: complex = 1.0,
+    rs: RandomSource,
 ) -> WitnessSet:
-    """Track the points as the slice forms move along a convex combination."""
+    """Track the points as the slice forms move, by a homotopy drawn from rs."""
     old = ws.selection.forms
     new_forms = [f.with_grouping(ws.system.grouping) for f in new_forms]
     if len(new_forms) != len(old):
         raise ValueError(f"{len(new_forms)} new forms for {len(old)} slice rows")
-    ends = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, gamma)
+    ends = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, rs)
     return replace(ws, selection=ws.selection.replace_forms(new_forms),
                    points=dedupe_points([p for p in ends if p is not None]))
 
@@ -251,7 +251,7 @@ def refine(
     others = [f for i, fs in enumerate(per_group) if i != group for f in fs]
     ends = track_slice_motion(
         ws.fixed_block.concat(others), per_group[group], new_first + new_second, ws.points,
-        rs.substream(99).unit_complex(),
+        rs.substream(99),
     )
     per_group[group:group + 1] = [tuple(new_first), tuple(new_second)]
     return replace(ws, selection=SliceSelection(tuple(per_group)),
@@ -329,12 +329,11 @@ def coarsen(
     l01 = [random_affine_form(base_g, g.blocks[b], sub.substream(50 + i)) for i in range(e)]
     starts: list[np.ndarray] = []
     for s, ws in sources.items():
-        gamma = sub.substream(999 + s).unit_complex()
         for S in itertools.combinations(range(e), s):
             moving = list(ws.selection.per_group)
             moving[a] = [l10[i] for i in S]
             moving[b] = [l01[i] for i in range(e) if i not in S]
-            moved = move_slice(ws, [f for fs in moving for f in fs], gamma)
+            moved = move_slice(ws, [f for fs in moving for f in fs], sub.substream(999 + s))
             if len(moved.points) != len(ws.points):
                 raise TrackingError(
                     f"building W_(S,T) for key {ws.selection.e} lost "
@@ -345,8 +344,7 @@ def coarsen(
     rest = [f for i, fs in enumerate(src.selection.per_group) if i not in (a, b) for f in fs]
     products = [l10[i] * l01[i] for i in range(e)]
     ends = track_slice_motion(
-        src.fixed_block.concat(rest), products, target_forms, starts,
-        sub.substream(1234).unit_complex(),
+        src.fixed_block.concat(rest), products, target_forms, starts, sub.substream(1234),
     )
     pts = [p for p in ends if p is not None]
     return CoarsenResult(replace(coarse, points=dedupe_points(pts)), delta=len(starts),
@@ -423,10 +421,7 @@ def membership(
             for i, fs in enumerate(ws.selection.per_group)
             for j in range(len(fs))
         ]
-        ends = track_slice_motion(
-            ws.fixed_block, ws.selection.forms, new_forms, ws.points,
-            sub.substream(77).unit_complex(),
-        )
-        if any(p is not None and points_equal(p, point) for p in ends):
+        moved = move_slice(ws, new_forms, sub.substream(77))
+        if any(points_equal(p, point) for p in moved.points):
             return True
     return False

@@ -118,26 +118,35 @@ def test_only_the_tracker_tracks(path):
 
 
 def test_tracker_has_one_solve_entry():
-    # every tracker solve goes through tracker._solve, and a singular
-    # Jacobian is classified by the tracker's finiteness tests, not caught
-    tree = ast.parse((ROOT / "src" / "multiwit" / "tracker.py").read_text())
-    found = [f"{ast.unparse(node.func)} (line {node.lineno})" for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"]
-    found += [f"except {ast.unparse(node.type)} (line {node.lineno})" for node in ast.walk(tree)
-              if isinstance(node, ast.ExceptHandler) and node.type is not None
-              and "LinAlgError" in ast.unparse(node.type)]
-    assert not found, f"tracker.py bypasses _solve: {', '.join(found)}"
+    # every linear solve in the library goes through tracker._solve, and a
+    # singular Jacobian is classified by the tracker's finiteness tests, not
+    # caught; only the CLI's top level maps numpy's errors to an exit code
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"]
+        found += [f"{path.name}:{node.lineno} except {ast.unparse(node.type)}"
+                  for node in ast.walk(tree)
+                  if path.name != "cli.py" and isinstance(node, ast.ExceptHandler)
+                  and node.type is not None and "LinAlgError" in ast.unparse(node.type)]
+    assert not found, f"linear solves outside tracker._solve: {', '.join(found)}"
 
 
 def test_one_newton_loop():
     # the tracker tests a residual in one place: the Newton loop that the
     # corrector, the start correction, the t = 0 sharpening and
-    # newton_refine share
+    # newton_refine share, with no flag that makes it behave otherwise
     tree = ast.parse((ROOT / "src" / "multiwit" / "tracker.py").read_text())
     callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn)
                if isinstance(node, ast.Call) and ast.unparse(node.func) == "relative_residual"}
     assert callers == {"_newton"}
+    (newton,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 and fn.name == "_newton"]
+    params = [arg.arg for arg in newton.args.args + newton.args.kwonlyargs]
+    assert params == ["evaluate", "x", "t", "tol", "max_iters"]
 
 
 def test_nothing_tracks_one_path_at_a_time():
@@ -198,6 +207,24 @@ def test_no_tolerance_parameters():
              for arg in (node.args.posonlyargs + node.args.args + node.args.kwonlyargs)
              if _tolerance_parameter(arg.arg)]
     assert not found, f"public functions take tolerance parameters: {', '.join(found)}"
+
+
+def test_no_gamma_parameters():
+    # tracker.track_slice_motion draws each homotopy's gamma from the stream
+    # its caller passes; only the Homotopy it builds takes a gamma
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        scopes = [("", tree)] + [(f"{c.name}.", c) for c in tree.body
+                                 if isinstance(c, ast.ClassDef)]
+        found += [f"{path.name}:{node.lineno} {prefix}{node.name}"
+                  for prefix, scope in scopes for node in scope.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and (node.name == "__init__" or not node.name.startswith("_"))
+                  and f"{prefix}{node.name}" != "Homotopy.__init__"
+                  and "gamma" in [arg.arg for arg in (node.args.posonlyargs + node.args.args
+                                                      + node.args.kwonlyargs)]]
+    assert not found, f"public functions take a gamma: {', '.join(found)}"
 
 
 def _spanned() -> dict:

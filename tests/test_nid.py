@@ -76,8 +76,8 @@ def test_component_membership_distinguishes_lines(two_lines_data):
     rec0 = dec.components[0]
     own = next(p for i, p in enumerate(points) if dec.assignment[i] == 0)
     other = next(p for i, p in enumerate(points) if dec.assignment[i] == 1)
-    assert component_membership(rec0, own)
-    assert not component_membership(rec0, other)
+    assert component_membership(rec0, own, rs(84))
+    assert not component_membership(rec0, other, rs(84))
 
 
 @pytest.mark.parametrize("name, e, I_order, curve_degree", [

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from multiwit import (
+    Homotopy,
     IndeterminateError,
     PolySystem,
     Polynomial,
@@ -17,7 +18,7 @@ from multiwit import (
     refine,
     slice_collection,
     trace_test,
-    track_slice_motion,
+    track_many,
 )
 from multiwit.fixtures import get_fixture
 from multiwit.monodromy import TRACE_TOL
@@ -130,10 +131,12 @@ def tracked_trace_test(ws, part, rs):
     centroids = [np.mean(part, axis=0)]
     for s in s_values:
         # gamma = 1 keeps the slice motion affine in t, which the trace needs
-        ends = track_slice_motion(ws.fixed_block, forms, [forms[0] + s * pencil], part, 1.0)
-        if any(p is None for p in ends):
-            raise IndeterminateError("a trace test path diverged")
-        centroids.append(np.mean(ends, axis=0))
+        h = Homotopy(PolySystem(forms), PolySystem([forms[0] + s * pencil]), 1.0,
+                     ws.fixed_block)
+        results = track_many(h, part)
+        if not all(r.converged for r in results):
+            raise IndeterminateError("a trace test path did not converge")
+        centroids.append(np.mean([r.endpoint for r in results], axis=0))
     v1 = (centroids[1] - centroids[0]) / s_values[0]
     v2 = (centroids[2] - centroids[0]) / s_values[1]
     scale = max(1.0, float(np.linalg.norm(v1)), float(np.linalg.norm(v2)))

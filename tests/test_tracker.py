@@ -105,7 +105,7 @@ def test_track_path_single():
 def test_homotopy_shape_validation():
     g, x = univariate()
     with pytest.raises(ValueError):
-        Homotopy(PolySystem([x, x]), PolySystem([x]))
+        Homotopy(PolySystem([x, x]), PolySystem([x]), gamma=1.0)
     with pytest.raises(ValueError):
         Homotopy(PolySystem([x]), PolySystem([x]), gamma=0.0)
 
@@ -123,6 +123,22 @@ def test_fixed_block_stays_satisfied():
     assert r.converged
     assert abs(circle.evaluate(r.endpoint)) < 1e-7
     assert abs(end_line.evaluate(r.endpoint)) < 1e-7
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_slice_motion_draws_its_gamma_from_the_stream(k):
+    # track_slice_motion is the homotopy [fixed; t*gamma*old + (1-t)*new]
+    # with gamma the stream's first draw, bit for bit
+    g = VariableGrouping.from_sizes([2], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    fixed = PolySystem([x**2 + y**2 - 2])
+    old, new = [x - y], [x + 2 * y - 1]
+    points = [np.array([1.0 + 0j, 1.0 + 0j]), np.array([-1.0 + 0j, -1.0 + 0j])]
+    ends = track_slice_motion(fixed, old, new, points, rs(k))
+    h = Homotopy(PolySystem(old), PolySystem(new), rs(k).unit_complex(), fixed)
+    results = track_many(h, points)
+    assert all(r.converged for r in results)
+    assert [e.tobytes() for e in ends] == [r.endpoint.tobytes() for r in results]
 
 
 def random_poly(g, rng, nterms, maxdeg):
@@ -314,8 +330,7 @@ def test_tracker_hooks_seen_from_outside(monkeypatch):
 
     monkeypatch.setattr(multiwit.tracker, "track_many", tracked)
     monkeypatch.setattr(multiwit.tracker, "_solve", solving)
-    ends = track_slice_motion(None, [x**3 - 1], [x**3 - 2 * x + 0.5], starts,
-                              rs(5).unit_complex())
+    ends = track_slice_motion(None, [x**3 - 1], [x**3 - 2 * x + 0.5], starts, rs(5))
     ((points, results),) = homotopies
     assert points is starts and len(results) == len(starts)
     assert all(r.converged for r in results)
@@ -430,8 +445,10 @@ def test_newton_refine_quadratic_convergence():
 def test_newton_refine_singular_raises():
     g, x = univariate()
     F = PolySystem([x**2 - 1])
-    # at x = 0 the Jacobian vanishes while the residual does not
-    with pytest.raises(SingularJacobianError):
+    # at x = 0 the Jacobian vanishes while the residual does not, so the
+    # first solve is not finite; it raises and warns of nothing
+    with warnings.catch_warnings(), pytest.raises(SingularJacobianError):
+        warnings.simplefilter("error")
         newton_refine(F, np.array([0.0 + 0j]))
 
 

@@ -118,7 +118,7 @@ def test_move_slice_keeps_system_and_meets_new_forms(cubic_wc):
     ws = wc.entries[(1,)]
     g = fx.system.grouping
     new = [random_affine_form(g, [0, 1], rs(35))]
-    moved = move_slice(ws, new)
+    moved = move_slice(ws, new, rs(37))
     assert len(moved.points) == 3
     for p in moved.points:
         assert relative_residual(fx.system.evaluate(p), fx.system.residual_scale(p)) < RESIDUAL_TOL
@@ -130,12 +130,11 @@ def test_track_slice_motion_keeps_input_order(cubic_wc):
     ws = wc.entries[(1,)]
     g = fx.system.grouping
     new = [random_affine_form(g, [0, 1], rs(36))]
-    gamma = rs(37).unit_complex()
     off_curve = np.array([5.0 + 1j, -3.0 + 2j])
     starts = list(ws.points) + [off_curve]
 
     def motion(points):
-        return track_slice_motion(ws.fixed_block, ws.selection.forms, new, points, gamma)
+        return track_slice_motion(ws.fixed_block, ws.selection.forms, new, points, rs(37))
 
     # the off-curve start fails, and one failed path fails the whole motion
     with pytest.raises(IndeterminateError, match="1 of 4"):
@@ -157,7 +156,7 @@ def test_move_slice_raises_on_a_failed_path(cubic_wc):
     bad = WitnessSet(ws.system, ws.sq_core, ws.selection, list(ws.points) + [off_curve])
     new = [random_affine_form(fx.system.grouping, [0, 1], rs(36))]
     with pytest.raises(IndeterminateError):
-        move_slice(bad, new, gamma=rs(37).unit_complex())
+        move_slice(bad, new, rs(37))
 
 
 def test_refine_cubic_to_bidegrees(cubic_wc):
@@ -187,9 +186,11 @@ def test_refine_keeps_a_zero_budget_group():
 def test_slice_motion_without_moving_rows_returns_the_points(cubic_wc):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
-    ends = track_slice_motion(ws.full_square_system(), [], [], ws.points, 1.0)
+    stream = rs(0)
+    ends = track_slice_motion(ws.full_square_system(), [], [], ws.points, stream)
     assert len(ends) == len(ws.points)
     assert all(a is b for a, b in zip(ends, ws.points))
+    assert stream.unit_complex() == rs(0).unit_complex()  # no gamma was drawn
 
 
 def test_refine_validates_keys(cubic_wc):
@@ -265,8 +266,7 @@ def test_slice_motion_paths_are_pinned(octa_fh_wc, monkeypatch):
         return out
 
     monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
-    track_slice_motion(ws.fixed_block, ws.selection.forms, new, ws.points,
-                       rs(37).unit_complex())
+    track_slice_motion(ws.fixed_block, ws.selection.forms, new, ws.points, rs(37))
     assert [(r.status, r.steps_taken) for r in results] == \
         [("converged", 12), ("converged", 18), ("converged", 18)]
     results.clear()
