@@ -448,7 +448,8 @@ class PolySystem:
     def residual(self, point) -> float:
         """Relative residual of the system at `point`; the one test of
         whether a point lies on it."""
-        return float(relative_residual(self.evaluate(point), self.residual_scale(point)))
+        values, scale, _, _ = self.kernel(point, scaled=True)
+        return float(relative_residual(values, scale))
 
     def jacobian(self, point) -> np.ndarray:
         """DF(point)."""

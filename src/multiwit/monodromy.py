@@ -7,12 +7,10 @@ for a set with one moving form: growing a partial witness point set from
 a seed, partitioning a complete one into components, and the linear trace
 test that certifies a part is a whole component.
 
-The trace test tracks no path, so breakup and growth both loop until it
-passes.  Breakup tests the singletons, then after every loop each new
-part, and stops once all of them pass, since a part that passes is a
-whole component; a loop that would join two passed parts is a path jump
-and is discarded.  A key with more than one moving form is refused: its
-parts would need the multiprojective trace test, which is not built.
+Breakup and growth are one loop, `_close_orbits`, which joins the points
+into orbits until the trace test passes on every part.  A key with more
+than one moving form is refused: its parts would need the multiprojective
+trace test, which is not built.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form
 from .tracker import (
     IndeterminateError,
-    TrackingError,
-    dedupe_points,
     points_equal,
     refine_endpoints,
     track_slice_motion,
@@ -41,7 +37,7 @@ MAX_LOOPS = 60
 
 @dataclass
 class MonodromyOutcome:
-    permutation: dict  # matched start index -> start index of the endpoint
+    permutation: dict  # start index -> its endpoint's index, len(points) + k for new_points[k]
     new_points: list
 
 
@@ -51,8 +47,10 @@ def monodromy_permutation(ws: WitnessSet, rs: RandomSource) -> MonodromyOutcome:
 
     L' and L'' are generic forms with the per-group form counts of L, drawn
     from rs.substream(1) and (2); the legs' gammas come from rs.substream(3)
-    to (5).  An endpoint that matches two start points, or two endpoints
-    that match one, raise IndeterminateError."""
+    to (5).  An endpoint on the system that matches no start point is a new
+    point, and endpoints that match one another share it.  An endpoint that
+    matches two start points, or two endpoints that match one, raise
+    IndeterminateError."""
     g = ws.grouping
 
     def forms_from(sub: RandomSource) -> list[Polynomial]:
@@ -76,24 +74,23 @@ def monodromy_permutation(ws: WitnessSet, rs: RandomSource) -> MonodromyOutcome:
     new_points: list = []  # endpoints on the system that match no start point
     taken: dict = {}
     for i, endpoint in sorted(refined.items()):
-        matches = [
-            j for j, q in enumerate(ws.points) if points_equal(endpoint, q)
-        ]
+        matches = [j for j, q in enumerate(ws.points) if points_equal(endpoint, q)]
         if len(matches) > 1:
-            raise IndeterminateError(
-                f"endpoint of path {i} matches {len(matches)} start points"
-            )
+            raise IndeterminateError(f"endpoint of path {i} matches {len(matches)} start points")
         if matches:
             j = matches[0]
             if j in taken:
                 raise IndeterminateError(
-                    f"paths {taken[j]} and {i} both landed on start point {j}"
-                )
+                    f"paths {taken[j]} and {i} both landed on start point {j}")
             taken[j] = i
             perm[i] = j
         elif ws.system.residual(endpoint) < RESIDUAL_TOL:
-            new_points.append(endpoint)
-    return MonodromyOutcome(perm, dedupe_points(new_points))
+            k = next((k for k, q in enumerate(new_points) if points_equal(endpoint, q)), None)
+            if k is None:
+                k = len(new_points)
+                new_points.append(endpoint)
+            perm[i] = len(ws.points) + k
+    return MonodromyOutcome(perm, new_points)
 
 
 def _one_moving_form(ws: WitnessSet, caller: str) -> None:
@@ -169,67 +166,64 @@ def _orbit_groups(partition: list, permutation: dict) -> list:
     return list(groups.values())
 
 
-def breakup(ws: WitnessSet, rs: RandomSource) -> MonodromyState:
-    """Partition a complete witness point set of an affine curve (one
-    moving form) by monodromy orbits, and certify the parts by the trace
-    test.
+def _close_orbits(ws: WitnessSet, rs: RandomSource, first: int) -> MonodromyState:
+    """Join the points into monodromy orbits until every part passes the
+    trace test, from singletons, with loop i on rs.substream(first + i).
 
-    Loop i runs on rs.substream(1000 + i).  The singletons are tested
-    first, and after every loop each part not yet tested; breakup stops as
-    soon as every part has passed, since orbits never leave a component.
-    A loop that would join two passed parts is a path jump and is
-    discarded.  Breakup gives up after MAX_LOOPS loops, with the failed
-    verdicts in `certified`; a loop that raises IndeterminateError counts
-    against them and the next one is drawn."""
-    _one_moving_form(ws, "breakup")
+    Every part not yet tested is tested before each loop.  A new endpoint
+    joins the part of the path that found it.  A passed part is a union of
+    whole components, so a loop that would join it to any other part is a
+    path jump and is discarded.  A loop that raises IndeterminateError is
+    skipped; after MAX_LOOPS loops the state is returned as it stands."""
+    _one_moving_form(ws, "monodromy")
     points = list(ws.points)
+    partition = [[i] for i in range(len(points))]
     verdicts: dict = {}  # part, as a tuple of indices -> trace verdict
 
-    def certify(partition: list) -> list:
+    def certify() -> list:
         for part in map(tuple, partition):
             if part not in verdicts:
                 verdicts[part] = trace_test(ws, [points[i] for i in part])
         return [verdicts[tuple(part)] for part in partition]
 
-    partition = [[i] for i in range(len(points))]
-    certified = certify(partition)
+    certified = certify()
     for loop in range(MAX_LOOPS):
         if all(certified):
             break
         try:
-            outcome = monodromy_permutation(ws, rs.substream(1000 + loop))
+            outcome = monodromy_permutation(replace(ws, points=points),
+                                            rs.substream(first + loop))
         except IndeterminateError:
             continue
-        if outcome.new_points:
-            raise TrackingError(
-                "breakup found new witness points; the input set was incomplete"
-            )
-        groups = _orbit_groups(partition, outcome.permutation)
-        if any(sum(verdicts[tuple(partition[pi])] for pi in g) > 1 for g in groups):
-            continue  # a path jumped between two certified components
-        partition = sorted(sorted(i for pi in g for i in partition[pi]) for g in groups)
-        certified = certify(partition)
+        parts = partition + [[len(points) + k] for k in range(len(outcome.new_points))]
+        passed = certified + [False] * len(outcome.new_points)
+        groups = _orbit_groups(parts, outcome.permutation)
+        if any(len(g) > 1 and any(passed[pi] for pi in g) for g in groups):
+            continue  # only a path jump joins a passed part to another
+        points += outcome.new_points
+        partition = sorted(sorted(i for pi in g for i in parts[pi]) for g in groups)
+        certified = certify()
     return MonodromyState(points=points, partition=partition, certified=certified)
+
+
+def breakup(ws: WitnessSet, rs: RandomSource) -> MonodromyState:
+    """Partition the witness points of an affine curve (one moving form)
+    by monodromy orbits, each certified by the trace test.
+
+    Loop i runs on rs.substream(1000 + i).  A point the input set was
+    missing joins the part of the path that found it, and `points` holds
+    it after the input's.  Breakup gives up after MAX_LOOPS loops, with
+    the failed verdicts in `certified`."""
+    return _close_orbits(ws, rs, 1000)
 
 
 def grow_witness_set(ws: WitnessSet, rs: RandomSource) -> WitnessSet:
     """Grow a partial witness point set of an affine curve (one moving form)
-    by monodromy until the trace test passes.
-
-    Loop i runs on rs.substream(2000 + i), and each loop that finds no new
-    point is followed by a trace test; IndeterminateError after MAX_LOOPS
-    loops."""
-    _one_moving_form(ws, "grow_witness_set")
-    points = list(ws.points)
-    for loop in range(MAX_LOOPS):
-        current = replace(ws, points=points)
-        try:
-            outcome = monodromy_permutation(current, rs.substream(2000 + loop))
-        except IndeterminateError:
-            continue
-        if outcome.new_points:
-            points.extend(outcome.new_points)
-        elif trace_test(current, points):
-            return current
-    raise IndeterminateError(
-        f"the trace test failed on {len(points)} points after {MAX_LOOPS} loops")
+    by monodromy until the trace test passes: breakup's loop, run from the
+    seed points on rs.substream(2000 + i).  IndeterminateError if some part
+    has not passed after MAX_LOOPS loops."""
+    state = _close_orbits(ws, rs, 2000)
+    if not all(state.certified):
+        raise IndeterminateError(
+            f"the trace test failed on {len(state.points)} points after {MAX_LOOPS} loops")
+    return replace(ws, points=state.points)

@@ -27,8 +27,8 @@ from .dimension import (
 from .monodromy import grow_witness_set
 from .sysio import RandomSource
 from .startsys import random_affine_form, square_up
-from .tracker import IndeterminateError, TrackingError, points_equal, track_slice_motion
-from .witness import SliceSelection, WitnessSet
+from .tracker import IndeterminateError, TrackingError
+from .witness import SliceSelection, WitnessSet, passes_through
 
 
 def compute_slice_vector(polytope) -> tuple[tuple[int, ...], frozenset]:
@@ -152,14 +152,10 @@ def build_component(
 
 
 def component_membership(rec: ComponentRecord, q, rs: RandomSource) -> bool:
-    """Move the curve's linear system from vanishing at p to vanishing at q,
-    by a homotopy drawn from `rs`, and look for q among the endpoints."""
-    q = np.asarray(q, dtype=complex)
+    """Translate the curve's linear system, cuts and slice, from p to q and
+    look for q among the endpoints (`witness.passes_through`)."""
     ws = rec.curve_witness
-    old_forms = list(ws.extra) + ws.selection.forms
-    new_forms = [form - complex(form.evaluate(q)) for form in old_forms]
-    ends = track_slice_motion(ws.sq_core, old_forms, new_forms, ws.points, rs)
-    return any(p is not None and points_equal(p, q) for p in ends)
+    return passes_through(ws.sq_core, list(ws.extra) + ws.selection.forms, ws.points, q, rs)
 
 
 def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
@@ -197,7 +193,7 @@ def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
                     else:
                         rest.append(q)
                 except IndeterminateError as exc:
-                    diagnostics.append(f"point left unassigned: {exc}")
+                    diagnostics.append(f"point {index_of[id(q)]} left unassigned: {exc}")
                     rest.append(q)
             for q in members:
                 assignment[index_of[id(q)]] = len(components)

@@ -8,6 +8,7 @@ or "random" choice in the toolkit draws from one of its streams).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -25,13 +26,16 @@ DEFAULT_SEED = 20230529
 class RandomSource:
     """Counter-based PRNG: identical (seed, stream, draw index) gives an
     identical value on every platform.  Streams are value types; derive a
-    fresh one per worker/purpose with substream()."""
+    fresh one per worker/purpose with substream().  The generator is built
+    on the first draw, so a stream used only to derive others builds none."""
 
     def __init__(self, seed: int = DEFAULT_SEED, stream: int = 0):
         self.seed = int(seed) % 2**64
         self.stream = int(stream) % 2**64
-        key = self.seed + (self.stream << 64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.seed + (self.stream << 64)))
 
     def substream(self, index: int) -> "RandomSource":
         mixed = (self.stream * 6364136223846793005 + index + 1442695040888963407) % 2**64

@@ -397,31 +397,32 @@ def segre_degree(md: dict) -> int:
     return total
 
 
+def passes_through(fixed: PolySystem, forms: list, points: list, q, rs: RandomSource) -> bool:
+    """Whether q lies on the set that `points` cut out with `fixed` and
+    `forms`: translate each form through q, as form - form(q), track the
+    points along by a homotopy drawn from rs, and look for q at the ends."""
+    q = np.asarray(q, dtype=complex)
+    moved = [form - complex(form.evaluate(q)) for form in forms]
+    ends = track_slice_motion(fixed, forms, moved, points, rs)
+    return any(p is not None and points_equal(p, q) for p in ends)
+
+
 def membership(
     wc: WitnessCollection,
     point,
     rs: RandomSource,
 ) -> bool:
-    """Multiprojective membership: per key e, move L^e to forms vanishing
-    at the query point and look for it among the endpoints."""
+    """Multiprojective membership: per key e, translate L^e through the
+    query point and look for it among the endpoints."""
     point = np.asarray(point, dtype=complex)
-    g = wc.grouping
-    if point.size != g.nvars:
-        raise ValueError(f"point has {point.size} coordinates, expected {g.nvars}")
+    if point.size != wc.grouping.nvars:
+        raise ValueError(f"point has {point.size} coordinates, expected {wc.grouping.nvars}")
     # the query must already satisfy the sliced-away part of the system, by
     # the residual test `WitnessSet.verify` uses
     if wc.extra:
         if not PolySystem(list(wc.extra)).residual(point) < RESIDUAL_TOL:
             return False
-    for idx, (_, ws) in enumerate(sorted(wc.entries.items())):
-        sub = rs.substream(idx)
-        new_forms = [
-            random_affine_form(wc.system.grouping, g.blocks[i], sub.substream(10 * i + j),
-                               through=point)
-            for i, fs in enumerate(ws.selection.per_group)
-            for j in range(len(fs))
-        ]
-        moved = move_slice(ws, new_forms, sub.substream(77))
-        if any(points_equal(p, point) for p in moved.points):
-            return True
-    return False
+    return any(
+        passes_through(ws.fixed_block, ws.selection.forms, ws.points, point,
+                       rs.substream(idx).substream(77))
+        for idx, (_, ws) in enumerate(sorted(wc.entries.items())))

@@ -158,9 +158,26 @@ def test_nothing_tracks_one_path_at_a_time():
     assert not calls, f"track_path called inside the library: {', '.join(calls)}"
 
 
+def test_monodromy_has_one_loop():
+    # breakup and growth share one loop: one function in monodromy.py runs
+    # MAX_LOOPS loops or calls monodromy_permutation
+    tree = ast.parse((ROOT / "src" / "multiwit" / "monodromy.py").read_text())
+
+    def loops(fn):
+        return any(
+            isinstance(node, ast.For) and ast.unparse(node.iter) == "range(MAX_LOOPS)"
+            or isinstance(node, ast.Call) and ast.unparse(node.func) == "monodromy_permutation"
+            for node in ast.walk(fn))
+
+    looping = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and loops(fn)]
+    assert len(looping) == 1, f"monodromy loops in {looping}"
+
+
 # Methods nothing in src/multiwit calls, kept as the plain references that
-# tests check the compiled Jacobian and the computed witness points against.
-REFERENCE_METHODS = {"Polynomial.diff", "WitnessSet.verify"}
+# tests check the compiled Jacobian, the computed witness points and the
+# residual scale against; the benchmark's tracer also wraps
+# PolySystem.residual_scale by name.
+REFERENCE_METHODS = {"Polynomial.diff", "WitnessSet.verify", "PolySystem.residual_scale"}
 
 
 def _methods() -> list[tuple[str, str, ast.FunctionDef]]:

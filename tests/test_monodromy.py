@@ -47,6 +47,21 @@ def test_monodromy_permutation_is_bijection(cubic_ws):
     assert sorted(outcome.permutation.values()) == [0, 1, 2]
 
 
+def test_monodromy_permutation_indexes_a_new_point_after_the_start_points(cubic_ws):
+    fx, ws = cubic_ws
+    outcome = monodromy_permutation(replace(ws, points=ws.points[:2]), rs(63))
+    assert len(outcome.new_points) == 1
+    assert 2 in outcome.permutation.values()
+
+
+def test_breakup_recovers_a_point_the_set_was_missing(cubic_ws):
+    fx, ws = cubic_ws
+    state = breakup(replace(ws, points=ws.points[:2]), rs(64))
+    assert len(state.points) == 3
+    assert (state.partition, state.certified) == ([[0, 1, 2]], [True])
+    assert any(np.allclose(p, ws.points[2]) for p in state.points)
+
+
 def test_breakup_cubic_is_one_certified_orbit(cubic_ws):
     fx, ws = cubic_ws
     state = breakup(ws, rs(64))
@@ -68,7 +83,7 @@ def octa_curve():
 
 
 def counted(monkeypatch, raise_first=False):
-    """Count breakup's calls to monodromy_permutation; with raise_first the
+    """Count the calls to monodromy_permutation; with raise_first the
     first call raises IndeterminateError instead of tracking."""
     real = monodromy.monodromy_permutation
     calls = []
@@ -112,8 +127,9 @@ def test_breakup_discards_a_loop_that_joins_certified_parts(monkeypatch):
     on_cubic = [i for i in range(len(ws.points)) if i not in on_line]
     assert (len(on_line), len(on_cubic)) == (2, 3)
     # scripted loops, each swapping two points: the second joins the two
-    # lines, which have both passed the trace by then, so it is a jump
-    swaps = [on_cubic[:2], on_line, on_cubic[1:]]
+    # lines, which have both passed the trace by then, and the third a line
+    # to the cubic, so both are jumps
+    swaps = [on_cubic[:2], on_line, [on_line[0], on_cubic[0]], on_cubic[1:]]
     calls = []
 
     def scripted(ws, loop_rs):
@@ -125,7 +141,7 @@ def test_breakup_discards_a_loop_that_joins_certified_parts(monkeypatch):
 
     monkeypatch.setattr(monodromy, "monodromy_permutation", scripted)
     state = breakup(ws, rs(73))
-    assert len(calls) == 3
+    assert len(calls) == 4
     assert state.partition == sorted([[on_line[0]], [on_line[1]], on_cubic])
     assert state.certified == [True, True, True]
 
@@ -178,6 +194,16 @@ def test_grow_witness_set_recovers_full_degree(cubic_ws):
     seeded = replace(ws, points=[ws.points[0]])
     grown = grow_witness_set(seeded, rs(69))
     assert len(grown.points) == 3
+
+
+def test_grow_witness_set_runs_no_loop_on_a_set_that_passes(two_lines_ws, monkeypatch):
+    # one point of a line is its whole witness set, so the trace test
+    # passes before any loop
+    fx, ws = two_lines_ws
+    calls = counted(monkeypatch)
+    grown = grow_witness_set(replace(ws, points=[ws.points[0]]), rs(69))
+    assert len(grown.points) == 1
+    assert calls == []
 
 
 def test_grow_witness_set_raises_after_max_loops(cubic_ws, monkeypatch):

@@ -156,6 +156,24 @@ def test_nid_multi_reports_a_point_whose_component_fails_twice(two_lines_data, m
     assert "60 loops" in line
 
 
+def test_nid_multi_names_the_point_of_a_failed_query(two_lines_data, monkeypatch):
+    fx, wc = two_lines_data
+    points = list(wc.entries[(1,)].points)
+    queried = []
+
+    def failing_query(rec, q, rs):
+        queried.append(next(i for i, p in enumerate(points) if p is q))
+        raise IndeterminateError("1 of 1 paths failed")
+
+    monkeypatch.setattr(nid, "component_membership", failing_query)
+    dec = nid_multi(fx.system, points, rs(82))
+    # the queried point stays out of the first component and then builds
+    # the component of its own line
+    (q,) = queried
+    assert dec.assignment == {1 - q: 0, q: 1}
+    assert dec.diagnostics == [f"point {q} left unassigned: 1 of 1 paths failed"]
+
+
 @pytest.fixture(scope="module")
 def product_data():
     fx = get_fixture("point-times-surface")

@@ -36,6 +36,19 @@ def test_substream_is_stateless_value():
     assert root.substream(5).gaussian_complex() == x
 
 
+def test_a_substream_builds_its_generator_on_its_first_draw():
+    sub = RandomSource(seed=7, stream=3).substream(5)
+    assert "_gen" not in vars(sub)
+    # the draws are those of the Philox generator built at once
+    eager = np.random.Generator(np.random.Philox(key=sub.seed + (sub.stream << 64)))
+    theta = 2 * np.pi * eager.random()
+    assert sub.unit_complex() == complex(np.cos(theta), np.sin(theta))
+    re, im = eager.normal(size=2)
+    assert sub.gaussian_complex() == complex(re, im) / np.sqrt(2)
+    data = eager.normal(size=(2, 3))
+    assert np.array_equal(sub.gaussian_complex_array(3), (data[0] + 1j * data[1]) / np.sqrt(2))
+
+
 def test_unit_complex_on_unit_circle():
     rs = RandomSource(seed=1)
     for _ in range(10):
