@@ -2,13 +2,16 @@
 
 Wires parse -> compute -> serialize for each toolkit stage, with the
 built-in example systems available via --fixture.  Exit codes: 0 on
-success, 2 on input errors, 3 on numerical failures.  Output is JSON and
-byte-identical for identical inputs and seed.
+success, 2 on input errors, 3 on numerical failures, among them a
+decomposition that leaves a point unassigned (its JSON is still
+written).  Output is JSON and byte-identical for identical inputs and
+seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -153,12 +156,13 @@ def cmd_refine(args) -> dict:
     group, first = split
     wc.grouping.check_group(group)
     rs = RandomSource(seed=args.seed, stream=3)
+    streams = itertools.count()
     out = {}
     for e, ws in sorted(wc.entries.items()):
         budget = e[group]
         for left in range(budget + 1):
             target = e[:group] + (left, budget - left) + e[group + 1:]
-            refined = refine(ws, split, target, rs.substream(hash((e, left)) % 9999))
+            refined = refine(ws, split, target, rs.substream(next(streams)))
             if refined.points:
                 out[_key_str(target)] = len(refined.points)
     return {"split": list(split), "degree_map": out}
@@ -344,6 +348,11 @@ def run(argv=None) -> int:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     _emit(result, getattr(args, "output", None))
+    if args.command == "decompose" and -1 in result["assignment"]:
+        missed = result["assignment"].count(-1)
+        sys.stderr.write(f"numerical failure: {missed} of {len(result['assignment'])} "
+                         "points left unassigned\n")
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
 """Local multidimension at a smooth point and the dimension polytope.
 
-At a general smooth point x of a component X of V(F), the total
-dimension is the corank of DF(x) and each projected dimension dim_I(X)
-is read off kernel dimensions of Jacobian column blocks.  The lattice
-points e with |e| = dim X and sum_{i in I} e_i <= dim_I for all proper
-subsets I form the dimension polytope Dim(X) (a polymatroid polytope).
+At a general smooth point x of a component X of V(F), the tangent space
+T = ker DF(x) has dimension dim X, and each projected dimension dim_I(X)
+is the rank of the projection of T to the groups in I: the rank of the
+I-rows of an orthonormal basis of T.  Dropping rows never raises a
+singular value, so the profile is monotone in I.  The lattice points e
+with |e| = dim X and sum_{i in I} e_i <= dim_I for all proper subsets I
+form the dimension polytope Dim(X) (a polymatroid polytope).
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ import numpy as np
 from .algebra import PolySystem
 
 MAX_GROUPS = 16
-RANK_TOL = 1e-8  # relative tolerance of a numerical rank
+# Numerical rank tolerance: relative to the largest singular value of DF,
+# absolute for the rows of the orthonormal tangent basis (whose singular
+# values are at most 1).
+RANK_TOL = 1e-8
 
 
 class IllConditionedError(RuntimeError):
-    """Rank of a Jacobian block changed across a tolerance decade."""
+    """A numerical rank of DF or of a projected tangent basis changed
+    between RANK_TOL and 10 * RANK_TOL: the point does not look general."""
 
 
 @dataclass(frozen=True)
@@ -44,20 +50,11 @@ class DimensionProfile:
         items = tuple(sorted((tuple(sorted(I)), d) for I, d in self.proj_dims.items()))
         return (self.total_dim, items)
 
-    def check_monotone(self) -> bool:
-        subsets = list(self.proj_dims) + [frozenset(range(self.k))]
-        for I in subsets:
-            for J in subsets:
-                if I < J and self.dim(I) > self.dim(J):
-                    return False
-        return True
 
-
-def _stable_rank(M: np.ndarray, what: str) -> int:
-    """Count of singular values of M above RANK_TOL times the largest; the
-    count at 10 * RANK_TOL, read off the same SVD, must agree."""
-    s = np.linalg.svd(M, compute_uv=False)
-    r1, r2 = (int(np.count_nonzero(s > tol * s[0])) for tol in (RANK_TOL, 10 * RANK_TOL))
+def _stable_rank(s: np.ndarray, scale: float, what: str) -> int:
+    """Count of singular values s above RANK_TOL * scale; the count at
+    10 * RANK_TOL * scale must agree."""
+    r1, r2 = (int(np.count_nonzero(s > tol * scale)) for tol in (RANK_TOL, 10 * RANK_TOL))
     if r1 != r2:
         raise IllConditionedError(
             f"rank of {what} is {r1} at tol {RANK_TOL:g} but {r2} at {10 * RANK_TOL:g}; "
@@ -72,26 +69,16 @@ def local_multidimension(F: PolySystem, point) -> DimensionProfile:
     k = g.k
     if k > MAX_GROUPS:
         raise ValueError(f"at most {MAX_GROUPS} groups supported, got {k}")
-    point = np.asarray(point, dtype=complex)
-    J = F.jacobian(point)
-    n = g.nvars
-    rank_full = _stable_rank(J, "DF")
-    ker_full = n - rank_full
-    total = ker_full
-
+    _, s, vh = np.linalg.svd(F.jacobian(np.asarray(point, dtype=complex)))
+    rank = _stable_rank(s, s[0], "DF")
+    tangent = vh[rank:].conj().T  # orthonormal basis of ker DF, one row per variable
     proj = {}
     for r in range(1, k):
         for I in combinations(range(k), r):
-            Ic_cols = [v for i in range(k) if i not in I for v in g.blocks[i]]
-            sub = J[:, sorted(Ic_cols)]
-            cols = len(Ic_cols)
-            rank_sub = _stable_rank(sub, f"DF restricted to complement of {I}")
-            ker_sub = cols - rank_sub
-            proj[frozenset(I)] = ker_full - ker_sub
-    profile = DimensionProfile(total_dim=total, proj_dims=proj, k=k)
-    if not profile.check_monotone():
-        raise IllConditionedError("projected dimensions are not monotone; point not general")
-    return profile
+            rows = [v for i in I for v in g.blocks[i]]
+            s_I = np.linalg.svd(tangent[rows], compute_uv=False)
+            proj[frozenset(I)] = _stable_rank(s_I, 1.0, f"the tangent space on groups {I}")
+    return DimensionProfile(total_dim=g.nvars - rank, proj_dims=proj, k=k)
 
 
 def dimension_polytope(profile: DimensionProfile, nvec: Sequence[int]) -> frozenset:

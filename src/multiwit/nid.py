@@ -163,7 +163,8 @@ def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
 
     A component whose growth fails is built once more on a fresh substream;
     a sample point whose component fails twice is left unassigned with a
-    line in `diagnostics`, as is a point whose membership query fails."""
+    line in `diagnostics`.  A point whose membership query fails gets a
+    line too, and is deferred to a later component or sample."""
     W = [np.asarray(p, dtype=complex) for p in W]
     classes = equidim_partition(F, W)
     index_of = {id(p): i for i, p in enumerate(W)}
@@ -193,7 +194,7 @@ def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
                     else:
                         rest.append(q)
                 except IndeterminateError as exc:
-                    diagnostics.append(f"point {index_of[id(q)]} left unassigned: {exc}")
+                    diagnostics.append(f"query of point {index_of[id(q)]} failed, deferred: {exc}")
                     rest.append(q)
             for q in members:
                 assignment[index_of[id(q)]] = len(components)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from multiwit.cli import EXIT_INPUT, EXIT_OK, run
+import multiwit.nid as nid
+from multiwit import IndeterminateError
+from multiwit.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, run
 
 
 def run_json(argv, capsys):
@@ -90,6 +92,18 @@ def test_decompose_two_lines(capsys):
     assert all(c["certified"] for c in doc["components"])
     assert all(c["curve_degree"] == 1 for c in doc["components"])
     assert sorted(doc["assignment"]) == [0, 1]
+
+
+def test_decompose_with_an_unassigned_point_exits_3_after_writing(capsys, monkeypatch):
+    def grow(ws, rs):
+        raise IndeterminateError("the trace test failed after 60 loops")
+
+    monkeypatch.setattr(nid, "grow_witness_set", grow)
+    code, doc = run_json(["decompose", "--fixture", "two-lines"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert doc["components"] == []
+    assert doc["assignment"] == [-1, -1]
+    assert len(doc["diagnostics"]) == 2
 
 
 def test_dim_two_lines(capsys):

@@ -1,16 +1,19 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from multiwit import (
     DimensionProfile,
     IllConditionedError,
+    RandomSource,
     compute_witness_collection,
     dimension_polytope,
     equidim_partition,
     local_multidimension,
     product_factorization,
 )
-from multiwit.dimension import _stable_rank, polytope_proj_dim, slice_polytope
+from multiwit.dimension import RANK_TOL, _stable_rank, polytope_proj_dim, slice_polytope
 from multiwit.fixtures import get_fixture
 
 from conftest import rs
@@ -33,29 +36,106 @@ def test_local_multidimension_of_split_cubic(split_point):
     assert prof.dim([0, 1]) == 1
 
 
+def _reference_profile(F, point) -> DimensionProfile:
+    """The complement-column rule: dim_I = ker DF - ker DF restricted to the
+    columns of the groups outside I, each rank from its own SVD of DF."""
+    g = F.grouping
+    J = F.jacobian(np.asarray(point, dtype=complex))
+
+    def rank(M, what):
+        s = np.linalg.svd(M, compute_uv=False)
+        return _stable_rank(s, s[0], what)
+
+    ker_full = g.nvars - rank(J, "DF")
+    proj = {}
+    for r in range(1, g.k):
+        for I in combinations(range(g.k), r):
+            cols = sorted(v for i in range(g.k) if i not in I for v in g.blocks[i])
+            proj[frozenset(I)] = ker_full - (len(cols) - rank(J[:, cols], f"DF off {I}"))
+    return DimensionProfile(total_dim=ker_full, proj_dims=proj, k=g.k)
+
+
+def _is_monotone(prof) -> bool:
+    """dim_I <= dim_(I + {i}) for every proper nonempty I and i outside it."""
+    return all(prof.dim(I) <= prof.dim(I | {i}) for I in prof.proj_dims
+               for i in range(prof.k) if i not in I)
+
+
+PROFILE_FIXTURES = ["cubic-split", "two-lines", "octahedron-fg", "octahedron-fh", "richardson",
+                    "richardson-four", "point-times-surface", "affine-lines-cube"]
+
+
+@pytest.mark.parametrize("name", PROFILE_FIXTURES)
+def test_profiles_match_the_complement_column_rule(name):
+    fx = get_fixture(name)
+    checked = 0
+    for seed in (1, 2):
+        wc = compute_witness_collection(fx.system, fx.default_keys,
+                                        RandomSource(seed=seed, stream=13))
+        for ws in wc.entries.values():
+            for p in ws.points:
+                got = local_multidimension(fx.system, p)
+                assert got.signature() == _reference_profile(fx.system, p).signature()
+                assert _is_monotone(got)
+                checked += 1
+    assert checked > 0
+
+
+def test_one_jacobian_and_one_svd_of_it_per_profile(monkeypatch):
+    fx = get_fixture("octahedron-fh")
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(52))
+    p = next(iter(wc.entries.values())).points[0]
+    n = fx.system.grouping.nvars
+    jacobians, shapes = [], []
+    real_jacobian, real_svd = type(fx.system).jacobian, np.linalg.svd
+
+    def jacobian(self, point):
+        jacobians.append(point)
+        return real_jacobian(self, point)
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(type(fx.system), "jacobian", jacobian)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    prof = local_multidimension(fx.system, p)
+    assert len(jacobians) == 1
+    assert [shape for shape in shapes if shape[1] == n] == [(len(fx.system), n)]
+    # and one SVD of the tangent basis's rows per proper nonempty group subset
+    assert len(shapes) == 1 + 2 ** prof.k - 2
+
+
 def test_stable_rank_known_ranks():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    assert _stable_rank(A, "A") == 3
+    s = np.linalg.svd(A, compute_uv=False)
+    assert _stable_rank(s, s[0], "A") == 3
+    assert _stable_rank(s, 10 * s[0] / RANK_TOL, "A") == 0
     B = np.outer(A[:, 0], np.conj(A[:, 1]))
-    assert _stable_rank(B, "B") == 1
-    assert _stable_rank(np.zeros((4, 4)), "zero") == 0
+    s = np.linalg.svd(B, compute_uv=False)
+    assert _stable_rank(s, s[0], "B") == 1
+    with np.errstate(all="raise"):
+        assert _stable_rank(np.zeros(4), 0.0, "zero") == 0
     # a singular value between the two tolerances makes the rank unstable
-    C = np.diag([1.0, 1.0, 3e-8])
     with pytest.raises(IllConditionedError, match="rank of C is 3"):
-        _stable_rank(C, "C")
+        _stable_rank(np.array([1.0, 1.0, 3e-8]), 1.0, "C")
 
 
-def test_profile_signature_and_monotonicity():
+def test_profile_signature_and_monotonicity(split_point):
     prof = DimensionProfile(total_dim=1,
                             proj_dims={frozenset({0}): 1, frozenset({1}): 1},
                             k=2)
-    assert prof.check_monotone()
-    bad = DimensionProfile(total_dim=0,
-                           proj_dims={frozenset({0}): 1, frozenset({1}): 0},
-                           k=2)
-    assert not bad.check_monotone()
-    assert prof.signature() != bad.signature()
+    other = DimensionProfile(total_dim=0,
+                             proj_dims={frozenset({0}): 1, frozenset({1}): 0},
+                             k=2)
+    assert prof.signature() == (1, (((0,), 1), ((1,), 1)))
+    assert prof.signature() != other.signature()
+    # a computed profile is monotone by construction: dropping rows of the
+    # tangent basis never raises its rank
+    assert not _is_monotone(other)
+    fx, p = split_point
+    assert _is_monotone(local_multidimension(fx.system, p))
 
 
 def test_dimension_polytope_from_profile():

@@ -113,6 +113,12 @@ def test_nid_multi_keeps_the_octahedron_surface_whole():
     assert not dec.diagnostics
 
 
+def unassigned_but_assigned(dec) -> list:
+    """Indices a diagnostics line calls "left unassigned" that have a component."""
+    named = [int(line.split()[1]) for line in dec.diagnostics if "left unassigned" in line]
+    return [i for i in named if i in dec.assignment]
+
+
 def failing_growth(monkeypatch, failures):
     """Make the first `failures` growths raise IndeterminateError; returns
     the streams every growth was called with."""
@@ -154,6 +160,7 @@ def test_nid_multi_reports_a_point_whose_component_fails_twice(two_lines_data, m
     (line,) = dec.diagnostics
     assert line.startswith(f"point {1 - placed} left unassigned")
     assert "60 loops" in line
+    assert not unassigned_but_assigned(dec)
 
 
 def test_nid_multi_names_the_point_of_a_failed_query(two_lines_data, monkeypatch):
@@ -171,7 +178,35 @@ def test_nid_multi_names_the_point_of_a_failed_query(two_lines_data, monkeypatch
     # the component of its own line
     (q,) = queried
     assert dec.assignment == {1 - q: 0, q: 1}
-    assert dec.diagnostics == [f"point {q} left unassigned: 1 of 1 paths failed"]
+    assert dec.diagnostics == [f"query of point {q} failed, deferred: 1 of 1 paths failed"]
+    assert not unassigned_but_assigned(dec)
+
+
+def test_nid_multi_a_deferred_point_whose_build_fails_is_unassigned(two_lines_data, monkeypatch):
+    fx, wc = two_lines_data
+    points = list(wc.entries[(1,)].points)
+    real = nid.grow_witness_set
+    growths = []
+
+    def grow(ws, rs):
+        # the first sample's component grows; the deferred point's fails twice
+        growths.append(rs.stream)
+        if len(growths) > 1:
+            raise IndeterminateError("the trace test failed after 60 loops")
+        return real(ws, rs)
+
+    def failing_query(rec, q, rs):
+        raise IndeterminateError("1 of 1 paths failed")
+
+    monkeypatch.setattr(nid, "grow_witness_set", grow)
+    monkeypatch.setattr(nid, "component_membership", failing_query)
+    dec = nid_multi(fx.system, points, rs(82))
+    (first,) = dec.assignment
+    q = 1 - first
+    assert dec.assignment == {first: 0}
+    assert [line.split(":")[0] for line in dec.diagnostics] == [
+        f"query of point {q} failed, deferred", f"point {q} left unassigned"]
+    assert not unassigned_but_assigned(dec)
 
 
 @pytest.fixture(scope="module")
