@@ -278,7 +278,7 @@ def _fmt_complex(c: complex) -> str:
 
 class _Compiled:
     """One term table for rows of the form sum_k (a_k + t*b_k) * p_k(x),
-    evaluated at one point or at a batch of points, one per row.
+    evaluated at a batch of points, one per row.
 
     Every term refers into one list of distinct monomials; monomial 0 is the
     constant 1.  The terms are summed per owner in one take, one multiply
@@ -333,13 +333,11 @@ class _Compiled:
 
     def evaluate(self, x: np.ndarray, t=0.0, scaled: bool = False) -> tuple:
         """(rows, residual scale or None, Jacobian, t-derivative of the rows)
-        at (x, t), from one kernel call; the scale is computed only if
-        `scaled`.  x is one point of shape (n,) and t a float, or x holds B
-        points as the rows of a (B, n) array and t is a float or of shape
-        (B,); then every result has a leading axis of B, and each of its
-        rows is bit for bit the one-point call at that row's (x, t)."""
-        one = x.ndim == 1
-        count = 1 if one else len(x)
+        at the B points of a (B, n) array x and t, a float or of shape (B,),
+        from one kernel call; the scale is computed only if `scaled`.  Every
+        result has a leading axis of B, and each of its rows is bit for bit
+        the call on that row's (x, t) alone."""
+        count = len(x)
         (factors, factor_starts, monos, coeffs, starts, scale_monos, weights, scale_starts,
          gathered, terms) = self._rows(count)
         monomials = np.multiply.reduceat(x.take(factors, out=gathered, mode="clip"),
@@ -348,7 +346,7 @@ class _Compiled:
         # coefficient first: numpy's complex product need not commute bit for bit
         terms = np.multiply(coeffs, monomials.take(monos, out=terms, mode="clip"), out=terms)
         split = np.add.reduceat(terms, starts).reshape(count, -1)
-        if not one and isinstance(t, np.ndarray):
+        if isinstance(t, np.ndarray):
             t = t[:, None]
         width, rows = self.width, self.rows
         at = split[:, :width] + t * split[:, width:]
@@ -359,9 +357,6 @@ class _Compiled:
             magnitudes = np.add.reduceat(weighted, scale_starts).reshape(count, -1) + self.ones
             scale = magnitudes[:, :rows] + t * magnitudes[:, rows:]
         jacobian = at[:, rows:].reshape(count, rows, self.nvars)
-        if one:
-            return at[0, :rows], None if scale is None else scale[0], jacobian[0], \
-                split[0, width:width + rows]
         return at[:, :rows], scale, jacobian, split[:, width:width + rows]
 
     def _rows(self, count: int) -> tuple[np.ndarray, ...]:
@@ -428,16 +423,17 @@ class PolySystem:
         return _Compiled([[(p, 1, 0)] for p in self.polys], self.grouping.nvars)
 
     def kernel(self, point, scaled: bool = False) -> tuple:
-        """(values, residual scale or None, Jacobian, _) at `point`, or at
-        each row of a (B, n) array of points, from one kernel call; the
-        scale is computed only if `scaled`."""
+        """(values, residual scale or None, Jacobian, _) at each row of a
+        (B, n) array of points, or at one point as a batch of one, from one
+        kernel call; the scale is computed only if `scaled`."""
         point = np.asarray(point, dtype=complex)
         if point.ndim not in (1, 2) or point.shape[-1] != self.grouping.nvars:
             raise ValueError(
                 f"point has {point.shape[-1] if point.ndim else 1} coordinates, "
                 f"expected {self.grouping.nvars}"
             )
-        return self._compiled.evaluate(point, scaled=scaled)
+        ev = self._compiled.evaluate(point.reshape(-1, point.shape[-1]), scaled=scaled)
+        return ev if point.ndim == 2 else tuple(None if a is None else a[0] for a in ev)
 
     def evaluate(self, point) -> np.ndarray:
         return self.kernel(point)[0]

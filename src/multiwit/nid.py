@@ -163,9 +163,10 @@ def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
 
     A component whose growth fails is built once more on a fresh substream;
     a sample point whose component fails twice is left unassigned with a
-    line in `diagnostics`.  A point whose membership query fails gets a
-    line too, and is deferred to a later component or sample."""
-    W = [np.asarray(p, dtype=complex) for p in W]
+    line in `diagnostics`.  A membership query that fails is asked once
+    more on a fresh substream; a point whose query fails twice gets a line
+    too, and is deferred to a later component or sample."""
+    W = [np.array(p, dtype=complex) for p in W]  # copies: one id per input index
     classes = equidim_partition(F, W)
     index_of = {id(p): i for i, p in enumerate(W)}
     components: list[ComponentRecord] = []
@@ -188,14 +189,16 @@ def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
             members = [p]
             rest = []
             for q in remaining:
+                query = rs.substream(len(components) * 31 + 5)
                 try:
-                    if component_membership(rec, q, rs.substream(len(components) * 31 + 5)):
-                        members.append(q)
-                    else:
-                        rest.append(q)
+                    try:
+                        member = component_membership(rec, q, query)
+                    except IndeterminateError:
+                        member = component_membership(rec, q, query.substream(1))
                 except IndeterminateError as exc:
                     diagnostics.append(f"query of point {index_of[id(q)]} failed, deferred: {exc}")
-                    rest.append(q)
+                    member = False
+                (members if member else rest).append(q)
             for q in members:
                 assignment[index_of[id(q)]] = len(components)
             components.append(rec)

@@ -7,15 +7,16 @@ The predictor is 4th-order Runge-Kutta on the Davidenko ODE, the
 corrector is full Newton with at most a few iterations per step, and
 the step size doubles after consecutive successes / halves on failure.
 
-Lockstep rows: `track_many` keeps one row per live path, at most
-BATCH_PATHS of them, and moves all rows through each stage together: k1,
-the three RK4 stages, the corrector and the t = 0 sharpening each make one
-kernel call on a (B, n) batch and one stacked solve.  Each path keeps its
-own t, step, streak, steps, crawl count and norm history (`_Path`), and the
-rules of a path tracked alone judge its row.  A finished path's row goes
-to the next start point.  A row's arithmetic never reads another row, so a
-path's result does not depend on the batch: not on its size, its order or
-the other paths in it.  `track_path` is `track_many` on one start point.
+Lockstep rows in fixed chunks: `track_many` starts BATCH_PATHS start
+points at once, one row each, and moves the live rows through each stage
+together: k1, the three RK4 stages, the corrector and the t = 0 sharpening
+each make one kernel call on a (B, n) batch and one stacked solve; the
+next chunk starts when no row is left.  Each path keeps its own t, step,
+streak, steps, crawl count and norm history (`_Path`), and the rules of a
+path tracked alone judge its row.  A row's arithmetic never reads another
+row, so a path's result does not depend on the batch: not on its size,
+its order or the other paths in it.  `track_path` is `track_many` on one
+start point.
 
 One evaluation per point: `Homotopy.evaluate` gives H, J_x and dH/dt at
 (x, t) from one kernel call, and the residual scale only when the
@@ -66,7 +67,7 @@ END_TOL = 1e-9  # relative residual of the t = 0 sharpening
 MAX_STEPS = 20000  # accepted steps per path
 REFINE_TOL = 1e-10  # relative residual `newton_refine` must reach
 REFINE_ITERS = 20  # Newton iterations of `newton_refine`
-BATCH_PATHS = 64  # paths `track_many` keeps live at once; no result depends on it
+BATCH_PATHS = 64  # start points per chunk of `track_many`; no result depends on it
 
 
 class TrackingError(RuntimeError):
@@ -103,9 +104,9 @@ class Homotopy(_Compiled):
     Every row is affine in t, so the three blocks compile once into one
     term table that gives each quantity below as A + t*B: a fixed term
     c*m has coefficient c + t*0, a start term 0 + t*gamma*c and a target
-    term c - t*c.  `evaluate(x, t, scaled)` reads H, J_x and dH/dt from one
-    kernel call at a point, and the residual scale, from a table of its
-    own, only if `scaled`.  In block form, with F, S, T the fixed, start
+    term c - t*c.  `evaluate(x, t, scaled)` reads H, J_x and dH/dt at the
+    rows of x from one kernel call, and the residual scale, from a table of
+    its own, only if `scaled`.  In block form, with F, S, T the fixed, start
     and target blocks and |.| each row's sum of |coeff| * |monomial|:
 
         J_x     = [DF; t*gamma*DS + (1-t)*DT]
@@ -352,22 +353,16 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, results: l
 
 
 def _track_rows(h: Homotopy, starts: Sequence) -> list[PathResult]:
-    """The engine of `track_many`: at most BATCH_PATHS paths are live at
-    once, and a finished path's row goes to the next start point."""
+    """The engine of `track_many`: the start points in chunks of BATCH_PATHS,
+    each started at once and advanced until none of its paths is live."""
     if len(starts) and h.rows != h.nvars:
         raise ValueError(f"homotopy is {h.rows}x{h.nvars}, tracking needs a square one")
     results: list = [None] * len(starts)
-    paths, x = [], np.empty((0, h.nvars), dtype=complex)
-    k1 = x
-    admitted = 0
-    while paths or admitted < len(starts):
-        if len(paths) < BATCH_PATHS and admitted < len(starts):
-            index = range(admitted, min(len(starts), admitted + BATCH_PATHS - len(paths)))
-            admitted = index.stop
-            more, y, k = _start(h, starts, index, results)
-            paths, x, k1 = paths + more, np.concatenate((x, y)), np.concatenate((k1, k))
-            continue  # refill the rows of failed starts too
-        paths, x, k1 = _advance(h, paths, x, k1, results)
+    index = range(len(starts))
+    for first in index[::BATCH_PATHS]:
+        paths, x, k1 = _start(h, starts, index[first:first + BATCH_PATHS], results)
+        while paths:
+            paths, x, k1 = _advance(h, paths, x, k1, results)
     return results
 
 

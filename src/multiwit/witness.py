@@ -32,6 +32,7 @@ from .algebra import Polynomial, PolySystem, VariableGrouping
 from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form, solve_zero_dim, square_up
 from .tracker import (
+    IndeterminateError,
     TrackingError,
     dedupe_points,
     points_equal,
@@ -198,14 +199,18 @@ def move_slice(
     new_forms: Sequence[Polynomial],
     rs: RandomSource,
 ) -> WitnessSet:
-    """Track the points as the slice forms move, by a homotopy drawn from rs."""
+    """Track the points as the slice forms move, by a homotopy drawn from rs.
+    A lost point, diverged or merged, raises IndeterminateError."""
     old = ws.selection.forms
     new_forms = [f.with_grouping(ws.system.grouping) for f in new_forms]
     if len(new_forms) != len(old):
         raise ValueError(f"{len(new_forms)} new forms for {len(old)} slice rows")
     ends = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, rs)
-    return replace(ws, selection=ws.selection.replace_forms(new_forms),
-                   points=dedupe_points([p for p in ends if p is not None]))
+    points = dedupe_points([p for p in ends if p is not None])
+    if len(points) != len(ws.points):
+        raise IndeterminateError(f"moving the slice of key {ws.selection.e} lost "
+                                 f"{len(ws.points) - len(points)} of {len(ws.points)} points")
+    return replace(ws, selection=ws.selection.replace_forms(new_forms), points=points)
 
 
 def refine(
@@ -334,11 +339,6 @@ def coarsen(
             moving[a] = [l10[i] for i in S]
             moving[b] = [l01[i] for i in range(e) if i not in S]
             moved = move_slice(ws, [f for fs in moving for f in fs], sub.substream(999 + s))
-            if len(moved.points) != len(ws.points):
-                raise TrackingError(
-                    f"building W_(S,T) for key {ws.selection.e} lost "
-                    f"{len(ws.points) - len(moved.points)} points"
-                )
             starts.extend(moved.points)
 
     rest = [f for i, fs in enumerate(src.selection.per_group) if i not in (a, b) for f in fs]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import multiwit.nid as nid
@@ -169,17 +170,50 @@ def test_nid_multi_names_the_point_of_a_failed_query(two_lines_data, monkeypatch
     queried = []
 
     def failing_query(rec, q, rs):
-        queried.append(next(i for i, p in enumerate(points) if p is q))
+        queried.append((next(i for i, p in enumerate(points) if np.array_equal(p, q)),
+                        rs.stream))
         raise IndeterminateError("1 of 1 paths failed")
 
     monkeypatch.setattr(nid, "component_membership", failing_query)
     dec = nid_multi(fx.system, points, rs(82))
-    # the queried point stays out of the first component and then builds
-    # the component of its own line
-    (q,) = queried
+    # the query fails on two streams; the queried point stays out of the
+    # first component and then builds the component of its own line
+    (q, first), (again, retry) = queried
+    assert q == again and first != retry
     assert dec.assignment == {1 - q: 0, q: 1}
     assert dec.diagnostics == [f"query of point {q} failed, deferred: 1 of 1 paths failed"]
     assert not unassigned_but_assigned(dec)
+
+
+def test_nid_multi_retries_a_failed_query(two_lines_data, monkeypatch):
+    # the same point twice: its query fails once, and the retry finds it
+    # on the component built from its first copy
+    fx, wc = two_lines_data
+    p = wc.entries[(1,)].points[0]
+    real = nid.component_membership
+    streams = []
+
+    def flaky_query(rec, q, rs):
+        streams.append(rs.stream)
+        if len(streams) == 1:
+            raise IndeterminateError("1 of 1 paths failed")
+        return real(rec, q, rs)
+
+    monkeypatch.setattr(nid, "component_membership", flaky_query)
+    dec = nid_multi(fx.system, [p, p], rs(82))
+    assert len(set(streams)) == len(streams) == 2
+    assert dec.assignment == {0: 0, 1: 0}
+    assert len(dec.components) == 1
+    assert not dec.diagnostics
+
+
+def test_nid_multi_keeps_every_index_of_a_repeated_point(two_lines_data):
+    fx, wc = two_lines_data
+    p = wc.entries[(1,)].points[0]
+    dec = nid_multi(fx.system, [p, p], rs(82))
+    assert dec.assignment == {0: 0, 1: 0}
+    assert len(dec.components) == 1
+    assert not dec.diagnostics
 
 
 def test_nid_multi_a_deferred_point_whose_build_fails_is_unassigned(two_lines_data, monkeypatch):

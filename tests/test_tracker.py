@@ -23,7 +23,7 @@ from multiwit import (
 from multiwit.fixtures import get_fixture
 from multiwit.tracker import dedupe_points, points_equal, track_slice_motion
 
-from conftest import rs
+from conftest import extended, rs
 
 
 def univariate():
@@ -192,20 +192,23 @@ def test_fused_kernel_matches_block_formulas(with_fixed):
     for _ in range(5):
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
         t = float(rng.uniform(0.01, 0.99))
-        H, scale, J, dt = h.evaluate(x, t, scaled=True)
+        # a batch of one point: every result is row 0
+        H, scale, J, dt = (a[0] for a in h.evaluate(x[None], t, scaled=True))
         for a, b in zip((H, J, dt, scale), block_reference(h, x, t)):
             assert a.shape == b.shape
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
         # without the scale, the same kernel call gives the same H, J_x, dH/dt
-        H2, no_scale, J2, dt2 = h.evaluate(x, t)
+        H2, no_scale, J2, dt2 = h.evaluate(x[None], t)
+        H2, J2, dt2 = H2[0], J2[0], dt2[0]
         assert no_scale is None
         assert all(np.array_equal(a, b) for a, b in ((H, H2), (J, J2), (dt, dt2)))
 
 
 @pytest.mark.parametrize("with_fixed", [False, True])
 def test_kernel_rows_match_one_point_calls(with_fixed):
-    # every row of a batched call is bit for bit the one-point call, scaled
-    # or not, as the batch grows, shrinks to a prefix and grows again
+    # every row of a batched call is bit for bit the call on a batch of that
+    # one row, scaled or not, as the batch grows, shrinks to a prefix and
+    # grows again
     rng = np.random.default_rng(8)
     h = fused_homotopy(with_fixed, rng)
     for count in (5, 2, 7, 1):
@@ -214,9 +217,9 @@ def test_kernel_rows_match_one_point_calls(with_fixed):
         for scaled in (False, True):
             rows = h.evaluate(x, t, scaled)
             for i in range(count):
-                one = h.evaluate(x[i], float(t[i]), scaled)
+                one = h.evaluate(x[i:i + 1], float(t[i]), scaled)
                 assert (rows[1] is None) == (one[1] is None) == (not scaled)
-                assert all(r[i].tobytes() == o.tobytes() for r, o in zip(rows, one)
+                assert all(r[i].tobytes() == o[0].tobytes() for r, o in zip(rows, one)
                            if o is not None)
 
 
@@ -276,8 +279,8 @@ def fingerprint(results):
 
 
 def test_results_do_not_depend_on_the_batch(captured_homotopies, monkeypatch):
-    # one batch, one call per start, the starts reversed, and rows refilled
-    # from the remaining starts all give the same paths, bit for bit
+    # one batch, one call per start, the starts reversed, and the starts in
+    # chunks of two all give the same paths, bit for bit
     statuses = set()
     for h, starts in captured_homotopies:
         together = fingerprint(track_many(h, starts))
@@ -289,6 +292,55 @@ def test_results_do_not_depend_on_the_batch(captured_homotopies, monkeypatch):
         statuses |= {status for status, _, _ in together}
     assert statuses == {"converged", "diverged"}
     assert max(len(starts) for _, starts in captured_homotopies) > 2
+
+
+def test_starts_go_in_fixed_chunks(monkeypatch):
+    # chunk k is starts[2k:2k+2], each started at once and tracked to the
+    # end before the next, however unequal its paths' step counts
+    g, x = univariate()
+    h = Homotopy(PolySystem([x**5 - 1]), PolySystem([x**4 - 2]), gamma=rs(1).unit_complex())
+    starts = [np.array([np.exp(2j * np.pi * k / 5)]) for k in range(5)]
+    chunks, start = [], multiwit.tracker._start
+
+    def spied(h, starts, index, results):
+        chunks.append(index)
+        return start(h, starts, index, results)
+
+    monkeypatch.setattr(multiwit.tracker, "BATCH_PATHS", 2)
+    monkeypatch.setattr(multiwit.tracker, "_start", spied)
+    results = track_many(h, starts)
+    assert chunks == [range(0, 2), range(2, 4), range(4, 5)]
+    # path 1 diverges, long after path 0 has converged
+    assert [(r.status, r.steps_taken) for r in results[:2]] == [("converged", 12),
+                                                                 ("diverged", 60)]
+    assert all(r.converged for r in results[2:])
+
+
+@extended
+def test_pentad_start_paths_are_pinned():
+    # every 384th start path of the pentad witness solve at seed 1, 144
+    # paths in 40 variables: two full chunks and part of a third, with
+    # their status counts and total steps pinned
+    captured = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(h, starts):
+        captured.append((h, starts[::384]))
+        raise Captured
+
+    fx = get_fixture("pentad")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiwit.tracker, "track_many", capture)
+        with pytest.raises(Captured):
+            compute_witness_collection(fx.system, fx.default_keys, RandomSource(seed=1))
+    (h, starts), = captured
+    results = track_many(h, starts)
+    assert len(results) == 144
+    assert [sum(r.status == s for r in results) for s in ("converged", "diverged", "failed")] \
+        == [40, 102, 2]
+    assert sum(r.steps_taken for r in results) == 11212
 
 
 def test_no_start_no_path():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import multiwit.tracker
+import multiwit.witness
 from multiwit import (
     IndeterminateError,
     PolySystem,
@@ -157,6 +158,32 @@ def test_move_slice_raises_on_a_failed_path(cubic_wc):
     new = [random_affine_form(fx.system.grouping, [0, 1], rs(36))]
     with pytest.raises(IndeterminateError):
         move_slice(bad, new, rs(37))
+
+
+def losing_a_point(monkeypatch, lose):
+    """Make every slice motion pass its endpoints through `lose`."""
+    real = multiwit.witness.track_slice_motion
+    monkeypatch.setattr(multiwit.witness, "track_slice_motion",
+                        lambda *args: lose(real(*args)))
+
+
+@pytest.mark.parametrize("lose", [lambda ends: [None] + ends[1:],
+                                  lambda ends: ends[:1] + ends[:-1]],
+                         ids=["diverged", "merged"])
+def test_move_slice_raises_on_a_lost_point(cubic_wc, monkeypatch, lose):
+    fx, wc = cubic_wc
+    ws = wc.entries[(1,)]
+    new = [random_affine_form(fx.system.grouping, [0, 1], rs(35))]
+    losing_a_point(monkeypatch, lose)
+    with pytest.raises(IndeterminateError, match=r"key \(1,\) lost 1 of 3 points"):
+        move_slice(ws, new, rs(37))
+
+
+def test_coarsen_propagates_a_lost_start_point(split_wc, monkeypatch):
+    fx, wc = split_wc
+    losing_a_point(monkeypatch, lambda ends: [None] + ends[1:])
+    with pytest.raises(IndeterminateError, match="lost 1 of"):
+        coarsen(wc, (0, 1), (1,), rs(38))
 
 
 def test_refine_cubic_to_bidegrees(cubic_wc):
