@@ -52,9 +52,7 @@ from .sysio import (
 from .tracker import (
     Homotopy,
     IndeterminateError,
-    NonconvergenceError,
     PathResult,
-    SingularJacobianError,
     TrackingError,
     newton_refine,
     track_many,

@@ -131,18 +131,13 @@ def polytope_proj_dim(points, I) -> int:
 def equidim_partition(F: PolySystem, points: Sequence) -> list:
     """Partition points by equal dimension profile.
 
-    Returns a list of (profile, point list) pairs, in order of first
-    appearance."""
-    order = []
-    groups: dict = {}
-    for p in points:
+    Returns a list of (profile, indices into `points`) pairs, in order of
+    first appearance."""
+    groups: dict = {}  # signature -> (profile, indices), in insertion order
+    for i, p in enumerate(points):
         prof = local_multidimension(F, p)
-        sig = prof.signature()
-        if sig not in groups:
-            groups[sig] = (prof, [])
-            order.append(sig)
-        groups[sig][1].append(p)
-    return [groups[sig] for sig in order]
+        groups.setdefault(prof.signature(), (prof, []))[1].append(i)
+    return list(groups.values())
 
 
 def _projection(points, block) -> frozenset:

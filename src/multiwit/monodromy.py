@@ -24,8 +24,8 @@ from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form
 from .tracker import (
     IndeterminateError,
+    newton_refine,
     points_equal,
-    refine_endpoints,
     track_slice_motion,
     _solve,
 )
@@ -67,7 +67,7 @@ def monodromy_permutation(ws: WitnessSet, rs: RandomSource) -> MonodromyOutcome:
         ends = track_slice_motion(ws.fixed_block, stops[leg], stops[leg + 1],
                                   list(current.values()), rs.substream(3 + leg))
         current = {i: p for i, p in zip(current, ends) if p is not None}
-    ends = refine_endpoints(ws.full_square_system(), list(current.values()))
+    ends = newton_refine(ws.full_square_system(), list(current.values()))
     refined = {i: p for i, p in zip(current, ends) if p is not None}
 
     perm: dict = {}

@@ -166,41 +166,39 @@ def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
     line in `diagnostics`.  A membership query that fails is asked once
     more on a fresh substream; a point whose query fails twice gets a line
     too, and is deferred to a later component or sample."""
-    W = [np.array(p, dtype=complex) for p in W]  # copies: one id per input index
     classes = equidim_partition(F, W)
-    index_of = {id(p): i for i, p in enumerate(W)}
     components: list[ComponentRecord] = []
     assignment: dict = {}
     diagnostics: list = []
     samples = itertools.count()
-    for profile, pts in classes:
-        remaining = list(pts)
+    for profile, indices in classes:
+        remaining = list(indices)
         while remaining:
-            p, *remaining = remaining
+            i, *remaining = remaining
             sub = rs.substream(7000 + 13 * next(samples))
             try:
                 try:
-                    rec = build_component(F, p, profile, sub)
+                    rec = build_component(F, W[i], profile, sub)
                 except IndeterminateError:
-                    rec = build_component(F, p, profile, sub.substream(1))
+                    rec = build_component(F, W[i], profile, sub.substream(1))
             except IndeterminateError as exc:
-                diagnostics.append(f"point {index_of[id(p)]} left unassigned: {exc}")
+                diagnostics.append(f"point {i} left unassigned: {exc}")
                 continue
-            members = [p]
+            members = [i]
             rest = []
-            for q in remaining:
+            for j in remaining:
                 query = rs.substream(len(components) * 31 + 5)
                 try:
                     try:
-                        member = component_membership(rec, q, query)
+                        member = component_membership(rec, W[j], query)
                     except IndeterminateError:
-                        member = component_membership(rec, q, query.substream(1))
+                        member = component_membership(rec, W[j], query.substream(1))
                 except IndeterminateError as exc:
-                    diagnostics.append(f"query of point {index_of[id(q)]} failed, deferred: {exc}")
+                    diagnostics.append(f"query of point {j} failed, deferred: {exc}")
                     member = False
-                (members if member else rest).append(q)
-            for q in members:
-                assignment[index_of[id(q)]] = len(components)
+                (members if member else rest).append(j)
+            for j in members:
+                assignment[j] = len(components)
             components.append(rec)
             remaining = rest
     return Decomposition(components, assignment, diagnostics)

@@ -20,7 +20,7 @@ from .tracker import (
     TrackingError,
     _solve,
     dedupe_points,
-    refine_endpoints,
+    newton_refine,
     track_slice_motion,
 )
 
@@ -206,7 +206,8 @@ def solve_zero_dim(
     Squares F up to (nvars - |slices|) random combinations when
     overdetermined, appends the slices, solves by a linear-product start
     homotopy under the tracker's failed-path policy (a failed start path
-    raises IndeterminateError), then keeps only deduplicated endpoints
+    raises IndeterminateError), refines every endpoint in one
+    `newton_refine` call, and keeps only the deduplicated refined points
     whose residual on the ORIGINAL F is small.
     """
     g = F.grouping
@@ -221,6 +222,6 @@ def solve_zero_dim(
     sp = start_package(target, rs.substream(2))
     ends = track_slice_motion(None, sp.start.polys, target.polys, sp.solutions,
                               rs.substream(3))
-    points = [p for p in refine_endpoints(target, ends) if p is not None
+    points = [p for p in newton_refine(target, ends) if p is not None
               and F.residual(p) < RESIDUAL_TOL]
     return dedupe_points(points)

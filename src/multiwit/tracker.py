@@ -26,11 +26,12 @@ it returns, so the first RK4 stage of the next step, k1 at that same
 it was and keeps k1, so each attempt evaluates only stages 2 to 4.
 
 One Newton loop, `_newton`, serves the corrector, the correction of the
-start points, the t = 0 sharpening and `newton_refine`, and is the one
-place that tests a residual.  One solve entry: k1, the RK4 stages, every
-Newton correction and the start systems' cells call `_solve`, numpy's
-LAPACK solver without the wrapper of `np.linalg.solve` (same routine, same
-bits), on one matrix or a stack.  A singular J_x gives a non-finite
+start points, the t = 0 sharpening and `newton_refine`, which refines a
+homotopy's endpoints all at once, and is the one place that tests a
+residual.  One solve entry: k1, the RK4 stages, every Newton correction
+and the start systems' cells call `_solve`, numpy's LAPACK solver without
+the wrapper of `np.linalg.solve` (same routine, same bits), on one matrix
+or a stack.  A singular J_x gives a non-finite
 solution instead of an exception, which the finiteness tests classify.
 
 Every homotopy, start systems and slice motions alike, goes through
@@ -71,14 +72,6 @@ BATCH_PATHS = 64  # start points per chunk of `track_many`; no result depends on
 
 
 class TrackingError(RuntimeError):
-    pass
-
-
-class SingularJacobianError(TrackingError):
-    pass
-
-
-class NonconvergenceError(TrackingError):
     pass
 
 
@@ -206,24 +199,32 @@ def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float,
     return x, np.full(len(x), np.inf) if res is None else res, kept
 
 
-def newton_refine(system: PolySystem, point) -> np.ndarray:
-    """Sharpen a root of a square system by Newton iteration, to a relative
-    residual below REFINE_TOL in at most REFINE_ITERS steps; a singular point raises."""
-    x = np.asarray(point, dtype=complex)
-    if len(system) != x.size:
+def newton_refine(system: PolySystem, points: Sequence) -> list[np.ndarray | None]:
+    """Sharpen roots of a square system by Newton iteration, all in one
+    `_newton` call: each to a relative residual below REFINE_TOL in at most
+    REFINE_ITERS steps.  Returns the points in input order, None for a None,
+    for a point that stalls and for a singular one: a non-finite iterate, or
+    singular values of the Jacobian with s_max = 0 or s_min/s_max < 1e-13,
+    from one stacked SVD."""
+    if len(system) != system.grouping.nvars:
         raise ValueError("newton_refine needs a square system")
+    given = [i for i, p in enumerate(points) if p is not None]
+    refined: list = [None] * len(points)
+    if not given:
+        return refined
+    x = np.array([points[i] for i in given], dtype=complex)
     with np.errstate(invalid="ignore"):
-        x, res, ev = _newton(lambda p, t: system.kernel(p, scaled=True), x[None],
-                             np.zeros(1), REFINE_TOL, REFINE_ITERS)
-    # a singular solve leaves a non-finite iterate, counted as singular
-    s = np.linalg.svd(ev[2][0], compute_uv=False) if np.isfinite(x).all() else [0.0]
-    if s[0] == 0 or s[-1] / s[0] < 1e-13:
-        raise SingularJacobianError("Jacobian numerically singular during refinement")
-    if res[0] < REFINE_TOL:
-        return x[0]
-    raise NonconvergenceError(
-        f"Newton refinement stalled at relative residual {res[0]:.3e}"
-    )
+        x, res, ev = _newton(lambda p, t: system.kernel(p, scaled=True), x,
+                             np.zeros(len(x)), REFINE_TOL, REFINE_ITERS)
+        # a singular solve leaves a non-finite iterate, whose residual is inf
+        ok = res < REFINE_TOL
+        if ok.any():
+            s = np.linalg.svd(ev[2][ok], compute_uv=False)
+            ok[ok] = s[:, -1] / s[:, 0] >= 1e-13  # False for s_max = 0 too
+    for i, good, p in zip(given, ok, x):
+        if good:
+            refined[i] = p
+    return refined
 
 
 class _Path:
@@ -402,18 +403,6 @@ def track_slice_motion(
     if failed:
         raise IndeterminateError(f"{failed} of {len(results)} paths failed")
     return [r.endpoint for r in results]
-
-
-def refine_endpoints(system: PolySystem, ends: Sequence) -> list[np.ndarray | None]:
-    """`newton_refine` each endpoint on `system`, in order; None for a None
-    and for one whose Jacobian is singular or whose refinement stalls."""
-    refined = []
-    for p in ends:
-        try:
-            refined.append(None if p is None else newton_refine(system, p))
-        except (SingularJacobianError, NonconvergenceError):
-            refined.append(None)
-    return refined
 
 
 def points_equal(a: np.ndarray, b: np.ndarray) -> bool:

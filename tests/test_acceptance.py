@@ -371,11 +371,13 @@ def test_hyperboloid_equidimensional_split(hyperboloid_data):
 
 def test_hyperboloid_rulings_are_the_two_components(hyperboloid_data):
     fx, wc, source = hyperboloid_data
-    classes = equidim_partition(fx.system, list(wc.entries[(1, 1, 1, 1)].points))
-    profile, pts = next(c for c in classes if c[0].dim([0]) == 1)
+    points = list(wc.entries[(1, 1, 1, 1)].points)
+    classes = equidim_partition(fx.system, points)
+    profile, indices = next(c for c in classes if c[0].dim([0]) == 1)
+    pts = [points[i] for i in indices]
     assert len(pts) == 4
 
-    dec = nid_multi(fx.system, list(pts), source.substream(50))
+    dec = nid_multi(fx.system, pts, source.substream(50))
     assert len(dec.components) == 2
     assert all(rec.certified for rec in dec.components)
     sizes = sorted(

@@ -158,6 +158,31 @@ def test_nothing_tracks_one_path_at_a_time():
     assert not calls, f"track_path called inside the library: {', '.join(calls)}"
 
 
+def _per_element(node: ast.AST) -> list[ast.AST]:
+    """The parts of a loop or comprehension that run once per element: not
+    the iterable it starts from or a loop's else block, which run once."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.target, *node.body]
+    if isinstance(node, ast.While):
+        return [node.test, *node.body]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        first, *others = node.generators
+        elts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+        return [*elts, first.target, *first.ifs, *others]
+    return []
+
+
+def test_nothing_refines_one_point_at_a_time():
+    # a homotopy's endpoints are refined together, by one newton_refine call
+    # on all of them, never by a call per endpoint
+    calls = sorted({f"{path.name}:{call.lineno}" for path in SOURCES
+                    for loop in ast.walk(ast.parse(path.read_text()))
+                    for part in _per_element(loop) for call in ast.walk(part)
+                    if isinstance(call, ast.Call) and "newton_refine" in
+                    (getattr(call.func, "id", None), getattr(call.func, "attr", None))})
+    assert not calls, f"newton_refine called per element of a loop: {', '.join(calls)}"
+
+
 def test_monodromy_has_one_loop():
     # breakup and growth share one loop: one function in monodromy.py runs
     # MAX_LOOPS loops or calls monodromy_permutation

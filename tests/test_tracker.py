@@ -7,11 +7,9 @@ import multiwit.nid
 import multiwit.tracker
 from multiwit import (
     Homotopy,
-    NonconvergenceError,
     PolySystem,
     Polynomial,
     RandomSource,
-    SingularJacobianError,
     VariableGrouping,
     coarsen_collection,
     compute_witness_collection,
@@ -390,7 +388,7 @@ def test_tracker_hooks_seen_from_outside(monkeypatch):
     # per accepted step at least the three RK4 stages after k1
     assert sum(solved) >= 3 * sum(r.steps_taken for r in results)
     solved.clear()
-    newton_refine(PolySystem([x**2 - 2]), np.array([1.4 + 0j]))
+    newton_refine(PolySystem([x**2 - 2]), [np.array([1.4 + 0j])])
     assert solved
 
 
@@ -490,26 +488,43 @@ def test_newton_refine_quadratic_convergence():
     g = VariableGrouping.from_sizes([2], ["x", "y"])
     x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
     F = PolySystem([x**2 + y**2 - 2, x - y])
-    p = newton_refine(F, np.array([1.01, 0.99], dtype=complex))
+    (p,) = newton_refine(F, [np.array([1.01, 0.99], dtype=complex)])
     assert np.allclose(p, [1.0, 1.0], atol=1e-10)
 
 
-def test_newton_refine_singular_raises():
+def test_newton_refine_singular_gives_none():
     g, x = univariate()
     F = PolySystem([x**2 - 1])
     # at x = 0 the Jacobian vanishes while the residual does not, so the
-    # first solve is not finite; it raises and warns of nothing
-    with warnings.catch_warnings(), pytest.raises(SingularJacobianError):
+    # first solve is not finite; the point is dropped and nothing warns
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        newton_refine(F, np.array([0.0 + 0j]))
+        assert newton_refine(F, [np.array([0.0 + 0j])]) == [None]
 
 
-def test_newton_refine_nonconvergence_raises():
+def test_newton_refine_stall_gives_none():
     g, x = univariate()
     # the roots are +-i; from a real start every Newton iterate stays real
     F = PolySystem([x**2 + 1])
-    with pytest.raises(NonconvergenceError):
-        newton_refine(F, np.array([3.0 + 0j]))
+    assert newton_refine(F, [np.array([3.0 + 0j])]) == [None]
+
+
+def test_newton_refine_batch_is_each_point_alone():
+    # one batch holds a point that converges, a None, a singular start
+    # (J = 0) and a start that stalls on the real line; each entry is what
+    # refining it alone gives, bit for bit, and nothing warns
+    g, x = univariate()
+    F = PolySystem([x**2 + 1])
+    points = [np.array([0.1 + 1.1j]), None, np.array([0j]), np.array([3 + 0j])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = newton_refine(F, points)
+        alone = [newton_refine(F, [p])[0] for p in points]
+    assert len(batch) == len(points)
+    assert abs(batch[0][0] - 1j) < 1e-12
+    assert batch[1:] == [None, None, None]
+    assert alone[1:] == [None, None, None]
+    assert batch[0].tobytes() == alone[0].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 40])
