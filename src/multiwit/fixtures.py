@@ -327,14 +327,11 @@ _FIXTURES = {
 }
 
 
-def fixture_names() -> list[str]:
-    return sorted(_FIXTURES)
-
-
 def get_fixture(name: str) -> Fixture:
     try:
-        return _FIXTURES[name]()
+        build = _FIXTURES[name]
     except KeyError:
         raise KeyError(
-            f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
+            f"unknown fixture {name!r}; available: {', '.join(sorted(_FIXTURES))}"
         ) from None
+    return build()

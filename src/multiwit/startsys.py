@@ -101,33 +101,24 @@ def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
         raise ValueError("linear-product start needs every equation nonconstant")
     predicted = mbezout(patterns, g.sizes)
 
-    # One random affine form per unit of group-degree per equation.
-    factors: list[list[tuple[int, Polynomial]]] = []
+    # One random affine form per unit of group-degree per equation, drawn in
+    # that order and multiplied into its equation's start polynomial as it is
+    # drawn.  Each form's group, its coefficients over every variable (nonzero
+    # only on its group's block) and its constant are recorded there; form
+    # ids run over the forms in order.
+    start_polys, form_ids, form_group, coeffs, consts = [], [], [], [], []
+    units = [tuple(int(u == v) for u in range(g.nvars)) for v in range(g.nvars)]
     for d in patterns:
-        eq_factors = []
+        p = Polynomial.constant(g, 1.0)
+        form_ids.append(range(len(coeffs), len(coeffs) + sum(d)))
         for i in range(k):
             for _ in range(d[i]):
-                eq_factors.append((i, random_affine_form(g, g.blocks[i], rs)))
-        factors.append(eq_factors)
-
-    start_polys = []
-    for eq_factors in factors:
-        p = Polynomial.constant(g, 1.0)
-        for _, form in eq_factors:
-            p = p * form
+                form = random_affine_form(g, g.blocks[i], rs)
+                p = p * form
+                form_group.append(i)
+                coeffs.append([form.terms.get(unit, 0.0) for unit in units])
+                consts.append(-form.terms.get((0,) * g.nvars, 0.0))
         start_polys.append(p)
-
-    # Each form's coefficients over every variable (nonzero only on its
-    # group's block) and its constant, read once; form ids run over the
-    # factors in order.
-    form_group = [gi for eq_factors in factors for gi, _ in eq_factors]
-    form_ids, coeffs, consts = [], [], []
-    units = [tuple(int(u == v) for u in range(g.nvars)) for v in range(g.nvars)]
-    for eq_factors in factors:
-        form_ids.append(range(len(coeffs), len(coeffs) + len(eq_factors)))
-        for _, form in eq_factors:
-            coeffs.append([form.terms.get(unit, 0.0) for unit in units])
-            consts.append(-form.terms.get((0,) * g.nvars, 0.0))
     coeffs = np.asarray(coeffs, dtype=complex)
     consts = np.asarray(consts, dtype=complex)
 
@@ -135,8 +126,8 @@ def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
     # Each equation consumes one capacity unit, so the capacities always sum
     # to the equations left; a branch is entered only if those equations can
     # still use them up exactly.
-    m = len(factors)
-    supports = [sorted({gi for gi, _ in eq_factors}) for eq_factors in factors]
+    m = len(patterns)
+    supports = [[i for i in range(k) if d[i]] for d in patterns]
 
     @functools.cache
     def fillable(j: int, capacity: tuple[int, ...]) -> bool:

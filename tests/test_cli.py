@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import multiwit.fixtures as fixtures
 import multiwit.nid as nid
 from multiwit import IndeterminateError
 from multiwit.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, run
@@ -148,6 +149,19 @@ def test_fixture_subcommand_dispatch(capsys):
 
 def test_unknown_fixture_is_input_error(capsys):
     assert run(["witness", "--fixture", "no-such-system"]) == EXIT_INPUT
+
+
+def test_fixture_constructor_error_reaches_the_caller(monkeypatch):
+    # a KeyError raised while a fixture is built is not an unknown name
+    inner = KeyError("inner")
+
+    def broken():
+        raise inner
+
+    monkeypatch.setitem(fixtures._FIXTURES, "broken", broken)
+    with pytest.raises(KeyError) as info:
+        fixtures.get_fixture("broken")
+    assert info.value is inner
 
 
 def test_missing_input_is_input_error(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import multiwit.nid as nid
+import multiwit.tracker as tracker
 from multiwit import (
     IndeterminateError,
     RandomSource,
@@ -205,6 +206,40 @@ def test_nid_multi_retries_a_failed_query(two_lines_data, monkeypatch):
     assert dec.assignment == {0: 0, 1: 0}
     assert len(dec.components) == 1
     assert not dec.diagnostics
+
+
+def test_nid_multi_queries_on_one_component_share_a_gamma(monkeypatch):
+    # every query against one component tracks on the same substream, so
+    # the homotopies of the cubic's two queries share one gamma
+    fx = get_fixture("cubic")
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(84))
+    gammas = None  # the gammas of the query being run, or None between queries
+    per_query = []
+
+    class Recording(tracker.Homotopy):
+        def __init__(self, start, target, gamma, fixed=None):
+            if gammas is not None:
+                gammas.append(gamma)
+            super().__init__(start, target, gamma, fixed)
+
+    real = nid.component_membership
+
+    def recorded_query(rec, q, rs):
+        nonlocal gammas
+        gammas = []
+        try:
+            return real(rec, q, rs)
+        finally:
+            per_query.append(gammas)
+            gammas = None
+
+    monkeypatch.setattr(tracker, "Homotopy", Recording)
+    monkeypatch.setattr(nid, "component_membership", recorded_query)
+    dec = nid_multi(fx.system, list(wc.entries[(1,)].points), rs(86))
+    assert len(dec.components) == 1
+    assert not dec.diagnostics
+    assert len(per_query) == 2
+    assert per_query[0] == per_query[1] and len(per_query[0]) == 1
 
 
 def test_nid_multi_keeps_every_index_of_a_repeated_point(two_lines_data):
