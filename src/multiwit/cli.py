@@ -85,10 +85,7 @@ def _parse_point(text: str, nvars: int) -> np.ndarray:
 
 def _load_system(args):
     if args.fixture:
-        try:
-            fx = fixture_mod.get_fixture(args.fixture)
-        except KeyError as exc:
-            raise InputError(str(exc)) from None
+        fx = fixture_mod.get_fixture(args.fixture)
         return fx.system, list(fx.default_keys)
     if args.input:
         try:
@@ -341,7 +338,7 @@ def run(argv=None) -> int:
 
     try:
         result = _HANDLERS[args.command](args)
-    except (InputError, ParseError, KeyError, ValueError) as exc:
+    except (InputError, ParseError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except (TrackingError, IllConditionedError, np.linalg.LinAlgError) as exc:

@@ -8,7 +8,6 @@ seeded so that reruns are identical.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .algebra import Polynomial, PolySystem, VariableGrouping
@@ -100,28 +99,15 @@ def octahedron_fh() -> Fixture:
 
 
 def _poly_det(entries) -> Polynomial:
-    """Determinant of a square matrix of polynomials by permutation expansion."""
-    n = len(entries)
-    total = None
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = None
-        for i in range(n):
-            term = entries[i][perm[i]] if term is None else term * entries[i][perm[i]]
-        term = sign * term
-        total = term if total is None else total + term
+    """Determinant of a square matrix of polynomials by cofactor expansion
+    along the first row, skipping its zero entries."""
+    if len(entries) == 1:
+        return entries[0][0]
+    total = Polynomial(entries[0][0].grouping, {})
+    for j, a in enumerate(entries[0]):
+        if a.terms:
+            term = a * _poly_det([row[:j] + row[j + 1:] for row in entries[1:]])
+            total = total + (-term if j % 2 else term)
     return total
 
 
@@ -331,7 +317,7 @@ def get_fixture(name: str) -> Fixture:
     try:
         build = _FIXTURES[name]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"unknown fixture {name!r}; available: {', '.join(sorted(_FIXTURES))}"
         ) from None
     return build()

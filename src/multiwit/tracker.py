@@ -27,12 +27,13 @@ it was and keeps k1, so each attempt evaluates only stages 2 to 4.
 
 One Newton loop, `_newton`, serves the corrector, the correction of the
 start points, the t = 0 sharpening and `newton_refine`, which refines a
-homotopy's endpoints all at once, and is the one place that tests a
-residual.  One solve entry: k1, the RK4 stages, every Newton correction
-and the start systems' cells call `_solve`, numpy's LAPACK solver without
-the wrapper of `np.linalg.solve` (same routine, same bits), on one matrix
-or a stack.  A singular J_x gives a non-finite
-solution instead of an exception, which the finiteness tests classify.
+homotopy's endpoints BATCH_PATHS at a time, and is the one place that
+tests a residual; a row that has stopped stays frozen in place and is not
+evaluated again.  One solve entry: k1, the RK4 stages, every Newton
+correction and the start systems' cells call `_solve`, numpy's LAPACK
+solver without the wrapper of `np.linalg.solve` (same routine, same bits),
+on one matrix or a stack.  A singular J_x gives a non-finite solution
+instead of an exception, which the finiteness tests classify.
 
 Every homotopy, start systems and slice motions alike, goes through
 `track_slice_motion`, which draws its gamma from the caller's random
@@ -68,7 +69,7 @@ END_TOL = 1e-9  # relative residual of the t = 0 sharpening
 MAX_STEPS = 20000  # accepted steps per path
 REFINE_TOL = 1e-10  # relative residual `newton_refine` must reach
 REFINE_ITERS = 20  # Newton iterations of `newton_refine`
-BATCH_PATHS = 64  # start points per chunk of `track_many`; no result depends on it
+BATCH_PATHS = 64  # points per chunk of `track_many` and `newton_refine`; no result depends on it
 
 
 class TrackingError(RuntimeError):
@@ -150,7 +151,7 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float,
-            max_iters: int) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+            max_iters: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Newton's method on rows of a square system: row i of x is corrected
     at t[i], on its own, and the rows still iterating share one kernel call
     and one stacked solve per iteration.
@@ -158,72 +159,54 @@ def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float,
     evaluate(x, t) gives (values, scale, Jacobian, ...) at the rows of x from
     one kernel call.  A row stops once its relative residual is below tol or
     after max_iters steps, or as soon as its iterate is not finite, as a
-    singular Jacobian makes it.  Returns (points, the relative residual of
-    each, the evaluation of each as a tuple of row arrays, or None if no row
-    kept one); a row whose point is not finite has residual inf and an
-    unspecified evaluation."""
-    rows = None  # the rows still iterating, None while every row is
-    res = kept = None  # each row's residual and evaluation where it stopped
-    for i in range(max_iters + 1):
-        ev = evaluate(x, t) if rows is None else evaluate(x[rows], t[rows])
-        r = relative_residual(ev[0], ev[1])
-        stop = r < tol if i < max_iters else np.ones(len(r), dtype=bool)
-        values, J = ev[0], ev[2]
-        done = np.count_nonzero(stop)
-        if done:
-            if rows is None:
-                if done == len(x):
-                    return x, r, ev
-                rows = np.arange(len(x))
-            if kept is None:
-                res = np.full(len(x), np.inf)
-                kept = tuple(np.empty((len(x),) + a.shape[1:], a.dtype) for a in ev)
-            res[rows[stop]] = r[stop]
-            for whole, part in zip(kept, ev):
-                whole[rows[stop]] = part[stop]
-            if done == len(rows):
-                break
-            go = ~stop
-            rows, values, J = rows[go], values[go], J[go]
-        if rows is None:
-            x = moved = x - _solve(J, values)
-        else:
-            moved = x[rows] - _solve(J, values)
+    singular Jacobian makes it: such a row has residual nan.  A stopped row
+    stays as it is and is not evaluated again.  Returns (points, the relative
+    residual of each, the evaluation at each as a tuple of row arrays with
+    one row per point, never None)."""
+    ev = evaluate(x, t)
+    res = relative_residual(ev[0], ev[1])
+    for _ in range(max_iters):
+        live = res >= tol  # False for nan
+        if live.all():
+            x = x - _solve(ev[2], ev[0])
+            ev = evaluate(x, t)
+            res = relative_residual(ev[0], ev[1])
+        elif live.any():
             x = x.copy()
-            x[rows] = moved
-        finite = np.isfinite(moved).all(axis=1)
-        if np.count_nonzero(finite) < len(finite):
-            rows = (np.arange(len(x)) if rows is None else rows)[finite]
-            if not len(rows):
-                break
-    return x, np.full(len(x), np.inf) if res is None else res, kept
+            x[live] = x[live] - _solve(ev[2][live], ev[0][live])
+            part = evaluate(x[live], t[live])
+            res[live] = relative_residual(part[0], part[1])
+            for whole, fresh in zip(ev, part):
+                whole[live] = fresh
+        else:
+            break
+    return x, res, ev
 
 
 def newton_refine(system: PolySystem, points: Sequence) -> list[np.ndarray | None]:
-    """Sharpen roots of a square system by Newton iteration, all in one
-    `_newton` call: each to a relative residual below REFINE_TOL in at most
-    REFINE_ITERS steps.  Returns the points in input order, None for a None,
-    for a point that stalls and for a singular one: a non-finite iterate, or
-    singular values of the Jacobian with s_max = 0 or s_min/s_max < 1e-13,
-    from one stacked SVD."""
+    """Sharpen roots of a square system by Newton iteration, BATCH_PATHS
+    points per `_newton` call: each to a relative residual below REFINE_TOL
+    in at most REFINE_ITERS steps.  Returns the points in input order, None
+    for a None, for a point that stalls and for a singular one: a non-finite
+    iterate, or singular values of the Jacobian with s_max = 0 or
+    s_min/s_max < 1e-13, from one stacked SVD per chunk."""
     if len(system) != system.grouping.nvars:
         raise ValueError("newton_refine needs a square system")
     given = [i for i, p in enumerate(points) if p is not None]
     refined: list = [None] * len(points)
-    if not given:
-        return refined
-    x = np.array([points[i] for i in given], dtype=complex)
-    with np.errstate(invalid="ignore"):
-        x, res, ev = _newton(lambda p, t: system.kernel(p, scaled=True), x,
-                             np.zeros(len(x)), REFINE_TOL, REFINE_ITERS)
-        # a singular solve leaves a non-finite iterate, whose residual is inf
-        ok = res < REFINE_TOL
-        if ok.any():
+    for first in range(0, len(given), BATCH_PATHS):
+        chunk = given[first:first + BATCH_PATHS]
+        x = np.array([points[i] for i in chunk], dtype=complex)
+        with np.errstate(invalid="ignore"):
+            x, res, ev = _newton(lambda p, t: system.kernel(p, scaled=True), x,
+                                 np.zeros(len(x)), REFINE_TOL, REFINE_ITERS)
+            # a non-finite iterate, which a singular solve leaves, has residual nan
+            ok = res < REFINE_TOL
             s = np.linalg.svd(ev[2][ok], compute_uv=False)
             ok[ok] = s[:, -1] / s[:, 0] >= 1e-13  # False for s_max = 0 too
-    for i, good, p in zip(given, ok, x):
-        if good:
-            refined[i] = p
+        for i, good, p in zip(chunk, ok, x):
+            if good:
+                refined[i] = p
     return refined
 
 
@@ -302,7 +285,7 @@ def _start(h: Homotopy, starts: Sequence, index: range, results: list) -> tuple:
         if not good:
             results[i] = PathResult("failed", None, 0)
     x = x[ok]
-    k1 = _solve(ev[2][ok], ev[3][ok]) if len(x) else x
+    k1 = _solve(ev[2][ok], ev[3][ok])
     return [_Path(i, _norm(p)) for i, p in zip(np.array(index)[ok], x)], x, k1
 
 

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import multiwit.fixtures as fixtures
 from multiwit import (
     PolySystem,
     Polynomial,
@@ -126,3 +129,39 @@ def test_with_grouping_preserves_values():
     pt = np.array([1.0, 2.0, 3.0], dtype=complex)
     assert abs(q.evaluate(pt) - p.evaluate(pt)) < 1e-12
     assert q.grouping.k == 1
+
+
+def permutation_det(entries):
+    """The determinant by the permutation formula: each permutation in
+    lexicographic order, its entries multiplied from the first row down."""
+    total = None
+    for perm in itertools.permutations(range(len(entries))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = entries[0][perm[0]]
+        for i in range(1, len(perm)):
+            term = term * entries[i][perm[i]]
+        term = (-1) ** inversions * term
+        total = term if total is None else total + term
+    return total
+
+
+def test_cofactor_det_has_the_permutation_formulas_terms(monkeypatch):
+    # the richardson minors by cofactor expansion have the permutation
+    # formula's terms, bit for bit and in the same order, so every table
+    # compiled from them is unchanged
+    matrices, det = [], fixtures._poly_det
+
+    def recorded(entries):
+        if len(entries) == 5:  # not the expansion's own minors
+            matrices.append(entries)
+        return det(entries)
+
+    monkeypatch.setattr(fixtures, "_poly_det", recorded)
+    minors = fixtures._richardson_minors("four").polys
+    monkeypatch.undo()
+    assert len(matrices) == len(minors) == 4
+    for entries, minor in zip(matrices, minors):
+        reference = permutation_det(entries).terms
+        assert list(minor.terms) == list(reference)
+        assert np.array(list(minor.terms.values())).tobytes() == \
+            np.array(list(reference.values())).tobytes()

@@ -151,17 +151,31 @@ def test_unknown_fixture_is_input_error(capsys):
     assert run(["witness", "--fixture", "no-such-system"]) == EXIT_INPUT
 
 
-def test_fixture_constructor_error_reaches_the_caller(monkeypatch):
-    # a KeyError raised while a fixture is built is not an unknown name
+@pytest.fixture
+def broken_fixture(monkeypatch):
+    """A fixture named "broken" whose constructor raises KeyError("inner")."""
     inner = KeyError("inner")
 
     def broken():
         raise inner
 
     monkeypatch.setitem(fixtures._FIXTURES, "broken", broken)
+    return inner
+
+
+def test_fixture_constructor_error_reaches_the_caller(broken_fixture):
+    # a KeyError raised while a fixture is built is not an unknown name
     with pytest.raises(KeyError) as info:
         fixtures.get_fixture("broken")
-    assert info.value is inner
+    assert info.value is broken_fixture
+
+
+def test_fixture_constructor_error_is_not_an_input_error(broken_fixture):
+    # only an unknown name is bad input: the constructor's KeyError leaves
+    # the CLI as it was raised, not as exit 2
+    with pytest.raises(KeyError) as info:
+        run(["witness", "--fixture", "broken"])
+    assert info.value is broken_fixture
 
 
 def test_missing_input_is_input_error(capsys):

@@ -527,6 +527,61 @@ def test_newton_refine_batch_is_each_point_alone():
     assert batch[0].tobytes() == alone[0].tobytes()
 
 
+def test_newton_refine_goes_in_chunks(monkeypatch):
+    # at most BATCH_PATHS points per Newton call, so the kernel never builds
+    # its table for every endpoint at once; each entry is still what
+    # refining it alone gives, bit for bit
+    g, x = univariate()
+    F = PolySystem([x**2 + 1])
+    points = [np.array([0.1 + 1.1j]), None, np.array([0j]), np.array([-0.2 - 0.9j]),
+              np.array([3 + 0j]), np.array([0.05 + 1j])]
+    alone = [newton_refine(F, [p])[0] for p in points]
+    rows, newton = [], multiwit.tracker._newton
+
+    def spied(evaluate, x, t, tol, max_iters):
+        rows.append(len(x))
+        return newton(evaluate, x, t, tol, max_iters)
+
+    monkeypatch.setattr(multiwit.tracker, "BATCH_PATHS", 2)
+    monkeypatch.setattr(multiwit.tracker, "_newton", spied)
+    refined = newton_refine(F, points)
+    assert rows == [2, 2, 1]
+    assert [None if p is None else p.tobytes() for p in refined] == \
+        [None if p is None else p.tobytes() for p in alone]
+    assert [p is None for p in refined] == [False, True, True, False, True, False]
+
+
+def test_newton_freezes_a_stopped_row():
+    # a row that starts at a root is evaluated once; a row whose first step
+    # is not finite (J = 0) once more, and stops with residual nan; the
+    # third row alone goes on.  Each row's point, residual and evaluation
+    # are those of the row run alone.
+    g, x = univariate()
+    F = PolySystem([x**2 - 4])
+    batch = np.array([[2 + 0j], [0j], [5 + 1j]])
+    calls = []
+
+    def evaluate(p, t):
+        calls.append(p[:, 0])
+        return F.kernel(p, scaled=True)
+
+    def run(x):
+        return multiwit.tracker._newton(evaluate, x, np.zeros(len(x)), 1e-10, 20)
+
+    with np.errstate(invalid="ignore"):
+        points, res, ev = run(batch)
+        seen, calls[:] = list(calls), []
+        alone = [run(batch[i:i + 1]) for i in range(3)]
+    assert [len(c) for c in seen] == [3, 2] + [1] * (len(seen) - 2) and len(seen) > 3
+    assert not np.isfinite(seen[1][0]) and all(np.isfinite(c[-1]) for c in seen)
+    assert res[0] == 0 and np.isnan(res[1]) and res[2] < 1e-10
+    for i, (p, r, e) in enumerate(alone):
+        assert points[i].tobytes() == p[0].tobytes()
+        assert res[i].tobytes() == r[0].tobytes()
+        for whole, part in zip(ev, e):
+            assert whole[i].tobytes() == part[0].tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 3, 40])
 def test_points_equal_reads_the_norm_formula(n):
     # the same verdicts as the np.linalg.norm formula, on planted pairs at
