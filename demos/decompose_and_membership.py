@@ -30,11 +30,13 @@ def main():
         print(f"    component {i}: degree {rec.curve_degree}, "
               f"{size} witness points, certified={rec.certified}")
 
-    for q in (np.array([0.3, 0.3], dtype=complex),
-              np.array([0.3, 0.7], dtype=complex),
-              np.array([0.3, 0.4], dtype=complex)):
-        hits = [i for i, rec in enumerate(dec.components)
-                if component_membership(rec, q, rs.substream(2))]
+    # each component is asked about all three points at once
+    queries = [np.array([0.3, 0.3], dtype=complex),
+               np.array([0.3, 0.7], dtype=complex),
+               np.array([0.3, 0.4], dtype=complex)]
+    verdicts = [component_membership(rec, queries, rs.substream(2)) for rec in dec.components]
+    for k, q in enumerate(queries):
+        hits = [i for i, answers in enumerate(verdicts) if answers[k]]
         print(f"point {q.real}: on components {hits or 'none'}")
 
 

@@ -331,12 +331,19 @@ class _Compiled:
         self._capacity = 0  # points `_batch` is built for, see `_rows`
         self._prefixes = {}  # count -> the prefixes of `_batch` for that many points
 
-    def evaluate(self, x: np.ndarray, t=0.0, scaled: bool = False) -> tuple:
+    def evaluate(self, x: np.ndarray, t=0.0, scaled: bool = False,
+                 shift: np.ndarray | None = None) -> tuple:
         """(rows, residual scale or None, Jacobian, t-derivative of the rows)
         at the B points of a (B, n) array x and t, a float or of shape (B,),
         from one kernel call; the scale is computed only if `scaled`.  Every
         result has a leading axis of B, and each of its rows is bit for bit
-        the call on that row's (x, t) alone."""
+        the call on that row's (x, t, shift) alone.
+
+        A (B, m) `shift` is subtracted, point by point, from the constant of
+        a target part a = 1, b = -1 of each of the last m rows: their A
+        loses it and their B gains it, so the rows gain -(1 - t) * shift,
+        their t-derivative +shift and their scale (1 - t) * |shift|, and the
+        Jacobian is unchanged."""
         count = len(x)
         (factors, factor_starts, monos, coeffs, starts, scale_monos, weights, scale_starts,
          gathered, terms) = self._rows(count)
@@ -349,12 +356,20 @@ class _Compiled:
         if isinstance(t, np.ndarray):
             t = t[:, None]
         width, rows = self.width, self.rows
+        if shift is not None:
+            moved = rows - shift.shape[1]
+            split[:, moved:rows] -= shift
+            split[:, width + moved:width + rows] += shift
         at = split[:, :width] + t * split[:, width:]
         scale = None
         if scaled:
             weighted = np.abs(monomials).take(scale_monos)
             weighted *= weights
             magnitudes = np.add.reduceat(weighted, scale_starts).reshape(count, -1) + self.ones
+            if shift is not None:
+                size = np.abs(shift)
+                magnitudes[:, moved:rows] += size
+                magnitudes[:, rows + moved:] -= size
             scale = magnitudes[:, :rows] + t * magnitudes[:, rows:]
         jacobian = at[:, rows:].reshape(count, rows, self.nvars)
         return at[:, :rows], scale, jacobian, split[:, width:width + rows]

@@ -151,11 +151,14 @@ def build_component(
     )
 
 
-def component_membership(rec: ComponentRecord, q, rs: RandomSource) -> bool:
-    """Translate the curve's linear system, cuts and slice, from p to q and
-    look for q among the endpoints (`witness.passes_through`)."""
+def component_membership(rec: ComponentRecord, queries, rs: RandomSource) -> list[bool | None]:
+    """For each query q, translate the curve's linear system, cuts and
+    slice, from p to q and look for q among the endpoints: every query in
+    one homotopy drawn from rs (`witness.passes_through`).  A query whose
+    paths failed gets None."""
     ws = rec.curve_witness
-    return passes_through(ws.sq_core, list(ws.extra) + ws.selection.forms, ws.points, q, rs)
+    return passes_through(ws.sq_core, list(ws.extra) + ws.selection.forms, ws.points,
+                          queries, rs)
 
 
 def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
@@ -163,9 +166,10 @@ def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
 
     A component whose growth fails is built once more on a fresh substream;
     a sample point whose component fails twice is left unassigned with a
-    line in `diagnostics`.  A membership query that fails is asked once
-    more on a fresh substream; a point whose query fails twice gets a line
-    too, and is deferred to a later component or sample."""
+    line in `diagnostics`.  The other points are asked about a component in
+    one batch; the queries that fail are asked once more, as one batch, on
+    a fresh substream, and a point whose query fails twice gets a line too,
+    and is deferred to a later component or sample."""
     classes = equidim_partition(F, W)
     components: list[ComponentRecord] = []
     assignment: dict = {}
@@ -186,16 +190,18 @@ def nid_multi(F: PolySystem, W, rs: RandomSource) -> Decomposition:
                 continue
             members = [i]
             rest = []
-            for j in remaining:
-                query = rs.substream(len(components) * 31 + 5)
-                try:
-                    try:
-                        member = component_membership(rec, W[j], query)
-                    except IndeterminateError:
-                        member = component_membership(rec, W[j], query.substream(1))
-                except IndeterminateError as exc:
-                    diagnostics.append(f"query of point {j} failed, deferred: {exc}")
-                    member = False
+            query = rs.substream(len(components) * 31 + 5)
+            verdicts = [None] * len(remaining)
+            for stream in (query, query.substream(1)):
+                asked = [k for k, member in enumerate(verdicts) if member is None]
+                if asked:
+                    answers = component_membership(rec, [W[remaining[k]] for k in asked], stream)
+                    for k, member in zip(asked, answers):
+                        verdicts[k] = member
+            for j, member in zip(remaining, verdicts):
+                if member is None:
+                    diagnostics.append(f"query of point {j} failed, deferred: "
+                                       "its paths failed on two streams")
                 (members if member else rest).append(j)
             for j in members:
                 assignment[j] = len(components)

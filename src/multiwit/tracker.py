@@ -13,10 +13,14 @@ together: k1, the three RK4 stages, the corrector and the t = 0 sharpening
 each make one kernel call on a (B, n) batch and one stacked solve; the
 next chunk starts when no row is left.  Each path keeps its own t, step,
 streak, steps, crawl count and norm history (`_Path`), and the rules of a
-path tracked alone judge its row.  A row's arithmetic never reads another
-row, so a path's result does not depend on the batch: not on its size,
-its order or the other paths in it.  `track_path` is `track_many` on one
-start point.
+path tracked alone judge its row.  A path may also have its own target:
+a row of constants subtracted from the target's last rows (a per-path
+shift), which the batch carries next to the rows' points and k1 and the
+kernel applies row by row, so many targets that differ only in their
+constants share one homotopy (a coefficient-parameter homotopy).  A row's
+arithmetic never reads another row, so a path's result does not depend
+on the batch: not on its size, its order or the other paths in it.
+`track_path` is `track_many` on one start point.
 
 One evaluation per point: `Homotopy.evaluate` gives H, J_x and dH/dt at
 (x, t) from one kernel call, and the residual scale only when the
@@ -38,7 +42,10 @@ instead of an exception, which the finiteness tests classify.
 Every homotopy, start systems and slice motions alike, goes through
 `track_slice_motion`, which draws its gamma from the caller's random
 stream, under one failed-path policy: a diverged path gives None, and any
-failed path raises IndeterminateError.
+failed path raises IndeterminateError.  A motion to many shifted targets
+at once (`shifts`) applies the policy per target: a target with a failed
+path gets None in place of its endpoints, and the other targets keep
+theirs.
 """
 
 from __future__ import annotations
@@ -109,7 +116,10 @@ class Homotopy(_Compiled):
 
     The corrector measures residuals relative to `scale`, so paths far from
     the origin (diverging toward infinity) still correct to machine
-    precision.  The Davidenko ODE is J_x x'(t) = -dH/dt."""
+    precision.  The Davidenko ODE is J_x x'(t) = -dH/dt.  A per-point
+    `shift` of evaluate moves the target to T - shift, row by row on the
+    last rows: H gains -(1-t)*shift, dH/dt gains +shift, the scale gains
+    |1-t| * |shift| and J_x stays as it is."""
 
     def __init__(
         self,
@@ -157,12 +167,13 @@ def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float,
     and one stacked solve per iteration.
 
     evaluate(x, t) gives (values, scale, Jacobian, ...) at the rows of x from
-    one kernel call.  A row stops once its relative residual is below tol or
-    after max_iters steps, or as soon as its iterate is not finite, as a
-    singular Jacobian makes it: such a row has residual nan.  A stopped row
-    stays as it is and is not evaluated again.  Returns (points, the relative
-    residual of each, the evaluation at each as a tuple of row arrays with
-    one row per point, never None)."""
+    one kernel call; t holds one entry per row, a float or a record of `_at`
+    with the row's shift, and is subset with the rows.  A row stops once its
+    relative residual is below tol or after max_iters steps, or as soon as
+    its iterate is not finite, as a singular Jacobian makes it: such a row
+    has residual nan.  A stopped row stays as it is and is not evaluated
+    again.  Returns (points, the relative residual of each, the evaluation
+    at each as a tuple of row arrays with one row per point, never None)."""
     ev = evaluate(x, t)
     res = relative_residual(ev[0], ev[1])
     for _ in range(max_iters):
@@ -270,31 +281,55 @@ class _Path:
 
 
 def _scaled(h: Homotopy):
-    """h's kernel with the residual scale, as `_newton` calls it."""
-    return lambda x, t: h.evaluate(x, t, scaled=True)
+    """h's kernel with the residual scale, as `_newton` calls it: at the
+    rows' t, or at the t and shift of each record of `_at`."""
+    def evaluate(x: np.ndarray, t: np.ndarray) -> tuple:
+        if t.dtype.names:
+            return h.evaluate(x, t["t"], scaled=True, shift=t["shift"])
+        return h.evaluate(x, t, scaled=True)
+    return evaluate
 
 
-def _start(h: Homotopy, starts: Sequence, index: range, results: list) -> tuple:
-    """Correct the start points at `index` on H(x; 1).  A start that does
-    not correct is a failed path of 0 steps; returns (paths, points, k1) of
-    the others, which begin at t = 1."""
+def _at(t: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
+    """The rows' t as `_newton` takes it: t itself for rows without
+    shifts, else one record per row of its t and its shift, so that
+    `_newton` subsets the shifts with the rows it still corrects."""
+    if shift is None:
+        return t
+    rows = np.empty(len(t), dtype=[("t", float), ("shift", complex, shift.shape[1:])])
+    rows["t"], rows["shift"] = t, shift
+    return rows
+
+
+def _take(shift: np.ndarray | None, rows) -> np.ndarray | None:
+    """The shifts of `rows`, or None for rows without shifts."""
+    return None if shift is None else shift[rows]
+
+
+def _start(h: Homotopy, starts: Sequence, shifts: np.ndarray | None, index: range,
+           results: list) -> tuple:
+    """Correct the start points at `index` on H(x; 1), each with its row of
+    `shifts`.  A start that does not correct is a failed path of 0 steps;
+    returns (paths, points, k1, shifts) of the others, which begin at t = 1."""
     x = np.array([starts[i] for i in index], dtype=complex)
-    x, res, ev = _newton(_scaled(h), x, np.ones(len(x)), NEWTON_TOL, MAX_NEWTON_ITERS)
+    s = _take(shifts, index)
+    x, res, ev = _newton(_scaled(h), x, _at(np.ones(len(x)), s), NEWTON_TOL, MAX_NEWTON_ITERS)
     ok = res < NEWTON_TOL
     for i, good in zip(index, ok):
         if not good:
             results[i] = PathResult("failed", None, 0)
     x = x[ok]
     k1 = _solve(ev[2][ok], ev[3][ok])
-    return [_Path(i, _norm(p)) for i, p in zip(np.array(index)[ok], x)], x, k1
+    return [_Path(i, _norm(p)) for i, p in zip(np.array(index)[ok], x)], x, k1, _take(s, ok)
 
 
-def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, results: list) -> tuple:
+def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, s: np.ndarray | None,
+             results: list) -> tuple:
     """One step attempt of every live path, in lockstep: each RK4 stage, the
     corrector and the t = 0 sharpening make one kernel call and one stacked
-    solve for all rows, and each path's rules then judge its own row.
-    Finished paths go into `results`; returns (paths, points, k1) of the
-    paths still live."""
+    solve for all rows, each row at its own t and shift, and each path's
+    rules then judge its own row.  Finished paths go into `results`; returns
+    (paths, points, k1, shifts) of the paths still live."""
     # RK4 on the Davidenko ODE x'(t) = -J_x^{-1} dH/dt, moving toward t=0;
     # each k is J_x^{-1} dH/dt, so the steps add dt * k.  A singular J_x
     # makes xp non-finite, so the attempt is rejected.
@@ -303,11 +338,11 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, results: l
     half, to = 0.5 * dt, t - dt
     ks = [k1]
     for w, tw in ((half, t - half), (half, t - half), (dt, to)):
-        _, _, J, dhdt = h.evaluate(x + w[:, None] * ks[-1], tw)
+        _, _, J, dhdt = h.evaluate(x + w[:, None] * ks[-1], tw, shift=s)
         ks.append(_solve(J, dhdt))
     _, k2, k3, k4 = ks
     xp = x + (dt / 6.0)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
-    xc, res, ev = _newton(_scaled(h), xp, to, NEWTON_TOL, MAX_NEWTON_ITERS)
+    xc, res, ev = _newton(_scaled(h), xp, _at(to, s), NEWTON_TOL, MAX_NEWTON_ITERS)
     accepted = (res < NEWTON_TOL) & np.isfinite(xp).all(axis=1)
 
     live, ended = [], []
@@ -320,23 +355,25 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, results: l
         else:
             results[p.index] = PathResult(status, None, p.steps)
     if ended:  # final sharpening against the t = 0 system
-        ends, res, _ = _newton(_scaled(h), xc[ended], np.zeros(len(ended)), END_TOL, 30)
+        at = _at(np.zeros(len(ended)), _take(s, ended))
+        ends, res, _ = _newton(_scaled(h), xc[ended], at, END_TOL, 30)
         for i, end, r in zip(ended, ends, res):
             p = paths[i]
             results[p.index] = (PathResult("converged", end.copy(), p.steps) if r < END_TOL
                                 else PathResult("failed", None, p.steps))
     if len(live) == len(paths) and accepted.all():  # the new arrays replace the old
-        return paths, xc, _solve(ev[2], ev[3])
+        return paths, xc, _solve(ev[2], ev[3]), s
     x = np.where(accepted[:, None], xc, x)[live]
     k1 = k1[live]
     fresh = accepted[live]
     if fresh.any():
         rows = np.array(live)[fresh]
         k1[fresh] = _solve(ev[2][rows], ev[3][rows])
-    return [paths[i] for i in live], x, k1
+    return [paths[i] for i in live], x, k1, _take(s, live)
 
 
-def _track_rows(h: Homotopy, starts: Sequence) -> list[PathResult]:
+def _track_rows(h: Homotopy, starts: Sequence,
+                shifts: np.ndarray | None = None) -> list[PathResult]:
     """The engine of `track_many`: the start points in chunks of BATCH_PATHS,
     each started at once and advanced until none of its paths is live."""
     if len(starts) and h.rows != h.nvars:
@@ -344,20 +381,23 @@ def _track_rows(h: Homotopy, starts: Sequence) -> list[PathResult]:
     results: list = [None] * len(starts)
     index = range(len(starts))
     for first in index[::BATCH_PATHS]:
-        paths, x, k1 = _start(h, starts, index[first:first + BATCH_PATHS], results)
+        paths, x, k1, s = _start(h, starts, shifts, index[first:first + BATCH_PATHS], results)
         while paths:
-            paths, x, k1 = _advance(h, paths, x, k1, results)
+            paths, x, k1, s = _advance(h, paths, x, k1, s, results)
     return results
 
 
-def track_many(h: Homotopy, starts: Sequence) -> list[PathResult]:
+def track_many(h: Homotopy, starts: Sequence,
+               shifts: np.ndarray | None = None) -> list[PathResult]:
     """Track every start point along h; results ordered by input index.
-    The paths move in lockstep, but every rule applies to each path on its
-    own, so a path's result does not depend on the others.  numpy's
-    overflow and invalid-value warnings are off: the finiteness tests
-    classify a diverging path and a singular Jacobian."""
+    Row i of a (len(starts), m) array `shifts`, if given, is subtracted from
+    the target constants of the last m rows of h for path i alone (see
+    `_Compiled.evaluate`).  The paths move in lockstep, but every rule
+    applies to each path on its own, so a path's result does not depend on
+    the others.  numpy's overflow and invalid-value warnings are off: the
+    finiteness tests classify a diverging path and a singular Jacobian."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _track_rows(h, starts)
+        return _track_rows(h, starts, shifts)
 
 
 def track_path(h: Homotopy, start_point) -> PathResult:
@@ -371,21 +411,35 @@ def track_slice_motion(
     new_rows: Sequence[Polynomial],
     points: Sequence[np.ndarray],
     rs: RandomSource,
-) -> list[np.ndarray | None]:
+    shifts: np.ndarray | None = None,
+) -> list:
     """Track points of V(fixed, old_rows) to V(fixed, new_rows) along
     [fixed; t*gamma*old_rows + (1-t)*new_rows], gamma = rs.unit_complex().
     Endpoints come back in the order of `points`, None for a diverged path;
     a failed path raises IndeterminateError.  Each motion draws, so motions
     meant to share a gamma pass equal substreams.  With no rows in motion
-    the points come back unchanged and no path is tracked."""
+    the points come back unchanged and no path is tracked.
+
+    With a (Q, len(new_rows)) array `shifts`, every point is tracked to each
+    of the Q targets new_rows - shifts[q] (new_rows minus a constant per
+    row), in one homotopy with one gamma and one lockstep batch of Q times
+    as many paths.  Then one endpoint list comes back per target, and a
+    target with a failed path gets None in place of its list: the failure
+    is that target's alone, and nothing is raised."""
     if not old_rows and not new_rows:
-        return list(points)
+        return list(points) if shifts is None else [list(points) for _ in shifts]
     h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), rs.unit_complex(), fixed)
-    results = track_many(h, points)
-    failed = sum(r.status == "failed" for r in results)
-    if failed:
-        raise IndeterminateError(f"{failed} of {len(results)} paths failed")
-    return [r.endpoint for r in results]
+    if shifts is None:
+        results = track_many(h, points)
+        failed = sum(r.status == "failed" for r in results)
+        if failed:
+            raise IndeterminateError(f"{failed} of {len(results)} paths failed")
+        return [r.endpoint for r in results]
+    n = len(points)
+    results = track_many(h, list(points) * len(shifts), np.repeat(shifts, n, axis=0))
+    per_target = (results[q * n:(q + 1) * n] for q in range(len(shifts)))
+    return [None if any(r.status == "failed" for r in ends) else [r.endpoint for r in ends]
+            for ends in per_target]
 
 
 def points_equal(a: np.ndarray, b: np.ndarray) -> bool:

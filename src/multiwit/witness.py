@@ -96,12 +96,6 @@ class WitnessSet:
     def full_square_system(self) -> PolySystem:
         return self.fixed_block.concat(self.selection.forms)
 
-    def verify(self) -> bool:
-        """Every point satisfies the system, the extra forms and the slices
-        to a relative residual below RESIDUAL_TOL."""
-        full = self.system.concat(list(self.extra) + self.selection.forms)
-        return all(full.residual(p) < RESIDUAL_TOL for p in self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -397,14 +391,21 @@ def segre_degree(md: dict) -> int:
     return total
 
 
-def passes_through(fixed: PolySystem, forms: list, points: list, q, rs: RandomSource) -> bool:
-    """Whether q lies on the set that `points` cut out with `fixed` and
-    `forms`: translate each form through q, as form - form(q), track the
-    points along by a homotopy drawn from rs, and look for q at the ends."""
-    q = np.asarray(q, dtype=complex)
-    moved = [form - complex(form.evaluate(q)) for form in forms]
-    ends = track_slice_motion(fixed, forms, moved, points, rs)
-    return any(p is not None and points_equal(p, q) for p in ends)
+def passes_through(fixed: PolySystem, forms: list, points: list, queries: Sequence,
+                   rs: RandomSource) -> list[bool | None]:
+    """For each query q, whether q lies on the set that `points` cut out
+    with `fixed` and `forms`: translate each form through q, as
+    form - form(q), track the points along, and look for q at the ends.
+    Every query's paths go in one homotopy drawn from rs, each with its own
+    translate; a query with a failed path gets None, and the others keep
+    their verdicts."""
+    if not len(queries):
+        return []
+    queries = np.array(queries, dtype=complex)
+    values = PolySystem(forms).kernel(queries)[0] if forms else np.zeros((len(queries), 0))
+    ends = track_slice_motion(fixed, forms, forms, points, rs, shifts=values)
+    return [None if e is None else any(p is not None and points_equal(p, q) for p in e)
+            for e, q in zip(ends, queries)]
 
 
 def membership(
@@ -413,16 +414,21 @@ def membership(
     rs: RandomSource,
 ) -> bool:
     """Multiprojective membership: per key e, translate L^e through the
-    query point and look for it among the endpoints."""
+    query point and look for it among the endpoints.  Paths that fail on
+    a key raise IndeterminateError rather than answer False."""
     point = np.asarray(point, dtype=complex)
     if point.size != wc.grouping.nvars:
         raise ValueError(f"point has {point.size} coordinates, expected {wc.grouping.nvars}")
-    # the query must already satisfy the sliced-away part of the system, by
-    # the residual test `WitnessSet.verify` uses
+    # the query must already satisfy the sliced-away part of the system, to
+    # the relative residual RESIDUAL_TOL that the witness points reach
     if wc.extra:
         if not PolySystem(list(wc.extra)).residual(point) < RESIDUAL_TOL:
             return False
-    return any(
-        passes_through(ws.fixed_block, ws.selection.forms, ws.points, point,
-                       rs.substream(idx).substream(77))
-        for idx, (_, ws) in enumerate(sorted(wc.entries.items())))
+    for idx, (e, ws) in enumerate(sorted(wc.entries.items())):
+        (verdict,) = passes_through(ws.fixed_block, ws.selection.forms, ws.points, [point],
+                                    rs.substream(idx).substream(77))
+        if verdict is None:
+            raise IndeterminateError(f"the membership paths of key {e} failed")
+        if verdict:
+            return True
+    return False

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from multiwit import RandomSource
+from multiwit.startsys import RESIDUAL_TOL
 
 SEED = 20230529
 
@@ -21,3 +22,10 @@ pentad_gate = pytest.mark.skipif(
 
 def rs(stream: int) -> RandomSource:
     return RandomSource(seed=SEED, stream=stream)
+
+
+def on_its_slices(ws) -> bool:
+    """Every point of the witness set satisfies the system, the extra forms
+    and the slices to a relative residual below RESIDUAL_TOL."""
+    full = ws.system.concat(list(ws.extra) + ws.selection.forms)
+    return all(full.residual(p) < RESIDUAL_TOL for p in ws.points)

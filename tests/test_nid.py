@@ -78,8 +78,62 @@ def test_component_membership_distinguishes_lines(two_lines_data):
     rec0 = dec.components[0]
     own = next(p for i, p in enumerate(points) if dec.assignment[i] == 0)
     other = next(p for i, p in enumerate(points) if dec.assignment[i] == 1)
-    assert component_membership(rec0, own, rs(84))
-    assert not component_membership(rec0, other, rs(84))
+    assert component_membership(rec0, [own, other], rs(84)) == [True, False]
+
+
+@pytest.fixture(scope="module")
+def richardson_four_data():
+    fx = get_fixture("richardson-four")
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(13))
+    points = [p for _, ws in sorted(wc.entries.items()) for p in ws.points]
+    return points, nid_multi(fx.system, points, rs(13).substream(99))
+
+
+def test_batched_verdicts_are_each_querys_own(two_lines_data, richardson_four_data,
+                                              monkeypatch):
+    # a query's verdict is the one it gets asked alone, whatever the other
+    # queries in its batch, their order, or the chunk size
+    fx, wc = two_lines_data
+    lines = list(wc.entries[(1,)].points)
+    for points, dec in ((lines, nid_multi(fx.system, lines, rs(82))), richardson_four_data):
+        assert not dec.diagnostics
+        for c, rec in enumerate(dec.components):
+            batch = component_membership(rec, points, rs(85))
+            assert [j for j, member in enumerate(batch) if member] == \
+                sorted(j for j, k in dec.assignment.items() if k == c)
+            assert component_membership(rec, points[::-1], rs(85)) == batch[::-1]
+            every_fifth = range(c, len(points), 5)
+            assert [component_membership(rec, [points[j]], rs(85))[0]
+                    for j in every_fifth] == [batch[j] for j in every_fifth]
+            with monkeypatch.context() as mp:
+                mp.setattr(tracker, "BATCH_PATHS", 2)
+                assert component_membership(rec, points, rs(85)) == batch
+
+
+def test_nid_multi_defers_only_the_point_of_a_failed_query(monkeypatch):
+    # one path of the last query in each batch fails: that point alone is
+    # asked again, alone, fails again and is deferred, while the other
+    # query of its batch still joins the component
+    fx = get_fixture("cubic")
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(84))
+    points = list(wc.entries[(1,)].points)
+    track, batches = tracker.track_many, []
+
+    def last_query_fails(h, starts, shifts=None):
+        results = track(h, starts, shifts)
+        if shifts is not None:
+            batches.append(len(starts))
+            results[-1] = tracker.PathResult("failed", None, 0)
+        return results
+
+    monkeypatch.setattr(tracker, "track_many", last_query_fails)
+    dec = nid_multi(fx.system, points, rs(86))
+    assert batches == [2 * 3, 3]  # two queries of three paths, then the failed one
+    assert [rec.curve_degree for rec in dec.components] == [3, 3]
+    (q,) = [j for j, c in dec.assignment.items() if c == 1]
+    assert sorted(dec.assignment) == [0, 1, 2]
+    assert dec.diagnostics == [
+        f"query of point {q} failed, deferred: its paths failed on two streams"]
 
 
 @pytest.mark.parametrize("name, e, I_order, curve_degree", [
@@ -170,19 +224,21 @@ def test_nid_multi_names_the_point_of_a_failed_query(two_lines_data, monkeypatch
     points = list(wc.entries[(1,)].points)
     queried = []
 
-    def failing_query(rec, q, rs):
-        queried.append((next(i for i, p in enumerate(points) if np.array_equal(p, q)),
-                        rs.stream))
-        raise IndeterminateError("1 of 1 paths failed")
+    def failing_query(rec, queries, rs):
+        queried.append(([next(i for i, p in enumerate(points) if np.array_equal(p, q))
+                         for q in queries], rs.stream))
+        return [None] * len(queries)
 
     monkeypatch.setattr(nid, "component_membership", failing_query)
     dec = nid_multi(fx.system, points, rs(82))
     # the query fails on two streams; the queried point stays out of the
-    # first component and then builds the component of its own line
-    (q, first), (again, retry) = queried
-    assert q == again and first != retry
+    # first component and then builds the component of its own line, with
+    # no point left to ask about
+    ([q], first), (again, retry) = queried
+    assert again == [q] and first != retry
     assert dec.assignment == {1 - q: 0, q: 1}
-    assert dec.diagnostics == [f"query of point {q} failed, deferred: 1 of 1 paths failed"]
+    assert dec.diagnostics == [
+        f"query of point {q} failed, deferred: its paths failed on two streams"]
     assert not unassigned_but_assigned(dec)
 
 
@@ -194,11 +250,11 @@ def test_nid_multi_retries_a_failed_query(two_lines_data, monkeypatch):
     real = nid.component_membership
     streams = []
 
-    def flaky_query(rec, q, rs):
+    def flaky_query(rec, queries, rs):
         streams.append(rs.stream)
         if len(streams) == 1:
-            raise IndeterminateError("1 of 1 paths failed")
-        return real(rec, q, rs)
+            return [None] * len(queries)
+        return real(rec, queries, rs)
 
     monkeypatch.setattr(nid, "component_membership", flaky_query)
     dec = nid_multi(fx.system, [p, p], rs(82))
@@ -209,12 +265,13 @@ def test_nid_multi_retries_a_failed_query(two_lines_data, monkeypatch):
 
 
 def test_nid_multi_queries_on_one_component_share_a_gamma(monkeypatch):
-    # every query against one component tracks on the same substream, so
-    # the homotopies of the cubic's two queries share one gamma
+    # every query against one component tracks in one homotopy, drawn from
+    # the component's query substream, so the cubic's two queries share
+    # one gamma
     fx = get_fixture("cubic")
     wc = compute_witness_collection(fx.system, fx.default_keys, rs(84))
-    gammas = None  # the gammas of the query being run, or None between queries
-    per_query = []
+    gammas = None  # the gammas of the call being run, or None between calls
+    per_call, asked = [], []
 
     class Recording(tracker.Homotopy):
         def __init__(self, start, target, gamma, fixed=None):
@@ -224,13 +281,14 @@ def test_nid_multi_queries_on_one_component_share_a_gamma(monkeypatch):
 
     real = nid.component_membership
 
-    def recorded_query(rec, q, rs):
+    def recorded_query(rec, queries, rs):
         nonlocal gammas
         gammas = []
+        asked.append(len(queries))
         try:
-            return real(rec, q, rs)
+            return real(rec, queries, rs)
         finally:
-            per_query.append(gammas)
+            per_call.append(gammas)
             gammas = None
 
     monkeypatch.setattr(tracker, "Homotopy", Recording)
@@ -238,8 +296,8 @@ def test_nid_multi_queries_on_one_component_share_a_gamma(monkeypatch):
     dec = nid_multi(fx.system, list(wc.entries[(1,)].points), rs(86))
     assert len(dec.components) == 1
     assert not dec.diagnostics
-    assert len(per_query) == 2
-    assert per_query[0] == per_query[1] and len(per_query[0]) == 1
+    assert asked == [2]
+    assert per_call == [[rs(86).substream(5).unit_complex()]]
 
 
 def test_nid_multi_keeps_every_index_of_a_repeated_point(two_lines_data):
@@ -264,8 +322,8 @@ def test_nid_multi_a_deferred_point_whose_build_fails_is_unassigned(two_lines_da
             raise IndeterminateError("the trace test failed after 60 loops")
         return real(ws, rs)
 
-    def failing_query(rec, q, rs):
-        raise IndeterminateError("1 of 1 paths failed")
+    def failing_query(rec, queries, rs):
+        return [None] * len(queries)
 
     monkeypatch.setattr(nid, "grow_witness_set", grow)
     monkeypatch.setattr(nid, "component_membership", failing_query)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -202,23 +203,92 @@ def test_fused_kernel_matches_block_formulas(with_fixed):
         assert all(np.array_equal(a, b) for a, b in ((H, H2), (J, J2), (dt, dt2)))
 
 
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 @pytest.mark.parametrize("with_fixed", [False, True])
 def test_kernel_rows_match_one_point_calls(with_fixed):
     # every row of a batched call is bit for bit the call on a batch of that
-    # one row, scaled or not, as the batch grows, shrinks to a prefix and
-    # grows again
+    # one row, with that row's shift if the call has shifts, scaled or not,
+    # as the batch grows, shrinks to a prefix and grows again
     rng = np.random.default_rng(8)
     h = fused_homotopy(with_fixed, rng)
-    for count in (5, 2, 7, 1):
-        x = rng.normal(size=(count, 4)) + 1j * rng.normal(size=(count, 4))
+    for count, shifted in itertools.product((5, 2, 7, 1), (False, True)):
+        x = complex_normal(rng, count, 4)
         t = rng.uniform(0.01, 0.99, size=count)
+        shift = complex_normal(rng, count, 2) if shifted else None
         for scaled in (False, True):
-            rows = h.evaluate(x, t, scaled)
+            rows = h.evaluate(x, t, scaled, shift)
             for i in range(count):
-                one = h.evaluate(x[i:i + 1], float(t[i]), scaled)
+                one = h.evaluate(x[i:i + 1], float(t[i]), scaled,
+                                 None if shift is None else shift[i:i + 1])
                 assert (rows[1] is None) == (one[1] is None) == (not scaled)
                 assert all(r[i].tobytes() == o[0].tobytes() for r, o in zip(rows, one)
                            if o is not None)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("with_fixed", [False, True])
+def test_shifted_kernel_matches_translated_targets(with_fixed, m):
+    # a shift c on the last m rows is the homotopy compiled on those target
+    # rows minus c: H and dH/dt to rounding and J_x bit for bit.  The scale
+    # gains (1 - t) * |c| on those rows, which bounds the translated rows'
+    # own scale, and no row's scale changes otherwise
+    rng = np.random.default_rng(10)
+    h = fused_homotopy(with_fixed, rng)
+    count, rows = 4, len(h.target)
+    x, t = complex_normal(rng, count, 4), rng.uniform(0.01, 0.99, size=count)
+    shift = complex_normal(rng, count, m)
+    H, scale, J, dt = h.evaluate(x, t, scaled=True, shift=shift)
+    _, plain_scale, plain_J, _ = h.evaluate(x, t, scaled=True)
+    assert J.tobytes() == plain_J.tobytes()
+    moved = slice(h.rows - m, None)
+    assert np.array_equal(scale[:, :moved.start], plain_scale[:, :moved.start])
+    grown = plain_scale[:, moved] + (1 - t)[:, None] * np.abs(shift)
+    assert np.allclose(scale[:, moved], grown, rtol=1e-14, atol=0)
+    for i in range(count):
+        target = list(h.target.polys)
+        target[rows - m:] = [q - c for q, c in zip(target[rows - m:], shift[i])]
+        translated = Homotopy(h.start, PolySystem(target), h.gamma, h.fixed)
+        H2, scale2, J2, dt2 = (a[0] for a in translated.evaluate(x[i:i + 1], t[i], scaled=True))
+        assert np.linalg.norm(H[i] - H2) <= 1e-13 * np.linalg.norm(H2)
+        assert np.linalg.norm(dt[i] - dt2) <= 1e-13 * np.linalg.norm(dt2)
+        assert J[i].tobytes() == J2.tobytes()
+        assert np.all(scale2 <= scale[i] * (1 + 1e-14))
+
+
+def test_slice_motion_to_shifted_targets():
+    # one motion to three targets new - c ends where each motion to the
+    # translated row ends, with the same gamma; a zero shift is the plain
+    # motion bit for bit; and a failed path voids its own target only
+    g = VariableGrouping.from_sizes([2], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    fixed = PolySystem([x**2 + y**2 - 2])
+    old, new = [x - y], [x + 2 * y - 1]
+    points = [np.array([1.0 + 0j, 1.0 + 0j]), np.array([-1.0 + 0j, -1.0 + 0j])]
+    shifts = np.array([[0], [0.3], [-0.5 + 0.2j]])
+    batched = track_slice_motion(fixed, old, new, points, rs(3), shifts=shifts)
+    assert len(batched) == 3
+    for ends, (c,) in zip(batched, shifts):
+        alone = track_slice_motion(fixed, old, [new[0] - c], points, rs(3))
+        assert all(points_equal(a, b) for a, b in zip(ends, alone, strict=True))
+    plain = track_slice_motion(fixed, old, new, points, rs(3))
+    assert [p.tobytes() for p in batched[0]] == [p.tobytes() for p in plain]
+
+    track = multiwit.tracker.track_many
+
+    def second_target_fails(h, starts, shifts=None):
+        results = track(h, starts, shifts)
+        results[3] = multiwit.tracker.PathResult("failed", None, 0)
+        return results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiwit.tracker, "track_many", second_target_fails)
+        voided = track_slice_motion(fixed, old, new, points, rs(3), shifts=shifts)
+    assert voided[1] is None
+    assert [[p.tobytes() for p in voided[k]] for k in (0, 2)] == \
+        [[p.tobytes() for p in batched[k]] for k in (0, 2)]
 
 
 def test_stacked_solve_matches_one_matrix_solves():
@@ -236,15 +306,15 @@ class FirstQuery(Exception):
 
 @pytest.fixture(scope="module")
 def captured_homotopies():
-    """(homotopy, starts) of every homotopy of one octahedron-fh collection
-    and of its first coarsening, and of one richardson-four nid membership
-    query."""
+    """(homotopy, starts, shifts) of every homotopy of one octahedron-fh
+    collection and of its first coarsening, and of the first richardson-four
+    nid membership batch, whose paths each have their own target shift."""
     captured, queries = [], []
     track, membership = multiwit.tracker.track_many, multiwit.nid.component_membership
 
-    def recorded(h, starts):
-        captured.append((h, list(starts)))
-        return track(h, starts)
+    def recorded(h, starts, shifts=None):
+        captured.append((h, list(starts), shifts))
+        return track(h, starts, shifts)
 
     def first_query(*args, **kwargs):
         queries.append((args, kwargs))
@@ -267,7 +337,14 @@ def captured_homotopies():
         (args, kwargs), = queries
         membership(*args, **kwargs)
     assert len(captured) == octahedron + 1
+    assert all(shifts is None for _, _, shifts in captured[:octahedron])
+    assert len(captured[-1][2]) == len(captured[-1][1]) > 64  # more than one chunk
     return captured
+
+
+def shift_rows(shifts, index):
+    """The shifts of the paths at `index`, or None for a homotopy without."""
+    return None if shifts is None else shifts[index]
 
 
 def fingerprint(results):
@@ -279,17 +356,20 @@ def fingerprint(results):
 def test_results_do_not_depend_on_the_batch(captured_homotopies, monkeypatch):
     # one batch, one call per start, the starts reversed, and the starts in
     # chunks of two all give the same paths, bit for bit
+    # (each path with its own shift, where the homotopy has shifts)
     statuses = set()
-    for h, starts in captured_homotopies:
-        together = fingerprint(track_many(h, starts))
-        assert fingerprint([track_many(h, [s])[0] for s in starts]) == together
-        assert fingerprint(track_many(h, starts[::-1])[::-1]) == together
+    for h, starts, shifts in captured_homotopies:
+        together = fingerprint(track_many(h, starts, shifts))
+        assert fingerprint([track_many(h, [s], shift_rows(shifts, [i]))[0]
+                            for i, s in enumerate(starts)]) == together
+        assert fingerprint(track_many(h, starts[::-1], shift_rows(shifts, slice(None, None, -1)))
+                           [::-1]) == together
         with monkeypatch.context() as mp:
             mp.setattr(multiwit.tracker, "BATCH_PATHS", 2)
-            assert fingerprint(track_many(h, starts)) == together
+            assert fingerprint(track_many(h, starts, shifts)) == together
         statuses |= {status for status, _, _ in together}
     assert statuses == {"converged", "diverged"}
-    assert max(len(starts) for _, starts in captured_homotopies) > 2
+    assert max(len(starts) for _, starts, _ in captured_homotopies) > 2
 
 
 def test_starts_go_in_fixed_chunks(monkeypatch):
@@ -300,9 +380,10 @@ def test_starts_go_in_fixed_chunks(monkeypatch):
     starts = [np.array([np.exp(2j * np.pi * k / 5)]) for k in range(5)]
     chunks, start = [], multiwit.tracker._start
 
-    def spied(h, starts, index, results):
+    def spied(h, starts, shifts, index, results):
+        assert shifts is None  # a homotopy without shifts carries none
         chunks.append(index)
-        return start(h, starts, index, results)
+        return start(h, starts, shifts, index, results)
 
     monkeypatch.setattr(multiwit.tracker, "BATCH_PATHS", 2)
     monkeypatch.setattr(multiwit.tracker, "_start", spied)

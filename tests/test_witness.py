@@ -25,9 +25,9 @@ from multiwit import (
 from multiwit.fixtures import get_fixture
 from multiwit.startsys import RESIDUAL_TOL, square_up
 from multiwit.tracker import relative_residual
-from multiwit.witness import random_affine_form
+from multiwit.witness import passes_through, random_affine_form
 
-from conftest import rs
+from conftest import on_its_slices, rs
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def split_wc():
 def test_cubic_witness_count_and_residuals(cubic_wc):
     fx, wc = cubic_wc
     assert wc.multidegree_map() == {(1,): 3}
-    assert wc.entries[(1,)].verify()
+    assert on_its_slices(wc.entries[(1,)])
 
 
 def test_split_cubic_bidegrees(split_wc):
@@ -104,7 +104,7 @@ def test_slice_collection_is_exact_bookkeeping(split_wc):
     for a, b in zip(src.points, dst.points):
         assert np.array_equal(a, b)  # no path was tracked
     assert len(dst.extra) == len(src.extra) + 1
-    assert dst.verify()
+    assert on_its_slices(dst)
 
 
 def test_slice_collection_rejects_empty_direction(cubic_wc):
@@ -194,7 +194,7 @@ def test_refine_cubic_to_bidegrees(cubic_wc):
     assert len(r10.points) == 2
     assert len(r01.points) == 3
     assert r10.grouping.sizes == (1, 1)
-    assert r10.verify() and r01.verify()
+    assert on_its_slices(r10) and on_its_slices(r01)
 
 
 def test_refine_keeps_a_zero_budget_group():
@@ -207,7 +207,7 @@ def test_refine_keeps_a_zero_budget_group():
     assert len(refined.points) == 1
     assert refined.grouping.sizes == (1, 2, 3, 3)
     assert refined.selection.e == (0, 0, 1, 2)
-    assert refined.verify()
+    assert on_its_slices(refined)
 
 
 def test_slice_motion_without_moving_rows_returns_the_points(cubic_wc):
@@ -237,7 +237,7 @@ def test_coarsen_cubic_split(split_wc):
     assert res.diverged == 2
     assert len(res.witness.points) == 3
     assert res.witness.grouping.k == 1
-    assert res.witness.verify()
+    assert on_its_slices(res.witness)
 
 
 def test_coarsen_collection_structure(split_wc):
@@ -357,8 +357,8 @@ def test_membership_checks_the_sliced_away_forms(monkeypatch):
 
 def test_membership_tests_the_sliced_away_forms_by_the_residual_tolerance(monkeypatch):
     # a query 1e-7 off the sliced-away forms, in relative residual, is off
-    # the slice by the residual test that WitnessSet.verify applies, so it
-    # is rejected before any path is tracked
+    # the slice by the residual test the witness points pass, so it is
+    # rejected before any path is tracked
     fx = get_fixture("octahedron-fg")
     sliced = slice_collection(compute_witness_collection(fx.system, fx.default_keys, rs(3)), 0)
     (form,) = sliced.extra
@@ -372,6 +372,35 @@ def test_membership_tests_the_sliced_away_forms_by_the_residual_tolerance(monkey
                         lambda *args: calls.append(args) or [])
     assert not membership(sliced, off, rs(93))
     assert not calls
+
+
+def test_membership_on_isolated_points():
+    # a key with no slice form moves nothing: the query is looked for among
+    # the witness points themselves
+    g = VariableGrouping.from_sizes([1, 1], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    wc = compute_witness_collection(PolySystem([x**2 - 1, y**2 - 4]), [(0, 0)], rs(44))
+    assert wc.multidegree_map() == {(0, 0): 4}
+    assert membership(wc, np.array([-1, 2]), rs(45))
+    assert not membership(wc, np.array([1, 3]), rs(45))
+
+
+def test_membership_raises_when_its_paths_fail(cubic_wc, monkeypatch):
+    # a failed query is never a silent False; and no query tracks no path
+    fx, wc = cubic_wc
+    ws = wc.entries[(1,)]
+    calls = []
+
+    def failing(h, starts, shifts=None):
+        calls.append(len(starts))
+        return [multiwit.tracker.PathResult("failed", None, 0) for _ in starts]
+
+    monkeypatch.setattr(multiwit.tracker, "track_many", failing)
+    with pytest.raises(IndeterminateError):
+        membership(wc, ws.points[0] + 0.1, rs(41))
+    assert calls == [3]
+    assert passes_through(ws.fixed_block, ws.selection.forms, ws.points, [], rs(41)) == []
+    assert calls == [3]
 
 
 def test_membership_validates_point_size(cubic_wc):
