@@ -343,7 +343,8 @@ class _Compiled:
         a target part a = 1, b = -1 of each of the last m rows: their A
         loses it and their B gains it, so the rows gain -(1 - t) * shift,
         their t-derivative +shift and their scale (1 - t) * |shift|, and the
-        Jacobian is unchanged."""
+        Jacobian is unchanged.  A shift of m = 0 columns is no shift and
+        costs nothing."""
         count = len(x)
         (factors, factor_starts, monos, coeffs, starts, scale_monos, weights, scale_starts,
          gathered, terms) = self._rows(count)
@@ -356,8 +357,8 @@ class _Compiled:
         if isinstance(t, np.ndarray):
             t = t[:, None]
         width, rows = self.width, self.rows
-        if shift is not None:
-            moved = rows - shift.shape[1]
+        moved = rows if shift is None else rows - shift.shape[1]  # the first shifted row
+        if moved < rows:
             split[:, moved:rows] -= shift
             split[:, width + moved:width + rows] += shift
         at = split[:, :width] + t * split[:, width:]
@@ -366,7 +367,7 @@ class _Compiled:
             weighted = np.abs(monomials).take(scale_monos)
             weighted *= weights
             magnitudes = np.add.reduceat(weighted, scale_starts).reshape(count, -1) + self.ones
-            if shift is not None:
+            if moved < rows:
                 size = np.abs(shift)
                 magnitudes[:, moved:rows] += size
                 magnitudes[:, rows + moved:] -= size

@@ -193,8 +193,6 @@ def cmd_coarsen(args) -> dict:
 
 def cmd_member(args) -> dict:
     wc = _witness_collection(args)
-    if not args.point:
-        raise InputError("member needs --point")
     point = _parse_point(args.point, wc.system.grouping.nvars)
     rs = RandomSource(seed=args.seed, stream=7)
     return {"member": bool(membership(wc, point, rs))}
@@ -305,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("coarsen", help="merge variable groups"))
     sp.add_argument("--merge", required=True, help="A:B[,A:B...]")
     sp = common(sub.add_parser("member", help="membership test"))
-    sp.add_argument("--point", help="coordinates (re or re,im interleaved)")
+    sp.add_argument("--point", required=True, help="coordinates (re or re,im interleaved)")
     common(sub.add_parser("trace", help="trace-test an affine curve witness"))
     common(sub.add_parser("decompose", help="numerical irreducible decomposition"))
     common(sub.add_parser("segre", help="degree under the Segre embedding"))

@@ -13,14 +13,15 @@ together: k1, the three RK4 stages, the corrector and the t = 0 sharpening
 each make one kernel call on a (B, n) batch and one stacked solve; the
 next chunk starts when no row is left.  Each path keeps its own t, step,
 streak, steps, crawl count and norm history (`_Path`), and the rules of a
-path tracked alone judge its row.  A path may also have its own target:
-a row of constants subtracted from the target's last rows (a per-path
-shift), which the batch carries next to the rows' points and k1 and the
+path tracked alone judge its row.  Each path also has its own target: a
+row of constants subtracted from the target's last rows (its shift),
+which the batch carries and subsets like the rows' points and k1 and the
 kernel applies row by row, so many targets that differ only in their
-constants share one homotopy (a coefficient-parameter homotopy).  A row's
-arithmetic never reads another row, so a path's result does not depend
-on the batch: not on its size, its order or the other paths in it.
-`track_path` is `track_many` on one start point.
+constants share one homotopy (a coefficient-parameter homotopy).  A path
+without a target of its own has a shift of zero columns, which the kernel
+skips.  A row's arithmetic never reads another row, so a path's result
+does not depend on the batch: not on its size, its order or the other
+paths in it.  `track_path` is `track_many` on one start point.
 
 One evaluation per point: `Homotopy.evaluate` gives H, J_x and dH/dt at
 (x, t) from one kernel call, and the residual scale only when the
@@ -41,17 +42,18 @@ instead of an exception, which the finiteness tests classify.
 
 Every homotopy, start systems and slice motions alike, goes through
 `track_slice_motion`, which draws its gamma from the caller's random
-stream, under one failed-path policy: a diverged path gives None, and any
-failed path raises IndeterminateError.  A motion to many shifted targets
-at once (`shifts`) applies the policy per target: a target with a failed
-path gets None in place of its endpoints, and the other targets keep
-theirs.
+stream and tracks its points to one or more shifted targets under one
+failed-path policy: a diverged path gives None, and a target with a failed
+path gets None in place of its endpoints while the other targets keep
+theirs.  A plain motion is one target with no shift, whose failed path
+raises IndeterminateError.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -119,7 +121,8 @@ class Homotopy(_Compiled):
     precision.  The Davidenko ODE is J_x x'(t) = -dH/dt.  A per-point
     `shift` of evaluate moves the target to T - shift, row by row on the
     last rows: H gains -(1-t)*shift, dH/dt gains +shift, the scale gains
-    |1-t| * |shift| and J_x stays as it is."""
+    |1-t| * |shift| and J_x stays as it is.  A shift of zero columns is no
+    shift."""
 
     def __init__(
         self,
@@ -160,32 +163,31 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def _newton(evaluate, x: np.ndarray, t: np.ndarray, tol: float,
+def _newton(h: _Compiled, x: np.ndarray, t: np.ndarray, s: np.ndarray, tol: float,
             max_iters: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Newton's method on rows of a square system: row i of x is corrected
-    at t[i], on its own, and the rows still iterating share one kernel call
-    and one stacked solve per iteration.
+    at t[i] with shift s[i] (see `_Compiled.evaluate`), on its own, and the
+    rows still iterating share one kernel call of h and one stacked solve
+    per iteration.
 
-    evaluate(x, t) gives (values, scale, Jacobian, ...) at the rows of x from
-    one kernel call; t holds one entry per row, a float or a record of `_at`
-    with the row's shift, and is subset with the rows.  A row stops once its
-    relative residual is below tol or after max_iters steps, or as soon as
-    its iterate is not finite, as a singular Jacobian makes it: such a row
-    has residual nan.  A stopped row stays as it is and is not evaluated
-    again.  Returns (points, the relative residual of each, the evaluation
-    at each as a tuple of row arrays with one row per point, never None)."""
-    ev = evaluate(x, t)
+    A row stops once its relative residual is below tol or after max_iters
+    steps, or as soon as its iterate is not finite, as a singular Jacobian
+    makes it: such a row has residual nan.  A stopped row stays as it is and
+    is not evaluated again.  Returns (points, the relative residual of each,
+    the evaluation at each as a tuple of row arrays with one row per point,
+    never None)."""
+    ev = h.evaluate(x, t, True, s)
     res = relative_residual(ev[0], ev[1])
     for _ in range(max_iters):
         live = res >= tol  # False for nan
         if live.all():
             x = x - _solve(ev[2], ev[0])
-            ev = evaluate(x, t)
+            ev = h.evaluate(x, t, True, s)
             res = relative_residual(ev[0], ev[1])
         elif live.any():
             x = x.copy()
             x[live] = x[live] - _solve(ev[2][live], ev[0][live])
-            part = evaluate(x[live], t[live])
+            part = h.evaluate(x[live], t[live], True, s[live])
             res[live] = relative_residual(part[0], part[1])
             for whole, fresh in zip(ev, part):
                 whole[live] = fresh
@@ -208,9 +210,11 @@ def newton_refine(system: PolySystem, points: Sequence) -> list[np.ndarray | Non
     for first in range(0, len(given), BATCH_PATHS):
         chunk = given[first:first + BATCH_PATHS]
         x = np.array([points[i] for i in chunk], dtype=complex)
+        if x.shape[1] != system.grouping.nvars:
+            raise ValueError(f"points have {x.shape[1]} coordinates, not {system.grouping.nvars}")
         with np.errstate(invalid="ignore"):
-            x, res, ev = _newton(lambda p, t: system.kernel(p, scaled=True), x,
-                                 np.zeros(len(x)), REFINE_TOL, REFINE_ITERS)
+            x, res, ev = _newton(system._compiled, x, np.zeros(len(x)), np.zeros((len(x), 0)),
+                                 REFINE_TOL, REFINE_ITERS)
             # a non-finite iterate, which a singular solve leaves, has residual nan
             ok = res < REFINE_TOL
             s = np.linalg.svd(ev[2][ok], compute_uv=False)
@@ -235,7 +239,7 @@ class _Path:
         self.streak = 0
         self.steps = 0
         self.crawl = 0  # accepted steps spent creeping toward a blow-up time
-        self.norms = [norm]  # the last 8 norms
+        self.norms = deque([norm], maxlen=8)  # the last 8 norms
         self.initial = norm
         self.blowup = 1e4 * max(1.0, norm)
 
@@ -247,8 +251,6 @@ class _Path:
         self.steps += 1
         self.streak += 1
         self.norms.append(norm)
-        if len(self.norms) > 8:
-            self.norms.pop(0)
         if norm > DIVERGENCE_NORM:
             return "diverged"
         # A path blowing up at an interior time creeps: t stagnates while the
@@ -280,50 +282,24 @@ class _Path:
         return None
 
 
-def _scaled(h: Homotopy):
-    """h's kernel with the residual scale, as `_newton` calls it: at the
-    rows' t, or at the t and shift of each record of `_at`."""
-    def evaluate(x: np.ndarray, t: np.ndarray) -> tuple:
-        if t.dtype.names:
-            return h.evaluate(x, t["t"], scaled=True, shift=t["shift"])
-        return h.evaluate(x, t, scaled=True)
-    return evaluate
-
-
-def _at(t: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
-    """The rows' t as `_newton` takes it: t itself for rows without
-    shifts, else one record per row of its t and its shift, so that
-    `_newton` subsets the shifts with the rows it still corrects."""
-    if shift is None:
-        return t
-    rows = np.empty(len(t), dtype=[("t", float), ("shift", complex, shift.shape[1:])])
-    rows["t"], rows["shift"] = t, shift
-    return rows
-
-
-def _take(shift: np.ndarray | None, rows) -> np.ndarray | None:
-    """The shifts of `rows`, or None for rows without shifts."""
-    return None if shift is None else shift[rows]
-
-
-def _start(h: Homotopy, starts: Sequence, shifts: np.ndarray | None, index: range,
+def _start(h: Homotopy, starts: Sequence, shifts: np.ndarray, index: range,
            results: list) -> tuple:
     """Correct the start points at `index` on H(x; 1), each with its row of
     `shifts`.  A start that does not correct is a failed path of 0 steps;
     returns (paths, points, k1, shifts) of the others, which begin at t = 1."""
     x = np.array([starts[i] for i in index], dtype=complex)
-    s = _take(shifts, index)
-    x, res, ev = _newton(_scaled(h), x, _at(np.ones(len(x)), s), NEWTON_TOL, MAX_NEWTON_ITERS)
+    s = shifts[index]
+    x, res, ev = _newton(h, x, np.ones(len(x)), s, NEWTON_TOL, MAX_NEWTON_ITERS)
     ok = res < NEWTON_TOL
     for i, good in zip(index, ok):
         if not good:
             results[i] = PathResult("failed", None, 0)
     x = x[ok]
     k1 = _solve(ev[2][ok], ev[3][ok])
-    return [_Path(i, _norm(p)) for i, p in zip(np.array(index)[ok], x)], x, k1, _take(s, ok)
+    return [_Path(i, _norm(p)) for i, p in zip(np.array(index)[ok], x)], x, k1, s[ok]
 
 
-def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, s: np.ndarray | None,
+def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, s: np.ndarray,
              results: list) -> tuple:
     """One step attempt of every live path, in lockstep: each RK4 stage, the
     corrector and the t = 0 sharpening make one kernel call and one stacked
@@ -342,7 +318,7 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, s: np.ndar
         ks.append(_solve(J, dhdt))
     _, k2, k3, k4 = ks
     xp = x + (dt / 6.0)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
-    xc, res, ev = _newton(_scaled(h), xp, _at(to, s), NEWTON_TOL, MAX_NEWTON_ITERS)
+    xc, res, ev = _newton(h, xp, to, s, NEWTON_TOL, MAX_NEWTON_ITERS)
     accepted = (res < NEWTON_TOL) & np.isfinite(xp).all(axis=1)
 
     live, ended = [], []
@@ -355,25 +331,24 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, s: np.ndar
         else:
             results[p.index] = PathResult(status, None, p.steps)
     if ended:  # final sharpening against the t = 0 system
-        at = _at(np.zeros(len(ended)), _take(s, ended))
-        ends, res, _ = _newton(_scaled(h), xc[ended], at, END_TOL, 30)
+        ends, res, _ = _newton(h, xc[ended], np.zeros(len(ended)), s[ended], END_TOL, 30)
         for i, end, r in zip(ended, ends, res):
             p = paths[i]
             results[p.index] = (PathResult("converged", end.copy(), p.steps) if r < END_TOL
                                 else PathResult("failed", None, p.steps))
     if len(live) == len(paths) and accepted.all():  # the new arrays replace the old
         return paths, xc, _solve(ev[2], ev[3]), s
-    x = np.where(accepted[:, None], xc, x)[live]
-    k1 = k1[live]
-    fresh = accepted[live]
+    keep = np.array(live, dtype=np.intp)
+    x = np.where(accepted[:, None], xc, x)[keep]
+    k1 = k1[keep]
+    fresh = accepted[keep]
     if fresh.any():
-        rows = np.array(live)[fresh]
+        rows = keep[fresh]
         k1[fresh] = _solve(ev[2][rows], ev[3][rows])
-    return [paths[i] for i in live], x, k1, _take(s, live)
+    return [paths[i] for i in live], x, k1, s[keep]
 
 
-def _track_rows(h: Homotopy, starts: Sequence,
-                shifts: np.ndarray | None = None) -> list[PathResult]:
+def _track_rows(h: Homotopy, starts: Sequence, shifts: np.ndarray) -> list[PathResult]:
     """The engine of `track_many`: the start points in chunks of BATCH_PATHS,
     each started at once and advanced until none of its paths is live."""
     if len(starts) and h.rows != h.nvars:
@@ -390,12 +365,15 @@ def _track_rows(h: Homotopy, starts: Sequence,
 def track_many(h: Homotopy, starts: Sequence,
                shifts: np.ndarray | None = None) -> list[PathResult]:
     """Track every start point along h; results ordered by input index.
-    Row i of a (len(starts), m) array `shifts`, if given, is subtracted from
-    the target constants of the last m rows of h for path i alone (see
-    `_Compiled.evaluate`).  The paths move in lockstep, but every rule
+    Row i of a (len(starts), m) array `shifts` is subtracted from the target
+    constants of the last m rows of h for path i alone (see
+    `_Compiled.evaluate`); without `shifts` every path has a shift of zero
+    columns, which is none.  The paths move in lockstep, but every rule
     applies to each path on its own, so a path's result does not depend on
     the others.  numpy's overflow and invalid-value warnings are off: the
     finiteness tests classify a diverging path and a singular Jacobian."""
+    if shifts is None:
+        shifts = np.zeros((len(starts), 0))
     with np.errstate(over="ignore", invalid="ignore"):
         return _track_rows(h, starts, shifts)
 
@@ -415,31 +393,32 @@ def track_slice_motion(
 ) -> list:
     """Track points of V(fixed, old_rows) to V(fixed, new_rows) along
     [fixed; t*gamma*old_rows + (1-t)*new_rows], gamma = rs.unit_complex().
-    Endpoints come back in the order of `points`, None for a diverged path;
-    a failed path raises IndeterminateError.  Each motion draws, so motions
-    meant to share a gamma pass equal substreams.  With no rows in motion
-    the points come back unchanged and no path is tracked.
+    Each motion draws, so motions meant to share a gamma pass equal
+    substreams.  With no rows in motion the points come back unchanged and
+    no path is tracked.
 
-    With a (Q, len(new_rows)) array `shifts`, every point is tracked to each
-    of the Q targets new_rows - shifts[q] (new_rows minus a constant per
-    row), in one homotopy with one gamma and one lockstep batch of Q times
-    as many paths.  Then one endpoint list comes back per target, and a
-    target with a failed path gets None in place of its list: the failure
-    is that target's alone, and nothing is raised."""
+    With a (Q, m) array `shifts`, every point is tracked to each of the Q
+    targets new_rows - shifts[q] (the last m rows each minus a constant),
+    in one homotopy with one gamma and one lockstep batch of Q times as many
+    paths, and one list of endpoints comes back per target, in the order of
+    `points`, with None for a diverged path.  A target with a failed path
+    gets None in place of its list: the failure is that target's alone.
+    Without `shifts` the motion is one target with a shift of zero columns,
+    and its list comes back alone; a failed path raises IndeterminateError."""
     if not old_rows and not new_rows:
         return list(points) if shifts is None else [list(points) for _ in shifts]
     h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), rs.unit_complex(), fixed)
-    if shifts is None:
-        results = track_many(h, points)
-        failed = sum(r.status == "failed" for r in results)
-        if failed:
-            raise IndeterminateError(f"{failed} of {len(results)} paths failed")
-        return [r.endpoint for r in results]
+    targets = np.zeros((1, 0)) if shifts is None else shifts
     n = len(points)
-    results = track_many(h, list(points) * len(shifts), np.repeat(shifts, n, axis=0))
-    per_target = (results[q * n:(q + 1) * n] for q in range(len(shifts)))
-    return [None if any(r.status == "failed" for r in ends) else [r.endpoint for r in ends]
-            for ends in per_target]
+    results = track_many(h, list(points) * len(targets), np.repeat(targets, n, axis=0))
+    ends = []
+    for q in range(len(targets)):
+        mine = results[q * n:(q + 1) * n]
+        failed = sum(r.status == "failed" for r in mine)
+        if failed and shifts is None:
+            raise IndeterminateError(f"{failed} of {n} paths failed")
+        ends.append(None if failed else [r.endpoint for r in mine])
+    return ends[0] if shifts is None else ends
 
 
 def points_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import multiwit.cli as cli
 import multiwit.fixtures as fixtures
 import multiwit.nid as nid
 from multiwit import IndeterminateError
@@ -75,6 +76,14 @@ def test_member_two_lines(capsys):
     off = ["member", "--fixture", "two-lines", "--point", "0.3 0.4"]
     code, doc = run_json(off, capsys)
     assert code == EXIT_OK and doc == {"member": False}
+
+
+def test_member_without_point_computes_nothing(monkeypatch):
+    # a missing --point is an input error before any witness set is computed
+    calls = []
+    monkeypatch.setattr(cli, "compute_witness_collection", lambda *a: calls.append(a))
+    assert run(["member", "--fixture", "two-lines"]) == EXIT_INPUT
+    assert calls == []
 
 
 def test_member_reads_interleaved_re_im_points(capsys):

@@ -146,7 +146,7 @@ def test_one_newton_loop():
     (newton,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
                  and fn.name == "_newton"]
     params = [arg.arg for arg in newton.args.args + newton.args.kwonlyargs]
-    assert params == ["evaluate", "x", "t", "tol", "max_iters"]
+    assert params == ["h", "x", "t", "s", "tol", "max_iters"]
 
 
 def test_nothing_tracks_one_path_at_a_time():

@@ -172,8 +172,8 @@ def test_solve_zero_dim_reports_a_failed_start_path(monkeypatch):
     slices = [random_affine_form(g, [0, 1], rs(15))]
     track_many = multiwit.tracker.track_many
 
-    def second_fails(h, starts):
-        results = track_many(h, starts)
+    def second_fails(h, starts, shifts=None):
+        results = track_many(h, starts, shifts)
         results[1] = PathResult("failed", None, 0)
         return results
 

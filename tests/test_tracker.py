@@ -21,6 +21,7 @@ from multiwit import (
 )
 from multiwit.fixtures import get_fixture
 from multiwit.tracker import dedupe_points, points_equal, track_slice_motion
+from multiwit.witness import passes_through
 
 from conftest import extended, rs
 
@@ -211,13 +212,14 @@ def complex_normal(rng, *shape):
 def test_kernel_rows_match_one_point_calls(with_fixed):
     # every row of a batched call is bit for bit the call on a batch of that
     # one row, with that row's shift if the call has shifts, scaled or not,
-    # as the batch grows, shrinks to a prefix and grows again
+    # as the batch grows, shrinks to a prefix and grows again; a shift of
+    # zero columns gives the unshifted rows bit for bit
     rng = np.random.default_rng(8)
     h = fused_homotopy(with_fixed, rng)
-    for count, shifted in itertools.product((5, 2, 7, 1), (False, True)):
+    for count, width in itertools.product((5, 2, 7, 1), (None, 0, 2)):
         x = complex_normal(rng, count, 4)
         t = rng.uniform(0.01, 0.99, size=count)
-        shift = complex_normal(rng, count, 2) if shifted else None
+        shift = None if width is None else complex_normal(rng, count, width)
         for scaled in (False, True):
             rows = h.evaluate(x, t, scaled, shift)
             for i in range(count):
@@ -226,6 +228,10 @@ def test_kernel_rows_match_one_point_calls(with_fixed):
                 assert (rows[1] is None) == (one[1] is None) == (not scaled)
                 assert all(r[i].tobytes() == o[0].tobytes() for r, o in zip(rows, one)
                            if o is not None)
+            if width == 0:
+                plain = h.evaluate(x, t, scaled)
+                assert all((r is None and p is None) or r.tobytes() == p.tobytes()
+                           for r, p in zip(rows, plain))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -260,8 +266,10 @@ def test_shifted_kernel_matches_translated_targets(with_fixed, m):
 
 def test_slice_motion_to_shifted_targets():
     # one motion to three targets new - c ends where each motion to the
-    # translated row ends, with the same gamma; a zero shift is the plain
-    # motion bit for bit; and a failed path voids its own target only
+    # translated row ends, with the same gamma; a zero shift, and a shift of
+    # zero columns, is the plain motion bit for bit, and a shift of zero
+    # columns from passes_through with no forms tracks nothing; and a
+    # failed path voids its own target only
     g = VariableGrouping.from_sizes([2], ["x", "y"])
     x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
     fixed = PolySystem([x**2 + y**2 - 2])
@@ -275,6 +283,8 @@ def test_slice_motion_to_shifted_targets():
         assert all(points_equal(a, b) for a, b in zip(ends, alone, strict=True))
     plain = track_slice_motion(fixed, old, new, points, rs(3))
     assert [p.tobytes() for p in batched[0]] == [p.tobytes() for p in plain]
+    (unshifted,) = track_slice_motion(fixed, old, new, points, rs(3), shifts=np.zeros((1, 0)))
+    assert [p.tobytes() for p in unshifted] == [p.tobytes() for p in plain]
 
     track = multiwit.tracker.track_many
 
@@ -286,6 +296,9 @@ def test_slice_motion_to_shifted_targets():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multiwit.tracker, "track_many", second_target_fails)
         voided = track_slice_motion(fixed, old, new, points, rs(3), shifts=shifts)
+        # no forms: one (1, 0) shift and no path, so the failing tracker is not reached
+        assert passes_through(fixed, [], points, [points[1]], rs(3)) == [True]
+        assert passes_through(fixed, [], points, [points[0] + 1], rs(3)) == [False]
     assert voided[1] is None
     assert [[p.tobytes() for p in voided[k]] for k in (0, 2)] == \
         [[p.tobytes() for p in batched[k]] for k in (0, 2)]
@@ -337,14 +350,9 @@ def captured_homotopies():
         (args, kwargs), = queries
         membership(*args, **kwargs)
     assert len(captured) == octahedron + 1
-    assert all(shifts is None for _, _, shifts in captured[:octahedron])
+    assert all(shifts.shape == (len(starts), 0) for _, starts, shifts in captured[:octahedron])
     assert len(captured[-1][2]) == len(captured[-1][1]) > 64  # more than one chunk
     return captured
-
-
-def shift_rows(shifts, index):
-    """The shifts of the paths at `index`, or None for a homotopy without."""
-    return None if shifts is None else shifts[index]
 
 
 def fingerprint(results):
@@ -356,20 +364,31 @@ def fingerprint(results):
 def test_results_do_not_depend_on_the_batch(captured_homotopies, monkeypatch):
     # one batch, one call per start, the starts reversed, and the starts in
     # chunks of two all give the same paths, bit for bit
-    # (each path with its own shift, where the homotopy has shifts)
+    # (each path with its own shift)
     statuses = set()
     for h, starts, shifts in captured_homotopies:
         together = fingerprint(track_many(h, starts, shifts))
-        assert fingerprint([track_many(h, [s], shift_rows(shifts, [i]))[0]
+        assert fingerprint([track_many(h, [s], shifts[[i]])[0]
                             for i, s in enumerate(starts)]) == together
-        assert fingerprint(track_many(h, starts[::-1], shift_rows(shifts, slice(None, None, -1)))
-                           [::-1]) == together
+        assert fingerprint(track_many(h, starts[::-1], shifts[::-1])[::-1]) == together
         with monkeypatch.context() as mp:
             mp.setattr(multiwit.tracker, "BATCH_PATHS", 2)
             assert fingerprint(track_many(h, starts, shifts)) == together
         statuses |= {status for status, _, _ in together}
     assert statuses == {"converged", "diverged"}
     assert max(len(starts) for _, starts, _ in captured_homotopies) > 2
+
+
+def test_captured_homotopies_keep_their_counters(captured_homotopies):
+    # the totals of the fixture's homotopies are pinned: paths, each status
+    # and steps, so a change that moves a path shows here
+    results = [r for h, starts, shifts in captured_homotopies
+               for r in track_many(h, starts, shifts)]
+    assert len(captured_homotopies) == 16
+    assert len(results) == 204
+    assert [sum(r.status == s for r in results) for s in ("converged", "diverged", "failed")] \
+        == [195, 9, 0]
+    assert sum(r.steps_taken for r in results) == 3271
 
 
 def test_starts_go_in_fixed_chunks(monkeypatch):
@@ -381,7 +400,7 @@ def test_starts_go_in_fixed_chunks(monkeypatch):
     chunks, start = [], multiwit.tracker._start
 
     def spied(h, starts, shifts, index, results):
-        assert shifts is None  # a homotopy without shifts carries none
+        assert shifts.shape == (5, 0)  # a homotopy without shifts carries zero columns
         chunks.append(index)
         return start(h, starts, shifts, index, results)
 
@@ -405,7 +424,7 @@ def test_pentad_start_paths_are_pinned():
     class Captured(Exception):
         pass
 
-    def capture(h, starts):
+    def capture(h, starts, shifts=None):
         captured.append((h, starts[::384]))
         raise Captured
 
@@ -451,8 +470,8 @@ def test_tracker_hooks_seen_from_outside(monkeypatch):
     homotopies, solved = [], []
     track, solve = multiwit.tracker.track_many, multiwit.tracker._solve
 
-    def tracked(h, points):
-        homotopies.append((points, track(h, points)))
+    def tracked(h, points, shifts=None):
+        homotopies.append((points, track(h, points, shifts)))
         return homotopies[-1][1]
 
     def solving(J, b):
@@ -463,7 +482,8 @@ def test_tracker_hooks_seen_from_outside(monkeypatch):
     monkeypatch.setattr(multiwit.tracker, "_solve", solving)
     ends = track_slice_motion(None, [x**3 - 1], [x**3 - 2 * x + 0.5], starts, rs(5))
     ((points, results),) = homotopies
-    assert points is starts and len(results) == len(starts)
+    assert all(p is s for p, s in zip(points, starts, strict=True))
+    assert len(results) == len(starts)
     assert all(r.converged for r in results)
     assert all(np.array_equal(e, r.endpoint) for e, r in zip(ends, results))
     # per accepted step at least the three RK4 stages after k1
@@ -507,9 +527,9 @@ def test_tracker_solve_tracks_like_numpy_solve(monkeypatch):
     homotopies = []
     track = multiwit.tracker.track_many
 
-    def recorded(h, starts):
+    def recorded(h, starts, shifts=None):
         homotopies.append((h, starts))
-        return track(h, starts)
+        return track(h, starts, shifts)
 
     monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
     source = RandomSource(seed=7, stream=1003)
@@ -544,8 +564,8 @@ def test_overflowing_predictor_warns_nothing(monkeypatch):
     homotopies = []
     track_many = multiwit.tracker.track_many
 
-    def recorded(h, starts):
-        homotopies.append((h, starts, track_many(h, starts)))
+    def recorded(h, starts, shifts=None):
+        homotopies.append((h, starts, track_many(h, starts, shifts)))
         return homotopies[-1][2]
 
     monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
@@ -559,7 +579,7 @@ def test_overflowing_predictor_warns_nothing(monkeypatch):
         for start, result in zip(starts, results, strict=True):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                (alone,) = multiwit.tracker._track_rows(h, [start])
+                (alone,) = multiwit.tracker._track_rows(h, [start], np.zeros((1, 0)))
             overflowed += any(issubclass(w.category, RuntimeWarning) for w in caught)
             assert (alone.status, alone.steps_taken) == (result.status, result.steps_taken)
     assert overflowed
@@ -571,6 +591,8 @@ def test_newton_refine_quadratic_convergence():
     F = PolySystem([x**2 + y**2 - 2, x - y])
     (p,) = newton_refine(F, [np.array([1.01, 0.99], dtype=complex)])
     assert np.allclose(p, [1.0, 1.0], atol=1e-10)
+    with pytest.raises(ValueError, match="coordinates"):  # a point of the wrong size
+        newton_refine(F, [np.array([1.01 + 0j])])
 
 
 def test_newton_refine_singular_gives_none():
@@ -619,9 +641,9 @@ def test_newton_refine_goes_in_chunks(monkeypatch):
     alone = [newton_refine(F, [p])[0] for p in points]
     rows, newton = [], multiwit.tracker._newton
 
-    def spied(evaluate, x, t, tol, max_iters):
+    def spied(h, x, t, s, tol, max_iters):
         rows.append(len(x))
-        return newton(evaluate, x, t, tol, max_iters)
+        return newton(h, x, t, s, tol, max_iters)
 
     monkeypatch.setattr(multiwit.tracker, "BATCH_PATHS", 2)
     monkeypatch.setattr(multiwit.tracker, "_newton", spied)
@@ -640,14 +662,16 @@ def test_newton_freezes_a_stopped_row():
     g, x = univariate()
     F = PolySystem([x**2 - 4])
     batch = np.array([[2 + 0j], [0j], [5 + 1j]])
-    calls = []
+    calls, table = [], F._compiled
 
-    def evaluate(p, t):
-        calls.append(p[:, 0])
-        return F.kernel(p, scaled=True)
+    class Spied:
+        def evaluate(self, p, *args):
+            calls.append(p[:, 0])
+            return table.evaluate(p, *args)
 
     def run(x):
-        return multiwit.tracker._newton(evaluate, x, np.zeros(len(x)), 1e-10, 20)
+        return multiwit.tracker._newton(Spied(), x, np.zeros(len(x)), np.zeros((len(x), 0)),
+                                        1e-10, 20)
 
     with np.errstate(invalid="ignore"):
         points, res, ev = run(batch)

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Fingerprint every path the benchmark workflows track.
+
+    python3 tools/path_fingerprint.py octa-chain --seeds 20230529 1 2 3 --draws 0 1
+    python3 tools/path_fingerprint.py nid-decompose --seeds 20230529 1 2 --draws 0 1
+
+For each (workload, seed, draw) one line: the workflow's attempted and failed
+steps, the paths that `tracker.track_many` returned, the kernel calls
+(`algebra._Compiled.evaluate`), and a SHA-256 over each of those PathResults
+in call order: its status, its steps taken and its endpoint's bytes.  Two
+trees that print the same lines track the same paths bit for bit, with the
+same kernel calls.
+
+Run from the repository root: the library comes from ./src and the
+workflows from bench/workloads.py, which this script only imports.  A draw
+runs to its end, without the benchmark's work budget and time limit.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # one thread, as bench/run.py pins it
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import multiwit.algebra as algebra  # noqa: E402
+import multiwit.tracker as tracker  # noqa: E402
+import workloads  # noqa: E402
+
+
+def fingerprint(workload: str, seed: int, draw: int, setup) -> str:
+    """The line of one draw; wraps the tracker and the kernel while it runs."""
+    digest, counts = hashlib.sha256(), {"paths": 0, "calls": 0}
+    track, evaluate = tracker.track_many, algebra._Compiled.evaluate
+
+    def tracked(*args, **kwargs):
+        results = track(*args, **kwargs)
+        for r in results:
+            digest.update(f"{r.status}:{r.steps_taken}:".encode())
+            digest.update(b"-" if r.endpoint is None else r.endpoint.tobytes())
+        counts["paths"] += len(results)
+        return results
+
+    def counted(self, *args, **kwargs):
+        counts["calls"] += 1
+        return evaluate(self, *args, **kwargs)
+
+    gate = workloads.Gate()
+    tracker.track_many, algebra._Compiled.evaluate = tracked, counted
+    try:
+        workloads.WORKFLOWS[workload](setup, seed, draw, gate)
+    finally:
+        tracker.track_many, algebra._Compiled.evaluate = track, evaluate
+    return (f"{workload} seed={seed} draw={draw} attempted={gate.attempted} "
+            f"failed={gate.failed} paths={counts['paths']} kernel_calls={counts['calls']} "
+            f"sha256={digest.hexdigest()}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("workload", choices=("octa-chain", "richardson-chain", "nid-decompose"))
+    ap.add_argument("--seeds", type=int, nargs="+", default=[20230529])
+    ap.add_argument("--draws", type=int, nargs="+", default=[0])
+    args = ap.parse_args(argv)
+    nid_seeds = workloads.NID_SEEDS if args.workload == "nid-decompose" else 0
+    setup = workloads.Setup(args.workload, len(args.draws), nid_seeds)
+    for seed in args.seeds:
+        for draw in args.draws:
+            print(fingerprint(args.workload, seed, draw, setup), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
