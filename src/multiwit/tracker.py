@@ -210,8 +210,8 @@ def newton_refine(system: PolySystem, points: Sequence) -> list[np.ndarray | Non
     for first in range(0, len(given), BATCH_PATHS):
         chunk = given[first:first + BATCH_PATHS]
         x = np.array([points[i] for i in chunk], dtype=complex)
-        if x.shape[1] != system.grouping.nvars:
-            raise ValueError(f"points have {x.shape[1]} coordinates, not {system.grouping.nvars}")
+        if x.ndim != 2 or x.shape[1] != system.grouping.nvars:
+            raise ValueError(f"points need {system.grouping.nvars} coordinates, not {x.shape[1:]}")
         with np.errstate(invalid="ignore"):
             x, res, ev = _newton(system._compiled, x, np.zeros(len(x)), np.zeros((len(x), 0)),
                                  REFINE_TOL, REFINE_ITERS)
@@ -410,7 +410,8 @@ def track_slice_motion(
     h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), rs.unit_complex(), fixed)
     targets = np.zeros((1, 0)) if shifts is None else shifts
     n = len(points)
-    results = track_many(h, list(points) * len(targets), np.repeat(targets, n, axis=0))
+    starts = points if shifts is None else list(points) * len(targets)
+    results = track_many(h, starts, np.repeat(targets, n, axis=0))
     ends = []
     for q in range(len(targets)):
         mine = results[q * n:(q + 1) * n]

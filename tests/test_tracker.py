@@ -1,3 +1,4 @@
+import collections
 import itertools
 import warnings
 
@@ -364,8 +365,10 @@ def fingerprint(results):
 def test_results_do_not_depend_on_the_batch(captured_homotopies, monkeypatch):
     # one batch, one call per start, the starts reversed, and the starts in
     # chunks of two all give the same paths, bit for bit
-    # (each path with its own shift)
-    statuses = set()
+    # (each path with its own shift); and the totals over the fixture's
+    # homotopies are pinned (paths, each status, steps), so a change that
+    # moves a path shows here
+    counts, steps = collections.Counter(), 0
     for h, starts, shifts in captured_homotopies:
         together = fingerprint(track_many(h, starts, shifts))
         assert fingerprint([track_many(h, [s], shifts[[i]])[0]
@@ -374,21 +377,12 @@ def test_results_do_not_depend_on_the_batch(captured_homotopies, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(multiwit.tracker, "BATCH_PATHS", 2)
             assert fingerprint(track_many(h, starts, shifts)) == together
-        statuses |= {status for status, _, _ in together}
-    assert statuses == {"converged", "diverged"}
+        counts.update(status for status, _, _ in together)
+        steps += sum(taken for _, taken, _ in together)
     assert max(len(starts) for _, starts, _ in captured_homotopies) > 2
-
-
-def test_captured_homotopies_keep_their_counters(captured_homotopies):
-    # the totals of the fixture's homotopies are pinned: paths, each status
-    # and steps, so a change that moves a path shows here
-    results = [r for h, starts, shifts in captured_homotopies
-               for r in track_many(h, starts, shifts)]
     assert len(captured_homotopies) == 16
-    assert len(results) == 204
-    assert [sum(r.status == s for r in results) for s in ("converged", "diverged", "failed")] \
-        == [195, 9, 0]
-    assert sum(r.steps_taken for r in results) == 3271
+    assert counts == {"converged": 195, "diverged": 9}
+    assert steps == 3271
 
 
 def test_starts_go_in_fixed_chunks(monkeypatch):
@@ -482,7 +476,7 @@ def test_tracker_hooks_seen_from_outside(monkeypatch):
     monkeypatch.setattr(multiwit.tracker, "_solve", solving)
     ends = track_slice_motion(None, [x**3 - 1], [x**3 - 2 * x + 0.5], starts, rs(5))
     ((points, results),) = homotopies
-    assert all(p is s for p, s in zip(points, starts, strict=True))
+    assert points is starts
     assert len(results) == len(starts)
     assert all(r.converged for r in results)
     assert all(np.array_equal(e, r.endpoint) for e, r in zip(ends, results))
@@ -591,8 +585,9 @@ def test_newton_refine_quadratic_convergence():
     F = PolySystem([x**2 + y**2 - 2, x - y])
     (p,) = newton_refine(F, [np.array([1.01, 0.99], dtype=complex)])
     assert np.allclose(p, [1.0, 1.0], atol=1e-10)
-    with pytest.raises(ValueError, match="coordinates"):  # a point of the wrong size
-        newton_refine(F, [np.array([1.01 + 0j])])
+    for wrong in (np.array([1.01 + 0j]), np.array([[1.01], [0.99]], dtype=complex)):
+        with pytest.raises(ValueError, match="coordinates"):  # a point of the wrong shape
+            newton_refine(F, [wrong])
 
 
 def test_newton_refine_singular_gives_none():
