@@ -73,6 +73,8 @@ def _parse_keys(text: str, k: int) -> list[tuple[int, ...]]:
 
 def _parse_point(text: str, nvars: int) -> np.ndarray:
     vals = [float(v) for v in text.replace(",", " ").split()]
+    if not np.isfinite(vals).all():
+        raise InputError(f"point {text!r} has a coordinate that is not finite")
     if len(vals) == nvars:
         return np.asarray(vals, dtype=complex)
     if len(vals) == 2 * nvars:
@@ -97,7 +99,8 @@ def _load_system(args):
     raise InputError("need --fixture NAME or --input PATH")
 
 
-def _witness_collection(args):
+def _witness_collection(args, check=lambda system: None):
+    """The witness collection, computed once `check(system)` has passed."""
     F, default_keys = _load_system(args)
     if args.keys:
         keys = _parse_keys(args.keys, F.grouping.k)
@@ -105,6 +108,7 @@ def _witness_collection(args):
         keys = default_keys
     else:
         raise InputError("no --keys given and the input has no default keys")
+    check(F)
     rs = RandomSource(seed=args.seed)
     return compute_witness_collection(F, keys, rs)
 
@@ -135,7 +139,7 @@ def cmd_dim(args) -> dict:
 
 
 def cmd_slice(args) -> dict:
-    wc = _witness_collection(args)
+    wc = _witness_collection(args, lambda system: system.grouping.check_group(args.group))
     sliced = slice_collection(wc, args.group)
     return {
         "group": args.group,
@@ -145,13 +149,17 @@ def cmd_slice(args) -> dict:
 
 def cmd_refine(args) -> dict:
     try:
-        group_s, size_s = args.split.split(":")
-        split = (int(group_s), int(size_s))
+        split = tuple(int(x) for x in args.split.split(":"))
+        group, first = split
     except ValueError:
         raise InputError("--split must look like GROUP:FIRST_SIZE") from None
-    wc = _witness_collection(args)
-    group, first = split
-    wc.grouping.check_group(group)
+
+    def fits(system):
+        system.grouping.check_group(group)
+        if not 0 < first < len(system.grouping.blocks[group]):
+            raise InputError(f"--split {args.split} leaves a part of group {group} empty")
+
+    wc = _witness_collection(args, fits)
     rs = RandomSource(seed=args.seed, stream=3)
     streams = itertools.count()
     out = {}
@@ -172,7 +180,13 @@ def cmd_coarsen(args) -> dict:
             raise ValueError
     except ValueError:
         raise InputError("--merge must look like A:B[,A:B...] (group indices)") from None
-    wc = _witness_collection(args)
+
+    def fits(system):  # each merge on the grouping the merges before it leave
+        grouping = system.grouping
+        for merge in merges:
+            grouping = grouping.merge(*sorted(merge))
+
+    wc = _witness_collection(args, fits)
     rs = RandomSource(seed=args.seed, stream=5)
     runs = []
     for mi, merge in enumerate(merges):
@@ -192,10 +206,12 @@ def cmd_coarsen(args) -> dict:
 
 
 def cmd_member(args) -> dict:
-    wc = _witness_collection(args)
-    point = _parse_point(args.point, wc.system.grouping.nvars)
+    def point(system):
+        return _parse_point(args.point, system.grouping.nvars)
+
+    wc = _witness_collection(args, point)
     rs = RandomSource(seed=args.seed, stream=7)
-    return {"member": bool(membership(wc, point, rs))}
+    return {"member": bool(membership(wc, point(wc.system), rs))}
 
 
 def cmd_trace(args) -> dict:
@@ -251,13 +267,8 @@ def cmd_class(args) -> dict:
         i = args.group
         if not 0 <= i < len(nvec):
             raise InputError(f"group index {i} is not in 0..{len(nvec) - 1}")
-        sliced = {}
-        for e, c in cls.items():
-            if e[i] == 0:
-                continue
-            ne = tuple(x - (1 if j == i else 0) for j, x in enumerate(e))
-            sliced[_key_str(ne)] = c
-        out["sliced"] = dict(sorted(sliced.items()))
+        out["sliced"] = dict(sorted((_key_str(e[:i] + (e[i] - 1,) + e[i + 1:]), c)
+                                    for e, c in cls.items() if e[i]))
         out["sliced_group"] = i
     return out
 
@@ -307,7 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("trace", help="trace-test an affine curve witness"))
     common(sub.add_parser("decompose", help="numerical irreducible decomposition"))
     common(sub.add_parser("segre", help="degree under the Segre embedding"))
-    sp = common(sub.add_parser("class", help="complete-intersection class"))
+    sp = sub.add_parser("class", help="complete-intersection class")
+    sp.add_argument("--fixture", help="class-123, or give --degrees and --nvec")
+    sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.add_argument("--degrees", help="like 1,2,3;1,2,3")
     sp.add_argument("--nvec", help="like 3,3,3")
     sp.add_argument("--group", type=int, default=None,
@@ -330,7 +343,8 @@ def run(argv=None) -> int:
     if args.command == "fixture":
         return run([args.action, "--fixture", args.name] + list(args.rest))
 
-    if getattr(args, "fixture", None) == "pentad" and not args.extended:
+    # class reads degrees, not a system, so it has no --extended
+    if args.fixture == "pentad" and not getattr(args, "extended", True):
         sys.stderr.write("the pentad fixture is a long run; pass --extended\n")
         return EXIT_INPUT
 
@@ -342,7 +356,7 @@ def run(argv=None) -> int:
     except (TrackingError, IllConditionedError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    _emit(result, getattr(args, "output", None))
+    _emit(result, args.output)
     if args.command == "decompose" and -1 in result["assignment"]:
         missed = result["assignment"].count(-1)
         sys.stderr.write(f"numerical failure: {missed} of {len(result['assignment'])} "

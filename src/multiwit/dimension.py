@@ -159,18 +159,11 @@ def product_factorization(points) -> list[tuple[int, ...]]:
         raise ValueError("empty dimension polytope")
     k = len(next(iter(points)))
     blocks = [[i] for i in range(k)]
-    changed = True
-    while changed:
-        changed = False
-        for x in range(len(blocks)):
-            for y in range(x + 1, len(blocks)):
-                if not _is_product(points, blocks[x], blocks[y]):
-                    blocks[x] = sorted(blocks[x] + blocks[y])
-                    del blocks[y]
-                    changed = True
-                    break
-            if changed:
-                break
+    # merge the first pair of blocks that is not a product until none is left
+    while pair := next(((x, y) for x, y in combinations(range(len(blocks)), 2)
+                        if not _is_product(points, blocks[x], blocks[y])), None):
+        x, y = pair
+        blocks[x] = sorted(blocks[x] + blocks.pop(y))
     # global verification: the pairwise fixpoint must reproduce the polytope
     count = 1
     for b in blocks:

@@ -145,48 +145,34 @@ class MonodromyState:
     certified: list  # parallel booleans
 
 
-def _orbit_groups(partition: list, permutation: dict) -> list:
-    """Positions in `partition` of the parts each orbit of the partition
-    joined with `permutation` covers, in order of their first part."""
-    part_of = {i: pi for pi, part in enumerate(partition) for i in part}
-    root = list(range(len(partition)))
-
-    def find(p):
-        while root[p] != p:
-            root[p] = root[root[p]]
-            p = root[p]
-        return p
-
-    for i, j in permutation.items():
-        a, b = sorted((find(part_of[i]), find(part_of[j])))
-        root[b] = a
-    groups: dict = {}
-    for pi in range(len(partition)):
-        groups.setdefault(find(pi), []).append(pi)
-    return list(groups.values())
-
-
 def _close_orbits(ws: WitnessSet, rs: RandomSource, first: int) -> MonodromyState:
     """Join the points into monodromy orbits until every part passes the
     trace test, from singletons, with loop i on rs.substream(first + i).
 
-    Every part not yet tested is tested before each loop.  A new endpoint
-    joins the part of the path that found it.  A passed part is a union of
-    whole components, so a loop that would join it to any other part is a
-    path jump and is discarded.  A loop that raises IndeterminateError is
-    skipped; after MAX_LOOPS loops the state is returned as it stands."""
+    Parts are point labels: `label[i]` is the least index of point i's
+    part.  Each permuted pair relabels the larger label to the smaller; a
+    new endpoint enters labelled with its own index, so it joins the part
+    of the path that found it.  A passed part is a union of whole
+    components, so a loop that grows one is a path jump and is discarded.
+    Every part not yet tested is tested before each loop.  A loop that
+    raises IndeterminateError is skipped; after MAX_LOOPS loops the state
+    is returned as it stands."""
     _one_moving_form(ws, "monodromy")
     points = list(ws.points)
-    partition = [[i] for i in range(len(points))]
+    label = list(range(len(points)))
     verdicts: dict = {}  # part, as a tuple of indices -> trace verdict
 
-    def certify() -> list:
+    def certify() -> tuple[list, list]:
+        parts: dict = {}  # label -> its points, in order of least member
+        for i, least in enumerate(label):
+            parts.setdefault(least, []).append(i)
+        partition = list(parts.values())
         for part in map(tuple, partition):
             if part not in verdicts:
                 verdicts[part] = trace_test(ws, [points[i] for i in part])
-        return [verdicts[tuple(part)] for part in partition]
+        return partition, [verdicts[tuple(part)] for part in partition]
 
-    certified = certify()
+    partition, certified = certify()
     for loop in range(MAX_LOOPS):
         if all(certified):
             break
@@ -195,14 +181,16 @@ def _close_orbits(ws: WitnessSet, rs: RandomSource, first: int) -> MonodromyStat
                                             rs.substream(first + loop))
         except IndeterminateError:
             continue
-        parts = partition + [[len(points) + k] for k in range(len(outcome.new_points))]
-        passed = certified + [False] * len(outcome.new_points)
-        groups = _orbit_groups(parts, outcome.permutation)
-        if any(len(g) > 1 and any(passed[pi] for pi in g) for g in groups):
-            continue  # only a path jump joins a passed part to another
+        joined = label + list(range(len(points), len(points) + len(outcome.new_points)))
+        for i, j in outcome.permutation.items():
+            keep, drop = sorted((joined[i], joined[j]))
+            joined = [keep if least == drop else least for least in joined]
+        if any(ok and joined.count(joined[part[0]]) > len(part)
+               for part, ok in zip(partition, certified)):
+            continue  # only a path jump grows a passed part
         points += outcome.new_points
-        partition = sorted(sorted(i for pi in g for i in parts[pi]) for g in groups)
-        certified = certify()
+        label = joined
+        partition, certified = certify()
     return MonodromyState(points=points, partition=partition, certified=certified)
 
 

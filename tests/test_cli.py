@@ -78,11 +78,25 @@ def test_member_two_lines(capsys):
     assert code == EXIT_OK and doc == {"member": False}
 
 
-def test_member_without_point_computes_nothing(monkeypatch):
-    # a missing --point is an input error before any witness set is computed
+@pytest.mark.parametrize("argv", [
+    ["member", "--fixture", "two-lines"],
+    ["member", "--fixture", "two-lines", "--point", "abc"],
+    ["member", "--fixture", "two-lines", "--point", "0.3"],
+    ["member", "--fixture", "two-lines", "--point", "nan,0"],
+    ["member", "--fixture", "two-lines", "--point", "0.3,inf"],
+    ["slice", "--fixture", "cubic", "--group", "9"],
+    ["refine", "--fixture", "cubic", "--split", "5:1"],
+    ["refine", "--fixture", "cubic", "--split", "0:2"],
+    ["coarsen", "--fixture", "octahedron-fg", "--merge", "0:7"],
+    ["coarsen", "--fixture", "octahedron-fg", "--merge", "0:1,0:3"],
+    ["class", "--fixture", "class-123", "--seed", "3"],
+], ids=" ".join)
+def test_member_without_point_computes_nothing(argv, monkeypatch):
+    # a missing --point, or an argument that does not fit the system, is an
+    # input error before any witness set is computed
     calls = []
     monkeypatch.setattr(cli, "compute_witness_collection", lambda *a: calls.append(a))
-    assert run(["member", "--fixture", "two-lines"]) == EXIT_INPUT
+    assert run(argv) == EXIT_INPUT
     assert calls == []
 
 

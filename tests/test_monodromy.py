@@ -139,11 +139,22 @@ def test_breakup_discards_a_loop_that_joins_certified_parts(monkeypatch):
         permutation[i], permutation[j] = j, i
         return MonodromyOutcome(permutation, [])
 
+    tested = []  # the size of each part trace-tested, in order
+    trace = monodromy.trace_test
+
+    def spy(ws, part):
+        tested.append(len(part))
+        return trace(ws, part)
+
     monkeypatch.setattr(monodromy, "monodromy_permutation", scripted)
+    monkeypatch.setattr(monodromy, "trace_test", spy)
     state = breakup(ws, rs(73))
     assert len(calls) == 4
     assert state.partition == sorted([[on_line[0]], [on_line[1]], on_cubic])
     assert state.certified == [True, True, True]
+    # the five singletons, then the cubic's part of two and of three: a
+    # discarded loop tests nothing and no part is tested twice
+    assert tested == [1, 1, 1, 1, 1, 2, 3]
 
 
 def test_trace_full_part_passes_and_subsets_fail(cubic_ws):

@@ -7,9 +7,10 @@
 For each (workload, seed, draw) one line: the workflow's attempted and failed
 steps, the paths that `tracker.track_many` returned, the kernel calls
 (`algebra._Compiled.evaluate`), and a SHA-256 over each of those PathResults
-in call order: its status, its steps taken and its endpoint's bytes.  Two
-trees that print the same lines track the same paths bit for bit, with the
-same kernel calls.
+in call order: its status, its steps taken and its endpoint's bytes; then
+`answers`, a SHA-256 of `repr(sorted(gate.results.items()))`, the integers
+every check produced.  Two trees that print the same lines track the same
+paths bit for bit, with the same kernel calls, and give the same answers.
 
 Run from the repository root: the library comes from ./src and the
 workflows from bench/workloads.py, which this script only imports.  A draw
@@ -57,9 +58,10 @@ def fingerprint(workload: str, seed: int, draw: int, setup) -> str:
         workloads.WORKFLOWS[workload](setup, seed, draw, gate)
     finally:
         tracker.track_many, algebra._Compiled.evaluate = track, evaluate
+    answers = hashlib.sha256(repr(sorted(gate.results.items())).encode()).hexdigest()
     return (f"{workload} seed={seed} draw={draw} attempted={gate.attempted} "
             f"failed={gate.failed} paths={counts['paths']} kernel_calls={counts['calls']} "
-            f"sha256={digest.hexdigest()}")
+            f"sha256={digest.hexdigest()} answers={answers}")
 
 
 def main(argv=None) -> int:
