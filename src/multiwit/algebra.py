@@ -211,22 +211,6 @@ class Polynomial:
             for e, c in self.terms.items()
         )
 
-    def diff(self, v: int) -> "Polynomial":
-        terms = {}
-        for e, c in self.terms.items():
-            if e[v] > 0:
-                de = list(e)
-                de[v] -= 1
-                terms[tuple(de)] = c * e[v]
-        return Polynomial(self.grouping, terms)
-
-    def evaluate(self, point: np.ndarray) -> complex:
-        point = np.asarray(point, dtype=complex)
-        total = 0.0 + 0.0j
-        for e, c in self.terms.items():
-            total += c * np.prod(point ** np.asarray(e))
-        return complex(total)
-
     def multidegree(self) -> tuple[int, ...]:
         """Per-group max total degree across terms; all-zeros for 0."""
         g = self.grouping

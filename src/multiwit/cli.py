@@ -99,8 +99,9 @@ def _load_system(args):
     raise InputError("need --fixture NAME or --input PATH")
 
 
-def _witness_collection(args, check=lambda system: None):
-    """The witness collection, computed once `check(system)` has passed."""
+def _witness_collection(args, check=lambda system, keys: None):
+    """The witness collection, computed once `check(system, keys)` has
+    passed."""
     F, default_keys = _load_system(args)
     if args.keys:
         keys = _parse_keys(args.keys, F.grouping.k)
@@ -108,7 +109,7 @@ def _witness_collection(args, check=lambda system: None):
         keys = default_keys
     else:
         raise InputError("no --keys given and the input has no default keys")
-    check(F)
+    check(F, keys)
     rs = RandomSource(seed=args.seed)
     return compute_witness_collection(F, keys, rs)
 
@@ -139,7 +140,13 @@ def cmd_dim(args) -> dict:
 
 
 def cmd_slice(args) -> dict:
-    wc = _witness_collection(args, lambda system: system.grouping.check_group(args.group))
+    def fits(system, keys):
+        system.grouping.check_group(args.group)
+        if all(e[args.group] == 0 for e in keys):
+            raise InputError(f"slicing group {args.group} empties the variety "
+                             f"(every key has e_{args.group} = 0)")
+
+    wc = _witness_collection(args, fits)
     sliced = slice_collection(wc, args.group)
     return {
         "group": args.group,
@@ -154,7 +161,7 @@ def cmd_refine(args) -> dict:
     except ValueError:
         raise InputError("--split must look like GROUP:FIRST_SIZE") from None
 
-    def fits(system):
+    def fits(system, _keys):
         system.grouping.check_group(group)
         if not 0 < first < len(system.grouping.blocks[group]):
             raise InputError(f"--split {args.split} leaves a part of group {group} empty")
@@ -181,7 +188,7 @@ def cmd_coarsen(args) -> dict:
     except ValueError:
         raise InputError("--merge must look like A:B[,A:B...] (group indices)") from None
 
-    def fits(system):  # each merge on the grouping the merges before it leave
+    def fits(system, _keys):  # each merge on the grouping the merges before it leave
         grouping = system.grouping
         for merge in merges:
             grouping = grouping.merge(*sorted(merge))
@@ -209,7 +216,7 @@ def cmd_member(args) -> dict:
     def point(system):
         return _parse_point(args.point, system.grouping.nvars)
 
-    wc = _witness_collection(args, point)
+    wc = _witness_collection(args, lambda system, _keys: point(system))
     rs = RandomSource(seed=args.seed, stream=7)
     return {"member": bool(membership(wc, point(wc.system), rs))}
 

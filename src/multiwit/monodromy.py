@@ -2,10 +2,12 @@
 
 Moving the slice around a loop permutes the witness points; orbits stay
 inside single irreducible components.  `monodromy_permutation` draws one
-generic loop and reads off the permutation.  On top of it sit three tools
-for a set with one moving form: growing a partial witness point set from
-a seed, partitioning a complete one into components, and the linear trace
-test that certifies a part is a whole component.
+generic slice, goes to it and back along two gamma-trick arcs (the
+two-node loop of Duff et al., arXiv:1609.08722), and reads off the
+permutation.  On top of it sit three tools for a set with one moving
+form: growing a partial witness point set from a seed, partitioning a
+complete one into components, and the linear trace test that certifies
+a part is a whole component.
 
 Breakup and growth are one loop, `_close_orbits`, which joins the points
 into orbits until the trace test passes on every part.  A key with more
@@ -19,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import Polynomial
 from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form
 from .tracker import (
@@ -42,28 +43,25 @@ class MonodromyOutcome:
 
 
 def monodromy_permutation(ws: WitnessSet, rs: RandomSource) -> MonodromyOutcome:
-    """Track every witness point around a random loop L -> L' -> L'' -> L
-    and read off the permutation.
+    """Track every witness point around a random loop L -> L' -> L and read
+    off the permutation.
 
-    L' and L'' are generic forms with the per-group form counts of L, drawn
-    from rs.substream(1) and (2); the legs' gammas come from rs.substream(3)
-    to (5).  An endpoint on the system that matches no start point is a new
-    point, and endpoints that match one another share it.  An endpoint that
-    matches two start points, or two endpoints that match one, raise
-    IndeterminateError."""
-    g = ws.grouping
-
-    def forms_from(sub: RandomSource) -> list[Polynomial]:
-        return [
-            random_affine_form(ws.system.grouping, g.blocks[i], sub.substream(31 * i + j))
-            for i, fs in enumerate(ws.selection.per_group)
-            for j in range(len(fs))
-        ]
-
-    base = ws.selection.forms
-    stops = [base, forms_from(rs.substream(1)), forms_from(rs.substream(2)), base]
+    L' is a generic form set with the per-group form counts of L, drawn
+    from rs.substream(1).  The two legs are gamma-trick arcs with gammas
+    from rs.substream(3) and (4), so together they loop once in the pencil
+    of L and L'.  An endpoint on the system that matches no start point is
+    a new point, and endpoints that match one another share it.  An
+    endpoint that matches two start points, or two endpoints that match
+    one, raise IndeterminateError."""
+    sub = rs.substream(1)
+    generic = [
+        random_affine_form(ws.system.grouping, ws.grouping.blocks[i], sub.substream(31 * i + j))
+        for i, fs in enumerate(ws.selection.per_group)
+        for j in range(len(fs))
+    ]
+    stops = [ws.selection.forms, generic, ws.selection.forms]
     current = dict(enumerate(ws.points))  # start index -> point, in index order
-    for leg in range(3):
+    for leg in range(2):
         ends = track_slice_motion(ws.fixed_block, stops[leg], stops[leg + 1],
                                   list(current.values()), rs.substream(3 + leg))
         current = {i: p for i, p in zip(current, ends) if p is not None}

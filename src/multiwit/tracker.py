@@ -96,10 +96,6 @@ class PathResult:
     endpoint: np.ndarray | None
     steps_taken: int
 
-    @property
-    def converged(self) -> bool:
-        return self.status == "converged"
-
 
 class Homotopy(_Compiled):
     """H(x;t) = [fixed(x); t*gamma*start(x) + (1-t)*target(x)].

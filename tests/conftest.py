@@ -1,8 +1,9 @@
 import os
 
+import numpy as np
 import pytest
 
-from multiwit import RandomSource
+from multiwit import Polynomial, RandomSource
 from multiwit.startsys import RESIDUAL_TOL
 
 SEED = 20230529
@@ -29,3 +30,19 @@ def on_its_slices(ws) -> bool:
     and the slices to a relative residual below RESIDUAL_TOL."""
     full = ws.system.concat(list(ws.extra) + ws.selection.forms)
     return all(full.residual(p) < RESIDUAL_TOL for p in ws.points)
+
+
+def evaluate(p: Polynomial, point) -> complex:
+    """p at a point, term by term: the oracle the compiled kernel is
+    checked against."""
+    point = np.asarray(point, dtype=complex)
+    return complex(sum(c * np.prod(point ** np.asarray(e)) for e, c in p.terms.items()))
+
+
+def diff(p: Polynomial, v: int) -> Polynomial:
+    """The partial derivative of p in x_v, term by term."""
+    terms = {}
+    for e, c in p.terms.items():
+        if e[v] > 0:
+            terms[e[:v] + (e[v] - 1,) + e[v + 1:]] = c * e[v]
+    return Polynomial(p.grouping, terms)

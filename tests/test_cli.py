@@ -85,6 +85,7 @@ def test_member_two_lines(capsys):
     ["member", "--fixture", "two-lines", "--point", "nan,0"],
     ["member", "--fixture", "two-lines", "--point", "0.3,inf"],
     ["slice", "--fixture", "cubic", "--group", "9"],
+    ["slice", "--fixture", "cubic-split", "--keys", "01", "--group", "0"],
     ["refine", "--fixture", "cubic", "--split", "5:1"],
     ["refine", "--fixture", "cubic", "--split", "0:2"],
     ["coarsen", "--fixture", "octahedron-fg", "--merge", "0:7"],

@@ -198,10 +198,10 @@ def test_monodromy_has_one_loop():
     assert len(looping) == 1, f"monodromy loops in {looping}"
 
 
-# Methods nothing in src/multiwit calls, kept as the plain references that
-# tests check the compiled Jacobian and the residual scale against; the
-# benchmark's tracer also wraps PolySystem.residual_scale by name.
-REFERENCE_METHODS = {"Polynomial.diff", "PolySystem.residual_scale"}
+# A method nothing in src/multiwit calls, kept as the plain reference that
+# tests check the residual scale against; the benchmark's tracer also wraps
+# it by name.
+REFERENCE_METHODS = {"PolySystem.residual_scale"}
 
 
 def _methods() -> list[tuple[str, str, ast.FunctionDef]]:

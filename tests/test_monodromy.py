@@ -20,8 +20,9 @@ from multiwit import (
 )
 from multiwit.fixtures import get_fixture
 from multiwit.monodromy import MonodromyOutcome
+from multiwit.startsys import RESIDUAL_TOL
 
-from conftest import rs
+from conftest import evaluate, rs
 from test_acceptance import full_merge_then_slice
 
 
@@ -48,10 +49,35 @@ def test_monodromy_permutation_is_bijection(cubic_ws):
 
 
 def test_monodromy_permutation_indexes_a_new_point_after_the_start_points(cubic_ws):
+    # a loop may permute the two points among themselves, so loops are
+    # drawn in turn until one meets the cubic's third point
     fx, ws = cubic_ws
-    outcome = monodromy_permutation(replace(ws, points=ws.points[:2]), rs(63))
+    two = replace(ws, points=ws.points[:2])
+    outcome = next((o for o in (monodromy_permutation(two, rs(63).substream(k))
+                                for k in range(20)) if o.new_points), None)
+    assert outcome is not None, "no loop of 20 found a new point"
     assert len(outcome.new_points) == 1
-    assert 2 in outcome.permutation.values()
+    assert len(two.points) in outcome.permutation.values()
+    assert fx.system.residual(outcome.new_points[0]) < RESIDUAL_TOL
+
+
+def test_monodromy_permutation_is_two_motions_through_one_slice(cubic_ws, monkeypatch):
+    # L -> L' -> L: the second motion starts on the first's new rows and
+    # ends on the set's own slice, so the loop closes with two homotopies
+    fx, ws = cubic_ws
+    real = monodromy.track_slice_motion
+    motions = []
+
+    def spy(fixed, old_rows, new_rows, points, loop_rs):
+        motions.append((list(old_rows), list(new_rows)))
+        return real(fixed, old_rows, new_rows, points, loop_rs)
+
+    monkeypatch.setattr(monodromy, "track_slice_motion", spy)
+    monodromy_permutation(ws, rs(63))
+    assert len(motions) == 2
+    (old, new), (back_old, back_new) = motions
+    assert old == ws.selection.forms and new != old
+    assert back_old == new and back_new == ws.selection.forms
 
 
 def test_breakup_recovers_a_point_the_set_was_missing(cubic_ws):
@@ -123,7 +149,7 @@ def test_breakup_discards_a_loop_that_joins_certified_parts(monkeypatch):
     cubic = y ** 2 - 2 * x * y - x ** 3 + x
     wc = compute_witness_collection(PolySystem([lines * cubic]), [(1,)], rs(72))
     ws = wc.entries[(1,)]
-    on_line = [i for i, p in enumerate(ws.points) if abs(lines.evaluate(p)) < 1e-8]
+    on_line = [i for i, p in enumerate(ws.points) if abs(evaluate(lines, p)) < 1e-8]
     on_cubic = [i for i in range(len(ws.points)) if i not in on_line]
     assert (len(on_line), len(on_cubic)) == (2, 3)
     # scripted loops, each swapping two points: the second joins the two

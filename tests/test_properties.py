@@ -23,7 +23,7 @@ from multiwit import (
 from multiwit.fixtures import get_fixture
 from multiwit.monodromy import TRACE_TOL
 
-from conftest import on_its_slices
+from conftest import evaluate, on_its_slices
 
 SEEDS = list(range(10))
 
@@ -136,7 +136,7 @@ def tracked_trace_test(ws, part, rs):
         h = Homotopy(PolySystem(forms), PolySystem([forms[0] + s * pencil]), 1.0,
                      ws.fixed_block)
         results = track_many(h, part)
-        if not all(r.converged for r in results):
+        if not all(r.status == "converged" for r in results):
             raise IndeterminateError("a trace test path did not converge")
         centroids.append(np.mean([r.endpoint for r in results], axis=0))
     v1 = (centroids[1] - centroids[0]) / s_values[0]
@@ -169,7 +169,7 @@ def trace_cases():
     system, factors = lines_times_cubic()
     for s in SEEDS[:2]:
         ws = compute_witness_collection(system, [(1,)], source(s, 13)).entries[(1,)]
-        labels = [min(range(3), key=lambda k: abs(factors[k].evaluate(p))) for p in ws.points]
+        labels = [min(range(3), key=lambda k: abs(evaluate(factors[k], p))) for p in ws.points]
         assert sorted(labels) == [0, 1, 2, 2, 2]
         cases.append((ws, labels))
     fx = get_fixture("octahedron-fg")

@@ -7,6 +7,8 @@ from multiwit import (
     parse_system,
 )
 
+from conftest import evaluate
+
 SAMPLE = """
 # a plane cubic with two singleton groups
 group x; group y;
@@ -64,7 +66,7 @@ def test_parse_sample_system():
     p = doc.system.polys[0]
     pt = np.array([2.0, 3.0], dtype=complex)
     # f(2,3) = 9 - 12 - 8 + 2 = -9
-    assert abs(p.evaluate(pt) + 9) < 1e-12
+    assert abs(evaluate(p, pt) + 9) < 1e-12
 
 
 def test_parse_sized_groups_and_literals():
@@ -72,7 +74,7 @@ def test_parse_sized_groups_and_literals():
     assert doc.grouping.sizes == (2,)
     pt = np.array([1.0, 2.0], dtype=complex)
     expected = 2j * 1 + 1e-3 * 2 - (1 - 2) ** 2
-    assert abs(doc.system.polys[0].evaluate(pt) - expected) < 1e-12
+    assert abs(evaluate(doc.system.polys[0], pt) - expected) < 1e-12
 
 
 def test_parse_errors_carry_position():

@@ -24,7 +24,7 @@ from multiwit.fixtures import get_fixture
 from multiwit.tracker import dedupe_points, points_equal, track_slice_motion
 from multiwit.witness import passes_through
 
-from conftest import extended, rs
+from conftest import diff, evaluate, extended, rs
 
 
 def univariate():
@@ -37,7 +37,7 @@ def test_track_quadratic_to_quadratic():
     h = Homotopy(PolySystem([x**2 - 1]), PolySystem([x**2 - 4]),
                  gamma=rs(0).unit_complex())
     results = track_many(h, [np.array([1.0 + 0j]), np.array([-1.0 + 0j])])
-    assert all(r.converged for r in results)
+    assert all(r.status == "converged" for r in results)
     ends = sorted(complex(r.endpoint[0]).real for r in results)
     assert abs(ends[0] + 2) < 1e-8 and abs(ends[1] - 2) < 1e-8
 
@@ -53,7 +53,7 @@ def test_track_matches_numpy_roots():
                  gamma=rs(1).unit_complex())
     starts = [np.array([np.exp(2j * np.pi * k / 3)]) for k in range(3)]
     results = track_many(h, starts)
-    assert all(r.converged for r in results)
+    assert all(r.status == "converged" for r in results)
     got = sorted((complex(r.endpoint[0]) for r in results),
                  key=lambda z: (z.real, z.imag))
     expected = sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag))
@@ -70,7 +70,7 @@ def test_degree_drop_classifies_divergence():
     results = track_many(h, starts)
     statuses = sorted(r.status for r in results)
     assert statuses == ["converged", "converged", "diverged"]
-    ends = sorted(complex(r.endpoint[0]).real for r in results if r.converged)
+    ends = sorted(complex(r.endpoint[0]).real for r in results if r.status == "converged")
     assert abs(ends[0] + np.sqrt(2)) < 1e-8 and abs(ends[1] - np.sqrt(2)) < 1e-8
 
 
@@ -98,7 +98,7 @@ def test_track_path_single():
     g, x = univariate()
     h = Homotopy(PolySystem([x**2 - 1]), PolySystem([x**2 - 9]), gamma=1.0)
     r = track_path(h, np.array([1.0 + 0j]))
-    assert r.converged
+    assert r.status == "converged"
     assert abs(r.endpoint[0] - 3) < 1e-8
     assert r.steps_taken > 0
 
@@ -121,9 +121,9 @@ def test_fixed_block_stays_satisfied():
     h = Homotopy(PolySystem([start_line]), PolySystem([end_line]),
                  gamma=rs(3).unit_complex(), fixed=PolySystem([circle]))
     r = track_path(h, np.array([1.0 + 0j, 1.0 + 0j]))
-    assert r.converged
-    assert abs(circle.evaluate(r.endpoint)) < 1e-7
-    assert abs(end_line.evaluate(r.endpoint)) < 1e-7
+    assert r.status == "converged"
+    assert abs(evaluate(circle, r.endpoint)) < 1e-7
+    assert abs(evaluate(end_line, r.endpoint)) < 1e-7
 
 
 @pytest.mark.parametrize("k", [3, 7])
@@ -138,7 +138,7 @@ def test_slice_motion_draws_its_gamma_from_the_stream(k):
     ends = track_slice_motion(fixed, old, new, points, rs(k))
     h = Homotopy(PolySystem(old), PolySystem(new), rs(k).unit_complex(), fixed)
     results = track_many(h, points)
-    assert all(r.converged for r in results)
+    assert all(r.status == "converged" for r in results)
     assert [e.tobytes() for e in ends] == [r.endpoint.tobytes() for r in results]
 
 
@@ -152,14 +152,14 @@ def block_reference(h, x, t):
     """H, J_x, dH/dt and the residual scale from the block formulas in
     Homotopy's docstring, term by term through Polynomial."""
     def rows(system):
-        return np.array([p.evaluate(x) for p in system])
+        return np.array([evaluate(p, x) for p in system])
 
     def jac(system):
-        return np.array([[p.diff(v).evaluate(x) for v in range(len(x))] for p in system])
+        return np.array([[evaluate(diff(p, v), x) for v in range(len(x))] for p in system])
 
     def scale(system):  # each row's sum of |coeff| * |monomial|, plus 1
-        return np.array([Polynomial(p.grouping, {e: abs(c) for e, c in p.terms.items()})
-                         .evaluate(np.abs(x)).real + 1 for p in system])
+        return np.array([evaluate(Polynomial(p.grouping, {e: abs(c) for e, c in p.terms.items()}),
+                                  np.abs(x)).real + 1 for p in system])
 
     S, T = rows(h.start), rows(h.target)
     H = t * h.gamma * S + (1 - t) * T
@@ -405,7 +405,7 @@ def test_starts_go_in_fixed_chunks(monkeypatch):
     # path 1 diverges, long after path 0 has converged
     assert [(r.status, r.steps_taken) for r in results[:2]] == [("converged", 12),
                                                                  ("diverged", 60)]
-    assert all(r.converged for r in results[2:])
+    assert all(r.status == "converged" for r in results[2:])
 
 
 @extended
@@ -478,7 +478,7 @@ def test_tracker_hooks_seen_from_outside(monkeypatch):
     ((points, results),) = homotopies
     assert points is starts
     assert len(results) == len(starts)
-    assert all(r.converged for r in results)
+    assert all(r.status == "converged" for r in results)
     assert all(np.array_equal(e, r.endpoint) for e, r in zip(ends, results))
     # per accepted step at least the three RK4 stages after k1
     assert sum(solved) >= 3 * sum(r.steps_taken for r in results)
@@ -538,7 +538,7 @@ def test_tracker_solve_tracks_like_numpy_solve(monkeypatch):
                             lambda J, b: np.linalg.solve(J, b[..., None])[..., 0])
         numpys = track_many(h, starts)
         monkeypatch.undo()
-        assert any(r.converged for r in ours)
+        assert any(r.status == "converged" for r in ours)
         for a, b in zip(ours, numpys, strict=True):
             assert (a.status, a.steps_taken) == (b.status, b.steps_taken)
             assert (a.endpoint is None and b.endpoint is None) or np.array_equal(a.endpoint,

@@ -27,7 +27,7 @@ from multiwit.startsys import RESIDUAL_TOL, square_up
 from multiwit.tracker import relative_residual
 from multiwit.witness import passes_through, random_affine_form
 
-from conftest import on_its_slices, rs
+from conftest import evaluate, on_its_slices, rs
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ def test_move_slice_keeps_system_and_meets_new_forms(cubic_wc):
     assert len(moved.points) == 3
     for p in moved.points:
         assert relative_residual(fx.system.evaluate(p), fx.system.residual_scale(p)) < RESIDUAL_TOL
-        assert abs(new[0].evaluate(p)) < 1e-6
+        assert abs(evaluate(new[0], p)) < 1e-6
 
 
 def test_track_slice_motion_keeps_input_order(cubic_wc):
