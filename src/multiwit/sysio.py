@@ -1,15 +1,22 @@
 """System ingestion and output.
 
-Three concerns live here: a recursive-descent parser for polynomial
-systems with declared variable groups, the JSON encoder of the CLI's
-output, and a deterministic counter-based random source (every "general"
-or "random" choice in the toolkit draws from one of its streams).
+Three concerns live here: a parser for polynomial systems with declared
+variable groups, the JSON encoder of the CLI's output, and a deterministic
+counter-based random source (every "general" or "random" choice in the
+toolkit draws from one of its streams).
+
+The parser splits the text with one regular expression, `_TOKEN`, that has
+one alternative per token kind, and reads the tokens by recursive descent.
+A malformed or non-finite number literal (`1e999`) is a `ParseError` like
+every other error: it names the line and column where its token starts.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,68 +83,42 @@ class SystemDocument:
     poly_names: tuple[str, ...]
 
 
-_SYMBOLS = set("+-*^=;()[]")
+# One alternative per token kind.  `\s`, `\d` and `\w` are Unicode classes:
+# whitespace is str.isspace(), and an identifier is word characters that do
+# not start with a decimal digit.
+_TOKEN = re.compile(r"""
+    (?P<skip> [^\S\n]+ | \#.* )
+  | (?P<newline> \n )
+  | (?P<num> (?P<lit> (?=\.?\d) [\d.]+ (?:[eE][+-]?\d+)? ) (?P<imag> i )? )
+  | (?P<id> [^\W\d]\w* )
+  | (?P<sym> [-+*^=;()\[\]] )
+  | (?P<bad> . )
+""", re.VERBOSE)
 
 
 def _tokenize(text: str):
+    """(kind, value, line, column) tuples, ending with an "eof" token."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE" and j + 1 < n and (
-                text[j + 1].isdigit() or (text[j + 1] in "+-" and j + 2 < n and text[j + 2].isdigit())
-            ):
-                j += 2
-                while j < n and text[j].isdigit():
-                    j += 1
-            imag = j < n and text[j] == "i"
-            lit = text[i:j]
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line, col)
+        elif kind == "num":
+            lit = m["lit"]
             try:
                 value = float(lit)
             except ValueError:
                 raise ParseError(f"bad number literal {lit!r}", line, col) from None
-            if imag:
-                j += 1
-                tokens.append(("num", complex(0.0, value), line, col))
-            else:
-                tokens.append(("num", complex(value, 0.0), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("id", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("eof", "", line, col))
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {lit!r} is not finite", line, col)
+            value = complex(0.0, value) if m["imag"] else complex(value, 0.0)
+            tokens.append(("num", value, line, col))
+        elif kind != "skip":
+            tokens.append((kind, m[0], line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -146,20 +127,23 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.group_names: list[str] = []
-        self.group_sizes: list[int] = []
-        self.var_names: list[str] = []
         self.var_index: dict[str, int] = {}
-        self.poly_names: list[str] = []
-        self.polys: list[Polynomial] = []
+        self.polys: dict[str, Polynomial] = {}
         self.grouping: VariableGrouping | None = None
 
     def peek(self):
         return self.tokens[self.pos]
 
     def next(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
+
+    def accept(self, symbol: str) -> bool:
+        """Consume the next token if it is `symbol`."""
+        if self.peek()[:2] == ("sym", symbol):
+            self.pos += 1
+            return True
+        return False
 
     def error(self, message: str, tok=None):
         tok = tok or self.peek()
@@ -172,10 +156,18 @@ class _Parser:
             self.error(f"expected {want!r}, found {tok[1]!r}", tok)
         return tok
 
+    def integer(self, least: int, message: str) -> int:
+        """The next token as an integer literal of at least `least`."""
+        tok = self.expect("num")
+        value = tok[1].real
+        if tok[1].imag != 0 or value != int(value) or value < least:
+            self.error(message, tok)
+        return int(value)
+
     def parse(self) -> SystemDocument:
         while self.peek()[0] != "eof":
             tok = self.peek()
-            if tok[0] == "id" and tok[1] == "group":
+            if tok[:2] == ("id", "group"):
                 self.parse_group()
             elif tok[0] == "id":
                 self.parse_poly()
@@ -187,9 +179,9 @@ class _Parser:
             self.error("no polynomials declared")
         return SystemDocument(
             grouping=self.grouping,
-            system=PolySystem(self.polys),
+            system=PolySystem(self.polys.values()),
             group_names=tuple(self.group_names),
-            poly_names=tuple(self.poly_names),
+            poly_names=tuple(self.polys),
         )
 
     def parse_group(self):
@@ -201,90 +193,66 @@ class _Parser:
         if name in self.group_names:
             self.error(f"duplicate group name {name!r}", name_tok)
         size = 1
-        if self.peek()[:2] == ("sym", "["):
-            self.next()
-            num_tok = self.expect("num")
-            size = num_tok[1].real
-            if num_tok[1].imag != 0 or size != int(size) or size < 1:
-                self.error("group size must be a positive integer", num_tok)
-            size = int(size)
+        if self.accept("["):
+            size = self.integer(1, "group size must be a positive integer")
             self.expect("sym", "]")
         self.expect("sym", ";")
         self.group_names.append(name)
-        self.group_sizes.append(size)
-        if size == 1:
-            new_vars = [name]
-        else:
-            new_vars = [f"{name}{j}" for j in range(1, size + 1)]
-        for v in new_vars:
+        for v in [name] if size == 1 else [f"{name}{j}" for j in range(1, size + 1)]:
             if v in self.var_index:
                 self.error(f"variable name {v!r} collides with an existing variable")
-            self.var_index[v] = len(self.var_names)
-            self.var_names.append(v)
-        self.grouping = VariableGrouping.from_sizes(self.group_sizes, self.var_names)
+            self.var_index[v] = len(self.var_index)
+        sizes = self.grouping.sizes if self.grouping else ()
+        self.grouping = VariableGrouping.from_sizes(sizes + (size,), list(self.var_index))
 
     def parse_poly(self):
         name_tok = self.expect("id")
         name = name_tok[1]
         if self.grouping is None:
             self.error("polynomials must follow a group declaration", name_tok)
-        if name in self.poly_names:
+        if name in self.polys:
             self.error(f"duplicate polynomial name {name!r}", name_tok)
         if name in self.var_index or name in self.group_names:
             self.error(f"polynomial name {name!r} collides with a variable", name_tok)
         self.expect("sym", "=")
         p = self.parse_expr()
         self.expect("sym", ";")
-        self.poly_names.append(name)
-        self.polys.append(p)
+        self.polys[name] = p
 
     def parse_expr(self) -> Polynomial:
-        negate = False
-        if self.peek()[:2] == ("sym", "-"):
-            self.next()
-            negate = True
-        elif self.peek()[:2] == ("sym", "+"):
-            self.next()
+        negate = not self.accept("+") and self.accept("-")  # one optional leading sign
         p = self.parse_term()
         if negate:
             p = -p
-        while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
-            op = self.next()[1]
-            q = self.parse_term()
-            p = p + q if op == "+" else p - q
-        return p
+        while True:
+            if self.accept("+"):
+                p = p + self.parse_term()
+            elif self.accept("-"):
+                p = p - self.parse_term()
+            else:
+                return p
 
     def parse_term(self) -> Polynomial:
         p = self.parse_factor()
-        while self.peek()[:2] == ("sym", "*"):
-            self.next()
+        while self.accept("*"):
             p = p * self.parse_factor()
         return p
 
     def parse_factor(self) -> Polynomial:
         p = self.parse_atom()
-        if self.peek()[:2] == ("sym", "^"):
-            self.next()
-            num_tok = self.expect("num")
-            d = num_tok[1].real
-            if num_tok[1].imag != 0 or d != int(d) or d < 0:
-                self.error("exponent must be a nonnegative integer", num_tok)
-            p = p ** int(d)
+        if self.accept("^"):
+            p = p ** self.integer(0, "exponent must be a nonnegative integer")
         return p
 
     def parse_atom(self) -> Polynomial:
-        tok = self.peek()
+        tok = self.next()
         if tok[0] == "num":
-            self.next()
             return Polynomial.constant(self.grouping, tok[1])
         if tok[0] == "id":
-            self.next()
-            v = self.var_index.get(tok[1])
-            if v is None:
+            if tok[1] not in self.var_index:
                 self.error(f"undeclared identifier {tok[1]!r}", tok)
-            return Polynomial.variable(self.grouping, v)
+            return Polynomial.variable(self.grouping, self.var_index[tok[1]])
         if tok[:2] == ("sym", "("):
-            self.next()
             p = self.parse_expr()
             self.expect("sym", ")")
             return p

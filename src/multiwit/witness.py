@@ -156,10 +156,12 @@ def compute_witness_collection(
         longest = max(e[i] for e in candidates)
         flags.append([random_affine_form(g, block, sub) for _ in range(longest)])
     core = square_up(F, g.nvars - d, rs.substream(12))
+    # a repeated key is solved once, on the substream of its last copy
+    streams = {e: 13 + idx for idx, e in enumerate(sorted(candidates))}
     entries = {}
-    for idx, e in enumerate(sorted(candidates)):
+    for e, stream in streams.items():
         sel = SliceSelection(tuple(tuple(flag[:ei]) for flag, ei in zip(flags, e)))
-        pts = solve_zero_dim(F, sel.forms, rs.substream(13 + idx))
+        pts = solve_zero_dim(F, sel.forms, rs.substream(stream))
         if pts:
             entries[e] = WitnessSet(F, core, sel, pts)
     if not entries:

@@ -252,6 +252,18 @@ def test_malformed_input_file_is_input_error(tmp_path, capsys):
     assert run(["witness", "--input", str(bad)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("text, keys", [
+    ("group x; group y; f = 1e999*x*y - 1;", "10"),
+    ("group v[1e999]; f = v1;", "1"),
+    ("group x; f = x^1e999 - 1;", "0"),
+])
+def test_non_finite_literal_is_input_error(tmp_path, capsys, text, keys):
+    bad = tmp_path / "bad.sys"
+    bad.write_text(text)
+    assert run(["witness", "--input", str(bad), "--keys", keys]) == EXIT_INPUT
+    assert "number literal '1e999' is not finite" in capsys.readouterr().err
+
+
 def test_pentad_requires_extended_flag(capsys):
     assert run(["witness", "--fixture", "pentad"]) == EXIT_INPUT
 

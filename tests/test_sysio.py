@@ -6,6 +6,7 @@ from multiwit import (
     RandomSource,
     parse_system,
 )
+from multiwit.sysio import _tokenize
 
 from conftest import evaluate
 
@@ -90,3 +91,42 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError):
         parse_system("group x; f = x; group y;")  # group after polynomial
 
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a second dot makes a literal that float() refuses
+    ("1.2.3", ("bad number literal '1.2.3'", 1, 1)),
+    # an exponent only when a digit follows the e (or its sign)
+    ("2e", [("num", 2 + 0j, 1, 1), ("id", "e", 1, 2), ("eof", "", 1, 3)]),
+    ("2e+", [("num", 2 + 0j, 1, 1), ("id", "e", 1, 2), ("sym", "+", 1, 3),
+             ("eof", "", 1, 4)]),
+    ("1e-3i", [("num", 0.001j, 1, 1), ("eof", "", 1, 6)]),
+    (".5", [("num", 0.5 + 0j, 1, 1), ("eof", "", 1, 3)]),
+    ("x_1", [("id", "x_1", 1, 1), ("eof", "", 1, 4)]),
+    ("\tx", [("id", "x", 1, 2), ("eof", "", 1, 3)]),
+    ("x # c\ny", [("id", "x", 1, 1), ("id", "y", 2, 1), ("eof", "", 2, 2)]),
+    # a comment's characters count towards the column of the end of input
+    ("group x; f = x # c", ("expected ';', found ''", 1, 19)),
+])
+def test_token_rules(text, expected):
+    """A list is the tokens of `text`; a tuple is the ParseError that
+    parsing it raises, as (message, line, column)."""
+    if isinstance(expected, list):
+        assert _tokenize(text) == expected
+        return
+    message, line, col = expected
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        f"line {line}, column {col}: {message}", line, col)
+
+
+@pytest.mark.parametrize("text, col", [
+    ("group x; group y; f = 1e999*x*y - 1;", 23),
+    ("group v[1e999]; f = v1;", 9),
+    ("group x; f = x^1e999 - 1;", 16),
+])
+def test_non_finite_literals_are_refused(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert str(exc.value) == f"line 1, column {col}: number literal '1e999' is not finite"

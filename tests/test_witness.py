@@ -407,3 +407,18 @@ def test_membership_validates_point_size(cubic_wc):
     fx, wc = cubic_wc
     with pytest.raises(ValueError):
         membership(wc, np.array([1.0, 2.0, 3.0]), rs(43))
+
+
+def test_a_repeated_key_is_solved_once(monkeypatch):
+    # each distinct key is solved on the substream its last copy drew before
+    fx = get_fixture("cubic-split")
+    streams = []
+
+    def spy(F, forms, sub):
+        streams.append(sub.stream)
+        return solve_zero_dim(F, forms, sub)
+
+    monkeypatch.setattr(multiwit.witness, "solve_zero_dim", spy)
+    wc = compute_witness_collection(fx.system, [(1, 0), (1, 0), (0, 1)], rs(31))
+    assert streams == [rs(31).substream(13).stream, rs(31).substream(15).stream]
+    assert wc.multidegree_map() == {(1, 0): 2, (0, 1): 3}
