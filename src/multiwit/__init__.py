@@ -7,9 +7,11 @@ self-contained homotopy continuation engine.
 """
 
 from .algebra import (
+    Members,
     Polynomial,
     PolySystem,
     VariableGrouping,
+    affine_rows,
 )
 from .dimension import (
     DimensionProfile,
@@ -39,6 +41,7 @@ from .startsys import (
     complete_intersection_class,
     mbezout,
     solve_zero_dim,
+    solve_zero_dims,
     square_up,
     start_package,
 )

@@ -10,6 +10,14 @@ term table per system (shared monomials, value and derivative terms), so
 a point's values and Jacobian come from one kernel call, and a batch of
 points' from one call too; the residual scale has a small table of its own
 over the same monomials.
+
+A table may also have members (`Members`): instances of one homotopy that
+differ only in affine forms on its last rows, each point of a batch read
+as the member it names.  A member's affine form is a term list whose
+coefficients are the member's own; its start rows that are products of
+forms stay products, multiplied out after the table's sums.  So one table
+serves every key of a witness collection, or every query of a membership
+test, and a table without members is evaluated exactly as before.
 """
 
 from __future__ import annotations
@@ -213,6 +221,10 @@ class Polynomial:
 
     def multidegree(self) -> tuple[int, ...]:
         """Per-group max total degree across terms; all-zeros for 0."""
+        return self._multidegree
+
+    @cached_property
+    def _multidegree(self) -> tuple[int, ...]:
         g = self.grouping
         deg = [0] * g.k
         for e in self.terms:
@@ -273,19 +285,54 @@ class _Compiled:
     table of its own: each row's sum of |coeff| * |monomial| plus 1, split
     as [A; B].  That scale reads |a + t*b| as |a| + t*(|a + b| - |a|), which
     is exact on [0, 1] when a or b is zero or b = -a.  An owner without
-    terms gets one zero term on the constant monomial."""
+    terms gets one zero term on the constant monomial.
+
+    `members`, if given, adds each member's own pieces to the last rows
+    (see `Members`), and a batch row reads the member it names.  A member's
+    affine form is a piece like any other, whose terms take their
+    coefficient from the member: the table keeps one row of coefficients
+    and one of scale weights per member, and the form's gradient is its
+    members' constant, added to its slots after the sums.  A product of two
+    or more forms is not expanded: each form is an owner of its own, after
+    [A; DA; B; DB], with its sizes after the scale's [A; B], and `_Products`
+    multiplies them into the rows' owners after the sums.  In a table with
+    members, whose batches are large and whose member rows leave many
+    owners without terms, only the owners with terms are summed and the
+    others are 0; and the B of a row whose every piece has b = -a is not
+    summed but is -A, which is its sum bit for bit, since negation is
+    exact."""
 
     def __init__(self, rows: Sequence[Sequence[tuple[Polynomial, complex, complex]]],
-                 nvars: int):
+                 nvars: int, members: "Members | None" = None):
         self.rows = len(rows)
         self.nvars = nvars
+        self.members = members
         self.width = self.rows * (1 + nvars)  # owners per half: values, then slots
+        pieces = [[(p._expansion, a, b) for p, a, b in row] for row in rows]
+        products = []  # (row, forms) of the members' start parts of two or more forms
+        jacobian: dict = {}  # slot owner -> its members' constant, from their affine forms
+        for r, a, b, forms in members.pieces if members else ():
+            r += self.rows
+            if forms.shape[1] > 1:
+                products.append((r, forms))
+                continue
+            pieces[r].append((_affine_expansion(forms[:, 0]), a, b))
+            for half, w in ((0, a), (1, b)):
+                for v in np.flatnonzero(forms[:, 0, :nvars].any(axis=0)) if w else ():
+                    slot = half * self.width + self.rows + r * nvars + v
+                    jacobian[slot] = jacobian.get(slot, 0) + w * forms[:, 0, v]
+        factors = [form for _, forms in products for form in forms.transpose(1, 0, 2)]
         index = {(0,) * nvars: 0}  # exponent vector -> monomial number
-        owned = [[] for _ in range(2 * self.width)]  # per owner: (monomial, coeff)
-        scaled = [[] for _ in range(2 * self.rows)]  # per segment: (monomial, weight)
-        self.ones = np.zeros(2 * self.rows)  # the "plus 1" of each segment's scale
-        for r, row in enumerate(rows):
-            for p, a, b in row:
+        # per owner: (monomial, coeff); after the factors' values, a constant 1 for `_Products`
+        owned = [[] for _ in range(2 * self.width + len(factors))] + [[(0, 1.0)]] * bool(factors)
+        # per segment: (monomial, weight)
+        scaled = [[] for _ in range(2 * self.rows + len(factors))]
+        self.ones = np.zeros(len(scaled))  # the "plus 1" of each segment's scale
+        negated = set()  # rows whose every piece has b = -a, so B = -A, with members
+        for r, row in enumerate(pieces):
+            if members and row and all(b == -a for _, a, b in row):
+                negated.add(r)
+            for expansion, a, b in row:
                 for half, w, mag in ((0, a, abs(a)), (1, b, abs(a + b) - abs(a))):
                     if w == 0:
                         continue
@@ -293,15 +340,32 @@ class _Compiled:
                     self.ones[seg] += mag
                     value, weights = owned[half * self.width + r], scaled[seg]
                     slots = half * self.width + self.rows + r * nvars
-                    for e, c, size, derivs in p._expansion:
+                    for e, c, size, derivs in expansion:
                         k = index.setdefault(e, len(index))
+                        weights.append((k, mag * size))
+                        if half and r in negated:
+                            continue
                         wc = w * c
                         value.append((k, wc))
-                        weights.append((k, mag * size))
                         for v, de, d in derivs:
                             owned[slots + v].append((index.setdefault(de, len(index)), wc * d))
-        self.monos, self.coeffs, self.starts = _flatten(owned, complex)
-        self.scale_monos, self.weights, self.scale_starts = _flatten(scaled, float)
+        for f, form in enumerate(factors):
+            for e, c, size, _ in _affine_expansion(form):
+                k = index.setdefault(e, len(index))
+                owned[2 * self.width + f].append((k, c))
+                scaled[2 * self.rows + f].append((k, size))
+        summed = [i for i, terms in enumerate(owned) if terms or not members] or [0]
+        self.owners = len(owned)
+        count = members.count if members else None
+        self.monos, self.coeffs, self.starts = _flatten([owned[i] for i in summed], complex, count)
+        self.summed = np.array(summed if members else (), dtype=np.int64)
+        self.negated = np.array([i for i in summed if i < self.width and
+                                 (i if i < self.rows else (i - self.rows) // nvars) in negated],
+                                dtype=np.int64)
+        self.scale_monos, self.weights, self.scale_starts = _flatten(scaled, float, count)
+        self.products = _Products(products, self.rows, nvars) if products else None
+        self.slots = np.array(sorted(jacobian), dtype=np.int64)
+        self.jacobian = np.array([jacobian[k] for k in self.slots]).reshape(-1, count or 1).T
 
         # Monomial k is the product of the coordinates its factors list, in
         # order, one entry per unit of degree; the constant monomial 0 lists
@@ -316,59 +380,63 @@ class _Compiled:
         self._prefixes = {}  # count -> the prefixes of `_batch` for that many points
 
     def evaluate(self, x: np.ndarray, t=0.0, scaled: bool = False,
-                 shift: np.ndarray | None = None) -> tuple:
+                 member: np.ndarray | None = None) -> tuple:
         """(rows, residual scale or None, Jacobian, t-derivative of the rows)
         at the B points of a (B, n) array x and t, a float or of shape (B,),
         from one kernel call; the scale is computed only if `scaled`.  Every
         result has a leading axis of B, and each of its rows is bit for bit
-        the call on that row's (x, t, shift) alone.
-
-        A (B, m) `shift` is subtracted, point by point, from the constant of
-        a target part a = 1, b = -1 of each of the last m rows: their A
-        loses it and their B gains it, so the rows gain -(1 - t) * shift,
-        their t-derivative +shift and their scale (1 - t) * |shift|, and the
-        Jacobian is unchanged.  A shift of m = 0 columns is no shift and
-        costs nothing."""
+        the call on that row's (x, t, member) alone.  Row i is member
+        member[i] of the table's `Members`; a table without members ignores
+        `member` and costs nothing more."""
         count = len(x)
         (factors, factor_starts, monos, coeffs, starts, scale_monos, weights, scale_starts,
-         gathered, terms) = self._rows(count)
+         summed, slots, gathered, terms) = self._rows(count)
+        if self.members is not None:
+            coeffs = self.coeffs.take(member, axis=0).ravel()
+            weights = self.weights.take(member, axis=0).ravel()
         monomials = np.multiply.reduceat(x.take(factors, out=gathered, mode="clip"),
                                          factor_starts)
         monomials[::len(self.factor_starts)] = 1
         # coefficient first: numpy's complex product need not commute bit for bit
         terms = np.multiply(coeffs, monomials.take(monos, out=terms, mode="clip"), out=terms)
-        split = np.add.reduceat(terms, starts).reshape(count, -1)
-        if isinstance(t, np.ndarray):
-            t = t[:, None]
         width, rows = self.width, self.rows
-        moved = rows if shift is None else rows - shift.shape[1]  # the first shifted row
-        if moved < rows:
-            split[:, moved:rows] -= shift
-            split[:, width + moved:width + rows] += shift
-        at = split[:, :width] + t * split[:, width:]
-        scale = None
+        split = np.add.reduceat(terms, starts).reshape(count, -1)
+        if self.members is not None:
+            flat = np.zeros(count * self.owners, dtype=complex)
+            flat[summed] = split.ravel()
+            split = flat.reshape(count, self.owners)
+            if len(self.negated):
+                split[:, self.negated + width] = -split[:, self.negated]
+            flat[slots] += self.jacobian.take(member, axis=0).ravel()
+        magnitudes = None
         if scaled:
             weighted = np.abs(monomials).take(scale_monos)
             weighted *= weights
             magnitudes = np.add.reduceat(weighted, scale_starts).reshape(count, -1) + self.ones
-            if moved < rows:
-                size = np.abs(shift)
-                magnitudes[:, moved:rows] += size
-                magnitudes[:, rows + moved:] -= size
-            scale = magnitudes[:, :rows] + t * magnitudes[:, rows:]
-        jacobian = at[:, rows:].reshape(count, rows, self.nvars)
-        return at[:, :rows], scale, jacobian, split[:, width:width + rows]
+        if self.products is not None:
+            self.products.add(member, split, magnitudes)
+        if isinstance(t, np.ndarray):
+            t = t[:, None]
+        at = split[:, :width] + t * split[:, width:2 * width]
+        scale = (None if magnitudes is None
+                 else magnitudes[:, :rows] + t * magnitudes[:, rows:2 * rows])
+        return (at[:, :rows], scale, at[:, rows:].reshape(count, rows, self.nvars),
+                split[:, width:width + rows])
 
     def _rows(self, count: int) -> tuple[np.ndarray, ...]:
         """The table for `count` points at once, flattened: the index arrays
         with point k's copy offset by k times the length of what it indexes,
-        the coefficients and weights repeated, and two scratch arrays, for
-        the gathered factors and for the terms.  So every segment is still
-        summed by one 1-D `reduceat`, in the same order as for one point.
+        the coefficients and weights repeated, the positions of the summed
+        owners and of the members' constant slots among every point's
+        owners, and two scratch arrays, for the gathered factors and for the
+        terms.  So every segment is still summed by one 1-D `reduceat`, in
+        the same order as for one point.
         The arrays are built once, for the largest count asked, and a smaller
         count reads a prefix of each.  The scratch arrays are kept because a
         fresh array of that size costs page faults on every call; so one
-        table is not to be evaluated from two threads at once."""
+        table is not to be evaluated from two threads at once.  A table with
+        members takes its coefficients and weights from each point's member
+        instead, so its repeated ones are member 0's."""
         prefixes = self._prefixes.get(count)
         if prefixes is None:
             if self._capacity < count:
@@ -377,9 +445,11 @@ class _Compiled:
                 # a stride of 0 repeats the coefficients and weights
                 self._batch = tuple((base + k * stride).ravel() for base, stride in (
                     (self.factors, self.nvars), (self.factor_starts, len(self.factors)),
-                    (self.monos, m), (self.coeffs, 0), (self.starts, len(self.monos)),
-                    (self.scale_monos, m), (self.weights, 0),
-                    (self.scale_starts, len(self.scale_monos)))
+                    (self.monos, m), (self.coeffs.reshape(-1, len(self.monos))[0], 0),
+                    (self.starts, len(self.monos)), (self.scale_monos, m),
+                    (self.weights.reshape(-1, len(self.scale_monos))[0], 0),
+                    (self.scale_starts, len(self.scale_monos)), (self.summed, self.owners),
+                    (self.slots, self.owners))
                 ) + (np.empty(count * len(self.factors), dtype=complex),
                      np.empty(count * len(self.monos), dtype=complex))
                 self._capacity = count
@@ -389,12 +459,148 @@ class _Compiled:
         return prefixes
 
 
-def _flatten(owned: list, dtype) -> tuple[np.ndarray, ...]:
+def affine_rows(forms: Sequence[Polynomial], nvars: int) -> np.ndarray:
+    """The coefficient rows (c_1, ..., c_n, c_0) of affine forms c.x + c_0
+    in n = nvars variables, as a (len(forms), n + 1) array."""
+    rows = np.zeros((len(forms), nvars + 1), dtype=complex)
+    for row, form in zip(rows, forms):
+        for e, c in form.terms.items():
+            if sum(e) > 1:
+                raise ValueError(f"{form!r} is not affine")
+            row[e.index(1) if any(e) else nvars] = c
+    return rows
+
+
+def _affine_expansion(forms: np.ndarray) -> tuple:
+    """The `Polynomial._expansion` of one affine form per member, given as a
+    (M, n + 1) array of `affine_rows`, without derivative terms: a term per
+    variable that some member's form uses, then the constant, each with M
+    coefficients.  (A form's gradient is its members' constant.)"""
+    n = forms.shape[1] - 1
+    zero = (0,) * n
+    return tuple((zero[:v] + (1,) + zero[v + 1:], forms[:, v], np.abs(forms[:, v]), ())
+                 for v in np.flatnonzero((forms[:, :n] != 0).any(axis=0))
+                 ) + ((zero, forms[:, n], np.abs(forms[:, n]), ()),)
+
+
+class Members:
+    """What differs from member to member of one homotopy: member k adds a
+    start part t * S_k to the last len(counts) rows of a term table and a
+    target part (1 - t) * T_k to its last forms.shape[1] rows.  Start row r
+    of member k is the product of the next counts[r] affine forms of
+    factors[k], a (M, sum(counts), n + 1) array of `affine_rows`, and target
+    row r is the affine form forms[k, r].  Each part is a piece (p, a, b) of
+    its row, p its product, with (a, b) = (0, 1) for a start part and
+    (1, -1) for a target part; the residual scale reads a product's size as
+    the product of its forms' sums of |coeff| * |x_v|, constant included.
+    Many coefficient-parameter instances of one system share a table this
+    way, one member each."""
+
+    def __init__(self, factors: np.ndarray | None = None, counts: Sequence[int] = (),
+                 forms: np.ndarray | None = None):
+        given = forms if factors is None else factors
+        self.count = len(given)  # members
+        self.start_rows, self.target_rows = len(counts), 0 if forms is None else forms.shape[1]
+        if factors is not None and (factors.shape[1] != sum(counts) or not all(counts)):
+            raise ValueError("every start row needs a form, and each member sum(counts) forms")
+        if forms is not None and len(forms) != self.count:
+            raise ValueError("the start and target parts must have one entry per member")
+        first = np.cumsum(counts, dtype=np.int64) - counts
+        # (row, counted from the end, a, b, the (M, c, n + 1) forms whose product it is)
+        self.pieces = ([(r - self.start_rows, 0, 1, factors[:, f:f + c])
+                        for r, (f, c) in enumerate(zip(first, counts))]
+                       + [(r - self.target_rows, 1, -1, forms[:, r:r + 1])
+                          for r in range(self.target_rows)])
+
+
+class _Products:
+    """The members' start parts that are products of two or more forms.
+    Each form's value is an owner after a table's [A; DA; B; DB] and its
+    size a scale segment after [A; B]; `add` multiplies them out into the B
+    owners, B scale segments and DB slots of their rows, a start part being
+    a piece with a = 0, b = 1.  A product's gradient in x_v sums, over its
+    forms, the product of the others times the form's coefficient of x_v.
+    All of it is evaluated from 2-D arrays with one row per point, so each
+    point's numbers come out the same in any batch."""
+
+    def __init__(self, products: list, rows: int, nvars: int):
+        counts = np.array([forms.shape[1] for _, forms in products], dtype=np.int64)
+        self.first = np.cumsum(counts) - counts  # each product's first form
+        forms = np.concatenate([forms for _, forms in products], axis=1)
+        width = rows * (1 + nvars)
+        self.owners, self.sizes = 2 * width, 2 * rows  # where the forms' values and sizes start
+        # per form, the owners of the other forms of its product; a last
+        # segment is the table's constant 1, which a gradient's zero term
+        # multiplies
+        others = [[g for g in range(s, s + c) if g != f]
+                  for s, c in zip(self.first, counts) for f in range(s, s + c)] + [[len(forms[0])]]
+        sizes = np.array([len(o) for o in others], dtype=np.int64)
+        self.others = self.owners + np.array(list(chain.from_iterable(others)), dtype=np.int64)
+        self.other_starts = np.cumsum(sizes) - sizes
+        # every gradient slot (product, v), product by product; layer j holds
+        # the j-th form with a coefficient on x_v of every slot with more
+        # than j, so a slot sums its terms in one order in any batch
+        layers = [[]]
+        for p, (s, c) in enumerate(zip(self.first, counts)):
+            for v in range(nvars):
+                hits = [f for f in range(s, s + c) if forms[:, f, v].any()] or [len(forms[0])]
+                for j, f in enumerate(hits):
+                    if j == len(layers):
+                        layers.append([])
+                    layers[j].append((p * nvars + v, f, v))
+        padded = np.concatenate((forms, np.zeros((len(forms), 1, nvars + 1))), axis=1)
+        self.layers = [(np.array([i for i, _, _ in layer], dtype=np.int64),
+                        np.array([f for _, f, _ in layer], dtype=np.int64),
+                        padded[:, [f for _, f, _ in layer], [v for _, _, v in layer]])
+                       for layer in layers]
+        at = np.array([r for r, _ in products], dtype=np.int64)
+        # the B owners, DB slots and B scale segments they go to
+        self.targets = (width + at, (width + rows + nvars * at[:, None] + np.arange(nvars)).ravel(),
+                        rows + at)
+        self.count = len(forms[0])
+        self._positions = {}  # batch size -> those, as positions in flattened arrays
+
+    def add(self, member: np.ndarray, split: np.ndarray, magnitudes: np.ndarray | None) -> None:
+        """Multiply out the products, point i as member member[i], into
+        `split`, [A; DA; B; DB; forms; 1], and unless None `magnitudes`,
+        [A; B; forms], both C-contiguous, in place."""
+        count = len(split)
+        positions = self._positions.get(count)
+        if positions is None:
+            k = np.arange(count)[:, None]
+            widths = (split.shape[1], split.shape[1], self.sizes + self.count)
+            positions = self._positions[count] = tuple(
+                (base + k * width).ravel() for base, width in zip(self.targets, widths))
+        values, slots, segments = positions
+        rest = np.multiply.reduceat(split.take(self.others, axis=1), self.other_starts, axis=1)
+        where, forms, coeffs = self.layers[0]
+        gradients = coeffs.take(member, axis=0) * rest.take(forms, axis=1)
+        for where, forms, coeffs in self.layers[1:]:
+            gradients[:, where] += coeffs.take(member, axis=0) * rest.take(forms, axis=1)
+        flat = split.reshape(-1)
+        flat[values] += np.multiply.reduceat(split[:, self.owners:self.owners + self.count],
+                                             self.first, axis=1).ravel()
+        flat[slots] += gradients.ravel()
+        if magnitudes is not None:
+            magnitudes.reshape(-1)[segments] += (np.multiply.reduceat(
+                magnitudes[:, self.sizes:], self.first, axis=1) + 1).ravel()
+
+
+def _flatten(owned: list, dtype, members: int | None = None) -> tuple[np.ndarray, ...]:
     """The monomials and coefficients of per-owner term lists, concatenated,
     with one zero term on the constant monomial for each empty owner, and
-    the position of each owner's first term."""
+    the position of each owner's first term.  With `members`, a coefficient
+    may be an array of one per member, and the coefficients are a
+    (members, terms) array."""
     monos, coeffs = zip(*chain.from_iterable(terms or ((0, 0),) for terms in owned))
     counts = np.array([len(terms) or 1 for terms in owned])
+    if members is not None:
+        shared = [i for i, c in enumerate(coeffs) if not isinstance(c, np.ndarray)]
+        own = [i for i, c in enumerate(coeffs) if isinstance(c, np.ndarray)]
+        table = np.empty((members, len(coeffs)), dtype=dtype)
+        table[:, shared] = np.array([coeffs[i] for i in shared], dtype=dtype)
+        table[:, own] = np.array([coeffs[i] for i in own], dtype=dtype).reshape(-1, members).T
+        coeffs = table
     return (np.array(monos, dtype=np.int64), np.array(coeffs, dtype=dtype),
             np.cumsum(counts) - counts)
 

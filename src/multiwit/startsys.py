@@ -2,8 +2,10 @@
 
 Contains the multihomogeneous Bezout machinery (complete-intersection
 multidegree classes and the m-Bezout count), the linear-product start
-system, and solve_zero_dim: the square zero-dimensional solver (random
-square-up + gamma homotopy) that every witness computation sits on.
+system, handed over as its affine factors, and solve_zero_dims: the square
+zero-dimensional solver (random square-up + gamma homotopy) that every
+witness computation sits on, for many slicings of one system at once;
+solve_zero_dim is its one-slicing case.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Polynomial, PolySystem, VariableGrouping
+from .algebra import Members, Polynomial, PolySystem, VariableGrouping, affine_rows
 from .sysio import RandomSource
 from .tracker import (
+    IndeterminateError,
     TrackingError,
     _solve,
     dedupe_points,
@@ -69,7 +72,11 @@ def mbezout(degrees: Sequence[Sequence[int]], nvec: Sequence[int]) -> int:
 
 @dataclass
 class StartPackage:
-    start: PolySystem
+    """A linear-product start system: row r is the product of the next
+    counts[r] affine forms of `factors`, each a row of `affine_rows`."""
+
+    factors: np.ndarray
+    counts: tuple[int, ...]
     solutions: list[np.ndarray]
 
 
@@ -101,26 +108,22 @@ def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
         raise ValueError("linear-product start needs every equation nonconstant")
     predicted = mbezout(patterns, g.sizes)
 
-    # One random affine form per unit of group-degree per equation, drawn in
-    # that order and multiplied into its equation's start polynomial as it is
-    # drawn.  Each form's group, its coefficients over every variable (nonzero
-    # only on its group's block) and its constant are recorded there; form
-    # ids run over the forms in order.
-    start_polys, form_ids, form_group, coeffs, consts = [], [], [], [], []
-    units = [tuple(int(u == v) for u in range(g.nvars)) for v in range(g.nvars)]
+    # One random affine form on its group per unit of group-degree per
+    # equation, drawn in that order as `random_affine_form` draws (its
+    # coefficients, then its constant): its equation's start row is their
+    # product.  Form ids run over the forms in order.
+    factors, form_ids, form_group = [], [], []
     for d in patterns:
-        p = Polynomial.constant(g, 1.0)
-        form_ids.append(range(len(coeffs), len(coeffs) + sum(d)))
+        form_ids.append(range(len(factors), len(factors) + sum(d)))
         for i in range(k):
             for _ in range(d[i]):
-                form = random_affine_form(g, g.blocks[i], rs)
-                p = p * form
+                form = np.zeros(g.nvars + 1, dtype=complex)
+                form[list(g.blocks[i])] = [rs.gaussian_complex() for _ in g.blocks[i]]
+                form[-1] = rs.gaussian_complex()
+                factors.append(form)
                 form_group.append(i)
-                coeffs.append([form.terms.get(unit, 0.0) for unit in units])
-                consts.append(-form.terms.get((0,) * g.nvars, 0.0))
-        start_polys.append(p)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    consts = np.asarray(consts, dtype=complex)
+    factors = np.array(factors)
+    coeffs, consts = factors[:, :-1], -factors[:, -1]
 
     # Enumerate cells: per equation one factor, per group exactly n_i picks.
     # Each equation consumes one capacity unit, so the capacities always sum
@@ -164,7 +167,7 @@ def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
         raise TrackingError(
             f"linear-product cell count {len(solutions)} disagrees with m-Bezout {predicted}"
         )
-    return StartPackage(PolySystem(start_polys), solutions)
+    return StartPackage(factors, tuple(sum(d) for d in patterns), solutions)
 
 
 def _less(capacity: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -187,32 +190,80 @@ def square_up(F: PolySystem, rows: int, rs: RandomSource) -> PolySystem:
     return PolySystem(polys)
 
 
+def solve_zero_dims(
+    F: PolySystem,
+    slices: Sequence[Sequence[Polynomial]],
+    streams: Sequence[RandomSource],
+) -> list[list[np.ndarray] | None]:
+    """Isolated nonsingular solutions of V(F) intersected with V(slices[k])
+    for every k, system k drawing from streams[k]; None for a system whose
+    start homotopy has a failed path.
+
+    System k squares F up to (nvars - |slices[k]|) random combinations when
+    overdetermined, from its stream's substream(1), and draws its
+    linear-product start system from substream(2) and its gamma from
+    substream(3).  The systems that share one square-up and one shape of
+    start system are one batch: the square-up's rows compile once, and
+    each system is one member of one start homotopy (`algebra.Members`)
+    whose start rows are its start factors, gamma folded into each row's
+    first, and whose last rows end at its slices.  Every endpoint of a
+    batch is refined in one `newton_refine` call, and each system keeps
+    its deduplicated refined points whose residual on the ORIGINAL F is
+    small."""
+    n = F.grouping.nvars
+    for forms in slices:
+        if len(F) + len(forms) < n:
+            raise ValueError(
+                f"underdetermined: {len(F)} equations + {len(forms)} slices < {n} variables")
+    cores = [square_up(F, n - len(forms), rs.substream(1)) for forms, rs in zip(slices, streams)]
+    packages = [start_package(core.concat(list(forms)), rs.substream(2))
+                for core, forms, rs in zip(cores, slices, streams)]
+    batches: dict = {}
+    for k, (core, sp) in enumerate(zip(cores, packages)):
+        batches.setdefault((id(core), sp.counts), []).append(k)
+    solved: list = [None] * len(slices)
+    for batch in batches.values():
+        for k, points in zip(batch, _solve_batch(F, cores[batch[0]],
+                                                 [(slices[k], packages[k], streams[k])
+                                                  for k in batch])):
+            solved[k] = points
+    return solved
+
+
+def _solve_batch(F: PolySystem, core: PolySystem, systems: list) -> list:
+    """`solve_zero_dims` on systems (slices, start package, stream) that
+    share `core` and one shape of start system: one start homotopy with a
+    member per system, and one `newton_refine` call on all its endpoints."""
+    n = F.grouping.nvars
+    counts = systems[0][1].counts
+    factors = np.array([sp.factors for _, sp, _ in systems])
+    first = np.cumsum(counts) - counts
+    factors[:, first] *= np.array([rs.substream(3).unit_complex()
+                                   for _, _, rs in systems])[:, None, None]
+    forms = np.array([affine_rows(sl, n) for sl, _, _ in systems])
+    ends = track_slice_motion(None, [], core.polys, [sp.solutions for _, sp, _ in systems],
+                              None, Members(factors, counts, forms))
+    points, owner = [], []
+    for j, mine in enumerate(ends):
+        if mine is not None:
+            points += mine
+            owner += [j] * len(mine)
+    refined = newton_refine(core, points, forms, owner)
+    return [None if mine is None else
+            dedupe_points([p for o, p in zip(owner, refined) if o == j
+                           and p is not None and F.residual(p) < RESIDUAL_TOL])
+            for j, mine in enumerate(ends)]
+
+
 def solve_zero_dim(
     F: PolySystem,
     slices: Sequence[Polynomial],
     rs: RandomSource,
 ) -> list[np.ndarray]:
-    """Isolated nonsingular solutions of V(F) intersected with V(slices).
-
-    Squares F up to (nvars - |slices|) random combinations when
-    overdetermined, appends the slices, solves by a linear-product start
-    homotopy under the tracker's failed-path policy (a failed start path
-    raises IndeterminateError), refines every endpoint in one
-    `newton_refine` call, and keeps only the deduplicated refined points
-    whose residual on the ORIGINAL F is small.
-    """
-    g = F.grouping
-    n = g.nvars
-    s = len(slices)
-    if len(F) + s < n:
-        raise ValueError(
-            f"underdetermined: {len(F)} equations + {s} slices < {n} variables"
-        )
-    core = square_up(F, n - s, rs.substream(1))
-    target = core.concat(list(slices))
-    sp = start_package(target, rs.substream(2))
-    ends = track_slice_motion(None, sp.start.polys, target.polys, sp.solutions,
-                              rs.substream(3))
-    points = [p for p in newton_refine(target, ends) if p is not None
-              and F.residual(p) < RESIDUAL_TOL]
-    return dedupe_points(points)
+    """Isolated nonsingular solutions of V(F) intersected with V(slices):
+    `solve_zero_dims` on this one system, whose failed start path raises
+    IndeterminateError."""
+    (points,) = solve_zero_dims(F, [slices], [rs])
+    if points is None:
+        raise IndeterminateError("a start path failed")
+    return points

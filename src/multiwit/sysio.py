@@ -13,6 +13,7 @@ every other error: it names the line and column where its token starts.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -217,6 +218,9 @@ class _Parser:
         self.expect("sym", "=")
         p = self.parse_expr()
         self.expect("sym", ";")
+        # finite literals can still multiply or add up to inf or nan
+        if not all(cmath.isfinite(c) for c in p.terms.values()):
+            self.error(f"polynomial {name!r} has a coefficient that is not finite", name_tok)
         self.polys[name] = p
 
     def parse_expr(self) -> Polynomial:

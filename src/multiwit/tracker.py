@@ -13,15 +13,17 @@ together: k1, the three RK4 stages, the corrector and the t = 0 sharpening
 each make one kernel call on a (B, n) batch and one stacked solve; the
 next chunk starts when no row is left.  Each path keeps its own t, step,
 streak, steps, crawl count and norm history (`_Path`), and the rules of a
-path tracked alone judge its row.  Each path also has its own target: a
-row of constants subtracted from the target's last rows (its shift),
-which the batch carries and subsets like the rows' points and k1 and the
-kernel applies row by row, so many targets that differ only in their
-constants share one homotopy (a coefficient-parameter homotopy).  A path
-without a target of its own has a shift of zero columns, which the kernel
-skips.  A row's arithmetic never reads another row, so a path's result
-does not depend on the batch: not on its size, its order or the other
-paths in it.  `track_path` is `track_many` on one start point.
+path tracked alone judge its row.  Each path is also a member of its
+homotopy (`algebra.Members`): a member brings its own affine forms to the
+last rows, its start factors or its target forms, and the batch carries
+each row's member index and subsets it like the rows' points and k1.  So
+many homotopies that differ only in those forms share one table and one
+batch (a coefficient-parameter homotopy): the keys of a witness
+collection, or the queries of a membership test.  A homotopy without
+members ignores the index and costs nothing more.  A row's arithmetic
+never reads another row, so a path's result does not depend on the batch:
+not on its size, its order or the other paths in it.  `track_path` is
+`track_many` on one start point.
 
 One evaluation per point: `Homotopy.evaluate` gives H, J_x and dH/dt at
 (x, t) from one kernel call, and the residual scale only when the
@@ -42,11 +44,11 @@ instead of an exception, which the finiteness tests classify.
 
 Every homotopy, start systems and slice motions alike, goes through
 `track_slice_motion`, which draws its gamma from the caller's random
-stream and tracks its points to one or more shifted targets under one
-failed-path policy: a diverged path gives None, and a target with a failed
-path gets None in place of its endpoints while the other targets keep
-theirs.  A plain motion is one target with no shift, whose failed path
-raises IndeterminateError.
+stream and tracks its points, for one or many members, under one
+failed-path policy: a diverged path gives None, and a member with a failed
+path gets None in place of its endpoints while the other members keep
+theirs.  A plain motion is one member with no forms of its own, whose
+failed path raises IndeterminateError.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .algebra import Polynomial, PolySystem, _Compiled, relative_residual
+from .algebra import Members, Polynomial, PolySystem, _Compiled, relative_residual
 from .sysio import RandomSource
 
 MATCH_TOL = 1e-6  # relative distance below which two refined points are equal
@@ -98,7 +100,8 @@ class PathResult:
 
 
 class Homotopy(_Compiled):
-    """H(x;t) = [fixed(x); t*gamma*start(x) + (1-t)*target(x)].
+    """H(x;t) = [fixed(x); t*gamma*start(x) + (1-t)*target(x)], plus the
+    parts of `members` on the last rows.
 
     Every row is affine in t, so the three blocks compile once into one
     term table that gives each quantity below as A + t*B: a fixed term
@@ -114,22 +117,28 @@ class Homotopy(_Compiled):
 
     The corrector measures residuals relative to `scale`, so paths far from
     the origin (diverging toward infinity) still correct to machine
-    precision.  The Davidenko ODE is J_x x'(t) = -dH/dt.  A per-point
-    `shift` of evaluate moves the target to T - shift, row by row on the
-    last rows: H gains -(1-t)*shift, dH/dt gains +shift, the scale gains
-    |1-t| * |shift| and J_x stays as it is.  A shift of zero columns is no
-    shift."""
+    precision.  The Davidenko ODE is J_x x'(t) = -dH/dt.
+
+    With `members`, the moving block's last rows take their start part, or
+    their target part, from each path's member instead (`algebra.Members`):
+    the start block then covers the rows before the members' start rows,
+    and the target block the rows before their target rows.  A member's
+    start part carries its own gamma, folded into its factors."""
 
     def __init__(
         self,
-        start: PolySystem,
-        target: PolySystem,
+        start: Sequence[Polynomial],
+        target: Sequence[Polynomial],
         gamma: complex,
         fixed: PolySystem | None = None,
+        members: Members | None = None,
     ):
-        if len(start) != len(target):
+        start, target = tuple(start), tuple(target)
+        moving = len(start) + (members.start_rows if members else 0)
+        if moving != len(target) + (members.target_rows if members else 0):
             raise ValueError("start and target blocks must have equal length")
-        if start.grouping.nvars != target.grouping.nvars:
+        polys = (fixed.polys if fixed else ()) + start + target
+        if len({p.grouping.nvars for p in polys}) > 1:
             raise ValueError("start and target must share the variable set")
         if gamma == 0:
             raise ValueError("gamma must be nonzero")
@@ -137,12 +146,14 @@ class Homotopy(_Compiled):
         self.target = target
         self.gamma = complex(gamma)
         self.fixed = fixed
-        fixed_polys = fixed.polys if fixed else ()
-        # row j is sum (a + t*b) * p over its (p, a, b)
-        super().__init__(
-            [[(p, 1, 0)] for p in fixed_polys]
-            + [[(s, 0, self.gamma), (q, 1, -1)] for s, q in zip(start.polys, target.polys)],
-            target.grouping.nvars)
+        # row j is sum (a + t*b) * p over its (p, a, b); a moving row has a
+        # start term, a target term, both or, where members give both, none
+        rows = [[(p, 1, 0)] for p in (fixed.polys if fixed else ())]
+        for j in range(moving):
+            rows.append([(start[j], 0, self.gamma)] if j < len(start) else [])
+            if j < len(target):
+                rows[-1].append((target[j], 1, -1))
+        super().__init__(rows, polys[0].grouping.nvars, members)
 
 
 def _solve(J: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,10 +170,10 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def _newton(h: _Compiled, x: np.ndarray, t: np.ndarray, s: np.ndarray, tol: float,
+def _newton(h: _Compiled, x: np.ndarray, t: np.ndarray, m: np.ndarray, tol: float,
             max_iters: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Newton's method on rows of a square system: row i of x is corrected
-    at t[i] with shift s[i] (see `_Compiled.evaluate`), on its own, and the
+    at t[i] as member m[i] (see `_Compiled.evaluate`), on its own, and the
     rows still iterating share one kernel call of h and one stacked solve
     per iteration.
 
@@ -172,18 +183,18 @@ def _newton(h: _Compiled, x: np.ndarray, t: np.ndarray, s: np.ndarray, tol: floa
     is not evaluated again.  Returns (points, the relative residual of each,
     the evaluation at each as a tuple of row arrays with one row per point,
     never None)."""
-    ev = h.evaluate(x, t, True, s)
+    ev = h.evaluate(x, t, True, m)
     res = relative_residual(ev[0], ev[1])
     for _ in range(max_iters):
         live = res >= tol  # False for nan
         if live.all():
             x = x - _solve(ev[2], ev[0])
-            ev = h.evaluate(x, t, True, s)
+            ev = h.evaluate(x, t, True, m)
             res = relative_residual(ev[0], ev[1])
         elif live.any():
             x = x.copy()
             x[live] = x[live] - _solve(ev[2][live], ev[0][live])
-            part = h.evaluate(x[live], t[live], True, s[live])
+            part = h.evaluate(x[live], t[live], True, m[live])
             res[live] = relative_residual(part[0], part[1])
             for whole, fresh in zip(ev, part):
                 whole[live] = fresh
@@ -192,24 +203,34 @@ def _newton(h: _Compiled, x: np.ndarray, t: np.ndarray, s: np.ndarray, tol: floa
     return x, res, ev
 
 
-def newton_refine(system: PolySystem, points: Sequence) -> list[np.ndarray | None]:
+def newton_refine(system: PolySystem, points: Sequence, forms: np.ndarray | None = None,
+                  member: np.ndarray | None = None) -> list[np.ndarray | None]:
     """Sharpen roots of a square system by Newton iteration, BATCH_PATHS
     points per `_newton` call: each to a relative residual below REFINE_TOL
     in at most REFINE_ITERS steps.  Returns the points in input order, None
     for a None, for a point that stalls and for a singular one: a non-finite
     iterate, or singular values of the Jacobian with s_max = 0 or
-    s_min/s_max < 1e-13, from one stacked SVD per chunk."""
-    if len(system) != system.grouping.nvars:
+    s_min/s_max < 1e-13, from one stacked SVD per chunk.
+
+    With a (M, m, n + 1) array `forms` of `affine_rows`, point i is refined
+    on the system followed by the m affine forms forms[member[i]]: one call
+    refines the roots of M systems that differ only there."""
+    n = system.grouping.nvars
+    extra = 0 if forms is None else forms.shape[1]
+    if len(system) + extra != n:
         raise ValueError("newton_refine needs a square system")
+    table = system._compiled if not extra else _Compiled(
+        [[(p, 1, 0)] for p in system] + [[]] * extra, n, Members(forms=forms))
+    member = np.zeros(len(points), dtype=np.intp) if member is None else np.asarray(member)
     given = [i for i, p in enumerate(points) if p is not None]
     refined: list = [None] * len(points)
     for first in range(0, len(given), BATCH_PATHS):
         chunk = given[first:first + BATCH_PATHS]
         x = np.array([points[i] for i in chunk], dtype=complex)
-        if x.ndim != 2 or x.shape[1] != system.grouping.nvars:
-            raise ValueError(f"points need {system.grouping.nvars} coordinates, not {x.shape[1:]}")
+        if x.ndim != 2 or x.shape[1] != n:
+            raise ValueError(f"points need {n} coordinates, not {x.shape[1:]}")
         with np.errstate(invalid="ignore"):
-            x, res, ev = _newton(system._compiled, x, np.zeros(len(x)), np.zeros((len(x), 0)),
+            x, res, ev = _newton(table, x, np.zeros(len(x)), member[chunk],
                                  REFINE_TOL, REFINE_ITERS)
             # a non-finite iterate, which a singular solve leaves, has residual nan
             ok = res < REFINE_TOL
@@ -278,30 +299,30 @@ class _Path:
         return None
 
 
-def _start(h: Homotopy, starts: Sequence, shifts: np.ndarray, index: range,
+def _start(h: Homotopy, starts: Sequence, member: np.ndarray, index: range,
            results: list) -> tuple:
-    """Correct the start points at `index` on H(x; 1), each with its row of
-    `shifts`.  A start that does not correct is a failed path of 0 steps;
-    returns (paths, points, k1, shifts) of the others, which begin at t = 1."""
+    """Correct the start points at `index` on H(x; 1), each as its member.
+    A start that does not correct is a failed path of 0 steps; returns
+    (paths, points, k1, members) of the others, which begin at t = 1."""
     x = np.array([starts[i] for i in index], dtype=complex)
-    s = shifts[index]
-    x, res, ev = _newton(h, x, np.ones(len(x)), s, NEWTON_TOL, MAX_NEWTON_ITERS)
+    m = member[index]
+    x, res, ev = _newton(h, x, np.ones(len(x)), m, NEWTON_TOL, MAX_NEWTON_ITERS)
     ok = res < NEWTON_TOL
     for i, good in zip(index, ok):
         if not good:
             results[i] = PathResult("failed", None, 0)
     x = x[ok]
     k1 = _solve(ev[2][ok], ev[3][ok])
-    return [_Path(i, _norm(p)) for i, p in zip(np.array(index)[ok], x)], x, k1, s[ok]
+    return [_Path(i, _norm(p)) for i, p in zip(np.array(index)[ok], x)], x, k1, m[ok]
 
 
-def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, s: np.ndarray,
+def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, m: np.ndarray,
              results: list) -> tuple:
     """One step attempt of every live path, in lockstep: each RK4 stage, the
     corrector and the t = 0 sharpening make one kernel call and one stacked
-    solve for all rows, each row at its own t and shift, and each path's
-    rules then judge its own row.  Finished paths go into `results`; returns
-    (paths, points, k1, shifts) of the paths still live."""
+    solve for all rows, each row at its own t and as its own member, and
+    each path's rules then judge its own row.  Finished paths go into
+    `results`; returns (paths, points, k1, members) of the paths still live."""
     # RK4 on the Davidenko ODE x'(t) = -J_x^{-1} dH/dt, moving toward t=0;
     # each k is J_x^{-1} dH/dt, so the steps add dt * k.  A singular J_x
     # makes xp non-finite, so the attempt is rejected.
@@ -310,11 +331,11 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, s: np.ndar
     half, to = 0.5 * dt, t - dt
     ks = [k1]
     for w, tw in ((half, t - half), (half, t - half), (dt, to)):
-        _, _, J, dhdt = h.evaluate(x + w[:, None] * ks[-1], tw, shift=s)
+        _, _, J, dhdt = h.evaluate(x + w[:, None] * ks[-1], tw, member=m)
         ks.append(_solve(J, dhdt))
     _, k2, k3, k4 = ks
     xp = x + (dt / 6.0)[:, None] * (k1 + 2 * k2 + 2 * k3 + k4)
-    xc, res, ev = _newton(h, xp, to, s, NEWTON_TOL, MAX_NEWTON_ITERS)
+    xc, res, ev = _newton(h, xp, to, m, NEWTON_TOL, MAX_NEWTON_ITERS)
     accepted = (res < NEWTON_TOL) & np.isfinite(xp).all(axis=1)
 
     live, ended = [], []
@@ -327,13 +348,13 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, s: np.ndar
         else:
             results[p.index] = PathResult(status, None, p.steps)
     if ended:  # final sharpening against the t = 0 system
-        ends, res, _ = _newton(h, xc[ended], np.zeros(len(ended)), s[ended], END_TOL, 30)
+        ends, res, _ = _newton(h, xc[ended], np.zeros(len(ended)), m[ended], END_TOL, 30)
         for i, end, r in zip(ended, ends, res):
             p = paths[i]
             results[p.index] = (PathResult("converged", end.copy(), p.steps) if r < END_TOL
                                 else PathResult("failed", None, p.steps))
     if len(live) == len(paths) and accepted.all():  # the new arrays replace the old
-        return paths, xc, _solve(ev[2], ev[3]), s
+        return paths, xc, _solve(ev[2], ev[3]), m
     keep = np.array(live, dtype=np.intp)
     x = np.where(accepted[:, None], xc, x)[keep]
     k1 = k1[keep]
@@ -341,10 +362,10 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, s: np.ndar
     if fresh.any():
         rows = keep[fresh]
         k1[fresh] = _solve(ev[2][rows], ev[3][rows])
-    return [paths[i] for i in live], x, k1, s[keep]
+    return [paths[i] for i in live], x, k1, m[keep]
 
 
-def _track_rows(h: Homotopy, starts: Sequence, shifts: np.ndarray) -> list[PathResult]:
+def _track_rows(h: Homotopy, starts: Sequence, member: np.ndarray) -> list[PathResult]:
     """The engine of `track_many`: the start points in chunks of BATCH_PATHS,
     each started at once and advanced until none of its paths is live."""
     if len(starts) and h.rows != h.nvars:
@@ -352,26 +373,25 @@ def _track_rows(h: Homotopy, starts: Sequence, shifts: np.ndarray) -> list[PathR
     results: list = [None] * len(starts)
     index = range(len(starts))
     for first in index[::BATCH_PATHS]:
-        paths, x, k1, s = _start(h, starts, shifts, index[first:first + BATCH_PATHS], results)
+        paths, x, k1, m = _start(h, starts, member, index[first:first + BATCH_PATHS], results)
         while paths:
-            paths, x, k1, s = _advance(h, paths, x, k1, s, results)
+            paths, x, k1, m = _advance(h, paths, x, k1, m, results)
     return results
 
 
 def track_many(h: Homotopy, starts: Sequence,
-               shifts: np.ndarray | None = None) -> list[PathResult]:
+               member: np.ndarray | None = None) -> list[PathResult]:
     """Track every start point along h; results ordered by input index.
-    Row i of a (len(starts), m) array `shifts` is subtracted from the target
-    constants of the last m rows of h for path i alone (see
-    `_Compiled.evaluate`); without `shifts` every path has a shift of zero
-    columns, which is none.  The paths move in lockstep, but every rule
-    applies to each path on its own, so a path's result does not depend on
-    the others.  numpy's overflow and invalid-value warnings are off: the
-    finiteness tests classify a diverging path and a singular Jacobian."""
-    if shifts is None:
-        shifts = np.zeros((len(starts), 0))
+    Path i is member member[i] of h's `Members`; without `member` every
+    path is member 0, which a homotopy without members ignores.  The paths
+    move in lockstep, but every rule applies to each path on its own, so a
+    path's result does not depend on the others.  numpy's overflow and
+    invalid-value warnings are off: the finiteness tests classify a
+    diverging path and a singular Jacobian."""
+    if member is None:
+        member = np.zeros(len(starts), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _track_rows(h, starts, shifts)
+        return _track_rows(h, starts, member)
 
 
 def track_path(h: Homotopy, start_point) -> PathResult:
@@ -383,9 +403,9 @@ def track_slice_motion(
     fixed: PolySystem | None,
     old_rows: Sequence[Polynomial],
     new_rows: Sequence[Polynomial],
-    points: Sequence[np.ndarray],
-    rs: RandomSource,
-    shifts: np.ndarray | None = None,
+    points: Sequence,
+    rs: RandomSource | None,
+    members: Members | None = None,
 ) -> list:
     """Track points of V(fixed, old_rows) to V(fixed, new_rows) along
     [fixed; t*gamma*old_rows + (1-t)*new_rows], gamma = rs.unit_complex().
@@ -393,29 +413,31 @@ def track_slice_motion(
     substreams.  With no rows in motion the points come back unchanged and
     no path is tracked.
 
-    With a (Q, m) array `shifts`, every point is tracked to each of the Q
-    targets new_rows - shifts[q] (the last m rows each minus a constant),
-    in one homotopy with one gamma and one lockstep batch of Q times as many
-    paths, and one list of endpoints comes back per target, in the order of
-    `points`, with None for a diverged path.  A target with a failed path
-    gets None in place of its list: the failure is that target's alone.
-    Without `shifts` the motion is one target with a shift of zero columns,
-    and its list comes back alone; a failed path raises IndeterminateError."""
-    if not old_rows and not new_rows:
-        return list(points) if shifts is None else [list(points) for _ in shifts]
-    h = Homotopy(PolySystem(old_rows), PolySystem(new_rows), rs.unit_complex(), fixed)
-    targets = np.zeros((1, 0)) if shifts is None else shifts
-    n = len(points)
-    starts = points if shifts is None else list(points) * len(targets)
-    results = track_many(h, starts, np.repeat(targets, n, axis=0))
+    With `members`, the last rows of the motion start, or end, at each
+    member's own forms (see `Homotopy`), `points` holds one list of start
+    points per member, and every member's paths go in one homotopy and one
+    lockstep batch.  One list of endpoints comes back per member, in the
+    order of its points, with None for a diverged path; a member with a
+    failed path gets None in place of its list: the failure is that
+    member's alone.  A motion whose start rows are all the members' own
+    draws no gamma, and rs may be None.  Without `members` the motion is
+    one member, and its list comes back alone; a failed path raises
+    IndeterminateError."""
+    lists = [points] if members is None else points
+    if not len(old_rows) + (0 if members is None else members.start_rows):
+        return list(points) if members is None else [list(p) for p in lists]
+    h = Homotopy(old_rows, new_rows, rs.unit_complex() if old_rows else 1.0, fixed, members)
+    sizes = [len(p) for p in lists]
+    starts = points if members is None else [p for mine in points for p in mine]
+    results = track_many(h, starts, np.repeat(np.arange(len(lists)), sizes))
     ends = []
-    for q in range(len(targets)):
-        mine = results[q * n:(q + 1) * n]
+    for first, n in zip(np.cumsum(sizes) - sizes, sizes):
+        mine = results[first:first + n]
         failed = sum(r.status == "failed" for r in mine)
-        if failed and shifts is None:
+        if failed and members is None:
             raise IndeterminateError(f"{failed} of {n} paths failed")
         ends.append(None if failed else [r.endpoint for r in mine])
-    return ends[0] if shifts is None else ends
+    return ends[0] if members is None else ends
 
 
 def points_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -28,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Polynomial, PolySystem, VariableGrouping
+from .algebra import Members, Polynomial, PolySystem, VariableGrouping, affine_rows
 from .sysio import RandomSource
-from .startsys import RESIDUAL_TOL, random_affine_form, solve_zero_dim, square_up
+from .startsys import RESIDUAL_TOL, random_affine_form, solve_zero_dims, square_up
 from .tracker import (
     IndeterminateError,
     TrackingError,
@@ -132,7 +132,11 @@ def compute_witness_collection(
 ) -> WitnessCollection:
     """Solve F against L^e for every candidate e (all of equal |e|).
 
-    Group i's flag is drawn in sequence from rs.substream(11).substream(100 + i)."""
+    Group i's flag is drawn in sequence from rs.substream(11).substream(100 + i),
+    and key e's square-up, start system and gamma from its own substream
+    (`startsys.solve_zero_dims`), so the keys that share a square-up are
+    solved in one start homotopy.  A key with a failed start path raises
+    IndeterminateError."""
     g = F.grouping
     candidates = [tuple(int(x) for x in e) for e in candidates]
     if not candidates:
@@ -158,10 +162,14 @@ def compute_witness_collection(
     core = square_up(F, g.nvars - d, rs.substream(12))
     # a repeated key is solved once, on the substream of its last copy
     streams = {e: 13 + idx for idx, e in enumerate(sorted(candidates))}
+    selections = [SliceSelection(tuple(tuple(flag[:ei]) for flag, ei in zip(flags, e)))
+                  for e in streams]
+    solved = solve_zero_dims(F, [sel.forms for sel in selections],
+                             [rs.substream(stream) for stream in streams.values()])
     entries = {}
-    for e, stream in streams.items():
-        sel = SliceSelection(tuple(tuple(flag[:ei]) for flag, ei in zip(flags, e)))
-        pts = solve_zero_dim(F, sel.forms, rs.substream(stream))
+    for e, sel, pts in zip(streams, selections, solved):
+        if pts is None:
+            raise IndeterminateError(f"the start paths of key {e} failed")
         if pts:
             entries[e] = WitnessSet(F, core, sel, pts)
     if not entries:
@@ -398,14 +406,17 @@ def passes_through(fixed: PolySystem, forms: list, points: list, queries: Sequen
     """For each query q, whether q lies on the set that `points` cut out
     with `fixed` and `forms`: translate each form through q, as
     form - form(q), track the points along, and look for q at the ends.
-    Every query's paths go in one homotopy drawn from rs, each with its own
-    translate; a query with a failed path gets None, and the others keep
-    their verdicts."""
+    Every query is one member of one homotopy drawn from rs, whose target
+    is its translates; a query with a failed path gets None, and the others
+    keep their verdicts."""
     if not len(queries):
         return []
     queries = np.array(queries, dtype=complex)
-    values = PolySystem(forms).kernel(queries)[0] if forms else np.zeros((len(queries), 0))
-    ends = track_slice_motion(fixed, forms, forms, points, rs, shifts=values)
+    rows = affine_rows(forms, queries.shape[1])
+    translates = np.repeat(rows[None], len(queries), axis=0)
+    translates[:, :, -1] = -(rows[None, :, :-1] * queries[:, None, :]).sum(axis=2)
+    ends = track_slice_motion(fixed, forms, [], [points] * len(queries), rs,
+                              Members(forms=translates))
     return [None if e is None else any(p is not None and points_equal(p, q) for p in e)
             for e, q in zip(ends, queries)]
 

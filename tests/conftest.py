@@ -46,3 +46,19 @@ def diff(p: Polynomial, v: int) -> Polynomial:
         if e[v] > 0:
             terms[e[:v] + (e[v] - 1,) + e[v + 1:]] = c * e[v]
     return Polynomial(p.grouping, terms)
+
+
+def product(g, factors) -> Polynomial:
+    """The product of affine forms given as rows (c_1, ..., c_n, c_0), each
+    c.x + c_0, expanded term by term."""
+    p = Polynomial.constant(g, 1.0)
+    for row in factors:
+        p = p * Polynomial.affine(g, row[:-1], row[-1])
+    return p
+
+
+def start_polys(sp, g) -> list:
+    """The start rows of a start package, each the expanded product of its
+    factors."""
+    first = np.cumsum(sp.counts) - sp.counts
+    return [product(g, sp.factors[f:f + c]) for f, c in zip(first, sp.counts)]

@@ -264,6 +264,14 @@ def test_non_finite_literal_is_input_error(tmp_path, capsys, text, keys):
     assert "number literal '1e999' is not finite" in capsys.readouterr().err
 
 
+def test_non_finite_coefficient_is_input_error(tmp_path, capsys):
+    # finite literals whose product overflows: refused before any path is tracked
+    bad = tmp_path / "bad.sys"
+    bad.write_text("group x; group y; f = 1e300*1e300*x*y - 1;")
+    assert run(["witness", "--input", str(bad), "--keys", "10"]) == EXIT_INPUT
+    assert "polynomial 'f' has a coefficient that is not finite" in capsys.readouterr().err
+
+
 def test_pentad_requires_extended_flag(capsys):
     assert run(["witness", "--fixture", "pentad"]) == EXIT_INPUT
 

@@ -15,10 +15,11 @@ SOURCES = sorted(
 
 # Public names that no other library code calls, kept because they are the
 # toolkit's own entry points: monodromy breakup is called by users (the
-# demos, the octa-chain benchmark workflow) and by nothing inside it, and
+# demos, the octa-chain benchmark workflow) and by nothing inside it,
 # track_path, `track_many` on one start point, by users and by the traced
-# benchmark, which wraps it by name.
-ENTRY_POINTS = {"breakup", "track_path"}
+# benchmark, which wraps it by name, and solve_zero_dim, `solve_zero_dims`
+# on one system, by users and the acceptance tests, and wrapped by name too.
+ENTRY_POINTS = {"breakup", "track_path", "solve_zero_dim"}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -146,7 +147,7 @@ def test_one_newton_loop():
     (newton,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
                  and fn.name == "_newton"]
     params = [arg.arg for arg in newton.args.args + newton.args.kwonlyargs]
-    assert params == ["h", "x", "t", "s", "tol", "max_iters"]
+    assert params == ["h", "x", "t", "m", "tol", "max_iters"]
 
 
 def test_nothing_tracks_one_path_at_a_time():

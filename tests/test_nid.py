@@ -119,9 +119,9 @@ def test_nid_multi_defers_only_the_point_of_a_failed_query(monkeypatch):
     points = list(wc.entries[(1,)].points)
     track, batches = tracker.track_many, []
 
-    def last_query_fails(h, starts, shifts=None):
-        results = track(h, starts, shifts)
-        if shifts.shape[1]:
+    def last_query_fails(h, starts, member=None):
+        results = track(h, starts, member)
+        if h.members is not None:  # a membership batch, one member per query
             batches.append(len(starts))
             results[-1] = tracker.PathResult("failed", None, 0)
         return results
@@ -274,10 +274,10 @@ def test_nid_multi_queries_on_one_component_share_a_gamma(monkeypatch):
     per_call, asked = [], []
 
     class Recording(tracker.Homotopy):
-        def __init__(self, start, target, gamma, fixed=None):
+        def __init__(self, start, target, gamma, fixed=None, members=None):
             if gammas is not None:
                 gammas.append(gamma)
-            super().__init__(start, target, gamma, fixed)
+            super().__init__(start, target, gamma, fixed, members)
 
     real = nid.component_membership
 

@@ -130,3 +130,17 @@ def test_non_finite_literals_are_refused(text, col):
     with pytest.raises(ParseError) as exc:
         parse_system(text)
     assert str(exc.value) == f"line 1, column {col}: number literal '1e999' is not finite"
+
+
+@pytest.mark.parametrize("text, name, col", [
+    ("group x; group y; f = 1e300*1e300*x*y - 1;", "f", 19),  # an overflowing product
+    ("group x;\ng = x - 1;\nh = 1e200^2*x;", "h", 1),  # a power of a finite literal
+    ("group x; f = 1e308*x + 1e308*x - 1;", "f", 10),  # a sum of like terms
+])
+def test_non_finite_coefficients_are_refused(text, name, col):
+    # every literal is finite, but a coefficient the parser builds from them
+    # is not: the polynomial is refused at its name
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert str(exc.value).endswith(f"column {col}: polynomial {name!r} has a coefficient "
+                                   "that is not finite")

@@ -20,11 +20,12 @@ from multiwit import (
     track_many,
     track_path,
 )
+from multiwit.algebra import Members, affine_rows
 from multiwit.fixtures import get_fixture
 from multiwit.tracker import dedupe_points, points_equal, track_slice_motion
 from multiwit.witness import passes_through
 
-from conftest import diff, evaluate, extended, rs
+from conftest import diff, evaluate, extended, product, rs
 
 
 def univariate():
@@ -209,95 +210,159 @@ def complex_normal(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+MEMBERS = 3
+COUNTS = (2, 1)  # forms per start row of `member_homotopy`'s members
+
+
+def member_homotopy(with_fixed, rng):
+    """(homotopy, start forms, target forms) of a homotopy whose last two
+    rows start at each member's own products, of two forms and of one, and
+    whose last row ends at its own form; two of the forms leave out a group."""
+    g = VariableGrouping.from_sizes([2, 2], ["x", "y", "u", "v"])
+    moving = 2 if with_fixed else 4
+    factors = complex_normal(rng, MEMBERS, 3, 5)
+    factors[:, 0, 2:4] = factors[:, 2, 0:2] = 0
+    forms = complex_normal(rng, MEMBERS, 1, 5)
+    fixed = PolySystem([random_poly(g, rng, 9, 3) for _ in range(2)]) if with_fixed else None
+    h = Homotopy([random_poly(g, rng, 6, 2) for _ in range(moving - 2)],
+                 [random_poly(g, rng, 5, 3) for _ in range(moving - 1)],
+                 1.7 * rs(4).unit_complex(), fixed, Members(factors, COUNTS, forms))
+    return h, factors, forms
+
+
+def member_reference(h, factors, forms, x, t):
+    """H, J_x, dH/dt and the residual scale of one member of a
+    `member_homotopy`, row by row from its pieces (p, a, b), each evaluated
+    and differentiated term by term through Polynomial: a start row of the
+    member is the expanded product of its forms, and its scale reads the
+    product's size as the product of its forms' sizes."""
+    g = h.target[0].grouping
+    fixed = list(h.fixed or ())
+    pieces = [[(p, 1, 0, None)] for p in fixed] + [[] for _ in range(len(h.target) + 1)]
+    for j, p in enumerate(h.start):
+        pieces[len(fixed) + j].append((p, 0, h.gamma, None))
+    for j, p in enumerate(h.target):
+        pieces[len(fixed) + j].append((p, 1, -1, None))
+    first = np.cumsum(COUNTS) - COUNTS
+    for r, (f, c) in zip((-2, -1), zip(first, COUNTS)):
+        pieces[r].append((product(g, factors[f:f + c]), 0, 1, factors[f:f + c]))
+    pieces[-1].append((product(g, forms), 1, -1, forms))
+
+    def size(p, rows):
+        if rows is None:  # each term's |coeff| * |monomial|
+            return evaluate(Polynomial(g, {e: abs(c) for e, c in p.terms.items()}),
+                            np.abs(x)).real
+        return np.prod([np.abs(f[:-1]) @ np.abs(x) + abs(f[-1]) for f in rows])
+
+    H = [sum((a + t * b) * evaluate(p, x) for p, a, b, _ in row) for row in pieces]
+    J = [[sum((a + t * b) * evaluate(diff(p, v), x) for p, a, b, _ in row)
+          for v in range(len(x))] for row in pieces]
+    dt = [sum(b * evaluate(p, x) for p, a, b, _ in row) for row in pieces]
+    sc = [sum(abs(a + t * b) * (size(p, rows) + 1) for p, a, b, rows in row) for row in pieces]
+    return tuple(np.array(v) for v in (H, J, dt, sc))
+
+
+@pytest.mark.parametrize("with_fixed", [False, True])
+def test_member_kernel_matches_expanded_products(with_fixed):
+    # a member's start rows, given as their forms, are the expanded products
+    # of those forms and its target row its form: H, J_x, dH/dt and the
+    # scale match the term-by-term oracle to rounding
+    rng = np.random.default_rng(11)
+    h, factors, forms = member_homotopy(with_fixed, rng)
+    for k in range(MEMBERS):
+        x = rng.normal(size=4) + 1j * rng.normal(size=4)
+        t = float(rng.uniform(0.01, 0.99))
+        H, scale, J, dt = (a[0] for a in h.evaluate(x[None], t, True, np.array([k])))
+        for a, b in zip((H, J, dt, scale), member_reference(h, factors[k], forms[k], x, t)):
+            assert a.shape == b.shape
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("with_fixed", [False, True])
 def test_kernel_rows_match_one_point_calls(with_fixed):
     # every row of a batched call is bit for bit the call on a batch of that
-    # one row, with that row's shift if the call has shifts, scaled or not,
-    # as the batch grows, shrinks to a prefix and grows again; a shift of
-    # zero columns gives the unshifted rows bit for bit
+    # one row, as its own member, scaled or not, as the batch grows, shrinks
+    # to a prefix and grows again, with or without members; a member index
+    # on a homotopy without members, and members without rows, give the
+    # plain rows bit for bit
     rng = np.random.default_rng(8)
-    h = fused_homotopy(with_fixed, rng)
-    for count, width in itertools.product((5, 2, 7, 1), (None, 0, 2)):
-        x = complex_normal(rng, count, 4)
-        t = rng.uniform(0.01, 0.99, size=count)
-        shift = None if width is None else complex_normal(rng, count, width)
-        for scaled in (False, True):
-            rows = h.evaluate(x, t, scaled, shift)
-            for i in range(count):
-                one = h.evaluate(x[i:i + 1], float(t[i]), scaled,
-                                 None if shift is None else shift[i:i + 1])
-                assert (rows[1] is None) == (one[1] is None) == (not scaled)
-                assert all(r[i].tobytes() == o[0].tobytes() for r, o in zip(rows, one)
-                           if o is not None)
-            if width == 0:
-                plain = h.evaluate(x, t, scaled)
-                assert all((r is None and p is None) or r.tobytes() == p.tobytes()
-                           for r, p in zip(rows, plain))
+    plain = fused_homotopy(with_fixed, rng)
+    mixed, _, _ = member_homotopy(with_fixed, rng)
+    rowless = Homotopy(plain.start, plain.target, plain.gamma, plain.fixed,
+                       Members(forms=np.zeros((MEMBERS, 0, 5))))
+    for h in (plain, mixed):
+        for count in (5, 2, 7, 1):
+            x = complex_normal(rng, count, 4)
+            t = rng.uniform(0.01, 0.99, size=count)
+            member = rng.integers(0, MEMBERS, size=count)
+            for scaled in (False, True):
+                rows = h.evaluate(x, t, scaled, member)
+                for i in range(count):
+                    one = h.evaluate(x[i:i + 1], float(t[i]), scaled, member[i:i + 1])
+                    assert (rows[1] is None) == (one[1] is None) == (not scaled)
+                    assert all(r[i].tobytes() == o[0].tobytes() for r, o in zip(rows, one)
+                               if o is not None)
+                if h is plain:
+                    for same in (h.evaluate(x, t, scaled), rowless.evaluate(x, t, scaled, member)):
+                        assert all((r is None and p is None) or r.tobytes() == p.tobytes()
+                                   for r, p in zip(rows, same))
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("with_fixed", [False, True])
 def test_shifted_kernel_matches_translated_targets(with_fixed, m):
-    # a shift c on the last m rows is the homotopy compiled on those target
-    # rows minus c: H and dH/dt to rounding and J_x bit for bit.  The scale
-    # gains (1 - t) * |c| on those rows, which bounds the translated rows'
-    # own scale, and no row's scale changes otherwise
+    # members whose last m target rows are affine forms, such as a slice's
+    # translates through query points, are the homotopies compiled on those
+    # forms as polynomials: H, J_x, dH/dt and the scale to rounding
     rng = np.random.default_rng(10)
     h = fused_homotopy(with_fixed, rng)
-    count, rows = 4, len(h.target)
+    g = h.target[0].grouping
+    count, kept = 4, h.target[:len(h.target) - m]
+    forms = complex_normal(rng, count, m, 5)
+    translated = Homotopy(h.start, kept, h.gamma, h.fixed, Members(forms=forms))
     x, t = complex_normal(rng, count, 4), rng.uniform(0.01, 0.99, size=count)
-    shift = complex_normal(rng, count, m)
-    H, scale, J, dt = h.evaluate(x, t, scaled=True, shift=shift)
-    _, plain_scale, plain_J, _ = h.evaluate(x, t, scaled=True)
-    assert J.tobytes() == plain_J.tobytes()
-    moved = slice(h.rows - m, None)
-    assert np.array_equal(scale[:, :moved.start], plain_scale[:, :moved.start])
-    grown = plain_scale[:, moved] + (1 - t)[:, None] * np.abs(shift)
-    assert np.allclose(scale[:, moved], grown, rtol=1e-14, atol=0)
+    got = translated.evaluate(x, t, True, np.arange(count))
     for i in range(count):
-        target = list(h.target.polys)
-        target[rows - m:] = [q - c for q, c in zip(target[rows - m:], shift[i])]
-        translated = Homotopy(h.start, PolySystem(target), h.gamma, h.fixed)
-        H2, scale2, J2, dt2 = (a[0] for a in translated.evaluate(x[i:i + 1], t[i], scaled=True))
-        assert np.linalg.norm(H[i] - H2) <= 1e-13 * np.linalg.norm(H2)
-        assert np.linalg.norm(dt[i] - dt2) <= 1e-13 * np.linalg.norm(dt2)
-        assert J[i].tobytes() == J2.tobytes()
-        assert np.all(scale2 <= scale[i] * (1 + 1e-14))
+        compiled = Homotopy(h.start, kept + tuple(product(g, [f]) for f in forms[i]), h.gamma,
+                            h.fixed)
+        for a, b in zip(got, compiled.evaluate(x[i:i + 1], t[i], True)):
+            assert np.linalg.norm(a[i] - b[0]) <= 1e-13 * np.linalg.norm(b[0])
 
 
 def test_slice_motion_to_shifted_targets():
-    # one motion to three targets new - c ends where each motion to the
-    # translated row ends, with the same gamma; a zero shift, and a shift of
-    # zero columns, is the plain motion bit for bit, and a shift of zero
-    # columns from passes_through with no forms tracks nothing; and a
-    # failed path voids its own target only
+    # one motion to three members, each ending at the new row minus c, ends
+    # where each motion to the translated row ends, with the same gamma;
+    # members without rows are the plain motion bit for bit, and
+    # passes_through with no forms tracks nothing; and a failed path voids
+    # its own member only
     g = VariableGrouping.from_sizes([2], ["x", "y"])
     x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
     fixed = PolySystem([x**2 + y**2 - 2])
     old, new = [x - y], [x + 2 * y - 1]
     points = [np.array([1.0 + 0j, 1.0 + 0j]), np.array([-1.0 + 0j, -1.0 + 0j])]
-    shifts = np.array([[0], [0.3], [-0.5 + 0.2j]])
-    batched = track_slice_motion(fixed, old, new, points, rs(3), shifts=shifts)
+    shifts = [0, 0.3, -0.5 + 0.2j]
+    members = Members(forms=np.array([affine_rows([new[0] - c], 2) for c in shifts]))
+    batched = track_slice_motion(fixed, old, [], [points] * 3, rs(3), members)
     assert len(batched) == 3
-    for ends, (c,) in zip(batched, shifts):
+    for ends, c in zip(batched, shifts):
         alone = track_slice_motion(fixed, old, [new[0] - c], points, rs(3))
         assert all(points_equal(a, b) for a, b in zip(ends, alone, strict=True))
     plain = track_slice_motion(fixed, old, new, points, rs(3))
-    assert [p.tobytes() for p in batched[0]] == [p.tobytes() for p in plain]
-    (unshifted,) = track_slice_motion(fixed, old, new, points, rs(3), shifts=np.zeros((1, 0)))
-    assert [p.tobytes() for p in unshifted] == [p.tobytes() for p in plain]
+    (rowless,) = track_slice_motion(fixed, old, new, [points], rs(3),
+                                    Members(forms=np.zeros((1, 0, 3))))
+    assert [p.tobytes() for p in rowless] == [p.tobytes() for p in plain]
 
     track = multiwit.tracker.track_many
 
-    def second_target_fails(h, starts, shifts=None):
-        results = track(h, starts, shifts)
+    def second_member_fails(h, starts, member=None):
+        results = track(h, starts, member)
         results[3] = multiwit.tracker.PathResult("failed", None, 0)
         return results
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multiwit.tracker, "track_many", second_target_fails)
-        voided = track_slice_motion(fixed, old, new, points, rs(3), shifts=shifts)
-        # no forms: one (1, 0) shift and no path, so the failing tracker is not reached
+        mp.setattr(multiwit.tracker, "track_many", second_member_fails)
+        voided = track_slice_motion(fixed, old, [], [points] * 3, rs(3), members)
+        # no forms: members without rows and no path, so the failing tracker is not reached
         assert passes_through(fixed, [], points, [points[1]], rs(3)) == [True]
         assert passes_through(fixed, [], points, [points[0] + 1], rs(3)) == [False]
     assert voided[1] is None
@@ -320,15 +385,16 @@ class FirstQuery(Exception):
 
 @pytest.fixture(scope="module")
 def captured_homotopies():
-    """(homotopy, starts, shifts) of every homotopy of one octahedron-fh
-    collection and of its first coarsening, and of the first richardson-four
-    nid membership batch, whose paths each have their own target shift."""
+    """(homotopy, starts, members) of every homotopy of one octahedron-fh
+    collection, one member per key, and of its first coarsening, and of the
+    first richardson-four nid membership batch, one member per query."""
     captured, queries = [], []
     track, membership = multiwit.tracker.track_many, multiwit.nid.component_membership
 
-    def recorded(h, starts, shifts=None):
-        captured.append((h, list(starts), shifts))
-        return track(h, starts, shifts)
+    def recorded(h, starts, member=None):
+        member = np.zeros(len(starts), dtype=np.intp) if member is None else member
+        captured.append((h, list(starts), member))
+        return track(h, starts, member)
 
     def first_query(*args, **kwargs):
         queries.append((args, kwargs))
@@ -351,7 +417,8 @@ def captured_homotopies():
         (args, kwargs), = queries
         membership(*args, **kwargs)
     assert len(captured) == octahedron + 1
-    assert all(shifts.shape == (len(starts), 0) for _, starts, shifts in captured[:octahedron])
+    assert captured[0][0].members.count == 6  # the octahedron keys
+    assert all(h.members is None for h, _, _ in captured[1:octahedron])
     assert len(captured[-1][2]) == len(captured[-1][1]) > 64  # more than one chunk
     return captured
 
@@ -365,24 +432,24 @@ def fingerprint(results):
 def test_results_do_not_depend_on_the_batch(captured_homotopies, monkeypatch):
     # one batch, one call per start, the starts reversed, and the starts in
     # chunks of two all give the same paths, bit for bit
-    # (each path with its own shift); and the totals over the fixture's
+    # (each path as its own member); and the totals over the fixture's
     # homotopies are pinned (paths, each status, steps), so a change that
     # moves a path shows here
     counts, steps = collections.Counter(), 0
-    for h, starts, shifts in captured_homotopies:
-        together = fingerprint(track_many(h, starts, shifts))
-        assert fingerprint([track_many(h, [s], shifts[[i]])[0]
+    for h, starts, member in captured_homotopies:
+        together = fingerprint(track_many(h, starts, member))
+        assert fingerprint([track_many(h, [s], member[[i]])[0]
                             for i, s in enumerate(starts)]) == together
-        assert fingerprint(track_many(h, starts[::-1], shifts[::-1])[::-1]) == together
+        assert fingerprint(track_many(h, starts[::-1], member[::-1])[::-1]) == together
         with monkeypatch.context() as mp:
             mp.setattr(multiwit.tracker, "BATCH_PATHS", 2)
-            assert fingerprint(track_many(h, starts, shifts)) == together
+            assert fingerprint(track_many(h, starts, member)) == together
         counts.update(status for status, _, _ in together)
         steps += sum(taken for _, taken, _ in together)
     assert max(len(starts) for _, starts, _ in captured_homotopies) > 2
-    assert len(captured_homotopies) == 16
+    assert len(captured_homotopies) == 11
     assert counts == {"converged": 195, "diverged": 9}
-    assert steps == 3271
+    assert steps == 3268
 
 
 def test_starts_go_in_fixed_chunks(monkeypatch):
@@ -393,10 +460,10 @@ def test_starts_go_in_fixed_chunks(monkeypatch):
     starts = [np.array([np.exp(2j * np.pi * k / 5)]) for k in range(5)]
     chunks, start = [], multiwit.tracker._start
 
-    def spied(h, starts, shifts, index, results):
-        assert shifts.shape == (5, 0)  # a homotopy without shifts carries zero columns
+    def spied(h, starts, member, index, results):
+        assert list(member) == [0] * 5  # without members, every path is member 0
         chunks.append(index)
-        return start(h, starts, shifts, index, results)
+        return start(h, starts, member, index, results)
 
     monkeypatch.setattr(multiwit.tracker, "BATCH_PATHS", 2)
     monkeypatch.setattr(multiwit.tracker, "_start", spied)
@@ -418,7 +485,7 @@ def test_pentad_start_paths_are_pinned():
     class Captured(Exception):
         pass
 
-    def capture(h, starts, shifts=None):
+    def capture(h, starts, member=None):
         captured.append((h, starts[::384]))
         raise Captured
 
@@ -432,7 +499,7 @@ def test_pentad_start_paths_are_pinned():
     assert len(results) == 144
     assert [sum(r.status == s for r in results) for s in ("converged", "diverged", "failed")] \
         == [40, 102, 2]
-    assert sum(r.steps_taken for r in results) == 11212
+    assert sum(r.steps_taken for r in results) == 11217
 
 
 def test_no_start_no_path():
@@ -464,8 +531,8 @@ def test_tracker_hooks_seen_from_outside(monkeypatch):
     homotopies, solved = [], []
     track, solve = multiwit.tracker.track_many, multiwit.tracker._solve
 
-    def tracked(h, points, shifts=None):
-        homotopies.append((points, track(h, points, shifts)))
+    def tracked(h, points, member=None):
+        homotopies.append((points, track(h, points, member)))
         return homotopies[-1][1]
 
     def solving(J, b):
@@ -521,9 +588,9 @@ def test_tracker_solve_tracks_like_numpy_solve(monkeypatch):
     homotopies = []
     track = multiwit.tracker.track_many
 
-    def recorded(h, starts, shifts=None):
+    def recorded(h, starts, member=None):
         homotopies.append((h, starts))
-        return track(h, starts, shifts)
+        return track(h, starts, member)
 
     monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
     source = RandomSource(seed=7, stream=1003)
@@ -546,26 +613,25 @@ def test_tracker_solve_tracks_like_numpy_solve(monkeypatch):
 
 
 def test_overflowing_predictor_warns_nothing(monkeypatch):
-    # octa-chain at seed 5, draw 1: the last merge of octahedron-fh tracks a
-    # path whose RK4 stage overflows the kernel on its way to diverging; the
-    # tracker classifies the non-finite point itself, so numpy's warnings
+    # octa-chain at seed 4, draw 1: the second merge of octahedron-fh tracks
+    # paths whose RK4 stage overflows the kernel on their way to diverging;
+    # the tracker classifies the non-finite point itself, so numpy's warnings
     # are noise and track_many silences them
     fx = get_fixture("octahedron-fh")
-    source = RandomSource(seed=5, stream=1003)
+    source = RandomSource(seed=4, stream=1003)
     wc = compute_witness_collection(fx.system, fx.default_keys, source)
-    for sub in (101, 102):
-        wc, _ = coarsen_collection(wc, (0, 1), source.substream(sub))
+    wc, _ = coarsen_collection(wc, (0, 1), source.substream(101))
     homotopies = []
     track_many = multiwit.tracker.track_many
 
-    def recorded(h, starts, shifts=None):
-        homotopies.append((h, starts, track_many(h, starts, shifts)))
+    def recorded(h, starts, member=None):
+        homotopies.append((h, starts, track_many(h, starts, member)))
         return homotopies[-1][2]
 
     monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        coarsen_collection(wc, (0, 1), source.substream(103))
+        coarsen_collection(wc, (0, 1), source.substream(102))
     # each path again, alone, through the engine outside track_many's
     # errstate, with numpy's warnings recorded, not raised
     overflowed = 0
@@ -573,7 +639,7 @@ def test_overflowing_predictor_warns_nothing(monkeypatch):
         for start, result in zip(starts, results, strict=True):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                (alone,) = multiwit.tracker._track_rows(h, [start], np.zeros((1, 0)))
+                (alone,) = multiwit.tracker._track_rows(h, [start], np.zeros(1, dtype=np.intp))
             overflowed += any(issubclass(w.category, RuntimeWarning) for w in caught)
             assert (alone.status, alone.steps_taken) == (result.status, result.steps_taken)
     assert overflowed

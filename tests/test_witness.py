@@ -23,8 +23,8 @@ from multiwit import (
     track_slice_motion,
 )
 from multiwit.fixtures import get_fixture
-from multiwit.startsys import RESIDUAL_TOL, square_up
-from multiwit.tracker import relative_residual
+from multiwit.startsys import RESIDUAL_TOL, solve_zero_dims, square_up
+from multiwit.tracker import points_equal, relative_residual
 from multiwit.witness import passes_through, random_affine_form
 
 from conftest import evaluate, on_its_slices, rs
@@ -411,14 +411,75 @@ def test_membership_validates_point_size(cubic_wc):
 
 def test_a_repeated_key_is_solved_once(monkeypatch):
     # each distinct key is solved on the substream its last copy drew before
+    # (one system each, in one call)
     fx = get_fixture("cubic-split")
-    streams = []
+    calls = []
 
-    def spy(F, forms, sub):
-        streams.append(sub.stream)
-        return solve_zero_dim(F, forms, sub)
+    def spy(F, slices, subs):
+        calls.append([sub.stream for sub in subs])
+        return solve_zero_dims(F, slices, subs)
 
-    monkeypatch.setattr(multiwit.witness, "solve_zero_dim", spy)
+    monkeypatch.setattr(multiwit.witness, "solve_zero_dims", spy)
     wc = compute_witness_collection(fx.system, [(1, 0), (1, 0), (0, 1)], rs(31))
-    assert streams == [rs(31).substream(13).stream, rs(31).substream(15).stream]
+    assert calls == [[rs(31).substream(13).stream, rs(31).substream(15).stream]]
     assert wc.multidegree_map() == {(1, 0): 2, (0, 1): 3}
+
+
+def test_keys_that_share_a_square_up_are_solved_as_alone(monkeypatch):
+    # the octahedron's keys share F, so they are the members of one start
+    # homotopy; each key's points are the points of solving it alone, in order
+    fx = get_fixture("octahedron-fh")
+    members = []
+    track = multiwit.tracker.track_many
+
+    def recorded(h, starts, member=None):
+        members.append(h.members.count)
+        return track(h, starts, member)
+
+    monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(46))
+    assert members == [len(fx.default_keys)]
+    monkeypatch.undo()
+    assert wc.multidegree_map() == fx.extra["degree_map"]
+    for idx, e in enumerate(sorted(fx.default_keys)):
+        alone = solve_zero_dim(fx.system, wc.entries[e].selection.forms, rs(46).substream(13 + idx))
+        assert len(alone) == len(wc.entries[e].points)
+        assert all(points_equal(a, b) for a, b in zip(alone, wc.entries[e].points))
+
+
+def test_keys_with_their_own_square_up_are_solved_apart(monkeypatch):
+    # richardson's twelve minors are overdetermined, so each key squares
+    # them up from its own stream: each key is a homotopy of its own, and
+    # the collection keeps its multidegree map
+    fx = get_fixture("richardson")
+    members = []
+    track = multiwit.tracker.track_many
+
+    def recorded(h, starts, member=None):
+        members.append(h.members.count)
+        return track(h, starts, member)
+
+    monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(11))
+    assert members == [1] * len(fx.default_keys)
+    monkeypatch.undo()
+    assert wc.multidegree_map() == fx.extra["degree_map"]
+    for idx, e in enumerate(sorted(fx.default_keys)[:3]):
+        alone = solve_zero_dim(fx.system, wc.entries[e].selection.forms, rs(11).substream(13 + idx))
+        assert [p.tobytes() for p in alone] == [p.tobytes() for p in wc.entries[e].points]
+
+
+def test_a_failed_start_path_names_its_key(monkeypatch):
+    # one start path of the second key, (1, 0), fails: the collection raises,
+    # naming that key, never a key with too few points
+    fx = get_fixture("cubic-split")
+    track = multiwit.tracker.track_many
+
+    def second_key_fails(h, starts, member=None):
+        results = track(h, starts, member)
+        results[list(member).index(1)] = multiwit.tracker.PathResult("failed", None, 0)
+        return results
+
+    monkeypatch.setattr(multiwit.tracker, "track_many", second_key_fails)
+    with pytest.raises(IndeterminateError, match=r"key \(1, 0\)"):
+        compute_witness_collection(fx.system, fx.default_keys, rs(31))

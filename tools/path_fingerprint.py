@@ -6,11 +6,15 @@
 
 For each (workload, seed, draw) one line: the workflow's attempted and failed
 steps, the paths that `tracker.track_many` returned, the kernel calls
-(`algebra._Compiled.evaluate`), the `tracker.Homotopy` tables built, and a
+(`algebra._Compiled.evaluate`), the `tracker.Homotopy` tables built, the
+lockstep rounds (calls of `tracker._advance`, one step attempt of every live
+path of a batch), and a
 SHA-256 over each of those PathResults in call order: its status, its steps
 taken and its endpoint's bytes; then `answers`, a SHA-256 of
 `repr(sorted(gate.results.items()))`, the integers every check produced.  Two trees that print the same lines track the same
 paths bit for bit, with the same kernel calls, and give the same answers.
+The counts do not depend on the machine: batching shows in `rounds` and
+`kernel_calls` next to `homotopies`.
 
 Run from the repository root: the library comes from ./src and the
 workflows from bench/workloads.py, which this script only imports.  A draw
@@ -38,9 +42,9 @@ import workloads  # noqa: E402
 def fingerprint(workload: str, seed: int, draw: int, setup) -> str:
     """The line of one draw; wraps the tracker, the kernel and the homotopy
     build while it runs."""
-    digest, counts = hashlib.sha256(), {"paths": 0, "calls": 0, "homotopies": 0}
+    digest, counts = hashlib.sha256(), {"paths": 0, "calls": 0, "homotopies": 0, "rounds": 0}
     track, evaluate = tracker.track_many, algebra._Compiled.evaluate
-    build = tracker.Homotopy.__init__
+    build, advance = tracker.Homotopy.__init__, tracker._advance
 
     def tracked(*args, **kwargs):
         results = track(*args, **kwargs)
@@ -58,18 +62,23 @@ def fingerprint(workload: str, seed: int, draw: int, setup) -> str:
         counts["homotopies"] += 1
         build(self, *args, **kwargs)
 
+    def advanced(*args, **kwargs):
+        counts["rounds"] += 1
+        return advance(*args, **kwargs)
+
     gate = workloads.Gate()
     tracker.track_many, algebra._Compiled.evaluate = tracked, counted
-    tracker.Homotopy.__init__ = built
+    tracker.Homotopy.__init__, tracker._advance = built, advanced
     try:
         workloads.WORKFLOWS[workload](setup, seed, draw, gate)
     finally:
         tracker.track_many, algebra._Compiled.evaluate = track, evaluate
-        tracker.Homotopy.__init__ = build
+        tracker.Homotopy.__init__, tracker._advance = build, advance
     answers = hashlib.sha256(repr(sorted(gate.results.items())).encode()).hexdigest()
     return (f"{workload} seed={seed} draw={draw} attempted={gate.attempted} "
             f"failed={gate.failed} paths={counts['paths']} kernel_calls={counts['calls']} "
-            f"homotopies={counts['homotopies']} sha256={digest.hexdigest()} answers={answers}")
+            f"homotopies={counts['homotopies']} rounds={counts['rounds']} "
+            f"sha256={digest.hexdigest()} answers={answers}")
 
 
 def main(argv=None) -> int:
