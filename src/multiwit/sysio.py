@@ -25,6 +25,12 @@ import numpy as np
 from .algebra import Polynomial, PolySystem, VariableGrouping
 
 DEFAULT_SEED = 20230529
+# The largest group size and exponent a system file may ask for.  The tracker
+# is dense in the variables, and the kernel keeps one entry per unit of a
+# monomial's degree, so larger ones could not be tracked; refusing them at
+# the token keeps the parser from building them first.
+MAX_GROUP_SIZE = 1000
+MAX_EXPONENT = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +163,12 @@ class _Parser:
             self.error(f"expected {want!r}, found {tok[1]!r}", tok)
         return tok
 
-    def integer(self, least: int, message: str) -> int:
-        """The next token as an integer literal of at least `least`."""
+    def integer(self, least: int, most: int, what: str) -> int:
+        """The next token as an integer literal from `least` to `most`."""
         tok = self.expect("num")
         value = tok[1].real
-        if tok[1].imag != 0 or value != int(value) or value < least:
-            self.error(message, tok)
+        if tok[1].imag != 0 or value != int(value) or not least <= value <= most:
+            self.error(f"{what} must be an integer from {least} to {most}", tok)
         return int(value)
 
     def parse(self) -> SystemDocument:
@@ -195,7 +201,7 @@ class _Parser:
             self.error(f"duplicate group name {name!r}", name_tok)
         size = 1
         if self.accept("["):
-            size = self.integer(1, "group size must be a positive integer")
+            size = self.integer(1, MAX_GROUP_SIZE, "group size")
             self.expect("sym", "]")
         self.expect("sym", ";")
         self.group_names.append(name)
@@ -245,7 +251,7 @@ class _Parser:
     def parse_factor(self) -> Polynomial:
         p = self.parse_atom()
         if self.accept("^"):
-            p = p ** self.integer(0, "exponent must be a nonnegative integer")
+            p = p ** self.integer(0, MAX_EXPONENT, "exponent")
         return p
 
     def parse_atom(self) -> Polynomial:

@@ -32,6 +32,15 @@ it returns, so the first RK4 stage of the next step, k1 at that same
 (x, t), reads J_x and dH/dt from it; a rejected attempt leaves (x, t) as
 it was and keeps k1, so each attempt evaluates only stages 2 to 4.
 
+A path ends "diverged" when an accepted point passes DIVERGENCE_NORM, when
+it creeps toward an interior blow-up time (the crawl rule, which covers
+t >= 0.1), or in the endgame (Morgan, Sommese and Wampler's power-series
+endgame, Numer. Math. 63, 1992): from t < 0.1 on, the path's growth exponent
+dlog|x| / dlog(1/t) is estimated between samples at geometric t, and two
+consecutive positive estimates that agree within 20% end a path whose norm
+has passed its blow-up bound (see `_Path`).  A path these rules do not end
+is tracked to t = 0 and sharpened there.
+
 One Newton loop, `_newton`, serves the corrector, the correction of the
 start points, the t = 0 sharpening and `newton_refine`, which refines a
 homotopy's endpoints BATCH_PATHS at a time, and is the one place that
@@ -244,10 +253,20 @@ def newton_refine(system: PolySystem, points: Sequence, forms: np.ndarray | None
 
 class _Path:
     """One live path's step control: the rules of a path tracked alone, for
-    one row of the batch.  The row's point and its k1 live in the batch."""
+    one row of the batch.  The row's point and its k1 live in the batch.
+
+    The endgame rule: once t < 0.1 the path is sampled at each accepted point
+    where t has at least halved since the last sample, and each two
+    consecutive samples estimate its growth exponent a = dlog|x| / dlog(1/t).
+    On a path to infinity a tends to a positive limit, on a path to a finite
+    endpoint to 0.  The path ends "diverged" when two consecutive estimates
+    are positive and agree within 20% and its norm has passed `blowup`, so no
+    path whose norm stays below `blowup` is ever cut.  A finite endpoint
+    beyond `blowup` that the path approaches like a pole is called diverged
+    too; `blowup` is the bound the crawl rule uses."""
 
     __slots__ = ("index", "t", "step", "streak", "steps", "crawl", "norms", "initial",
-                 "blowup")
+                 "blowup", "sampled", "log_norm", "rate")
 
     def __init__(self, index: int, norm: float):
         self.index = index  # position among the start points
@@ -259,6 +278,9 @@ class _Path:
         self.norms = deque([norm], maxlen=8)  # the last 8 norms
         self.initial = norm
         self.blowup = 1e4 * max(1.0, norm)
+        self.sampled = 1.0  # t of the last endgame sample; no sample yet
+        self.log_norm = 0.0  # log|x| at that sample
+        self.rate = 0.0  # the last growth exponent estimated, 0 before two samples
 
     def accepted(self, dt: float, norm: float) -> str | None:
         """The step to t - dt was accepted at a point of this norm.  Returns
@@ -270,6 +292,15 @@ class _Path:
         self.norms.append(norm)
         if norm > DIVERGENCE_NORM:
             return "diverged"
+        if 0 < self.t < 0.1 and self.t <= self.sampled / 2:
+            log_norm = math.log(max(norm, 1e-300))  # a path may sit at the origin
+            if self.sampled < 0.1:
+                rate = (log_norm - self.log_norm) / math.log(self.sampled / self.t)
+                if (self.rate > 0 and abs(rate - self.rate) <= 0.2 * self.rate
+                        and norm > self.blowup):
+                    return "diverged"
+                self.rate = rate
+            self.sampled, self.log_norm = self.t, log_norm
         # A path blowing up at an interior time creeps: t stagnates while the
         # norm grows without bound.  Cut it off early.
         if dt < 1e-4 and norm > self.norms[-2]:

@@ -264,6 +264,17 @@ def test_non_finite_literal_is_input_error(tmp_path, capsys, text, keys):
     assert "number literal '1e999' is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("group x; f = x^100000000 - 1;", "exponent must be an integer from 0 to 1000"),
+    ("group v[100000000]; f = v1;", "group size must be an integer from 1 to 1000"),
+])
+def test_oversized_exponent_or_group_is_input_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.sys"
+    bad.write_text(text)
+    assert run(["witness", "--input", str(bad)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_non_finite_coefficient_is_input_error(tmp_path, capsys):
     # finite literals whose product overflows: refused before any path is tracked
     bad = tmp_path / "bad.sys"

@@ -6,7 +6,7 @@ from multiwit import (
     RandomSource,
     parse_system,
 )
-from multiwit.sysio import _tokenize
+from multiwit.sysio import MAX_EXPONENT, MAX_GROUP_SIZE, _tokenize
 
 from conftest import evaluate
 
@@ -130,6 +130,26 @@ def test_non_finite_literals_are_refused(text, col):
     with pytest.raises(ParseError) as exc:
         parse_system(text)
     assert str(exc.value) == f"line 1, column {col}: number literal '1e999' is not finite"
+
+
+@pytest.mark.parametrize("text, col, message", [
+    ("group x; f = x^100000000 - 1;", 16, "exponent must be an integer from 0 to 1000"),
+    ("group v[100000000]; f = v1;", 9, "group size must be an integer from 1 to 1000"),
+    ("group x; f = x^1001;", 16, "exponent must be an integer from 0 to 1000"),
+    ("group v[1001]; f = v1;", 9, "group size must be an integer from 1 to 1000"),
+    ("group v[0]; f = v1;", 9, "group size must be an integer from 1 to 1000"),
+])
+def test_oversized_exponents_and_groups_are_refused(text, col, message):
+    # refused at the token, before the parser builds the power or the names
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert str(exc.value) == f"line 1, column {col}: {message}"
+
+
+def test_the_largest_exponent_and_group_parse():
+    doc = parse_system(f"group v[{MAX_GROUP_SIZE}]; f = v1^{MAX_EXPONENT} - v{MAX_GROUP_SIZE};")
+    assert doc.grouping.nvars == MAX_GROUP_SIZE
+    assert doc.system.polys[0].multidegree() == (MAX_EXPONENT,)
 
 
 @pytest.mark.parametrize("text, name, col", [

@@ -449,7 +449,7 @@ def test_results_do_not_depend_on_the_batch(captured_homotopies, monkeypatch):
     assert max(len(starts) for _, starts, _ in captured_homotopies) > 2
     assert len(captured_homotopies) == 11
     assert counts == {"converged": 195, "diverged": 9}
-    assert steps == 3268
+    assert steps == 3182
 
 
 def test_starts_go_in_fixed_chunks(monkeypatch):
@@ -471,7 +471,7 @@ def test_starts_go_in_fixed_chunks(monkeypatch):
     assert chunks == [range(0, 2), range(2, 4), range(4, 5)]
     # path 1 diverges, long after path 0 has converged
     assert [(r.status, r.steps_taken) for r in results[:2]] == [("converged", 12),
-                                                                 ("diverged", 60)]
+                                                                 ("diverged", 33)]
     assert all(r.status == "converged" for r in results[2:])
 
 
@@ -499,13 +499,57 @@ def test_pentad_start_paths_are_pinned():
     assert len(results) == 144
     assert [sum(r.status == s for r in results) for s in ("converged", "diverged", "failed")] \
         == [40, 102, 2]
-    assert sum(r.steps_taken for r in results) == 11217
+    assert sum(r.steps_taken for r in results) == 10224
 
 
 def test_no_start_no_path():
     g, x = univariate()
     h = Homotopy(PolySystem([x**2 - 1]), PolySystem([x**2 - 4]), gamma=rs(0).unit_complex())
     assert track_many(h, []) == []
+
+
+def test_endgame_ends_a_pole():
+    # gamma*t*(x - 1) - (1 - t): x = 1 + (1 - t)/(gamma*t) grows like 1/t,
+    # so two growth exponents near 1 end the path in 21 steps, where the
+    # norm bound 1e8 took 35
+    g, x = univariate()
+    h = Homotopy(PolySystem([x - 1]), PolySystem([Polynomial.constant(g, -1.0)]),
+                 gamma=rs(0).unit_complex())
+    r = track_path(h, np.array([1.0 + 0j]))
+    assert (r.status, r.endpoint, r.steps_taken) == ("diverged", None, 21)
+
+
+def test_endgame_keeps_a_far_root_below_the_blowup_bound():
+    # gamma*t*(x - 1) + (1 - t)*(x/1000 - 1) ends at x = 1000, below the
+    # path's bound 1e4: the endgame may not cut it, and it converges in the
+    # steps and to the bits it did before the endgame rule
+    g, x = univariate()
+    h = Homotopy(PolySystem([x - 1]), PolySystem([1e-3 * x - 1]), gamma=rs(0).unit_complex())
+    r = track_path(h, np.array([1.0 + 0j]))
+    assert (r.status, r.steps_taken) == ("converged", 12)
+    assert complex(r.endpoint[0]) == complex(1000.0000000000002, -9.547918011776346e-15)
+
+
+def test_endgame_stops_a_path_jump():
+    # in the richardson-four collection at stream 1013, start path 3 (key
+    # (0, 2, 3)) grows like 1/t to norm 7.35e7 at t = 3.7e-10; the t = 0
+    # sharpening then landed it on path 0's root, a converged copy that
+    # dedupe_points dropped.  The endgame calls it diverged.
+    captured = []
+    track = multiwit.tracker.track_many
+
+    def recorded(h, starts, member=None):
+        captured.append(track(h, starts, member))
+        return captured[-1]
+
+    fx = get_fixture("richardson-four")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiwit.tracker, "track_many", recorded)
+        wc = compute_witness_collection(fx.system, fx.default_keys,
+                                        RandomSource(seed=20230529, stream=1013))
+    (results,) = captured
+    assert [r.status for r in results[:4]] == ["converged"] * 3 + ["diverged"]
+    assert len(wc.entries[(0, 2, 3)].points) == 3
 
 
 def test_one_batch_keeps_each_path_status():
@@ -612,37 +656,30 @@ def test_tracker_solve_tracks_like_numpy_solve(monkeypatch):
                                                                                  b.endpoint)
 
 
-def test_overflowing_predictor_warns_nothing(monkeypatch):
-    # octa-chain at seed 4, draw 1: the second merge of octahedron-fh tracks
-    # paths whose RK4 stage overflows the kernel on their way to diverging;
-    # the tracker classifies the non-finite point itself, so numpy's warnings
-    # are noise and track_many silences them
-    fx = get_fixture("octahedron-fh")
-    source = RandomSource(seed=4, stream=1003)
-    wc = compute_witness_collection(fx.system, fx.default_keys, source)
-    wc, _ = coarsen_collection(wc, (0, 1), source.substream(101))
-    homotopies = []
-    track_many = multiwit.tracker.track_many
-
-    def recorded(h, starts, member=None):
-        homotopies.append((h, starts, track_many(h, starts, member)))
-        return homotopies[-1][2]
-
-    monkeypatch.setattr(multiwit.tracker, "track_many", recorded)
+def test_overflowing_predictor_warns_nothing():
+    # x^60 - 1 -> x^59 - 2: one path goes to infinity, and on the way an RK4
+    # stage overflows the kernel (x^60 past 1e308) before the endgame calls it
+    # diverged; the tracker classifies the non-finite point itself, so
+    # numpy's warnings are noise and track_many silences them
+    g, x = univariate()
+    h = Homotopy(PolySystem([x**60 - 1]), PolySystem([x**59 - 2]),
+                 gamma=RandomSource(seed=1).unit_complex())
+    starts = [np.array([np.exp(2j * np.pi * k / 60)]) for k in range(60)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        coarsen_collection(wc, (0, 1), source.substream(102))
+        results = track_many(h, starts)
+    assert [r.status for r in results].count("diverged") == 1
     # each path again, alone, through the engine outside track_many's
     # errstate, with numpy's warnings recorded, not raised
-    overflowed = 0
-    for h, starts, results in homotopies:
-        for start, result in zip(starts, results, strict=True):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                (alone,) = multiwit.tracker._track_rows(h, [start], np.zeros(1, dtype=np.intp))
-            overflowed += any(issubclass(w.category, RuntimeWarning) for w in caught)
-            assert (alone.status, alone.steps_taken) == (result.status, result.steps_taken)
-    assert overflowed
+    overflowed = []
+    for start, result in zip(starts, results, strict=True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (alone,) = multiwit.tracker._track_rows(h, [start], np.zeros(1, dtype=np.intp))
+        if any(issubclass(w.category, RuntimeWarning) for w in caught):
+            overflowed.append(alone.status)
+        assert (alone.status, alone.steps_taken) == (result.status, result.steps_taken)
+    assert overflowed == ["diverged"]
 
 
 def test_newton_refine_quadratic_convergence():

@@ -10,9 +10,13 @@ steps, the paths that `tracker.track_many` returned, the kernel calls
 lockstep rounds (calls of `tracker._advance`, one step attempt of every live
 path of a batch), and a
 SHA-256 over each of those PathResults in call order: its status, its steps
-taken and its endpoint's bytes; then `answers`, a SHA-256 of
-`repr(sorted(gate.results.items()))`, the integers every check produced.  Two trees that print the same lines track the same
-paths bit for bit, with the same kernel calls, and give the same answers.
+taken and its endpoint's bytes; then the count of those paths per status,
+`converged_sha256`, the same SHA-256 over the converged paths only, and
+`answers`, a SHA-256 of `repr(sorted(gate.results.items()))`, the integers
+every check produced.  Two trees that print the same lines track the same
+paths bit for bit, with the same kernel calls, and give the same answers.  A
+change that only ends diverging paths sooner shows equal status counts and
+an equal `converged_sha256` next to fewer `kernel_calls` and `rounds`.
 The counts do not depend on the machine: batching shows in `rounds` and
 `kernel_calls` next to `homotopies`.
 
@@ -42,15 +46,19 @@ import workloads  # noqa: E402
 def fingerprint(workload: str, seed: int, draw: int, setup) -> str:
     """The line of one draw; wraps the tracker, the kernel and the homotopy
     build while it runs."""
-    digest, counts = hashlib.sha256(), {"paths": 0, "calls": 0, "homotopies": 0, "rounds": 0}
+    digest, converged = hashlib.sha256(), hashlib.sha256()
+    counts = {"paths": 0, "calls": 0, "homotopies": 0, "rounds": 0}
+    statuses = {"converged": 0, "diverged": 0, "failed": 0}
     track, evaluate = tracker.track_many, algebra._Compiled.evaluate
     build, advance = tracker.Homotopy.__init__, tracker._advance
 
     def tracked(*args, **kwargs):
         results = track(*args, **kwargs)
         for r in results:
-            digest.update(f"{r.status}:{r.steps_taken}:".encode())
-            digest.update(b"-" if r.endpoint is None else r.endpoint.tobytes())
+            statuses[r.status] += 1
+            for h in (digest, converged) if r.status == "converged" else (digest,):
+                h.update(f"{r.status}:{r.steps_taken}:".encode())
+                h.update(b"-" if r.endpoint is None else r.endpoint.tobytes())
         counts["paths"] += len(results)
         return results
 
@@ -78,7 +86,9 @@ def fingerprint(workload: str, seed: int, draw: int, setup) -> str:
     return (f"{workload} seed={seed} draw={draw} attempted={gate.attempted} "
             f"failed={gate.failed} paths={counts['paths']} kernel_calls={counts['calls']} "
             f"homotopies={counts['homotopies']} rounds={counts['rounds']} "
-            f"sha256={digest.hexdigest()} answers={answers}")
+            f"sha256={digest.hexdigest()} "
+            + "".join(f"{status}_paths={n} " for status, n in statuses.items())
+            + f"converged_sha256={converged.hexdigest()} answers={answers}")
 
 
 def main(argv=None) -> int:
