@@ -11,13 +11,14 @@ a point's values and Jacobian come from one kernel call, and a batch of
 points' from one call too; the residual scale has a small table of its own
 over the same monomials.
 
-A table may also have members (`Members`): instances of one homotopy that
-differ only in affine forms on its last rows, each point of a batch read
-as the member it names.  A member's affine form is a term list whose
-coefficients are the member's own; its start rows that are products of
-forms stay products, multiplied out after the table's sums.  So one table
-serves every key of a witness collection, or every query of a membership
-test, and a table without members is evaluated exactly as before.
+Every table is evaluated one way: its coefficients are a (members, terms)
+table, and each point of a batch reads the row of the member it names.  A
+table without `Members` has one member.  Members are instances of one
+homotopy that differ only in affine forms on its last rows: a member's
+affine form is a term list, derivative terms included, whose coefficients
+are the member's own, and its start rows that are products of forms stay
+products, multiplied out after the table's sums.  So one table serves every
+key of a witness collection, or every query of a membership test.
 """
 
 from __future__ import annotations
@@ -274,33 +275,34 @@ def _fmt_complex(c: complex) -> str:
 
 class _Compiled:
     """One term table for rows of the form sum_k (a_k + t*b_k) * p_k(x),
-    evaluated at a batch of points, one per row.
+    evaluated at a batch of points, one per row, each point as one member
+    of the table's `Members`.
 
     Every term refers into one list of distinct monomials; monomial 0 is the
     constant 1.  The terms are summed per owner in one take, one multiply
     and one `reduceat`.  The owners are [A; DA; B; DB]: A holds each row's
     a-part, DA its Jacobian slots (row by row, one per column), and B, DB
     the same for the b-parts.  So a row at t is A + t*B, its Jacobian is
-    DA + t*DB, and B is its derivative in t.  The residual scale reads a
-    table of its own: each row's sum of |coeff| * |monomial| plus 1, split
-    as [A; B].  That scale reads |a + t*b| as |a| + t*(|a + b| - |a|), which
-    is exact on [0, 1] when a or b is zero or b = -a.  An owner without
-    terms gets one zero term on the constant monomial.
+    DA + t*DB, and B is its derivative in t.  Only the owners with terms
+    are summed, the others are 0; and the B of a row whose every piece has
+    b = -a is not summed but is -A, which is its sum bit for bit, since
+    negation is exact.  The residual scale reads a table of its own: each
+    row's sum of |coeff| * |monomial| plus 1, split as [A; B].  That scale
+    reads |a + t*b| as |a| + t*(|a + b| - |a|), which is exact on [0, 1]
+    when a or b is zero or b = -a.  A scale segment without terms gets one
+    zero term on the constant monomial.
 
-    `members`, if given, adds each member's own pieces to the last rows
-    (see `Members`), and a batch row reads the member it names.  A member's
-    affine form is a piece like any other, whose terms take their
-    coefficient from the member: the table keeps one row of coefficients
-    and one of scale weights per member, and the form's gradient is its
-    members' constant, added to its slots after the sums.  A product of two
-    or more forms is not expanded: each form is an owner of its own, after
-    [A; DA; B; DB], with its sizes after the scale's [A; B], and `_Products`
-    multiplies them into the rows' owners after the sums.  In a table with
-    members, whose batches are large and whose member rows leave many
-    owners without terms, only the owners with terms are summed and the
-    others are 0; and the B of a row whose every piece has b = -a is not
-    summed but is -A, which is its sum bit for bit, since negation is
-    exact."""
+    The coefficients and scale weights are (members, terms) tables, and
+    each point of a batch copies the row of its member; a table without
+    `members` has one member, whose row every point copies.  (A row copy
+    costs less than writing only the columns that differ from member to
+    member.)  `members` adds each member's own pieces to the last rows
+    (see `Members`).  A member's affine form is a piece like any other,
+    derivative terms included, whose terms take their coefficient from the
+    member; only those columns of a table differ from member to member.  A
+    product of two or more forms is not expanded: each form is an owner of
+    its own, after [A; DA; B; DB], with its sizes after the scale's [A; B],
+    and `_Products` multiplies them into the rows' owners after the sums."""
 
     def __init__(self, rows: Sequence[Sequence[tuple[Polynomial, complex, complex]]],
                  nvars: int, members: "Members | None" = None):
@@ -310,17 +312,11 @@ class _Compiled:
         self.width = self.rows * (1 + nvars)  # owners per half: values, then slots
         pieces = [[(p._expansion, a, b) for p, a, b in row] for row in rows]
         products = []  # (row, forms) of the members' start parts of two or more forms
-        jacobian: dict = {}  # slot owner -> its members' constant, from their affine forms
         for r, a, b, forms in members.pieces if members else ():
-            r += self.rows
             if forms.shape[1] > 1:
-                products.append((r, forms))
-                continue
-            pieces[r].append((_affine_expansion(forms[:, 0]), a, b))
-            for half, w in ((0, a), (1, b)):
-                for v in np.flatnonzero(forms[:, 0, :nvars].any(axis=0)) if w else ():
-                    slot = half * self.width + self.rows + r * nvars + v
-                    jacobian[slot] = jacobian.get(slot, 0) + w * forms[:, 0, v]
+                products.append((r + self.rows, forms))
+            else:
+                pieces[r].append((_affine_expansion(forms[:, 0]), a, b))
         factors = [form for _, forms in products for form in forms.transpose(1, 0, 2)]
         index = {(0,) * nvars: 0}  # exponent vector -> monomial number
         # per owner: (monomial, coeff); after the factors' values, a constant 1 for `_Products`
@@ -328,9 +324,9 @@ class _Compiled:
         # per segment: (monomial, weight)
         scaled = [[] for _ in range(2 * self.rows + len(factors))]
         self.ones = np.zeros(len(scaled))  # the "plus 1" of each segment's scale
-        negated = set()  # rows whose every piece has b = -a, so B = -A, with members
+        negated = set()  # rows whose every piece has b = -a, so B = -A
         for r, row in enumerate(pieces):
-            if members and row and all(b == -a for _, a, b in row):
+            if row and all(b == -a for _, a, b in row):
                 negated.add(r)
             for expansion, a, b in row:
                 for half, w, mag in ((0, a, abs(a)), (1, b, abs(a + b) - abs(a))):
@@ -354,18 +350,15 @@ class _Compiled:
                 k = index.setdefault(e, len(index))
                 owned[2 * self.width + f].append((k, c))
                 scaled[2 * self.rows + f].append((k, size))
-        summed = [i for i, terms in enumerate(owned) if terms or not members] or [0]
+        summed = [i for i, terms in enumerate(owned) if terms] or [0]
         self.owners = len(owned)
-        count = members.count if members else None
-        self.monos, self.coeffs, self.starts = _flatten([owned[i] for i in summed], complex, count)
-        self.summed = np.array(summed if members else (), dtype=np.int64)
+        self.monos, self.coeffs, self.starts = _flatten([owned[i] for i in summed], complex)
+        self.summed = np.array(summed, dtype=np.int64)
         self.negated = np.array([i for i in summed if i < self.width and
                                  (i if i < self.rows else (i - self.rows) // nvars) in negated],
                                 dtype=np.int64)
-        self.scale_monos, self.weights, self.scale_starts = _flatten(scaled, float, count)
+        self.scale_monos, self.weights, self.scale_starts = _flatten(scaled, float)
         self.products = _Products(products, self.rows, nvars) if products else None
-        self.slots = np.array(sorted(jacobian), dtype=np.int64)
-        self.jacobian = np.array([jacobian[k] for k in self.slots]).reshape(-1, count or 1).T
 
         # Monomial k is the product of the coordinates its factors list, in
         # order, one entry per unit of degree; the constant monomial 0 lists
@@ -386,30 +379,28 @@ class _Compiled:
         from one kernel call; the scale is computed only if `scaled`.  Every
         result has a leading axis of B, and each of its rows is bit for bit
         the call on that row's (x, t, member) alone.  Row i is member
-        member[i] of the table's `Members`; a table without members ignores
-        `member` and costs nothing more."""
+        member[i] of the table, and without `member` every row is member 0.
+        An index is clipped to the table's members, so a table without
+        members reads its one member whatever the index."""
         count = len(x)
-        (factors, factor_starts, monos, coeffs, starts, scale_monos, weights, scale_starts,
-         summed, slots, gathered, terms) = self._rows(count)
-        if self.members is not None:
-            coeffs = self.coeffs.take(member, axis=0).ravel()
-            weights = self.weights.take(member, axis=0).ravel()
+        if member is None:
+            member = np.zeros(count, dtype=np.intp)
+        (factors, factor_starts, monos, starts, scale_monos, scale_starts, summed, negated,
+         negated_b, coeffs, weights, gathered, terms, coeff_rows, weight_rows) = self._rows(count)
         monomials = np.multiply.reduceat(x.take(factors, out=gathered, mode="clip"),
                                          factor_starts)
         monomials[::len(self.factor_starts)] = 1
+        self.coeffs.take(member, axis=0, out=coeff_rows, mode="clip")
         # coefficient first: numpy's complex product need not commute bit for bit
         terms = np.multiply(coeffs, monomials.take(monos, out=terms, mode="clip"), out=terms)
         width, rows = self.width, self.rows
-        split = np.add.reduceat(terms, starts).reshape(count, -1)
-        if self.members is not None:
-            flat = np.zeros(count * self.owners, dtype=complex)
-            flat[summed] = split.ravel()
-            split = flat.reshape(count, self.owners)
-            if len(self.negated):
-                split[:, self.negated + width] = -split[:, self.negated]
-            flat[slots] += self.jacobian.take(member, axis=0).ravel()
+        flat = np.zeros(count * self.owners, dtype=complex)
+        flat[summed] = np.add.reduceat(terms, starts)
+        flat[negated_b] = -flat[negated]
+        split = flat.reshape(count, self.owners)
         magnitudes = None
         if scaled:
+            self.weights.take(member, axis=0, out=weight_rows, mode="clip")
             weighted = np.abs(monomials).take(scale_monos)
             weighted *= weights
             magnitudes = np.add.reduceat(weighted, scale_starts).reshape(count, -1) + self.ones
@@ -426,36 +417,37 @@ class _Compiled:
     def _rows(self, count: int) -> tuple[np.ndarray, ...]:
         """The table for `count` points at once, flattened: the index arrays
         with point k's copy offset by k times the length of what it indexes,
-        the coefficients and weights repeated, the positions of the summed
-        owners and of the members' constant slots among every point's
-        owners, and two scratch arrays, for the gathered factors and for the
-        terms.  So every segment is still summed by one 1-D `reduceat`, in
-        the same order as for one point.
+        among them the positions of the summed owners among every point's
+        owners and of the A and B owners of the rows whose B is -A; then four
+        scratch arrays, for the points' coefficients and weights, which
+        `evaluate` fills from each point's member, for the gathered factors
+        and for the terms; then the coefficients and weights again, as one
+        row per point.  So every segment is still summed by one 1-D
+        `reduceat`, in the same order as for one point.
         The arrays are built once, for the largest count asked, and a smaller
         count reads a prefix of each.  The scratch arrays are kept because a
         fresh array of that size costs page faults on every call; so one
-        table is not to be evaluated from two threads at once.  A table with
-        members takes its coefficients and weights from each point's member
-        instead, so its repeated ones are member 0's."""
+        table is not to be evaluated from two threads at once."""
         prefixes = self._prefixes.get(count)
         if prefixes is None:
             if self._capacity < count:
                 k = np.arange(count)[:, None]
                 m = len(self.factor_starts)  # monomials per point
-                # a stride of 0 repeats the coefficients and weights
+                terms, scale_terms = len(self.monos), len(self.scale_monos)
                 self._batch = tuple((base + k * stride).ravel() for base, stride in (
                     (self.factors, self.nvars), (self.factor_starts, len(self.factors)),
-                    (self.monos, m), (self.coeffs.reshape(-1, len(self.monos))[0], 0),
-                    (self.starts, len(self.monos)), (self.scale_monos, m),
-                    (self.weights.reshape(-1, len(self.scale_monos))[0], 0),
-                    (self.scale_starts, len(self.scale_monos)), (self.summed, self.owners),
-                    (self.slots, self.owners))
-                ) + (np.empty(count * len(self.factors), dtype=complex),
-                     np.empty(count * len(self.monos), dtype=complex))
+                    (self.monos, m), (self.starts, terms), (self.scale_monos, m),
+                    (self.scale_starts, scale_terms), (self.summed, self.owners),
+                    (self.negated, self.owners), (self.negated + self.width, self.owners))
+                ) + (np.empty(count * terms, dtype=complex), np.empty(count * scale_terms),
+                     np.empty(count * len(self.factors), dtype=complex),
+                     np.empty(count * terms, dtype=complex))
                 self._capacity = count
                 self._prefixes.clear()
-            prefixes = self._prefixes[count] = tuple(
-                a[:count * (len(a) // self._capacity)] for a in self._batch)
+            prefixes = tuple(a[:count * (len(a) // self._capacity)] for a in self._batch)
+            coeffs, weights = prefixes[-4:-2]
+            prefixes = self._prefixes[count] = prefixes + (coeffs.reshape(count, -1),
+                                                           weights.reshape(count, -1))
         return prefixes
 
 
@@ -473,12 +465,13 @@ def affine_rows(forms: Sequence[Polynomial], nvars: int) -> np.ndarray:
 
 def _affine_expansion(forms: np.ndarray) -> tuple:
     """The `Polynomial._expansion` of one affine form per member, given as a
-    (M, n + 1) array of `affine_rows`, without derivative terms: a term per
-    variable that some member's form uses, then the constant, each with M
-    coefficients.  (A form's gradient is its members' constant.)"""
+    (M, n + 1) array of `affine_rows`: a term per variable that some
+    member's form uses, with its derivative term on the constant monomial,
+    then the constant, each with M coefficients."""
     n = forms.shape[1] - 1
     zero = (0,) * n
-    return tuple((zero[:v] + (1,) + zero[v + 1:], forms[:, v], np.abs(forms[:, v]), ())
+    return tuple((zero[:v] + (1,) + zero[v + 1:], forms[:, v], np.abs(forms[:, v]),
+                  ((v, zero, 1),))
                  for v in np.flatnonzero((forms[:, :n] != 0).any(axis=0))
                  ) + ((zero, forms[:, n], np.abs(forms[:, n]), ()),)
 
@@ -586,23 +579,23 @@ class _Products:
                 magnitudes[:, self.sizes:], self.first, axis=1) + 1).ravel()
 
 
-def _flatten(owned: list, dtype, members: int | None = None) -> tuple[np.ndarray, ...]:
+def _flatten(owned: list, dtype) -> tuple[np.ndarray, ...]:
     """The monomials and coefficients of per-owner term lists, concatenated,
     with one zero term on the constant monomial for each empty owner, and
-    the position of each owner's first term.  With `members`, a coefficient
-    may be an array of one per member, and the coefficients are a
-    (members, terms) array."""
+    the position of each owner's first term.  A coefficient is a number or
+    an array of one per member, and the coefficients are a (members, terms)
+    array, of one row when no coefficient is an array."""
     monos, coeffs = zip(*chain.from_iterable(terms or ((0, 0),) for terms in owned))
     counts = np.array([len(terms) or 1 for terms in owned])
-    if members is not None:
-        shared = [i for i, c in enumerate(coeffs) if not isinstance(c, np.ndarray)]
-        own = [i for i, c in enumerate(coeffs) if isinstance(c, np.ndarray)]
-        table = np.empty((members, len(coeffs)), dtype=dtype)
-        table[:, shared] = np.array([coeffs[i] for i in shared], dtype=dtype)
-        table[:, own] = np.array([coeffs[i] for i in own], dtype=dtype).reshape(-1, members).T
-        coeffs = table
-    return (np.array(monos, dtype=np.int64), np.array(coeffs, dtype=dtype),
-            np.cumsum(counts) - counts)
+    array = np.ndarray
+    own = [i for i, kind in enumerate(map(type, coeffs)) if kind is array]
+    shared = list(coeffs)
+    for i in own:
+        shared[i] = 0
+    mine = np.array([coeffs[i] for i in own], dtype=dtype).T  # (members, len(own))
+    table = np.tile(np.array(shared, dtype=dtype), (len(mine) or 1, 1))
+    table[:, own] = mine
+    return np.array(monos, dtype=np.int64), table, np.cumsum(counts) - counts
 
 
 class PolySystem:

@@ -31,6 +31,13 @@ DEFAULT_SEED = 20230529
 # the token keeps the parser from building them first.
 MAX_GROUP_SIZE = 1000
 MAX_EXPONENT = 1000
+# The most terms a power p^n may expand to.  A power of a k-term p has at most
+# C(n + k - 1, k - 1) terms, one per multiset of n of its terms, and a power
+# whose count passes the bound is refused at its `^`, before anything is
+# multiplied.  Expanding takes time like the cube of n for k = 3, and
+# (x + y + z)^61, of 1,953 terms, the largest three-term power admitted,
+# parses in about 0.3 s.
+MAX_POWER_TERMS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +258,11 @@ class _Parser:
     def parse_factor(self) -> Polynomial:
         p = self.parse_atom()
         if self.accept("^"):
-            p = p ** self.integer(0, MAX_EXPONENT, "exponent")
+            caret = self.tokens[self.pos - 1]
+            n = self.integer(0, MAX_EXPONENT, "exponent")
+            if math.comb(n + max(len(p.terms), 1) - 1, n) > MAX_POWER_TERMS:
+                self.error(f"a power may expand to at most {MAX_POWER_TERMS} terms", caret)
+            p = p ** n
         return p
 
     def parse_atom(self) -> Polynomial:

@@ -20,10 +20,11 @@ each row's member index and subsets it like the rows' points and k1.  So
 many homotopies that differ only in those forms share one table and one
 batch (a coefficient-parameter homotopy): the keys of a witness
 collection, or the queries of a membership test.  A homotopy without
-members ignores the index and costs nothing more.  A row's arithmetic
-never reads another row, so a path's result does not depend on the batch:
-not on its size, its order or the other paths in it.  `track_path` is
-`track_many` on one start point.
+members has one member, so every path's index is 0, and the kernel reads
+it the same way as any other.  A row's arithmetic never reads another
+row, so a path's result does not depend on the batch: not on its size,
+its order or the other paths in it.  `track_path` is `track_many` on one
+start point.
 
 One evaluation per point: `Homotopy.evaluate` gives H, J_x and dH/dt at
 (x, t) from one kernel call, and the residual scale only when the
@@ -414,9 +415,9 @@ def track_many(h: Homotopy, starts: Sequence,
                member: np.ndarray | None = None) -> list[PathResult]:
     """Track every start point along h; results ordered by input index.
     Path i is member member[i] of h's `Members`; without `member` every
-    path is member 0, which a homotopy without members ignores.  The paths
-    move in lockstep, but every rule applies to each path on its own, so a
-    path's result does not depend on the others.  numpy's overflow and
+    path is member 0, the one member of a homotopy without members.  The
+    paths move in lockstep, but every rule applies to each path on its own,
+    so a path's result does not depend on the others.  numpy's overflow and
     invalid-value warnings are off: the finiteness tests classify a
     diverging path and a singular Jacobian."""
     if member is None:

@@ -6,7 +6,10 @@ import functools
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from multiwit.algebra import Members, Polynomial, VariableGrouping, _Compiled
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
@@ -148,6 +151,27 @@ def test_one_newton_loop():
                  and fn.name == "_newton"]
     params = [arg.arg for arg in newton.args.args + newton.args.kwonlyargs]
     assert params == ["h", "x", "t", "m", "tol", "max_iters"]
+
+
+def test_kernel_has_one_path():
+    # every table, with members or without, is built and evaluated one way:
+    # each batch row reads its member's row of the coefficient table, and a
+    # member form's gradient is terms of the table, not constants added later
+    tree = ast.parse((ROOT / "src" / "multiwit" / "algebra.py").read_text())
+    (compiled,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Compiled"]
+    methods = {fn.name: fn for fn in compiled.body if isinstance(fn, ast.FunctionDef)}
+    reads = [f"_Compiled.{name}:{node.lineno}" for name in ("evaluate", "_rows")
+             for node in ast.walk(methods[name]) if isinstance(node, ast.Attribute)
+             and node.attr == "members" and ast.unparse(node.value) == "self"]
+    assert not reads, f"the kernel reads self.members: {', '.join(reads)}"
+    g = VariableGrouping.from_sizes([2], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    plain = _Compiled([[(x * y - 1, 1, 0)], [(x + y, 1, -1)]], 2)
+    members = _Compiled([[(x * y - 1, 1, 0)], []], 2,
+                        Members(forms=np.array([[[1, 2, 3]], [[4, 5, 6]]], dtype=complex)))
+    for table in (plain, members):
+        kept = [name for name in ("slots", "jacobian") if hasattr(table, name)]
+        assert not kept, f"_Compiled keeps slot-constant tables: {kept}"
 
 
 def test_nothing_tracks_one_path_at_a_time():

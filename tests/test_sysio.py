@@ -138,6 +138,11 @@ def test_non_finite_literals_are_refused(text, col):
     ("group x; f = x^1001;", 16, "exponent must be an integer from 0 to 1000"),
     ("group v[1001]; f = v1;", 9, "group size must be an integer from 1 to 1000"),
     ("group v[0]; f = v1;", 9, "group size must be an integer from 1 to 1000"),
+    # C(202, 2) = 20,301 terms; refused at the ^, before any multiplication
+    ("group x; group y; group z; f = (x + y + z)^200;", 43,
+     "a power may expand to at most 2000 terms"),
+    ("group x; group y; group z; f = (x + y + z)^62 - 1;", 43,
+     "a power may expand to at most 2000 terms"),
 ])
 def test_oversized_exponents_and_groups_are_refused(text, col, message):
     # refused at the token, before the parser builds the power or the names

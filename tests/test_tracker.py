@@ -768,8 +768,8 @@ def test_newton_freezes_a_stopped_row():
             return table.evaluate(p, *args)
 
     def run(x):
-        return multiwit.tracker._newton(Spied(), x, np.zeros(len(x)), np.zeros((len(x), 0)),
-                                        1e-10, 20)
+        return multiwit.tracker._newton(Spied(), x, np.zeros(len(x)),
+                                        np.zeros(len(x), dtype=np.intp), 1e-10, 20)
 
     with np.errstate(invalid="ignore"):
         points, res, ev = run(batch)

@@ -7,6 +7,8 @@
 For each (workload, seed, draw) one line: the workflow's attempted and failed
 steps, the paths that `tracker.track_many` returned, the kernel calls
 (`algebra._Compiled.evaluate`), the `tracker.Homotopy` tables built, the
+term tables compiled (`algebra._Compiled.__init__` calls: every `Homotopy`,
+every `PolySystem` table and every table of `newton_refine`), the
 lockstep rounds (calls of `tracker._advance`, one step attempt of every live
 path of a batch), and a
 SHA-256 over each of those PathResults in call order: its status, its steps
@@ -47,10 +49,11 @@ def fingerprint(workload: str, seed: int, draw: int, setup) -> str:
     """The line of one draw; wraps the tracker, the kernel and the homotopy
     build while it runs."""
     digest, converged = hashlib.sha256(), hashlib.sha256()
-    counts = {"paths": 0, "calls": 0, "homotopies": 0, "rounds": 0}
+    counts = {"paths": 0, "calls": 0, "homotopies": 0, "compiles": 0, "rounds": 0}
     statuses = {"converged": 0, "diverged": 0, "failed": 0}
     track, evaluate = tracker.track_many, algebra._Compiled.evaluate
     build, advance = tracker.Homotopy.__init__, tracker._advance
+    compile_ = algebra._Compiled.__init__
 
     def tracked(*args, **kwargs):
         results = track(*args, **kwargs)
@@ -70,6 +73,10 @@ def fingerprint(workload: str, seed: int, draw: int, setup) -> str:
         counts["homotopies"] += 1
         build(self, *args, **kwargs)
 
+    def compiled(self, *args, **kwargs):
+        counts["compiles"] += 1
+        compile_(self, *args, **kwargs)
+
     def advanced(*args, **kwargs):
         counts["rounds"] += 1
         return advance(*args, **kwargs)
@@ -77,15 +84,18 @@ def fingerprint(workload: str, seed: int, draw: int, setup) -> str:
     gate = workloads.Gate()
     tracker.track_many, algebra._Compiled.evaluate = tracked, counted
     tracker.Homotopy.__init__, tracker._advance = built, advanced
+    algebra._Compiled.__init__ = compiled
     try:
         workloads.WORKFLOWS[workload](setup, seed, draw, gate)
     finally:
         tracker.track_many, algebra._Compiled.evaluate = track, evaluate
         tracker.Homotopy.__init__, tracker._advance = build, advance
+        algebra._Compiled.__init__ = compile_
     answers = hashlib.sha256(repr(sorted(gate.results.items())).encode()).hexdigest()
     return (f"{workload} seed={seed} draw={draw} attempted={gate.attempted} "
             f"failed={gate.failed} paths={counts['paths']} kernel_calls={counts['calls']} "
-            f"homotopies={counts['homotopies']} rounds={counts['rounds']} "
+            f"homotopies={counts['homotopies']} compiles={counts['compiles']} "
+            f"rounds={counts['rounds']} "
             f"sha256={digest.hexdigest()} "
             + "".join(f"{status}_paths={n} " for status, n in statuses.items())
             + f"converged_sha256={converged.hexdigest()} answers={answers}")
