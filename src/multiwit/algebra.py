@@ -319,8 +319,7 @@ class _Compiled:
                 pieces[r].append((_affine_expansion(forms[:, 0]), a, b))
         factors = [form for _, forms in products for form in forms.transpose(1, 0, 2)]
         index = {(0,) * nvars: 0}  # exponent vector -> monomial number
-        # per owner: (monomial, coeff); after the factors' values, a constant 1 for `_Products`
-        owned = [[] for _ in range(2 * self.width + len(factors))] + [[(0, 1.0)]] * bool(factors)
+        owned = [[] for _ in range(2 * self.width + len(factors))]  # per owner: (monomial, coeff)
         # per segment: (monomial, weight)
         scaled = [[] for _ in range(2 * self.rows + len(factors))]
         self.ones = np.zeros(len(scaled))  # the "plus 1" of each segment's scale
@@ -512,7 +511,11 @@ class _Products:
     size a scale segment after [A; B]; `add` multiplies them out into the B
     owners, B scale segments and DB slots of their rows, a start part being
     a piece with a = 0, b = 1.  A product's gradient in x_v sums, over its
-    forms, the product of the others times the form's coefficient of x_v.
+    forms with a coefficient on x_v in some member, the product of the
+    others times that coefficient.  These terms are one flat list, each
+    added into its DB slot in order by one `np.add.at`, so a DB slot that no
+    form touches gets no term and keeps the table's own sum, which is 0 if
+    the table has no term there either.
     All of it is evaluated from 2-D arrays with one row per point, so each
     point's numbers come out the same in any batch."""
 
@@ -522,40 +525,24 @@ class _Products:
         forms = np.concatenate([forms for _, forms in products], axis=1)
         width = rows * (1 + nvars)
         self.owners, self.sizes = 2 * width, 2 * rows  # where the forms' values and sizes start
-        # per form, the owners of the other forms of its product; a last
-        # segment is the table's constant 1, which a gradient's zero term
-        # multiplies
+        # per form, the owners of the other forms of its product
         others = [[g for g in range(s, s + c) if g != f]
-                  for s, c in zip(self.first, counts) for f in range(s, s + c)] + [[len(forms[0])]]
+                  for s, c in zip(self.first, counts) for f in range(s, s + c)]
         sizes = np.array([len(o) for o in others], dtype=np.int64)
         self.others = self.owners + np.array(list(chain.from_iterable(others)), dtype=np.int64)
         self.other_starts = np.cumsum(sizes) - sizes
-        # every gradient slot (product, v), product by product; layer j holds
-        # the j-th form with a coefficient on x_v of every slot with more
-        # than j, so a slot sums its terms in one order in any batch
-        layers = [[]]
-        for p, (s, c) in enumerate(zip(self.first, counts)):
-            for v in range(nvars):
-                hits = [f for f in range(s, s + c) if forms[:, f, v].any()] or [len(forms[0])]
-                for j, f in enumerate(hits):
-                    if j == len(layers):
-                        layers.append([])
-                    layers[j].append((p * nvars + v, f, v))
-        padded = np.concatenate((forms, np.zeros((len(forms), 1, nvars + 1))), axis=1)
-        self.layers = [(np.array([i for i, _, _ in layer], dtype=np.int64),
-                        np.array([f for _, f, _ in layer], dtype=np.int64),
-                        padded[:, [f for _, f, _ in layer], [v for _, _, v in layer]])
-                       for layer in layers]
         at = np.array([r for r, _ in products], dtype=np.int64)
-        # the B owners, DB slots and B scale segments they go to
-        self.targets = (width + at, (width + rows + nvars * at[:, None] + np.arange(nvars)).ravel(),
-                        rows + at)
+        # the gradient's terms: each (form, x_v) with a coefficient in some member
+        f, v = np.nonzero(forms[:, :, :nvars].any(axis=0))
+        self.forms, self.coeffs = f, forms[:, f, v]
+        # the B owners, each term's DB slot and the B scale segments they go to
+        self.targets = width + at, width + rows + nvars * np.repeat(at, counts)[f] + v, rows + at
         self.count = len(forms[0])
         self._positions = {}  # batch size -> those, as positions in flattened arrays
 
     def add(self, member: np.ndarray, split: np.ndarray, magnitudes: np.ndarray | None) -> None:
         """Multiply out the products, point i as member member[i], into
-        `split`, [A; DA; B; DB; forms; 1], and unless None `magnitudes`,
+        `split`, [A; DA; B; DB; forms], and unless None `magnitudes`,
         [A; B; forms], both C-contiguous, in place."""
         count = len(split)
         positions = self._positions.get(count)
@@ -566,14 +553,11 @@ class _Products:
                 (base + k * width).ravel() for base, width in zip(self.targets, widths))
         values, slots, segments = positions
         rest = np.multiply.reduceat(split.take(self.others, axis=1), self.other_starts, axis=1)
-        where, forms, coeffs = self.layers[0]
-        gradients = coeffs.take(member, axis=0) * rest.take(forms, axis=1)
-        for where, forms, coeffs in self.layers[1:]:
-            gradients[:, where] += coeffs.take(member, axis=0) * rest.take(forms, axis=1)
+        gradients = self.coeffs.take(member, axis=0) * rest.take(self.forms, axis=1)
         flat = split.reshape(-1)
         flat[values] += np.multiply.reduceat(split[:, self.owners:self.owners + self.count],
                                              self.first, axis=1).ravel()
-        flat[slots] += gradients.ravel()
+        np.add.at(flat, slots, gradients.ravel())  # in order: a slot's sum is the same in any batch
         if magnitudes is not None:
             magnitudes.reshape(-1)[segments] += (np.multiply.reduceat(
                 magnitudes[:, self.sizes:], self.first, axis=1) + 1).ravel()

@@ -31,12 +31,13 @@ DEFAULT_SEED = 20230529
 # the token keeps the parser from building them first.
 MAX_GROUP_SIZE = 1000
 MAX_EXPONENT = 1000
-# The most terms a power p^n may expand to.  A power of a k-term p has at most
-# C(n + k - 1, k - 1) terms, one per multiset of n of its terms, and a power
-# whose count passes the bound is refused at its `^`, before anything is
-# multiplied.  Expanding takes time like the cube of n for k = 3, and
-# (x + y + z)^61, of 1,953 terms, the largest three-term power admitted,
-# parses in about 0.3 s.
+# The most terms a power p^n or a product p*q may expand to.  A power of a
+# k-term p has at most C(n + k - 1, k - 1) terms, one per multiset of n of its
+# terms, and a product of a k-term and an l-term factor at most k*l, one per
+# pair; a power or a product whose count passes the bound is refused at its
+# `^` or `*`, before anything is multiplied.  Expanding a power takes time
+# like the cube of n for k = 3, and (x + y + z)^61, of 1,953 terms, the
+# largest three-term power admitted, parses in about 0.3 s.
 MAX_POWER_TERMS = 2000
 
 
@@ -252,7 +253,11 @@ class _Parser:
     def parse_term(self) -> Polynomial:
         p = self.parse_factor()
         while self.accept("*"):
-            p = p * self.parse_factor()
+            star = self.tokens[self.pos - 1]
+            q = self.parse_factor()
+            if len(p.terms) * len(q.terms) > MAX_POWER_TERMS:
+                self.error(f"a product may expand to at most {MAX_POWER_TERMS} terms", star)
+            p = p * q
         return p
 
     def parse_factor(self) -> Polynomial:

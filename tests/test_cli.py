@@ -268,6 +268,8 @@ def test_non_finite_literal_is_input_error(tmp_path, capsys, text, keys):
     ("group x; f = x^100000000 - 1;", "exponent must be an integer from 0 to 1000"),
     ("group v[100000000]; f = v1;", "group size must be an integer from 1 to 1000"),
     ("group x; group y; group z; f = (x + y + z)^200;", "a power may expand to at most 2000 terms"),
+    ("group x; group y; group z; f = (x + y + z)^61*(x + y + z)^61;",
+     "a product may expand to at most 2000 terms"),
 ])
 def test_oversized_exponent_or_group_is_input_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.sys"

@@ -174,6 +174,28 @@ def test_kernel_has_one_path():
         assert not kept, f"_Compiled keeps slot-constant tables: {kept}"
 
 
+def test_products_sum_only_slots_with_terms():
+    # a start product's gradient is one flat list of terms added into their
+    # slots by one call: `add` has no loop, there is no layer schedule, and
+    # no constant-1 owner pads the slots that no form touches; a product of
+    # constant forms, which touches no slot, still builds and evaluates
+    tree = ast.parse((ROOT / "src" / "multiwit" / "algebra.py").read_text())
+    (products,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Products"]
+    (add,) = [fn for fn in products.body if isinstance(fn, ast.FunctionDef) and fn.name == "add"]
+    loops = [node.lineno for node in ast.walk(add) if isinstance(node, (ast.For, ast.While))]
+    assert not loops, f"_Products.add loops at lines {loops}"
+    g = VariableGrouping.from_sizes([2], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    forms = np.array([[[1, 0, 2], [0, 3, 4], [0, 0, 5], [0, 0, 6], [0, 0, 7]]], dtype=complex)
+    for counts, factors in (((2, 3), forms), ((3,), forms[:, 2:])):
+        table = _Compiled([[(x * y - 1, 1, 0)]] + [[] for _ in counts], 2,
+                          Members(factors, counts))
+        assert not hasattr(table.products, "layers"), "_Products keeps a layer schedule"
+        assert table.owners == 2 * table.width + factors.shape[1], "a table pads with owners"
+        _, _, J, dt = table.evaluate(np.array([[2.0, 3.0]], dtype=complex), 1.0)
+        assert dt[0, -1] == 210 and not J[0, -1].any()
+
+
 def test_nothing_tracks_one_path_at_a_time():
     # inside the library every homotopy's paths move together through
     # track_many; track_path, its one-path case, is for callers outside

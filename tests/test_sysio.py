@@ -143,6 +143,10 @@ def test_non_finite_literals_are_refused(text, col):
      "a power may expand to at most 2000 terms"),
     ("group x; group y; group z; f = (x + y + z)^62 - 1;", 43,
      "a power may expand to at most 2000 terms"),
+    # two admitted powers of 1,953 terms each; refused at the *, before the
+    # 3,814,209 products of their terms
+    ("group x; group y; group z; f = (x + y + z)^61*(x + y + z)^61;", 46,
+     "a product may expand to at most 2000 terms"),
 ])
 def test_oversized_exponents_and_groups_are_refused(text, col, message):
     # refused at the token, before the parser builds the power or the names

@@ -214,14 +214,18 @@ MEMBERS = 3
 COUNTS = (2, 1)  # forms per start row of `member_homotopy`'s members
 
 
-def member_homotopy(with_fixed, rng):
+def member_homotopy(with_fixed, rng, untouched=False):
     """(homotopy, start forms, target forms) of a homotopy whose last two
     rows start at each member's own products, of two forms and of one, and
-    whose last row ends at its own form; two of the forms leave out a group."""
+    whose last row ends at its own form; two of the forms leave out a group.
+    With `untouched`, both forms of the product leave out (u, v), so no form
+    touches its gradient slots on u and v."""
     g = VariableGrouping.from_sizes([2, 2], ["x", "y", "u", "v"])
     moving = 2 if with_fixed else 4
     factors = complex_normal(rng, MEMBERS, 3, 5)
     factors[:, 0, 2:4] = factors[:, 2, 0:2] = 0
+    if untouched:
+        factors[:, 1, 2:4] = 0
     forms = complex_normal(rng, MEMBERS, 1, 5)
     fixed = PolySystem([random_poly(g, rng, 9, 3) for _ in range(2)]) if with_fixed else None
     h = Homotopy([random_poly(g, rng, 6, 2) for _ in range(moving - 2)],
@@ -267,15 +271,17 @@ def test_member_kernel_matches_expanded_products(with_fixed):
     # a member's start rows, given as their forms, are the expanded products
     # of those forms and its target row its form: H, J_x, dH/dt and the
     # scale match the term-by-term oracle to rounding
+    # also with a product whose forms leave its slots on a group untouched
     rng = np.random.default_rng(11)
-    h, factors, forms = member_homotopy(with_fixed, rng)
-    for k in range(MEMBERS):
-        x = rng.normal(size=4) + 1j * rng.normal(size=4)
-        t = float(rng.uniform(0.01, 0.99))
-        H, scale, J, dt = (a[0] for a in h.evaluate(x[None], t, True, np.array([k])))
-        for a, b in zip((H, J, dt, scale), member_reference(h, factors[k], forms[k], x, t)):
-            assert a.shape == b.shape
-            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+    for untouched in (False, True):
+        h, factors, forms = member_homotopy(with_fixed, rng, untouched)
+        for k in range(MEMBERS):
+            x = rng.normal(size=4) + 1j * rng.normal(size=4)
+            t = float(rng.uniform(0.01, 0.99))
+            H, scale, J, dt = (a[0] for a in h.evaluate(x[None], t, True, np.array([k])))
+            for a, b in zip((H, J, dt, scale), member_reference(h, factors[k], forms[k], x, t)):
+                assert a.shape == b.shape
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("with_fixed", [False, True])
@@ -284,13 +290,14 @@ def test_kernel_rows_match_one_point_calls(with_fixed):
     # one row, as its own member, scaled or not, as the batch grows, shrinks
     # to a prefix and grows again, with or without members; a member index
     # on a homotopy without members, and members without rows, give the
-    # plain rows bit for bit
+    # plain rows bit for bit; also with a product that leaves slots untouched
     rng = np.random.default_rng(8)
     plain = fused_homotopy(with_fixed, rng)
     mixed, _, _ = member_homotopy(with_fixed, rng)
+    untouched, _, _ = member_homotopy(with_fixed, np.random.default_rng(9), untouched=True)
     rowless = Homotopy(plain.start, plain.target, plain.gamma, plain.fixed,
                        Members(forms=np.zeros((MEMBERS, 0, 5))))
-    for h in (plain, mixed):
+    for h in (plain, mixed, untouched):
         for count in (5, 2, 7, 1):
             x = complex_normal(rng, count, 4)
             t = rng.uniform(0.01, 0.99, size=count)
