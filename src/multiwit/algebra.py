@@ -284,20 +284,25 @@ class _Compiled:
     a-part, DA its Jacobian slots (row by row, one per column), and B, DB
     the same for the b-parts.  So a row at t is A + t*B, its Jacobian is
     DA + t*DB, and B is its derivative in t.  Only the owners with terms
-    are summed, the others are 0; and the B of a row whose every piece has
-    b = -a is not summed but is -A, which is its sum bit for bit, since
-    negation is exact.  The residual scale reads a table of its own: each
-    row's sum of |coeff| * |monomial| plus 1, split as [A; B].  That scale
-    reads |a + t*b| as |a| + t*(|a + b| - |a|), which is exact on [0, 1]
-    when a or b is zero or b = -a.  A scale segment without terms gets one
-    zero term on the constant monomial.
+    are summed, and one more zero term after them; one take places the
+    sums, an owner without terms reading that 0.  The B of a row whose every
+    piece has b = -a is not summed: the take places its A there and one
+    masked negation flips it, which is its sum bit for bit, since negation
+    is exact.  The residual scale reads a table of its own: each row's sum
+    of |coeff| * |monomial| plus 1, split as [A; B].  That scale reads
+    |a + t*b| as |a| + t*(|a + b| - |a|), which is exact on [0, 1] when a
+    or b is zero or b = -a.  A scale segment without terms gets one zero
+    term on the constant monomial.
 
-    The coefficients and scale weights are (members, terms) tables, and
-    each point of a batch copies the row of its member; a table without
-    `members` has one member, whose row every point copies.  (A row copy
-    costs less than writing only the columns that differ from member to
-    member.)  `members` adds each member's own pieces to the last rows
-    (see `Members`).  A member's affine form is a piece like any other,
+    A batch is evaluated as (B, .) arrays, one row per point, and every take
+    and `reduceat` runs along axis 1, whose length does not depend on B, so
+    each row is summed in the order it would be alone.  The coefficients
+    and scale weights are (members, terms) tables, and each point of a
+    batch copies the row of its member; a table without `members` has one
+    member, whose row every point copies.  (A row copy costs less than
+    writing only the columns that differ from member to member.)
+    `members` adds each member's own pieces to the last rows (see
+    `Members`).  A member's affine form is a piece like any other,
     derivative terms included, whose terms take their coefficient from the
     member; only those columns of a table differ from member to member.  A
     product of two or more forms is not expanded: each form is an owner of
@@ -349,13 +354,17 @@ class _Compiled:
                 k = index.setdefault(e, len(index))
                 owned[2 * self.width + f].append((k, c))
                 scaled[2 * self.rows + f].append((k, size))
-        summed = [i for i, terms in enumerate(owned) if terms] or [0]
+        has = np.array([bool(terms) for terms in owned], dtype=bool)
         self.owners = len(owned)
-        self.monos, self.coeffs, self.starts = _flatten([owned[i] for i in summed], complex)
-        self.summed = np.array(summed, dtype=np.int64)
-        self.negated = np.array([i for i in summed if i < self.width and
-                                 (i if i < self.rows else (i - self.rows) // nvars) in negated],
-                                dtype=np.int64)
+        # the owners with terms, then one zero term for every other owner to read
+        self.monos, self.coeffs, self.starts = _flatten([t for t in owned if t] + [[]], complex)
+        self.place = np.where(has, np.cumsum(has) - 1, has.sum())  # each owner's sum
+        # the B owners of the rows whose B is -A read their A's sum, negated
+        flipped = np.array([i for i in range(self.width) if has[i] and
+                            (i if i < self.rows else (i - self.rows) // nvars) in negated],
+                           dtype=np.int64)
+        self.place[flipped + self.width] = self.place[flipped]
+        self.flip = np.isin(np.arange(self.owners), flipped + self.width) if len(flipped) else None
         self.scale_monos, self.weights, self.scale_starts = _flatten(scaled, float)
         self.products = _Products(products, self.rows, nvars) if products else None
 
@@ -368,8 +377,11 @@ class _Compiled:
         self.factors = np.repeat(np.tile(np.arange(nvars), len(index)), counts.ravel())
         sizes = counts.sum(axis=1)
         self.factor_starts = np.cumsum(sizes) - sizes
-        self._capacity = 0  # points `_batch` is built for, see `_rows`
-        self._prefixes = {}  # count -> the prefixes of `_batch` for that many points
+        # scratch rows for the gathered factors, the points' coefficients, the
+        # terms and the points' weights, grown to the largest batch asked
+        self._scratch = tuple(np.empty((0, size), dtype) for size, dtype in (
+            (len(self.factors), complex), (len(self.monos), complex),
+            (len(self.monos), complex), (len(self.scale_monos), float)))
 
     def evaluate(self, x: np.ndarray, t=0.0, scaled: bool = False,
                  member: np.ndarray | None = None) -> tuple:
@@ -380,74 +392,42 @@ class _Compiled:
         the call on that row's (x, t, member) alone.  Row i is member
         member[i] of the table, and without `member` every row is member 0.
         An index is clipped to the table's members, so a table without
-        members reads its one member whatever the index."""
+        members reads its one member whatever the index.
+        The gathered factors, the points' coefficients and weights and the
+        terms go to scratch arrays kept for the largest batch asked, a
+        smaller batch using their first rows, because a fresh array of that
+        size costs page faults on every call; so one table is not to be
+        evaluated from two threads at once.  No result is a view of them."""
         count = len(x)
         if member is None:
             member = np.zeros(count, dtype=np.intp)
-        (factors, factor_starts, monos, starts, scale_monos, scale_starts, summed, negated,
-         negated_b, coeffs, weights, gathered, terms, coeff_rows, weight_rows) = self._rows(count)
-        monomials = np.multiply.reduceat(x.take(factors, out=gathered, mode="clip"),
-                                         factor_starts)
-        monomials[::len(self.factor_starts)] = 1
-        self.coeffs.take(member, axis=0, out=coeff_rows, mode="clip")
+        if len(self._scratch[0]) < count:
+            self._scratch = tuple(np.empty((count, a.shape[1]), a.dtype) for a in self._scratch)
+        gathered, coeffs, terms, weights = [a[:count] for a in self._scratch]
+        monomials = np.multiply.reduceat(x.take(self.factors, axis=1, out=gathered, mode="clip"),
+                                         self.factor_starts, axis=1)
+        monomials[:, 0] = 1
+        self.coeffs.take(member, axis=0, out=coeffs, mode="clip")
         # coefficient first: numpy's complex product need not commute bit for bit
-        terms = np.multiply(coeffs, monomials.take(monos, out=terms, mode="clip"), out=terms)
-        width, rows = self.width, self.rows
-        flat = np.zeros(count * self.owners, dtype=complex)
-        flat[summed] = np.add.reduceat(terms, starts)
-        flat[negated_b] = -flat[negated]
-        split = flat.reshape(count, self.owners)
+        np.multiply(coeffs, monomials.take(self.monos, axis=1, out=terms, mode="clip"), out=terms)
+        split = np.add.reduceat(terms, self.starts, axis=1).take(self.place, axis=1)
+        if self.flip is not None:
+            np.negative(split, out=split, where=self.flip)
         magnitudes = None
         if scaled:
-            self.weights.take(member, axis=0, out=weight_rows, mode="clip")
-            weighted = np.abs(monomials).take(scale_monos)
-            weighted *= weights
-            magnitudes = np.add.reduceat(weighted, scale_starts).reshape(count, -1) + self.ones
+            weighted = np.abs(monomials).take(self.scale_monos, axis=1)
+            weighted *= self.weights.take(member, axis=0, out=weights, mode="clip")
+            magnitudes = np.add.reduceat(weighted, self.scale_starts, axis=1) + self.ones
         if self.products is not None:
             self.products.add(member, split, magnitudes)
         if isinstance(t, np.ndarray):
             t = t[:, None]
+        width, rows = self.width, self.rows
         at = split[:, :width] + t * split[:, width:2 * width]
         scale = (None if magnitudes is None
                  else magnitudes[:, :rows] + t * magnitudes[:, rows:2 * rows])
         return (at[:, :rows], scale, at[:, rows:].reshape(count, rows, self.nvars),
                 split[:, width:width + rows])
-
-    def _rows(self, count: int) -> tuple[np.ndarray, ...]:
-        """The table for `count` points at once, flattened: the index arrays
-        with point k's copy offset by k times the length of what it indexes,
-        among them the positions of the summed owners among every point's
-        owners and of the A and B owners of the rows whose B is -A; then four
-        scratch arrays, for the points' coefficients and weights, which
-        `evaluate` fills from each point's member, for the gathered factors
-        and for the terms; then the coefficients and weights again, as one
-        row per point.  So every segment is still summed by one 1-D
-        `reduceat`, in the same order as for one point.
-        The arrays are built once, for the largest count asked, and a smaller
-        count reads a prefix of each.  The scratch arrays are kept because a
-        fresh array of that size costs page faults on every call; so one
-        table is not to be evaluated from two threads at once."""
-        prefixes = self._prefixes.get(count)
-        if prefixes is None:
-            if self._capacity < count:
-                k = np.arange(count)[:, None]
-                m = len(self.factor_starts)  # monomials per point
-                terms, scale_terms = len(self.monos), len(self.scale_monos)
-                self._batch = tuple((base + k * stride).ravel() for base, stride in (
-                    (self.factors, self.nvars), (self.factor_starts, len(self.factors)),
-                    (self.monos, m), (self.starts, terms), (self.scale_monos, m),
-                    (self.scale_starts, scale_terms), (self.summed, self.owners),
-                    (self.negated, self.owners), (self.negated + self.width, self.owners))
-                ) + (np.empty(count * terms, dtype=complex), np.empty(count * scale_terms),
-                     np.empty(count * len(self.factors), dtype=complex),
-                     np.empty(count * terms, dtype=complex))
-                self._capacity = count
-                self._prefixes.clear()
-            prefixes = tuple(a[:count * (len(a) // self._capacity)] for a in self._batch)
-            coeffs, weights = prefixes[-4:-2]
-            prefixes = self._prefixes[count] = prefixes + (coeffs.reshape(count, -1),
-                                                           weights.reshape(count, -1))
-        return prefixes
 
 
 def affine_rows(forms: Sequence[Polynomial], nvars: int) -> np.ndarray:

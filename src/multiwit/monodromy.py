@@ -156,7 +156,8 @@ def _close_orbits(ws: WitnessSet, rs: RandomSource, first: int) -> MonodromyStat
     raises IndeterminateError is skipped; after MAX_LOOPS loops the state
     is returned as it stands."""
     _one_moving_form(ws, "monodromy")
-    points = list(ws.points)
+    ws = replace(ws, points=list(ws.points))  # one working copy: its points grow in place
+    points = ws.points
     label = list(range(len(points)))
     verdicts: dict = {}  # part, as a tuple of indices -> trace verdict
 
@@ -175,8 +176,7 @@ def _close_orbits(ws: WitnessSet, rs: RandomSource, first: int) -> MonodromyStat
         if all(certified):
             break
         try:
-            outcome = monodromy_permutation(replace(ws, points=points),
-                                            rs.substream(first + loop))
+            outcome = monodromy_permutation(ws, rs.substream(first + loop))
         except IndeterminateError:
             continue
         joined = label + list(range(len(points), len(points) + len(outcome.new_points)))

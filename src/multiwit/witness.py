@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -94,6 +95,12 @@ class WitnessSet:
         return self.sq_core.concat(list(self.extra)) if self.extra else self.sq_core
 
     def full_square_system(self) -> PolySystem:
+        """The fixed block and the slices, built once per witness set, so
+        its term table is compiled once too."""
+        return self._full_square_system
+
+    @cached_property
+    def _full_square_system(self) -> PolySystem:
         return self.fixed_block.concat(self.selection.forms)
 
     def __len__(self) -> int:

@@ -160,8 +160,8 @@ def test_kernel_has_one_path():
     tree = ast.parse((ROOT / "src" / "multiwit" / "algebra.py").read_text())
     (compiled,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Compiled"]
     methods = {fn.name: fn for fn in compiled.body if isinstance(fn, ast.FunctionDef)}
-    reads = [f"_Compiled.{name}:{node.lineno}" for name in ("evaluate", "_rows")
-             for node in ast.walk(methods[name]) if isinstance(node, ast.Attribute)
+    reads = [f"_Compiled.evaluate:{node.lineno}" for node in ast.walk(methods["evaluate"])
+             if isinstance(node, ast.Attribute)
              and node.attr == "members" and ast.unparse(node.value) == "self"]
     assert not reads, f"the kernel reads self.members: {', '.join(reads)}"
     g = VariableGrouping.from_sizes([2], ["x", "y"])
@@ -172,6 +172,46 @@ def test_kernel_has_one_path():
     for table in (plain, members):
         kept = [name for name in ("slots", "jacobian") if hasattr(table, name)]
         assert not kept, f"_Compiled keeps slot-constant tables: {kept}"
+
+
+def _index_arrays(value) -> list:
+    """The bytes of every integer array in an attribute value, looking
+    into tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        return [value.tobytes()] if value.dtype.kind in "iu" else []
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (tuple, list)):
+        return [b for v in value for b in _index_arrays(v)]
+    return []
+
+
+def test_kernel_evaluates_along_the_row_axis():
+    # a batch is evaluated as (B, .) arrays: every take and reduceat of
+    # `evaluate` runs along the member table's axis 0 or the batch's axis 1,
+    # and no table keeps per-point copies of its index arrays for the
+    # batches it has evaluated
+    tree = ast.parse((ROOT / "src" / "multiwit" / "algebra.py").read_text())
+    (compiled,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_Compiled"]
+    methods = {fn.name: fn for fn in compiled.body if isinstance(fn, ast.FunctionDef)}
+    assert "_rows" not in methods, "_Compiled flattens batches in _rows"
+    calls = [node for node in ast.walk(methods["evaluate"]) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr in ("take", "reduceat")]
+    off = [f"_Compiled.evaluate:{node.lineno}" for node in calls
+           if {kw.arg: ast.unparse(kw.value) for kw in node.keywords}.get("axis")
+           != ("0" if ast.unparse(node.args[0]) == "member" else "1")]
+    assert calls and not off, f"a take or reduceat off the row axis: {', '.join(off)}"
+    g = VariableGrouping.from_sizes([2], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    rng = np.random.default_rng(3)
+    for table in (_Compiled([[(x * y - 1, 1, 0)], [(x + y, 1, -1)]], 2),
+                  _Compiled([[(x * y - 1, 1, 0)], []], 2,
+                            Members(forms=np.array([[[1, 2, 3]], [[4, 5, 6]]], dtype=complex)))):
+        before = sorted(_index_arrays(vars(table)))
+        for count in (5, 2, 7):
+            table.evaluate(rng.normal(size=(count, 2)) + 0j, rng.uniform(size=count), True,
+                           rng.integers(0, 2, size=count))
+        assert sorted(_index_arrays(vars(table))) == before, "_Compiled keeps per-batch indices"
 
 
 def test_products_sum_only_slots_with_terms():

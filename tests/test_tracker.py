@@ -290,7 +290,8 @@ def test_kernel_rows_match_one_point_calls(with_fixed):
     # one row, as its own member, scaled or not, as the batch grows, shrinks
     # to a prefix and grows again, with or without members; a member index
     # on a homotopy without members, and members without rows, give the
-    # plain rows bit for bit; also with a product that leaves slots untouched
+    # plain rows bit for bit; also with a product that leaves slots untouched;
+    # and no later call writes into the results of the first
     rng = np.random.default_rng(8)
     plain = fused_homotopy(with_fixed, rng)
     mixed, _, _ = member_homotopy(with_fixed, rng)
@@ -298,12 +299,14 @@ def test_kernel_rows_match_one_point_calls(with_fixed):
     rowless = Homotopy(plain.start, plain.target, plain.gamma, plain.fixed,
                        Members(forms=np.zeros((MEMBERS, 0, 5))))
     for h in (plain, mixed, untouched):
+        kept = {}  # scaled -> the first call's results, and their bytes then
         for count in (5, 2, 7, 1):
             x = complex_normal(rng, count, 4)
             t = rng.uniform(0.01, 0.99, size=count)
             member = rng.integers(0, MEMBERS, size=count)
             for scaled in (False, True):
                 rows = h.evaluate(x, t, scaled, member)
+                kept.setdefault(scaled, (rows, [r if r is None else r.tobytes() for r in rows]))
                 for i in range(count):
                     one = h.evaluate(x[i:i + 1], float(t[i]), scaled, member[i:i + 1])
                     assert (rows[1] is None) == (one[1] is None) == (not scaled)
@@ -313,6 +316,8 @@ def test_kernel_rows_match_one_point_calls(with_fixed):
                     for same in (h.evaluate(x, t, scaled), rowless.evaluate(x, t, scaled, member)):
                         assert all((r is None and p is None) or r.tobytes() == p.tobytes()
                                    for r, p in zip(rows, same))
+        for rows, saved in kept.values():
+            assert [r if r is None else r.tobytes() for r in rows] == saved
 
 
 @pytest.mark.parametrize("m", [1, 2])
