@@ -364,7 +364,10 @@ class _Compiled:
                             (i if i < self.rows else (i - self.rows) // nvars) in negated],
                            dtype=np.int64)
         self.place[flipped + self.width] = self.place[flipped]
-        self.flip = np.isin(np.arange(self.owners), flipped + self.width) if len(flipped) else None
+        self.flip = None
+        if len(flipped):
+            self.flip = np.zeros(self.owners, dtype=bool)
+            self.flip[flipped + self.width] = True
         self.scale_monos, self.weights, self.scale_starts = _flatten(scaled, float)
         self.products = _Products(products, self.rows, nvars) if products else None
 

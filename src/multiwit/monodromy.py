@@ -156,7 +156,7 @@ def _close_orbits(ws: WitnessSet, rs: RandomSource, first: int) -> MonodromyStat
     raises IndeterminateError is skipped; after MAX_LOOPS loops the state
     is returned as it stands."""
     _one_moving_form(ws, "monodromy")
-    ws = replace(ws, points=list(ws.points))  # one working copy: its points grow in place
+    ws = replace(ws)  # one working copy, whose points list grows in place
     points = ws.points
     label = list(range(len(points)))
     verdicts: dict = {}  # part, as a tuple of indices -> trace verdict

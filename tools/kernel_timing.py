@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the compiled kernel of this tree against another tree's, in one process.
 
-    python3 tools/kernel_timing.py OTHER_TREE [--calls 200] [--repeats 7]
+    python3 tools/kernel_timing.py OTHER_TREE
 
 OTHER_TREE is the root of another checkout of this repository.  Both trees'
 `src/multiwit` are loaded side by side, as the packages `multiwit` and
@@ -11,8 +11,8 @@ of a monodromy loop on the collection's largest entry), the system's own
 `PolySystem` table and the collection's start table (the one `Homotopy` with
 members, captured while the collection is solved).  Each table is evaluated
 on the same random inputs at B = 1, 4, 16 and 64 points, scaled and not:
-`--calls` calls per timing, `--repeats` timings per tree, the trees taking
-turns, so that a drift of the host's speed falls on both alike.  One line per
+200 calls per timing, 7 timings per tree, the trees taking turns, so that a
+drift of the host's speed falls on both alike.  One line per
 case: each tree's minimum microseconds per call, their ratio and whether the
 two trees' results are byte-equal.
 """
@@ -35,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ("octahedron-fh", "richardson-four")
 SEED = 20230529
 SIZES = (1, 4, 16, 64)
+CALLS = 200    # calls per timing
+REPEATS = 7    # timings per tree and case
 
 
 def load(tree: Path, name: str):
@@ -88,13 +90,13 @@ def inputs(table, kind: str, count: int, rng) -> dict:
             "member": rng.integers(0, members, size=count)}
 
 
-def per_call(table, args: dict, scaled: bool, calls: int) -> float:
-    """Microseconds per call over `calls` calls."""
+def per_call(table, args: dict, scaled: bool) -> float:
+    """Microseconds per call over CALLS calls."""
     evaluate = table.evaluate
     begin = time.perf_counter()
-    for _ in range(calls):
+    for _ in range(CALLS):
         evaluate(scaled=scaled, **args)
-    return (time.perf_counter() - begin) / calls * 1e6
+    return (time.perf_counter() - begin) / CALLS * 1e6
 
 
 def same(a: tuple, b: tuple) -> bool:
@@ -106,8 +108,6 @@ def same(a: tuple, b: tuple) -> bool:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("other", type=Path, help="root of the tree to compare against")
-    ap.add_argument("--calls", type=int, default=200, help="calls per timing")
-    ap.add_argument("--repeats", type=int, default=7, help="timings per tree and case")
     args = ap.parse_args(argv)
     if not (args.other / "src" / "multiwit" / "__init__.py").is_file():
         ap.error(f"{args.other} holds no src/multiwit package")
@@ -126,9 +126,9 @@ def main(argv=None) -> int:
                     equal = same(*(t.evaluate(scaled=scaled, **case) for t in pair))
                     all_equal &= equal
                     best = [float("inf")] * 2
-                    for r in range(args.repeats):
+                    for r in range(REPEATS):
                         for k in (0, 1) if r % 2 == 0 else (1, 0):
-                            best[k] = min(best[k], per_call(pair[k], case, scaled, args.calls))
+                            best[k] = min(best[k], per_call(pair[k], case, scaled))
                     print(f"{fixture + ' ' + kind:<24}{count:>4} {str(scaled):>6} "
                           f"{best[0]:>9.1f} {best[1]:>9.1f} {best[0] / best[1]:>6.2f}  {equal}",
                           flush=True)
