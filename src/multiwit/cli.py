@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .dimension import (
 from .monodromy import trace_test
 from .nid import nid_multi
 from .startsys import complete_intersection_class
-from .sysio import DEFAULT_SEED, ParseError, RandomSource, _encode, parse_system
+from .sysio import DEFAULT_SEED, ParseError, RandomSource, parse_system
 from .tracker import TrackingError
 from .witness import (
     coarsen_collection,
@@ -50,7 +51,7 @@ def _key_str(e) -> str:
 
 
 def _emit(obj, path: str | None) -> None:
-    text = _encode(obj) + "\n"
+    text = json.dumps(obj, indent=2) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -101,7 +102,7 @@ def _load_system(args):
 
 def _witness_collection(args, check=lambda system, keys: None):
     """The witness collection, computed once `check(system, keys)` has
-    passed."""
+    passed; a stderr line names each key that dropped points."""
     F, default_keys = _load_system(args)
     if args.keys:
         keys = _parse_keys(args.keys, F.grouping.k)
@@ -110,8 +111,11 @@ def _witness_collection(args, check=lambda system, keys: None):
     else:
         raise InputError("no --keys given and the input has no default keys")
     check(F, keys)
-    rs = RandomSource(seed=args.seed)
-    return compute_witness_collection(F, keys, rs)
+    wc = compute_witness_collection(F, keys, RandomSource(seed=args.seed))
+    for e, count in sorted(wc.dropped.items()):
+        sys.stderr.write(f"key {_key_str(e)}: dropped {count} point(s) of a "
+                         "higher-dimensional component\n")
+    return wc
 
 
 def cmd_witness(args) -> dict:

@@ -55,6 +55,16 @@ def two_lines() -> Fixture:
     return Fixture("two-lines", PolySystem([f]), [(1,)])
 
 
+def surface_and_line() -> Fixture:
+    """The surface {x1 = 0} and the line {x2 = 1, y = 1}: at dimension 1
+    only the line has witness points, one on key 10, but a point of the
+    surface's slice passes the solver at some seeds."""
+    g = VariableGrouping.from_sizes([2, 1], ["x1", "x2", "y"])
+    x1, x2, y = _vars(g)
+    return Fixture("surface-and-line", PolySystem([x1 * (y - 1), x1 * (x2 - 1)]),
+                   [(1, 0), (0, 1)])
+
+
 OCTAHEDRON_KEYS = [
     (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
     (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1),
@@ -302,6 +312,7 @@ _FIXTURES = {
     "cubic": plane_cubic,
     "cubic-split": plane_cubic_split,
     "two-lines": two_lines,
+    "surface-and-line": surface_and_line,
     "octahedron-fg": octahedron_fg,
     "octahedron-fh": octahedron_fh,
     "richardson": richardson,

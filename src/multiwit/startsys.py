@@ -109,18 +109,15 @@ def start_package(target: PolySystem, rs: RandomSource) -> StartPackage:
     predicted = mbezout(patterns, g.sizes)
 
     # One random affine form on its group per unit of group-degree per
-    # equation, drawn in that order as `random_affine_form` draws (its
-    # coefficients, then its constant): its equation's start row is their
+    # equation, drawn in that order: its equation's start row is their
     # product.  Form ids run over the forms in order.
     factors, form_ids, form_group = [], [], []
     for d in patterns:
         form_ids.append(range(len(factors), len(factors) + sum(d)))
         for i in range(k):
             for _ in range(d[i]):
-                form = np.zeros(g.nvars + 1, dtype=complex)
-                form[list(g.blocks[i])] = [rs.gaussian_complex() for _ in g.blocks[i]]
-                form[-1] = rs.gaussian_complex()
-                factors.append(form)
+                factors.append(affine_rows([random_affine_form(g, g.blocks[i], rs)],
+                                           g.nvars)[0])
                 form_group.append(i)
     factors = np.array(factors)
     coeffs, consts = factors[:, :-1], -factors[:, -1]

@@ -1,9 +1,8 @@
 """System ingestion and output.
 
-Three concerns live here: a parser for polynomial systems with declared
-variable groups, the JSON encoder of the CLI's output, and a deterministic
-counter-based random source (every "general" or "random" choice in the
-toolkit draws from one of its streams).
+Two concerns live here: a parser for polynomial systems with declared
+variable groups, and a deterministic counter-based random source (every
+"general" or "random" choice in the toolkit draws from one of its streams).
 
 The parser splits the text with one regular expression, `_TOKEN`, that has
 one alternative per token kind, and reads the tokens by recursive descent.
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -287,40 +285,3 @@ class _Parser:
 
 def parse_system(text: str) -> SystemDocument:
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# JSON output
-
-
-def _num(x: float):
-    """17-significant-digit float for serialization (round-trips bit-exactly)."""
-    return format(float(x), ".17g")
-
-
-def _encode(obj, indent=0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_encode(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
-            return "[" + ", ".join(
-                str(v) if isinstance(v, int) else _num(v) for v in obj
-            ) + "]"
-        inner = ",\n".join(f"{pad}  {_encode(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _num(obj)
-    return json.dumps(obj)
-

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Members, Polynomial, PolySystem, VariableGrouping, affine_rows
+from .dimension import _stable_rank
 from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form, solve_zero_dims, square_up
 from .tracker import (
@@ -111,10 +112,14 @@ class WitnessCollection:
     """Map e -> e-witness set, all sharing one system and, per group of
     `grouping`, one flag whose prefixes the entries hold."""
 
-    def __init__(self, system: PolySystem, grouping: VariableGrouping, entries: dict):
+    def __init__(self, system: PolySystem, grouping: VariableGrouping, entries: dict,
+                 dropped: dict | None = None):
         self.system = system
         self.grouping = grouping
         self.entries = dict(entries)
+        # key -> count of solved points that lay on a higher-dimensional
+        # component and were left out (`compute_witness_collection` only)
+        self.dropped = dict(dropped or {})
         sizes = {sum(e) for e in self.entries}
         if len(sizes) > 1:
             raise ValueError(f"mixed slice dimensions in one collection: {sorted(sizes)}")
@@ -143,7 +148,10 @@ def compute_witness_collection(
     and key e's square-up, start system and gamma from its own substream
     (`startsys.solve_zero_dims`), so the keys that share a square-up are
     solved in one start homotopy.  A key with a failed start path raises
-    IndeterminateError."""
+    IndeterminateError.  A solved point whose tangent dimension exceeds |e|
+    lies on a higher-dimensional component: it is left out of its key and
+    counted in the collection's `dropped` (a rank of DF that is not clear
+    raises IllConditionedError)."""
     g = F.grouping
     candidates = [tuple(int(x) for x in e) for e in candidates]
     if not candidates:
@@ -173,15 +181,26 @@ def compute_witness_collection(
                   for e in streams]
     solved = solve_zero_dims(F, [sel.forms for sel in selections],
                              [rs.substream(stream) for stream in streams.values()])
-    entries = {}
-    for e, sel, pts in zip(streams, selections, solved):
+    for e, pts in zip(streams, solved):
         if pts is None:
             raise IndeterminateError(f"the start paths of key {e} failed")
+    # a point whose tangent space ker DF is larger than d lies on a
+    # higher-dimensional component: dim ker DF as `local_multidimension`
+    # takes it, at every point from one kernel call and one stacked SVD
+    points = [p for pts in solved for p in pts]
+    s = np.linalg.svd(F.kernel(np.array(points))[2], compute_uv=False) if points else []
+    fits = iter([g.nvars - _stable_rank(sp, sp[0], "DF") <= d for sp in s])
+    entries, dropped = {}, {}
+    for e, sel, pts in zip(streams, selections, solved):
+        keep = [next(fits) for _ in pts]
+        if not all(keep):
+            dropped[e] = keep.count(False)
+        pts = list(itertools.compress(pts, keep))
         if pts:
             entries[e] = WitnessSet(F, core, sel, pts)
     if not entries:
         raise TrackingError("no candidate slice met the variety; empty collection")
-    return WitnessCollection(F, g, entries)
+    return WitnessCollection(F, g, entries, dropped)
 
 
 def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:

@@ -16,6 +16,8 @@ from multiwit.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, run
 def run_json(argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
+    if out:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
     return code, (json.loads(out) if out else None)
 
 
@@ -117,6 +119,18 @@ def test_decompose_two_lines(capsys):
     assert all(c["certified"] for c in doc["components"])
     assert all(c["curve_degree"] == 1 for c in doc["components"])
     assert sorted(doc["assignment"]) == [0, 1]
+
+
+def test_decompose_leaves_out_a_point_of_a_higher_dimensional_component(capsys):
+    # at seed 3 the plane's extra point on key 10 would decompose into a
+    # dimension-2 component beside the line
+    argv = ["decompose", "--fixture", "surface-and-line", "--seed", "3"]
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK
+    (component,) = json.loads(out)["components"]
+    assert component["dim"] == 1 and component["polytope"] == ["10"]
+    assert "key 10: dropped 1 point" in err
 
 
 def test_decompose_with_an_unassigned_point_exits_3_after_writing(capsys, monkeypatch):

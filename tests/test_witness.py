@@ -7,6 +7,7 @@ from multiwit import (
     IndeterminateError,
     PolySystem,
     Polynomial,
+    RandomSource,
     SliceSelection,
     VariableGrouping,
     WitnessCollection,
@@ -483,3 +484,15 @@ def test_a_failed_start_path_names_its_key(monkeypatch):
     monkeypatch.setattr(multiwit.tracker, "track_many", second_key_fails)
     with pytest.raises(IndeterminateError, match=r"key \(1, 0\)"):
         compute_witness_collection(fx.system, fx.default_keys, rs(31))
+
+
+def test_points_of_a_higher_dimensional_component_are_dropped():
+    # the plane {x1 = 0} meets the slice of key (1, 0) in a line, and at
+    # these seeds one of its points passes the solver's refinement; the
+    # tangent-dimension test drops it, leaving the line's one point
+    fx = get_fixture("surface-and-line")
+    extra_point = {3, 9, 12, 13, 17, 18, 19}
+    for seed in range(1, 21):
+        wc = compute_witness_collection(fx.system, fx.default_keys, RandomSource(seed=seed))
+        assert wc.multidegree_map() == {(1, 0): 1}, seed
+        assert wc.dropped == ({(1, 0): 1} if seed in extra_point else {}), seed
