@@ -7,6 +7,12 @@ I-rows of an orthonormal basis of T.  Dropping rows never raises a
 singular value, so the profile is monotone in I.  The lattice points e
 with |e| = dim X and sum_{i in I} e_i <= dim_I for all proper subsets I
 form the dimension polytope Dim(X) (a polymatroid polytope).
+
+`local_multidimension` is the one tangent-space pass: it reads a stack of
+points BATCH_PATHS at a time, with one kernel call and one stacked SVD of
+DF per chunk and one stacked SVD per proper group subset, and every rank
+it takes is decided by `_stable_rank`.  The witness collection's drop
+test and `equidim_partition` both read their dimensions from it.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tracker
 from .algebra import PolySystem
 
 MAX_GROUPS = 16
@@ -51,34 +58,75 @@ class DimensionProfile:
         return (self.total_dim, items)
 
 
-def _stable_rank(s: np.ndarray, scale: float, what: str) -> int:
-    """Count of singular values s above RANK_TOL * scale; the count at
-    10 * RANK_TOL * scale must agree."""
-    r1, r2 = (int(np.count_nonzero(s > tol * scale)) for tol in (RANK_TOL, 10 * RANK_TOL))
-    if r1 != r2:
+def _stable_rank(s: np.ndarray, scale, what: str):
+    """Count of singular values s above RANK_TOL * scale along the last
+    axis; the count at 10 * RANK_TOL * scale must agree.  A 1-D s gives an
+    int, a stack of rows an int array, and a row that disagrees is named."""
+    r1, r2 = (np.count_nonzero(s > tol * scale, axis=-1) for tol in (RANK_TOL, 10 * RANK_TOL))
+    stack = np.ndim(s) > 1
+    bad = np.flatnonzero(r1 != r2)
+    if bad.size:
+        i = bad[0] if stack else ()
         raise IllConditionedError(
-            f"rank of {what} is {r1} at tol {RANK_TOL:g} but {r2} at {10 * RANK_TOL:g}; "
-            "the point does not look general"
+            f"rank of {what}{f' in row {i}' if stack else ''} is {r1[i]} at tol {RANK_TOL:g} "
+            f"but {r2[i]} at {10 * RANK_TOL:g}; the point does not look general"
         )
-    return r1
+    return r1 if stack else int(r1)
 
 
-def local_multidimension(F: PolySystem, point) -> DimensionProfile:
-    """Dimension profile of the component of V(F) through a smooth point."""
+def _tangent_ranks(F: PolySystem, chunk: np.ndarray, subsets: list, rows: list) -> tuple:
+    """(rank of DF, dim_I per subset) at each row of a chunk of points: one
+    kernel call and one stacked SVD of DF, then one stacked SVD of the
+    tangent bases' rows per subset."""
+    n = F.grouping.nvars
+    _, s, vh = np.linalg.svd(F.jacobian(chunk))
+    rank = _stable_rank(s, s[..., :1], "DF")
+    # a row's tangent basis is vh[rank:]; to stack them, take vh[low:] for
+    # the chunk's least rank and zero each row's vectors before its own
+    # rank, since zero vectors add no rank
+    low = rank.min()
+    vh = vh[:, low:]
+    vh[np.arange(n - low) < (rank - low)[:, None]] = 0
+    tangent = vh.conj().swapaxes(1, 2)  # one row per variable
+    dims = np.zeros((len(chunk), len(subsets)), dtype=int)
+    for j, (I, r) in enumerate(zip(subsets, rows)):
+        s_I = np.linalg.svd(tangent[:, r], compute_uv=False)
+        dims[:, j] = _stable_rank(s_I, 1.0, f"the tangent space on groups {I}")
+    return rank, dims
+
+
+def local_multidimension(F: PolySystem, points):
+    """Dimension profile of the component of V(F) through a smooth point,
+    or a list of them, one per row of a (B, n) array of points.
+
+    The rows go BATCH_PATHS at a time through `_tangent_ranks`, and rows
+    with equal profiles share one `DimensionProfile`.  A rank that is not
+    clear raises IllConditionedError naming its row."""
     g = F.grouping
     k = g.k
     if k > MAX_GROUPS:
         raise ValueError(f"at most {MAX_GROUPS} groups supported, got {k}")
-    _, s, vh = np.linalg.svd(F.jacobian(np.asarray(point, dtype=complex)))
-    rank = _stable_rank(s, s[0], "DF")
-    tangent = vh[rank:].conj().T  # orthonormal basis of ker DF, one row per variable
-    proj = {}
-    for r in range(1, k):
-        for I in combinations(range(k), r):
-            rows = [v for i in I for v in g.blocks[i]]
-            s_I = np.linalg.svd(tangent[rows], compute_uv=False)
-            proj[frozenset(I)] = _stable_rank(s_I, 1.0, f"the tangent space on groups {I}")
-    return DimensionProfile(total_dim=g.nvars - rank, proj_dims=proj, k=k)
+    x = np.asarray(points, dtype=complex)
+    stack = x.reshape(-1, x.shape[-1])
+    subsets = [I for r in range(1, k) for I in combinations(range(k), r)]
+    rows = [[v for i in I for v in g.blocks[i]] for I in subsets]
+    profiles, shared = [], {}  # shared: (dim, dim_I...) bytes -> its one profile
+    for first in range(0, len(stack), tracker.BATCH_PATHS):
+        chunk = stack[first:first + tracker.BATCH_PATHS]
+        try:
+            rank, dims = _tangent_ranks(F, chunk, subsets, rows)
+        except IllConditionedError as exc:
+            if not first:
+                raise
+            raise IllConditionedError(f"{exc} (row 0 is point {first})") from None
+        for row in np.column_stack([g.nvars - rank, dims]):
+            key = row.tobytes()
+            if key not in shared:
+                shared[key] = DimensionProfile(
+                    total_dim=int(row[0]),
+                    proj_dims={frozenset(I): int(d) for I, d in zip(subsets, row[1:])}, k=k)
+            profiles.append(shared[key])
+    return profiles[0] if x.ndim == 1 else profiles
 
 
 def dimension_polytope(profile: DimensionProfile, nvec: Sequence[int]) -> frozenset:
@@ -129,13 +177,14 @@ def polytope_proj_dim(points, I) -> int:
 
 
 def equidim_partition(F: PolySystem, points: Sequence) -> list:
-    """Partition points by equal dimension profile.
+    """Partition points by equal dimension profile, from one
+    `local_multidimension` pass over all of them.
 
     Returns a list of (profile, indices into `points`) pairs, in order of
     first appearance."""
     groups: dict = {}  # signature -> (profile, indices), in insertion order
-    for i, p in enumerate(points):
-        prof = local_multidimension(F, p)
+    stack = np.reshape(points, (-1, F.grouping.nvars))
+    for i, prof in enumerate(local_multidimension(F, stack)):
         groups.setdefault(prof.signature(), (prof, []))[1].append(i)
     return list(groups.values())
 

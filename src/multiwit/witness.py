@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Members, Polynomial, PolySystem, VariableGrouping, affine_rows
-from .dimension import _stable_rank
+from .dimension import local_multidimension
 from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form, solve_zero_dims, square_up
 from .tracker import (
@@ -150,8 +150,9 @@ def compute_witness_collection(
     solved in one start homotopy.  A key with a failed start path raises
     IndeterminateError.  A solved point whose tangent dimension exceeds |e|
     lies on a higher-dimensional component: it is left out of its key and
-    counted in the collection's `dropped` (a rank of DF that is not clear
-    raises IllConditionedError)."""
+    counted in the collection's `dropped`.  Its tangent dimension comes from
+    one `local_multidimension` pass over every key's points, and a rank
+    there that is not clear raises IllConditionedError."""
     g = F.grouping
     candidates = [tuple(int(x) for x in e) for e in candidates]
     if not candidates:
@@ -185,11 +186,9 @@ def compute_witness_collection(
         if pts is None:
             raise IndeterminateError(f"the start paths of key {e} failed")
     # a point whose tangent space ker DF is larger than d lies on a
-    # higher-dimensional component: dim ker DF as `local_multidimension`
-    # takes it, at every point from one kernel call and one stacked SVD
-    points = [p for pts in solved for p in pts]
-    s = np.linalg.svd(F.kernel(np.array(points))[2], compute_uv=False) if points else []
-    fits = iter([g.nvars - _stable_rank(sp, sp[0], "DF") <= d for sp in s])
+    # higher-dimensional component
+    points = np.reshape([p for pts in solved for p in pts], (-1, g.nvars))
+    fits = iter([prof.total_dim <= d for prof in local_multidimension(F, points)])
     entries, dropped = {}, {}
     for e, sel, pts in zip(streams, selections, solved):
         keep = [next(fits) for _ in pts]

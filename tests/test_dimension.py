@@ -11,7 +11,9 @@ from multiwit import (
     dimension_polytope,
     equidim_partition,
     local_multidimension,
+    parse_system,
     product_factorization,
+    tracker,
 )
 from multiwit.dimension import RANK_TOL, _stable_rank, polytope_proj_dim, slice_polytope
 from multiwit.fixtures import get_fixture
@@ -62,30 +64,99 @@ def _is_monotone(prof) -> bool:
 
 
 PROFILE_FIXTURES = ["cubic-split", "two-lines", "octahedron-fg", "octahedron-fh", "richardson",
-                    "richardson-four", "point-times-surface", "affine-lines-cube"]
+                    "richardson-four", "point-times-surface", "affine-lines-cube",
+                    "surface-and-line", "cubic"]
 
 
 @pytest.mark.parametrize("name", PROFILE_FIXTURES)
 def test_profiles_match_the_complement_column_rule(name):
+    # one point at a time and as one stack of a collection's points, every
+    # profile is the complement-column rule's
     fx = get_fixture(name)
     checked = 0
     for seed in (1, 2):
         wc = compute_witness_collection(fx.system, fx.default_keys,
                                         RandomSource(seed=seed, stream=13))
-        for ws in wc.entries.values():
-            for p in ws.points:
-                got = local_multidimension(fx.system, p)
-                assert got.signature() == _reference_profile(fx.system, p).signature()
-                assert _is_monotone(got)
-                checked += 1
+        points = [p for ws in wc.entries.values() for p in ws.points]
+        stacked = local_multidimension(fx.system, np.array(points))
+        assert len(stacked) == len(points)
+        for p, row in zip(points, stacked):
+            got = local_multidimension(fx.system, p)
+            assert got.signature() == _reference_profile(fx.system, p).signature()
+            assert row == got
+            assert _is_monotone(got)
+            checked += 1
     assert checked > 0
 
 
+def _surface_and_line_stack():
+    """Points of surface-and-line's surface x1 = 0 and of its line x2 = y = 1,
+    interleaved: surface, line, surface, line, surface."""
+    rng = np.random.default_rng(4)
+    a, b, c = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3))
+    return np.array([[0, a[0], b[0]], [c[0], 1, 1], [0, a[1], b[1]], [c[1], 1, 1],
+                     [0, a[2], b[2]]])
+
+
+def test_a_stack_of_mixed_tangent_dimensions():
+    F = get_fixture("surface-and-line").system
+    stack = _surface_and_line_stack()[:3]
+    profiles = local_multidimension(F, stack)
+    assert [prof.total_dim for prof in profiles] == [2, 1, 2]
+    assert profiles == [local_multidimension(F, p) for p in stack]
+    # rows with equal profiles share one profile
+    assert profiles[0] is profiles[2] and profiles[0] is not profiles[1]
+
+
+def test_a_point_with_no_tangent_space():
+    F = parse_system("group x; group y; f1 = x - 1; f2 = x*y - 2;").system
+    single = local_multidimension(F, np.array([1, 2]))
+    (row,) = local_multidimension(F, np.array([[1, 2]]))
+    for prof in (single, row):
+        assert prof.total_dim == 0
+        assert prof.proj_dims == {frozenset({0}): 0, frozenset({1}): 0}
+
+
+def test_chunks_give_the_same_profiles(monkeypatch):
+    F = get_fixture("surface-and-line").system
+    stack = _surface_and_line_stack()
+    whole = local_multidimension(F, stack)
+    rows, real_jacobian = [], type(F).jacobian
+
+    def jacobian(self, point):
+        rows.append(len(point))
+        return real_jacobian(self, point)
+
+    monkeypatch.setattr(tracker, "BATCH_PATHS", 2)
+    monkeypatch.setattr(type(F), "jacobian", jacobian)
+    assert local_multidimension(F, stack) == whole
+    assert rows == [2, 2, 1]
+
+
+def test_an_unclear_rank_names_its_row_in_the_stack(monkeypatch):
+    # at (3e-8, 0) the singular values of DF are 1 and 3e-8, between the
+    # two tolerances
+    F = parse_system("group x; group y; f1 = x - 1; f2 = x*y - 2;").system
+    stack = np.array([[1, 2], [1, 2], [1, 2], [3e-8, 0]])
+    with pytest.raises(IllConditionedError, match="rank of DF in row 3 is 2"):
+        local_multidimension(F, stack)
+    monkeypatch.setattr(tracker, "BATCH_PATHS", 2)
+    with pytest.raises(IllConditionedError, match=r"in row 1 is 2 .* \(row 0 is point 2\)"):
+        local_multidimension(F, stack)
+
+
+def test_equidim_partition_of_no_points():
+    assert equidim_partition(get_fixture("surface-and-line").system, []) == []
+
+
 def test_one_jacobian_and_one_svd_of_it_per_profile(monkeypatch):
+    # a point, or a stack of points, costs one kernel call, one stacked SVD
+    # of DF and one SVD of the tangent bases' rows per proper nonempty
+    # group subset
     fx = get_fixture("octahedron-fh")
     wc = compute_witness_collection(fx.system, fx.default_keys, rs(52))
-    p = next(iter(wc.entries.values())).points[0]
-    n = fx.system.grouping.nvars
+    points = np.array([p for ws in wc.entries.values() for p in ws.points])
+    m, n = len(fx.system), fx.system.grouping.nvars
     jacobians, shapes = [], []
     real_jacobian, real_svd = type(fx.system).jacobian, np.linalg.svd
 
@@ -99,11 +170,14 @@ def test_one_jacobian_and_one_svd_of_it_per_profile(monkeypatch):
 
     monkeypatch.setattr(type(fx.system), "jacobian", jacobian)
     monkeypatch.setattr(np.linalg, "svd", svd)
-    prof = local_multidimension(fx.system, p)
-    assert len(jacobians) == 1
-    assert [shape for shape in shapes if shape[1] == n] == [(len(fx.system), n)]
-    # and one SVD of the tangent basis's rows per proper nonempty group subset
-    assert len(shapes) == 1 + 2 ** prof.k - 2
+    for stack, b in ((points[0], 1), (points, len(points))):
+        jacobians.clear()
+        shapes.clear()
+        local_multidimension(fx.system, stack)
+        assert len(jacobians) == 1
+        assert shapes[0] == (b, m, n)
+        assert len(shapes) == 1 + 2 ** fx.system.grouping.k - 2
+        assert all(shape[0] == b for shape in shapes)
 
 
 def test_stable_rank_known_ranks():
@@ -120,6 +194,11 @@ def test_stable_rank_known_ranks():
     # a singular value between the two tolerances makes the rank unstable
     with pytest.raises(IllConditionedError, match="rank of C is 3"):
         _stable_rank(np.array([1.0, 1.0, 3e-8]), 1.0, "C")
+    # on a stack each row gets its own rank, and an unclear row is named
+    stack = np.array([[2.0, 1e-12, 0.0], [1.0, 0.5, 0.0]])
+    assert list(_stable_rank(stack, stack[..., :1], "D")) == [1, 2]
+    with pytest.raises(IllConditionedError, match="rank of E in row 1 is 3"):
+        _stable_rank(np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 3e-8]]), 1.0, "E")
 
 
 def test_profile_signature_and_monotonicity(split_point):

@@ -270,6 +270,27 @@ def test_nothing_refines_one_point_at_a_time():
     assert not calls, f"newton_refine called per element of a loop: {', '.join(calls)}"
 
 
+def test_nothing_profiles_one_point_at_a_time():
+    # the tangent space of many points is read by one local_multidimension
+    # call on their stack, never by a call per point
+    calls = sorted({f"{path.name}:{call.lineno}" for path in SOURCES
+                    for loop in ast.walk(ast.parse(path.read_text()))
+                    for part in _per_element(loop) for call in ast.walk(part)
+                    if isinstance(call, ast.Call) and "local_multidimension" in
+                    (getattr(call.func, "id", None), getattr(call.func, "attr", None))})
+    assert not calls, f"local_multidimension called per element of a loop: {', '.join(calls)}"
+
+
+def test_only_dimension_takes_ranks():
+    # every numerical rank is decided in dimension.py, by _stable_rank
+    named = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "dimension.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "_stable_rank" in (getattr(node, "id", None), getattr(node, "attr", None))
+             or isinstance(node, ast.ImportFrom)
+             and "_stable_rank" in [alias.name for alias in node.names]]
+    assert not named, f"_stable_rank named outside dimension.py: {', '.join(named)}"
+
+
 def test_monodromy_has_one_loop():
     # breakup and growth share one loop: one function in monodromy.py runs
     # MAX_LOOPS loops or calls monodromy_permutation
