@@ -58,29 +58,29 @@ class DimensionProfile:
         return (self.total_dim, items)
 
 
-def _stable_rank(s: np.ndarray, scale, what: str):
-    """Count of singular values s above RANK_TOL * scale along the last
-    axis; the count at 10 * RANK_TOL * scale must agree.  A 1-D s gives an
-    int, a stack of rows an int array, and a row that disagrees is named."""
+def _stable_rank(s: np.ndarray, scale, what: str, first: int) -> np.ndarray:
+    """Count of singular values s above RANK_TOL * scale in each row of a
+    stack; the count at 10 * RANK_TOL * scale must agree.  Row i is point
+    first + i of the input, and a point that disagrees is named."""
     r1, r2 = (np.count_nonzero(s > tol * scale, axis=-1) for tol in (RANK_TOL, 10 * RANK_TOL))
-    stack = np.ndim(s) > 1
     bad = np.flatnonzero(r1 != r2)
     if bad.size:
-        i = bad[0] if stack else ()
+        i = bad[0]
         raise IllConditionedError(
-            f"rank of {what}{f' in row {i}' if stack else ''} is {r1[i]} at tol {RANK_TOL:g} "
+            f"rank of {what} at point {first + i} is {r1[i]} at tol {RANK_TOL:g} "
             f"but {r2[i]} at {10 * RANK_TOL:g}; the point does not look general"
         )
-    return r1 if stack else int(r1)
+    return r1
 
 
-def _tangent_ranks(F: PolySystem, chunk: np.ndarray, subsets: list, rows: list) -> tuple:
-    """(rank of DF, dim_I per subset) at each row of a chunk of points: one
-    kernel call and one stacked SVD of DF, then one stacked SVD of the
-    tangent bases' rows per subset."""
+def _tangent_ranks(F: PolySystem, chunk: np.ndarray, first: int, subsets: list,
+                   rows: list) -> tuple:
+    """(rank of DF, dim_I per subset) at each row of a chunk of points, the
+    first being point `first` of the input: one kernel call and one stacked
+    SVD of DF, then one stacked SVD of the tangent bases' rows per subset."""
     n = F.grouping.nvars
     _, s, vh = np.linalg.svd(F.jacobian(chunk))
-    rank = _stable_rank(s, s[..., :1], "DF")
+    rank = _stable_rank(s, s[..., :1], "DF", first)
     # a row's tangent basis is vh[rank:]; to stack them, take vh[low:] for
     # the chunk's least rank and zero each row's vectors before its own
     # rank, since zero vectors add no rank
@@ -91,7 +91,7 @@ def _tangent_ranks(F: PolySystem, chunk: np.ndarray, subsets: list, rows: list) 
     dims = np.zeros((len(chunk), len(subsets)), dtype=int)
     for j, (I, r) in enumerate(zip(subsets, rows)):
         s_I = np.linalg.svd(tangent[:, r], compute_uv=False)
-        dims[:, j] = _stable_rank(s_I, 1.0, f"the tangent space on groups {I}")
+        dims[:, j] = _stable_rank(s_I, 1.0, f"the tangent space on groups {I}", first)
     return rank, dims
 
 
@@ -101,7 +101,7 @@ def local_multidimension(F: PolySystem, points):
 
     The rows go BATCH_PATHS at a time through `_tangent_ranks`, and rows
     with equal profiles share one `DimensionProfile`.  A rank that is not
-    clear raises IllConditionedError naming its row."""
+    clear raises IllConditionedError naming its point's index in the input."""
     g = F.grouping
     k = g.k
     if k > MAX_GROUPS:
@@ -113,12 +113,7 @@ def local_multidimension(F: PolySystem, points):
     profiles, shared = [], {}  # shared: (dim, dim_I...) bytes -> its one profile
     for first in range(0, len(stack), tracker.BATCH_PATHS):
         chunk = stack[first:first + tracker.BATCH_PATHS]
-        try:
-            rank, dims = _tangent_ranks(F, chunk, subsets, rows)
-        except IllConditionedError as exc:
-            if not first:
-                raise
-            raise IllConditionedError(f"{exc} (row 0 is point {first})") from None
+        rank, dims = _tangent_ranks(F, chunk, first, subsets, rows)
         for row in np.column_stack([g.nvars - rank, dims]):
             key = row.tobytes()
             if key not in shared:

@@ -3,9 +3,10 @@
 Contains the multihomogeneous Bezout machinery (complete-intersection
 multidegree classes and the m-Bezout count), the linear-product start
 system, handed over as its affine factors, and solve_zero_dims: the square
-zero-dimensional solver (random square-up + gamma homotopy) that every
-witness computation sits on, for many slicings of one system at once;
-solve_zero_dim is its one-slicing case.
+zero-dimensional solver (gamma homotopy) that every witness computation
+sits on, for many slicings of one square-up of a system at once, in one
+start homotopy; solve_zero_dim draws its own random square-up for one
+slicing.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _less(capacity: tuple[int, ...], i: int) -> tuple[int, ...]:
 def square_up(F: PolySystem, rows: int, rs: RandomSource) -> PolySystem:
     """Replace F by `rows` random complex combinations of its equations."""
     if rows > len(F):
-        raise ValueError("cannot square up to more equations than given")
+        raise ValueError(f"cannot square {len(F)} equations up to {rows}")
     if rows == len(F):
         return F
     A = rs.gaussian_complex_array(rows, len(F))
@@ -189,6 +190,7 @@ def square_up(F: PolySystem, rows: int, rs: RandomSource) -> PolySystem:
 
 def solve_zero_dims(
     F: PolySystem,
+    core: PolySystem,
     slices: Sequence[Sequence[Polynomial]],
     streams: Sequence[RandomSource],
 ) -> list[list[np.ndarray] | None]:
@@ -196,49 +198,32 @@ def solve_zero_dims(
     for every k, system k drawing from streams[k]; None for a system whose
     start homotopy has a failed path.
 
-    System k squares F up to (nvars - |slices[k]|) random combinations when
-    overdetermined, from its stream's substream(1), and draws its
-    linear-product start system from substream(2) and its gamma from
-    substream(3).  The systems that share one square-up and one shape of
-    start system are one batch: the square-up's rows compile once, and
-    each system is one member of one start homotopy (`algebra.Members`)
-    whose start rows are its start factors, gamma folded into each row's
-    first, and whose last rows end at its slices.  Every endpoint of a
-    batch is refined in one `newton_refine` call, and each system keeps
-    its deduplicated refined points whose residual on the ORIGINAL F is
-    small."""
+    `core` is F or a square-up of it, with len(core) + |slices[k]| = nvars
+    for every k, and every system is solved on core + slices[k].  System k
+    draws its linear-product start system from its stream's substream(2)
+    and its gamma from substream(3).  All systems are one start homotopy
+    (`algebra.Members`), one member each, whose start rows are its start
+    factors, gamma folded into each row's first, and whose last rows end at
+    its slices.  Every endpoint is refined on core + slices in one
+    `newton_refine` call, and each system keeps its deduplicated refined
+    points whose residual on the ORIGINAL F is small."""
     n = F.grouping.nvars
     for forms in slices:
-        if len(F) + len(forms) < n:
+        if len(core) + len(forms) != n:
             raise ValueError(
-                f"underdetermined: {len(F)} equations + {len(forms)} slices < {n} variables")
-    cores = [square_up(F, n - len(forms), rs.substream(1)) for forms, rs in zip(slices, streams)]
+                f"not square: {len(core)} equations + {len(forms)} slices != {n} variables")
+    if not slices:
+        return []
     packages = [start_package(core.concat(list(forms)), rs.substream(2))
-                for core, forms, rs in zip(cores, slices, streams)]
-    batches: dict = {}
-    for k, (core, sp) in enumerate(zip(cores, packages)):
-        batches.setdefault((id(core), sp.counts), []).append(k)
-    solved: list = [None] * len(slices)
-    for batch in batches.values():
-        for k, points in zip(batch, _solve_batch(F, cores[batch[0]],
-                                                 [(slices[k], packages[k], streams[k])
-                                                  for k in batch])):
-            solved[k] = points
-    return solved
-
-
-def _solve_batch(F: PolySystem, core: PolySystem, systems: list) -> list:
-    """`solve_zero_dims` on systems (slices, start package, stream) that
-    share `core` and one shape of start system: one start homotopy with a
-    member per system, and one `newton_refine` call on all its endpoints."""
-    n = F.grouping.nvars
-    counts = systems[0][1].counts
-    factors = np.array([sp.factors for _, sp, _ in systems])
+                for forms, rs in zip(slices, streams)]
+    # one core, so every start system has the same shape
+    counts = packages[0].counts
+    factors = np.array([sp.factors for sp in packages])
     first = np.cumsum(counts) - counts
     factors[:, first] *= np.array([rs.substream(3).unit_complex()
-                                   for _, _, rs in systems])[:, None, None]
-    forms = np.array([affine_rows(sl, n) for sl, _, _ in systems])
-    ends = track_slice_motion(None, [], core.polys, [sp.solutions for _, sp, _ in systems],
+                                   for rs in streams])[:, None, None]
+    forms = np.array([affine_rows(sl, n) for sl in slices])
+    ends = track_slice_motion(None, [], core.polys, [sp.solutions for sp in packages],
                               None, Members(factors, counts, forms))
     points, owner = [], []
     for j, mine in enumerate(ends):
@@ -258,9 +243,11 @@ def solve_zero_dim(
     rs: RandomSource,
 ) -> list[np.ndarray]:
     """Isolated nonsingular solutions of V(F) intersected with V(slices):
-    `solve_zero_dims` on this one system, whose failed start path raises
-    IndeterminateError."""
-    (points,) = solve_zero_dims(F, [slices], [rs])
+    F squared up to (nvars - |slices|) random combinations when
+    overdetermined, from rs.substream(1), then `solve_zero_dims` on this
+    one system, whose failed start path raises IndeterminateError."""
+    core = square_up(F, F.grouping.nvars - len(slices), rs.substream(1))
+    (points,) = solve_zero_dims(F, core, [slices], [rs])
     if points is None:
         raise IndeterminateError("a start path failed")
     return points

@@ -144,10 +144,11 @@ def compute_witness_collection(
 ) -> WitnessCollection:
     """Solve F against L^e for every candidate e (all of equal |e|).
 
-    Group i's flag is drawn in sequence from rs.substream(11).substream(100 + i),
-    and key e's square-up, start system and gamma from its own substream
-    (`startsys.solve_zero_dims`), so the keys that share a square-up are
-    solved in one start homotopy.  A key with a failed start path raises
+    Group i's flag is drawn in sequence from rs.substream(11).substream(100 + i)
+    and the one square-up of F that every entry keeps from rs.substream(12).
+    Every key is solved on that square-up, in one start homotopy
+    (`startsys.solve_zero_dims`), with its start system and gamma drawn
+    from its own substream.  A key with a failed start path raises
     IndeterminateError.  A solved point whose tangent dimension exceeds |e|
     lies on a higher-dimensional component: it is left out of its key and
     counted in the collection's `dropped`.  Its tangent dimension comes from
@@ -180,7 +181,7 @@ def compute_witness_collection(
     streams = {e: 13 + idx for idx, e in enumerate(sorted(candidates))}
     selections = [SliceSelection(tuple(tuple(flag[:ei]) for flag, ei in zip(flags, e)))
                   for e in streams]
-    solved = solve_zero_dims(F, [sel.forms for sel in selections],
+    solved = solve_zero_dims(F, core, [sel.forms for sel in selections],
                              [rs.substream(stream) for stream in streams.values()])
     for e, pts in zip(streams, solved):
         if pts is None:

@@ -46,7 +46,7 @@ def _reference_profile(F, point) -> DimensionProfile:
 
     def rank(M, what):
         s = np.linalg.svd(M, compute_uv=False)
-        return _stable_rank(s, s[0], what)
+        return int(_stable_rank(s[None], s[0], what, 0)[0])
 
     ker_full = g.nvars - rank(J, "DF")
     proj = {}
@@ -138,10 +138,11 @@ def test_an_unclear_rank_names_its_row_in_the_stack(monkeypatch):
     # two tolerances
     F = parse_system("group x; group y; f1 = x - 1; f2 = x*y - 2;").system
     stack = np.array([[1, 2], [1, 2], [1, 2], [3e-8, 0]])
-    with pytest.raises(IllConditionedError, match="rank of DF in row 3 is 2"):
+    with pytest.raises(IllConditionedError, match="rank of DF at point 3 is 2"):
         local_multidimension(F, stack)
+    # in a later chunk the point keeps its index in the input
     monkeypatch.setattr(tracker, "BATCH_PATHS", 2)
-    with pytest.raises(IllConditionedError, match=r"in row 1 is 2 .* \(row 0 is point 2\)"):
+    with pytest.raises(IllConditionedError, match="rank of DF at point 3 is 2"):
         local_multidimension(F, stack)
 
 
@@ -184,21 +185,22 @@ def test_stable_rank_known_ranks():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
     s = np.linalg.svd(A, compute_uv=False)
-    assert _stable_rank(s, s[0], "A") == 3
-    assert _stable_rank(s, 10 * s[0] / RANK_TOL, "A") == 0
+    assert list(_stable_rank(s[None], s[0], "A", 0)) == [3]
+    assert list(_stable_rank(s[None], 10 * s[0] / RANK_TOL, "A", 0)) == [0]
     B = np.outer(A[:, 0], np.conj(A[:, 1]))
     s = np.linalg.svd(B, compute_uv=False)
-    assert _stable_rank(s, s[0], "B") == 1
+    assert list(_stable_rank(s[None], s[0], "B", 0)) == [1]
     with np.errstate(all="raise"):
-        assert _stable_rank(np.zeros(4), 0.0, "zero") == 0
+        assert list(_stable_rank(np.zeros((1, 4)), 0.0, "zero", 0)) == [0]
     # a singular value between the two tolerances makes the rank unstable
-    with pytest.raises(IllConditionedError, match="rank of C is 3"):
-        _stable_rank(np.array([1.0, 1.0, 3e-8]), 1.0, "C")
-    # on a stack each row gets its own rank, and an unclear row is named
+    with pytest.raises(IllConditionedError, match="rank of C at point 0 is 3"):
+        _stable_rank(np.array([[1.0, 1.0, 3e-8]]), 1.0, "C", 0)
+    # each row gets its own rank, and an unclear row is named by its
+    # point's index: row i is point first + i
     stack = np.array([[2.0, 1e-12, 0.0], [1.0, 0.5, 0.0]])
-    assert list(_stable_rank(stack, stack[..., :1], "D")) == [1, 2]
-    with pytest.raises(IllConditionedError, match="rank of E in row 1 is 3"):
-        _stable_rank(np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 3e-8]]), 1.0, "E")
+    assert list(_stable_rank(stack, stack[..., :1], "D", 0)) == [1, 2]
+    with pytest.raises(IllConditionedError, match="rank of E at point 5 is 3"):
+        _stable_rank(np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 3e-8]]), 1.0, "E", 4)
 
 
 def test_profile_signature_and_monotonicity(split_point):

@@ -21,7 +21,8 @@ SOURCES = sorted(
 # demos, the octa-chain benchmark workflow) and by nothing inside it,
 # track_path, `track_many` on one start point, by users and by the traced
 # benchmark, which wraps it by name, and solve_zero_dim, `solve_zero_dims`
-# on one system, by users and the acceptance tests, and wrapped by name too.
+# on one system and its own square-up, by users and the acceptance tests,
+# and wrapped by name too.
 ENTRY_POINTS = {"breakup", "track_path", "solve_zero_dim"}
 
 
@@ -279,6 +280,25 @@ def test_nothing_profiles_one_point_at_a_time():
                     if isinstance(call, ast.Call) and "local_multidimension" in
                     (getattr(call.func, "id", None), getattr(call.func, "attr", None))})
     assert not calls, f"local_multidimension called per element of a loop: {', '.join(calls)}"
+
+
+def test_a_system_is_squared_up_once_per_solve():
+    # a square-up is drawn once, where it is kept: by the witness collection
+    # for all its keys, by solve_zero_dim for its one slicing and by nid's
+    # component build; no solver draws one per key or inside a loop
+    calls = sorted(f"{path.stem}.{fn.name}" for path in SOURCES
+                   for fn in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(fn, ast.FunctionDef) for call in ast.walk(fn)
+                   if isinstance(call, ast.Call) and "square_up" in
+                   (getattr(call.func, "id", None), getattr(call.func, "attr", None)))
+    assert calls == ["nid.build_component", "startsys.solve_zero_dim",
+                     "witness.compute_witness_collection"], calls
+    looped = [f"{path.name}:{call.lineno}" for path in SOURCES
+              for loop in ast.walk(ast.parse(path.read_text()))
+              for part in _per_element(loop) for call in ast.walk(part)
+              if isinstance(call, ast.Call) and "square_up" in
+              (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+    assert not looped, f"square_up called per element of a loop: {', '.join(looped)}"
 
 
 def test_only_dimension_takes_ranks():

@@ -13,6 +13,7 @@ from multiwit import (
     complete_intersection_class,
     mbezout,
     solve_zero_dim,
+    solve_zero_dims,
     square_up,
     start_package,
 )
@@ -188,3 +189,15 @@ def test_solve_zero_dim_rejects_underdetermined():
     fx = get_fixture("cubic")
     with pytest.raises(ValueError):
         solve_zero_dim(fx.system, [], rs(0))
+
+
+def test_solve_zero_dims_needs_every_slicing_square_with_the_core():
+    # the cubic is one equation in two variables, so it takes one slice
+    # form; a slicing of two forms or of none is refused, with its counts
+    fx = get_fixture("cubic")
+    one = [random_affine_form(fx.system.grouping, [0, 1], rs(15))]
+    with pytest.raises(ValueError, match=r"1 equations \+ 2 slices != 2 variables"):
+        solve_zero_dims(fx.system, fx.system, [one, one + one], [rs(16), rs(17)])
+    with pytest.raises(ValueError, match=r"1 equations \+ 0 slices != 2 variables"):
+        solve_zero_dims(fx.system, fx.system, [[]], [rs(16)])
+    assert solve_zero_dims(fx.system, fx.system, [], []) == []

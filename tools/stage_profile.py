@@ -2,6 +2,7 @@
 """Time and count the stages of a benchmark workflow.
 
     python3 tools/stage_profile.py octa-chain --seeds 20230529 --draws 0 1
+    python3 tools/stage_profile.py richardson-chain --seeds 20230529 --draws 0
     python3 tools/stage_profile.py nid-decompose --seeds 20230529 --draws 0 1
 
 One line per stage, summed over the given seeds and draws: the stage's
@@ -131,7 +132,7 @@ def profile(workload: str, seeds: list, draws: list) -> list[str]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("workload", choices=("octa-chain", "nid-decompose"))
+    ap.add_argument("workload", choices=("octa-chain", "richardson-chain", "nid-decompose"))
     ap.add_argument("--seeds", type=int, nargs="+", default=[20230529])
     ap.add_argument("--draws", type=int, nargs="+", default=[0])
     args = ap.parse_args(argv)
