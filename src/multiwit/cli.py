@@ -336,11 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nvec", help="like 3,3,3")
     sp.add_argument("--group", type=int, default=None,
                     help="also report the class after slicing this group")
-
-    fp = sub.add_parser("fixture", help="run a command on a built-in fixture")
-    fp.add_argument("name")
-    fp.add_argument("action", choices=sorted(_HANDLERS))
-    fp.add_argument("rest", nargs=argparse.REMAINDER)
     return p
 
 
@@ -350,9 +345,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-
-    if args.command == "fixture":
-        return run([args.action, "--fixture", args.name] + list(args.rest))
 
     # class reads degrees, not a system, so it has no --extended
     if args.fixture == "pentad" and not getattr(args, "extended", True):

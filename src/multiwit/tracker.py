@@ -40,7 +40,8 @@ endgame, Numer. Math. 63, 1992): from t < 0.1 on, the path's growth exponent
 dlog|x| / dlog(1/t) is estimated between samples at geometric t, and two
 consecutive positive estimates that agree within 20% end a path whose norm
 has passed its blow-up bound (see `_Path`).  A path these rules do not end
-is tracked to t = 0 and sharpened there.
+is tracked to t = 0, or until its step halves below MIN_STEP with less than
+MIN_STEP of t left, and sharpened at t = 0 from its last accepted point.
 
 One Newton loop, `_newton`, serves the corrector, the correction of the
 start points, the t = 0 sharpening and `newton_refine`, which refines a
@@ -321,13 +322,16 @@ class _Path:
 
     def rejected(self) -> str | None:
         """The step attempt was rejected: halve the step.  Returns the status
-        the path ends with, or None while it goes on."""
+        the path ends with, "ended" when its step floors with less than
+        MIN_STEP of t left, or None while it goes on."""
         self.step = self.step / 2
         self.streak = 0
         if self.step < MIN_STEP:
             recent_growth = len(self.norms) >= 2 and self.norms[-1] > 2 * self.norms[0]
             blown_up = self.norms[-1] > max(1e4, 100.0 * self.initial)
-            return "diverged" if blown_up or (self.t < 0.05 and recent_growth) else "failed"
+            if blown_up or (self.t < 0.05 and recent_growth):
+                return "diverged"
+            return "ended" if self.t < MIN_STEP else "failed"
         return None
 
 
@@ -379,8 +383,9 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, m: np.ndar
             ended.append(i)
         else:
             results[p.index] = PathResult(status, None, p.steps)
-    if ended:  # final sharpening against the t = 0 system
-        ends, res, _ = _newton(h, xc[ended], np.zeros(len(ended)), m[ended], END_TOL, 30)
+    if ended:  # final sharpening against the t = 0 system, from the last accepted point
+        last = np.where(accepted[:, None], xc, x)[ended]
+        ends, res, _ = _newton(h, last, np.zeros(len(ended)), m[ended], END_TOL, 30)
         for i, end, r in zip(ended, ends, res):
             p = paths[i]
             results[p.index] = (PathResult("converged", end.copy(), p.steps) if r < END_TOL

@@ -179,12 +179,6 @@ def test_class_fixture_with_slice(capsys):
     assert doc["sliced"]["110"] == 6480
 
 
-def test_fixture_subcommand_dispatch(capsys):
-    code, doc = run_json(["fixture", "cubic", "witness"], capsys)
-    assert code == EXIT_OK
-    assert doc == {"dim": 1, "degree_map": {"1": 3}}
-
-
 def test_unknown_fixture_is_input_error(capsys):
     assert run(["witness", "--fixture", "no-such-system"]) == EXIT_INPUT
 

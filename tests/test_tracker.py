@@ -491,7 +491,9 @@ def test_starts_go_in_fixed_chunks(monkeypatch):
 def test_pentad_start_paths_are_pinned():
     # every 384th start path of the pentad witness solve at seed 1, 144
     # paths in 40 variables: two full chunks and part of a third, with
-    # their status counts and total steps pinned
+    # their status counts and total steps pinned.  Paths 32 and 43 floor
+    # their step at t = 5.3e-16 and 7.6e-17, near singular points, and
+    # converge when sharpened at t = 0 from their last accepted points.
     captured = []
 
     class Captured(Exception):
@@ -510,7 +512,7 @@ def test_pentad_start_paths_are_pinned():
     results = track_many(h, starts)
     assert len(results) == 144
     assert [sum(r.status == s for r in results) for s in ("converged", "diverged", "failed")] \
-        == [40, 102, 2]
+        == [42, 102, 0]
     assert sum(r.steps_taken for r in results) == 10224
 
 
@@ -576,6 +578,32 @@ def test_one_batch_keeps_each_path_status():
     assert (batch[1].endpoint, batch[1].steps_taken) == (None, 0)
     assert fingerprint([batch[0], batch[2]]) == fingerprint([alone["converged"][1],
                                                              alone["diverged"][1]])
+
+
+def test_a_step_floor_at_t_zero_ends_the_path():
+    # a step that halves below MIN_STEP fails a path, unless less than
+    # MIN_STEP of t is left: then the path has reached t = 0
+    for t, status in ((2e-14, "failed"), (5e-15, "ended")):
+        p = multiwit.tracker._Path(0, 1.0)
+        p.t, p.step = t, 1.5e-14
+        assert p.rejected() == status
+
+
+def test_a_path_floored_at_t_zero_is_sharpened_from_its_last_point():
+    # y = 1 on every path of [x^3 - 1, y^2 - 1] -> [x^3 - 100, (y - 1)^2],
+    # and J_x is singular at t = 0: each path's step floors at t = 4.9e-17.
+    # Its last accepted point already meets END_TOL at t = 0, where the
+    # rejected corrector output does not.
+    g = VariableGrouping.from_sizes([2], ["x", "y"])
+    x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
+    h = Homotopy(PolySystem([x**3 - 1, y**2 - 1]), PolySystem([x**3 - 100, (y - 1)**2]),
+                 gamma=rs(13).unit_complex())
+    roots = [np.exp(2j * np.pi * k / 3) for k in range(3)]
+    results = track_many(h, [np.array([root, 1]) for root in roots])
+    assert [(r.status, r.steps_taken) for r in results] == [("converged", 23)] * 3
+    for r, root in zip(results, roots):
+        assert abs(r.endpoint[0] - 100 ** (1 / 3) * root) < 1e-8
+        assert r.endpoint[1] == 1
 
 
 def test_tracker_hooks_seen_from_outside(monkeypatch):
