@@ -18,7 +18,7 @@ f = y^2 - x^3 + 3*x - 1;
 
 
 def main():
-    F = parse_system(SOURCE).system
+    F = parse_system(SOURCE)
     rs = RandomSource(seed=42)
 
     # The curve has dimension 1, so its keys e satisfy |e| = 1.  Key (1,0)

@@ -49,7 +49,6 @@ from .sysio import (
     DEFAULT_SEED,
     ParseError,
     RandomSource,
-    SystemDocument,
     parse_system,
 )
 from .tracker import (

@@ -93,10 +93,10 @@ def _load_system(args):
     if args.input:
         try:
             with open(args.input) as fh:
-                doc = parse_system(fh.read())
+                system = parse_system(fh.read())
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from None
-        return doc.system, None
+        return system, None
     raise InputError("need --fixture NAME or --input PATH")
 
 
@@ -284,20 +284,6 @@ def cmd_class(args) -> dict:
     return out
 
 
-_HANDLERS = {
-    "witness": cmd_witness,
-    "dim": cmd_dim,
-    "slice": cmd_slice,
-    "refine": cmd_refine,
-    "coarsen": cmd_coarsen,
-    "member": cmd_member,
-    "trace": cmd_trace,
-    "decompose": cmd_decompose,
-    "segre": cmd_segre,
-    "class": cmd_class,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="multiwit",
@@ -306,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, handler):
+        sp.set_defaults(handler=handler)
         sp.add_argument("--fixture", help="built-in example system")
         sp.add_argument("--input", help="system file in the input grammar")
         sp.add_argument("--keys", help="witness keys, e.g. 1100,1010")
@@ -316,20 +303,21 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", help="write JSON here instead of stdout")
         return sp
 
-    common(sub.add_parser("witness", help="compute a witness collection"))
-    common(sub.add_parser("dim", help="dimension profiles of witness points"))
-    sp = common(sub.add_parser("slice", help="witness collection of a slice"))
+    common(sub.add_parser("witness", help="compute a witness collection"), cmd_witness)
+    common(sub.add_parser("dim", help="dimension profiles of witness points"), cmd_dim)
+    sp = common(sub.add_parser("slice", help="witness collection of a slice"), cmd_slice)
     sp.add_argument("--group", type=int, required=True)
-    sp = common(sub.add_parser("refine", help="split one variable group"))
+    sp = common(sub.add_parser("refine", help="split one variable group"), cmd_refine)
     sp.add_argument("--split", required=True, help="GROUP:FIRST_SIZE")
-    sp = common(sub.add_parser("coarsen", help="merge variable groups"))
+    sp = common(sub.add_parser("coarsen", help="merge variable groups"), cmd_coarsen)
     sp.add_argument("--merge", required=True, help="A:B[,A:B...]")
-    sp = common(sub.add_parser("member", help="membership test"))
+    sp = common(sub.add_parser("member", help="membership test"), cmd_member)
     sp.add_argument("--point", required=True, help="coordinates (re or re,im interleaved)")
-    common(sub.add_parser("trace", help="trace-test an affine curve witness"))
-    common(sub.add_parser("decompose", help="numerical irreducible decomposition"))
-    common(sub.add_parser("segre", help="degree under the Segre embedding"))
+    common(sub.add_parser("trace", help="trace-test an affine curve witness"), cmd_trace)
+    common(sub.add_parser("decompose", help="numerical irreducible decomposition"), cmd_decompose)
+    common(sub.add_parser("segre", help="degree under the Segre embedding"), cmd_segre)
     sp = sub.add_parser("class", help="complete-intersection class")
+    sp.set_defaults(handler=cmd_class)
     sp.add_argument("--fixture", help="class-123, or give --degrees and --nvec")
     sp.add_argument("--output", help="write JSON here instead of stdout")
     sp.add_argument("--degrees", help="like 1,2,3;1,2,3")
@@ -352,7 +340,7 @@ def run(argv=None) -> int:
         return EXIT_INPUT
 
     try:
-        result = _HANDLERS[args.command](args)
+        result = args.handler(args)
     except (InputError, ParseError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -1,9 +1,9 @@
 """Built-in example systems.
 
-Each fixture returns a SystemDocument-like bundle: the grouped system
-plus default witness keys and any reference data useful for demos and
-tests.  Systems with random ingredients (the rank-condition minors) are
-seeded so that reruns are identical.
+Each fixture returns a `Fixture`: the grouped system plus default witness
+keys and any reference data useful for demos and tests.  A fixture's name
+is its key in `_FIXTURES`.  Systems with random ingredients (the
+rank-condition minors) are seeded so that reruns are identical.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .sysio import RandomSource
 
 @dataclass
 class Fixture:
-    name: str
     system: PolySystem
     default_keys: list  # candidate witness keys
     extra: dict = field(default_factory=dict)
@@ -35,7 +34,7 @@ def plane_cubic() -> Fixture:
     g = VariableGrouping.from_sizes([2], ["x", "y"])
     x, y = _vars(g)
     f = y ** 2 - 2 * x * y - x ** 3 + x
-    return Fixture("cubic", PolySystem([f]), [(1,)],
+    return Fixture(PolySystem([f]), [(1,)],
                    extra={"refined_keys": [(1, 0), (0, 1)]})
 
 
@@ -44,7 +43,7 @@ def plane_cubic_split() -> Fixture:
     g = VariableGrouping.from_sizes([1, 1], ["x", "y"])
     x, y = _vars(g)
     f = y ** 2 - 2 * x * y - x ** 3 + x
-    return Fixture("cubic-split", PolySystem([f]), [(1, 0), (0, 1)])
+    return Fixture(PolySystem([f]), [(1, 0), (0, 1)])
 
 
 def two_lines() -> Fixture:
@@ -52,7 +51,7 @@ def two_lines() -> Fixture:
     g = VariableGrouping.from_sizes([2], ["x", "y"])
     x, y = _vars(g)
     f = (x + y - 1) * (x - y)
-    return Fixture("two-lines", PolySystem([f]), [(1,)])
+    return Fixture(PolySystem([f]), [(1,)])
 
 
 def surface_and_line() -> Fixture:
@@ -61,8 +60,7 @@ def surface_and_line() -> Fixture:
     surface's slice passes the solver at some seeds."""
     g = VariableGrouping.from_sizes([2, 1], ["x1", "x2", "y"])
     x1, x2, y = _vars(g)
-    return Fixture("surface-and-line", PolySystem([x1 * (y - 1), x1 * (x2 - 1)]),
-                   [(1, 0), (0, 1)])
+    return Fixture(PolySystem([x1 * (y - 1), x1 * (x2 - 1)]), [(1, 0), (0, 1)])
 
 
 OCTAHEDRON_KEYS = [
@@ -89,7 +87,7 @@ def _octahedron_polys():
 def octahedron_fg() -> Fixture:
     f, gg, _ = _octahedron_polys()
     return Fixture(
-        "octahedron-fg", PolySystem([f, gg]), list(OCTAHEDRON_KEYS),
+        PolySystem([f, gg]), list(OCTAHEDRON_KEYS),
         extra={"degree_map": {
             (1, 1, 0, 0): 4, (1, 0, 1, 0): 4, (1, 0, 0, 1): 3,
             (0, 1, 1, 0): 4, (0, 1, 0, 1): 3, (0, 0, 1, 1): 2,
@@ -100,7 +98,7 @@ def octahedron_fg() -> Fixture:
 def octahedron_fh() -> Fixture:
     f, _, h = _octahedron_polys()
     return Fixture(
-        "octahedron-fh", PolySystem([f, h]), list(OCTAHEDRON_KEYS),
+        PolySystem([f, h]), list(OCTAHEDRON_KEYS),
         extra={"degree_map": {
             (1, 1, 0, 0): 7, (1, 0, 1, 0): 6, (1, 0, 0, 1): 5,
             (0, 1, 1, 0): 5, (0, 1, 0, 1): 4, (0, 0, 1, 1): 3,
@@ -170,7 +168,7 @@ RICHARDSON_DEGREE_MAP = {
 
 def richardson() -> Fixture:
     return Fixture(
-        "richardson", _richardson_minors("all"), list(HEXAGON_KEYS),
+        _richardson_minors("all"), list(HEXAGON_KEYS),
         extra={"degree_map": dict(RICHARDSON_DEGREE_MAP), "segre_degree": 450,
                "affine_degree": 8},
     )
@@ -197,7 +195,7 @@ def richardson_four() -> Fixture:
         (1, 1, 3): 1, (2, 1, 2): 2, (3, 1, 1): 1,
     }
     return Fixture(
-        "richardson-four", _richardson_minors("four"), list(HEXAGON_KEYS),
+        _richardson_minors("four"), list(HEXAGON_KEYS),
         extra={"component_maps": [dict(RICHARDSON_DEGREE_MAP),
                                   hexagon_2_map, hexagon_3_map, small_map]},
     )
@@ -221,7 +219,7 @@ def hyperboloid() -> Fixture:
         x = v[4 + 3 * c: 7 + 3 * c]
         polys.append(x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - 1)
     return Fixture(
-        "hyperboloid", PolySystem(polys), [(1, 1, 1, 1)],
+        PolySystem(polys), [(1, 1, 1, 1)],
         extra={"witness_count": 16, "split": (4, 12),
                "profiles": {(1, 2, 2, 3): 4, (4, 2, 4, 4): 12},
                "ungrouped_count": 120},
@@ -257,8 +255,7 @@ def point_times_surface() -> Fixture:
         243 * y[2, 3] * y[3, 1] - 243 * y[2, 1] * y[3, 3]
         - 306 * y[2, 1] + 1020 * y[2, 3] - 342 * y[3, 1] + 1194 * y[3, 3] + 68,
     ]
-    return Fixture("point-times-surface", PolySystem(polys),
-                   [(0, 1, 2), (0, 2, 1)])
+    return Fixture(PolySystem(polys), [(0, 1, 2), (0, 2, 1)])
 
 
 def affine_lines_cube() -> Fixture:
@@ -276,7 +273,7 @@ def affine_lines_cube() -> Fixture:
         171 * y[3, 1] - 597 * y[3, 3] - 34,
         19 * y[3, 2] + 46 * y[3, 3] + 34,
     ]
-    return Fixture("affine-lines-cube", PolySystem(polys), [(1, 1, 1)])
+    return Fixture(PolySystem(polys), [(1, 1, 1)])
 
 
 def pentad() -> Fixture:
@@ -304,7 +301,7 @@ def pentad() -> Fixture:
         polys.append(1 + u[0] * t[0] + u[2] * t[2] + v4 * t[3])
         polys.append(1 + ub[0] * tb[0] + ub[2] * tb[2] + vb4 * tb[3])
     key = (2, 2, 1, 0, 1, 0, 1, 0, 1, 0)
-    return Fixture("pentad", PolySystem(polys), [key],
+    return Fixture(PolySystem(polys), [key],
                    extra={"witness_count": 14828, "split": (14144, 678, 6)})
 
 

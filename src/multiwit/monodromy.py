@@ -65,7 +65,7 @@ def monodromy_permutation(ws: WitnessSet, rs: RandomSource) -> MonodromyOutcome:
         ends = track_slice_motion(ws.fixed_block, stops[leg], stops[leg + 1],
                                   list(current.values()), rs.substream(3 + leg))
         current = {i: p for i, p in zip(current, ends) if p is not None}
-    ends = newton_refine(ws.full_square_system(), list(current.values()))
+    ends = newton_refine(ws.full_square_system, list(current.values()))
     refined = {i: p for i, p in zip(current, ends) if p is not None}
 
     perm: dict = {}
@@ -101,7 +101,7 @@ def trace_test(ws: WitnessSet, part: list) -> bool:
     """Linear trace, with no path tracked.  As the one slice form l moves to
     l + s, the part's sum is affine in s exactly when the part is a union
     of whole components; for a generic l that shows as sum x'' = 0 at s = 0,
-    where, with J the Jacobian of `ws.full_square_system()` at x,
+    where, with J the Jacobian of `ws.full_square_system` at x,
 
         x' = -J^-1 e_n,    x'' = -J^-1 [D^2 F(x)[x', x']; 0].
 
@@ -115,7 +115,7 @@ def trace_test(ws: WitnessSet, part: list) -> bool:
     _one_moving_form(ws, "the trace test")
     if not part:
         raise ValueError("empty part")
-    system = ws.full_square_system()
+    system = ws.full_square_system
     x = np.array(part, dtype=complex)
     count, n = x.shape
     jacobian = system.kernel(x)[2]

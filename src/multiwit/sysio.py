@@ -16,7 +16,6 @@ import cmath
 import functools
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,14 +85,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
-
-
-@dataclass
-class SystemDocument:
-    grouping: VariableGrouping
-    system: PolySystem
-    group_names: tuple[str, ...]
-    poly_names: tuple[str, ...]
 
 
 # One alternative per token kind.  `\s`, `\d` and `\w` are Unicode classes:
@@ -177,7 +168,7 @@ class _Parser:
             self.error(f"{what} must be an integer from {least} to {most}", tok)
         return int(value)
 
-    def parse(self) -> SystemDocument:
+    def parse(self) -> PolySystem:
         while self.peek()[0] != "eof":
             tok = self.peek()
             if tok[:2] == ("id", "group"):
@@ -190,12 +181,7 @@ class _Parser:
             self.error("no variable groups declared")
         if not self.polys:
             self.error("no polynomials declared")
-        return SystemDocument(
-            grouping=self.grouping,
-            system=PolySystem(self.polys.values()),
-            group_names=tuple(self.group_names),
-            poly_names=tuple(self.polys),
-        )
+        return PolySystem(self.polys.values())
 
     def parse_group(self):
         if self.polys:
@@ -283,5 +269,5 @@ class _Parser:
         self.error(f"expected a number, variable, or '(', found {tok[1]!r}", tok)
 
 
-def parse_system(text: str) -> SystemDocument:
+def parse_system(text: str) -> PolySystem:
     return _Parser(text).parse()

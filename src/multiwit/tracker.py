@@ -40,8 +40,9 @@ endgame, Numer. Math. 63, 1992): from t < 0.1 on, the path's growth exponent
 dlog|x| / dlog(1/t) is estimated between samples at geometric t, and two
 consecutive positive estimates that agree within 20% end a path whose norm
 has passed its blow-up bound (see `_Path`).  A path these rules do not end
-is tracked to t = 0, or until its step halves below MIN_STEP with less than
-MIN_STEP of t left, and sharpened at t = 0 from its last accepted point.
+is tracked to t = 0, or until its step halves below MIN_STEP after an
+attempt that covered all of the t left, and sharpened at t = 0 from its
+last accepted point.
 
 One Newton loop, `_newton`, serves the corrector, the correction of the
 start points, the t = 0 sharpening and `newton_refine`, which refines a
@@ -153,15 +154,12 @@ class Homotopy(_Compiled):
             raise ValueError("start and target must share the variable set")
         if gamma == 0:
             raise ValueError("gamma must be nonzero")
-        self.start = start
-        self.target = target
-        self.gamma = complex(gamma)
-        self.fixed = fixed
+        gamma = complex(gamma)
         # row j is sum (a + t*b) * p over its (p, a, b); a moving row has a
         # start term, a target term, both or, where members give both, none
         rows = [[(p, 1, 0)] for p in (fixed.polys if fixed else ())]
         for j in range(moving):
-            rows.append([(start[j], 0, self.gamma)] if j < len(start) else [])
+            rows.append([(start[j], 0, gamma)] if j < len(start) else [])
             if j < len(target):
                 rows[-1].append((target[j], 1, -1))
         super().__init__(rows, polys[0].grouping.nvars, members)
@@ -322,8 +320,8 @@ class _Path:
 
     def rejected(self) -> str | None:
         """The step attempt was rejected: halve the step.  Returns the status
-        the path ends with, "ended" when its step floors with less than
-        MIN_STEP of t left, or None while it goes on."""
+        the path ends with, "ended" when its step floors after an attempt
+        that covered all of the t left, or None while it goes on."""
         self.step = self.step / 2
         self.streak = 0
         if self.step < MIN_STEP:
@@ -331,7 +329,8 @@ class _Path:
             blown_up = self.norms[-1] > max(1e4, 100.0 * self.initial)
             if blown_up or (self.t < 0.05 and recent_growth):
                 return "diverged"
-            return "ended" if self.t < MIN_STEP else "failed"
+            # the rejected attempt spanned min(2 * step, t) of t
+            return "ended" if self.t <= 2 * self.step else "failed"
         return None
 
 

@@ -95,13 +95,10 @@ class WitnessSet:
     def fixed_block(self) -> PolySystem:
         return self.sq_core.concat(list(self.extra)) if self.extra else self.sq_core
 
+    @cached_property
     def full_square_system(self) -> PolySystem:
         """The fixed block and the slices, built once per witness set, so
         its term table is compiled once too."""
-        return self._full_square_system
-
-    @cached_property
-    def _full_square_system(self) -> PolySystem:
         return self.fixed_block.concat(self.selection.forms)
 
     def __len__(self) -> int:

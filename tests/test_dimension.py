@@ -109,7 +109,7 @@ def test_a_stack_of_mixed_tangent_dimensions():
 
 
 def test_a_point_with_no_tangent_space():
-    F = parse_system("group x; group y; f1 = x - 1; f2 = x*y - 2;").system
+    F = parse_system("group x; group y; f1 = x - 1; f2 = x*y - 2;")
     single = local_multidimension(F, np.array([1, 2]))
     (row,) = local_multidimension(F, np.array([[1, 2]]))
     for prof in (single, row):
@@ -136,7 +136,7 @@ def test_chunks_give_the_same_profiles(monkeypatch):
 def test_an_unclear_rank_names_its_row_in_the_stack(monkeypatch):
     # at (3e-8, 0) the singular values of DF are 1 and 3e-8, between the
     # two tolerances
-    F = parse_system("group x; group y; f1 = x - 1; f2 = x*y - 2;").system
+    F = parse_system("group x; group y; f1 = x - 1; f2 = x*y - 2;")
     stack = np.array([[1, 2], [1, 2], [1, 2], [3e-8, 0]])
     with pytest.raises(IllConditionedError, match="rank of DF at point 3 is 2"):
         local_multidimension(F, stack)

@@ -411,3 +411,27 @@ def test_benchmark_spanned_names_resolve():
                for name in names
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert not missing, f"bench/tracing.py spans names the library lacks: {missing}"
+
+
+def _dataclass_fields() -> list[str]:
+    """"module:Class.field" for every field of a dataclass in src/multiwit."""
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", None) == "dataclass"
+
+    return [f"{path.name}:{cls.name}.{node.target.id}"
+            for path in SOURCES for cls in ast.parse(path.read_text()).body
+            if isinstance(cls, ast.ClassDef) and any(map(is_dataclass, cls.decorator_list))
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads as `.field` in the library, the benchmark or the
+    # tools is a value kept for the tests alone, or a copy of one kept elsewhere
+    read = {node.attr
+            for folder in ("src", "bench", "tools") for path in (ROOT / folder).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [field for field in _dataclass_fields() if field.rsplit(".", 1)[1] not in read]
+    assert not unread, f"dataclass fields nothing reads: {', '.join(unread)}"

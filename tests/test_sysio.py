@@ -60,22 +60,22 @@ def test_unit_complex_on_unit_circle():
 
 
 def test_parse_sample_system():
-    doc = parse_system(SAMPLE)
-    assert doc.group_names == ("x", "y")
-    assert doc.grouping.sizes == (1, 1)
-    assert doc.poly_names == ("f",)
-    p = doc.system.polys[0]
+    F = parse_system(SAMPLE)
+    assert F.grouping.names == ("x", "y")
+    assert F.grouping.sizes == (1, 1)
+    assert len(F) == 1
+    p = F.polys[0]
     pt = np.array([2.0, 3.0], dtype=complex)
     # f(2,3) = 9 - 12 - 8 + 2 = -9
     assert abs(evaluate(p, pt) + 9) < 1e-12
 
 
 def test_parse_sized_groups_and_literals():
-    doc = parse_system("group v[2]; g = 2i*v1 + 1e-3*v2 - (v1 - v2)^2;")
-    assert doc.grouping.sizes == (2,)
+    F = parse_system("group v[2]; g = 2i*v1 + 1e-3*v2 - (v1 - v2)^2;")
+    assert F.grouping.sizes == (2,)
     pt = np.array([1.0, 2.0], dtype=complex)
     expected = 2j * 1 + 1e-3 * 2 - (1 - 2) ** 2
-    assert abs(evaluate(doc.system.polys[0], pt) - expected) < 1e-12
+    assert abs(evaluate(F.polys[0], pt) - expected) < 1e-12
 
 
 def test_parse_errors_carry_position():
@@ -156,9 +156,9 @@ def test_oversized_exponents_and_groups_are_refused(text, col, message):
 
 
 def test_the_largest_exponent_and_group_parse():
-    doc = parse_system(f"group v[{MAX_GROUP_SIZE}]; f = v1^{MAX_EXPONENT} - v{MAX_GROUP_SIZE};")
-    assert doc.grouping.nvars == MAX_GROUP_SIZE
-    assert doc.system.polys[0].multidegree() == (MAX_EXPONENT,)
+    F = parse_system(f"group v[{MAX_GROUP_SIZE}]; f = v1^{MAX_EXPONENT} - v{MAX_GROUP_SIZE};")
+    assert F.grouping.nvars == MAX_GROUP_SIZE
+    assert F.polys[0].multidegree() == (MAX_EXPONENT,)
 
 
 @pytest.mark.parametrize("text, name, col", [

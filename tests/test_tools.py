@@ -1,15 +1,18 @@
-"""The workflow profiler in tools/ runs a bench workflow in-process."""
+"""The tools in tools/ run: the workflow profiler in-process, the kernel
+timer in a subprocess of its own."""
 
 import importlib
 import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import multiwit.algebra as algebra
 import multiwit.tracker as tracker
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "path_fingerprint.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "path_fingerprint.py"
 
 
 def load_tool(monkeypatch):
@@ -40,3 +43,24 @@ def test_one_run_prints_the_draw_line_and_the_stage_lines(monkeypatch, capsys):
     for name in ("kernel_calls", "homotopies", "compiles"):
         assert count(draw, name) == count(stages[-1], name)
     assert all(getattr(owner, name) is fn for (owner, name), fn in zip(names, originals))
+
+
+def test_the_kernel_timer_compares_a_tree_with_itself():
+    # one call per timing and two batch sizes keep the run short; a tree
+    # against itself gives byte-equal outputs on every case
+    script = "\n".join([
+        "import importlib.util, sys",
+        "spec = importlib.util.spec_from_file_location('kernel_timing', sys.argv[1])",
+        "tool = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(tool)",
+        "tool.CALLS, tool.REPEATS, tool.SIZES = 1, 1, (1, 4)",
+        "sys.exit(tool.main(sys.argv[2:]))",
+    ])
+    run = subprocess.run([sys.executable, "-c", script, str(ROOT / "tools" / "kernel_timing.py"),
+                          str(ROOT)], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    header, *cases, last = run.stdout.splitlines()
+    assert header.split()[0] == "table"
+    assert len(cases) == 24  # 2 fixtures x 3 tables x 2 sizes x scaled or not
+    assert all(line.split()[-1] == "True" for line in cases)
+    assert last == "every output byte-equal"

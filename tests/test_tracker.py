@@ -149,33 +149,43 @@ def random_poly(g, rng, nterms, maxdeg):
     return Polynomial(g, terms)
 
 
-def block_reference(h, x, t):
-    """H, J_x, dH/dt and the residual scale from the block formulas in
-    Homotopy's docstring, term by term through Polynomial."""
-    def rows(system):
-        return np.array([evaluate(p, x) for p in system])
+def block_pieces(start, target, gamma, fixed=None):
+    """The rows of [fixed; t*gamma*start + (1-t)*target] as pieces
+    (p, a, b, forms): row j is the sum of (a + t*b) * p over its pieces, and
+    `forms`, where not None, holds the affine rows whose product p is."""
+    start, target = tuple(start), tuple(target)
+    rows = [[(p, 1, 0, None)] for p in (fixed or ())]
+    for j in range(max(len(start), len(target))):
+        rows.append([(start[j], 0, gamma, None)] if j < len(start) else [])
+        if j < len(target):
+            rows[-1].append((target[j], 1, -1, None))
+    return rows
 
-    def jac(system):
-        return np.array([[evaluate(diff(p, v), x) for v in range(len(x))] for p in system])
 
-    def scale(system):  # each row's sum of |coeff| * |monomial|, plus 1
-        return np.array([evaluate(Polynomial(p.grouping, {e: abs(c) for e, c in p.terms.items()}),
-                                  np.abs(x)).real + 1 for p in system])
+def reference(rows, x, t):
+    """H, J_x, dH/dt and the residual scale of rows of pieces (p, a, b, forms)
+    (see `block_pieces`), each piece evaluated and differentiated term by
+    term through Polynomial.  A piece adds |a + t*b| * (size + 1) to its
+    row's scale, where the size of p is its terms' sum of |coeff| *
+    |monomial|, or, for a product of forms, the product of their sizes."""
+    def size(p, forms):
+        if forms is None:
+            return evaluate(Polynomial(p.grouping, {e: abs(c) for e, c in p.terms.items()}),
+                            np.abs(x)).real
+        return np.prod([np.abs(f[:-1]) @ np.abs(x) + abs(f[-1]) for f in forms])
 
-    S, T = rows(h.start), rows(h.target)
-    H = t * h.gamma * S + (1 - t) * T
-    J = t * h.gamma * jac(h.start) + (1 - t) * jac(h.target)
-    dt = h.gamma * S - T
-    sc = abs(t * h.gamma) * scale(h.start) + abs(1 - t) * scale(h.target)
-    if h.fixed is not None:
-        H = np.concatenate([rows(h.fixed), H])
-        J = np.vstack([jac(h.fixed), J])
-        dt = np.concatenate([np.zeros(len(h.fixed)), dt])
-        sc = np.concatenate([scale(h.fixed), sc])
-    return H, J, dt, sc
+    H = [sum((a + t * b) * evaluate(p, x) for p, a, b, _ in row) for row in rows]
+    J = [[sum((a + t * b) * evaluate(diff(p, v), x) for p, a, b, _ in row)
+          for v in range(len(x))] for row in rows]
+    dt = [sum(b * evaluate(p, x) for p, a, b, _ in row) for row in rows]
+    sc = [sum(abs(a + t * b) * (size(p, forms) + 1) for p, a, b, forms in row)
+          for row in rows]
+    return tuple(np.array(v) for v in (H, J, dt, sc))
 
 
 def fused_homotopy(with_fixed, rng):
+    """(homotopy, parts): `parts` is the (start, target, gamma, fixed) it is
+    built from."""
     g = VariableGrouping.from_sizes([2, 2], ["x", "y", "u", "v"])
     nfixed = 2 if with_fixed else 0
     # rows of more than eight terms, a zero row and a constant row
@@ -183,20 +193,20 @@ def fused_homotopy(with_fixed, rng):
              random_poly(g, rng, 3, 2)][:4 - nfixed]
     target = [random_poly(g, rng, 5, 4) for _ in range(4 - nfixed)]
     fixed = PolySystem([random_poly(g, rng, 9, 3) for _ in range(nfixed)]) if with_fixed else None
-    return Homotopy(PolySystem(start), PolySystem(target), gamma=1.7 * rs(4).unit_complex(),
-                    fixed=fixed)
+    parts = (PolySystem(start), PolySystem(target), 1.7 * rs(4).unit_complex(), fixed)
+    return Homotopy(*parts), parts
 
 
 @pytest.mark.parametrize("with_fixed", [False, True])
 def test_fused_kernel_matches_block_formulas(with_fixed):
     rng = np.random.default_rng(7)
-    h = fused_homotopy(with_fixed, rng)
+    h, parts = fused_homotopy(with_fixed, rng)
     for _ in range(5):
         x = rng.normal(size=4) + 1j * rng.normal(size=4)
         t = float(rng.uniform(0.01, 0.99))
         # a batch of one point: every result is row 0
         H, scale, J, dt = (a[0] for a in h.evaluate(x[None], t, scaled=True))
-        for a, b in zip((H, J, dt, scale), block_reference(h, x, t)):
+        for a, b in zip((H, J, dt, scale), reference(block_pieces(*parts), x, t)):
             assert a.shape == b.shape
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
         # without the scale, the same kernel call gives the same H, J_x, dH/dt
@@ -215,11 +225,12 @@ COUNTS = (2, 1)  # forms per start row of `member_homotopy`'s members
 
 
 def member_homotopy(with_fixed, rng, untouched=False):
-    """(homotopy, start forms, target forms) of a homotopy whose last two
-    rows start at each member's own products, of two forms and of one, and
-    whose last row ends at its own form; two of the forms leave out a group.
-    With `untouched`, both forms of the product leave out (u, v), so no form
-    touches its gradient slots on u and v."""
+    """(homotopy, rows): a homotopy whose last two rows start at each
+    member's own products, of two forms and of one, and whose last row ends
+    at its own form, and each member's rows of pieces (see `block_pieces`);
+    two of the forms leave out a group.  With `untouched`, both forms of the
+    product leave out (u, v), so no form touches its gradient slots on u
+    and v."""
     g = VariableGrouping.from_sizes([2, 2], ["x", "y", "u", "v"])
     moving = 2 if with_fixed else 4
     factors = complex_normal(rng, MEMBERS, 3, 5)
@@ -228,42 +239,18 @@ def member_homotopy(with_fixed, rng, untouched=False):
         factors[:, 1, 2:4] = 0
     forms = complex_normal(rng, MEMBERS, 1, 5)
     fixed = PolySystem([random_poly(g, rng, 9, 3) for _ in range(2)]) if with_fixed else None
-    h = Homotopy([random_poly(g, rng, 6, 2) for _ in range(moving - 2)],
-                 [random_poly(g, rng, 5, 3) for _ in range(moving - 1)],
-                 1.7 * rs(4).unit_complex(), fixed, Members(factors, COUNTS, forms))
-    return h, factors, forms
-
-
-def member_reference(h, factors, forms, x, t):
-    """H, J_x, dH/dt and the residual scale of one member of a
-    `member_homotopy`, row by row from its pieces (p, a, b), each evaluated
-    and differentiated term by term through Polynomial: a start row of the
-    member is the expanded product of its forms, and its scale reads the
-    product's size as the product of its forms' sizes."""
-    g = h.target[0].grouping
-    fixed = list(h.fixed or ())
-    pieces = [[(p, 1, 0, None)] for p in fixed] + [[] for _ in range(len(h.target) + 1)]
-    for j, p in enumerate(h.start):
-        pieces[len(fixed) + j].append((p, 0, h.gamma, None))
-    for j, p in enumerate(h.target):
-        pieces[len(fixed) + j].append((p, 1, -1, None))
+    parts = ([random_poly(g, rng, 6, 2) for _ in range(moving - 2)],
+             [random_poly(g, rng, 5, 3) for _ in range(moving - 1)],
+             1.7 * rs(4).unit_complex(), fixed)
     first = np.cumsum(COUNTS) - COUNTS
-    for r, (f, c) in zip((-2, -1), zip(first, COUNTS)):
-        pieces[r].append((product(g, factors[f:f + c]), 0, 1, factors[f:f + c]))
-    pieces[-1].append((product(g, forms), 1, -1, forms))
-
-    def size(p, rows):
-        if rows is None:  # each term's |coeff| * |monomial|
-            return evaluate(Polynomial(g, {e: abs(c) for e, c in p.terms.items()}),
-                            np.abs(x)).real
-        return np.prod([np.abs(f[:-1]) @ np.abs(x) + abs(f[-1]) for f in rows])
-
-    H = [sum((a + t * b) * evaluate(p, x) for p, a, b, _ in row) for row in pieces]
-    J = [[sum((a + t * b) * evaluate(diff(p, v), x) for p, a, b, _ in row)
-          for v in range(len(x))] for row in pieces]
-    dt = [sum(b * evaluate(p, x) for p, a, b, _ in row) for row in pieces]
-    sc = [sum(abs(a + t * b) * (size(p, rows) + 1) for p, a, b, rows in row) for row in pieces]
-    return tuple(np.array(v) for v in (H, J, dt, sc))
+    members = []
+    for k in range(MEMBERS):
+        rows = block_pieces(*parts) + [[]]
+        for row, f, c in zip(rows[-2:], first, COUNTS):
+            row.append((product(g, factors[k, f:f + c]), 0, 1, factors[k, f:f + c]))
+        rows[-1].append((product(g, forms[k]), 1, -1, forms[k]))
+        members.append(rows)
+    return Homotopy(*parts, Members(factors, COUNTS, forms)), members
 
 
 @pytest.mark.parametrize("with_fixed", [False, True])
@@ -274,12 +261,12 @@ def test_member_kernel_matches_expanded_products(with_fixed):
     # also with a product whose forms leave its slots on a group untouched
     rng = np.random.default_rng(11)
     for untouched in (False, True):
-        h, factors, forms = member_homotopy(with_fixed, rng, untouched)
-        for k in range(MEMBERS):
+        h, members = member_homotopy(with_fixed, rng, untouched)
+        for k, rows in enumerate(members):
             x = rng.normal(size=4) + 1j * rng.normal(size=4)
             t = float(rng.uniform(0.01, 0.99))
             H, scale, J, dt = (a[0] for a in h.evaluate(x[None], t, True, np.array([k])))
-            for a, b in zip((H, J, dt, scale), member_reference(h, factors[k], forms[k], x, t)):
+            for a, b in zip((H, J, dt, scale), reference(rows, x, t)):
                 assert a.shape == b.shape
                 assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -293,11 +280,10 @@ def test_kernel_rows_match_one_point_calls(with_fixed):
     # plain rows bit for bit; also with a product that leaves slots untouched;
     # and no later call writes into the results of the first
     rng = np.random.default_rng(8)
-    plain = fused_homotopy(with_fixed, rng)
-    mixed, _, _ = member_homotopy(with_fixed, rng)
-    untouched, _, _ = member_homotopy(with_fixed, np.random.default_rng(9), untouched=True)
-    rowless = Homotopy(plain.start, plain.target, plain.gamma, plain.fixed,
-                       Members(forms=np.zeros((MEMBERS, 0, 5))))
+    plain, parts = fused_homotopy(with_fixed, rng)
+    mixed, _ = member_homotopy(with_fixed, rng)
+    untouched, _ = member_homotopy(with_fixed, np.random.default_rng(9), untouched=True)
+    rowless = Homotopy(*parts, Members(forms=np.zeros((MEMBERS, 0, 5))))
     for h in (plain, mixed, untouched):
         kept = {}  # scaled -> the first call's results, and their bytes then
         for count in (5, 2, 7, 1):
@@ -327,16 +313,15 @@ def test_shifted_kernel_matches_translated_targets(with_fixed, m):
     # translates through query points, are the homotopies compiled on those
     # forms as polynomials: H, J_x, dH/dt and the scale to rounding
     rng = np.random.default_rng(10)
-    h = fused_homotopy(with_fixed, rng)
-    g = h.target[0].grouping
-    count, kept = 4, h.target[:len(h.target) - m]
+    _, (start, target, gamma, fixed) = fused_homotopy(with_fixed, rng)
+    g = target.grouping
+    count, kept = 4, target.polys[:len(target) - m]
     forms = complex_normal(rng, count, m, 5)
-    translated = Homotopy(h.start, kept, h.gamma, h.fixed, Members(forms=forms))
+    translated = Homotopy(start, kept, gamma, fixed, Members(forms=forms))
     x, t = complex_normal(rng, count, 4), rng.uniform(0.01, 0.99, size=count)
     got = translated.evaluate(x, t, True, np.arange(count))
     for i in range(count):
-        compiled = Homotopy(h.start, kept + tuple(product(g, [f]) for f in forms[i]), h.gamma,
-                            h.fixed)
+        compiled = Homotopy(start, kept + tuple(product(g, [f]) for f in forms[i]), gamma, fixed)
         for a, b in zip(got, compiled.evaluate(x[i:i + 1], t[i], True)):
             assert np.linalg.norm(a[i] - b[0]) <= 1e-13 * np.linalg.norm(b[0])
 
@@ -581,9 +566,10 @@ def test_one_batch_keeps_each_path_status():
 
 
 def test_a_step_floor_at_t_zero_ends_the_path():
-    # a step that halves below MIN_STEP fails a path, unless less than
-    # MIN_STEP of t is left: then the path has reached t = 0
-    for t, status in ((2e-14, "failed"), (5e-15, "ended")):
+    # a step that halves below MIN_STEP fails a path, unless the rejected
+    # attempt covered all of the t left: then the path has reached t = 0
+    for t, status in ((2e-14, "failed"), (1.5e-14, "ended"), (1.2e-14, "ended"),
+                      (5e-15, "ended")):
         p = multiwit.tracker._Path(0, 1.0)
         p.t, p.step = t, 1.5e-14
         assert p.rejected() == status
@@ -604,6 +590,21 @@ def test_a_path_floored_at_t_zero_is_sharpened_from_its_last_point():
     for r, root in zip(results, roots):
         assert abs(r.endpoint[0] - 100 ** (1 / 3) * root) < 1e-8
         assert r.endpoint[1] == 1
+
+
+def test_a_floored_path_near_a_double_root_ends_at_it():
+    # x = 1 is a double root of (x - 1)^2 and a root of x^2 - 1, so the path
+    # from x = 1 stays there, and its attempts to reach t = 0 meet a singular
+    # J_x.  With between 1 and 2 * MIN_STEP of t left, the last attempt still
+    # covers all of it, so the path ends at t = 0 and converges, to about
+    # the square root of END_TOL, as a double root allows.
+    g, x = univariate()
+    for s in range(40):
+        h = Homotopy(PolySystem([x**2 - 1]), PolySystem([(x - 1)**2]),
+                     RandomSource(seed=20230529, stream=s).unit_complex())
+        r = track_path(h, np.array([1.0 + 0j]))
+        assert r.status == "converged", s
+        assert abs(r.endpoint[0] - 1) < 1e-4
 
 
 def test_tracker_hooks_seen_from_outside(monkeypatch):

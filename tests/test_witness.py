@@ -215,7 +215,7 @@ def test_slice_motion_without_moving_rows_returns_the_points(cubic_wc):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
     stream = rs(0)
-    ends = track_slice_motion(ws.full_square_system(), [], [], ws.points, stream)
+    ends = track_slice_motion(ws.full_square_system, [], [], ws.points, stream)
     assert len(ends) == len(ws.points)
     assert all(a is b for a, b in zip(ends, ws.points))
     assert stream.unit_complex() == rs(0).unit_complex()  # no gamma was drawn
