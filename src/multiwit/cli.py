@@ -113,8 +113,7 @@ def _witness_collection(args, check=lambda system, keys: None):
     check(F, keys)
     wc = compute_witness_collection(F, keys, RandomSource(seed=args.seed))
     for e, count in sorted(wc.dropped.items()):
-        sys.stderr.write(f"key {_key_str(e)}: dropped {count} point(s) of a "
-                         "higher-dimensional component\n")
+        sys.stderr.write(f"key {_key_str(e)}: dropped {count} singular point(s)\n")
     return wc
 
 

@@ -11,8 +11,8 @@ form the dimension polytope Dim(X) (a polymatroid polytope).
 `local_multidimension` is the one tangent-space pass: it reads a stack of
 points BATCH_PATHS at a time, with one kernel call and one stacked SVD of
 DF per chunk and one stacked SVD per proper group subset, and every rank
-it takes is decided by `_stable_rank`.  The witness collection's drop
-test and `equidim_partition` both read their dimensions from it.
+it takes is decided by `_stable_rank`.  `equidim_partition` reads its
+dimensions from it; whether a witness point is kept is `newton_refine`'s.
 """
 
 from __future__ import annotations

@@ -56,8 +56,8 @@ def two_lines() -> Fixture:
 
 def surface_and_line() -> Fixture:
     """The surface {x1 = 0} and the line {x2 = 1, y = 1}: at dimension 1
-    only the line has witness points, one on key 10, but a point of the
-    surface's slice passes the solver at some seeds."""
+    only the line has witness points, one on key 10; the paths that end
+    on the surface's slice end at singular roots, which the solver refuses."""
     g = VariableGrouping.from_sizes([2, 1], ["x1", "x2", "y"])
     x1, x2, y = _vars(g)
     return Fixture(PolySystem([x1 * (y - 1), x1 * (x2 - 1)]), [(1, 0), (0, 1)])

@@ -193,10 +193,11 @@ def solve_zero_dims(
     core: PolySystem,
     slices: Sequence[Sequence[Polynomial]],
     streams: Sequence[RandomSource],
-) -> list[list[np.ndarray] | None]:
+) -> list[tuple[list[np.ndarray], int] | None]:
     """Isolated nonsingular solutions of V(F) intersected with V(slices[k])
-    for every k, system k drawing from streams[k]; None for a system whose
-    start homotopy has a failed path.
+    for every k, system k drawing from streams[k]: per system, its points
+    and the count of its converged start-path endpoints that `newton_refine`
+    refused, or None for a system whose start homotopy has a failed path.
 
     `core` is F or a square-up of it, with len(core) + |slices[k]| = nvars
     for every k, and every system is solved on core + slices[k].  System k
@@ -205,8 +206,9 @@ def solve_zero_dims(
     (`algebra.Members`), one member each, whose start rows are its start
     factors, gamma folded into each row's first, and whose last rows end at
     its slices.  Every endpoint is refined on core + slices in one
-    `newton_refine` call, and each system keeps its deduplicated refined
-    points whose residual on the ORIGINAL F is small."""
+    `newton_refine` call, which refuses singular roots, and each system
+    keeps its deduplicated refined points whose residual on the ORIGINAL F
+    is small."""
     n = F.grouping.nvars
     for forms in slices:
         if len(core) + len(forms) != n:
@@ -227,14 +229,16 @@ def solve_zero_dims(
                               None, Members(factors, counts, forms))
     points, owner = [], []
     for j, mine in enumerate(ends):
-        if mine is not None:
-            points += mine
-            owner += [j] * len(mine)
+        converged = [p for p in mine or () if p is not None]
+        points += converged
+        owner += [j] * len(converged)
     refined = newton_refine(core, points, forms, owner)
-    return [None if mine is None else
-            dedupe_points([p for o, p in zip(owner, refined) if o == j
-                           and p is not None and F.residual(p) < RESIDUAL_TOL])
-            for j, mine in enumerate(ends)]
+    solved = []
+    for j, mine in enumerate(ends):
+        ours = [r for o, r in zip(owner, refined) if o == j]
+        good = [r for r in ours if r is not None and F.residual(r) < RESIDUAL_TOL]
+        solved.append(None if mine is None else (dedupe_points(good), sum(r is None for r in ours)))
+    return solved
 
 
 def solve_zero_dim(
@@ -247,7 +251,7 @@ def solve_zero_dim(
     overdetermined, from rs.substream(1), then `solve_zero_dims` on this
     one system, whose failed start path raises IndeterminateError."""
     core = square_up(F, F.grouping.nvars - len(slices), rs.substream(1))
-    (points,) = solve_zero_dims(F, core, [slices], [rs])
-    if points is None:
+    (solved,) = solve_zero_dims(F, core, [slices], [rs])
+    if solved is None:
         raise IndeterminateError("a start path failed")
-    return points
+    return solved[0]

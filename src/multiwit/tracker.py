@@ -80,7 +80,7 @@ from .sysio import RandomSource
 MATCH_TOL = 1e-6  # relative distance below which two refined points are equal
 
 # Module constants that no caller sets: NEWTON_TOL to MAX_STEPS govern path
-# tracking, REFINE_TOL and REFINE_ITERS `newton_refine`.  A looser corrector
+# tracking, REFINE_TOL to SINGULAR_TOL `newton_refine`.  A looser corrector
 # would buy speed with path jumps.
 NEWTON_TOL = 1e-8  # corrector tolerance (relative residual)
 MAX_NEWTON_ITERS = 3  # corrector iterations per step
@@ -92,6 +92,7 @@ END_TOL = 1e-9  # relative residual of the t = 0 sharpening
 MAX_STEPS = 20000  # accepted steps per path
 REFINE_TOL = 1e-10  # relative residual `newton_refine` must reach
 REFINE_ITERS = 20  # Newton iterations of `newton_refine`
+SINGULAR_TOL = 1e-10  # s_min/s_max of the row-scaled Jacobian below which a root is singular
 BATCH_PATHS = 64  # points per chunk of `track_many` and `newton_refine`; no result depends on it
 
 
@@ -218,8 +219,8 @@ def newton_refine(system: PolySystem, points: Sequence, forms: np.ndarray | None
     points per `_newton` call: each to a relative residual below REFINE_TOL
     in at most REFINE_ITERS steps.  Returns the points in input order, None
     for a None, for a point that stalls and for a singular one: a non-finite
-    iterate, or singular values of the Jacobian with s_max = 0 or
-    s_min/s_max < 1e-13, from one stacked SVD per chunk.
+    iterate, or a Jacobian whose rows, each scaled to 2-norm 1, have
+    s_min/s_max below SINGULAR_TOL (one stacked SVD per chunk).
 
     With a (M, m, n + 1) array `forms` of `affine_rows`, point i is refined
     on the system followed by the m affine forms forms[member[i]]: one call
@@ -243,8 +244,10 @@ def newton_refine(system: PolySystem, points: Sequence, forms: np.ndarray | None
                                  REFINE_TOL, REFINE_ITERS)
             # a non-finite iterate, which a singular solve leaves, has residual nan
             ok = res < REFINE_TOL
-            s = np.linalg.svd(ev[2][ok], compute_uv=False)
-            ok[ok] = s[:, -1] / s[:, 0] >= 1e-13  # False for s_max = 0 too
+            J = ev[2][ok]
+            scale = np.linalg.norm(J, axis=2, keepdims=True)
+            s = np.linalg.svd(J / np.where(scale > 0, scale, 1), compute_uv=False)
+            ok[ok] = s[:, -1] / s[:, 0] >= SINGULAR_TOL  # False for s_max = 0 too
         for i, good, p in zip(chunk, ok, x):
             if good:
                 refined[i] = p

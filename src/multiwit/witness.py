@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Members, Polynomial, PolySystem, VariableGrouping, affine_rows
-from .dimension import local_multidimension
 from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form, solve_zero_dims, square_up
 from .tracker import (
@@ -114,8 +113,8 @@ class WitnessCollection:
         self.system = system
         self.grouping = grouping
         self.entries = dict(entries)
-        # key -> count of solved points that lay on a higher-dimensional
-        # component and were left out (`compute_witness_collection` only)
+        # key -> count of its converged start-path endpoints that
+        # `newton_refine` refused (`compute_witness_collection` only)
         self.dropped = dict(dropped or {})
         sizes = {sum(e) for e in self.entries}
         if len(sizes) > 1:
@@ -146,11 +145,10 @@ def compute_witness_collection(
     Every key is solved on that square-up, in one start homotopy
     (`startsys.solve_zero_dims`), with its start system and gamma drawn
     from its own substream.  A key with a failed start path raises
-    IndeterminateError.  A solved point whose tangent dimension exceeds |e|
-    lies on a higher-dimensional component: it is left out of its key and
-    counted in the collection's `dropped`.  Its tangent dimension comes from
-    one `local_multidimension` pass over every key's points, and a rank
-    there that is not clear raises IllConditionedError."""
+    IndeterminateError.  A point on a component of dimension above |e| is
+    a singular root of the key's square system, which `newton_refine`
+    refuses: it is left out of its key, and the collection's `dropped`
+    counts the refused endpoints per key."""
     g = F.grouping
     candidates = [tuple(int(x) for x in e) for e in candidates]
     if not candidates:
@@ -180,19 +178,13 @@ def compute_witness_collection(
                   for e in streams]
     solved = solve_zero_dims(F, core, [sel.forms for sel in selections],
                              [rs.substream(stream) for stream in streams.values()])
-    for e, pts in zip(streams, solved):
-        if pts is None:
-            raise IndeterminateError(f"the start paths of key {e} failed")
-    # a point whose tangent space ker DF is larger than d lies on a
-    # higher-dimensional component
-    points = np.reshape([p for pts in solved for p in pts], (-1, g.nvars))
-    fits = iter([prof.total_dim <= d for prof in local_multidimension(F, points)])
     entries, dropped = {}, {}
-    for e, sel, pts in zip(streams, selections, solved):
-        keep = [next(fits) for _ in pts]
-        if not all(keep):
-            dropped[e] = keep.count(False)
-        pts = list(itertools.compress(pts, keep))
+    for e, sel, found in zip(streams, selections, solved):
+        if found is None:
+            raise IndeterminateError(f"the start paths of key {e} failed")
+        pts, refused = found
+        if refused:
+            dropped[e] = refused
         if pts:
             entries[e] = WitnessSet(F, core, sel, pts)
     if not entries:

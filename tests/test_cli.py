@@ -122,15 +122,15 @@ def test_decompose_two_lines(capsys):
 
 
 def test_decompose_leaves_out_a_point_of_a_higher_dimensional_component(capsys):
-    # at seed 3 the plane's extra point on key 10 would decompose into a
-    # dimension-2 component beside the line
+    # at seed 3 the plane's points, singular roots on both keys, would
+    # decompose into a dimension-2 component beside the line
     argv = ["decompose", "--fixture", "surface-and-line", "--seed", "3"]
     code = run(argv)
     out, err = capsys.readouterr()
     assert code == EXIT_OK
     (component,) = json.loads(out)["components"]
     assert component["dim"] == 1 and component["polytope"] == ["10"]
-    assert "key 10: dropped 1 point" in err
+    assert err == "key 01: dropped 2 singular point(s)\nkey 10: dropped 1 singular point(s)\n"
 
 
 def test_decompose_with_an_unassigned_point_exits_3_after_writing(capsys, monkeypatch):

@@ -311,6 +311,38 @@ def test_only_dimension_takes_ranks():
     assert not named, f"_stable_rank named outside dimension.py: {', '.join(named)}"
 
 
+def test_the_witness_collection_takes_nothing_from_dimension():
+    # whether a solved point is kept is newton_refine's nonsingularity test
+    # alone; the collection reads no tangent space of its own
+    tree = ast.parse((ROOT / "src" / "multiwit" / "witness.py").read_text())
+    found = [f"line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and ("dimension" in (node.module or "").split(".")
+                  or "dimension" in [alias.name for alias in node.names])
+             or isinstance(node, ast.Import)
+             and any("dimension" in alias.name.split(".") for alias in node.names)]
+    assert not found, f"witness.py imports from dimension.py: {', '.join(found)}"
+
+
+def _float_magnitude(node: ast.expr) -> float | None:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return abs(node.value)
+    return None
+
+
+def test_no_tiny_float_literal_is_compared():
+    # a threshold below 1e-6 decides something numerical, so it is a named
+    # module constant, as tracker.SINGULAR_TOL is, not a bare literal
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Compare)
+             for operand in [node.left, *node.comparators]
+             if 0 < (_float_magnitude(operand) or 0) < 1e-6]
+    assert not found, f"comparisons with a bare float below 1e-6: {', '.join(found)}"
+
+
 def test_monodromy_has_one_loop():
     # breakup and growth share one loop: one function in monodromy.py runs
     # MAX_LOOPS loops or calls monodromy_permutation

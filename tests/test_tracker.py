@@ -726,9 +726,13 @@ def test_overflowing_predictor_warns_nothing():
 def test_newton_refine_quadratic_convergence():
     g = VariableGrouping.from_sizes([2], ["x", "y"])
     x, y = Polynomial.variable(g, 0), Polynomial.variable(g, 1)
-    F = PolySystem([x**2 + y**2 - 2, x - y])
-    (p,) = newton_refine(F, [np.array([1.01, 0.99], dtype=complex)])
-    assert np.allclose(p, [1.0, 1.0], atol=1e-10)
+    # the root (1, 1) is nonsingular at any scale of a row: with the first
+    # row times 1e13 the raw s_min/s_max of the Jacobian is 5e-14,
+    # and row-scaled it is 1
+    for scale in (1, 1e13):
+        F = PolySystem([scale * (x**2 + y**2 - 2), x - y])
+        (p,) = newton_refine(F, [np.array([1.01, 0.99], dtype=complex)])
+        assert np.allclose(p, [1.0, 1.0], atol=1e-10), scale
     for wrong in (np.array([1.01 + 0j]), np.array([[1.01], [0.99]], dtype=complex)):
         with pytest.raises(ValueError, match="coordinates"):  # a point of the wrong shape
             newton_refine(F, [wrong])
@@ -738,10 +742,13 @@ def test_newton_refine_singular_gives_none():
     g, x = univariate()
     F = PolySystem([x**2 - 1])
     # at x = 0 the Jacobian vanishes while the residual does not, so the
-    # first solve is not finite; the point is dropped and nothing warns
+    # first solve is not finite; the point is dropped and nothing warns.
+    # x = 0 is an exact root of x^2, whose Jacobian row is zero there: no
+    # row norm to scale by, and the root is singular
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert newton_refine(F, [np.array([0.0 + 0j])]) == [None]
+        assert newton_refine(PolySystem([x**2]), [np.array([0.0 + 0j])]) == [None]
 
 
 def test_newton_refine_stall_gives_none():
