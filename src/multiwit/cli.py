@@ -102,7 +102,8 @@ def _load_system(args):
 
 def _witness_collection(args, check=lambda system, keys: None):
     """The witness collection, computed once `check(system, keys)` has
-    passed; a stderr line names each key that dropped points."""
+    passed; a stderr line names each key that dropped points, and one each
+    key that merged endpoints two start paths reached."""
     F, default_keys = _load_system(args)
     if args.keys:
         keys = _parse_keys(args.keys, F.grouping.k)
@@ -114,6 +115,9 @@ def _witness_collection(args, check=lambda system, keys: None):
     wc = compute_witness_collection(F, keys, RandomSource(seed=args.seed))
     for e, count in sorted(wc.dropped.items()):
         sys.stderr.write(f"key {_key_str(e)}: dropped {count} singular point(s)\n")
+    for e, count in sorted(wc.merged.items()):
+        sys.stderr.write(
+            f"key {_key_str(e)}: merged {count} endpoint(s) that two start paths reached\n")
     return wc
 
 

@@ -25,8 +25,9 @@ from .sysio import RandomSource
 from .startsys import RESIDUAL_TOL, random_affine_form
 from .tracker import (
     IndeterminateError,
+    dedupe_points,
+    matches,
     newton_refine,
-    points_equal,
     track_slice_motion,
     _solve,
 )
@@ -69,25 +70,23 @@ def monodromy_permutation(ws: WitnessSet, rs: RandomSource) -> MonodromyOutcome:
     refined = {i: p for i, p in zip(current, ends) if p is not None}
 
     perm: dict = {}
-    new_points: list = []  # endpoints on the system that match no start point
     taken: dict = {}
-    for i, endpoint in sorted(refined.items()):
-        matches = [j for j, q in enumerate(ws.points) if points_equal(endpoint, q)]
-        if len(matches) > 1:
-            raise IndeterminateError(f"endpoint of path {i} matches {len(matches)} start points")
-        if matches:
-            j = matches[0]
+    fresh: dict = {}  # path -> its endpoint on the system that matches no start point
+    for (i, endpoint), near in zip(refined.items(), matches(ws.points, list(refined.values()))):
+        if len(near) > 1:
+            raise IndeterminateError(f"endpoint of path {i} matches {len(near)} start points")
+        if near:
+            j = near[0]
             if j in taken:
                 raise IndeterminateError(
                     f"paths {taken[j]} and {i} both landed on start point {j}")
             taken[j] = i
             perm[i] = j
         elif ws.system.residual(endpoint) < RESIDUAL_TOL:
-            k = next((k for k, q in enumerate(new_points) if points_equal(endpoint, q)), None)
-            if k is None:
-                k = len(new_points)
-                new_points.append(endpoint)
-            perm[i] = len(ws.points) + k
+            fresh[i] = endpoint
+    new_points = dedupe_points(list(fresh.values()))
+    for i, near in zip(fresh, matches(new_points, list(fresh.values()))):
+        perm[i] = len(ws.points) + near[0]
     return MonodromyOutcome(perm, new_points)
 
 

@@ -193,11 +193,13 @@ def solve_zero_dims(
     core: PolySystem,
     slices: Sequence[Sequence[Polynomial]],
     streams: Sequence[RandomSource],
-) -> list[tuple[list[np.ndarray], int] | None]:
+) -> list[tuple[list[np.ndarray], int, int] | None]:
     """Isolated nonsingular solutions of V(F) intersected with V(slices[k])
-    for every k, system k drawing from streams[k]: per system, its points
-    and the count of its converged start-path endpoints that `newton_refine`
-    refused, or None for a system whose start homotopy has a failed path.
+    for every k, system k drawing from streams[k]: per system, its points,
+    the count of its converged start-path endpoints that `newton_refine`
+    refused and the count of its refined points on F that `dedupe_points`
+    merged into a point kept before them, or None for a system whose start
+    homotopy has a failed path.
 
     `core` is F or a square-up of it, with len(core) + |slices[k]| = nvars
     for every k, and every system is solved on core + slices[k].  System k
@@ -237,7 +239,9 @@ def solve_zero_dims(
     for j, mine in enumerate(ends):
         ours = [r for o, r in zip(owner, refined) if o == j]
         good = [r for r in ours if r is not None and F.residual(r) < RESIDUAL_TOL]
-        solved.append(None if mine is None else (dedupe_points(good), sum(r is None for r in ours)))
+        kept = dedupe_points(good)
+        solved.append(None if mine is None
+                      else (kept, sum(r is None for r in ours), len(good) - len(kept)))
     return solved
 
 

@@ -89,6 +89,7 @@ MIN_STEP = 1e-14  # a path whose step halves below this ends
 MAX_STEP = 0.1
 DIVERGENCE_NORM = 1e8  # an accepted point this far out has diverged
 END_TOL = 1e-9  # relative residual of the t = 0 sharpening
+END_ITERS = 30  # Newton iterations of the t = 0 sharpening
 MAX_STEPS = 20000  # accepted steps per path
 REFINE_TOL = 1e-10  # relative residual `newton_refine` must reach
 REFINE_ITERS = 20  # Newton iterations of `newton_refine`
@@ -387,7 +388,7 @@ def _advance(h: Homotopy, paths: list, x: np.ndarray, k1: np.ndarray, m: np.ndar
             results[p.index] = PathResult(status, None, p.steps)
     if ended:  # final sharpening against the t = 0 system, from the last accepted point
         last = np.where(accepted[:, None], xc, x)[ended]
-        ends, res, _ = _newton(h, last, np.zeros(len(ended)), m[ended], END_TOL, 30)
+        ends, res, _ = _newton(h, last, np.zeros(len(ended)), m[ended], END_TOL, END_ITERS)
         for i, end, r in zip(ended, ends, res):
             p = paths[i]
             results[p.index] = (PathResult("converged", end.copy(), p.steps) if r < END_TOL
@@ -484,33 +485,33 @@ def points_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return _norm(a - b) < MATCH_TOL * max(1.0, _norm(a), _norm(b))
 
 
+def matches(reference: Sequence[np.ndarray], queries: Sequence[np.ndarray]) -> list[list[int]]:
+    """For each query p, the ascending indices of the reference points that
+    `points_equal` p: the library's one search for equal points.
+
+    p is compared only with the reference points q whose projection
+    Re(u.q), for one fixed unit vector u, lies within 2 * MATCH_TOL *
+    max(1, |p|) of Re(u.p).  That window holds every q equal to p:
+    |Re(u.(p - q))| <= |p - q| < MATCH_TOL * max(1, |p|, |q|), and then
+    |q| < |p| / (1 - MATCH_TOL), so |p - q| < MATCH_TOL * max(1, |p|) /
+    (1 - MATCH_TOL); the factor 2 covers that and the rounding."""
+    if not len(reference):
+        return [[] for _ in queries]
+    n = len(reference[0])
+    u = np.exp(2j * np.pi * np.sqrt(2) * np.arange(n)) / np.sqrt(n)
+    keys, order = zip(*sorted((float((u @ q).real), j) for j, q in enumerate(reference)))
+    found = []
+    for p in queries:
+        key, reach = float((u @ p).real), 2 * MATCH_TOL * max(1.0, _norm(p))
+        near = order[bisect_left(keys, key - reach):bisect_right(keys, key + reach)]
+        found.append(sorted(j for j in near if points_equal(p, reference[j])))
+    return found
+
+
 def dedupe_points(points: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The points, in input order, without each one that `points_equal`s a
-    point kept before it.
-
-    The kept points are also held sorted on the projection Re(u.x) for one
-    fixed unit vector u.  |Re(u.(p - q))| <= |p - q|, so only kept points q
-    whose projection lies within MATCH_TOL * max(1, |p|, largest kept norm)
-    of p's can equal p, and only those are compared.  The window is twice
-    that, so rounding in the projections never drops a candidate."""
-    kept: list[np.ndarray] = []
-    if len(points) == 0:
-        return kept
-    n = len(points[0])
-    u = np.exp(2j * np.pi * np.sqrt(2) * np.arange(n)) / np.sqrt(n)
-    keys: list[float] = []  # the kept points' projections, sorted
-    near: list[np.ndarray] = []  # the kept points in the order of `keys`
-    largest = 0.0
-    for p in points:
-        key = float((u @ p).real)
-        norm = _norm(p)
-        reach = 2 * MATCH_TOL * max(1.0, norm, largest)
-        lo, hi = bisect_left(keys, key - reach), bisect_right(keys, key + reach)
-        if any(points_equal(p, q) for q in near[lo:hi]):
-            continue
-        at = bisect_left(keys, key)
-        keys.insert(at, key)
-        near.insert(at, p)
-        kept.append(p)
-        largest = max(largest, norm)
-    return kept
+    point kept before it: one pass over `matches(points, points)`."""
+    kept = [False] * len(points)
+    for i, near in enumerate(matches(points, points)):
+        kept[i] = not any(kept[j] for j in near)
+    return [p for p, keep in zip(points, kept) if keep]

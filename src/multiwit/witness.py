@@ -36,7 +36,7 @@ from .tracker import (
     IndeterminateError,
     TrackingError,
     dedupe_points,
-    points_equal,
+    matches,
     track_slice_motion,
 )
 
@@ -109,13 +109,16 @@ class WitnessCollection:
     `grouping`, one flag whose prefixes the entries hold."""
 
     def __init__(self, system: PolySystem, grouping: VariableGrouping, entries: dict,
-                 dropped: dict | None = None):
+                 dropped: dict | None = None, merged: dict | None = None):
         self.system = system
         self.grouping = grouping
         self.entries = dict(entries)
         # key -> count of its converged start-path endpoints that
         # `newton_refine` refused (`compute_witness_collection` only)
         self.dropped = dict(dropped or {})
+        # key -> count of its refined points that `dedupe_points` merged,
+        # endpoints that two start paths reached (`compute_witness_collection` only)
+        self.merged = dict(merged or {})
         sizes = {sum(e) for e in self.entries}
         if len(sizes) > 1:
             raise ValueError(f"mixed slice dimensions in one collection: {sorted(sizes)}")
@@ -148,7 +151,9 @@ def compute_witness_collection(
     IndeterminateError.  A point on a component of dimension above |e| is
     a singular root of the key's square system, which `newton_refine`
     refuses: it is left out of its key, and the collection's `dropped`
-    counts the refused endpoints per key."""
+    counts the refused endpoints per key.  Two start paths that end on one
+    point give the key one point, and the collection's `merged` counts the
+    endpoints merged so per key; they are reported, not tracked again."""
     g = F.grouping
     candidates = [tuple(int(x) for x in e) for e in candidates]
     if not candidates:
@@ -178,18 +183,20 @@ def compute_witness_collection(
                   for e in streams]
     solved = solve_zero_dims(F, core, [sel.forms for sel in selections],
                              [rs.substream(stream) for stream in streams.values()])
-    entries, dropped = {}, {}
+    entries, dropped, merged = {}, {}, {}
     for e, sel, found in zip(streams, selections, solved):
         if found is None:
             raise IndeterminateError(f"the start paths of key {e} failed")
-        pts, refused = found
+        pts, refused, merges = found
         if refused:
             dropped[e] = refused
+        if merges:
+            merged[e] = merges
         if pts:
             entries[e] = WitnessSet(F, core, sel, pts)
     if not entries:
         raise TrackingError("no candidate slice met the variety; empty collection")
-    return WitnessCollection(F, g, entries, dropped)
+    return WitnessCollection(F, g, entries, dropped, merged)
 
 
 def slice_collection(wc: WitnessCollection, group: int) -> WitnessCollection:
@@ -432,7 +439,7 @@ def passes_through(fixed: PolySystem, forms: list, points: list, queries: Sequen
     translates[:, :, -1] = -(rows[None, :, :-1] * queries[:, None, :]).sum(axis=2)
     ends = track_slice_motion(fixed, forms, [], [points] * len(queries), rs,
                               Members(forms=translates))
-    return [None if e is None else any(p is not None and points_equal(p, q) for p in e)
+    return [None if e is None else bool(matches([p for p in e if p is not None], [q])[0])
             for e, q in zip(ends, queries)]
 
 

@@ -133,6 +133,16 @@ def test_decompose_leaves_out_a_point_of_a_higher_dimensional_component(capsys):
     assert err == "key 01: dropped 2 singular point(s)\nkey 10: dropped 1 singular point(s)\n"
 
 
+def test_witness_names_a_key_that_merged_endpoints(capsys):
+    # at seed 1 two start paths of key 1001 end on one point: the count
+    # stays right, and stderr says the merge happened
+    code = run(["witness", "--fixture", "octahedron-fg", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK
+    assert json.loads(out)["degree_map"]["1001"] == 3
+    assert err == "key 1001: merged 1 endpoint(s) that two start paths reached\n"
+
+
 def test_decompose_with_an_unassigned_point_exits_3_after_writing(capsys, monkeypatch):
     def grow(ws, rs):
         raise IndeterminateError("the trace test failed after 60 loops")

@@ -152,6 +152,33 @@ def test_one_newton_loop():
                  and fn.name == "_newton"]
     params = [arg.arg for arg in newton.args.args + newton.args.kwonlyargs]
     assert params == ["h", "x", "t", "m", "tol", "max_iters"]
+    # and every call passes module constants as its tolerance and its
+    # iteration cap: each Newton setting is a named module constant
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_newton"]
+    assert len(calls) >= 4
+    for call in calls:
+        given = dict(zip(params, call.args)) | {kw.arg: kw.value for kw in call.keywords}
+        settings = [given[name] for name in ("tol", "max_iters")]
+        assert all(isinstance(v, ast.Name) and v.id in constants for v in settings), \
+            f"_newton call at line {call.lineno} passes {[ast.unparse(v) for v in settings]}"
+
+
+def test_one_search_for_equal_points():
+    # which reference points equal a query is answered in one place,
+    # tracker.matches: no other code calls points_equal or imports it
+    named = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            if path.name == "tracker.py" and getattr(top, "name", None) == "matches":
+                continue
+            named += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if "points_equal" in (getattr(node, "id", None), getattr(node, "attr", None))
+                      or isinstance(node, ast.ImportFrom)
+                      and "points_equal" in [alias.name for alias in node.names]]
+    assert not named, f"points_equal named outside tracker.matches: {', '.join(named)}"
 
 
 def test_kernel_has_one_path():

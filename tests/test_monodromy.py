@@ -80,6 +80,42 @@ def test_monodromy_permutation_is_two_motions_through_one_slice(cubic_ws, monkey
     assert back_old == new and back_new == ws.selection.forms
 
 
+def stub_loop(monkeypatch, ends):
+    """Both legs of the loop, and the refinement after them, give `ends`:
+    the endpoint of each start point's path, in order."""
+    monkeypatch.setattr(monodromy, "track_slice_motion",
+                        lambda fixed, old_rows, new_rows, points, loop_rs: list(ends))
+    monkeypatch.setattr(monodromy, "newton_refine", lambda system, points: list(points))
+
+
+def test_an_endpoint_on_two_start_points_is_indeterminate(cubic_ws, monkeypatch):
+    fx, ws = cubic_ws
+    p, q, r = ws.points
+    twins = replace(ws, points=[p, q, q * (1 + 1e-9)])
+    stub_loop(monkeypatch, [p, q, r])
+    with pytest.raises(IndeterminateError, match="endpoint of path 1 matches 2 start points"):
+        monodromy_permutation(twins, rs(63))
+
+
+def test_two_endpoints_on_one_start_point_are_indeterminate(cubic_ws, monkeypatch):
+    fx, ws = cubic_ws
+    p, q, r = ws.points
+    stub_loop(monkeypatch, [q, r, q * (1 + 1e-9)])
+    with pytest.raises(IndeterminateError, match="paths 0 and 2 both landed on start point 1"):
+        monodromy_permutation(ws, rs(63))
+
+
+def test_equal_new_endpoints_share_one_new_point(cubic_ws, monkeypatch):
+    # the cubic's third point is new to a set of the first two, and both
+    # paths end on it: one new point, indexed after the start points
+    fx, ws = cubic_ws
+    p, q, r = ws.points
+    stub_loop(monkeypatch, [r, r * (1 + 1e-9)])
+    outcome = monodromy_permutation(replace(ws, points=[p, q]), rs(63))
+    assert outcome.permutation == {0: 2, 1: 2}
+    assert len(outcome.new_points) == 1 and outcome.new_points[0] is r
+
+
 def test_breakup_recovers_a_point_the_set_was_missing(cubic_ws):
     fx, ws = cubic_ws
     state = breakup(replace(ws, points=ws.points[:2]), rs(64))

@@ -22,7 +22,7 @@ from multiwit import (
 )
 from multiwit.algebra import Members, affine_rows
 from multiwit.fixtures import get_fixture
-from multiwit.tracker import dedupe_points, points_equal, track_slice_motion
+from multiwit.tracker import dedupe_points, matches, points_equal, track_slice_motion
 from multiwit.witness import passes_through
 
 from conftest import diff, evaluate, extended, product, rs
@@ -895,6 +895,36 @@ def test_dedupe_matches_quadratic_reference(seed, n):
     got, expected = dedupe_points(points), quadratic_dedupe(points)
     assert len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
     assert len(expected) < len(points)
+    # matches finds every equal reference point, against a reference that
+    # is the queries themselves and one that holds every other point
+    for reference in (points, points[::2]):
+        assert matches(reference, points) == [
+            [j for j, q in enumerate(reference) if points_equal(p, q)] for p in points]
+
+
+def test_matches_on_empty_sides():
+    p = np.array([1.0, 2.0], dtype=complex)
+    assert matches([], [p, p]) == [[], []]
+    assert matches([p], []) == []
+
+
+def test_dedupe_compares_few_pairs_after_a_large_point(monkeypatch):
+    # one point of norm 1e8 first, then 500 of norm about 1: each point's
+    # window scales with its own norm, not the largest one seen, so the
+    # small points are not all compared with one another
+    rng = np.random.default_rng(7)
+    points = [1e8 * np.ones(3, dtype=complex)]
+    points += list(rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3)))
+    calls = []
+    real = multiwit.tracker.points_equal
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(multiwit.tracker, "points_equal", counted)
+    assert len(dedupe_points(points)) == len(points)
+    assert len(calls) < 10 * len(points)
 
 
 def test_points_equal_and_dedupe():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import multiwit.fixtures
 import multiwit.tracker
 import multiwit.witness
 from multiwit import (
@@ -469,9 +470,10 @@ def test_every_key_is_solved_on_the_collections_one_square_up(monkeypatch):
     assert wc.multidegree_map() == fx.extra["degree_map"]
     for idx, e in enumerate(sorted(fx.default_keys)[:3]):
         ws = wc.entries[e]
-        ((alone, refused),) = solve_zero_dims(fx.system, ws.sq_core, [ws.selection.forms],
-                                              [rs(11).substream(13 + idx)])
+        ((alone, refused, merged),) = solve_zero_dims(
+            fx.system, ws.sq_core, [ws.selection.forms], [rs(11).substream(13 + idx)])
         assert refused == wc.dropped.get(e, 0)
+        assert merged == wc.merged.get(e, 0)
         assert len(alone) == len(ws.points)
         assert all(points_equal(a, b) for a, b in zip(alone, ws.points))
 
@@ -512,3 +514,25 @@ def test_a_collection_reads_no_projected_rank():
     wc = compute_witness_collection(fx.system, fx.default_keys, RandomSource(seed=19))
     assert wc.multidegree_map() == {(1, 1, 1, 1): 16}
     assert wc.dropped == {}
+
+
+def test_a_collection_reports_the_endpoints_it_merges():
+    # two start paths that end on one point give the key one point; the
+    # collection counts that merge, so a short key is never silent
+    fx = get_fixture("octahedron-fh")
+    wc = compute_witness_collection(fx.system, fx.default_keys,
+                                    RandomSource(seed=6, stream=1003))
+    assert wc.merged == {(0, 1, 0, 1): 1}
+    assert fx.extra["degree_map"][(0, 1, 0, 1)] == 4
+    assert len(wc.entries[(0, 1, 0, 1)].points) == 3
+    fx = get_fixture("richardson")
+    wc = compute_witness_collection(fx.system, fx.default_keys,
+                                    RandomSource(seed=17, stream=13))
+    assert wc.merged == {(1, 3, 1): 1}
+
+
+@pytest.mark.parametrize("name", sorted(set(multiwit.fixtures._FIXTURES) - {"pentad"}))
+def test_no_fixture_merges_an_endpoint_at_the_default_seed(name):
+    fx = get_fixture(name)
+    wc = compute_witness_collection(fx.system, fx.default_keys, RandomSource())
+    assert wc.merged == {}
