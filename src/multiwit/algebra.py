@@ -149,10 +149,8 @@ class Polynomial:
 
     @classmethod
     def affine(cls, grouping: VariableGrouping, coeffs: Sequence[complex],
-               constant: complex, variables: Sequence[int] | None = None) -> "Polynomial":
+               constant: complex, variables: Sequence[int]) -> "Polynomial":
         """constant + sum coeffs[j] * x_{variables[j]}."""
-        if variables is None:
-            variables = range(grouping.nvars)
         terms = {(0,) * grouping.nvars: complex(constant)}
         for c, v in zip(coeffs, variables, strict=True):
             e = [0] * grouping.nvars

@@ -34,8 +34,7 @@ def plane_cubic() -> Fixture:
     g = VariableGrouping.from_sizes([2], ["x", "y"])
     x, y = _vars(g)
     f = y ** 2 - 2 * x * y - x ** 3 + x
-    return Fixture(PolySystem([f]), [(1,)],
-                   extra={"refined_keys": [(1, 0), (0, 1)]})
+    return Fixture(PolySystem([f]), [(1,)])
 
 
 def plane_cubic_split() -> Fixture:
@@ -221,7 +220,6 @@ def hyperboloid() -> Fixture:
     return Fixture(
         PolySystem(polys), [(1, 1, 1, 1)],
         extra={"witness_count": 16, "split": (4, 12),
-               "profiles": {(1, 2, 2, 3): 4, (4, 2, 4, 4): 12},
                "ungrouped_count": 120},
     )
 
@@ -276,13 +274,15 @@ def affine_lines_cube() -> Fixture:
     return Fixture(PolySystem(polys), [(1, 1, 1)])
 
 
-def pentad() -> Fixture:
-    """Fourth fiber power of the planar five-bar pose system (extended runs)."""
+def fiber_power(copies: int) -> PolySystem:
+    """The c-fold fiber power of the planar five-bar pose system: groups u
+    and ub, then t_c and tb_c for each copy c, four variables each, and
+    eight equations per copy."""
     names = [f"u{i}" for i in range(1, 5)] + [f"ub{i}" for i in range(1, 5)]
-    for c in range(1, 5):
+    for c in range(1, copies + 1):
         names += [f"t{c}{i}" for i in range(1, 5)]
         names += [f"tb{c}{i}" for i in range(1, 5)]
-    g = VariableGrouping.from_sizes([4] * 10, names)
+    g = VariableGrouping.from_sizes([4] * (2 + 2 * copies), names)
     v = _vars(g)
     u = v[0:4]
     ub = v[4:8]
@@ -291,7 +291,7 @@ def pentad() -> Fixture:
     v4 = -(u[0] + u[2] + 1)
     vb4 = -(ub[0] + ub[2] + 1)
     polys = []
-    for c in range(4):
+    for c in range(copies):
         t = v[8 + 8 * c: 12 + 8 * c]
         tb = v[12 + 8 * c: 16 + 8 * c]
         for i in range(4):
@@ -300,8 +300,18 @@ def pentad() -> Fixture:
         polys.append(ub0 + ub[0] * tb[0] + ub[1] * tb[1] + ub[3] * tb[3])
         polys.append(1 + u[0] * t[0] + u[2] * t[2] + v4 * t[3])
         polys.append(1 + ub[0] * tb[0] + ub[2] * tb[2] + vb4 * tb[3])
+    return PolySystem(polys)
+
+
+def fiber_square() -> Fixture:
+    """The five-bar pose system's fiber square (tier-1 sized)."""
+    return Fixture(fiber_power(2), [(2, 2, 2, 0, 2, 0)])
+
+
+def pentad() -> Fixture:
+    """Fourth fiber power of the planar five-bar pose system (extended runs)."""
     key = (2, 2, 1, 0, 1, 0, 1, 0, 1, 0)
-    return Fixture(PolySystem(polys), [key],
+    return Fixture(fiber_power(4), [key],
                    extra={"witness_count": 14828, "split": (14144, 678, 6)})
 
 
@@ -317,6 +327,7 @@ _FIXTURES = {
     "hyperboloid": hyperboloid,
     "point-times-surface": point_times_surface,
     "affine-lines-cube": affine_lines_cube,
+    "fiber-square": fiber_square,
     "pentad": pentad,
 }
 

@@ -199,7 +199,7 @@ class _Parser:
         self.group_names.append(name)
         for v in [name] if size == 1 else [f"{name}{j}" for j in range(1, size + 1)]:
             if v in self.var_index:
-                self.error(f"variable name {v!r} collides with an existing variable")
+                self.error(f"variable name {v!r} collides with an existing variable", name_tok)
             self.var_index[v] = len(self.var_index)
         sizes = self.grouping.sizes if self.grouping else ()
         self.grouping = VariableGrouping.from_sizes(sizes + (size,), list(self.var_index))

@@ -219,9 +219,9 @@ def newton_refine(system: PolySystem, points: Sequence, forms: np.ndarray | None
     """Sharpen roots of a square system by Newton iteration, BATCH_PATHS
     points per `_newton` call: each to a relative residual below REFINE_TOL
     in at most REFINE_ITERS steps.  Returns the points in input order, None
-    for a None, for a point that stalls and for a singular one: a non-finite
-    iterate, or a Jacobian whose rows, each scaled to 2-norm 1, have
-    s_min/s_max below SINGULAR_TOL (one stacked SVD per chunk).
+    for a point that stalls and for a singular one: a non-finite iterate,
+    or a Jacobian whose rows, each scaled to 2-norm 1, have s_min/s_max
+    below SINGULAR_TOL (one stacked SVD per chunk).
 
     With a (M, m, n + 1) array `forms` of `affine_rows`, point i is refined
     on the system followed by the m affine forms forms[member[i]]: one call
@@ -233,11 +233,10 @@ def newton_refine(system: PolySystem, points: Sequence, forms: np.ndarray | None
     table = system._compiled if not extra else _Compiled(
         [[(p, 1, 0)] for p in system] + [[]] * extra, n, Members(forms=forms))
     member = np.zeros(len(points), dtype=np.intp) if member is None else np.asarray(member)
-    given = [i for i, p in enumerate(points) if p is not None]
-    refined: list = [None] * len(points)
-    for first in range(0, len(given), BATCH_PATHS):
-        chunk = given[first:first + BATCH_PATHS]
-        x = np.array([points[i] for i in chunk], dtype=complex)
+    refined: list = []
+    for first in range(0, len(points), BATCH_PATHS):
+        chunk = slice(first, first + BATCH_PATHS)
+        x = np.array(points[chunk], dtype=complex)
         if x.ndim != 2 or x.shape[1] != n:
             raise ValueError(f"points need {n} coordinates, not {x.shape[1:]}")
         with np.errstate(invalid="ignore"):
@@ -249,9 +248,7 @@ def newton_refine(system: PolySystem, points: Sequence, forms: np.ndarray | None
             scale = np.linalg.norm(J, axis=2, keepdims=True)
             s = np.linalg.svd(J / np.where(scale > 0, scale, 1), compute_uv=False)
             ok[ok] = s[:, -1] / s[:, 0] >= SINGULAR_TOL  # False for s_max = 0 too
-        for i, good, p in zip(chunk, ok, x):
-            if good:
-                refined[i] = p
+        refined += [p if good else None for p, good in zip(x, ok)]
     return refined
 
 
@@ -480,14 +477,11 @@ def track_slice_motion(
     return ends[0] if members is None else ends
 
 
-def points_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return _norm(a - b) < MATCH_TOL * max(1.0, _norm(a), _norm(b))
-
-
 def matches(reference: Sequence[np.ndarray], queries: Sequence[np.ndarray]) -> list[list[int]]:
-    """For each query p, the ascending indices of the reference points that
-    `points_equal` p: the library's one search for equal points.
+    """For each query p, the ascending indices of the reference points q
+    equal to p, |p - q| < MATCH_TOL * max(1, |p|, |q|): the library's one
+    search for equal points and its one reading of MATCH_TOL.  Each point's
+    norm is taken once.
 
     p is compared only with the reference points q whose projection
     Re(u.q), for one fixed unit vector u, lies within 2 * MATCH_TOL *
@@ -500,17 +494,20 @@ def matches(reference: Sequence[np.ndarray], queries: Sequence[np.ndarray]) -> l
     n = len(reference[0])
     u = np.exp(2j * np.pi * np.sqrt(2) * np.arange(n)) / np.sqrt(n)
     keys, order = zip(*sorted((float((u @ q).real), j) for j, q in enumerate(reference)))
+    norms = [_norm(q) for q in reference]
     found = []
     for p in queries:
-        key, reach = float((u @ p).real), 2 * MATCH_TOL * max(1.0, _norm(p))
+        size = max(1.0, _norm(p))
+        key, reach = float((u @ p).real), 2 * MATCH_TOL * size
         near = order[bisect_left(keys, key - reach):bisect_right(keys, key + reach)]
-        found.append(sorted(j for j in near if points_equal(p, reference[j])))
+        found.append(sorted(j for j in near
+                            if _norm(p - reference[j]) < MATCH_TOL * max(size, norms[j])))
     return found
 
 
 def dedupe_points(points: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The points, in input order, without each one that `points_equal`s a
-    point kept before it: one pass over `matches(points, points)`."""
+    """The points, in input order, without each one that equals a point
+    kept before it: one pass over `matches(points, points)`."""
     kept = [False] * len(points)
     for i, near in enumerate(matches(points, points)):
         kept[i] = not any(kept[j] for j in near)

@@ -305,7 +305,7 @@ def coarsen(
     merge: tuple[int, int],
     target_e: Sequence[int],
     rs: RandomSource,
-    target_forms: Sequence[Polynomial] | None = None,
+    target_forms: Sequence[Polynomial],
 ) -> CoarsenResult:
     """Transform witness data when two groups merge into one.
 
@@ -313,9 +313,9 @@ def coarsen(
     set W_{S,T} by slice motion from the matching collection entry, then
     tracks all delta = sum binom(e,|S|) Deg(|S|,|T|,...) paths of the
     homotopy whose moving block interpolates the bilinear products
-    l10_i * l01_i toward the target affine forms l_i (given ones live on
-    the system's grouping).  With e = 0 nothing moves, and the result is
-    the one matching entry regrouped.
+    l10_i * l01_i toward the e target affine forms l_i, which live on the
+    system's grouping.  With e = 0 nothing moves, and the result is the one
+    matching entry regrouped.
     """
     a, b = sorted(merge)
     g = wc.grouping
@@ -326,11 +326,6 @@ def coarsen(
     e = target_e[a]
     base_g = wc.system.grouping
     sub = rs.substream(7)
-    if target_forms is None:
-        target_forms = [
-            random_affine_form(base_g, new_g.blocks[a], sub.substream(100 + i))
-            for i in range(e)
-        ]
     if len(target_forms) != e:
         raise ValueError(f"need {e} target forms, got {len(target_forms)}")
 

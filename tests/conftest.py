@@ -5,6 +5,7 @@ import pytest
 
 from multiwit import Polynomial, RandomSource
 from multiwit.startsys import RESIDUAL_TOL
+from multiwit.tracker import MATCH_TOL
 
 SEED = 20230529
 
@@ -32,6 +33,13 @@ def on_its_slices(ws) -> bool:
     return all(full.residual(p) < RESIDUAL_TOL for p in ws.points)
 
 
+def points_equal(a, b) -> bool:
+    """The rule `tracker.matches` applies, by `np.linalg.norm`: the oracle
+    every test of equal points is checked against."""
+    scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    return bool(np.linalg.norm(np.asarray(a) - np.asarray(b)) < MATCH_TOL * scale)
+
+
 def evaluate(p: Polynomial, point) -> complex:
     """p at a point, term by term: the oracle the compiled kernel is
     checked against."""
@@ -53,7 +61,7 @@ def product(g, factors) -> Polynomial:
     c.x + c_0, expanded term by term."""
     p = Polynomial.constant(g, 1.0)
     for row in factors:
-        p = p * Polynomial.affine(g, row[:-1], row[-1])
+        p = p * Polynomial.affine(g, row[:-1], row[-1], range(g.nvars))
     return p
 
 

@@ -5,6 +5,7 @@ path accounting) for a documented workflow.  The two long optional
 checks are gated behind environment flags; see conftest.py.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -94,7 +95,8 @@ def test_cubic_witness_refine_coarsen():
 
     split = get_fixture("cubic-split")
     wc2 = compute_witness_collection(split.system, split.default_keys, rs(1))
-    res = coarsen(wc2, (0, 1), (1,), rs(2))
+    form = random_affine_form(split.system.grouping, [0, 1], rs(3))
+    res = coarsen(wc2, (0, 1), (1,), rs(2), [form])
     assert (res.delta, res.converged, res.diverged) == (5, 3, 2)
 
 
@@ -421,7 +423,25 @@ def test_hyperboloid_ungrouped_witness_is_much_larger():
 
 
 # ---------------------------------------------------------------------------
-# 9. four-fold fiber power of the five-bar pose system (multi-hour run)
+# 9. fiber powers of the five-bar pose system: the square in tier-1, the
+#    four-fold power (the pentad) as a multi-hour run
+
+# SHA-256 of the pentad's grouping and sorted terms, taken when its 32
+# equations were still written out in the fixture itself
+PENTAD_TERMS_SHA256 = "f6599a61d82419fce381e07ff60af0c6faddd309f14acd4634c2f0fd92fd6ae1"
+
+
+def test_pentad_is_the_fourth_fiber_power():
+    s = get_fixture("pentad").system
+    text = repr((s.grouping.sizes, s.grouping.names, [sorted(p.terms.items()) for p in s]))
+    assert hashlib.sha256(text.encode()).hexdigest() == PENTAD_TERMS_SHA256
+
+
+def test_fiber_square_witness_count():
+    fx = get_fixture("fiber-square")
+    wc = compute_witness_collection(fx.system, fx.default_keys, RandomSource(seed=1))
+    assert len(wc.entries[(2, 2, 2, 0, 2, 0)].points) == 104
+    assert wc.dropped == {} and wc.merged == {}
 
 
 def test_pentad_mbezout_count():

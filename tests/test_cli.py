@@ -254,6 +254,50 @@ def test_group_index_out_of_range_is_input_error(argv, index, capsys):
     assert f"input error: group index {index} is not in 0.." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "--fixture", "cubic", "--keys", ","], "no keys given"),
+    (["witness", "--input", "no-such-dir/cubic.sys", "--keys", "1"],
+     "cannot read no-such-dir/cubic.sys: "),
+    (["refine", "--fixture", "cubic", "--split", "0"], "--split must look like GROUP:FIRST_SIZE"),
+    (["refine", "--fixture", "cubic", "--split", "a:1"],
+     "--split must look like GROUP:FIRST_SIZE"),
+    (["coarsen", "--fixture", "cubic-split", "--merge", "0:1:2"],
+     "--merge must look like A:B[,A:B...] (group indices)"),
+    (["coarsen", "--fixture", "cubic-split", "--merge", "0-1"],
+     "--merge must look like A:B[,A:B...] (group indices)"),
+    (["class", "--fixture", "cubic"],
+     "class accepts --fixture class-123 or explicit --degrees/--nvec"),
+    (["class", "--nvec", "3,3"], "class needs --degrees and --nvec (or --fixture class-123)"),
+    (["class", "--degrees", "1,x", "--nvec", "3"],
+     "--nvec like 3,3,3 and --degrees like 1,2,3;1,2,3"),
+], ids=" ".join)
+def test_malformed_arguments_are_input_errors(argv, message, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "compute_witness_collection", lambda *a: calls.append(a))
+    assert run(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+    assert calls == []
+
+
+def test_input_without_keys_is_input_error(tmp_path, capsys):
+    # a system file declares no witness keys, so --input needs --keys
+    cubic = tmp_path / "cubic.sys"
+    cubic.write_text("group v[2];\nf = v2^2 - 2*v1*v2 - v1^3 + v1;\n")
+    assert run(["witness", "--input", str(cubic)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: no --keys given and the input has no default keys\n")
+
+
+def test_a_failed_computation_exits_3(monkeypatch, capsys):
+    def failing(*args):
+        raise IndeterminateError("2 of 12 paths failed")
+
+    monkeypatch.setattr(cli, "compute_witness_collection", failing)
+    assert run(["witness", "--fixture", "cubic"]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical failure: 2 of 12 paths failed\n"
+
+
 def test_input_file_matches_the_fixture(tmp_path, capsys):
     # the cubic fixture as text; the file has no default keys, so --keys
     cubic = tmp_path / "cubic.sys"

@@ -168,17 +168,19 @@ def test_one_newton_loop():
 
 def test_one_search_for_equal_points():
     # which reference points equal a query is answered in one place,
-    # tracker.matches: no other code calls points_equal or imports it
-    named = []
+    # tracker.matches: nothing else in the library reads MATCH_TOL
+    read = []
     for path in SOURCES:
         for top in ast.parse(path.read_text()).body:
             if path.name == "tracker.py" and getattr(top, "name", None) == "matches":
                 continue
-            named += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
-                      if "points_equal" in (getattr(node, "id", None), getattr(node, "attr", None))
-                      or isinstance(node, ast.ImportFrom)
-                      and "points_equal" in [alias.name for alias in node.names]]
-    assert not named, f"points_equal named outside tracker.matches: {', '.join(named)}"
+            read += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and node.id == "MATCH_TOL"
+                     and isinstance(node.ctx, ast.Load)
+                     or isinstance(node, ast.Attribute) and node.attr == "MATCH_TOL"
+                     or isinstance(node, ast.ImportFrom)
+                     and "MATCH_TOL" in [alias.name for alias in node.names]]
+    assert not read, f"MATCH_TOL read outside tracker.matches: {', '.join(read)}"
 
 
 def test_kernel_has_one_path():
@@ -494,3 +496,51 @@ def test_every_dataclass_field_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = [field for field in _dataclass_fields() if field.rsplit(".", 1)[1] not in read]
     assert not unread, f"dataclass fields nothing reads: {', '.join(unread)}"
+
+
+def _defaults(fn: ast.FunctionDef, method: bool) -> dict[str, int | None]:
+    """Each parameter of fn that has a default -> its position among the
+    arguments a call passes (without self or cls), None for keyword-only."""
+    positional = [arg.arg for arg in fn.args.posonlyargs + fn.args.args][int(method):]
+    first = len(positional) - len(fn.args.defaults)
+    keyword = {arg.arg: None for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if default is not None}
+    return {name: i for i, name in enumerate(positional) if i >= first} | keyword
+
+
+def _leaves_out(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call surely passes nothing for the parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg is None for kw in call.keywords):
+        return False
+    by_position = position is not None and position < len(call.args)
+    return not by_position and name not in [kw.arg for kw in call.keywords]
+
+
+def test_every_default_is_used():
+    # a default that every caller overrides is a code path only the tests
+    # reach: each defaulted parameter of a library function or method, the
+    # constructors aside, is left out by some call in the library, the
+    # benchmark, the tools or the demos (calls are matched by name alone)
+    calls = collections.defaultdict(list)
+    for folder in ("src", "bench", "tools", "demos"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    calls[func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None)].append(node)
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        scopes = [("", tree)] + [(f"{c.name}.", c) for c in tree.body
+                                 if isinstance(c, ast.ClassDef)]
+        for prefix, scope in scopes:
+            for fn in scope.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                for name, position in _defaults(fn, bool(prefix) and not static).items():
+                    if not any(_leaves_out(call, name, position) for call in calls[fn.name]):
+                        unused.append(f"{path.name}:{fn.lineno} {prefix}{fn.name}({name})")
+    assert not unused, f"defaults that no caller uses: {', '.join(unused)}"

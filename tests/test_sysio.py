@@ -107,6 +107,16 @@ def test_parse_errors_carry_position():
     ("x # c\ny", [("id", "x", 1, 1), ("id", "y", 2, 1), ("eof", "", 2, 2)]),
     # a comment's characters count towards the column of the end of input
     ("group x; f = x # c", ("expected ';', found ''", 1, 19)),
+    ("group x; f = x $ 1;", ("unexpected character '$'", 1, 16)),
+    ("group x; ;", ("expected declaration, found ';'", 1, 10)),
+    ("", ("no variable groups declared", 1, 1)),
+    ("# nothing\n", ("no variable groups declared", 2, 1)),
+    ("group x;", ("no polynomials declared", 1, 9)),
+    # group x[2] names x1 and x2; the clash is reported at the later group's name
+    ("group x[2]; group x1;", ("variable name 'x1' collides with an existing variable", 1, 19)),
+    ("group x1; group x[2];", ("variable name 'x1' collides with an existing variable", 1, 17)),
+    ("group x; f = x;\nf = x;", ("duplicate polynomial name 'f'", 2, 1)),
+    ("group x; group y; x = 1;", ("polynomial name 'x' collides with a variable", 1, 19)),
 ])
 def test_token_rules(text, expected):
     """A list is the tokens of `text`; a tuple is the ParseError that
@@ -173,3 +183,9 @@ def test_non_finite_coefficients_are_refused(text, name, col):
         parse_system(text)
     assert str(exc.value).endswith(f"column {col}: polynomial {name!r} has a coefficient "
                                    "that is not finite")
+
+
+def test_a_leading_minus_negates_the_first_term():
+    (leading,) = parse_system("group x; group y; f = -x^2*y + 3;").polys
+    (trailing,) = parse_system("group x; group y; f = 3 - x^2*y;").polys
+    assert leading.terms == trailing.terms == {(0, 0): 3, (2, 1): -1}

@@ -22,10 +22,10 @@ from multiwit import (
 )
 from multiwit.algebra import Members, affine_rows
 from multiwit.fixtures import get_fixture
-from multiwit.tracker import dedupe_points, matches, points_equal, track_slice_motion
+from multiwit.tracker import dedupe_points, matches, track_slice_motion
 from multiwit.witness import passes_through
 
-from conftest import diff, evaluate, extended, product, rs
+from conftest import diff, evaluate, extended, points_equal, product, rs
 
 
 def univariate():
@@ -575,6 +575,18 @@ def test_a_step_floor_at_t_zero_ends_the_path():
         assert p.rejected() == status
 
 
+def test_a_path_out_of_steps_fails_below_its_blowup_bound():
+    # the MAX_STEPS-th accepted step short of t = 0 ends a path: "diverged"
+    # when its norm has passed its blow-up bound, 1e4 * max(1, start norm),
+    # and "failed" below it; a step that reaches t = 0 ends it either way
+    for t, norm, status in ((0.5, 9e3, "failed"), (0.5, 2e4, "diverged"),
+                            (0.02, 2e4, "ended")):
+        p = multiwit.tracker._Path(0, 1.0)
+        p.t, p.steps = t, multiwit.tracker.MAX_STEPS - 2
+        assert p.accepted(0.01, 1.0) is None
+        assert p.accepted(0.01, norm) == status
+
+
 def test_a_path_floored_at_t_zero_is_sharpened_from_its_last_point():
     # y = 1 on every path of [x^3 - 1, y^2 - 1] -> [x^3 - 100, (y - 1)^2],
     # and J_x is singular at t = 0: each path's step floors at t = 4.9e-17.
@@ -759,20 +771,20 @@ def test_newton_refine_stall_gives_none():
 
 
 def test_newton_refine_batch_is_each_point_alone():
-    # one batch holds a point that converges, a None, a singular start
-    # (J = 0) and a start that stalls on the real line; each entry is what
-    # refining it alone gives, bit for bit, and nothing warns
+    # one batch holds a point that converges, a singular start (J = 0) and
+    # a start that stalls on the real line; each entry is what refining it
+    # alone gives, bit for bit, and nothing warns
     g, x = univariate()
     F = PolySystem([x**2 + 1])
-    points = [np.array([0.1 + 1.1j]), None, np.array([0j]), np.array([3 + 0j])]
+    points = [np.array([0.1 + 1.1j]), np.array([0j]), np.array([3 + 0j])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = newton_refine(F, points)
         alone = [newton_refine(F, [p])[0] for p in points]
     assert len(batch) == len(points)
     assert abs(batch[0][0] - 1j) < 1e-12
-    assert batch[1:] == [None, None, None]
-    assert alone[1:] == [None, None, None]
+    assert batch[1:] == [None, None]
+    assert alone[1:] == [None, None]
     assert batch[0].tobytes() == alone[0].tobytes()
 
 
@@ -782,7 +794,7 @@ def test_newton_refine_goes_in_chunks(monkeypatch):
     # refining it alone gives, bit for bit
     g, x = univariate()
     F = PolySystem([x**2 + 1])
-    points = [np.array([0.1 + 1.1j]), None, np.array([0j]), np.array([-0.2 - 0.9j]),
+    points = [np.array([0.1 + 1.1j]), np.array([0j]), np.array([-0.2 - 0.9j]),
               np.array([3 + 0j]), np.array([0.05 + 1j])]
     alone = [newton_refine(F, [p])[0] for p in points]
     rows, newton = [], multiwit.tracker._newton
@@ -797,7 +809,7 @@ def test_newton_refine_goes_in_chunks(monkeypatch):
     assert rows == [2, 2, 1]
     assert [None if p is None else p.tobytes() for p in refined] == \
         [None if p is None else p.tobytes() for p in alone]
-    assert [p is None for p in refined] == [False, True, True, False, True, False]
+    assert [p is None for p in refined] == [False, True, False, True, False]
 
 
 def test_newton_freezes_a_stopped_row():
@@ -835,24 +847,23 @@ def test_newton_freezes_a_stopped_row():
 
 @pytest.mark.parametrize("n", [1, 3, 40])
 def test_points_equal_reads_the_norm_formula(n):
-    # the same verdicts as the np.linalg.norm formula, on planted pairs at
-    # 0.5x (equal) and 2x (distinct) the match distance
+    # matches gives the verdicts of the rule written with np.linalg.norm,
+    # both ways round, on planted pairs at 0.5x (equal) and 2x (distinct)
+    # the match distance
     rng = np.random.default_rng(n)
 
     def unit():
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         return v / np.linalg.norm(v)
 
-    def reference(a, b):
-        scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-        return bool(np.linalg.norm(a - b) < multiwit.tracker.MATCH_TOL * scale)
-
     for _ in range(50):
         p = 10 ** rng.uniform(-3, 6) * unit()
         gap = multiwit.tracker.MATCH_TOL * max(1.0, np.linalg.norm(p))
         for factor in (0.5, 2.0):
             q = p + factor * gap * unit()
-            assert points_equal(p, q) is points_equal(q, p) is reference(p, q) is (factor < 1)
+            equal = [[0]] if factor < 1 else [[]]
+            assert matches([q], [p]) == matches([p], [q]) == equal
+            assert points_equal(p, q) is points_equal(q, p) is (factor < 1)
 
 
 def quadratic_dedupe(points):
@@ -911,18 +922,19 @@ def test_matches_on_empty_sides():
 def test_dedupe_compares_few_pairs_after_a_large_point(monkeypatch):
     # one point of norm 1e8 first, then 500 of norm about 1: each point's
     # window scales with its own norm, not the largest one seen, so the
-    # small points are not all compared with one another
+    # small points are not all compared with one another.  Each comparison
+    # takes one norm, beside one per point as a reference and one as a query
     rng = np.random.default_rng(7)
     points = [1e8 * np.ones(3, dtype=complex)]
     points += list(rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3)))
     calls = []
-    real = multiwit.tracker.points_equal
+    real = multiwit.tracker._norm
 
-    def counted(a, b):
+    def counted(x):
         calls.append(1)
-        return real(a, b)
+        return real(x)
 
-    monkeypatch.setattr(multiwit.tracker, "points_equal", counted)
+    monkeypatch.setattr(multiwit.tracker, "_norm", counted)
     assert len(dedupe_points(points)) == len(points)
     assert len(calls) < 10 * len(points)
 
@@ -931,6 +943,5 @@ def test_points_equal_and_dedupe():
     a = np.array([1.0, 2.0], dtype=complex)
     b = a + 1e-12
     c = np.array([1.0, 2.1], dtype=complex)
-    assert points_equal(a, b)
-    assert not points_equal(a, c)
+    assert matches([a, c], [b, c]) == [[0], [1]]
     assert len(dedupe_points([a, b, c])) == 2

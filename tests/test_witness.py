@@ -26,10 +26,10 @@ from multiwit import (
 )
 from multiwit.fixtures import get_fixture
 from multiwit.startsys import RESIDUAL_TOL, solve_zero_dims, square_up
-from multiwit.tracker import points_equal, relative_residual
+from multiwit.tracker import relative_residual
 from multiwit.witness import passes_through, random_affine_form
 
-from conftest import evaluate, on_its_slices, rs
+from conftest import evaluate, on_its_slices, points_equal, rs
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +184,9 @@ def test_move_slice_raises_on_a_lost_point(cubic_wc, monkeypatch, lose):
 def test_coarsen_propagates_a_lost_start_point(split_wc, monkeypatch):
     fx, wc = split_wc
     losing_a_point(monkeypatch, lambda ends: [None] + ends[1:])
+    form = random_affine_form(wc.system.grouping, [0, 1], rs(40))
     with pytest.raises(IndeterminateError, match="lost 1 of"):
-        coarsen(wc, (0, 1), (1,), rs(38))
+        coarsen(wc, (0, 1), (1,), rs(38), [form])
 
 
 def test_refine_cubic_to_bidegrees(cubic_wc):
@@ -233,7 +234,8 @@ def test_refine_validates_keys(cubic_wc):
 
 def test_coarsen_cubic_split(split_wc):
     fx, wc = split_wc
-    res = coarsen(wc, (0, 1), (1,), rs(38))
+    form = random_affine_form(wc.system.grouping, [0, 1], rs(40))
+    res = coarsen(wc, (0, 1), (1,), rs(38), [form])
     assert res.delta == 5  # binom(1,1)*Deg(1,0) + binom(1,0)*Deg(0,1)
     assert res.converged == 3
     assert res.diverged == 2
@@ -264,7 +266,7 @@ def test_coarsen_with_no_merged_budget_tracks_no_path(octa_fh_wc, monkeypatch):
     calls = []
     monkeypatch.setattr(multiwit.tracker, "track_many",
                         lambda *args: calls.append(args) or [])
-    res = coarsen(wc, (0, 1), (0, 1, 1), rs(47))
+    res = coarsen(wc, (0, 1), (0, 1, 1), rs(47), [])
     assert not calls
     src = wc.entries[(0, 0, 1, 1)]
     assert (res.delta, res.converged, res.diverged) == (3, 3, 0)
