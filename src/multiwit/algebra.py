@@ -120,16 +120,14 @@ class VariableGrouping:
             and self.names == other.names
         )
 
-    def __hash__(self) -> int:
-        return hash((self.blocks, self.names))
-
     def __repr__(self) -> str:
         parts = ["|".join(self.names[v] for v in b) for b in self.blocks]
         return f"VariableGrouping({', '.join(parts)})"
 
 
 class Polynomial:
-    """A sparse polynomial: exponent vector -> complex coefficient."""
+    """A sparse polynomial: exponent vector -> complex coefficient.  Two
+    polynomials are equal only as one object."""
 
     def __init__(self, grouping: VariableGrouping, terms: dict):
         self.grouping = grouping
@@ -236,17 +234,7 @@ class Polynomial:
     def with_grouping(self, grouping: VariableGrouping) -> "Polynomial":
         if grouping.nvars != self.grouping.nvars:
             raise ValueError("regrouping must preserve the variable set")
-        return Polynomial(grouping, self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.grouping == other.grouping
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.grouping, frozenset(self.terms.items())))
+        return self if grouping == self.grouping else Polynomial(grouping, self.terms)
 
     def __repr__(self) -> str:
         if not self.terms:

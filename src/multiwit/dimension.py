@@ -58,29 +58,26 @@ class DimensionProfile:
         return (self.total_dim, items)
 
 
-def _stable_rank(s: np.ndarray, scale, what: str, first: int) -> np.ndarray:
+def _stable_rank(s: np.ndarray, scale, what: str, first: int, unclear: list) -> np.ndarray:
     """Count of singular values s above RANK_TOL * scale in each row of a
     stack; the count at 10 * RANK_TOL * scale must agree.  Row i is point
-    first + i of the input, and a point that disagrees is named."""
+    first + i of the input, and each row that disagrees is named in a line
+    appended to `unclear`."""
     r1, r2 = (np.count_nonzero(s > tol * scale, axis=-1) for tol in (RANK_TOL, 10 * RANK_TOL))
-    bad = np.flatnonzero(r1 != r2)
-    if bad.size:
-        i = bad[0]
-        raise IllConditionedError(
-            f"rank of {what} at point {first + i} is {r1[i]} at tol {RANK_TOL:g} "
-            f"but {r2[i]} at {10 * RANK_TOL:g}; the point does not look general"
-        )
+    unclear += [f"rank of {what} at point {first + i} is {r1[i]} at tol {RANK_TOL:g} "
+                f"but {r2[i]} at {10 * RANK_TOL:g}" for i in np.flatnonzero(r1 != r2)]
     return r1
 
 
 def _tangent_ranks(F: PolySystem, chunk: np.ndarray, first: int, subsets: list,
-                   rows: list) -> tuple:
+                   rows: list, unclear: list) -> tuple:
     """(rank of DF, dim_I per subset) at each row of a chunk of points, the
     first being point `first` of the input: one kernel call and one stacked
-    SVD of DF, then one stacked SVD of the tangent bases' rows per subset."""
+    SVD of DF, then one stacked SVD of the tangent bases' rows per subset.
+    Each rank that is not clear is named in `unclear`."""
     n = F.grouping.nvars
     _, s, vh = np.linalg.svd(F.jacobian(chunk))
-    rank = _stable_rank(s, s[..., :1], "DF", first)
+    rank = _stable_rank(s, s[..., :1], "DF", first, unclear)
     # a row's tangent basis is vh[rank:]; to stack them, take vh[low:] for
     # the chunk's least rank and zero each row's vectors before its own
     # rank, since zero vectors add no rank
@@ -91,7 +88,7 @@ def _tangent_ranks(F: PolySystem, chunk: np.ndarray, first: int, subsets: list,
     dims = np.zeros((len(chunk), len(subsets)), dtype=int)
     for j, (I, r) in enumerate(zip(subsets, rows)):
         s_I = np.linalg.svd(tangent[:, r], compute_uv=False)
-        dims[:, j] = _stable_rank(s_I, 1.0, f"the tangent space on groups {I}", first)
+        dims[:, j] = _stable_rank(s_I, 1.0, f"the tangent space on groups {I}", first, unclear)
     return rank, dims
 
 
@@ -100,8 +97,9 @@ def local_multidimension(F: PolySystem, points):
     or a list of them, one per row of a (B, n) array of points.
 
     The rows go BATCH_PATHS at a time through `_tangent_ranks`, and rows
-    with equal profiles share one `DimensionProfile`.  A rank that is not
-    clear raises IllConditionedError naming its point's index in the input."""
+    with equal profiles share one `DimensionProfile`.  After the last chunk,
+    ranks that are not clear raise one IllConditionedError that names each,
+    by its point's index in the input and which rank it is."""
     g = F.grouping
     k = g.k
     if k > MAX_GROUPS:
@@ -110,10 +108,10 @@ def local_multidimension(F: PolySystem, points):
     stack = x.reshape(-1, x.shape[-1])
     subsets = [I for r in range(1, k) for I in combinations(range(k), r)]
     rows = [[v for i in I for v in g.blocks[i]] for I in subsets]
-    profiles, shared = [], {}  # shared: (dim, dim_I...) bytes -> its one profile
+    profiles, shared, unclear = [], {}, []  # shared: (dim, dim_I...) bytes -> its one profile
     for first in range(0, len(stack), tracker.BATCH_PATHS):
         chunk = stack[first:first + tracker.BATCH_PATHS]
-        rank, dims = _tangent_ranks(F, chunk, first, subsets, rows)
+        rank, dims = _tangent_ranks(F, chunk, first, subsets, rows, unclear)
         for row in np.column_stack([g.nvars - rank, dims]):
             key = row.tobytes()
             if key not in shared:
@@ -121,6 +119,10 @@ def local_multidimension(F: PolySystem, points):
                     total_dim=int(row[0]),
                     proj_dims={frozenset(I): int(d) for I, d in zip(subsets, row[1:])}, k=k)
             profiles.append(shared[key])
+    if unclear:
+        named, *others = unclear
+        more = f"; {len(others)} more unclear: " + "; ".join(others) if others else ""
+        raise IllConditionedError(f"{named}; the point does not look general{more}")
     return profiles[0] if x.ndim == 1 else profiles
 
 

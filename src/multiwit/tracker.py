@@ -447,8 +447,9 @@ def track_slice_motion(
     """Track points of V(fixed, old_rows) to V(fixed, new_rows) along
     [fixed; t*gamma*old_rows + (1-t)*new_rows], gamma = rs.unit_complex().
     Each motion draws, so motions meant to share a gamma pass equal
-    substreams.  With no rows in motion the points come back unchanged and
-    no path is tracked.
+    substreams.  A row whose old form is its new form, the same object,
+    joins `fixed` after the caller's rows, in row order; with no row that
+    changes, the points come back unchanged and no path is tracked.
 
     With `members`, the last rows of the motion start, or end, at each
     member's own forms (see `Homotopy`), `points` holds one list of start
@@ -461,6 +462,11 @@ def track_slice_motion(
     one member, and its list comes back alone; a failed path raises
     IndeterminateError."""
     lists = [points] if members is None else points
+    held = [j for j, (f, g) in enumerate(zip(old_rows, new_rows)) if f is g]
+    if held:
+        fixed = PolySystem((fixed.polys if fixed else ()) + tuple(old_rows[j] for j in held))
+        old_rows, new_rows = ([f for j, f in enumerate(rows) if j not in held]
+                              for rows in (old_rows, new_rows))
     if not len(old_rows) + (0 if members is None else members.start_rows):
         return list(points) if members is None else [list(p) for p in lists]
     h = Homotopy(old_rows, new_rows, rs.unit_complex() if old_rows else 1.0, fixed, members)

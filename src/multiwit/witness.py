@@ -15,8 +15,9 @@ system's grouping; only `WitnessSet.grouping` and
 `WitnessCollection.grouping` carry the current grouping, which refinement
 and coarsening change.  And every slice moves through
 `tracker.track_slice_motion`, with a gamma drawn from a substream of its
-own, under one failed-path policy; a slice motion with no moving rows
-tracks no path and returns its points unchanged.
+own, under one failed-path policy.  Each motion passes the whole selection
+before and after; the forms it leaves the same objects are fixed rows, and
+a motion in which no form changes tracks no path.
 """
 
 from __future__ import annotations
@@ -234,8 +235,10 @@ def move_slice(
     ends = track_slice_motion(ws.fixed_block, old, new_forms, ws.points, rs)
     points = dedupe_points([p for p in ends if p is not None])
     if len(points) != len(ws.points):
-        raise IndeterminateError(f"moving the slice of key {ws.selection.e} lost "
-                                 f"{len(ws.points) - len(points)} of {len(ws.points)} points")
+        lost, diverged = len(ws.points) - len(points), sum(p is None for p in ends)
+        raise IndeterminateError(f"moving the slice of key {ws.selection.e} lost {lost} of "
+                                 f"{len(ws.points)} points ({diverged} diverged, "
+                                 f"{lost - diverged} merged)")
     return replace(ws, selection=ws.selection.replace_forms(new_forms), points=points)
 
 
@@ -279,14 +282,12 @@ def refine(
         for i in range(target_e[group + 1])
     ]
     per_group = list(ws.selection.per_group)
-    others = [f for i, fs in enumerate(per_group) if i != group for f in fs]
-    ends = track_slice_motion(
-        ws.fixed_block.concat(others), per_group[group], new_first + new_second, ws.points,
-        rs.substream(99),
-    )
     per_group[group:group + 1] = [tuple(new_first), tuple(new_second)]
-    return replace(ws, selection=SliceSelection(tuple(per_group)),
-                   points=dedupe_points([p for p in ends if p is not None]), grouping=new_g)
+    sel = SliceSelection(tuple(per_group))
+    ends = track_slice_motion(ws.fixed_block, ws.selection.forms, sel.forms, ws.points,
+                              rs.substream(99))
+    return replace(ws, selection=sel, points=dedupe_points([p for p in ends if p is not None]),
+                   grouping=new_g)
 
 
 @dataclass
@@ -314,8 +315,9 @@ def coarsen(
     tracks all delta = sum binom(e,|S|) Deg(|S|,|T|,...) paths of the
     homotopy whose moving block interpolates the bilinear products
     l10_i * l01_i toward the e target affine forms l_i, which live on the
-    system's grouping.  With e = 0 nothing moves, and the result is the one
-    matching entry regrouped.
+    system's grouping.  Every motion passes whole selections, so the forms
+    of the other groups stay fixed; with e = 0 no form changes, no path is
+    tracked, and the result is the one matching entry regrouped.
     """
     a, b = sorted(merge)
     g = wc.grouping
@@ -340,15 +342,6 @@ def coarsen(
             sources[s] = ws
     if not sources:
         raise ValueError(f"no collection entry matches any split of target {target_e}")
-    # groups other than a and b keep the same flag prefixes in every source
-    src = next(iter(sources.values()))
-    per_group = list(src.selection.per_group)
-    per_group[a] = tuple(target_forms)
-    del per_group[b]
-    coarse = replace(src, selection=SliceSelection(tuple(per_group)), grouping=new_g)
-    if e == 0:
-        n = len(coarse.points)
-        return CoarsenResult(coarse, delta=n, converged=n)
 
     # the start points W_{S,T}: S of the l10 forms on group a, the rest of l01 on b
     l10 = [random_affine_form(base_g, g.blocks[a], sub.substream(i)) for i in range(e)]
@@ -362,14 +355,17 @@ def coarsen(
             moved = move_slice(ws, [f for fs in moving for f in fs], sub.substream(999 + s))
             starts.extend(moved.points)
 
-    rest = [f for i, fs in enumerate(src.selection.per_group) if i not in (a, b) for f in fs]
+    # groups other than a and b keep the same flag prefixes in every source
+    src = next(iter(sources.values()))
+    per = src.selection.per_group
     products = [l10[i] * l01[i] for i in range(e)]
-    ends = track_slice_motion(
-        src.fixed_block.concat(rest), products, target_forms, starts, sub.substream(1234),
-    )
+    start, coarse = (SliceSelection((*per[:a], tuple(fs), *per[a + 1:b], *per[b + 1:]))
+                     for fs in (products, target_forms))
+    ends = track_slice_motion(src.fixed_block, start.forms, coarse.forms, starts,
+                              sub.substream(1234))
     pts = [p for p in ends if p is not None]
-    return CoarsenResult(replace(coarse, points=dedupe_points(pts)), delta=len(starts),
-                         converged=len(pts))
+    return CoarsenResult(replace(src, selection=coarse, points=dedupe_points(pts), grouping=new_g),
+                         delta=len(starts), converged=len(pts))
 
 
 def coarsen_collection(

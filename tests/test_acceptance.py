@@ -440,8 +440,12 @@ def test_pentad_is_the_fourth_fiber_power():
 def test_fiber_square_witness_count():
     fx = get_fixture("fiber-square")
     wc = compute_witness_collection(fx.system, fx.default_keys, RandomSource(seed=1))
-    assert len(wc.entries[(2, 2, 2, 0, 2, 0)].points) == 104
+    points = wc.entries[(2, 2, 2, 0, 2, 0)].points
+    assert len(points) == 104
     assert wc.dropped == {} and wc.merged == {}
+    # the equidimensional classes of those points, in order of first appearance
+    classes = equidim_partition(fx.system, points)
+    assert [len(idx) for _, idx in classes] == [100, 3, 1]
 
 
 def test_pentad_mbezout_count():

@@ -45,8 +45,10 @@ def _reference_profile(F, point) -> DimensionProfile:
     J = F.jacobian(np.asarray(point, dtype=complex))
 
     def rank(M, what):
-        s = np.linalg.svd(M, compute_uv=False)
-        return int(_stable_rank(s[None], s[0], what, 0)[0])
+        s, unclear = np.linalg.svd(M, compute_uv=False), []
+        (r,) = _stable_rank(s[None], s[0], what, 0, unclear)
+        assert not unclear, unclear
+        return int(r)
 
     ker_full = g.nvars - rank(J, "DF")
     proj = {}
@@ -146,6 +148,18 @@ def test_an_unclear_rank_names_its_row_in_the_stack(monkeypatch):
         local_multidimension(F, stack)
 
 
+def test_every_unclear_rank_is_named_in_one_error(monkeypatch):
+    # points 1 and 3 fall in different chunks, and the one error names both
+    F = parse_system("group x; group y; f1 = x - 1; f2 = x*y - 2;")
+    stack = np.array([[1, 2], [3e-8, 0], [1, 2], [3e-8, 0]])
+    monkeypatch.setattr(tracker, "BATCH_PATHS", 2)
+    with pytest.raises(IllConditionedError) as raised:
+        local_multidimension(F, stack)
+    assert str(raised.value) == (
+        "rank of DF at point 1 is 2 at tol 1e-08 but 1 at 1e-07; the point does not look "
+        "general; 1 more unclear: rank of DF at point 3 is 2 at tol 1e-08 but 1 at 1e-07")
+
+
 def test_equidim_partition_of_no_points():
     assert equidim_partition(get_fixture("surface-and-line").system, []) == []
 
@@ -185,22 +199,24 @@ def test_stable_rank_known_ranks():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
     s = np.linalg.svd(A, compute_uv=False)
-    assert list(_stable_rank(s[None], s[0], "A", 0)) == [3]
-    assert list(_stable_rank(s[None], 10 * s[0] / RANK_TOL, "A", 0)) == [0]
+    assert list(_stable_rank(s[None], s[0], "A", 0, [])) == [3]
+    assert list(_stable_rank(s[None], 10 * s[0] / RANK_TOL, "A", 0, [])) == [0]
     B = np.outer(A[:, 0], np.conj(A[:, 1]))
     s = np.linalg.svd(B, compute_uv=False)
-    assert list(_stable_rank(s[None], s[0], "B", 0)) == [1]
+    assert list(_stable_rank(s[None], s[0], "B", 0, [])) == [1]
     with np.errstate(all="raise"):
-        assert list(_stable_rank(np.zeros((1, 4)), 0.0, "zero", 0)) == [0]
+        assert list(_stable_rank(np.zeros((1, 4)), 0.0, "zero", 0, [])) == [0]
     # a singular value between the two tolerances makes the rank unstable
-    with pytest.raises(IllConditionedError, match="rank of C at point 0 is 3"):
-        _stable_rank(np.array([[1.0, 1.0, 3e-8]]), 1.0, "C", 0)
+    unclear = []
+    _stable_rank(np.array([[1.0, 1.0, 3e-8]]), 1.0, "C", 0, unclear)
+    assert unclear == ["rank of C at point 0 is 3 at tol 1e-08 but 2 at 1e-07"]
     # each row gets its own rank, and an unclear row is named by its
     # point's index: row i is point first + i
     stack = np.array([[2.0, 1e-12, 0.0], [1.0, 0.5, 0.0]])
-    assert list(_stable_rank(stack, stack[..., :1], "D", 0)) == [1, 2]
-    with pytest.raises(IllConditionedError, match="rank of E at point 5 is 3"):
-        _stable_rank(np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 3e-8]]), 1.0, "E", 4)
+    assert list(_stable_rank(stack, stack[..., :1], "D", 0, unclear)) == [1, 2]
+    assert len(unclear) == 1
+    _stable_rank(np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 3e-8]]), 1.0, "E", 4, unclear)
+    assert unclear[1:] == ["rank of E at point 5 is 3 at tol 1e-08 but 2 at 1e-07"]
 
 
 def test_profile_signature_and_monotonicity(split_point):

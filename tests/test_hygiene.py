@@ -275,6 +275,17 @@ def test_nothing_tracks_one_path_at_a_time():
     assert not calls, f"track_path called inside the library: {', '.join(calls)}"
 
 
+def test_a_motion_fixes_its_unchanged_forms_itself():
+    # track_slice_motion fixes every row whose old form is its new form, so
+    # no caller joins the forms it leaves alone to its fixed block
+    calls = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "track_slice_motion"
+             for fixed in [*node.args[:1], *(k.value for k in node.keywords if k.arg == "fixed")]
+             if isinstance(fixed, ast.Call) and getattr(fixed.func, "attr", None) == "concat"]
+    assert not calls, f"a motion's fixed block joined by hand: {', '.join(calls)}"
+
+
 def _per_element(node: ast.AST) -> list[ast.AST]:
     """The parts of a loop or comprehension that run once per element: not
     the iterable it starts from or a loop's else block, which run once."""

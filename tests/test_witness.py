@@ -169,16 +169,66 @@ def losing_a_point(monkeypatch, lose):
                         lambda *args: lose(real(*args)))
 
 
-@pytest.mark.parametrize("lose", [lambda ends: [None] + ends[1:],
-                                  lambda ends: ends[:1] + ends[:-1]],
+@pytest.mark.parametrize("lose, counts", [(lambda ends: [None] + ends[1:], (1, 0)),
+                                          (lambda ends: ends[:1] + ends[:-1], (0, 1))],
                          ids=["diverged", "merged"])
-def test_move_slice_raises_on_a_lost_point(cubic_wc, monkeypatch, lose):
+def test_move_slice_raises_on_a_lost_point(cubic_wc, monkeypatch, lose, counts):
     fx, wc = cubic_wc
     ws = wc.entries[(1,)]
     new = [random_affine_form(fx.system.grouping, [0, 1], rs(35))]
     losing_a_point(monkeypatch, lose)
-    with pytest.raises(IndeterminateError, match=r"key \(1,\) lost 1 of 3 points"):
+    with pytest.raises(IndeterminateError, match=r"key \(1,\) lost 1 of 3 points "
+                       r"\(%d diverged, %d merged\)" % counts):
         move_slice(ws, new, rs(37))
+
+
+def recording_homotopies(monkeypatch) -> list:
+    """Record (start, target, fixed rows) of every Homotopy built from now on."""
+    built = []
+    real = multiwit.tracker.Homotopy
+
+    def spy(start, target, gamma, fixed=None, members=None):
+        built.append((list(start), list(target), list(fixed.polys) if fixed else []))
+        return real(start, target, gamma, fixed, members)
+
+    monkeypatch.setattr(multiwit.tracker, "Homotopy", spy)
+    return built
+
+
+def same_objects(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+@pytest.fixture
+def moving_one_of_two(octa_fh_wc):
+    """Key (0, 0, 1, 1): its two forms, and a fresh form for group 3."""
+    fx, wc = octa_fh_wc
+    ws = wc.entries[(0, 0, 1, 1)]
+    g = fx.system.grouping
+    return ws, *ws.selection.forms, random_affine_form(g, g.blocks[3], rs(50))
+
+
+def test_move_slice_tracks_only_the_forms_that_change(moving_one_of_two, monkeypatch):
+    # the form passed unchanged is a fixed row after the fixed block, so
+    # the motion tracks one row fewer
+    ws, kept, old, new = moving_one_of_two
+    built = recording_homotopies(monkeypatch)
+    moved = move_slice(ws, [kept, new], rs(51))
+    ((start, target, fixed),) = built
+    assert same_objects(start, [old]) and same_objects(target, [new])
+    assert same_objects(fixed, [*ws.fixed_block.polys, kept])
+    assert len(moved.points) == len(ws.points) and on_its_slices(moved)
+
+
+def test_move_slice_tracks_an_equal_form_built_anew(moving_one_of_two, monkeypatch):
+    # the rule compares objects, not values: a copy of a form moves
+    ws, kept, old, new = moving_one_of_two
+    copy = Polynomial(kept.grouping, kept.terms)
+    built = recording_homotopies(monkeypatch)
+    move_slice(ws, [copy, new], rs(51))
+    ((start, target, fixed),) = built
+    assert same_objects(start, [kept, old]) and same_objects(target, [copy, new])
+    assert same_objects(fixed, ws.fixed_block.polys)
 
 
 def test_coarsen_propagates_a_lost_start_point(split_wc, monkeypatch):
@@ -221,6 +271,20 @@ def test_slice_motion_without_moving_rows_returns_the_points(cubic_wc):
     assert len(ends) == len(ws.points)
     assert all(a is b for a, b in zip(ends, ws.points))
     assert stream.unit_complex() == rs(0).unit_complex()  # no gamma was drawn
+
+
+def test_refine_fixes_the_forms_of_the_other_groups(monkeypatch):
+    # splitting group 2 of key (0, 1, 2) moves its two forms; the fixed rows
+    # are the set's fixed block and then group 1's form, the same objects
+    fx = get_fixture("point-times-surface")
+    wc = compute_witness_collection(fx.system, fx.default_keys, rs(44))
+    ws = wc.entries[(0, 1, 2)]
+    built = recording_homotopies(monkeypatch)
+    refined = refine(ws, (2, 1), (0, 1, 1, 1), rs(45))
+    ((start, target, fixed),) = built
+    assert same_objects(fixed, [*ws.fixed_block.polys, *ws.selection.per_group[1]])
+    assert same_objects(start, ws.selection.per_group[2])
+    assert same_objects(target, [f for fs in refined.selection.per_group[2:] for f in fs])
 
 
 def test_refine_validates_keys(cubic_wc):
@@ -274,6 +338,23 @@ def test_coarsen_with_no_merged_budget_tracks_no_path(octa_fh_wc, monkeypatch):
     assert res.witness.grouping == fx.system.grouping.merge(0, 1)
     assert res.witness.selection.e == (0, 1, 1)
     assert res.witness.selection.per_group[1:] == src.selection.per_group[2:]
+
+
+def test_coarsen_fixes_the_forms_outside_the_merged_groups(octa_fh_wc, monkeypatch):
+    # merging groups 0 and 1 into key (1, 1, 0): every motion, the start
+    # motions and the product motion, keeps group 2's form as a fixed row
+    fx, wc = octa_fh_wc
+    g = fx.system.grouping
+    form = random_affine_form(g, g.merge(0, 1).blocks[0], rs(48))
+    src = wc.entries[(0, 1, 1, 0)]
+    fixed_rows = [*src.fixed_block.polys, *src.selection.per_group[2]]
+    built = recording_homotopies(monkeypatch)
+    coarsen(wc, (0, 1), (1, 1, 0), rs(49), [form])
+    *start_motions, (start, target, fixed) = built
+    assert same_objects(fixed, fixed_rows) and len(start) == 1 and same_objects(target, [form])
+    assert len(start_motions) == 2
+    for start, target, fixed in start_motions:
+        assert len(start) == len(target) == 1 and same_objects(fixed, fixed_rows)
 
 
 def test_slice_motion_paths_are_pinned(octa_fh_wc, monkeypatch):
